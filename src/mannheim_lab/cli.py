@@ -32,7 +32,7 @@ from .builtins import BUILTIN_CURVE_NAMES, builtin_curve
 from .curve import Curve, CurveSamples, curve_from_samples, load_samples_csv, reparametrize_unit, sample
 from .errors import CsvFormatError, ExprSyntaxError, MannheimLabError
 from .expr import parse_expr
-from .frenet import CurveKind, FrenetFrame, frenet_apparatus, frenet_synthesize
+from .frenet import INITIAL_FRAMES, CurveKind, FrenetFrame, frenet_apparatus, frenet_synthesize
 from .indicatrix import indicatrix_of, verify_indicatrix_relations
 from .lorentz import Vec3L
 from .mannheim import (
@@ -54,12 +54,6 @@ _KINDS = {
     "timelike": CurveKind.TIMELIKE,
     "spacelike+": CurveKind.SPACELIKE_EPS_PLUS,
     "spacelike-": CurveKind.SPACELIKE_EPS_MINUS,
-}
-
-_DEFAULT_FRAMES = {
-    CurveKind.TIMELIKE: (Vec3L(1, 0, 0), Vec3L(0, 1, 0), Vec3L(0, 0, -1)),
-    CurveKind.SPACELIKE_EPS_PLUS: (Vec3L(0, 1, 0), Vec3L(0, 0, 1), Vec3L(1, 0, 0)),
-    CurveKind.SPACELIKE_EPS_MINUS: (Vec3L(0, 1, 0), Vec3L(1, 0, 0), Vec3L(0, 0, 1)),
 }
 
 
@@ -85,7 +79,7 @@ def _synthesize_from_parts(parts: dict[str, str]) -> Curve:
     step = float(parts.pop("step", "1e-3"))
     if parts:
         raise SpecError(f"unknown synth keys: {sorted(parts)}")
-    T0, N0, B0 = _DEFAULT_FRAMES[kind]
+    T0, N0, B0 = INITIAL_FRAMES[kind]
     frame0 = FrenetFrame(T0, N0, B0, kappa_expr.eval(a), tau_expr.eval(a), kind)
     return frenet_synthesize(
         kind, kappa_expr.eval, tau_expr.eval, frame0, Vec3L(0, 0, 0), (a, b), step
@@ -258,6 +252,19 @@ def _cmd_export_plot(args) -> int:
     return 0
 
 
+def _grid_size(text: str) -> int:
+    """argparse type of every ``--grid``: an integer of at least 2."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid grid size {text!r}; expected an integer >= 2"
+        ) from None
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"grid size must be at least 2, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mannheim-lab",
@@ -272,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="causal character of a curve's tangent")
     add_curve(p)
-    p.add_argument("--grid", type=int, default=64)
+    p.add_argument("--grid", type=_grid_size, default=64)
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(func=_cmd_classify)
 
@@ -286,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve", "-c", help="base curve; offsets along its normal")
     p.add_argument("--cstar", help="base curve; offsets along its binormal")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--grid", type=int, default=101)
+    p.add_argument("--grid", type=_grid_size, default=101)
     p.add_argument("--out", help="write CSV here instead of stdout")
     p.set_defaults(func=_cmd_offset)
 
@@ -296,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", required=True, help="expression in s")
     p.add_argument("--range", default="0:1", help="A:B parameter range")
     p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--grid", type=int, default=101)
+    p.add_argument("--grid", type=_grid_size, default=101)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_synthesize)
 
@@ -304,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", required=True, help="curve spec for C")
     p.add_argument("--cstar", required=True, help="curve spec for C*")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--grid", type=int, default=101)
+    p.add_argument("--grid", type=_grid_size, default=101)
     p.add_argument("--tol", type=float, default=None, help="override verifier tolerances")
     p.add_argument("--out", help="write the JSON report array here")
     p.set_defaults(func=_cmd_pair_verify)
@@ -312,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("indicatrix", help="spherical image of a frame field")
     add_curve(p)
     p.add_argument("--which", required=True, choices=("T", "N", "B"))
-    p.add_argument("--grid", type=int, default=101)
+    p.add_argument("--grid", type=_grid_size, default=101)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_indicatrix)
 
@@ -320,13 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("run",))
     p.add_argument("number", type=int, choices=(1, 2))
     p.add_argument("--lambda", dest="lam", type=float, default=20.0)
-    p.add_argument("--grid", type=int, default=101)
+    p.add_argument("--grid", type=_grid_size, default=101)
     p.add_argument("--out", help="write the JSON report array here")
     p.set_defaults(func=_cmd_examples)
 
     p = sub.add_parser("export-plot", help="sample a curve to CSV for plotting")
     add_curve(p)
-    p.add_argument("--grid", type=int, default=256)
+    p.add_argument("--grid", type=_grid_size, default=256)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_export_plot)
 

@@ -3,9 +3,12 @@
 A :class:`Curve` couples a position evaluator with derivative access up to
 third order.  Derivatives are taken from closed-form callables when the
 constructor got them and fall back to finite differences of the best
-available lower order otherwise.  Curves are immutable after construction
-and all operations here are pure, so concurrent evaluation at distinct
-parameters needs no coordination.
+available lower order otherwise.  ``Curve.jet`` returns all three
+derivatives at one parameter; a curve whose derivatives chain through one
+another (a reparametrization, an offset) supplies a jet evaluator so the
+shared intermediate terms are computed once per point.  Curves are
+immutable after construction and all operations here are pure, so
+concurrent evaluation at distinct parameters needs no coordination.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .lorentz import CausalCharacter, Vec3L, causal_character, inner, norm
 
 __all__ = [
     "Curve",
+    "Jet",
     "CurveSamples",
     "speed",
     "classify_curve",
@@ -142,11 +146,16 @@ def adaptive_simpson(
     return recurse(a, b, fa, fm, fb, whole, tol, 48)
 
 
+Jet = tuple[Vec3L, Vec3L, Vec3L]
+
+
 class Curve:
     """A map from a closed interval into Minkowski 3-space.
 
-    ``derivs`` may supply closed-form derivatives keyed by order 1..3; any
-    missing order is realized by 4th-order finite differences of the highest
+    ``derivs`` may supply closed-form derivatives keyed by order 1..3, and
+    ``jet`` an evaluator returning orders 1, 2 and 3 together.  An order
+    missing from ``derivs`` is read from ``jet`` when there is one and is
+    otherwise realized by 4th-order finite differences of the highest
     available lower-order evaluator (one-sided at the ends of the domain).
     """
 
@@ -157,6 +166,7 @@ class Curve:
         label: str = "curve",
         derivs: dict[int, Callable[[float], Vec3L]] | None = None,
         unit_speed: bool = False,
+        jet: Callable[[float], Jet] | None = None,
     ):
         a, b = float(domain[0]), float(domain[1])
         if not (math.isfinite(a) and math.isfinite(b)) or a >= b:
@@ -165,6 +175,7 @@ class Curve:
         self.domain = (a, b)
         self.label = label
         self._derivs = dict(derivs) if derivs else {}
+        self._jet = jet
         self.unit_speed = unit_speed
 
     def _check_domain(self, t: float) -> float:
@@ -185,9 +196,17 @@ class Curve:
         t = self._check_domain(t)
         if order in self._derivs:
             return self._derivs[order](t)
+        if self._jet is not None:
+            return self._jet(t)[order - 1]
         base_order = max((k for k in self._derivs if k < order), default=0)
         base = self._derivs[base_order] if base_order else self._pos
         return self._fd(base, t, order - base_order)
+
+    def jet(self, t: float) -> Jet:
+        """Derivatives of orders 1, 2 and 3 at ``t``, equal to three ``deriv`` calls."""
+        if self._jet is None:
+            return self.deriv(t, 1), self.deriv(t, 2), self.deriv(t, 3)
+        return self._jet(self._check_domain(t))
 
     def _fd(self, f: Callable[[float], Vec3L], t: float, m: int) -> Vec3L:
         a, b = self.domain
@@ -198,7 +217,7 @@ class Curve:
         return Vec3L(*acc)
 
     def has_closed_derivative(self, order: int) -> bool:
-        return order in self._derivs
+        return order in self._derivs or self._jet is not None
 
     def validate_unit_speed(self, grid_size: int = 64, tol: float = 1e-8) -> float:
         """Largest deviation of |<a',a'>| from 1 on a uniform grid."""
@@ -389,51 +408,37 @@ def reparametrize_unit(
     classify_curve(c, min(grid_size, 257))
     table = _ArcLengthTable(c, grid_size, tol)
 
-    def dpos(t: float, k: int) -> Vec3L:
-        return c.deriv(t, k)
+    def pos_u(u: float) -> Vec3L:
+        return c.pos(table.t_of_s(u))
 
-    def v_chain(t: float) -> tuple[float, float, float]:
-        d1, d2, d3 = dpos(t, 1), dpos(t, 2), dpos(t, 3)
+    def d1_u(u: float) -> Vec3L:
+        d1 = c.deriv(table.t_of_s(u), 1)
+        return d1 / math.sqrt(abs(inner(d1, d1)))
+
+    def jet_u(u: float) -> Jet:
+        # Chain rule through t(u) with t' = 1/v, where v = |<a', a'>|^(1/2).
+        d1, d2, d3 = c.jet(table.t_of_s(u))
         q = inner(d1, d1)
         sgn = 1.0 if q > 0 else -1.0
         v = math.sqrt(abs(q))
         vp = sgn * inner(d2, d1) / v
         vpp = sgn * ((inner(d3, d1) + inner(d2, d2)) / v) - vp * vp / v
-        return v, vp, vpp
-
-    def pos_u(u: float) -> Vec3L:
-        return c.pos(table.t_of_s(u))
-
-    def d1_u(u: float) -> Vec3L:
-        t = table.t_of_s(u)
-        v, _, _ = v_chain(t)
-        return dpos(t, 1) / v
-
-    def d2_u(u: float) -> Vec3L:
-        t = table.t_of_s(u)
-        v, vp, _ = v_chain(t)
-        tp = 1.0 / v
-        tpp = -vp / v**3
-        return dpos(t, 2) * (tp * tp) + dpos(t, 1) * tpp
-
-    def d3_u(u: float) -> Vec3L:
-        t = table.t_of_s(u)
-        v, vp, vpp = v_chain(t)
         tp = 1.0 / v
         tpp = -vp / v**3
         tppp = -vpp / v**4 + 3.0 * vp * vp / v**5
         return (
-            dpos(t, 3) * (tp**3)
-            + dpos(t, 2) * (3.0 * tp * tpp)
-            + dpos(t, 1) * tppp
+            d1 / v,
+            d2 * (tp * tp) + d1 * tpp,
+            d3 * (tp**3) + d2 * (3.0 * tp * tpp) + d1 * tppp,
         )
 
     out = Curve(
         pos=pos_u,
         domain=(0.0, table.total),
         label=f"{c.label}/unit-speed",
-        derivs={1: d1_u, 2: d2_u, 3: d3_u},
+        derivs={1: d1_u},
         unit_speed=True,
+        jet=jet_u,
     )
     out.arc_table = table
     out.base_curve = c

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
-from .curve import Curve, fd_weights
+from .curve import Curve, Jet, fd_weights
 from .errors import (
     InvalidInitialFrameError,
     NonPositiveCurvatureError,
@@ -38,6 +38,7 @@ __all__ = [
     "FrenetFrame",
     "frenet_apparatus",
     "frenet_synthesize",
+    "INITIAL_FRAMES",
     "frame_gram_residual",
     "synthesized_gram_drift",
     "KAPPA_TOL",
@@ -76,6 +77,14 @@ _SIGNS = {
     CurveKind.TIMELIKE: (-1, 1, 1),
     CurveKind.SPACELIKE_EPS_PLUS: (1, 1, -1),
     CurveKind.SPACELIKE_EPS_MINUS: (1, -1, 1),
+}
+
+# Initial frame (T, N, B) of each kind, built from the coordinate axes, for
+# synthesis from prescribed scalars alone.
+INITIAL_FRAMES = {
+    CurveKind.TIMELIKE: (Vec3L(1, 0, 0), Vec3L(0, 1, 0), Vec3L(0, 0, -1)),
+    CurveKind.SPACELIKE_EPS_PLUS: (Vec3L(0, 1, 0), Vec3L(0, 0, 1), Vec3L(1, 0, 0)),
+    CurveKind.SPACELIKE_EPS_MINUS: (Vec3L(0, 1, 0), Vec3L(1, 0, 0), Vec3L(0, 0, 1)),
 }
 
 
@@ -122,9 +131,9 @@ def frenet_apparatus(
     T is the raw first derivative (no renormalization, so Gram drift stays
     visible), N = T'/kappa with kappa = |<T',T'>|^(1/2), and B = T x N.
     Torsion comes from <N',B>/<B,B>, which reduces to the sign rules of the
-    three frame systems.
+    three frame systems.  The three derivatives come from one ``c.jet(s)``.
     """
-    d1 = c.deriv(s, 1)
+    d1, d2, d3 = c.jet(s)
     q1 = inner(d1, d1)
     if abs(abs(q1) - 1.0) > unit_tol:
         raise NotUnitSpeedError(
@@ -132,7 +141,6 @@ def frenet_apparatus(
             f"(<T,T>={q1:.6g}); reparametrize first"
         )
 
-    d2 = c.deriv(s, 2)
     e2 = d2.euclidean_norm()
     if e2 <= kappa_tol:
         raise VanishingCurvatureError(f"curvature of {c.label!r} vanishes at s={s:g}")
@@ -156,7 +164,6 @@ def frenet_apparatus(
     N = d2 / kappa
     B = cross(T, N)
 
-    d3 = c.deriv(s, 3)
     kappa_prime = math.copysign(1.0, q2) * inner(d3, d2) / kappa
     n_prime = d3 / kappa - d2 * (kappa_prime / (kappa * kappa))
     tau = kind.signs[2] * inner(n_prime, B)
@@ -200,7 +207,8 @@ def frenet_synthesize(
     The result is a sampled curve: position and derivative fields are cubic
     Hermite interpolants over the integration nodes, each field built from
     its own exact node values and node slopes supplied by the frame system,
-    so interpolation error is O(step^4) per field.
+    so interpolation error is O(step^4) per field.  The three derivative
+    fields share one stacked interpolant, so a jet is one evaluation.
 
     Raises InvalidInitialFrameError if ``frame0`` violates the Gram
     invariants of ``kind`` (tolerance 1e-10) and NonPositiveCurvatureError
@@ -294,20 +302,21 @@ def frenet_synthesize(
     )
 
     pos_spline = CubicHermiteSpline(s_nodes, P, T, axis=0)
-    d1_spline = CubicHermiteSpline(s_nodes, T, kN, axis=0)
-    d2_spline = CubicHermiteSpline(s_nodes, d2, d2_slope, axis=0)
-    d3_spline = CubicHermiteSpline(s_nodes, d3, d3_slope, axis=0)
+    # Columns 0:3, 3:6, 6:9 hold d1, d2, d3; one evaluation yields the jet.
+    jet_spline = CubicHermiteSpline(
+        s_nodes, np.hstack([T, d2, d3]), np.hstack([kN, d2_slope, d3_slope]), axis=0
+    )
+
+    def jet(s: float) -> Jet:
+        v = jet_spline(s)
+        return Vec3L(*v[0:3]), Vec3L(*v[3:6]), Vec3L(*v[6:9])
 
     out = Curve(
         pos=lambda s: Vec3L(*pos_spline(s)),
         domain=(a, b),
         label=f"synthesized-{kind.value}",
-        derivs={
-            1: lambda s: Vec3L(*d1_spline(s)),
-            2: lambda s: Vec3L(*d2_spline(s)),
-            3: lambda s: Vec3L(*d3_spline(s)),
-        },
         unit_speed=True,
+        jet=jet,
     )
     out.synth_nodes = {"s": s_nodes, "p": P, "T": T, "N": N, "B": B}
     out.synth_kind = kind

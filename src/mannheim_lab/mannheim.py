@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .curve import Curve, reparametrize_unit
+from .curve import Curve, Jet, reparametrize_unit
 from .errors import (
     InconsistentDecompositionError,
     MixedCausalCharacterError,
@@ -33,7 +33,14 @@ from .errors import (
     VanishingTorsionError,
     ZeroLambdaError,
 )
-from .frenet import CurveKind, FrenetFrame, frenet_apparatus, frenet_synthesize, _scalar_fd
+from .frenet import (
+    INITIAL_FRAMES,
+    CurveKind,
+    FrenetFrame,
+    frenet_apparatus,
+    frenet_synthesize,
+    _scalar_fd,
+)
 from .lorentz import Vec3L, cross, inner, norm
 from .reports import VerificationReport, Verdict
 
@@ -142,8 +149,7 @@ class _ScalarChain:
         return self.frame(t).tau
 
     def kappa_p(self, t: float) -> float:
-        d2 = self.base.deriv(t, 2)
-        d3 = self.base.deriv(t, 3)
+        _, d2, d3 = self.base.jet(t)
         q2 = inner(d2, d2)
         return math.copysign(1.0, q2) * inner(d3, d2) / math.sqrt(abs(q2))
 
@@ -168,7 +174,8 @@ def offset_along_binormal(cstar: Curve, lam: float) -> Curve:
     generally not unit-speed, and nothing here asserts it is a genuine
     partner of ``cstar``; use ``mannheim_residual`` to audit that.
     Derivatives chain through the frame equations of the base curve, so no
-    positional differencing is involved.
+    positional differencing is involved; the jet evaluates the frame and
+    the scalar derivatives once per point for all three orders.
     """
     if lam == 0.0:
         raise ZeroLambdaError("offset distance must be nonzero")
@@ -177,31 +184,21 @@ def offset_along_binormal(cstar: Curve, lam: float) -> Curve:
     def pos(t: float) -> Vec3L:
         return cstar.pos(t) + chain.frame(t).B * lam
 
+    def tangent(f: FrenetFrame) -> Vec3L:
+        return f.T + f.N * (lam * f.kind.binormal_coefficient * f.tau)
+
     def d1(t: float) -> Vec3L:
-        f = chain.frame(t)
-        c_b = f.kind.binormal_coefficient
-        return f.T + f.N * (lam * c_b * f.tau)
+        return tangent(chain.frame(t))
 
-    def d2(t: float) -> Vec3L:
-        f = chain.frame(t)
-        c_b = f.kind.binormal_coefficient
-        c_n = f.kind.normal_coefficient
-        tau_p = chain.tau_p(t)
-        # d/dt [T + lam c_b tau N] with N' = c_n k T + tau B
-        return (
-            f.T * (lam * c_b * f.tau * c_n * f.kappa)
-            + f.N * (f.kappa + lam * c_b * tau_p)
-            + f.B * (lam * c_b * f.tau * f.tau)
-        )
-
-    def d3(t: float) -> Vec3L:
+    def jet(t: float) -> Jet:
         f = chain.frame(t)
         c_b = f.kind.binormal_coefficient
         c_n = f.kind.normal_coefficient
         k, tau = f.kappa, f.tau
         kp = chain.kappa_p(t)
         tau_p, tau_pp = chain.tau_p(t), chain.tau_pp(t)
-        # coefficients of d2 in the frame basis and their derivatives
+        # d2 = d/dt [T + lam c_b tau N] with N' = c_n k T + tau B, written as
+        # at T + cn N + db B; d3 differentiates those coefficients once more.
         at = lam * c_b * tau * c_n * k
         cn = k + lam * c_b * tau_p
         db = lam * c_b * tau * tau
@@ -209,16 +206,19 @@ def offset_along_binormal(cstar: Curve, lam: float) -> Curve:
         cn_p = kp + lam * c_b * tau_pp
         db_p = 2.0 * lam * c_b * tau * tau_p
         return (
+            tangent(f),
+            f.T * at + f.N * cn + f.B * db,
             f.T * (at_p + cn * c_n * k)
             + f.N * (at * k + cn_p + db * c_b * tau)
-            + f.B * (cn * tau + db_p)
+            + f.B * (cn * tau + db_p),
         )
 
     return Curve(
         pos,
         cstar.domain,
         label=f"{cstar.label}+({lam:g})B",
-        derivs={1: d1, 2: d2, 3: d3},
+        derivs={1: d1},
+        jet=jet,
     )
 
 
@@ -231,32 +231,23 @@ def offset_along_normal(c: Curve, lam: float) -> Curve:
     def pos(t: float) -> Vec3L:
         return c.pos(t) - chain.frame(t).N * lam
 
-    def coeffs(t: float) -> tuple[FrenetFrame, float, float, float]:
-        f = chain.frame(t)
-        c_n = f.kind.normal_coefficient
-        a_t = 1.0 - lam * c_n * f.kappa
-        b_b = -lam * f.tau
-        return f, c_n, a_t, b_b
+    def tangent(f: FrenetFrame) -> Vec3L:
+        a_t = 1.0 - lam * f.kind.normal_coefficient * f.kappa
+        return f.T * a_t + f.B * (-lam * f.tau)
 
     def d1(t: float) -> Vec3L:
-        f, _, a_t, b_b = coeffs(t)
-        return f.T * a_t + f.B * b_b
+        return tangent(chain.frame(t))
 
-    def d2(t: float) -> Vec3L:
-        f, c_n, a_t, b_b = coeffs(t)
-        c_b = f.kind.binormal_coefficient
-        kp, tau_p = chain.kappa_p(t), chain.tau_p(t)
-        a_p = -lam * c_n * kp
-        b_p = -lam * tau_p
-        n_coeff = a_t * f.kappa + b_b * c_b * f.tau
-        return f.T * a_p + f.N * n_coeff + f.B * b_p
-
-    def d3(t: float) -> Vec3L:
-        f, c_n, a_t, b_b = coeffs(t)
+    def jet(t: float) -> Jet:
+        f = chain.frame(t)
+        c_n = f.kind.normal_coefficient
         c_b = f.kind.binormal_coefficient
         k, tau = f.kappa, f.tau
         kp, kpp = chain.kappa_p(t), chain.kappa_pp(t)
         tau_p, tau_pp = chain.tau_p(t), chain.tau_pp(t)
+        # d1 = a_t T + b_b B; its derivatives follow from the frame equations.
+        a_t = 1.0 - lam * c_n * k
+        b_b = -lam * tau
         a_p = -lam * c_n * kp
         b_p = -lam * tau_p
         n_coeff = a_t * k + b_b * c_b * tau
@@ -264,16 +255,19 @@ def offset_along_normal(c: Curve, lam: float) -> Curve:
         a_pp = -lam * c_n * kpp
         b_pp = -lam * tau_pp
         return (
+            tangent(f),
+            f.T * a_p + f.N * n_coeff + f.B * b_p,
             f.T * (a_pp + n_coeff * c_n * k)
             + f.N * (a_p * k + n_coeff_p + b_p * c_b * tau)
-            + f.B * (n_coeff * tau + b_pp)
+            + f.B * (n_coeff * tau + b_pp),
         )
 
     return Curve(
         pos,
         c.domain,
         label=f"{c.label}-({lam:g})N",
-        derivs={1: d1, 2: d2, 3: d3},
+        derivs={1: d1},
+        jet=jet,
     )
 
 
@@ -298,10 +292,14 @@ def classify_pair(c: Curve, cstar: Curve, grid_size: int = 9) -> MannheimPairTyp
     try:
         return _TYPE_TABLE[key]
     except KeyError:
-        raise UnsupportedCombinationError(
-            f"combination (companion={key[0].value}, curve={key[1].value}) "
-            "is outside the five catalogued pair types"
-        ) from None
+        raise _unsupported(*key) from None
+
+
+def _unsupported(companion: CurveKind, curve: CurveKind) -> UnsupportedCombinationError:
+    return UnsupportedCombinationError(
+        f"combination (companion={companion.value}, curve={curve.value}) "
+        "is outside the five catalogued pair types"
+    )
 
 
 @dataclass
@@ -968,13 +966,6 @@ def mannheim_curve_test(
     )
 
 
-_EXACT_FRAME0 = {
-    CurveKind.TIMELIKE: (Vec3L(1, 0, 0), Vec3L(0, 1, 0), Vec3L(0, 0, -1)),
-    CurveKind.SPACELIKE_EPS_PLUS: (Vec3L(0, 1, 0), Vec3L(0, 0, 1), Vec3L(1, 0, 0)),
-    CurveKind.SPACELIKE_EPS_MINUS: (Vec3L(0, 1, 0), Vec3L(1, 0, 0), Vec3L(0, 0, 1)),
-}
-
-
 def exact_partner_kappa(kind: CurveKind, lam: float, tau: float) -> float:
     """Curvature making the normal offset by ``lam`` an exact partner.
 
@@ -983,7 +974,10 @@ def exact_partner_kappa(kind: CurveKind, lam: float, tau: float) -> float:
     collinear with the base normal.  Branches:
 
       N timelike:   kappa = lam (kappa^2 + tau^2), lam > 0, 4 lam^2 tau^2 < 1
-      curve timelike: kappa = lam (kappa^2 - tau^2), solved for either sign
+      curve timelike: kappa = lam (kappa^2 - tau^2), solved for either sign;
+        only lam < 0 gives a catalogued pair (type 2): for lam > 0 the
+        offset is spacelike with timelike normal, and (spacelike-, timelike)
+        is no pair type, so ``exact_partner_pair`` rejects it
       N spacelike (B timelike): kappa = lam (tau^2 - kappa^2), lam > 0
     """
     if kind is CurveKind.SPACELIKE_EPS_MINUS:
@@ -1017,12 +1011,17 @@ def exact_partner_pair(
     defining collinearity hold.  A varying torsion keeps the companion's
     curvature away from zero (a constant profile degenerates the companion
     to a straight line).
+
+    Raises UnsupportedCombinationError before any synthesis for a timelike
+    curve with ``lam > 0``, whose offset would form no catalogued pair type.
     """
+    if kind is CurveKind.TIMELIKE and lam > 0.0:
+        raise _unsupported(CurveKind.SPACELIKE_EPS_MINUS, CurveKind.TIMELIKE)
 
     def kappa_fn(s: float) -> float:
         return exact_partner_kappa(kind, lam, tau_fn(s))
 
-    T0, N0, B0 = _EXACT_FRAME0[kind]
+    T0, N0, B0 = INITIAL_FRAMES[kind]
     frame0 = FrenetFrame(
         T=T0, N=N0, B=B0, kappa=kappa_fn(s_range[0]), tau=tau_fn(s_range[0]), kind=kind
     )

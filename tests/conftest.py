@@ -1,8 +1,30 @@
+import functools
+
 import pytest
 
 from mannheim_lab import MannheimPair, exact_partner_pair
 from mannheim_lab.builtins import builtin_curve
 from mannheim_lab.frenet import CurveKind
+
+# Exact partner pairs by pair type: (kind of the base curve C, lambda).
+EXACT_PAIR_BASES = {
+    2: (CurveKind.TIMELIKE, -0.3),
+    3: (CurveKind.SPACELIKE_EPS_MINUS, 0.3),
+    5: (CurveKind.SPACELIKE_EPS_PLUS, 0.3),
+}
+
+
+@functools.cache
+def _exact_pair(pair_type, slope):
+    kind, lam = EXACT_PAIR_BASES[pair_type]
+    return exact_partner_pair(
+        kind,
+        tau_fn=lambda s: 0.8 + slope * s,
+        lam=lam,
+        s_range=(0.0, 1.0),
+        step=1e-3,
+        table_size=512,
+    )
 
 
 @pytest.fixture(scope="session")
@@ -26,36 +48,21 @@ def example2_pair(example2):
 
 
 @pytest.fixture(scope="session")
+def exact_pair_of():
+    """Exact pair of a type with torsion 0.8 + slope*s, built once per (type, slope)."""
+    return _exact_pair
+
+
+@pytest.fixture(scope="session")
 def exact_pair_type3():
-    return exact_partner_pair(
-        CurveKind.SPACELIKE_EPS_MINUS,
-        tau_fn=lambda s: 0.8 - 0.2 * s,
-        lam=0.3,
-        s_range=(0.0, 1.0),
-        step=1e-3,
-        table_size=512,
-    )
+    return _exact_pair(3, -0.2)
 
 
 @pytest.fixture(scope="session")
 def exact_pair_type2():
-    return exact_partner_pair(
-        CurveKind.TIMELIKE,
-        tau_fn=lambda s: 0.8 + 0.2 * s,
-        lam=-0.3,
-        s_range=(0.0, 1.0),
-        step=1e-3,
-        table_size=512,
-    )
+    return _exact_pair(2, 0.2)
 
 
 @pytest.fixture(scope="session")
 def exact_pair_type5():
-    return exact_partner_pair(
-        CurveKind.SPACELIKE_EPS_PLUS,
-        tau_fn=lambda s: 0.8 + 0.2 * s,
-        lam=0.3,
-        s_range=(0.0, 1.0),
-        step=1e-3,
-        table_size=512,
-    )
+    return _exact_pair(5, 0.2)

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import warnings
 
 import jsonschema
 import pytest
@@ -177,6 +178,49 @@ class TestIndicatrixCommand:
         assert code == 0
         samples = CurveSamples.from_csv(io.StringIO(out))
         assert samples.points[0].x2 == pytest.approx(1.0)  # cosh(0)
+
+
+# Every command that takes --grid, with its other required arguments.
+GRID_COMMANDS = {
+    "classify": ["classify", "--curve", "paper-example-1"],
+    "offset": ["offset", "--cstar", "paper-example-1", "--lambda", "2"],
+    "synthesize": ["synthesize", "--kind", "timelike", "--kappa", "1", "--tau", "1"],
+    "pair-verify": [
+        "pair-verify", "--c", "paper-example-2", "--cstar", "paper-example-2", "--lambda", "1",
+    ],
+    "indicatrix": ["indicatrix", "--curve", "paper-example-2", "--which", "N"],
+    "examples": ["examples", "run", "1"],
+    "export-plot": ["export-plot", "--curve", "paper-example-1"],
+}
+
+
+class TestGridSizes:
+    @pytest.mark.parametrize("grid", ["1", "0", "-3", "2.5", "many"])
+    @pytest.mark.parametrize("command", sorted(GRID_COMMANDS))
+    def test_grid_below_two_is_usage_error(self, capsys, tmp_path, command, grid):
+        out_path = tmp_path / "out"
+        argv = GRID_COMMANDS[command] + ["--grid", grid, "--out", str(out_path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "--grid" in err
+        assert out == ""
+        assert not out_path.exists()
+
+    def test_grid_of_two_runs(self, capsys, tmp_path):
+        out_path = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = run_cli(
+                capsys, "examples", "run", "1", "--grid", "2", "--out", str(out_path)
+            )
+        assert code == 0
+        assert err == ""
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        for rep in json.loads(out_path.read_text(), parse_constant=reject):
+            jsonschema.validate(rep, REPORT_JSON_SCHEMA)
 
 
 def test_version_flag(capsys):

@@ -22,8 +22,9 @@ from mannheim_lab.errors import (
     NullTangentError,
     OutOfDomainError,
 )
+from mannheim_lab.frenet import INITIAL_FRAMES, CurveKind, FrenetFrame, frenet_synthesize
 from mannheim_lab.lorentz import CausalCharacter, Vec3L
-from mannheim_lab.mannheim import offset_along_binormal
+from mannheim_lab.mannheim import offset_along_binormal, offset_along_normal
 
 SQRT3 = math.sqrt(3.0)
 
@@ -226,3 +227,38 @@ class TestFiniteDifferenceFallback:
 
 def test_unit_speed_validation_grid(example1):
     assert example1.validate_unit_speed(32) < 1e-12
+
+
+def _synthesized(example1, example2):
+    kind = CurveKind.SPACELIKE_EPS_MINUS
+    f0 = FrenetFrame(*INITIAL_FRAMES[kind], 0.4, 0.8, kind)
+    return frenet_synthesize(
+        kind, lambda s: 0.4 + 0.1 * s, lambda s: 0.8 - 0.2 * s, f0, Vec3L(0, 0, 0), (0.0, 1.0), 1e-2
+    )
+
+
+# One curve per constructor: closed forms, a spline, a synthesized curve,
+# the chained ones (arc length over an offset, both offsets) and the
+# finite-difference fallback for the orders a curve does not supply.
+JET_CURVES = {
+    "builtin-1": lambda example1, example2: example1,
+    "builtin-2": lambda example1, example2: example2,
+    "samples": lambda example1, example2: curve_from_samples(sample(example2, 41)),
+    "synthesized": _synthesized,
+    "unit-speed": lambda example1, example2: reparametrize_unit(
+        offset_along_binormal(example1, 7.0), 128
+    ),
+    "binormal-offset": lambda example1, example2: offset_along_binormal(example2, 20.0),
+    "normal-offset": lambda example1, example2: offset_along_normal(example2, 0.5),
+    "fd-fallback": lambda example1, example2: Curve(
+        example2.pos, example2.domain, derivs={1: lambda s: example2.deriv(s, 1)}
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JET_CURVES))
+def test_jet_equals_three_derivative_calls(name, example1, example2):
+    c = JET_CURVES[name](example1, example2)
+    a, b = c.domain
+    for t in (a, a + 0.37 * (b - a), a + 0.81 * (b - a), b):
+        assert c.jet(t) == (c.deriv(t, 1), c.deriv(t, 2), c.deriv(t, 3)), t

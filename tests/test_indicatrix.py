@@ -118,8 +118,9 @@ class TestPairRelations:
         assert max(r1.max_residual, r2.max_residual) < 1e-10
 
     def test_exact_type2_pair_splits(self, exact_pair_type2):
-        # the two published relations for this type demand opposite
-        # alignments on an exactly collinear pair: one of them is falsified
+        # with this fixture's rising torsion the two relations demand
+        # opposite alignments, so one of them fails; a falling torsion
+        # passes both (TestImageRateTruthTable)
         r1, r2 = verify_indicatrix_relations(exact_pair_type2, 21)
         verdicts = {r1.verdict, r2.verdict}
         assert Verdict.PASS in verdicts and Verdict.FAIL in verdicts
@@ -134,3 +135,28 @@ class TestPairRelations:
             a = ind_n.point(s)
             b = ind_b.point(sstar)
             assert min((a - b).euclidean_norm(), (a + b).euclidean_norm()) < 1e-9
+
+
+class TestImageRateTruthTable:
+    """Verdicts of the rate-coupled relations on exact pairs at grid 21.
+
+    They follow the sign of the torsion slope, not the pair type: with a
+    falling torsion one alignment satisfies both relations; with a rising
+    one the curvature relation needs the other alignment and fails by about
+    0.6 while the torsion relation passes.
+    """
+
+    @pytest.mark.parametrize("slope", (-0.2, 0.2))
+    @pytest.mark.parametrize("pair_type", (2, 3, 5))
+    def test_verdicts_follow_torsion_slope(self, exact_pair_of, pair_type, slope):
+        pair = exact_pair_of(pair_type, slope)
+        assert pair.pair_type.value == pair_type
+        curvature, torsion = verify_indicatrix_relations(pair, 21)
+        assert torsion.verdict is Verdict.PASS
+        assert torsion.max_residual < 1e-13
+        if slope < 0:
+            assert curvature.verdict is Verdict.PASS
+            assert curvature.max_residual < 1e-13
+        else:
+            assert curvature.verdict is Verdict.FAIL
+            assert 0.5 < curvature.max_residual < 0.7

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from _oracle_constants import ORACLE
+from mannheim_lab import mannheim
 from mannheim_lab.curve import reparametrize_unit
 from mannheim_lab.errors import (
     InconsistentDecompositionError,
@@ -22,6 +23,7 @@ from mannheim_lab.mannheim import (
     curvature_center_ratio,
     decompose_tangent,
     exact_partner_kappa,
+    exact_partner_pair,
     mannheim_curve_test,
     mannheim_residual,
     offset_along_binormal,
@@ -93,6 +95,21 @@ class TestOffsets:
         for s in (0.2, 0.7):
             fd = (off.pos(s + h) - off.pos(s - h)) / (2 * h)
             assert (off.deriv(s, 1) - fd).euclidean_norm() < 1e-7
+
+    def test_frame_of_offset_differences_torsion_once(self, exact_pair_type3, monkeypatch):
+        # the companion is the unit-speed normal offset; its frame reads one
+        # jet, so the second difference of the base torsion runs once
+        calls = []
+        tau_pp = mannheim._ScalarChain.tau_pp
+
+        def counted(chain, t):
+            calls.append(t)
+            return tau_pp(chain, t)
+
+        monkeypatch.setattr(mannheim._ScalarChain, "tau_pp", counted)
+        cstar = exact_pair_type3.cstar
+        frenet_apparatus(cstar, 0.6180339 * cstar.domain[1])
+        assert len(calls) == 1
 
     def test_normal_offset_inversion_residual(self, example2_pair):
         # projecting (alpha - alpha*) back onto the normal line measures how
@@ -315,6 +332,14 @@ class TestGenuinePairs:
         rep = verify_torsion_relation(exact_pair_type5, 21)
         assert rep.verdict is Verdict.PASS
         assert rep.max_residual < 1e-8
+
+    def test_timelike_positive_lambda_rejected_before_synthesis(self, monkeypatch):
+        def synthesize(*args, **kwargs):
+            raise AssertionError("synthesis ran for an unsupported combination")
+
+        monkeypatch.setattr(mannheim, "frenet_synthesize", synthesize)
+        with pytest.raises(UnsupportedCombinationError, match="spacelike-, curve=timelike"):
+            exact_partner_pair(CurveKind.TIMELIKE, lambda s: 0.8 + 0.2 * s, 0.3)
 
     def test_exact_kappa_branches(self):
         for kind, lam, tau in (
