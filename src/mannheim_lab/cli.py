@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Sequence
@@ -265,6 +266,17 @@ def _grid_size(text: str) -> int:
     return n
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of ``--at``, ``--lambda``, ``--step`` and ``--tol``: a finite float."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return x
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mannheim-lab",
@@ -285,14 +297,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("frenet", help="frame, curvature and torsion at a parameter")
     add_curve(p)
-    p.add_argument("--at", type=float, required=True)
+    p.add_argument("--at", type=_finite_float, required=True)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_frenet)
 
     p = sub.add_parser("offset", help="offset curve along N (--curve) or B (--cstar)")
     p.add_argument("--curve", "-c", help="base curve; offsets along its normal")
     p.add_argument("--cstar", help="base curve; offsets along its binormal")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
+    p.add_argument("--lambda", dest="lam", type=_finite_float, required=True)
     p.add_argument("--grid", type=_grid_size, default=101)
     p.add_argument("--out", help="write CSV here instead of stdout")
     p.set_defaults(func=_cmd_offset)
@@ -302,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", required=True, help="expression in s")
     p.add_argument("--tau", required=True, help="expression in s")
     p.add_argument("--range", default="0:1", help="A:B parameter range")
-    p.add_argument("--step", type=float, default=1e-3)
+    p.add_argument("--step", type=_finite_float, default=1e-3)
     p.add_argument("--grid", type=_grid_size, default=101)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_synthesize)
@@ -310,9 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pair-verify", help="full identity audit of a corresponded pair")
     p.add_argument("--c", required=True, help="curve spec for C")
     p.add_argument("--cstar", required=True, help="curve spec for C*")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
+    p.add_argument("--lambda", dest="lam", type=_finite_float, required=True)
     p.add_argument("--grid", type=_grid_size, default=101)
-    p.add_argument("--tol", type=float, default=None, help="override verifier tolerances")
+    p.add_argument("--tol", type=_finite_float, default=None, help="override verifier tolerances")
     p.add_argument("--out", help="write the JSON report array here")
     p.set_defaults(func=_cmd_pair_verify)
 
@@ -326,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("examples", help="run the built-in reference pairs")
     p.add_argument("action", choices=("run",))
     p.add_argument("number", type=int, choices=(1, 2))
-    p.add_argument("--lambda", dest="lam", type=float, default=20.0)
+    p.add_argument("--lambda", dest="lam", type=_finite_float, default=20.0)
     p.add_argument("--grid", type=_grid_size, default=101)
     p.add_argument("--out", help="write the JSON report array here")
     p.set_defaults(func=_cmd_examples)

@@ -19,6 +19,7 @@ __all__ = [
     "InconsistentDecompositionError",
     "DegenerateIndicatrixError",
     "ExprSyntaxError",
+    "ExprDomainError",
     "CsvFormatError",
 ]
 
@@ -100,6 +101,10 @@ class ExprSyntaxError(MannheimLabError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
         self.offset = offset
+
+
+class ExprDomainError(MannheimLabError):
+    """An expression is undefined or overflows at an evaluation point."""
 
 
 class CsvFormatError(MannheimLabError):

@@ -11,7 +11,8 @@ exponent):
 
 There is no unary minus; write ``0 - x``.  Parse errors carry the byte
 offset of the failure.  Evaluation is total on finite inputs except for
-division by zero.
+division by zero, overflow and math-domain errors, which raise
+ExprDomainError naming the failing subexpression and ``s``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .errors import ExprSyntaxError
+from .errors import ExprDomainError, ExprSyntaxError
 
 __all__ = ["Expr", "Num", "Var", "BinOp", "Func", "Pow", "parse_expr", "FUNCTIONS"]
 
@@ -44,6 +45,10 @@ class Expr:
 
     def __str__(self) -> str:
         raise NotImplementedError
+
+    def _domain_error(self, s: float, exc: Exception) -> ExprDomainError:
+        # pow's OverflowError carries (errno, message); keep the message
+        return ExprDomainError(f"{self} is undefined at s={s!r} ({exc.args[-1]})")
 
 
 @dataclass(frozen=True)
@@ -82,7 +87,10 @@ class BinOp(Expr):
             return a - b
         if self.op == "*":
             return a * b
-        return a / b
+        try:
+            return a / b
+        except ZeroDivisionError as exc:
+            raise self._domain_error(s, exc) from None
 
     def __str__(self) -> str:
         return f"({self.left} {self.op} {self.right})"
@@ -94,7 +102,11 @@ class Func(Expr):
     arg: Expr
 
     def eval(self, s: float) -> float:
-        return FUNCTIONS[self.name](self.arg.eval(s))
+        x = self.arg.eval(s)
+        try:
+            return FUNCTIONS[self.name](x)
+        except (OverflowError, ValueError) as exc:
+            raise self._domain_error(s, exc) from None
 
     def __str__(self) -> str:
         return f"{self.name}({self.arg})"
@@ -106,7 +118,11 @@ class Pow(Expr):
     exponent: int
 
     def eval(self, s: float) -> float:
-        return self.base.eval(s) ** self.exponent
+        x = self.base.eval(s)
+        try:
+            return x**self.exponent
+        except OverflowError as exc:
+            raise self._domain_error(s, exc) from None
 
     def __str__(self) -> str:
         return f"{self.base}^{self.exponent}"

@@ -19,7 +19,7 @@ from .curve import Curve, CurveSamples
 from .errors import DegenerateIndicatrixError, MixedCausalCharacterError
 from .frenet import CurveKind, FrenetFrame, frenet_apparatus
 from .lorentz import Vec3L
-from .mannheim import MannheimPair, tangent_decomposition, _hypothesis
+from .mannheim import MannheimPair, _hypothesis, _tangent_components
 from .reports import VerificationReport
 
 __all__ = [
@@ -206,15 +206,15 @@ def verify_indicatrix_relations(
         rate_b = _field_rate(fstar, "B")
         if rate_n <= rate_tol or rate_b <= rate_tol:
             raise DegenerateIndicatrixError(f"stationary spherical image at s={s:g}")
-        dec = tangent_decomposition(pair, s)
+        s_comp, c_comp = _tangent_components(pair, s, met)
         for g, rows in per_alignment.items():
             r1, r2 = indicatrix_relation_residuals(
                 pair.pair_type.value,
                 f.kappa,
                 f.tau,
                 fstar.tau,
-                dec.s_comp,
-                dec.c_comp,
+                s_comp,
+                c_comp,
                 1.0 / rate_n,
                 1.0 / rate_b,
                 alignment=g,

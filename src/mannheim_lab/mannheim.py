@@ -78,8 +78,9 @@ DECOMPOSITION_TOL = 1e-8
 INVARIANT_TOL = 1e-6
 
 # Default tolerances, graded by how many numerical layers an identity
-# crosses: plain algebra on analytic data, one frame extraction, or an
-# additional numerical derivative of the angle function.
+# crosses: plain algebra on analytic data, or one frame extraction.  The
+# angle rate is chained exactly through both frame systems, with no numerical
+# derivative of the angle function; TOL_ANGLE_RATE keeps the published 1e-4.
 TOL_ALGEBRAIC = 1e-9
 TOL_EXTRACTED = 1e-5
 TOL_ANGLE_RATE = 1e-4
@@ -480,6 +481,19 @@ class TangentDecomposition:
     branch: int
 
 
+def _projections(T: Vec3L, fstar: FrenetFrame) -> tuple[float, float]:
+    """(p, q): the T* and N* coefficients of T, p = <T,T*>/eps_T*, q = <T,N*>/eps_N*."""
+    eps_t_star, eps_n_star, _ = fstar.kind.signs
+    return inner(T, fstar.T) / eps_t_star, inner(T, fstar.N) / eps_n_star
+
+
+def _angle_components(pair_type: MannheimPairType, p: float, q: float) -> tuple[float, float]:
+    """(s_comp, c_comp) from the T* and N* coefficients; type 1 swaps them."""
+    if pair_type is MannheimPairType.TYPE1:
+        return p, q
+    return q, p  # types 2..5: c is the T* coefficient, s the N* coefficient
+
+
 def decompose_tangent(
     T: Vec3L,
     fstar: FrenetFrame,
@@ -489,9 +503,7 @@ def decompose_tangent(
     where: str = "",
 ) -> TangentDecomposition:
     """Project a tangent onto the companion's (T*, N*) plane."""
-    eps_t_star, eps_n_star, _ = fstar.kind.signs
-    p = inner(T, fstar.T) / eps_t_star
-    q = inner(T, fstar.N) / eps_n_star
+    p, q = _projections(T, fstar)
 
     recon = fstar.T * p + fstar.N * q
     defect = (T - recon).euclidean_norm()
@@ -501,10 +513,7 @@ def decompose_tangent(
         )
 
     circular = pair_type in _CIRCULAR_TYPES
-    if pair_type is MannheimPairType.TYPE1:
-        s_comp, c_comp = p, q
-    else:  # types 2..5: c is the T* coefficient, s the N* coefficient
-        c_comp, s_comp = p, q
+    s_comp, c_comp = _angle_components(pair_type, p, q)
 
     if circular:
         invariant = c_comp * c_comp + s_comp * s_comp
@@ -677,6 +686,20 @@ def _hypothesis(pair: MannheimPair, grid: list[float], tol: float) -> tuple[bool
     return worst <= tol, worst
 
 
+def _tangent_components(pair: MannheimPair, s: float, checked: bool) -> tuple[float, float]:
+    """(s_comp, c_comp) at ``s`` for the identity verifiers.
+
+    With the hypothesis met (``checked``) the decomposition is checked and a
+    failure raises InconsistentDecompositionError.  Otherwise the raw
+    projections are used, so the profile is still published as Reported.
+    """
+    if checked:
+        dec = tangent_decomposition(pair, s)
+        return dec.s_comp, dec.c_comp
+    f, fstar, _ = pair.frames_at(s)
+    return _angle_components(pair.pair_type, *_projections(f.T, fstar))
+
+
 def verify_distance(
     pair: MannheimPair, grid_n: int = 101, tol: float = TOL_ALGEBRAIC
 ) -> VerificationReport:
@@ -737,8 +760,9 @@ def verify_linear_relation(
     mus = []
     for s in grid:
         f, _, _ = pair.frames_at(s)
-        dec = tangent_decomposition(pair, s)
-        mu = pair.lam * dec.s_comp / dec.c_comp
+        s_comp, c_comp = _tangent_components(pair, s, met)
+        # T orthogonal to T* (c = 0) leaves mu undefined; publish it as infinite
+        mu = pair.lam * s_comp / c_comp if c_comp else math.inf
         mus.append(mu)
         residuals.append(
             linear_relation_residual(pair.pair_type, f.kappa, f.tau, pair.lam, mu)
@@ -757,12 +781,39 @@ def verify_linear_relation(
     )
 
 
-def _theta_rate(pair: MannheimPair, s: float) -> float:
-    """d(theta)/ds* via a 4th-order difference of theta over s."""
-    a, b = pair.c.domain
-    h = max(1e-4, 1e-3 * abs(s))
-    dtheta_ds = _scalar_fd(lambda x: theta(pair, x), s, 1, a, b, h)
-    return dtheta_ds / pair.rate(s)
+def _theta_rate(pair: MannheimPair, s: float, s_comp: float, c_comp: float) -> float:
+    """d(theta)/ds* at ``s`` by the chain rule through both frame systems.
+
+    ``s_comp``/``c_comp`` are the decomposition components at ``s``.  With
+    p = <T,T*>/eps_T*, q = <T,N*>/eps_N*, T' = kappa N and the companion's
+    frame equations scaled by r = ds*/ds:
+
+        p' = (kappa <N,T*> + r kappa* <T,N*>) / eps_T*
+        q' = (kappa <N,N*> + r (c_n* kappa* <T,T*> + tau* <T,B*>)) / eps_N*
+
+    Every inner product is evaluated and none is set by the hypothesis, so
+    the angle-rate identity is measured, not assumed.  No frame off the
+    grid point is needed.
+    """
+    f, fstar, _ = pair.frames_at(s)
+    r = pair.rate(s)
+    eps_t_star, eps_n_star, _ = fstar.kind.signs
+    if pair.pair_type is MannheimPairType.TYPE1:
+        p, q = s_comp, c_comp
+    else:
+        p, q = c_comp, s_comp
+    k, k_star, c_n_star = f.kappa, fstar.kappa, fstar.kind.normal_coefficient
+    dp = (k * inner(f.N, fstar.T) + r * k_star * eps_n_star * q) / eps_t_star
+    dq = (
+        k * inner(f.N, fstar.N)
+        + r * (c_n_star * k_star * eps_t_star * p + fstar.tau * inner(f.T, fstar.B))
+    ) / eps_n_star
+    ds_comp, dc_comp = _angle_components(pair.pair_type, dp, dq)
+    if pair.pair_type in _CIRCULAR_TYPES:
+        dtheta = (c_comp * ds_comp - s_comp * dc_comp) / (c_comp * c_comp + s_comp * s_comp)
+    else:
+        dtheta = ds_comp / math.sqrt(1.0 + s_comp * s_comp)
+    return dtheta / r
 
 
 def verify_frame_relations(
@@ -774,24 +825,25 @@ def verify_frame_relations(
 ) -> list[VerificationReport]:
     """The four per-type frame-decomposition identities, one report each.
 
-    The first one differentiates the angle function numerically, so it gets
-    the looser tolerance.
+    The first one needs the angle rate d(theta)/ds*, which is chained exactly
+    from the two frames at each grid point (``_theta_rate``); it keeps the
+    published angle-rate tolerance 1e-4.
     """
     grid = pair.grid(grid_n)
     met, worst = _hypothesis(pair, grid, hypothesis_tol)
     rows: tuple[list[float], ...] = ([], [], [], [])
     for s in grid:
         f, fstar, _ = pair.frames_at(s)
-        dec = tangent_decomposition(pair, s)
+        s_comp, c_comp = _tangent_components(pair, s, met)
         res = frame_relation_residuals(
             pair.pair_type,
             f.kappa,
             f.tau,
             fstar.kappa,
             fstar.tau,
-            dec.s_comp,
-            dec.c_comp,
-            _theta_rate(pair, s),
+            s_comp,
+            c_comp,
+            _theta_rate(pair, s, s_comp, c_comp),
         )
         for acc, r in zip(rows, res):
             acc.append(r)

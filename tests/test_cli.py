@@ -223,6 +223,91 @@ class TestGridSizes:
             jsonschema.validate(rep, REPORT_JSON_SCHEMA)
 
 
+# Every finite-float flag, with each command that takes it.
+FLOAT_FLAGS = [
+    ("--at", ["frenet", "--curve", "paper-example-1"]),
+    ("--lambda", ["offset", "--cstar", "paper-example-1"]),
+    ("--lambda", ["pair-verify", "--c", "paper-example-2", "--cstar", "paper-example-2"]),
+    ("--lambda", ["examples", "run", "1"]),
+    ("--step", ["synthesize", "--kind", "timelike", "--kappa", "1", "--tau", "1"]),
+    ("--tol", GRID_COMMANDS["pair-verify"]),
+]
+
+
+class TestFiniteFloats:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e999"])
+    @pytest.mark.parametrize(
+        "flag,command", FLOAT_FLAGS, ids=[f"{argv[0]}{flag}" for flag, argv in FLOAT_FLAGS]
+    )
+    def test_non_finite_is_usage_error(self, capsys, tmp_path, flag, command, value):
+        out_path = tmp_path / "out"
+        argv = command + [f"{flag}={value}", "--out", str(out_path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert flag in err
+        assert "finite" in err
+        assert out == ""
+        assert not out_path.exists()
+
+    def test_negative_finite_value_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "offset", "--cstar", "paper-example-2",
+                               "--lambda=-7.5", "--grid", "3")
+        assert code == 0
+        assert len(CurveSamples.from_csv(io.StringIO(out)).parameters) == 3
+
+
+class TestExpressionDomainErrors:
+    @pytest.mark.parametrize(
+        "kappa,node",
+        [("1/(s-0.5)^2", "(1.0 / (s - 0.5)^2)"), ("exp(s*1000)", "exp((s * 1000.0))")],
+    )
+    def test_undefined_kappa_is_exit_one(self, capsys, tmp_path, kappa, node):
+        out_path = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            # huge but finite curvature overflows the integrator state first
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, out, err = run_cli(
+                capsys, "synthesize", "--kind", "timelike", "--kappa", kappa,
+                "--tau", "0.5", "--out", str(out_path),
+            )
+        assert code == 1
+        assert err.startswith("error: ")
+        assert f"{node} is undefined at s=" in err
+        assert "Traceback" not in err
+        assert not out_path.exists()
+
+    def test_synth_spec_is_exit_one(self, capsys):
+        code, _, err = run_cli(
+            capsys, "pair-verify",
+            "--c", "synth:kind=timelike,kappa=1/(s-0.5)^2,tau=0.5",
+            "--cstar", "paper-example-2", "--lambda", "1",
+        )
+        assert code == 1
+        assert "is undefined at s=0.5" in err
+
+
+class TestUnmetHypothesisCommand:
+    def test_non_partner_pair_writes_every_report(self, capsys, tmp_path):
+        # the tangent leaves the (T*, N*) plane, and the collinearity fails
+        out_path = tmp_path / "pair.json"
+        code, out, err = run_cli(
+            capsys, "pair-verify",
+            "--c", "paper-example-2",
+            "--cstar", "synth:kind=timelike,kappa=2.0 + 0.3*s,tau=0.9",
+            "--lambda", "1", "--grid", "11", "--out", str(out_path),
+        )
+        assert err == ""
+        reports = json.loads(out_path.read_text())
+        assert len(reports) == 12
+        verdicts = [rep["verdict"] for rep in reports]
+        assert code == (1 if "Fail" in verdicts else 0)
+        for rep in reports:
+            jsonschema.validate(rep, REPORT_JSON_SCHEMA)
+            assert all(math.isfinite(r) for r in rep["residuals"]), rep["identity"]
+            if rep["identity"] not in ("distance-constancy", "center-ratio-nonconstancy"):
+                assert rep["verdict"] == "Reported"
+
+
 def test_version_flag(capsys):
     code, out, _ = run_cli(capsys, "--version")
     assert code == 0

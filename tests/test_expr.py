@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from mannheim_lab.errors import ExprSyntaxError
+from mannheim_lab.errors import ExprDomainError, ExprSyntaxError, MannheimLabError
 from mannheim_lab.expr import parse_expr
 
 # ---------------------------------------------------------------------------
@@ -239,8 +239,24 @@ def test_round_trip_through_str():
 
 def test_division_by_zero_raises():
     e = parse_expr("1/s")
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ExprDomainError, match=r"\(1\.0 / s\) is undefined at s=0\.0"):
         e.eval(0.0)
+
+
+@pytest.mark.parametrize(
+    "text,s,node",
+    [
+        ("2 + exp(s*1000)", 0.75, "exp((s * 1000.0))"),
+        ("cosh(s)^2 + (s*1e200)^2", 1.0, "(s * 1e+200)^2"),
+        ("1 + 1/(s - 0.5)^2", 0.5, "(1.0 / (s - 0.5)^2)"),
+        ("sin(exp(s)*exp(s))", 600.0, "sin((exp(s) * exp(s)))"),
+    ],
+)
+def test_domain_errors_name_the_failing_node(text, s, node):
+    with pytest.raises(ExprDomainError) as err:
+        parse_expr(text).eval(s)
+    assert str(err.value).startswith(f"{node} is undefined at s={s!r} (")
+    assert isinstance(err.value, MannheimLabError)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +325,7 @@ def run_fuzz_comparison(n, seed=20240901):
         for s in eval_points:
             try:
                 mine = ours.eval(s)
-            except (ZeroDivisionError, OverflowError, ValueError):
+            except ExprDomainError:
                 continue
             theirs = ref_eval(text, s)
             if theirs is None or not math.isfinite(theirs) or not math.isfinite(mine):

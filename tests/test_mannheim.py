@@ -1,10 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from _oracle_constants import ORACLE
-from mannheim_lab import mannheim
+from mannheim_lab import frenet, mannheim
+from mannheim_lab.cli import _run_pair_suite
 from mannheim_lab.curve import reparametrize_unit
 from mannheim_lab.errors import (
     InconsistentDecompositionError,
@@ -13,9 +15,17 @@ from mannheim_lab.errors import (
     VanishingTorsionError,
     ZeroLambdaError,
 )
-from mannheim_lab.frenet import CurveKind, FrenetFrame, frenet_apparatus, frenet_synthesize
+from mannheim_lab.frenet import (
+    CurveKind,
+    FrenetFrame,
+    _scalar_fd,
+    frenet_apparatus,
+    frenet_synthesize,
+)
+from mannheim_lab.indicatrix import verify_indicatrix_relations
 from mannheim_lab.lorentz import Vec3L, inner, norm
 from mannheim_lab.mannheim import (
+    HYPOTHESIS_TOL,
     MannheimPair,
     MannheimPairType,
     classify_pair,
@@ -402,3 +412,84 @@ class TestSharedParameter:
         c2 = helix(CurveKind.TIMELIKE, 1.0, 0.5, domain=(0.0, 0.5))
         with pytest.raises(ValueError):
             MannheimPair.from_shared_parameter(example1, c2, 1.0)
+
+
+# (pair type, torsion slope) of the exact configurations under audit.
+EXACT_CONFIGS = [(t, slope) for t in (2, 3, 5) for slope in (0.2, -0.2)]
+
+
+class TestAngleRateChain:
+    """d(theta)/ds* by the chain rule, checked against differencing theta."""
+
+    @staticmethod
+    def _compare(pair):
+        a, b = pair.domain
+        worst = 0.0
+        for s in pair.grid(101):
+            dec = tangent_decomposition(pair, s)
+            chained = mannheim._theta_rate(pair, s, dec.s_comp, dec.c_comp)
+            h = max(1e-4, 1e-3 * abs(s))
+            differenced = _scalar_fd(lambda x: theta(pair, x), s, 1, a, b, h) / pair.rate(s)
+            worst = max(worst, abs(chained - differenced))
+        return worst
+
+    @pytest.mark.parametrize("pair_type,slope", EXACT_CONFIGS)
+    def test_exact_pairs_match_difference_of_theta(self, exact_pair_of, pair_type, slope):
+        assert self._compare(exact_pair_of(pair_type, slope)) < 1e-9
+
+    def test_reference_pairs_match_difference_of_theta(self, example1_pair, example2_pair):
+        for pair in (example1_pair, example2_pair):
+            assert self._compare(pair) < 1e-9
+
+    @pytest.mark.parametrize("pair_type,slope", EXACT_CONFIGS)
+    def test_exact_pairs_angle_rate_at_rounding_level(self, exact_pair_of, pair_type, slope):
+        rep = verify_frame_relations(exact_pair_of(pair_type, slope), 101)[0]
+        assert rep.identity == "frame-angle-rate"
+        assert rep.verdict is Verdict.PASS
+        assert rep.max_residual <= 1e-13
+
+    def test_suite_nests_no_difference_in_another(self, exact_pair_type3, monkeypatch):
+        # a fresh frame cache makes every frame extraction run again
+        pair = dataclasses.replace(exact_pair_type3, _frame_cache={})
+        depth = [0, 0]  # current, deepest
+        scalar_fd = frenet._scalar_fd
+
+        def tracked(*args):
+            depth[0] += 1
+            depth[1] = max(depth)
+            try:
+                return scalar_fd(*args)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(frenet, "_scalar_fd", tracked)
+        monkeypatch.setattr(mannheim, "_scalar_fd", tracked)
+        assert len(_run_pair_suite(pair, 11, None)) == 12
+        assert depth[1] == 1
+
+
+class TestUnmetHypothesis:
+    """Pairs that are not partner pairs publish Reported profiles."""
+
+    def test_non_decomposing_pair_publishes_every_report(self, example2):
+        # a type-4 normal offset: T is orthogonal to both T* and N*, so no
+        # decomposition exists, but the collinearity fails as well
+        pair = MannheimPair.from_normal_offset(example2, 0.5)
+        assert pair.pair_type is MannheimPairType.TYPE4
+        reports = _run_pair_suite(pair, 101, None)
+        assert len(reports) == 12
+        for rep in reports:
+            if rep.identity not in ("distance-constancy", "center-ratio-nonconstancy"):
+                assert rep.verdict is Verdict.REPORTED, rep.identity
+                assert rep.details["hypothesis_residual"] > HYPOTHESIS_TOL
+
+    def test_failed_decomposition_under_the_hypothesis_raises(self, exact_pair_type2):
+        # the collinearity holds, but the pair's hyperbolic components give
+        # no circular (type-3) angle: that is an error, not a Reported profile
+        pair = dataclasses.replace(exact_pair_type2, pair_type=MannheimPairType.TYPE3)
+        with pytest.raises(InconsistentDecompositionError):
+            verify_frame_relations(pair, 11)
+        with pytest.raises(InconsistentDecompositionError):
+            verify_linear_relation(pair, 11)
+        with pytest.raises(InconsistentDecompositionError):
+            verify_indicatrix_relations(pair, 11)
