@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success with no failed verdict, 1 on any Fail verdict or
-domain error, 2 on usage, curve-spec or expression parse errors.
+domain error, 2 on usage, curve-spec or expression parse errors and on a
+synthesis step too small for its range (``frenet.MAX_SYNTH_STEPS``).
 
 Curve specs accepted by ``--curve/-c`` and ``--cstar``:
 
@@ -31,7 +32,7 @@ from typing import Sequence
 from . import __version__
 from .builtins import BUILTIN_CURVE_NAMES, builtin_curve
 from .curve import Curve, CurveSamples, curve_from_samples, load_samples_csv, reparametrize_unit, sample
-from .errors import CsvFormatError, ExprSyntaxError, MannheimLabError
+from .errors import CsvFormatError, ExprSyntaxError, MannheimLabError, TooManyStepsError
 from .expr import parse_expr
 from .frenet import INITIAL_FRAMES, CurveKind, FrenetFrame, frenet_apparatus, frenet_synthesize
 from .indicatrix import indicatrix_of, verify_indicatrix_relations
@@ -77,7 +78,10 @@ def _synthesize_from_parts(parts: dict[str, str]) -> Curve:
         a, b = (float(x) for x in rng.split(":"))
     except ValueError:
         raise SpecError(f"bad range {rng!r}; expected A:B")
-    step = float(parts.pop("step", "1e-3"))
+    try:
+        step = _finite_float(parts.pop("step", "1e-3"))
+    except argparse.ArgumentTypeError as exc:
+        raise SpecError(f"bad synth step: {exc}") from None
     if parts:
         raise SpecError(f"unknown synth keys: {sorted(parts)}")
     T0, N0, B0 = INITIAL_FRAMES[kind]
@@ -360,7 +364,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (SpecError, ExprSyntaxError, CsvFormatError) as exc:
+    except (SpecError, ExprSyntaxError, CsvFormatError, TooManyStepsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (MannheimLabError, ValueError, OSError) as exc:

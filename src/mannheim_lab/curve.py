@@ -55,36 +55,48 @@ INVERSE_TABLE_SIZE = 1024
 FD_STEPS = {1: 1e-5, 2: 3e-3, 3: 8e-3}
 
 
-def fd_weights(nodes: Sequence[float], z: float, m: int) -> np.ndarray:
+def fd_weights(nodes: Sequence, z: float | np.ndarray, m: int) -> np.ndarray:
     """Finite-difference weights for the m-th derivative at ``z``.
 
     Fornberg's recursion over arbitrary nodes; exact for polynomials up to
     degree ``len(nodes) - 1``.
+
+    Array form: the nodes and ``z`` may be arrays of one shape covering a
+    batch of stencils (``nodes[i]`` holds node ``i`` of every stencil).  The
+    result then has shape ``(len(nodes), batch)``, row ``i`` holding the
+    weight of node ``i`` in each stencil.  The recursion runs elementwise in the same
+    order as for one stencil, so every weight equals its scalar call bit for
+    bit.
     """
-    n = len(nodes) - 1
+    x = nodes.tolist() if isinstance(nodes, np.ndarray) and nodes.ndim == 1 else list(nodes)
+    if not isinstance(z, np.ndarray):
+        z = float(z)
+    n = len(x) - 1
     if m > n:
         raise ValueError("stencil too short for requested derivative order")
-    c = np.zeros((n + 1, m + 1))
+    c = [[0.0] * (m + 1) for _ in range(n + 1)]
+    c[0][0] = 1.0
     c1 = 1.0
-    c4 = nodes[0] - z
-    c[0, 0] = 1.0
+    c4 = x[0] - z
     for i in range(1, n + 1):
         mn = min(i, m)
         c2 = 1.0
         c5 = c4
-        c4 = nodes[i] - z
+        c4 = x[i] - z
+        ci, cprev = c[i], c[i - 1]
         for j in range(i):
-            c3 = nodes[i] - nodes[j]
-            c2 *= c3
+            c3 = x[i] - x[j]
+            c2 = c2 * c3
             if j == i - 1:
                 for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
+                    ci[k] = c1 * (k * cprev[k - 1] - c5 * cprev[k]) / c2
+                ci[0] = -c1 * c5 * cprev[0] / c2
+            cj = c[j]
             for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
+                cj[k] = (c4 * cj[k] - k * cj[k - 1]) / c3
+            cj[0] = c4 * cj[0] / c3
         c1 = c2
-    return c[:, m]
+    return np.array([row[m] for row in c])
 
 
 def _fd_stencil(t: float, m: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -117,33 +129,39 @@ def _fd_stencil(t: float, m: int, a: float, b: float) -> tuple[np.ndarray, np.nd
     return nodes, fd_weights(nodes, t, m)
 
 
+def _simpson(x0: float, x2: float, f0: float, f1: float, f2: float) -> float:
+    return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
+
+
+def _simpson_recurse(f, x0, x2, f0, f1, f2, whole, eps, depth):
+    xm = 0.5 * (x0 + x2)
+    xl, xr = 0.5 * (x0 + xm), 0.5 * (xm + x2)
+    fl, fr = f(xl), f(xr)
+    left = _simpson(x0, xm, f0, fl, f1)
+    right = _simpson(xm, x2, f1, fr, f2)
+    delta = left + right - whole
+    if depth <= 0 or abs(delta) <= 15.0 * eps:
+        return left + right + delta / 15.0
+    return _simpson_recurse(f, x0, xm, f0, fl, f1, left, eps / 2.0, depth - 1) + _simpson_recurse(
+        f, xm, x2, f1, fr, f2, right, eps / 2.0, depth - 1
+    )
+
+
+def _simpson_piece(
+    f: Callable[[float], float], a: float, b: float, fa: float, fb: float, tol: float
+) -> float:
+    """Adaptive Simpson over [a, b] given the end values ``fa = f(a)``, ``fb = f(b)``."""
+    fm = f(0.5 * (a + b))
+    return _simpson_recurse(f, a, b, fa, fm, fb, _simpson(a, b, fa, fm, fb), tol, 48)
+
+
 def adaptive_simpson(
     f: Callable[[float], float], a: float, b: float, tol: float = QUADRATURE_TOL
 ) -> float:
     """Adaptive Simpson quadrature with absolute tolerance ``tol``."""
     if a == b:
         return 0.0
-
-    def simpson(x0: float, x2: float, f0: float, f1: float, f2: float) -> float:
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def recurse(x0, x2, f0, f1, f2, whole, eps, depth):
-        xm = 0.5 * (x0 + x2)
-        xl, xr = 0.5 * (x0 + xm), 0.5 * (xm + x2)
-        fl, fr = f(xl), f(xr)
-        left = simpson(x0, xm, f0, fl, f1)
-        right = simpson(xm, x2, f1, fr, f2)
-        delta = left + right - whole
-        if depth <= 0 or abs(delta) <= 15.0 * eps:
-            return left + right + delta / 15.0
-        return recurse(x0, xm, f0, fl, f1, left, eps / 2.0, depth - 1) + recurse(
-            xm, x2, f1, fr, f2, right, eps / 2.0, depth - 1
-        )
-
-    mid = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(mid), f(b)
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, 48)
+    return _simpson_piece(f, a, b, f(a), f(b), tol)
 
 
 Jet = tuple[Vec3L, Vec3L, Vec3L]
@@ -370,9 +388,16 @@ class _ArcLengthTable:
         s_nodes = np.empty(size + 1)
         s_nodes[0] = 0.0
         piece_tol = tol / size
+
+        def f(t: float) -> float:
+            return speed(c, t)
+
+        # Each node's speed is evaluated once and shared by its two pieces.
+        t = t_nodes.tolist()
+        v = [f(ti) for ti in t]
         for i in range(size):
-            s_nodes[i + 1] = s_nodes[i] + adaptive_simpson(
-                lambda t: speed(c, t), float(t_nodes[i]), float(t_nodes[i + 1]), piece_tol
+            s_nodes[i + 1] = s_nodes[i] + _simpson_piece(
+                f, t[i], t[i + 1], v[i], v[i + 1], piece_tol
             )
         if not (np.diff(s_nodes) > 0).all():
             raise NullTangentError("arc length is not strictly increasing")

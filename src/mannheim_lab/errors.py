@@ -12,6 +12,8 @@ __all__ = [
     "NullPrincipalNormalError",
     "InvalidInitialFrameError",
     "NonPositiveCurvatureError",
+    "TooManyStepsError",
+    "SynthesisOverflowError",
     "ZeroLambdaError",
     "UnsupportedCombinationError",
     "NegativeConditionValueError",
@@ -66,6 +68,14 @@ class InvalidInitialFrameError(MannheimLabError):
 
 class NonPositiveCurvatureError(MannheimLabError):
     """A prescribed curvature function is not strictly positive."""
+
+
+class TooManyStepsError(MannheimLabError):
+    """A synthesis step is too small for its range: the step count exceeds the cap."""
+
+
+class SynthesisOverflowError(MannheimLabError):
+    """The integrated frame or its derivative fields stopped being finite."""
 
 
 class ZeroLambdaError(MannheimLabError):

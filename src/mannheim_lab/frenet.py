@@ -29,6 +29,8 @@ from .errors import (
     NonPositiveCurvatureError,
     NotUnitSpeedError,
     NullPrincipalNormalError,
+    SynthesisOverflowError,
+    TooManyStepsError,
     VanishingCurvatureError,
 )
 from .lorentz import Vec3L, cross, inner
@@ -42,11 +44,15 @@ __all__ = [
     "frame_gram_residual",
     "synthesized_gram_drift",
     "KAPPA_TOL",
+    "MAX_SYNTH_STEPS",
 ]
 
 KAPPA_TOL = 1e-9
 UNIT_SPEED_TOL = 1e-6
 FRAME0_TOL = 1e-10
+# Largest number of fixed steps one synthesis may take; at the cap a synthesis
+# takes ~7 s and ~250 MB peak RSS on a 2-vCPU x86-64 VM.
+MAX_SYNTH_STEPS = 100_000
 
 
 class CurveKind(Enum):
@@ -171,21 +177,51 @@ def frenet_apparatus(
     return FrenetFrame(T=T, N=N, B=B, kappa=kappa, tau=tau, kind=kind)
 
 
+def _fd_offsets(t: float, m: int, a: float, b: float, h: float) -> tuple[int, ...]:
+    """Node offsets, in steps of ``h``, of the 4th-order stencil at ``t``.
+
+    Central (5 nodes for m=1,2, 7 for m=3) where it fits in [a, b];
+    otherwise one-sided with m+5 nodes, reaching into the domain.
+    """
+    half = 2 if m <= 2 else 3
+    lo, hi = t - half * h, t + half * h
+    if lo >= a and hi <= b:
+        return tuple(range(-half, half + 1))
+    if lo < a:
+        return tuple(range(m + 5))
+    return tuple(range(0, -(m + 5), -1))
+
+
 def _scalar_fd(
     f: Callable[[float], float], t: float, m: int, a: float, b: float, h: float
 ) -> float:
     """4th-order finite difference of a scalar function, one-sided near ends."""
-    half = 2 if m <= 2 else 3
-    lo, hi = t - half * h, t + half * h
-    if lo >= a and hi <= b:
-        offsets = np.arange(-half, half + 1)
-    elif lo < a:
-        offsets = np.arange(m + 5)
-    else:
-        offsets = -np.arange(m + 5)
-    nodes = t + offsets * h
+    nodes = [t + o * h for o in _fd_offsets(t, m, a, b, h)]
     w = fd_weights(nodes, t, m)
-    return float(sum(wi * f(float(x)) for wi, x in zip(w, nodes)))
+    return float(sum(wi * f(x) for wi, x in zip(w, nodes)))
+
+
+def _grid_fd(
+    f: Callable[[float], float], ts: np.ndarray, m: int, a: float, b: float, h: float
+) -> np.ndarray:
+    """``_scalar_fd`` at every point of ``ts``, equal to it bit for bit.
+
+    Points sharing a stencil shape (interior, forward, backward) get their
+    weights from one ``fd_weights`` call; the weighted values are then summed
+    in stencil order from 0, as the scalar form does.
+    """
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, t in enumerate(ts.tolist()):
+        groups.setdefault(_fd_offsets(t, m, a, b, h), []).append(i)
+    out = np.empty(len(ts))
+    for offsets, index in groups.items():
+        t = ts[index]
+        nodes = [t + o * h for o in offsets]
+        acc = 0.0
+        for w, x in zip(fd_weights(nodes, t, m), nodes):
+            acc = acc + w * np.array([f(v) for v in x.tolist()])
+        out[index] = acc
+    return out
 
 
 def frenet_synthesize(
@@ -210,15 +246,23 @@ def frenet_synthesize(
     so interpolation error is O(step^4) per field.  The three derivative
     fields share one stacked interpolant, so a jet is one evaluation.
 
-    Raises InvalidInitialFrameError if ``frame0`` violates the Gram
-    invariants of ``kind`` (tolerance 1e-10) and NonPositiveCurvatureError
-    if the prescribed curvature is not strictly positive on the range.
+    Raises TooManyStepsError, before any work, if the range needs more than
+    ``MAX_SYNTH_STEPS`` steps; InvalidInitialFrameError if ``frame0``
+    violates the Gram invariants of ``kind`` (tolerance 1e-10);
+    NonPositiveCurvatureError if the prescribed curvature is not strictly
+    positive on the range; and SynthesisOverflowError, naming the first
+    node, if the integrated frame or the derivative fields overflow.
     """
     a, b = float(s_range[0]), float(s_range[1])
     if not b > a:
         raise ValueError("empty synthesis range")
-    if step <= 0:
+    if not step > 0:
         raise ValueError("step must be positive")
+    if (b - a) / step > MAX_SYNTH_STEPS:
+        raise TooManyStepsError(
+            f"step {step:g} needs more than {MAX_SYNTH_STEPS} integration steps "
+            f"over [{a:g}, {b:g}]"
+        )
     if frame_gram_residual(frame0.T, frame0.N, frame0.B, kind) > FRAME0_TOL:
         raise InvalidInitialFrameError(
             "initial frame violates the Gram invariants of the requested kind"
@@ -260,52 +304,61 @@ def frenet_synthesize(
     )
     states = np.empty((n_steps + 1, 12))
     states[0] = y
-    for i in range(n_steps):
-        s = float(s_nodes[i])
-        k1 = rhs(s, y)
-        k2 = rhs(s + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(s + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(s + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states[i + 1] = y
+    # Overflow is not checked per step: the finished states and fields are
+    # checked once below, and numpy's warnings on the way there are muted.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_steps):
+            s = float(s_nodes[i])
+            k1 = rhs(s, y)
+            k2 = rhs(s + 0.5 * h, y + 0.5 * h * k1)
+            k3 = rhs(s + 0.5 * h, y + 0.5 * h * k2)
+            k4 = rhs(s + h, y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            states[i + 1] = y
 
-    P = states[:, 0:3]
-    T = states[:, 3:6]
-    N = states[:, 6:9]
-    B = states[:, 9:12]
+        P = states[:, 0:3]
+        T = states[:, 3:6]
+        N = states[:, 6:9]
+        B = states[:, 9:12]
 
-    kappa = np.array([scalars(float(s))[0] for s in s_nodes])
-    tau = np.array([tau_fn(float(s)) for s in s_nodes])
-    h_fd = max(1e-4, 0.1 * h)
-    kappa_p = np.array(
-        [_scalar_fd(kappa_fn, float(s), 1, a, b, h_fd) for s in s_nodes]
-    )
-    kappa_pp = np.array(
-        [_scalar_fd(kappa_fn, float(s), 2, a, b, h_fd) for s in s_nodes]
-    )
-    tau_p = np.array([_scalar_fd(tau_fn, float(s), 1, a, b, h_fd) for s in s_nodes])
+        kappa = np.array([scalars(float(s))[0] for s in s_nodes])
+        tau = np.array([tau_fn(float(s)) for s in s_nodes])
+        h_fd = max(1e-4, 0.1 * h)
+        kappa_p = _grid_fd(kappa_fn, s_nodes, 1, a, b, h_fd)
+        kappa_pp = _grid_fd(kappa_fn, s_nodes, 2, a, b, h_fd)
+        tau_p = _grid_fd(tau_fn, s_nodes, 1, a, b, h_fd)
 
-    kN = kappa[:, None] * N
-    Np = c_n * kappa[:, None] * T + tau[:, None] * B
-    Bp = c_b * tau[:, None] * N
-    # d2 = kappa*N and its slope; d3 = kappa'*N + kappa*N' and its slope.
-    d2 = kN
-    d2_slope = kappa_p[:, None] * N + kappa[:, None] * Np
-    d3 = d2_slope
-    Npp = (
-        c_n * kappa_p[:, None] * T
-        + (c_n * kappa**2 + c_b * tau**2)[:, None] * N
-        + tau_p[:, None] * B
+        kN = kappa[:, None] * N
+        Np = c_n * kappa[:, None] * T + tau[:, None] * B
+        # d2 = kappa*N and its slope; d3 = kappa'*N + kappa*N' and its slope.
+        d2 = kN
+        d2_slope = kappa_p[:, None] * N + kappa[:, None] * Np
+        d3 = d2_slope
+        Npp = (
+            c_n * kappa_p[:, None] * T
+            + (c_n * kappa**2 + c_b * tau**2)[:, None] * N
+            + tau_p[:, None] * B
+        )
+        d3_slope = (
+            kappa_pp[:, None] * N + 2.0 * kappa_p[:, None] * Np + kappa[:, None] * Npp
+        )
+        values = np.hstack([T, d2, d3])
+        slopes = np.hstack([kN, d2_slope, d3_slope])
+    finite = (
+        np.isfinite(states).all(axis=1)
+        & np.isfinite(values).all(axis=1)
+        & np.isfinite(slopes).all(axis=1)
     )
-    d3_slope = (
-        kappa_pp[:, None] * N + 2.0 * kappa_p[:, None] * Np + kappa[:, None] * Npp
-    )
+    if not finite.all():
+        s_bad = float(s_nodes[np.argmin(finite)])
+        raise SynthesisOverflowError(
+            f"synthesized {kind.value} curve overflows at s={s_bad:g}: its frame or "
+            "derivative fields are not finite"
+        )
 
     pos_spline = CubicHermiteSpline(s_nodes, P, T, axis=0)
     # Columns 0:3, 3:6, 6:9 hold d1, d2, d3; one evaluation yields the jet.
-    jet_spline = CubicHermiteSpline(
-        s_nodes, np.hstack([T, d2, d3]), np.hstack([kN, d2_slope, d3_slope]), axis=0
-    )
+    jet_spline = CubicHermiteSpline(s_nodes, values, slopes, axis=0)
 
     def jet(s: float) -> Jet:
         v = jet_spline(s)

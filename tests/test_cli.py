@@ -123,6 +123,48 @@ class TestSynthesizeCommand:
         assert "offset 8" in err
 
 
+class TestSynthesisBounds:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--curve", "synth:kind=timelike,kappa=1,tau=0.5,step=1e-12"],
+            ["synthesize", "--kind", "timelike", "--kappa", "1", "--tau", "0.5",
+             "--step", "1e-9"],
+        ],
+        ids=["spec", "flag"],
+    )
+    def test_too_many_steps_is_usage_error(self, capsys, tmp_path, argv):
+        out_path = tmp_path / "out"
+        code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+        assert code == 2
+        assert err.startswith("error: ") and "integration steps" in err
+        assert "Traceback" not in err
+        assert out == ""
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("step", ["abc", "nan", "inf", "1e999"])
+    def test_spec_step_is_finite_float(self, capsys, step):
+        code, out, err = run_cli(
+            capsys, "classify", "--curve", f"synth:kind=timelike,kappa=1,tau=0.5,step={step}"
+        )
+        assert code == 2
+        assert err.startswith("error: bad synth step")
+        assert out == ""
+
+    def test_overflow_is_domain_error_without_warnings(self, capsys, tmp_path):
+        out_path = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(
+                capsys, "synthesize", "--kind", "timelike", "--kappa", "exp(s*700)",
+                "--tau", "0.5", "--out", str(out_path),
+            )
+        assert code == 1
+        assert err == "error: synthesized timelike curve overflows at s=0.033: " \
+            "its frame or derivative fields are not finite\n"
+        assert not out_path.exists()
+
+
 class TestExamplesCommand:
     def test_example2_run_passes_distance(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
@@ -264,8 +306,9 @@ class TestExpressionDomainErrors:
     def test_undefined_kappa_is_exit_one(self, capsys, tmp_path, kappa, node):
         out_path = tmp_path / "out.csv"
         with warnings.catch_warnings():
-            # huge but finite curvature overflows the integrator state first
-            warnings.simplefilter("ignore", RuntimeWarning)
+            # a huge but finite curvature overflows the integrator state
+            # first; that is checked after the loop and warns nothing
+            warnings.simplefilter("error", RuntimeWarning)
             code, out, err = run_cli(
                 capsys, "synthesize", "--kind", "timelike", "--kappa", kappa,
                 "--tau", "0.5", "--out", str(out_path),

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from mannheim_lab import curve as curve_module
 from mannheim_lab.curve import (
+    QUADRATURE_TOL,
     Curve,
     CurveSamples,
     adaptive_simpson,
@@ -44,6 +46,54 @@ def test_fd_weights_match_known_tables():
     assert np.allclose(w, [1 / 12, -8 / 12, 0, 8 / 12, -1 / 12])
     w2 = fd_weights([-2, -1, 0, 1, 2], 0.0, 2)
     assert np.allclose(w2, [-1 / 12, 16 / 12, -30 / 12, 16 / 12, -1 / 12])
+
+
+def _stencil_shapes(m):
+    half = 2 if m <= 2 else 3
+    return {
+        "interior": range(-half, half + 1),
+        "forward": range(m + 5),
+        "backward": range(0, -(m + 5), -1),
+    }
+
+
+@pytest.mark.parametrize("shape", ["interior", "forward", "backward"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_fd_weights_array_form_equals_scalar_calls(m, shape):
+    offsets = _stencil_shapes(m)[shape]
+    ts = np.array([0.0, 1e-4, 0.137, 0.5, 0.8123456789, 1.0, 2.75])
+    h = 1e-4 * np.maximum(1.0, np.abs(ts))
+    nodes = [ts + o * h for o in offsets]
+    batched = fd_weights(nodes, ts, m)
+    rows = [
+        fd_weights([float(t) + o * float(hi) for o in offsets], float(t), m)
+        for t, hi in zip(ts, h)
+    ]
+    assert batched.shape == (len(offsets), len(ts))
+    assert np.array_equal(batched, np.array(rows).T)
+
+
+def test_arc_table_evaluates_each_node_speed_once(monkeypatch, exact_pair_type2):
+    c = offset_along_normal(exact_pair_type2.c, -0.3)  # speed varies along it
+    size = 64
+    calls = []
+
+    def counted(curve, t):
+        calls.append(t)
+        return speed(curve, t)
+
+    monkeypatch.setattr(curve_module, "speed", counted)
+    table = curve_module._ArcLengthTable(c, size, QUADRATURE_TOL)
+    # 1 speed per node, plus a midpoint and two quarter points per piece
+    assert len(calls) == 4 * size + 1
+    monkeypatch.undo()
+    expected = [0.0]
+    for t0, t1 in zip(table.t_nodes[:-1], table.t_nodes[1:]):
+        piece = adaptive_simpson(
+            lambda t: speed(c, t), float(t0), float(t1), QUADRATURE_TOL / size
+        )
+        expected.append(expected[-1] + piece)
+    assert np.array_equal(table.s_nodes, np.array(expected))
 
 
 def test_adaptive_simpson():

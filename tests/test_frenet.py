@@ -1,14 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from mannheim_lab import frenet
 from mannheim_lab.curve import Curve
 from mannheim_lab.errors import (
     InvalidInitialFrameError,
     NonPositiveCurvatureError,
     NotUnitSpeedError,
     NullPrincipalNormalError,
+    SynthesisOverflowError,
+    TooManyStepsError,
     VanishingCurvatureError,
 )
 from mannheim_lab.frenet import (
@@ -225,3 +229,48 @@ class TestSynthesize:
             f = frenet_apparatus(example1, float(s))
             assert abs(f.kappa - 0.5) < 1e-9
             assert abs(f.tau - SQRT5 / 2) < 1e-9
+
+
+class TestGridFiniteDifference:
+    @pytest.mark.parametrize("pair_type", [2, 3, 5])
+    def test_grid_form_equals_scalar_form_at_every_synthesis_node(
+        self, exact_pair_of, pair_type
+    ):
+        pair = exact_pair_of(pair_type, -0.2)
+        nodes = pair.c.synth_nodes["s"]
+        a, b = pair.c.domain
+        assert (nodes[0], nodes[-1]) == (a, b)
+        h = max(1e-4, 0.1 * (nodes[1] - nodes[0]))  # the step synthesis uses
+        shapes = {frenet._fd_offsets(float(t), 2, a, b, h) for t in nodes}
+        assert len(shapes) == 3  # interior, forward and backward stencils
+        for name, m in (("kappa_fn", 1), ("kappa_fn", 2), ("tau_fn", 1), ("kappa_fn", 3)):
+            f = pair.construction[name]
+            grid = frenet._grid_fd(f, nodes, m, a, b, h)
+            scalar = np.array([frenet._scalar_fd(f, float(t), m, a, b, h) for t in nodes])
+            assert np.array_equal(grid, scalar), (name, m)
+
+
+class TestSynthesisBounds:
+    def _synthesize(self, kappa, step, s_range=(0.0, 1.0)):
+        kind = CurveKind.TIMELIKE
+        f0 = FrenetFrame(*FRAME0[kind], kappa(s_range[0]), 0.5, kind)
+        return frenet_synthesize(kind, kappa, lambda s: 0.5, f0, Vec3L(0, 0, 0), s_range, step)
+
+    def test_step_count_is_capped(self, monkeypatch):
+        monkeypatch.setattr(frenet, "MAX_SYNTH_STEPS", 10)
+        assert len(self._synthesize(lambda s: 1.0, 0.1).synth_nodes["s"]) == 11
+        with pytest.raises(TooManyStepsError, match="more than 10 integration steps"):
+            self._synthesize(lambda s: 1.0, 0.099)
+
+    def test_cap_is_checked_before_any_allocation(self):
+        # 1e300 steps could not be allocated, let alone integrated
+        with pytest.raises(TooManyStepsError):
+            self._synthesize(lambda s: 1.0, 1e-300)
+        with pytest.raises(TooManyStepsError):
+            self._synthesize(lambda s: 1.0, 1e-3, (-1e308, 1e308))
+
+    def test_overflow_names_the_first_non_finite_node(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SynthesisOverflowError, match=r"overflows at s=0\.033:"):
+                self._synthesize(lambda s: math.exp(700.0 * s), 1e-3)
