@@ -3,7 +3,9 @@
 Both are unit-speed helix-type orbits of a one-parameter isometry group
 (boost plus translation along the third axis), one spacelike and one
 timelike, and both are used throughout the test suite.  Closed-form
-derivatives keep frame assertions about them free of differencing error.
+derivatives keep frame assertions about them free of differencing error,
+and their constant curvature and torsion are their scalar jet, with exact
+zero derivatives.
 """
 
 from __future__ import annotations
@@ -11,12 +13,25 @@ from __future__ import annotations
 import math
 
 from .curve import Curve
+from .frenet import CurveKind, ScalarJet
 from .lorentz import Vec3L
 
 __all__ = ["builtin_curve", "BUILTIN_CURVE_NAMES"]
 
 _SQRT3 = math.sqrt(3.0)
 _SQRT5 = math.sqrt(5.0)
+
+
+def _constant_scalars(kind: CurveKind, kappa: float, tau: float):
+    jets = {
+        0: (kind, (kappa,), (tau,)),
+        2: (kind, (kappa, 0.0, 0.0), (tau, 0.0, 0.0)),
+    }
+
+    def scalars(s: float, order: int) -> ScalarJet:
+        return jets[order]
+
+    return scalars
 
 
 def _example1(domain: tuple[float, float]) -> Curve:
@@ -39,6 +54,7 @@ def _example1(domain: tuple[float, float]) -> Curve:
         label="paper-example-1",
         derivs={1: d1, 2: d2, 3: d3},
         unit_speed=True,
+        scalars=_constant_scalars(CurveKind.SPACELIKE_EPS_PLUS, 0.5, 0.5 * _SQRT5),
     )
 
 
@@ -62,6 +78,7 @@ def _example2(domain: tuple[float, float]) -> Curve:
         label="paper-example-2",
         derivs={1: d1, 2: d2, 3: d3},
         unit_speed=True,
+        scalars=_constant_scalars(CurveKind.TIMELIKE, 2.0, _SQRT3),
     )
 
 

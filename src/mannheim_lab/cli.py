@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 on success with no failed verdict, 1 on any Fail verdict or
-domain error, 2 on usage, curve-spec or expression parse errors and on a
-synthesis step too small for its range (``frenet.MAX_SYNTH_STEPS``).
+domain error, 2 on usage, curve-spec or expression parse errors, on a
+synthesis step too small for its range (``frenet.MAX_SYNTH_STEPS``) and on
+a synthesis range narrower than its prescription's difference stencils.
 
 Curve specs accepted by ``--curve/-c`` and ``--cstar``:
 
@@ -32,7 +33,13 @@ from typing import Sequence
 from . import __version__
 from .builtins import BUILTIN_CURVE_NAMES, builtin_curve
 from .curve import Curve, CurveSamples, curve_from_samples, load_samples_csv, reparametrize_unit, sample
-from .errors import CsvFormatError, ExprSyntaxError, MannheimLabError, TooManyStepsError
+from .errors import (
+    CsvFormatError,
+    ExprSyntaxError,
+    MannheimLabError,
+    ShortSynthesisRangeError,
+    TooManyStepsError,
+)
 from .expr import parse_expr
 from .frenet import INITIAL_FRAMES, CurveKind, FrenetFrame, frenet_apparatus, frenet_synthesize
 from .indicatrix import indicatrix_of, verify_indicatrix_relations
@@ -78,8 +85,10 @@ def _synthesize_from_parts(parts: dict[str, str]) -> Curve:
         a, b = (float(x) for x in rng.split(":"))
     except ValueError:
         raise SpecError(f"bad range {rng!r}; expected A:B")
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise SpecError(f"bad range {rng!r}; expected A:B with finite A < B")
     try:
-        step = _finite_float(parts.pop("step", "1e-3"))
+        step = _positive_float(parts.pop("step", "1e-3"))
     except argparse.ArgumentTypeError as exc:
         raise SpecError(f"bad synth step: {exc}") from None
     if parts:
@@ -271,13 +280,21 @@ def _grid_size(text: str) -> int:
 
 
 def _finite_float(text: str) -> float:
-    """argparse type of ``--at``, ``--lambda``, ``--step`` and ``--tol``: a finite float."""
+    """argparse type of ``--at``, ``--lambda`` and ``--tol``: a finite float."""
     try:
         x = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
     if not math.isfinite(x):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return x
+
+
+def _positive_float(text: str) -> float:
+    """argparse type of ``--step``: a finite float above zero."""
+    x = _finite_float(text)
+    if not x > 0.0:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
     return x
 
 
@@ -318,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", required=True, help="expression in s")
     p.add_argument("--tau", required=True, help="expression in s")
     p.add_argument("--range", default="0:1", help="A:B parameter range")
-    p.add_argument("--step", type=_finite_float, default=1e-3)
+    p.add_argument("--step", type=_positive_float, default=1e-3)
     p.add_argument("--grid", type=_grid_size, default=101)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_synthesize)
@@ -364,7 +381,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (SpecError, ExprSyntaxError, CsvFormatError, TooManyStepsError) as exc:
+    except (
+        SpecError,
+        ExprSyntaxError,
+        CsvFormatError,
+        TooManyStepsError,
+        ShortSynthesisRangeError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (MannheimLabError, ValueError, OSError) as exc:

@@ -6,7 +6,10 @@ constructor got them and fall back to finite differences of the best
 available lower order otherwise.  ``Curve.jet`` returns all three
 derivatives at one parameter; a curve whose derivatives chain through one
 another (a reparametrization, an offset) supplies a jet evaluator so the
-shared intermediate terms are computed once per point.  Curves are
+shared intermediate terms are computed once per point.  A curve may also
+carry a closed-form speed and, when it is unit-speed, an evaluator of its
+curvature and torsion with their derivatives (read by
+``frenet.scalar_jet``).  Curves are
 immutable after construction and all operations here are pure, so
 concurrent evaluation at distinct parameters needs no coordination.
 """
@@ -175,6 +178,11 @@ class Curve:
     missing from ``derivs`` is read from ``jet`` when there is one and is
     otherwise realized by 4th-order finite differences of the highest
     available lower-order evaluator (one-sided at the ends of the domain).
+
+    ``speed`` may supply the pseudo-speed in closed form; it must equal
+    ``norm(deriv(t, 1))``.  ``scalars`` is the scalar-jet evaluator of a
+    unit-speed curve, ``scalars(t, order)`` with order 0 or 2, whose
+    contract ``frenet.scalar_jet`` states.
     """
 
     def __init__(
@@ -185,6 +193,8 @@ class Curve:
         derivs: dict[int, Callable[[float], Vec3L]] | None = None,
         unit_speed: bool = False,
         jet: Callable[[float], Jet] | None = None,
+        speed: Callable[[float], float] | None = None,
+        scalars: Callable[[float, int], tuple] | None = None,
     ):
         a, b = float(domain[0]), float(domain[1])
         if not (math.isfinite(a) and math.isfinite(b)) or a >= b:
@@ -194,6 +204,8 @@ class Curve:
         self.label = label
         self._derivs = dict(derivs) if derivs else {}
         self._jet = jet
+        self._speed = speed
+        self.scalars = scalars
         self.unit_speed = unit_speed
 
     def _check_domain(self, t: float) -> float:
@@ -225,6 +237,13 @@ class Curve:
         if self._jet is None:
             return self.deriv(t, 1), self.deriv(t, 2), self.deriv(t, 3)
         return self._jet(self._check_domain(t))
+
+    def speed(self, t: float) -> float:
+        """Pseudo-speed |<a'(t), a'(t)>|^(1/2), in closed form when supplied."""
+        t = self._check_domain(t)
+        if self._speed is not None:
+            return self._speed(t)
+        return norm(self.deriv(t, 1))
 
     def _fd(self, f: Callable[[float], Vec3L], t: float, m: int) -> Vec3L:
         a, b = self.domain
@@ -332,8 +351,8 @@ def curve_from_samples(samples: CurveSamples, label: str = "samples") -> Curve:
 
 
 def speed(c: Curve, t: float) -> float:
-    """Pseudo-speed |<a'(t), a'(t)>|^(1/2)."""
-    return norm(c.deriv(t, 1))
+    """Pseudo-speed |<a'(t), a'(t)>|^(1/2); see ``Curve.speed``."""
+    return c.speed(t)
 
 
 def classify_curve(c: Curve, grid_size: int = 64) -> CausalCharacter:
@@ -388,10 +407,7 @@ class _ArcLengthTable:
         s_nodes = np.empty(size + 1)
         s_nodes[0] = 0.0
         piece_tol = tol / size
-
-        def f(t: float) -> float:
-            return speed(c, t)
-
+        f = c.speed
         # Each node's speed is evaluated once and shared by its two pieces.
         t = t_nodes.tolist()
         v = [f(ti) for ti in t]

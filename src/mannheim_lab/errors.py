@@ -13,6 +13,7 @@ __all__ = [
     "InvalidInitialFrameError",
     "NonPositiveCurvatureError",
     "TooManyStepsError",
+    "ShortSynthesisRangeError",
     "SynthesisOverflowError",
     "ZeroLambdaError",
     "UnsupportedCombinationError",
@@ -72,6 +73,10 @@ class NonPositiveCurvatureError(MannheimLabError):
 
 class TooManyStepsError(MannheimLabError):
     """A synthesis step is too small for its range: the step count exceeds the cap."""
+
+
+class ShortSynthesisRangeError(MannheimLabError):
+    """A synthesis range is narrower than the stencils that differentiate its prescription."""
 
 
 class SynthesisOverflowError(MannheimLabError):

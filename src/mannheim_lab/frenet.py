@@ -9,8 +9,9 @@ three first-order systems, keyed by the causal characters of T and N:
 
 with Gram signs (T, N, B) of (-1, +1, +1), (+1, +1, -1) and (+1, -1, +1)
 respectively.  ``frenet_apparatus`` extracts the frame and the two scalars
-from derivatives; ``frenet_synthesize`` integrates the system for
-prescribed scalar functions.
+from derivatives; ``scalar_jet`` gives the two scalars with their first two
+derivatives; ``frenet_synthesize`` integrates the system for prescribed
+scalar functions.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .errors import (
     NonPositiveCurvatureError,
     NotUnitSpeedError,
     NullPrincipalNormalError,
+    ShortSynthesisRangeError,
     SynthesisOverflowError,
     TooManyStepsError,
     VanishingCurvatureError,
@@ -39,6 +41,8 @@ __all__ = [
     "CurveKind",
     "FrenetFrame",
     "frenet_apparatus",
+    "scalar_jet",
+    "ScalarJet",
     "frenet_synthesize",
     "INITIAL_FRAMES",
     "frame_gram_residual",
@@ -53,6 +57,10 @@ FRAME0_TOL = 1e-10
 # Largest number of fixed steps one synthesis may take; at the cap a synthesis
 # takes ~7 s and ~250 MB peak RSS on a 2-vCPU x86-64 VM.
 MAX_SYNTH_STEPS = 100_000
+# Farthest a prescription stencil reaches from a point of the range, in steps
+# of h_fd: a point within 2 h_fd of an end takes a one-sided stencil of up to
+# 7 nodes, so the range must span 8 h_fd to hold every node.
+_FD_REACH = 8
 
 
 class CurveKind(Enum):
@@ -177,6 +185,51 @@ def frenet_apparatus(
     return FrenetFrame(T=T, N=N, B=B, kappa=kappa, tau=tau, kind=kind)
 
 
+# (kind, (kappa, kappa', ...), (tau, tau', ...)), both jets of equal length.
+ScalarJet = tuple[CurveKind, tuple[float, ...], tuple[float, ...]]
+
+
+def scalar_jet(c: Curve, s: float, order: int = 2) -> ScalarJet:
+    """Frame kind, curvature jet and torsion jet of a unit-speed curve at ``s``.
+
+    ``order`` 0 gives ``(kind, (kappa,), (tau,))`` and involves no
+    differencing; order 2 gives ``(kind, (kappa, kappa', kappa''),
+    (tau, tau', tau''))``.  A curve carrying a ``scalars`` evaluator answers
+    itself: built-in curves exactly, synthesized curves from their
+    prescription.  Any other curve goes through the one fallback that
+    differences extracted frame scalars: kappa' chained exactly through the
+    third derivative, then kappa'', tau' and tau'' by 4th-order scalar
+    differences (steps 1e-4, 1e-4, 1e-3, scaled by max(1, |s|)).
+    """
+    if order not in (0, 2):
+        raise ValueError("scalar jet order must be 0 or 2")
+    if c.scalars is not None:
+        return c.scalars(c._check_domain(s), order)
+    f = frenet_apparatus(c, s)
+    if order == 0:
+        return f.kind, (f.kappa,), (f.tau,)
+    a, b = c.domain
+    scale = max(1.0, abs(s))
+
+    def tau(t: float) -> float:
+        return frenet_apparatus(c, t).tau
+
+    def kappa_p(t: float) -> float:
+        _, d2, d3 = c.jet(t)
+        q2 = inner(d2, d2)
+        return math.copysign(1.0, q2) * inner(d3, d2) / math.sqrt(abs(q2))
+
+    return (
+        f.kind,
+        (f.kappa, kappa_p(s), _scalar_fd(kappa_p, s, 1, a, b, 1e-4 * scale)),
+        (
+            f.tau,
+            _scalar_fd(tau, s, 1, a, b, 1e-4 * scale),
+            _scalar_fd(tau, s, 2, a, b, 1e-3 * scale),
+        ),
+    )
+
+
 def _fd_offsets(t: float, m: int, a: float, b: float, h: float) -> tuple[int, ...]:
     """Node offsets, in steps of ``h``, of the 4th-order stencil at ``t``.
 
@@ -246,8 +299,16 @@ def frenet_synthesize(
     so interpolation error is O(step^4) per field.  The three derivative
     fields share one stacked interpolant, so a jet is one evaluation.
 
+    The curve carries its prescription as its scalar jet: kappa and tau are
+    evaluated directly, their first two derivatives by one declared 4th-order
+    difference of ``kappa_fn`` and ``tau_fn`` with step ``max(1e-4, h/10)``,
+    the rule the node slopes use.  RK4 evaluates the prescription once per
+    distinct abscissa.
+
     Raises TooManyStepsError, before any work, if the range needs more than
-    ``MAX_SYNTH_STEPS`` steps; InvalidInitialFrameError if ``frame0``
+    ``MAX_SYNTH_STEPS`` steps; ShortSynthesisRangeError, before any work, if
+    the range is narrower than ``_FD_REACH`` difference steps, where a
+    stencil would reach outside it; InvalidInitialFrameError if ``frame0``
     violates the Gram invariants of ``kind`` (tolerance 1e-10);
     NonPositiveCurvatureError if the prescribed curvature is not strictly
     positive on the range; and SynthesisOverflowError, naming the first
@@ -262,6 +323,14 @@ def frenet_synthesize(
         raise TooManyStepsError(
             f"step {step:g} needs more than {MAX_SYNTH_STEPS} integration steps "
             f"over [{a:g}, {b:g}]"
+        )
+    n_steps = max(1, math.ceil((b - a) / step))
+    h = (b - a) / n_steps
+    h_fd = max(1e-4, 0.1 * h)
+    if b - a < _FD_REACH * h_fd:
+        raise ShortSynthesisRangeError(
+            f"synthesis range [{a:g}, {b:g}] is narrower than {_FD_REACH * h_fd:g}, "
+            "the reach of the stencils that differentiate the prescription"
         )
     if frame_gram_residual(frame0.T, frame0.N, frame0.B, kind) > FRAME0_TOL:
         raise InvalidInitialFrameError(
@@ -279,8 +348,7 @@ def frenet_synthesize(
             raise NonPositiveCurvatureError(f"kappa(s={s:g}) = {k:g} <= 0")
         return k, tau_fn(s)
 
-    def rhs(s: float, y: np.ndarray) -> np.ndarray:
-        k, t = scalars(s)
+    def rhs(k: float, t: float, y: np.ndarray) -> np.ndarray:
         T, N, B = y[3:6], y[6:9], y[9:12]
         out = np.empty(12)
         out[0:3] = T
@@ -289,8 +357,6 @@ def frenet_synthesize(
         out[9:12] = c_b * t * N
         return out
 
-    n_steps = max(1, math.ceil((b - a) / step))
-    h = (b - a) / n_steps
     s_nodes = a + h * np.arange(n_steps + 1)
     s_nodes[-1] = b
 
@@ -304,26 +370,31 @@ def frenet_synthesize(
     )
     states = np.empty((n_steps + 1, 12))
     states[0] = y
+    # Prescription at each node; k1 of a step reuses it, and k4's abscissa
+    # is reused as the next node whenever it rounds to that node.
+    node_scalars = [scalars(a)]
     # Overflow is not checked per step: the finished states and fields are
     # checked once below, and numpy's warnings on the way there are muted.
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
             s = float(s_nodes[i])
-            k1 = rhs(s, y)
-            k2 = rhs(s + 0.5 * h, y + 0.5 * h * k1)
-            k3 = rhs(s + 0.5 * h, y + 0.5 * h * k2)
-            k4 = rhs(s + h, y + h * k3)
+            k1 = rhs(*node_scalars[i], y)
+            mid = scalars(s + 0.5 * h)
+            k2 = rhs(*mid, y + 0.5 * h * k1)
+            k3 = rhs(*mid, y + 0.5 * h * k2)
+            end = scalars(s + h)
+            k4 = rhs(*end, y + h * k3)
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             states[i + 1] = y
+            s_next = float(s_nodes[i + 1])
+            node_scalars.append(end if s + h == s_next else scalars(s_next))
 
         P = states[:, 0:3]
         T = states[:, 3:6]
         N = states[:, 6:9]
         B = states[:, 9:12]
 
-        kappa = np.array([scalars(float(s))[0] for s in s_nodes])
-        tau = np.array([tau_fn(float(s)) for s in s_nodes])
-        h_fd = max(1e-4, 0.1 * h)
+        kappa, tau = np.array(node_scalars).T
         kappa_p = _grid_fd(kappa_fn, s_nodes, 1, a, b, h_fd)
         kappa_pp = _grid_fd(kappa_fn, s_nodes, 2, a, b, h_fd)
         tau_p = _grid_fd(tau_fn, s_nodes, 1, a, b, h_fd)
@@ -364,12 +435,23 @@ def frenet_synthesize(
         v = jet_spline(s)
         return Vec3L(*v[0:3]), Vec3L(*v[3:6]), Vec3L(*v[6:9])
 
+    def prescription(s: float, order: int) -> ScalarJet:
+        k, t = kappa_fn(s), tau_fn(s)
+        if order == 0:
+            return kind, (k,), (t,)
+        return (
+            kind,
+            (k, _scalar_fd(kappa_fn, s, 1, a, b, h_fd), _scalar_fd(kappa_fn, s, 2, a, b, h_fd)),
+            (t, _scalar_fd(tau_fn, s, 1, a, b, h_fd), _scalar_fd(tau_fn, s, 2, a, b, h_fd)),
+        )
+
     out = Curve(
         pos=lambda s: Vec3L(*pos_spline(s)),
         domain=(a, b),
         label=f"synthesized-{kind.value}",
         unit_speed=True,
         jet=jet,
+        scalars=prescription,
     )
     out.synth_nodes = {"s": s_nodes, "p": P, "T": T, "N": N, "B": B}
     out.synth_kind = kind

@@ -39,6 +39,7 @@ from .frenet import (
     FrenetFrame,
     frenet_apparatus,
     frenet_synthesize,
+    scalar_jet,
     _scalar_fd,
 )
 from .lorentz import Vec3L, cross, inner, norm
@@ -124,50 +125,6 @@ _TYPE_TABLE = {
 _CIRCULAR_TYPES = frozenset({MannheimPairType.TYPE3})
 
 
-class _ScalarChain:
-    """Frame scalars of a unit-speed base curve plus their s-derivatives.
-
-    kappa' is exact (chained through the third derivative); kappa'' and
-    the tau derivatives use 4th-order scalar differences on top of the
-    exact evaluators.
-    """
-
-    def __init__(self, base: Curve):
-        self.base = base
-        self._frames: dict[float, FrenetFrame] = {}
-
-    def frame(self, t: float) -> FrenetFrame:
-        f = self._frames.get(t)
-        if f is None:
-            f = frenet_apparatus(self.base, t)
-            self._frames[t] = f
-        return f
-
-    def kappa(self, t: float) -> float:
-        return self.frame(t).kappa
-
-    def tau(self, t: float) -> float:
-        return self.frame(t).tau
-
-    def kappa_p(self, t: float) -> float:
-        _, d2, d3 = self.base.jet(t)
-        q2 = inner(d2, d2)
-        return math.copysign(1.0, q2) * inner(d3, d2) / math.sqrt(abs(q2))
-
-    def _fd(self, f: Callable[[float], float], t: float, m: int, h: float) -> float:
-        a, b = self.base.domain
-        return _scalar_fd(f, t, m, a, b, h * max(1.0, abs(t)))
-
-    def kappa_pp(self, t: float) -> float:
-        return self._fd(self.kappa_p, t, 1, 1e-4)
-
-    def tau_p(self, t: float) -> float:
-        return self._fd(self.tau, t, 1, 1e-4)
-
-    def tau_pp(self, t: float) -> float:
-        return self._fd(self.tau, t, 2, 1e-3)
-
-
 def offset_along_binormal(cstar: Curve, lam: float) -> Curve:
     """The curve s* -> a*(s*) + lam * B*(s*).
 
@@ -175,29 +132,33 @@ def offset_along_binormal(cstar: Curve, lam: float) -> Curve:
     generally not unit-speed, and nothing here asserts it is a genuine
     partner of ``cstar``; use ``mannheim_residual`` to audit that.
     Derivatives chain through the frame equations of the base curve, so no
-    positional differencing is involved; the jet evaluates the frame and
-    the scalar derivatives once per point for all three orders.
+    positional differencing is involved; the jet reads the base frame and
+    the base scalar jet once per point for all three orders.  The speed
+    sqrt|eps_T + eps_N lam^2 tau^2| comes from the base torsion alone.
     """
     if lam == 0.0:
         raise ZeroLambdaError("offset distance must be nonzero")
-    chain = _ScalarChain(cstar)
 
     def pos(t: float) -> Vec3L:
-        return cstar.pos(t) + chain.frame(t).B * lam
+        return cstar.pos(t) + frenet_apparatus(cstar, t).B * lam
 
-    def tangent(f: FrenetFrame) -> Vec3L:
-        return f.T + f.N * (lam * f.kind.binormal_coefficient * f.tau)
+    def tangent(f: FrenetFrame, kind: CurveKind, tau: float) -> Vec3L:
+        return f.T + f.N * (lam * kind.binormal_coefficient * tau)
 
     def d1(t: float) -> Vec3L:
-        return tangent(chain.frame(t))
+        kind, _, (tau,) = scalar_jet(cstar, t, 0)
+        return tangent(frenet_apparatus(cstar, t), kind, tau)
+
+    def speed(t: float) -> float:
+        kind, _, (tau,) = scalar_jet(cstar, t, 0)
+        eps_t, eps_n, _ = kind.signs
+        return math.sqrt(abs(eps_t + eps_n * (lam * tau) ** 2))
 
     def jet(t: float) -> Jet:
-        f = chain.frame(t)
-        c_b = f.kind.binormal_coefficient
-        c_n = f.kind.normal_coefficient
-        k, tau = f.kappa, f.tau
-        kp = chain.kappa_p(t)
-        tau_p, tau_pp = chain.tau_p(t), chain.tau_pp(t)
+        f = frenet_apparatus(cstar, t)
+        kind, (k, kp, _), (tau, tau_p, tau_pp) = scalar_jet(cstar, t, 2)
+        c_b = kind.binormal_coefficient
+        c_n = kind.normal_coefficient
         # d2 = d/dt [T + lam c_b tau N] with N' = c_n k T + tau B, written as
         # at T + cn N + db B; d3 differentiates those coefficients once more.
         at = lam * c_b * tau * c_n * k
@@ -207,7 +168,7 @@ def offset_along_binormal(cstar: Curve, lam: float) -> Curve:
         cn_p = kp + lam * c_b * tau_pp
         db_p = 2.0 * lam * c_b * tau * tau_p
         return (
-            tangent(f),
+            tangent(f, kind, tau),
             f.T * at + f.N * cn + f.B * db,
             f.T * (at_p + cn * c_n * k)
             + f.N * (at * k + cn_p + db * c_b * tau)
@@ -220,32 +181,40 @@ def offset_along_binormal(cstar: Curve, lam: float) -> Curve:
         label=f"{cstar.label}+({lam:g})B",
         derivs={1: d1},
         jet=jet,
+        speed=speed,
     )
 
 
 def offset_along_normal(c: Curve, lam: float) -> Curve:
-    """The curve s -> a(s) - lam * N(s); same contract as the binormal offset."""
+    """The curve s -> a(s) - lam * N(s); same contract as the binormal offset.
+
+    Its speed sqrt|eps_T (1 - lam c_n kappa)^2 + eps_B lam^2 tau^2| comes
+    from the base curvature and torsion alone.
+    """
     if lam == 0.0:
         raise ZeroLambdaError("offset distance must be nonzero")
-    chain = _ScalarChain(c)
 
     def pos(t: float) -> Vec3L:
-        return c.pos(t) - chain.frame(t).N * lam
+        return c.pos(t) - frenet_apparatus(c, t).N * lam
 
-    def tangent(f: FrenetFrame) -> Vec3L:
-        a_t = 1.0 - lam * f.kind.normal_coefficient * f.kappa
-        return f.T * a_t + f.B * (-lam * f.tau)
+    def tangent(f: FrenetFrame, kind: CurveKind, k: float, tau: float) -> Vec3L:
+        return f.T * (1.0 - lam * kind.normal_coefficient * k) + f.B * (-lam * tau)
 
     def d1(t: float) -> Vec3L:
-        return tangent(chain.frame(t))
+        kind, (k,), (tau,) = scalar_jet(c, t, 0)
+        return tangent(frenet_apparatus(c, t), kind, k, tau)
+
+    def speed(t: float) -> float:
+        kind, (k,), (tau,) = scalar_jet(c, t, 0)
+        eps_t, _, eps_b = kind.signs
+        a_t = 1.0 - lam * kind.normal_coefficient * k
+        return math.sqrt(abs(eps_t * a_t * a_t + eps_b * (lam * tau) ** 2))
 
     def jet(t: float) -> Jet:
-        f = chain.frame(t)
-        c_n = f.kind.normal_coefficient
-        c_b = f.kind.binormal_coefficient
-        k, tau = f.kappa, f.tau
-        kp, kpp = chain.kappa_p(t), chain.kappa_pp(t)
-        tau_p, tau_pp = chain.tau_p(t), chain.tau_pp(t)
+        f = frenet_apparatus(c, t)
+        kind, (k, kp, kpp), (tau, tau_p, tau_pp) = scalar_jet(c, t, 2)
+        c_n = kind.normal_coefficient
+        c_b = kind.binormal_coefficient
         # d1 = a_t T + b_b B; its derivatives follow from the frame equations.
         a_t = 1.0 - lam * c_n * k
         b_b = -lam * tau
@@ -256,7 +225,7 @@ def offset_along_normal(c: Curve, lam: float) -> Curve:
         a_pp = -lam * c_n * kpp
         b_pp = -lam * tau_pp
         return (
-            tangent(f),
+            tangent(f, kind, k, tau),
             f.T * a_p + f.N * n_coeff + f.B * b_p,
             f.T * (a_pp + n_coeff * c_n * k)
             + f.N * (a_p * k + n_coeff_p + b_p * c_b * tau)
@@ -269,6 +238,7 @@ def offset_along_normal(c: Curve, lam: float) -> Curve:
         label=f"{c.label}-({lam:g})N",
         derivs={1: d1},
         jet=jet,
+        speed=speed,
     )
 
 
@@ -367,7 +337,7 @@ class MannheimPair:
             return table.t_of_s(u)
 
         def rate(u: float) -> float:
-            return 1.0 / norm(offset.deriv(table.t_of_s(u), 1))
+            return 1.0 / offset.speed(table.t_of_s(u))
 
         return cls(
             c=c_unit,
@@ -392,7 +362,7 @@ class MannheimPair:
             return table.s_of_t(s)
 
         def rate(s: float) -> float:
-            return norm(offset.deriv(s, 1))
+            return offset.speed(s)
 
         return cls(
             c=c,
@@ -432,11 +402,9 @@ class MannheimPair:
 
         def rate(s: float) -> float:
             t = to_raw(s)
-            v_c = 1.0 if not hasattr(c_unit, "base_curve") else norm(
-                c_unit.base_curve.deriv(t, 1)
-            )
-            v_star = 1.0 if not hasattr(cstar_unit, "base_curve") else norm(
-                cstar_unit.base_curve.deriv(t, 1)
+            v_c = c_unit.base_curve.speed(t) if hasattr(c_unit, "base_curve") else 1.0
+            v_star = (
+                cstar_unit.base_curve.speed(t) if hasattr(cstar_unit, "base_curve") else 1.0
             )
             return v_star / v_c
 

@@ -151,6 +151,58 @@ class TestSynthesisBounds:
         assert err.startswith("error: bad synth step")
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["synthesize", "--kind", "timelike", "--kappa", "1", "--tau", "0.5",
+              "--step", "-1"], "argument --step: expected a positive number"),
+            (["synthesize", "--kind", "timelike", "--kappa", "1", "--tau", "0.5",
+              "--step", "0"], "argument --step: expected a positive number"),
+            (["synthesize", "--kind", "timelike", "--kappa", "1", "--tau", "0.5",
+              "--range", "nan:1"], "error: bad range 'nan:1'"),
+            (["classify", "--curve", "synth:kind=timelike,kappa=1,tau=0.5,step=0"],
+             "error: bad synth step: expected a positive number"),
+            (["classify", "--curve", "synth:kind=timelike,kappa=1,tau=0.5,step=-1e-3"],
+             "error: bad synth step: expected a positive number"),
+            (["classify", "--curve", "synth:kind=timelike,kappa=1,tau=0.5,range=nan:1"],
+             "error: bad range 'nan:1'"),
+            (["classify", "--curve", "synth:kind=timelike,kappa=1,tau=0.5,range=0:inf"],
+             "error: bad range '0:inf'"),
+            (["classify", "--curve", "synth:kind=timelike,kappa=1,tau=0.5,range=1:0"],
+             "error: bad range '1:0'"),
+            (["classify", "--curve", "synth:kind=timelike,kappa=1,tau=0.5,range=1:1"],
+             "error: bad range '1:1'"),
+        ],
+        ids=["flag-negative-step", "flag-zero-step", "flag-nan-range", "spec-zero-step",
+             "spec-negative-step", "spec-nan-range", "spec-inf-range", "spec-reversed-range",
+             "spec-empty-range"],
+    )
+    def test_bad_step_or_range_is_usage_error(self, capsys, tmp_path, argv, message):
+        out_path = tmp_path / "out"
+        code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+        assert code == 2
+        assert message in err
+        assert "Traceback" not in err
+        assert out == ""
+        assert not out_path.exists()
+
+    def test_range_narrower_than_stencils_is_usage_error(self, capsys, tmp_path):
+        out_path = tmp_path / "out.json"
+        with warnings.catch_warnings():
+            # any numpy or scipy warning would be raised instead of printed
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "classify", "--curve", "synth:kind=timelike,kappa=1,tau=0.5,range=0:1e-300",
+                "--out", str(out_path),
+            )
+        assert code == 2
+        assert err == (
+            "error: synthesis range [0, 1e-300] is narrower than 0.0008, the reach of "
+            "the stencils that differentiate the prescription\n"
+        )
+        assert out == ""
+        assert not out_path.exists()
+
     def test_overflow_is_domain_error_without_warnings(self, capsys, tmp_path):
         out_path = tmp_path / "out.csv"
         with warnings.catch_warnings():

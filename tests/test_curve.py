@@ -77,12 +77,14 @@ def test_arc_table_evaluates_each_node_speed_once(monkeypatch, exact_pair_type2)
     c = offset_along_normal(exact_pair_type2.c, -0.3)  # speed varies along it
     size = 64
     calls = []
+    closed_form = c._speed
 
-    def counted(curve, t):
+    def counted(t):
         calls.append(t)
-        return speed(curve, t)
+        return closed_form(t)
 
-    monkeypatch.setattr(curve_module, "speed", counted)
+    # the table reads the offset's closed-form speed, not its derivative
+    monkeypatch.setattr(c, "_speed", counted)
     table = curve_module._ArcLengthTable(c, size, QUADRATURE_TOL)
     # 1 speed per node, plus a midpoint and two quarter points per piece
     assert len(calls) == 4 * size + 1

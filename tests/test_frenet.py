@@ -1,3 +1,4 @@
+import copy
 import math
 import warnings
 
@@ -11,6 +12,7 @@ from mannheim_lab.errors import (
     NonPositiveCurvatureError,
     NotUnitSpeedError,
     NullPrincipalNormalError,
+    ShortSynthesisRangeError,
     SynthesisOverflowError,
     TooManyStepsError,
     VanishingCurvatureError,
@@ -20,6 +22,7 @@ from mannheim_lab.frenet import (
     FrenetFrame,
     frenet_apparatus,
     frenet_synthesize,
+    scalar_jet,
     synthesized_gram_drift,
 )
 from mannheim_lab.lorentz import Vec3L
@@ -250,6 +253,50 @@ class TestGridFiniteDifference:
             assert np.array_equal(grid, scalar), (name, m)
 
 
+class TestScalarJet:
+    # (kappa, kappa', kappa'', tau, tau', tau''): largest gap between a curve's
+    # own scalar jet and the frame-difference fallback.  The ends take
+    # one-sided stencils: there the prescription's 7-node second difference
+    # at step 1e-4 amplifies the rounding of tau about 2e10-fold (1.2e-6
+    # measured on a linear tau, whose tau'' is 0).
+    TOL = (1e-12, 1e-12, 1e-6, 1e-12, 1e-9, 1e-6)
+    TOL_AT_ENDS = (1e-12, 1e-12, 1e-6, 1e-12, 1e-9, 2e-6)
+
+    @pytest.mark.parametrize(
+        "fixture",
+        ["exact_pair_type2", "exact_pair_type3", "exact_pair_type5", "example1", "example2"],
+    )
+    def test_own_jet_agrees_with_frame_difference_fallback(self, request, fixture):
+        c = request.getfixturevalue(fixture)
+        c = getattr(c, "c", c)  # an exact pair's base is the synthesized curve
+        assert c.scalars is not None
+        fallback = copy.copy(c)
+        fallback.scalars = None
+        a, b = c.domain
+        grid = np.linspace(a, b, 41)
+        for s in grid:
+            s = float(s)
+            kind, kappa, tau = scalar_jet(c, s)
+            kind_fd, kappa_fd, tau_fd = scalar_jet(fallback, s)
+            assert kind is kind_fd
+            assert scalar_jet(c, s, 0) == (kind, kappa[:1], tau[:1])
+            gaps = np.abs(np.array(kappa + tau) - np.array(kappa_fd + tau_fd))
+            tol = self.TOL_AT_ENDS if s in (a, b) else self.TOL
+            assert (gaps <= tol).all(), (s, gaps)
+
+    def test_builtin_jets_are_exact_constants(self, example1, example2):
+        assert scalar_jet(example1, 0.3) == (
+            CurveKind.SPACELIKE_EPS_PLUS, (0.5, 0.0, 0.0), (SQRT5 / 2, 0.0, 0.0)
+        )
+        assert scalar_jet(example2, 0.3) == (
+            CurveKind.TIMELIKE, (2.0, 0.0, 0.0), (SQRT3, 0.0, 0.0)
+        )
+
+    def test_order_must_be_zero_or_two(self, example1):
+        with pytest.raises(ValueError, match="order must be 0 or 2"):
+            scalar_jet(example1, 0.3, 1)
+
+
 class TestSynthesisBounds:
     def _synthesize(self, kappa, step, s_range=(0.0, 1.0)):
         kind = CurveKind.TIMELIKE
@@ -268,6 +315,25 @@ class TestSynthesisBounds:
             self._synthesize(lambda s: 1.0, 1e-300)
         with pytest.raises(TooManyStepsError):
             self._synthesize(lambda s: 1.0, 1e-3, (-1e308, 1e308))
+
+    def test_range_narrower_than_stencil_reach_is_rejected(self):
+        # at step 1e-3 the difference step is 1e-4; a point within 2e-4 of an
+        # end takes a one-sided stencil reaching 6e-4 further, so 8e-4 is the
+        # narrowest range that holds every node
+        calls = []
+
+        def kappa(s):
+            calls.append(s)
+            return 1.0
+
+        for width in (1e-300, 6e-4, 7.9e-4):
+            with pytest.raises(ShortSynthesisRangeError, match="narrower than 0.0008"):
+                self._synthesize(kappa, 1e-3, (0.0, width))
+        assert calls == [0.0, 0.0, 0.0]  # only the initial frame's kappa(a)
+        c = self._synthesize(kappa, 1e-3, (0.0, 8e-4))
+        for s in np.linspace(0.0, 8e-4, 17):
+            scalar_jet(c, float(s))
+        assert 0.0 <= min(calls) and max(calls) <= 8e-4
 
     def test_overflow_names_the_first_non_finite_node(self):
         with warnings.catch_warnings():

@@ -6,6 +6,7 @@ import pytest
 
 from _oracle_constants import ORACLE
 from mannheim_lab import frenet, mannheim
+from mannheim_lab import indicatrix as indicatrix_module
 from mannheim_lab.cli import _run_pair_suite
 from mannheim_lab.curve import reparametrize_unit
 from mannheim_lab.errors import (
@@ -108,15 +109,18 @@ class TestOffsets:
 
     def test_frame_of_offset_differences_torsion_once(self, exact_pair_type3, monkeypatch):
         # the companion is the unit-speed normal offset; its frame reads one
-        # jet, so the second difference of the base torsion runs once
+        # jet, which reads one base scalar jet, so the second difference of
+        # the prescribed torsion runs once
+        tau_fn = exact_pair_type3.construction["tau_fn"]
         calls = []
-        tau_pp = mannheim._ScalarChain.tau_pp
+        scalar_fd = frenet._scalar_fd
 
-        def counted(chain, t):
-            calls.append(t)
-            return tau_pp(chain, t)
+        def counted(f, t, m, *rest):
+            if f is tau_fn and m == 2:
+                calls.append(t)
+            return scalar_fd(f, t, m, *rest)
 
-        monkeypatch.setattr(mannheim._ScalarChain, "tau_pp", counted)
+        monkeypatch.setattr(frenet, "_scalar_fd", counted)
         cstar = exact_pair_type3.cstar
         frenet_apparatus(cstar, 0.6180339 * cstar.domain[1])
         assert len(calls) == 1
@@ -132,6 +136,31 @@ class TestOffsets:
         residual = norm(diff - f.N * lam_fit)
         assert lam_fit == pytest.approx(want["normal_recovery_lambda"], abs=1e-8)
         assert residual == pytest.approx(want["normal_recovery_residual"], abs=1e-8)
+
+
+class TestClosedFormSpeed:
+    """Offsets take their speed from the base scalars alone."""
+
+    @staticmethod
+    def _worst_gap(base, lams):
+        worst = 0.0
+        for lam in lams:
+            for make in (offset_along_normal, offset_along_binormal):
+                off = make(base, lam)
+                a, b = off.domain
+                for t in np.linspace(a, b, 21):
+                    t = float(t)
+                    worst = max(worst, abs(off.speed(t) - norm(off.deriv(t, 1))))
+        return worst
+
+    @pytest.mark.parametrize("pair_type,slope", [(2, 0.2), (3, -0.2), (5, 0.2)])
+    def test_equals_tangent_norm_on_exact_bases(self, exact_pair_of, pair_type, slope):
+        pair = exact_pair_of(pair_type, slope)
+        assert self._worst_gap(pair.c, (pair.lam, -pair.lam)) <= 1e-12
+
+    def test_equals_tangent_norm_on_builtins(self, example1, example2):
+        for base in (example1, example2):
+            assert self._worst_gap(base, (20.0, -7.5, 0.5)) <= 1e-12
 
 
 class TestClassification:
@@ -448,24 +477,45 @@ class TestAngleRateChain:
         assert rep.verdict is Verdict.PASS
         assert rep.max_residual <= 1e-13
 
-    def test_suite_nests_no_difference_in_another(self, exact_pair_type3, monkeypatch):
-        # a fresh frame cache makes every frame extraction run again
-        pair = dataclasses.replace(exact_pair_type3, _frame_cache={})
-        depth = [0, 0]  # current, deepest
+    def test_suite_nests_no_difference_in_another(
+        self, exact_pair_type3, example1, example2, monkeypatch
+    ):
+        # No frame is extracted beneath a scalar difference, so no difference
+        # sits on top of another numerical layer: the exact suite differences
+        # only the prescription, and the reference suites, whose scalars are
+        # constants, difference nothing.
+        depth = [0]
+        fd_calls = []
+        frames_under_fd = []
         scalar_fd = frenet._scalar_fd
+        apparatus = frenet.frenet_apparatus
 
-        def tracked(*args):
+        def tracked_fd(*args):
+            fd_calls.append(args[1])
             depth[0] += 1
-            depth[1] = max(depth)
             try:
                 return scalar_fd(*args)
             finally:
                 depth[0] -= 1
 
-        monkeypatch.setattr(frenet, "_scalar_fd", tracked)
-        monkeypatch.setattr(mannheim, "_scalar_fd", tracked)
+        def tracked_apparatus(c, s, *rest):
+            if depth[0]:
+                frames_under_fd.append((c.label, s))
+            return apparatus(c, s, *rest)
+
+        for module in (frenet, mannheim, indicatrix_module):
+            if hasattr(module, "_scalar_fd"):
+                monkeypatch.setattr(module, "_scalar_fd", tracked_fd)
+            monkeypatch.setattr(module, "frenet_apparatus", tracked_apparatus)
+        # a fresh frame cache makes every frame extraction run again
+        pair = dataclasses.replace(exact_pair_type3, _frame_cache={})
         assert len(_run_pair_suite(pair, 11, None)) == 12
-        assert depth[1] == 1
+        assert fd_calls and not frames_under_fd
+        fd_calls.clear()
+        for base in (example1, example2):
+            pair = MannheimPair.from_binormal_offset(base, 20.0)
+            assert len(_run_pair_suite(pair, 11, None)) == 12
+        assert fd_calls == [] and frames_under_fd == []
 
 
 class TestUnmetHypothesis:
