@@ -138,7 +138,7 @@ def _write_samples(samples: CurveSamples, out: str | None) -> None:
 
 
 def _emit_json(payload, out: str | None) -> None:
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(payload, indent=2, allow_nan=False)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -177,9 +177,11 @@ def _report_lines(pair: MannheimPair, reports: list[VerificationReport]) -> None
     print(f"pair type: {pair.pair_type.value} ({pair.pair_type.describe()})")
     print(f"lambda: {pair.lam:.17g}")
     for r in reports:
+        worst, mean = (
+            "undefined" if v is None else f"{v:.3e}" for v in (r.max_residual, r.mean_residual)
+        )
         print(
-            f"{r.identity:28s} {r.verdict.value:8s} "
-            f"max={r.max_residual:.3e} mean={r.mean_residual:.3e} tol={r.tolerance:.1e}"
+            f"{r.identity:28s} {r.verdict.value:8s} max={worst} mean={mean} tol={r.tolerance:.1e}"
         )
 
 

@@ -19,17 +19,18 @@ from __future__ import annotations
 import csv
 import io
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .errors import (
     CsvFormatError,
     MixedCausalCharacterError,
     NullTangentError,
     OutOfDomainError,
+    TableSizeError,
 )
 from .lorentz import CausalCharacter, Vec3L, causal_character, inner, norm
 
@@ -46,10 +47,17 @@ __all__ = [
     "load_samples_csv",
     "fd_weights",
     "adaptive_simpson",
+    "CubicHermiteSpline",
+    "PchipInterpolator",
+    "INVERSE_TABLE_SIZE",
+    "MAX_TABLE_SIZE",
 ]
 
 QUADRATURE_TOL = 1e-10
 INVERSE_TABLE_SIZE = 1024
+# Largest arc-length table ``reparametrize_unit`` builds, the same bound as
+# ``frenet.MAX_SYNTH_STEPS`` puts on synthesis.
+MAX_TABLE_SIZE = 100_000
 
 # Steps for the finite-difference fallback, per derivative order, scaled by
 # max(1, |t|).  First order keeps the small step (roundoff ~ eps/h is still
@@ -165,6 +173,99 @@ def adaptive_simpson(
     if a == b:
         return 0.0
     return _simpson_piece(f, a, b, f(a), f(b), tol)
+
+
+class CubicHermiteSpline:
+    """Piecewise cubic through values ``y`` with slopes ``dydx`` at nodes ``x``.
+
+    ``y`` and ``dydx`` hold one value per node, shape ``(n,)``, or one row per
+    node, shape ``(n, m)``.  Calling the spline at a float returns a float, or
+    a list of ``m`` floats.  A point outside ``[x[0], x[-1]]`` is extrapolated
+    from the nearest end piece.
+
+    The coefficients and the evaluation order are those of
+    ``scipy.interpolate.CubicHermiteSpline``, operation for operation, so both
+    give the same bits.
+    """
+
+    def __init__(self, x, y, dydx):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        dydx = np.asarray(dydx, dtype=float)
+        if x.ndim != 1 or len(x) < 2 or y.shape[:1] != x.shape or dydx.shape != y.shape:
+            raise ValueError("need at least two nodes, with one value and one slope per node")
+        dx = np.diff(x)
+        if not (dx > 0).all():
+            raise ValueError("nodes must be strictly increasing")
+        dxr = dx.reshape((-1,) + (1,) * (y.ndim - 1))
+        slope = np.diff(y, axis=0) / dxr
+        t = (dydx[:-1] + dydx[1:] - 2 * slope) / dxr
+        # Row i holds (c0, c1, c2, c3): c3 + c2 s + c1 s^2 + c0 s^3 on piece i.
+        self._c = np.stack((t / dxr, (slope - dydx[:-1]) / dxr - t, dydx[:-1], y[:-1]), axis=1)
+        self._x = x.tolist()
+        self._last = len(self._x) - 2
+        self._rows = y.ndim > 1
+
+    def __call__(self, v: float):
+        x = self._x
+        i = min(max(bisect_right(x, v) - 1, 0), self._last)
+        s = v - x[i]
+        s2 = s * s
+        s3 = s2 * s
+        c0, c1, c2, c3 = self._c[i].tolist()
+        # Ascending powers from 0.0, the order scipy's evaluator sums them in.
+        if self._rows:
+            return [0.0 + d + c * s + b * s2 + a * s3 for a, b, c, d in zip(c0, c1, c2, c3)]
+        return 0.0 + c3 + c2 * s + c1 * s2 + c0 * s3
+
+
+def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Node slopes of the monotone piecewise cubic through ``(x, y)``.
+
+    Interior slopes are the weighted harmonic mean of the two neighbouring
+    secants (Fritsch & Butland, SIAM J. Sci. Stat. Comput. 5, 1984), or zero
+    where the secants change sign or one vanishes (Fritsch & Carlson, SIAM J.
+    Numer. Anal. 17, 1980).  End slopes use Moler's one-sided three-point
+    rule (Numerical Computing with MATLAB, 2004, sec. 3.6); two nodes give the
+    line.  Every step is the one ``scipy.interpolate.PchipInterpolator``
+    takes, so the slopes agree bit for bit.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    if len(m) == 1:
+        return np.array([m[0], m[0]])
+    sm = np.sign(m)
+    flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+    d = np.zeros_like(y)
+    d[1:-1][~flat] = 1.0 / whmean[~flat]
+    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    return d
+
+
+def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    """One-sided three-point slope at an end node, limited to keep the shape."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+class PchipInterpolator(CubicHermiteSpline):
+    """Monotone cubic through scalar values ``y`` at nodes ``x``; slopes from ``_pchip_slopes``."""
+
+    def __init__(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if x.ndim != 1 or len(x) < 2 or y.shape != x.shape:
+            raise ValueError("need at least two nodes and one scalar value per node")
+        super().__init__(x, y, _pchip_slopes(x, y))
 
 
 Jet = tuple[Vec3L, Vec3L, Vec3L]
@@ -334,6 +435,10 @@ def curve_from_samples(samples: CurveSamples, label: str = "samples") -> Curve:
     Third derivatives of a cubic spline are piecewise constant, so frame
     data extracted from sampled curves is only as good as the sampling.
     """
+    # A not-a-knot spline needs a global banded solve, which scipy provides;
+    # it is imported here so that only sampled curves load it.
+    from scipy.interpolate import CubicSpline
+
     t = np.asarray(samples.parameters)
     data = np.asarray([p.as_tuple() for p in samples.points])
     spline = CubicSpline(t, data, axis=0)
@@ -420,6 +525,7 @@ class _ArcLengthTable:
         self.t_nodes = t_nodes
         self.s_nodes = s_nodes
         self.total = float(s_nodes[-1])
+        self._a, self._b = a, b
         # Monotone interpolation guarantees the inverse map is a bijection.
         self._inverse = PchipInterpolator(s_nodes, t_nodes)
         self._forward = PchipInterpolator(t_nodes, s_nodes)
@@ -429,7 +535,7 @@ class _ArcLengthTable:
         return float(self._inverse(s))
 
     def s_of_t(self, t: float) -> float:
-        t = min(max(t, self.t_nodes[0]), self.t_nodes[-1])
+        t = min(max(t, self._a), self._b)
         return float(self._forward(t))
 
 
@@ -445,7 +551,14 @@ def reparametrize_unit(
     speed, so the result is unit-speed to machine precision regardless of the
     table resolution.  The returned curve exposes the table on the
     ``arc_table`` attribute for correspondence bookkeeping.
+
+    Raises TableSizeError, before any work, if ``grid_size`` lies outside
+    ``[2, MAX_TABLE_SIZE]``.
     """
+    if not 2 <= grid_size <= MAX_TABLE_SIZE:
+        raise TableSizeError(
+            f"arc-length table size {grid_size!r} is outside [2, {MAX_TABLE_SIZE}]"
+        )
     classify_curve(c, min(grid_size, 257))
     table = _ArcLengthTable(c, grid_size, tol)
 

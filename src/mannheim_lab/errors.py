@@ -15,6 +15,7 @@ __all__ = [
     "TooManyStepsError",
     "ShortSynthesisRangeError",
     "SynthesisOverflowError",
+    "TableSizeError",
     "ZeroLambdaError",
     "UnsupportedCombinationError",
     "NegativeConditionValueError",
@@ -81,6 +82,10 @@ class ShortSynthesisRangeError(MannheimLabError):
 
 class SynthesisOverflowError(MannheimLabError):
     """The integrated frame or its derivative fields stopped being finite."""
+
+
+class TableSizeError(MannheimLabError):
+    """An arc-length table size lies outside [2, ``curve.MAX_TABLE_SIZE``]."""
 
 
 class ZeroLambdaError(MannheimLabError):

@@ -22,9 +22,8 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
-from .curve import Curve, Jet, fd_weights
+from .curve import CubicHermiteSpline, Curve, Jet, fd_weights
 from .errors import (
     InvalidInitialFrameError,
     NonPositiveCurvatureError,
@@ -427,9 +426,9 @@ def frenet_synthesize(
             "derivative fields are not finite"
         )
 
-    pos_spline = CubicHermiteSpline(s_nodes, P, T, axis=0)
+    pos_spline = CubicHermiteSpline(s_nodes, P, T)
     # Columns 0:3, 3:6, 6:9 hold d1, d2, d3; one evaluation yields the jet.
-    jet_spline = CubicHermiteSpline(s_nodes, values, slopes, axis=0)
+    jet_spline = CubicHermiteSpline(s_nodes, values, slopes)
 
     def jet(s: float) -> Jet:
         v = jet_spline(s)

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .curve import Curve, Jet, reparametrize_unit
+from .curve import INVERSE_TABLE_SIZE, Curve, Jet, reparametrize_unit
 from .errors import (
     InconsistentDecompositionError,
     MixedCausalCharacterError,
@@ -321,7 +321,7 @@ class MannheimPair:
 
     @classmethod
     def from_binormal_offset(
-        cls, cstar: Curve, lam: float, table_size: int = 1024
+        cls, cstar: Curve, lam: float, table_size: int = INVERSE_TABLE_SIZE
     ) -> "MannheimPair":
         """Pair {C, C*} with C the unit-speed binormal offset of C*.
 
@@ -351,7 +351,7 @@ class MannheimPair:
 
     @classmethod
     def from_normal_offset(
-        cls, c: Curve, lam: float, table_size: int = 1024
+        cls, c: Curve, lam: float, table_size: int = INVERSE_TABLE_SIZE
     ) -> "MannheimPair":
         """Pair {C, C*} with C* the unit-speed normal offset of C."""
         offset = offset_along_normal(c, lam)
@@ -376,7 +376,7 @@ class MannheimPair:
 
     @classmethod
     def from_shared_parameter(
-        cls, c: Curve, cstar: Curve, lam: float, table_size: int = 1024
+        cls, c: Curve, cstar: Curve, lam: float, table_size: int = INVERSE_TABLE_SIZE
     ) -> "MannheimPair":
         """Correspond two curves through a shared raw parameter.
 
@@ -720,7 +720,9 @@ def verify_linear_relation(
     """Linear relation mu*tau +/- lam*kappa = 1 with mu = lam * (s/c)-ratio.
 
     The spread of mu over the grid is published as a constancy diagnostic
-    without a pass criterion of its own.
+    without a pass criterion of its own.  Where T is orthogonal to T* (c = 0)
+    mu is undefined: the residual there is None, mu statistics cover the
+    other points, and ``undefined_at`` in ``details`` counts such points.
     """
     grid = pair.grid(grid_n)
     met, worst = _hypothesis(pair, grid, hypothesis_tol)
@@ -729,23 +731,23 @@ def verify_linear_relation(
     for s in grid:
         f, _, _ = pair.frames_at(s)
         s_comp, c_comp = _tangent_components(pair, s, met)
-        # T orthogonal to T* (c = 0) leaves mu undefined; publish it as infinite
-        mu = pair.lam * s_comp / c_comp if c_comp else math.inf
+        if not c_comp:
+            residuals.append(None)
+            continue
+        mu = pair.lam * s_comp / c_comp
         mus.append(mu)
         residuals.append(
             linear_relation_residual(pair.pair_type, f.kappa, f.tau, pair.lam, mu)
         )
+    details = {
+        "hypothesis_residual": worst,
+        "mu_mean": float(np.mean(mus)) if mus else None,
+        "mu_spread": float(np.max(mus) - np.min(mus)) if mus else None,
+    }
+    if len(mus) < len(grid):
+        details["undefined_at"] = len(grid) - len(mus)
     return VerificationReport.from_profile(
-        "linear-curvature-torsion",
-        grid,
-        residuals,
-        tol,
-        hypothesis_met=met,
-        details={
-            "hypothesis_residual": worst,
-            "mu_mean": float(np.mean(mus)),
-            "mu_spread": float(np.max(mus) - np.min(mus)),
-        },
+        "linear-curvature-torsion", grid, residuals, tol, hypothesis_met=met, details=details
     )
 
 
@@ -1022,7 +1024,7 @@ def exact_partner_pair(
     lam: float,
     s_range: tuple[float, float] = (0.0, 1.0),
     step: float = 1e-3,
-    table_size: int = 1024,
+    table_size: int = INVERSE_TABLE_SIZE,
 ) -> MannheimPair:
     """Synthesize a curve whose normal offset by ``lam`` is an exact partner.
 

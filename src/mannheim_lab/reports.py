@@ -4,6 +4,10 @@ A report never averages away a failure: the verdict is keyed to the largest
 residual on the grid.  ``REPORTED`` means the residual profile is published
 without a pass/fail claim, which the verifiers use when the hypothesis an
 identity depends on is itself not satisfied by the input pair.
+
+A residual that is undefined at a grid point is ``None`` (``null`` in JSON);
+the maximum and mean cover the defined residuals only, and an undefined
+residual fails a judged report.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ class Verdict(Enum):
 class VerificationReport:
     identity: str
     grid: list[float]
-    residuals: list[float]
+    residuals: list[float | None]
     tolerance: float
     verdict: Verdict
     details: dict[str, Any] = field(default_factory=dict)
@@ -36,20 +40,25 @@ class VerificationReport:
         if not self.residuals:
             raise ValueError("empty residual profile")
 
-    @property
-    def max_residual(self) -> float:
-        return max(self.residuals)
+    def _defined(self) -> list[float]:
+        return [r for r in self.residuals if r is not None]
 
     @property
-    def mean_residual(self) -> float:
-        return sum(self.residuals) / len(self.residuals)
+    def max_residual(self) -> float | None:
+        defined = self._defined()
+        return max(defined) if defined else None
+
+    @property
+    def mean_residual(self) -> float | None:
+        defined = self._defined()
+        return sum(defined) / len(defined) if defined else None
 
     @classmethod
     def from_profile(
         cls,
         identity: str,
         grid: list[float],
-        residuals: list[float],
+        residuals: list[float | None],
         tolerance: float,
         hypothesis_met: bool = True,
         details: dict[str, Any] | None = None,
@@ -57,7 +66,7 @@ class VerificationReport:
         """Apply the verdict policy: pass/fail only under the hypothesis."""
         if not hypothesis_met:
             verdict = Verdict.REPORTED
-        elif max(residuals) <= tolerance:
+        elif None not in residuals and max(residuals) <= tolerance:
             verdict = Verdict.PASS
         else:
             verdict = Verdict.FAIL
@@ -94,9 +103,9 @@ REPORT_JSON_SCHEMA: dict[str, Any] = {
     "properties": {
         "identity": {"type": "string"},
         "grid": {"type": "array", "items": {"type": "number"}},
-        "residuals": {"type": "array", "items": {"type": "number"}},
-        "max_residual": {"type": "number"},
-        "mean_residual": {"type": "number"},
+        "residuals": {"type": "array", "items": {"type": ["number", "null"]}},
+        "max_residual": {"type": ["number", "null"]},
+        "mean_residual": {"type": ["number", "null"]},
         "tolerance": {"type": "number"},
         "verdict": {"enum": ["Pass", "Fail", "Reported"]},
         "details": {"type": "object"},

@@ -408,6 +408,39 @@ def test_version_flag(capsys):
     assert code == 0
 
 
+class TestImportPath:
+    def test_cli_import_loads_no_scipy_until_a_csv_curve(self, tmp_path):
+        import subprocess
+        import sys
+
+        from mannheim_lab.builtins import builtin_curve
+        from mannheim_lab.curve import sample
+
+        path = tmp_path / "c.csv"
+        with open(path, "w", newline="") as fh:
+            sample(builtin_curve("paper-example-2"), 64).to_csv(fh)
+        script = (
+            "import sys\n"
+            "import mannheim_lab.cli as cli\n"
+            "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))\n"
+            f"c = cli.resolve_curve_spec({'csv:' + str(path)!r})\n"
+            "print(c.domain, 'scipy.interpolate' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "(0.0, 1.0) True"]
+
+
+class TestJsonOutput:
+    def test_non_finite_value_is_refused(self, tmp_path):
+        from mannheim_lab.cli import _emit_json
+
+        out_path = tmp_path / "out.json"
+        with pytest.raises(ValueError):
+            _emit_json({"residual": math.inf}, str(out_path))
+        assert not out_path.exists()
+
+
 class TestDeterminism:
     def test_strict_fp_mode_output_is_identical(self, tmp_path):
         import os

@@ -6,9 +6,12 @@ import pytest
 
 from mannheim_lab import curve as curve_module
 from mannheim_lab.curve import (
+    MAX_TABLE_SIZE,
     QUADRATURE_TOL,
+    CubicHermiteSpline,
     Curve,
     CurveSamples,
+    PchipInterpolator,
     adaptive_simpson,
     arclength,
     classify_curve,
@@ -23,6 +26,7 @@ from mannheim_lab.errors import (
     MixedCausalCharacterError,
     NullTangentError,
     OutOfDomainError,
+    TableSizeError,
 )
 from mannheim_lab.frenet import INITIAL_FRAMES, CurveKind, FrenetFrame, frenet_synthesize
 from mannheim_lab.lorentz import CausalCharacter, Vec3L
@@ -197,6 +201,113 @@ class TestReparametrize:
         expected = math.asinh(2.0) / 2.0 + math.sqrt(5.0)  # integral of sqrt(1+t^2)
         assert u.domain[1] == pytest.approx(expected, abs=1e-8)
         assert u.validate_unit_speed(33) < 1e-12
+
+
+    def test_table_size_is_bounded(self):
+        c = Curve(
+            lambda t: Vec3L(0.0, 2.0 * t, 0.0),
+            (0.0, 1.0),
+            derivs={1: lambda t: Vec3L(0.0, 2.0, 0.0)},
+            speed=lambda t: 2.0,
+        )
+        assert len(reparametrize_unit(c, MAX_TABLE_SIZE).arc_table.t_nodes) == MAX_TABLE_SIZE + 1
+        for size in (1, 0, MAX_TABLE_SIZE + 1):
+            message = rf"size {size} is outside \[2, {MAX_TABLE_SIZE}\]"
+            with pytest.raises(TableSizeError, match=message):
+                reparametrize_unit(c, size)
+        assert len(reparametrize_unit(c, 2).arc_table.t_nodes) == 3
+
+
+class TestHermiteEvaluator:
+    """The package's cubic Hermite evaluator against scipy's, bit for bit."""
+
+    @staticmethod
+    def probes(x, rng):
+        lo, hi = x[0], x[-1]
+        span = hi - lo
+        inside = rng.uniform(lo, hi, 200).tolist()
+        below = [lo - 0.3 * span, lo - 1e-12, float(np.nextafter(lo, -np.inf))]
+        return list(x) + inside + below + [hi + 1e-12, hi + 0.3 * span]
+
+    @staticmethod
+    def scipy_pchip(x, y):
+        from scipy.interpolate import PchipInterpolator as ScipyPchip
+
+        return ScipyPchip(x, y)
+
+    def assert_pchip_matches(self, x, y, rng):
+        ours, theirs = PchipInterpolator(x, y), self.scipy_pchip(x, y)
+        for v in self.probes(x, rng):
+            assert ours(v) == float(theirs(v)), v
+        return ours
+
+    def test_random_monotone_tables(self):
+        rng = np.random.default_rng(20)
+        for n in (3, 4, 17, 1025):
+            x = np.cumsum(rng.uniform(0.01, 1.0, n))
+            y = np.cumsum(rng.uniform(0.01, 1.0, n))
+            self.assert_pchip_matches(x, y, rng)
+            self.assert_pchip_matches(y, x, rng)
+
+    def test_arc_length_table(self, example2):
+        table = reparametrize_unit(offset_along_binormal(example2, 20.0), 256).arc_table
+        rng = np.random.default_rng(21)
+        inverse = self.scipy_pchip(table.s_nodes, table.t_nodes)
+        forward = self.scipy_pchip(table.t_nodes, table.s_nodes)
+        for s in self.probes(table.s_nodes, rng):
+            assert table.t_of_s(s) == float(inverse(min(max(s, 0.0), table.total)))
+        for t in self.probes(table.t_nodes, rng):
+            assert table.s_of_t(t) == float(forward(min(max(t, 0.0), 1.0)))
+
+    def test_slope_rule_branches(self):
+        from mannheim_lab.curve import _pchip_slopes
+
+        rng = np.random.default_rng(22)
+        x = np.array([0.0, 1.0, 2.0, 3.0, 4.5])
+        cases = {
+            # the secants change sign at nodes 1 and 2: both slopes 0
+            "sign change": ([0.0, 1.0, 0.0, 1.0, 3.0], [1, 2], 0.0),
+            # a flat secant zeroes the slopes at both of its ends
+            "zero secant": ([0.0, 1.0, 1.0, 2.0, 4.0], [1, 2], 0.0),
+            # three-point end estimate against the first secant's sign: 0
+            "end estimate flips sign": ([0.0, 1.0, 6.0, 7.0, 8.0], [0], 0.0),
+            # secants change sign and the estimate overshoots: 3 m0
+            "end estimate clipped": ([0.0, 1.0, -4.0, -5.0, -6.0], [0], 3.0),
+        }
+        for name, (y, nodes, want) in cases.items():
+            y = np.array(y)
+            slopes = _pchip_slopes(x, y)
+            assert slopes[nodes].tolist() == [want] * len(nodes), name
+            assert slopes[:-1].tolist() == self.scipy_pchip(x, y).c[2].tolist(), name
+            self.assert_pchip_matches(x, y, rng)
+
+    def test_two_nodes_are_the_line(self):
+        rng = np.random.default_rng(23)
+        x, y = np.array([0.5, 2.0]), np.array([1.0, -2.0])
+        ours = self.assert_pchip_matches(x, y, rng)
+        assert ours(1.25) == -0.5
+
+    def test_nine_column_table(self):
+        from scipy.interpolate import CubicHermiteSpline as ScipyHermite
+
+        rng = np.random.default_rng(24)
+        x = np.cumsum(rng.uniform(1e-3, 2e-3, 1001))
+        y, dydx = rng.standard_normal((2, 1001, 9))
+        ours, theirs = CubicHermiteSpline(x, y, dydx), ScipyHermite(x, y, dydx, axis=0)
+        for v in self.probes(x, rng):
+            assert ours(v) == theirs(v).tolist(), v
+        y, dydx = y[:, 4], dydx[:, 4]
+        ours, theirs = CubicHermiteSpline(x, y, dydx), ScipyHermite(x, y, dydx)
+        for v in self.probes(x, rng):
+            assert ours(v) == float(theirs(v)), v
+
+    def test_rejects_bad_tables(self):
+        with pytest.raises(ValueError):
+            CubicHermiteSpline([0.0], [1.0], [0.0])
+        with pytest.raises(ValueError):
+            CubicHermiteSpline([0.0, 1.0, 1.0], [0.0, 1.0, 2.0], [0.0, 0.0, 0.0])
+        with pytest.raises(ValueError):
+            PchipInterpolator([0.0, 1.0], [[0.0, 1.0], [1.0, 2.0]])
 
 
 class TestSample:

@@ -1,6 +1,8 @@
 import dataclasses
+import json
 import math
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -48,7 +50,7 @@ from mannheim_lab.mannheim import (
     verify_torsion_relation,
     verify_torsion_square,
 )
-from mannheim_lab.reports import Verdict
+from mannheim_lab.reports import REPORT_JSON_SCHEMA, Verdict, VerificationReport
 
 SQRT3 = math.sqrt(3.0)
 SQRT5 = math.sqrt(5.0)
@@ -532,6 +534,31 @@ class TestUnmetHypothesis:
             if rep.identity not in ("distance-constancy", "center-ratio-nonconstancy"):
                 assert rep.verdict is Verdict.REPORTED, rep.identity
                 assert rep.details["hypothesis_residual"] > HYPOTHESIS_TOL
+
+    def test_undefined_mu_is_published_as_null(self, example2):
+        # where T is orthogonal to T*, mu = lam s/c is undefined: the residual
+        # is None (JSON null), never an infinity that strict JSON rejects
+        pair = MannheimPair.from_normal_offset(example2, 0.5)
+        rep = verify_linear_relation(pair, 101)
+        undefined = rep.residuals.count(None)
+        assert 0 < undefined < 101
+        assert rep.details["undefined_at"] == undefined
+        defined = [r for r in rep.residuals if r is not None]
+        assert rep.max_residual == max(defined)
+        assert rep.mean_residual == sum(defined) / len(defined)
+        assert all(math.isfinite(v) for v in (rep.details["mu_mean"], rep.details["mu_spread"]))
+        payload = json.loads(json.dumps(rep.to_json_dict(), allow_nan=False))
+        jsonschema.validate(payload, REPORT_JSON_SCHEMA)
+        assert payload["residuals"].count(None) == undefined
+
+    def test_undefined_residual_fails_a_judged_report(self):
+        grid = [0.0, 0.5, 1.0]
+        judged = VerificationReport.from_profile("x", grid, [0.0, None, 0.0], 1e-9)
+        assert judged.verdict is Verdict.FAIL
+        assert judged.max_residual == 0.0
+        unmet = VerificationReport.from_profile("x", grid, [None] * 3, 1e-9, hypothesis_met=False)
+        assert unmet.verdict is Verdict.REPORTED
+        assert unmet.max_residual is None and unmet.mean_residual is None
 
     def test_failed_decomposition_under_the_hypothesis_raises(self, exact_pair_type2):
         # the collinearity holds, but the pair's hyperbolic components give

@@ -18,7 +18,8 @@ configurations are
 * binormal offsets of ``paper-example-1`` and ``-2`` at lambda 20 and
   -7.5, audited at grid 101;
 * the type-4 normal offset of ``paper-example-2`` at lambda 0.5, grid 101,
-  whose collinearity hypothesis fails (its report holds ``Infinity``).
+  whose collinearity hypothesis fails: its linear-relation report holds
+  ``null`` residuals where mu is undefined, counted by ``undefined_at``.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def configurations():
 
 def digest(pair: MannheimPair, grid: int) -> str:
     reports = _run_pair_suite(pair, grid, None)
-    text = json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n"
+    text = json.dumps([r.to_json_dict() for r in reports], indent=2, allow_nan=False) + "\n"
     return hashlib.sha256(text.encode()).hexdigest()
 
 
