@@ -14,11 +14,6 @@ Curve specs accepted by ``--curve/-c`` and ``--cstar``:
 
 KIND is one of timelike, spacelike+, spacelike-.  Expressions use the
 grammar documented in the README (no unary minus; write ``0-x``).
-
-The environment variable MANNHEIM_LAB_FP_MODE=strict is honored as a
-reserved switch for bit-stable regression runs; the pure-Python evaluation
-paths used here are already free of fused-multiply-add variance, so it
-currently changes nothing.
 """
 
 from __future__ import annotations
@@ -26,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from typing import Sequence
 
@@ -56,8 +50,6 @@ from .mannheim import (
     verify_torsion_square,
 )
 from .reports import VerificationReport, Verdict
-
-FP_MODE = os.environ.get("MANNHEIM_LAB_FP_MODE", "")
 
 _KINDS = {
     "timelike": CurveKind.TIMELIKE,

@@ -552,9 +552,11 @@ def reparametrize_unit(
     table resolution.  The returned curve exposes the table on the
     ``arc_table`` attribute for correspondence bookkeeping.
 
-    Raises TableSizeError, before any work, if ``grid_size`` lies outside
-    ``[2, MAX_TABLE_SIZE]``.
+    Raises TableSizeError, before any work, if ``grid_size`` is not an
+    ``int`` (a bool is not a size) or lies outside ``[2, MAX_TABLE_SIZE]``.
     """
+    if not isinstance(grid_size, int) or isinstance(grid_size, bool):
+        raise TableSizeError(f"arc-length table size {grid_size!r} is not an integer")
     if not 2 <= grid_size <= MAX_TABLE_SIZE:
         raise TableSizeError(
             f"arc-length table size {grid_size!r} is outside [2, {MAX_TABLE_SIZE}]"

@@ -54,7 +54,8 @@ KAPPA_TOL = 1e-9
 UNIT_SPEED_TOL = 1e-6
 FRAME0_TOL = 1e-10
 # Largest number of fixed steps one synthesis may take; at the cap a synthesis
-# takes ~7 s and ~250 MB peak RSS on a 2-vCPU x86-64 VM.
+# of kappa = 1 + 0.1 sin s, tau = 0.6 + 0.2 cos s takes ~1 s and ~150 MB peak
+# RSS in a fresh interpreter on a 2-vCPU x86-64 VM.
 MAX_SYNTH_STEPS = 100_000
 # Farthest a prescription stencil reaches from a point of the range, in steps
 # of h_fd: a point within 2 h_fd of an end takes a one-sided stencil of up to
@@ -232,47 +233,121 @@ def scalar_jet(c: Curve, s: float, order: int = 2) -> ScalarJet:
 def _fd_offsets(t: float, m: int, a: float, b: float, h: float) -> tuple[int, ...]:
     """Node offsets, in steps of ``h``, of the 4th-order stencil at ``t``.
 
-    Central (5 nodes for m=1,2, 7 for m=3) where it fits in [a, b];
-    otherwise one-sided with m+5 nodes, reaching into the domain.
+    Central (5 nodes, m=1 or 2) where it fits in [a, b]; otherwise one-sided
+    with m+5 nodes, reaching into the domain.  The one-sided first-difference
+    stencil is the second-difference one less its last node.
     """
-    half = 2 if m <= 2 else 3
-    lo, hi = t - half * h, t + half * h
+    lo, hi = t - 2 * h, t + 2 * h
     if lo >= a and hi <= b:
-        return tuple(range(-half, half + 1))
+        return tuple(range(-2, 3))
     if lo < a:
         return tuple(range(m + 5))
     return tuple(range(0, -(m + 5), -1))
 
 
+# Fornberg weights at unit step of every stencil ``_fd_offsets`` returns
+# (forward, central, backward), keyed by (offsets, m); a difference at step h
+# divides by h**m.  Filled at import, so no audit runs the recursion.
+_UNIT_WEIGHTS = {
+    (offsets, m): tuple(fd_weights([float(o) for o in offsets], 0.0, m).tolist())
+    for m in (1, 2)
+    for offsets in (_fd_offsets(t, m, 0.0, 1.0, 0.1) for t in (0.0, 0.5, 1.0))
+}
+
+
+def _difference(weights: tuple[float, ...], values: list, h_m: float):
+    """Weighted sum of ``values`` in stencil order, divided by ``h_m``.
+
+    ``values`` may hold floats or arrays (one per node, covering a batch of
+    stencils); the operations are the same, so each result is equal.  Extra
+    trailing values (the union stencil of a jet) are ignored.
+    """
+    pairs = zip(weights, values)
+    w, v = next(pairs)
+    acc = w * v
+    for w, v in pairs:
+        acc = acc + w * v
+    return acc / h_m
+
+
 def _scalar_fd(
     f: Callable[[float], float], t: float, m: int, a: float, b: float, h: float
 ) -> float:
-    """4th-order finite difference of a scalar function, one-sided near ends."""
-    nodes = [t + o * h for o in _fd_offsets(t, m, a, b, h)]
-    w = fd_weights(nodes, t, m)
-    return float(sum(wi * f(x) for wi, x in zip(w, nodes)))
+    """4th-order finite difference (m = 1 or 2) of a scalar function, one-sided near ends."""
+    offsets = _fd_offsets(t, m, a, b, h)
+    return float(_difference(_UNIT_WEIGHTS[offsets, m], [f(t + o * h) for o in offsets], h**m))
 
 
-def _grid_fd(
-    f: Callable[[float], float], ts: np.ndarray, m: int, a: float, b: float, h: float
-) -> np.ndarray:
-    """``_scalar_fd`` at every point of ``ts``, equal to it bit for bit.
+def _prescription_jet(
+    f: Callable[[float], float], t: float, a: float, b: float, h: float
+) -> tuple[float, float, float]:
+    """(f, f', f'') at ``t`` by 4th-order differences of step ``h``.
 
-    Points sharing a stencil shape (interior, forward, backward) get their
-    weights from one ``fd_weights`` call; the weighted values are then summed
-    in stencil order from 0, as the scalar form does.
+    ``f`` is evaluated once per node of the union of the first- and
+    second-difference stencils: 5 nodes in the interior, 7 near an end.
+    Offset 0 gives f itself.
     """
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, t in enumerate(ts.tolist()):
-        groups.setdefault(_fd_offsets(t, m, a, b, h), []).append(i)
-    out = np.empty(len(ts))
-    for offsets, index in groups.items():
+    offsets = _fd_offsets(t, 2, a, b, h)
+    values = [f(t + o * h) for o in offsets]
+    return (
+        values[offsets.index(0)],
+        _difference(_UNIT_WEIGHTS[_fd_offsets(t, 1, a, b, h), 1], values, h),
+        _difference(_UNIT_WEIGHTS[offsets, 2], values, h**2),
+    )
+
+
+def _grid_jet(
+    f: Callable[[float], float], ts: np.ndarray, f_ts: np.ndarray, a: float, b: float, h: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(f', f'') of ``_prescription_jet`` at every point of ``ts``, bit for bit.
+
+    ``f_ts`` holds f at ``ts`` (offset 0), so only the other stencil nodes
+    are evaluated.  Points sharing a stencil shape (interior, forward,
+    backward) are differenced together, node by node in stencil order.
+    """
+    lo = ts - 2 * h  # the shape test of ``_fd_offsets``
+    central = (lo >= a) & (ts + 2 * h <= b)
+    d1, d2 = np.empty(len(ts)), np.empty(len(ts))
+    for index in (
+        np.flatnonzero(~central & (lo < a)),
+        np.flatnonzero(central),
+        np.flatnonzero(~central & (lo >= a)),
+    ):
+        if not len(index):
+            continue
         t = ts[index]
-        nodes = [t + o * h for o in offsets]
-        acc = 0.0
-        for w, x in zip(fd_weights(nodes, t, m), nodes):
-            acc = acc + w * np.array([f(v) for v in x.tolist()])
-        out[index] = acc
+        t0 = float(t[0])
+        offsets = _fd_offsets(t0, 2, a, b, h)
+        values = [
+            f_ts[index] if o == 0 else np.array([f(x) for x in (t + o * h).tolist()])
+            for o in offsets
+        ]
+        d1[index] = _difference(_UNIT_WEIGHTS[_fd_offsets(t0, 1, a, b, h), 1], values, h)
+        d2[index] = _difference(_UNIT_WEIGHTS[offsets, 2], values, h**2)
+    return d1, d2
+
+
+# Steps per block of the batched RK4 increments: the block's arrays stay a
+# few tens of kB, and per-block numpy overhead is spread over many steps.
+_SYNTH_BLOCK = 256
+
+
+def _rate_matrices(kappa: np.ndarray, tau: np.ndarray, c_n: float, c_b: float) -> np.ndarray:
+    """A(kappa, tau) of y' = A y on the rows (p, T, N, B), one per entry."""
+    A = np.zeros((len(kappa), 4, 4))
+    A[:, 0, 1] = 1.0
+    A[:, 1, 2] = kappa
+    A[:, 2, 1] = c_n * kappa
+    A[:, 2, 3] = tau
+    A[:, 3, 2] = c_b * tau
+    return A
+
+
+def _mul4(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Batched 4x4 products x[i] y[i] by elementwise numpy, summed in index order."""
+    out = x[:, :, 0, None] * y[:, None, 0, :]
+    for k in range(1, 4):
+        out = out + x[:, :, k, None] * y[:, None, k, :]
     return out
 
 
@@ -292,6 +367,16 @@ def frenet_synthesize(
     determinism and reproducibility.  No re-orthonormalization is applied;
     Gram drift is measured, not hidden (see ``synthesized_gram_drift``).
 
+    Each coordinate obeys the same linear 4x4 system Y' = A(kappa, tau) Y on
+    the rows (p, T, N, B), so one RK4 step is Y + D Y with the increment
+    matrix D = (h/6)(A0 + 2 K2 + 2 K3 + K4), K2 = Am (I + h/2 A0),
+    K3 = Am (I + h/2 K2), K4 = A1 (I + h K3) (A at the node, midpoint and
+    end of the step).  The range is walked in blocks of ``_SYNTH_BLOCK``
+    steps: the block's prescription is evaluated in step order, every D of
+    the block is built at once by elementwise numpy (no BLAS product, whose
+    kernels vary by CPU), and Y + D Y is summed in Python floats in a fixed
+    order, so the result does not depend on the host.
+
     The result is a sampled curve: position and derivative fields are cubic
     Hermite interpolants over the integration nodes, each field built from
     its own exact node values and node slopes supplied by the frame system,
@@ -302,16 +387,17 @@ def frenet_synthesize(
     evaluated directly, their first two derivatives by one declared 4th-order
     difference of ``kappa_fn`` and ``tau_fn`` with step ``max(1e-4, h/10)``,
     the rule the node slopes use.  RK4 evaluates the prescription once per
-    distinct abscissa.
+    distinct abscissa, node, midpoint and end of each step in turn.
 
     Raises TooManyStepsError, before any work, if the range needs more than
     ``MAX_SYNTH_STEPS`` steps; ShortSynthesisRangeError, before any work, if
     the range is narrower than ``_FD_REACH`` difference steps, where a
     stencil would reach outside it; InvalidInitialFrameError if ``frame0``
     violates the Gram invariants of ``kind`` (tolerance 1e-10);
-    NonPositiveCurvatureError if the prescribed curvature is not strictly
-    positive on the range; and SynthesisOverflowError, naming the first
-    node, if the integrated frame or the derivative fields overflow.
+    NonPositiveCurvatureError, naming the first such abscissa, if the
+    prescribed curvature is not strictly positive on the range; and
+    SynthesisOverflowError, naming the first node, if the integrated frame
+    or the derivative fields overflow.
     """
     a, b = float(s_range[0]), float(s_range[1])
     if not b > a:
@@ -347,56 +433,64 @@ def frenet_synthesize(
             raise NonPositiveCurvatureError(f"kappa(s={s:g}) = {k:g} <= 0")
         return k, tau_fn(s)
 
-    def rhs(k: float, t: float, y: np.ndarray) -> np.ndarray:
-        T, N, B = y[3:6], y[6:9], y[9:12]
-        out = np.empty(12)
-        out[0:3] = T
-        out[3:6] = k * N
-        out[6:9] = c_n * k * T + t * B
-        out[9:12] = c_b * t * N
-        return out
-
     s_nodes = a + h * np.arange(n_steps + 1)
     s_nodes[-1] = b
 
-    y = np.concatenate(
-        [
-            np.asarray(p0.as_tuple()),
-            np.asarray(frame0.T.as_tuple()),
-            np.asarray(frame0.N.as_tuple()),
-            np.asarray(frame0.B.as_tuple()),
-        ]
-    )
     states = np.empty((n_steps + 1, 12))
-    states[0] = y
-    # Prescription at each node; k1 of a step reuses it, and k4's abscissa
-    # is reused as the next node whenever it rounds to that node.
-    node_scalars = [scalars(a)]
+    states[0] = [v for u in (p0, frame0.T, frame0.N, frame0.B) for v in u.as_tuple()]
+    # Y as three coordinate columns (p, T, N, B), advanced in Python floats.
+    cols = states[0].reshape(4, 3).T.tolist()
+    # Prescription (kappa, tau) at each node; a step's end is reused as the
+    # next node whenever it rounds to that node.
+    node_scalars = np.empty((n_steps + 1, 2))
+    node_scalars[0] = scalars(a)
+    eye = np.eye(4)
     # Overflow is not checked per step: the finished states and fields are
     # checked once below, and numpy's warnings on the way there are muted.
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_steps):
-            s = float(s_nodes[i])
-            k1 = rhs(*node_scalars[i], y)
-            mid = scalars(s + 0.5 * h)
-            k2 = rhs(*mid, y + 0.5 * h * k1)
-            k3 = rhs(*mid, y + 0.5 * h * k2)
-            end = scalars(s + h)
-            k4 = rhs(*end, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            states[i + 1] = y
-            s_next = float(s_nodes[i + 1])
-            node_scalars.append(end if s + h == s_next else scalars(s_next))
+        for i0 in range(0, n_steps, _SYNTH_BLOCK):
+            i1 = min(i0 + _SYNTH_BLOCK, n_steps)
+            s = s_nodes[i0:i1]
+            mid, end, nxt = [], [], []
+            for s_mid, s_end, s_next in zip(
+                (s + 0.5 * h).tolist(), (s + h).tolist(), s_nodes[i0 + 1 : i1 + 1].tolist()
+            ):
+                mid.append(scalars(s_mid))
+                end.append(scalars(s_end))
+                nxt.append(end[-1] if s_end == s_next else scalars(s_next))
+            node_scalars[i0 + 1 : i1 + 1] = nxt
+            A0 = _rate_matrices(*node_scalars[i0:i1].T, c_n, c_b)
+            Am = _rate_matrices(*np.array(mid).T, c_n, c_b)
+            A1 = _rate_matrices(*np.array(end).T, c_n, c_b)
+            K2 = _mul4(Am, eye + (0.5 * h) * A0)
+            K3 = _mul4(Am, eye + (0.5 * h) * K2)
+            K4 = _mul4(A1, eye + h * K3)
+            D = (h / 6.0) * (A0 + 2.0 * K2 + 2.0 * K3 + K4)
+            # Column 0 of every A, hence of D, is zero: p feeds no row.
+            block = []
+            for d01, d02, d03, d11, d12, d13, d21, d22, d23, d31, d32, d33 in (
+                D[:, :, 1:].reshape(-1, 12).tolist()
+            ):
+                cols = [
+                    (
+                        y0 + (d01 * y1 + d02 * y2 + d03 * y3),
+                        y1 + (d11 * y1 + d12 * y2 + d13 * y3),
+                        y2 + (d21 * y1 + d22 * y2 + d23 * y3),
+                        y3 + (d31 * y1 + d32 * y2 + d33 * y3),
+                    )
+                    for y0, y1, y2, y3 in cols
+                ]
+                block.append(cols)
+            states[i0 + 1 : i1 + 1] = np.array(block).transpose(0, 2, 1).reshape(-1, 12)
 
         P = states[:, 0:3]
         T = states[:, 3:6]
         N = states[:, 6:9]
         B = states[:, 9:12]
 
-        kappa, tau = np.array(node_scalars).T
-        kappa_p = _grid_fd(kappa_fn, s_nodes, 1, a, b, h_fd)
-        kappa_pp = _grid_fd(kappa_fn, s_nodes, 2, a, b, h_fd)
-        tau_p = _grid_fd(tau_fn, s_nodes, 1, a, b, h_fd)
+        kappa, tau = node_scalars.T
+        kappa_p, kappa_pp = _grid_jet(kappa_fn, s_nodes, kappa, a, b, h_fd)
+        tau_p, _ = _grid_jet(tau_fn, s_nodes, tau, a, b, h_fd)
 
         kN = kappa[:, None] * N
         Np = c_n * kappa[:, None] * T + tau[:, None] * B
@@ -435,13 +529,12 @@ def frenet_synthesize(
         return Vec3L(*v[0:3]), Vec3L(*v[3:6]), Vec3L(*v[6:9])
 
     def prescription(s: float, order: int) -> ScalarJet:
-        k, t = kappa_fn(s), tau_fn(s)
         if order == 0:
-            return kind, (k,), (t,)
+            return kind, (kappa_fn(s),), (tau_fn(s),)
         return (
             kind,
-            (k, _scalar_fd(kappa_fn, s, 1, a, b, h_fd), _scalar_fd(kappa_fn, s, 2, a, b, h_fd)),
-            (t, _scalar_fd(tau_fn, s, 1, a, b, h_fd), _scalar_fd(tau_fn, s, 2, a, b, h_fd)),
+            _prescription_jet(kappa_fn, s, a, b, h_fd),
+            _prescription_jet(tau_fn, s, a, b, h_fd),
         )
 
     out = Curve(

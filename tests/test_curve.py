@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mannheim_lab import curve as curve_module
+from mannheim_lab.builtins import builtin_curve
 from mannheim_lab.curve import (
     MAX_TABLE_SIZE,
     QUADRATURE_TOL,
@@ -216,6 +217,16 @@ class TestReparametrize:
             with pytest.raises(TableSizeError, match=message):
                 reparametrize_unit(c, size)
         assert len(reparametrize_unit(c, 2).arc_table.t_nodes) == 3
+
+    @pytest.mark.parametrize("size", [300.5, "512", True])
+    def test_table_size_must_be_an_int(self, size):
+        def pos(t):
+            raise AssertionError("no work before the size check")
+
+        with pytest.raises(TableSizeError, match="is not an integer"):
+            reparametrize_unit(Curve(pos, (0.0, 1.0)), size)
+        with pytest.raises(TableSizeError, match="is not an integer"):
+            reparametrize_unit(builtin_curve("paper-example-1"), size)
 
 
 class TestHermiteEvaluator:

@@ -246,11 +246,28 @@ class TestGridFiniteDifference:
         h = max(1e-4, 0.1 * (nodes[1] - nodes[0]))  # the step synthesis uses
         shapes = {frenet._fd_offsets(float(t), 2, a, b, h) for t in nodes}
         assert len(shapes) == 3  # interior, forward and backward stencils
-        for name, m in (("kappa_fn", 1), ("kappa_fn", 2), ("tau_fn", 1), ("kappa_fn", 3)):
+        for name in ("kappa_fn", "tau_fn"):
             f = pair.construction[name]
-            grid = frenet._grid_fd(f, nodes, m, a, b, h)
-            scalar = np.array([frenet._scalar_fd(f, float(t), m, a, b, h) for t in nodes])
-            assert np.array_equal(grid, scalar), (name, m)
+            scalar = np.array([frenet._prescription_jet(f, float(t), a, b, h) for t in nodes]).T
+            assert np.array_equal(scalar[0], [f(t) for t in nodes.tolist()])
+            grid = frenet._grid_jet(f, nodes, scalar[0], a, b, h)
+            for order in (1, 2):
+                assert np.array_equal(grid[order - 1], scalar[order]), (name, order)
+            # the synthesized curve answers its scalar jet with the same rule
+            for t in nodes[[0, 1, len(nodes) // 2, -2, -1]].tolist():
+                jet = scalar_jet(pair.c, t)[1 if name == "kappa_fn" else 2]
+                assert jet == frenet._prescription_jet(f, t, a, b, h)
+
+    def test_jet_differences_equal_the_single_order_differences(self, exact_pair_type3):
+        # the union stencil's first and second differences are the m=1 and
+        # m=2 differences, and the cached unit-step weights need no recursion
+        f = exact_pair_type3.construction["tau_fn"]
+        a, b = exact_pair_type3.c.domain
+        for t in (a, a + 1e-4, 0.5, b - 1e-4, b):
+            f0, f1, f2 = frenet._prescription_jet(f, t, a, b, 1e-4)
+            assert f0 == f(t)
+            assert f1 == frenet._scalar_fd(f, t, 1, a, b, 1e-4)
+            assert f2 == frenet._scalar_fd(f, t, 2, a, b, 1e-4)
 
 
 class TestScalarJet:
@@ -340,3 +357,104 @@ class TestSynthesisBounds:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(SynthesisOverflowError, match=r"overflows at s=0\.033:"):
                 self._synthesize(lambda s: math.exp(700.0 * s), 1e-3)
+
+
+def _stagewise_states(kind, kappa, tau, frame0, p0, s_range, step):
+    """Node states of classical RK4 taken stage by stage, as a reference."""
+    a, b = s_range
+    n = max(1, math.ceil((b - a) / step))
+    h = (b - a) / n
+    s_nodes = a + h * np.arange(n + 1)
+    s_nodes[-1] = b
+    c_n, c_b = kind.normal_coefficient, kind.binormal_coefficient
+
+    def rhs(s, y):
+        k, t = kappa(s), tau(s)
+        T, N, B = y[3:6], y[6:9], y[9:12]
+        return np.concatenate([T, k * N, c_n * k * T + t * B, c_b * t * N])
+
+    y = np.array([*p0.as_tuple(), *frame0.T.as_tuple(), *frame0.N.as_tuple(), *frame0.B.as_tuple()])
+    states = [y]
+    for s in s_nodes[:-1].tolist():
+        k1 = rhs(s, y)
+        k2 = rhs(s + 0.5 * h, y + 0.5 * h * k1)
+        k3 = rhs(s + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(s + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(y)
+    return s_nodes, np.array(states)
+
+
+class TestBatchedIncrements:
+    """RK4 as Y + D Y per block of steps, against the stage-wise loop."""
+
+    @staticmethod
+    def kappa(s):
+        return 1.0 + 0.1 * math.sin(s)
+
+    @staticmethod
+    def tau(s):
+        return 0.6 + 0.2 * math.cos(s)
+
+    @pytest.mark.parametrize("kind", list(CurveKind))
+    @pytest.mark.parametrize(
+        "s_range, step, n_steps",
+        [((0.0, 0.01), 0.01, 1), ((0.0, 1.0), 1e-3, 1000), ((0.0, 2.0), 1e-3, 2000)],
+    )
+    def test_matches_stagewise_rk4_at_every_node(self, kind, s_range, step, n_steps):
+        assert n_steps == 1 or n_steps % frenet._SYNTH_BLOCK
+        f0 = FrenetFrame(*FRAME0[kind], self.kappa(0.0), self.tau(0.0), kind)
+        p0 = Vec3L(0.1, -0.2, 0.3)
+        c = frenet_synthesize(kind, self.kappa, self.tau, f0, p0, s_range, step)
+        s_nodes, want = _stagewise_states(kind, self.kappa, self.tau, f0, p0, s_range, step)
+        nodes = c.synth_nodes
+        assert len(nodes["s"]) == n_steps + 1
+        assert np.array_equal(nodes["s"], s_nodes)
+        got = np.hstack([nodes["p"], nodes["T"], nodes["N"], nodes["B"]])
+        assert np.abs(got - want).max() <= 1e-13
+
+    def test_prescription_is_evaluated_once_per_distinct_abscissa(self):
+        calls = []
+
+        def kappa(s):
+            calls.append(s)
+            return self.kappa(s)
+
+        kind = CurveKind.TIMELIKE
+        f0 = FrenetFrame(*FRAME0[kind], 1.0, self.tau(0.0), kind)
+        c = frenet_synthesize(kind, kappa, self.tau, f0, Vec3L(0, 0, 0), (0.0, 1.0), 1.3e-3)
+        s_nodes = c.synth_nodes["s"].tolist()
+        h = (s_nodes[-1] - s_nodes[0]) / (len(s_nodes) - 1)
+        # node, then midpoint and end of each step; an end that does not
+        # round to the next node is followed by that node
+        stages = [s_nodes[0]]
+        for s, s_next in zip(s_nodes, s_nodes[1:]):
+            stages += [s + 0.5 * h, s + h] + ([] if s + h == s_next else [s_next])
+        assert len(stages) > 2 * len(s_nodes) - 1  # some ends miss their node
+        assert len(set(stages)) == len(stages)
+        assert calls[: len(stages)] == stages
+        # the node slopes' differences reuse every node value
+        assert not set(calls[len(stages) :]) & set(s_nodes)
+
+    def test_non_positive_curvature_names_the_first_midpoint(self):
+        calls = []
+
+        def kappa(s):
+            calls.append(s)
+            return 1.0 if s < 0.34 else -1.0
+
+        kind = CurveKind.TIMELIKE
+        f0 = FrenetFrame(*FRAME0[kind], 1.0, 0.5, kind)
+        with pytest.raises(NonPositiveCurvatureError, match=r"kappa\(s=0\.35\) = -1 <= 0"):
+            frenet_synthesize(kind, kappa, lambda s: 0.5, f0, Vec3L(0, 0, 0), (0.0, 1.0), 0.1)
+        assert calls[-1] == pytest.approx(0.35) and max(calls[:-1]) == pytest.approx(0.3)
+
+    def test_synthesis_makes_no_blas_product(self):
+        # elementwise numpy only: BLAS kernels vary by CPU, so a product
+        # through them could change the synthesized bits from host to host
+        import inspect
+
+        for fn in (frenet.frenet_synthesize, frenet._mul4, frenet._rate_matrices):
+            source = inspect.getsource(fn)
+            for token in ("@", "dot", "matmul", "einsum", "tensordot", "inner("):
+                assert token not in source, (fn.__name__, token)

@@ -111,18 +111,18 @@ class TestOffsets:
 
     def test_frame_of_offset_differences_torsion_once(self, exact_pair_type3, monkeypatch):
         # the companion is the unit-speed normal offset; its frame reads one
-        # jet, which reads one base scalar jet, so the second difference of
-        # the prescribed torsion runs once
+        # jet, which reads one base scalar jet, so the prescribed torsion is
+        # differenced once (one jet gives tau' and tau'')
         tau_fn = exact_pair_type3.construction["tau_fn"]
         calls = []
-        scalar_fd = frenet._scalar_fd
+        prescription_jet = frenet._prescription_jet
 
-        def counted(f, t, m, *rest):
-            if f is tau_fn and m == 2:
+        def counted(f, t, *rest):
+            if f is tau_fn:
                 calls.append(t)
-            return scalar_fd(f, t, m, *rest)
+            return prescription_jet(f, t, *rest)
 
-        monkeypatch.setattr(frenet, "_scalar_fd", counted)
+        monkeypatch.setattr(frenet, "_prescription_jet", counted)
         cstar = exact_pair_type3.cstar
         frenet_apparatus(cstar, 0.6180339 * cstar.domain[1])
         assert len(calls) == 1
@@ -484,30 +484,33 @@ class TestAngleRateChain:
     ):
         # No frame is extracted beneath a scalar difference, so no difference
         # sits on top of another numerical layer: the exact suite differences
-        # only the prescription, and the reference suites, whose scalars are
-        # constants, difference nothing.
+        # only the prescription (its jets), and the reference suites, whose
+        # scalars are constants, difference nothing.
         depth = [0]
         fd_calls = []
         frames_under_fd = []
-        scalar_fd = frenet._scalar_fd
         apparatus = frenet.frenet_apparatus
 
-        def tracked_fd(*args):
-            fd_calls.append(args[1])
-            depth[0] += 1
-            try:
-                return scalar_fd(*args)
-            finally:
-                depth[0] -= 1
+        def tracked(difference):
+            def wrapper(*args):
+                fd_calls.append(args[1])
+                depth[0] += 1
+                try:
+                    return difference(*args)
+                finally:
+                    depth[0] -= 1
+
+            return wrapper
 
         def tracked_apparatus(c, s, *rest):
             if depth[0]:
                 frames_under_fd.append((c.label, s))
             return apparatus(c, s, *rest)
 
+        monkeypatch.setattr(frenet, "_prescription_jet", tracked(frenet._prescription_jet))
         for module in (frenet, mannheim, indicatrix_module):
             if hasattr(module, "_scalar_fd"):
-                monkeypatch.setattr(module, "_scalar_fd", tracked_fd)
+                monkeypatch.setattr(module, "_scalar_fd", tracked(module._scalar_fd))
             monkeypatch.setattr(module, "frenet_apparatus", tracked_apparatus)
         # a fresh frame cache makes every frame extraction run again
         pair = dataclasses.replace(exact_pair_type3, _frame_cache={})

@@ -8,6 +8,10 @@ by running this script before and after it and diffing the two outputs:
     PYTHONPATH=src python tools/report_digests.py > after.txt
     diff before.txt after.txt
 
+With ``--residuals`` it prints, instead of digests, one line per report of
+each configuration (verdict and max residual), for a before/after table of
+a change that moves report numbers on purpose.
+
 Each line is ``<sha256>  <configuration>``.  The digest covers the JSON
 array that ``mannheim-lab pair-verify --out`` writes: the reports of
 ``cli._run_pair_suite``, serialized as ``cli._emit_json`` does.  The
@@ -19,20 +23,26 @@ configurations are
   -7.5, audited at grid 101;
 * the type-4 normal offset of ``paper-example-2`` at lambda 0.5, grid 101,
   whose collinearity hypothesis fails: its linear-relation report holds
-  ``null`` residuals where mu is undefined, counted by ``undefined_at``.
+  ``null`` residuals where mu is undefined, counted by ``undefined_at``;
+* the shared-parameter pair that ``pair-verify --c SPEC --cstar SPEC``
+  builds from one ``synth:`` spec (curvature and torsion both parsed
+  expressions, evaluated by ``Expr.eval``) at lambda 1, grid 101: the copy
+  of a curve is no partner, so its distance report fails.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 
 from mannheim_lab import MannheimPair, builtin_curve, exact_partner_pair
-from mannheim_lab.cli import _run_pair_suite
+from mannheim_lab.cli import _run_pair_suite, resolve_curve_spec
 from mannheim_lab.frenet import CurveKind
 
 EXACT_GRID = 201
 REFERENCE_GRID = 101
+SHARED_SPEC = "synth:kind=timelike,kappa=2 + 0.3*s,tau=0.9"
 
 # Pair type -> (kind of the base curve C, lambda), as in the test fixtures.
 EXACT_BASES = {
@@ -70,17 +80,36 @@ def configurations():
         lambda: MannheimPair.from_normal_offset(builtin_curve("paper-example-2"), 0.5),
         REFERENCE_GRID,
     )
+    yield (
+        f"pair-verify {SHARED_SPEC} lambda=1 grid {REFERENCE_GRID}",
+        lambda: MannheimPair.from_shared_parameter(
+            resolve_curve_spec(SHARED_SPEC), resolve_curve_spec(SHARED_SPEC), 1.0
+        ),
+        REFERENCE_GRID,
+    )
 
 
-def digest(pair: MannheimPair, grid: int) -> str:
-    reports = _run_pair_suite(pair, grid, None)
+def digest(reports: list) -> str:
     text = json.dumps([r.to_json_dict() for r in reports], indent=2, allow_nan=False) + "\n"
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--residuals",
+        action="store_true",
+        help="print each report's verdict and max residual instead of digests",
+    )
+    args = parser.parse_args()
     for label, build, grid in configurations():
-        print(f"{digest(build(), grid)}  {label}", flush=True)
+        reports = _run_pair_suite(build(), grid, None)
+        if not args.residuals:
+            print(f"{digest(reports)}  {label}", flush=True)
+            continue
+        for r in reports:
+            worst = "null" if r.max_residual is None else f"{r.max_residual:.3e}"
+            print(f"{label} | {r.identity} {r.verdict.value} {worst}", flush=True)
 
 
 if __name__ == "__main__":
