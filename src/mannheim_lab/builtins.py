@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .curve import Curve
-from .frenet import CurveKind, ScalarJet
-from .lorentz import Vec3L
+from .frenet import CurveKind, ScalarJets
+from .lorentz import vec_rows
 
 __all__ = ["builtin_curve", "BUILTIN_CURVE_NAMES"]
 
@@ -22,69 +24,41 @@ _SQRT3 = math.sqrt(3.0)
 _SQRT5 = math.sqrt(5.0)
 
 
-def _constant_scalars(kind: CurveKind, kappa: float, tau: float):
-    jets = {
-        0: (kind, (kappa,), (tau,)),
-        2: (kind, (kappa, 0.0, 0.0), (tau, 0.0, 0.0)),
-    }
+def _helix(
+    label: str, kind: CurveKind, kappa: float, tau: float, p: float, q: float, r: float
+):
+    """Factory of the unit-speed curve s -> (p sinh s, q cosh s, r s), with
+    ``math.sinh`` and ``math.cosh`` taken element by element."""
+    code = tuple(CurveKind).index(kind)
 
-    def scalars(s: float, order: int) -> ScalarJet:
-        return jets[order]
+    def evaluate(ts: np.ndarray, order: int):
+        sh = np.array([math.sinh(s) for s in ts.tolist()]).reshape(-1)
+        ch = np.array([math.cosh(s) for s in ts.tolist()]).reshape(-1)
+        if order == 0:
+            return vec_rows(p * sh, q * ch, r * ts)
+        d1 = vec_rows(p * ch, q * sh, r)
+        if order == 1:
+            return d1
+        return d1, vec_rows(p * sh, q * ch, 0.0), vec_rows(p * ch, q * sh, 0.0)
 
-    return scalars
+    def scalars(ts: np.ndarray, order: int) -> ScalarJets:
+        n = len(ts)
+        derivs = (np.zeros(n), np.zeros(n)) if order else ()
+        return np.full(n, code), (np.full(n, kappa), *derivs), (np.full(n, tau), *derivs)
 
+    def factory(domain: tuple[float, float]) -> Curve:
+        return Curve.on_grid(evaluate, domain, label, unit_speed=True, scalars=scalars)
 
-def _example1(domain: tuple[float, float]) -> Curve:
-    # spacelike, unit speed: kappa = 1/2, tau = sqrt(5)/2
-    def pos(s: float) -> Vec3L:
-        return Vec3L(-0.5 * math.sinh(s), 0.5 * math.cosh(s), 0.5 * _SQRT5 * s)
-
-    def d1(s: float) -> Vec3L:
-        return Vec3L(-0.5 * math.cosh(s), 0.5 * math.sinh(s), 0.5 * _SQRT5)
-
-    def d2(s: float) -> Vec3L:
-        return Vec3L(-0.5 * math.sinh(s), 0.5 * math.cosh(s), 0.0)
-
-    def d3(s: float) -> Vec3L:
-        return Vec3L(-0.5 * math.cosh(s), 0.5 * math.sinh(s), 0.0)
-
-    return Curve(
-        pos,
-        domain,
-        label="paper-example-1",
-        derivs={1: d1, 2: d2, 3: d3},
-        unit_speed=True,
-        scalars=_constant_scalars(CurveKind.SPACELIKE_EPS_PLUS, 0.5, 0.5 * _SQRT5),
-    )
-
-
-def _example2(domain: tuple[float, float]) -> Curve:
-    # timelike, unit speed: kappa = 2, tau = sqrt(3)
-    def pos(s: float) -> Vec3L:
-        return Vec3L(2.0 * math.sinh(s), 2.0 * math.cosh(s), _SQRT3 * s)
-
-    def d1(s: float) -> Vec3L:
-        return Vec3L(2.0 * math.cosh(s), 2.0 * math.sinh(s), _SQRT3)
-
-    def d2(s: float) -> Vec3L:
-        return Vec3L(2.0 * math.sinh(s), 2.0 * math.cosh(s), 0.0)
-
-    def d3(s: float) -> Vec3L:
-        return Vec3L(2.0 * math.cosh(s), 2.0 * math.sinh(s), 0.0)
-
-    return Curve(
-        pos,
-        domain,
-        label="paper-example-2",
-        derivs={1: d1, 2: d2, 3: d3},
-        unit_speed=True,
-        scalars=_constant_scalars(CurveKind.TIMELIKE, 2.0, _SQRT3),
-    )
+    return factory
 
 
 _FACTORIES = {
-    "paper-example-1": _example1,
-    "paper-example-2": _example2,
+    # spacelike, unit speed: kappa = 1/2, tau = sqrt(5)/2
+    "paper-example-1": _helix(
+        "paper-example-1", CurveKind.SPACELIKE_EPS_PLUS, 0.5, 0.5 * _SQRT5, -0.5, 0.5, 0.5 * _SQRT5
+    ),
+    # timelike, unit speed: kappa = 2, tau = sqrt(3)
+    "paper-example-2": _helix("paper-example-2", CurveKind.TIMELIKE, 2.0, _SQRT3, 2.0, 2.0, _SQRT3),
 }
 
 BUILTIN_CURVE_NAMES = tuple(sorted(_FACTORIES))

@@ -1,17 +1,17 @@
-"""Parametric curves into Minkowski 3-space.
+"""Parametric curves into Minkowski 3-space, evaluated on grids.
 
-A :class:`Curve` couples a position evaluator with derivative access up to
-third order.  Derivatives are taken from closed-form callables when the
-constructor got them and fall back to finite differences of the best
-available lower order otherwise.  ``Curve.jet`` returns all three
-derivatives at one parameter; a curve whose derivatives chain through one
-another (a reparametrization, an offset) supplies a jet evaluator so the
-shared intermediate terms are computed once per point.  A curve may also
-carry a closed-form speed and, when it is unit-speed, an evaluator of its
+The grid is the unit of evaluation.  Every :class:`Curve` has one array
+evaluator that returns, for an array of parameters, the positions or the
+first three derivatives as ``(n, 3)`` arrays; a point query is the one-row
+case of it.  Built-in, synthesized, reparametrized, offset and sampled
+curves supply their evaluator in closed form, doing the arithmetic of a
+point elementwise in the same operation order, so row ``i`` of a grid
+equals the point at ``ts[i]`` bit for bit.  Curves built from scalar
+callables are evaluated by looping over the grid.  A curve may also carry
+a closed-form speed and, when it is unit-speed, an evaluator of its
 curvature and torsion with their derivatives (read by
-``frenet.scalar_jet``).  Curves are
-immutable after construction and all operations here are pure, so
-concurrent evaluation at distinct parameters needs no coordination.
+``frenet.scalar_jets``).  Curves are immutable after construction and all
+operations here are pure, so concurrent evaluation needs no coordination.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,8 +30,9 @@ from .errors import (
     NullTangentError,
     OutOfDomainError,
     TableSizeError,
+    raise_first,
 )
-from .lorentz import CausalCharacter, Vec3L, causal_character, inner, norm
+from .lorentz import NULL_BAND_TOL, CausalCharacter, Vec3L, inner_rows, power_rows
 
 __all__ = [
     "Curve",
@@ -140,30 +140,43 @@ def _fd_stencil(t: float, m: int, a: float, b: float) -> tuple[np.ndarray, np.nd
     return nodes, fd_weights(nodes, t, m)
 
 
-def _simpson(x0: float, x2: float, f0: float, f1: float, f2: float) -> float:
+def _simpson(x0, x2, f0, f1, f2):
     return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
 
 
-def _simpson_recurse(f, x0, x2, f0, f1, f2, whole, eps, depth):
-    xm = 0.5 * (x0 + x2)
-    xl, xr = 0.5 * (x0 + xm), 0.5 * (xm + x2)
-    fl, fr = f(xl), f(xr)
-    left = _simpson(x0, xm, f0, fl, f1)
-    right = _simpson(xm, x2, f1, fr, f2)
-    delta = left + right - whole
-    if depth <= 0 or abs(delta) <= 15.0 * eps:
-        return left + right + delta / 15.0
-    return _simpson_recurse(f, x0, xm, f0, fl, f1, left, eps / 2.0, depth - 1) + _simpson_recurse(
-        f, xm, x2, f1, fr, f2, right, eps / 2.0, depth - 1
-    )
+def _adaptive_pieces(
+    f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, fx: np.ndarray, eps: float
+) -> np.ndarray:
+    """Adaptive Simpson integral of ``f`` over each piece ``[x[i], x[i+1]]``.
 
-
-def _simpson_piece(
-    f: Callable[[float], float], a: float, b: float, fa: float, fb: float, tol: float
-) -> float:
-    """Adaptive Simpson over [a, b] given the end values ``fa = f(a)``, ``fb = f(b)``."""
-    fm = f(0.5 * (a + b))
-    return _simpson_recurse(f, a, b, fa, fm, fb, _simpson(a, b, fa, fm, fb), tol, 48)
+    ``f`` maps an array of abscissae to its values, ``fx`` holds f at ``x``.
+    All open pieces are halved level by level, one call of ``f`` per level,
+    and the halves are summed back in the order of the recursive algorithm
+    (at most 48 levels, ``eps`` halving with each), bit for bit.
+    """
+    x0, x2, f0, f2 = x[:-1], x[1:], fx[:-1], fx[1:]
+    f1 = f(0.5 * (x0 + x2))
+    whole = _simpson(x0, x2, f0, f1, f2)
+    values, splits = [], []
+    for depth in range(48, -1, -1):
+        xm = 0.5 * (x0 + x2)
+        fl, fr = np.split(f(np.concatenate((0.5 * (x0 + xm), 0.5 * (xm + x2)))), 2)
+        left = _simpson(x0, xm, f0, fl, f1)
+        right = _simpson(xm, x2, f1, fr, f2)
+        delta = left + right - whole
+        split = np.flatnonzero(np.abs(delta) > 15.0 * eps) if depth else np.array([], int)
+        values.append(left + right + delta / 15.0)
+        splits.append(split)
+        if not len(split):
+            break
+        # Open pieces go on as their left halves, then their right halves.
+        halves = (np.stack((x0, xm, f0, fl, f1, left)), np.stack((xm, x2, f1, fr, f2, right)))
+        x0, x2, f0, f1, f2, whole = np.hstack([half[:, split] for half in halves])
+        eps = eps / 2.0
+    for level in range(len(values) - 2, -1, -1):
+        halves = np.split(values[level + 1], 2)
+        values[level][splits[level]] = halves[0] + halves[1]
+    return values[0]
 
 
 def adaptive_simpson(
@@ -172,16 +185,33 @@ def adaptive_simpson(
     """Adaptive Simpson quadrature with absolute tolerance ``tol``."""
     if a == b:
         return 0.0
-    return _simpson_piece(f, a, b, f(a), f(b), tol)
+    on_grid = _looped(f)
+    x = np.array([a, b], dtype=float)
+    return float(_adaptive_pieces(on_grid, x, on_grid(x), tol)[0])
+
+
+def _looped(f: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
+    """A scalar function evaluated on an array of abscissae, point by point."""
+    return lambda x: np.array([f(v) for v in x.tolist()], dtype=float)
+
+
+def _clamp(x, lo: float, hi: float):
+    """``min(max(x, lo), hi)`` elementwise; a value in range, or NaN, is kept as is."""
+    x = np.asarray(x, dtype=float)
+    below, above = x < lo, x > hi
+    if not (below.any() or above.any()):
+        return x
+    return np.where(below, lo, np.where(above, hi, x))
 
 
 class CubicHermiteSpline:
     """Piecewise cubic through values ``y`` with slopes ``dydx`` at nodes ``x``.
 
     ``y`` and ``dydx`` hold one value per node, shape ``(n,)``, or one row per
-    node, shape ``(n, m)``.  Calling the spline at a float returns a float, or
-    a list of ``m`` floats.  A point outside ``[x[0], x[-1]]`` is extrapolated
-    from the nearest end piece.
+    node, shape ``(n, m)``.  Calling the spline at an array of ``k`` points
+    returns an array of shape ``(k,)`` or ``(k, m)``; at a float (or a 0-d
+    array) it returns a float, or a list of ``m`` floats.  A point outside
+    ``[x[0], x[-1]]`` is extrapolated from the nearest end piece.
 
     The coefficients and the evaluation order are those of
     ``scipy.interpolate.CubicHermiteSpline``, operation for operation, so both
@@ -202,21 +232,23 @@ class CubicHermiteSpline:
         t = (dydx[:-1] + dydx[1:] - 2 * slope) / dxr
         # Row i holds (c0, c1, c2, c3): c3 + c2 s + c1 s^2 + c0 s^3 on piece i.
         self._c = np.stack((t / dxr, (slope - dydx[:-1]) / dxr - t, dydx[:-1], y[:-1]), axis=1)
-        self._x = x.tolist()
-        self._last = len(self._x) - 2
-        self._rows = y.ndim > 1
+        self._x = x
+        self._last = len(x) - 2
 
-    def __call__(self, v: float):
-        x = self._x
-        i = min(max(bisect_right(x, v) - 1, 0), self._last)
-        s = v - x[i]
+    def __call__(self, v):
+        point = np.ndim(v) == 0
+        v = np.asarray(v, dtype=float).reshape(-1)
+        i = np.minimum(np.maximum(np.searchsorted(self._x, v, side="right") - 1, 0), self._last)
+        s = v - self._x[i]
+        c = self._c[i]
+        c0, c1, c2, c3 = c[:, 0], c[:, 1], c[:, 2], c[:, 3]
+        if c.ndim > 2:
+            s = s[:, None]
         s2 = s * s
         s3 = s2 * s
-        c0, c1, c2, c3 = self._c[i].tolist()
         # Ascending powers from 0.0, the order scipy's evaluator sums them in.
-        if self._rows:
-            return [0.0 + d + c * s + b * s2 + a * s3 for a, b, c, d in zip(c0, c1, c2, c3)]
-        return 0.0 + c3 + c2 * s + c1 * s2 + c0 * s3
+        out = 0.0 + c3 + c2 * s + c1 * s2 + c0 * s3
+        return out[0].tolist() if point else out
 
 
 def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -271,19 +303,36 @@ class PchipInterpolator(CubicHermiteSpline):
 Jet = tuple[Vec3L, Vec3L, Vec3L]
 
 
+def _vec(row: np.ndarray) -> Vec3L:
+    return Vec3L(*row.tolist())
+
+
+def _fd(f: Callable[[float], Vec3L], t: float, m: int, a: float, b: float) -> Vec3L:
+    nodes, weights = _fd_stencil(t, m, a, b)
+    acc = np.zeros(3)
+    for x, w in zip(nodes, weights):
+        acc += w * np.asarray(f(x).as_tuple())
+    return Vec3L(*acc)
+
+
 class Curve:
     """A map from a closed interval into Minkowski 3-space.
 
-    ``derivs`` may supply closed-form derivatives keyed by order 1..3, and
-    ``jet`` an evaluator returning orders 1, 2 and 3 together.  An order
-    missing from ``derivs`` is read from ``jet`` when there is one and is
-    otherwise realized by 4th-order finite differences of the highest
-    available lower-order evaluator (one-sided at the ends of the domain).
+    Every curve has one array evaluator, ``evaluate(ts, order)``: for a
+    float array ``ts`` of in-domain parameters it returns the positions
+    (order 0) or first derivatives (order 1) as an ``(n, 3)`` array, or the
+    jet ``(d1, d2, d3)`` as three such arrays (order 3).  ``positions``,
+    ``tangents``, ``jets`` and ``speeds`` evaluate a whole grid; ``pos``,
+    ``deriv``, ``jet`` and ``speed`` are their one-row case.
 
-    ``speed`` may supply the pseudo-speed in closed form; it must equal
-    ``norm(deriv(t, 1))``.  ``scalars`` is the scalar-jet evaluator of a
-    unit-speed curve, ``scalars(t, order)`` with order 0 or 2, whose
-    contract ``frenet.scalar_jet`` states.
+    The constructor takes scalar callables, evaluated on a grid by looping:
+    ``pos`` maps a parameter to a ``Vec3L``, ``derivs`` may supply
+    closed-form derivatives keyed by order 1..3 and ``speed`` the
+    pseudo-speed, which must equal ``norm(deriv(t, 1))``.  An order missing
+    from ``derivs`` is realized by 4th-order finite differences of the
+    highest available lower order (one-sided at the ends of the domain).
+    ``Curve.on_grid`` takes an array evaluator instead, and the scalar-jet
+    evaluator ``scalars`` of a unit-speed curve (see ``frenet.scalar_jets``).
     """
 
     def __init__(
@@ -293,104 +342,158 @@ class Curve:
         label: str = "curve",
         derivs: dict[int, Callable[[float], Vec3L]] | None = None,
         unit_speed: bool = False,
-        jet: Callable[[float], Jet] | None = None,
         speed: Callable[[float], float] | None = None,
-        scalars: Callable[[float, int], tuple] | None = None,
     ):
+        derivs = dict(derivs) if derivs else {}
+
+        def point(t: float, order: int) -> Vec3L:
+            if order == 0:
+                return pos(t)
+            if order in derivs:
+                return derivs[order](t)
+            base_order = max((k for k in derivs if k < order), default=0)
+            base = derivs[base_order] if base_order else pos
+            return _fd(base, t, order - base_order, *self.domain)
+
+        def evaluate(ts: np.ndarray, order: int):
+            ts = ts.tolist()
+            out = tuple(
+                np.array([point(t, k).as_tuple() for t in ts], dtype=float).reshape(-1, 3)
+                for k in ((order,) if order < 3 else (1, 2, 3))
+            )
+            return out if order == 3 else out[0]
+
+        self._init(evaluate, domain, label, unit_speed, speed and _looped(speed), None)
+
+    @classmethod
+    def on_grid(
+        cls,
+        evaluate: Callable,
+        domain: tuple[float, float],
+        label: str = "curve",
+        unit_speed: bool = False,
+        speeds: Callable[[np.ndarray], np.ndarray] | None = None,
+        scalars: Callable | None = None,
+    ) -> "Curve":
+        """A curve from its array evaluator, with an optional array speed and scalar jet."""
+        c = cls.__new__(cls)
+        c._init(evaluate, domain, label, unit_speed, speeds, scalars)
+        return c
+
+    def _init(self, evaluate, domain, label, unit_speed, speeds, scalars) -> None:
         a, b = float(domain[0]), float(domain[1])
         if not (math.isfinite(a) and math.isfinite(b)) or a >= b:
             raise ValueError(f"invalid domain: {domain!r}")
-        self._pos = pos
+        self._evaluate = evaluate
         self.domain = (a, b)
         self.label = label
-        self._derivs = dict(derivs) if derivs else {}
-        self._jet = jet
-        self._speed = speed
+        self._speeds = speeds
         self.scalars = scalars
         self.unit_speed = unit_speed
 
-    def _check_domain(self, t: float) -> float:
+    def _check_domain(self, ts) -> np.ndarray:
+        """``ts`` as a float array clamped into the domain; OutOfDomainError
+        names the first parameter beyond it by more than the slack."""
+        ts = np.asarray(ts, dtype=float).reshape(-1)
         a, b = self.domain
         slack = 1e-9 * (b - a)
-        if t < a - slack or t > b + slack:
-            raise OutOfDomainError(
-                f"t={t!r} outside domain [{a!r}, {b!r}] of {self.label!r}"
-            )
-        return min(max(t, a), b)
+        out = (ts < a - slack) | (ts > b + slack)
+        if out.any():
+            t = float(ts[out.argmax()])
+            raise OutOfDomainError(f"t={t!r} outside domain [{a!r}, {b!r}] of {self.label!r}")
+        return _clamp(ts, a, b)
+
+    def _grid(self, ts, order: int):
+        ts = self._check_domain(ts)
+        out = self._evaluate(ts, order)
+        rows = np.hstack(out) if order == 3 else out
+        if not np.isfinite(rows).all():
+            t = float(ts[(~np.isfinite(rows)).any(axis=1).argmax()])
+            what = ("positions", "tangents", "", "jets")[order]
+            raise ValueError(f"non-finite {what} of {self.label!r} at t={t!r}")
+        return out
+
+    def positions(self, ts) -> np.ndarray:
+        """Positions at every parameter of ``ts``, one row each."""
+        return self._grid(ts, 0)
+
+    def tangents(self, ts) -> np.ndarray:
+        """First derivatives at every parameter of ``ts``, one row each."""
+        return self._grid(ts, 1)
+
+    def jets(self, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Derivatives of orders 1, 2 and 3 at every parameter of ``ts``."""
+        return self._grid(ts, 3)
+
+    def speeds(self, ts) -> np.ndarray:
+        """Pseudo-speeds |<a'(t), a'(t)>|^(1/2), in closed form when supplied."""
+        if self._speeds is not None:
+            return self._speeds(self._check_domain(ts))
+        d1 = self.tangents(ts)
+        return np.sqrt(np.abs(inner_rows(d1, d1)))
 
     def pos(self, t: float) -> Vec3L:
-        return self._pos(self._check_domain(t))
+        return _vec(self.positions([t])[0])
 
     def deriv(self, t: float, order: int = 1) -> Vec3L:
         if order not in (1, 2, 3):
             raise ValueError("derivative order must be 1, 2 or 3")
-        t = self._check_domain(t)
-        if order in self._derivs:
-            return self._derivs[order](t)
-        if self._jet is not None:
-            return self._jet(t)[order - 1]
-        base_order = max((k for k in self._derivs if k < order), default=0)
-        base = self._derivs[base_order] if base_order else self._pos
-        return self._fd(base, t, order - base_order)
+        if order == 1:
+            return _vec(self.tangents([t])[0])
+        return self.jet(t)[order - 1]
 
     def jet(self, t: float) -> Jet:
         """Derivatives of orders 1, 2 and 3 at ``t``, equal to three ``deriv`` calls."""
-        if self._jet is None:
-            return self.deriv(t, 1), self.deriv(t, 2), self.deriv(t, 3)
-        return self._jet(self._check_domain(t))
+        d1, d2, d3 = self.jets([t])
+        return _vec(d1[0]), _vec(d2[0]), _vec(d3[0])
 
     def speed(self, t: float) -> float:
-        """Pseudo-speed |<a'(t), a'(t)>|^(1/2), in closed form when supplied."""
-        t = self._check_domain(t)
-        if self._speed is not None:
-            return self._speed(t)
-        return norm(self.deriv(t, 1))
-
-    def _fd(self, f: Callable[[float], Vec3L], t: float, m: int) -> Vec3L:
-        a, b = self.domain
-        nodes, weights = _fd_stencil(t, m, a, b)
-        acc = np.zeros(3)
-        for x, w in zip(nodes, weights):
-            acc += w * np.asarray(f(x).as_tuple())
-        return Vec3L(*acc)
-
-    def has_closed_derivative(self, order: int) -> bool:
-        return order in self._derivs or self._jet is not None
+        return float(self.speeds([t])[0])
 
     def validate_unit_speed(self, grid_size: int = 64, tol: float = 1e-8) -> float:
         """Largest deviation of |<a',a'>| from 1 on a uniform grid."""
-        a, b = self.domain
-        worst = 0.0
-        for t in np.linspace(a, b, grid_size):
-            d1 = self.deriv(float(t), 1)
-            worst = max(worst, abs(abs(inner(d1, d1)) - 1.0))
-        return worst
+        d1 = self.tangents(np.linspace(*self.domain, grid_size))
+        return max(0.0, *np.abs(np.abs(inner_rows(d1, d1)) - 1.0).tolist())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         a, b = self.domain
         return f"Curve({self.label!r}, domain=[{a:g}, {b:g}])"
 
 
-@dataclass
+# Rows of ``CurveSamples.to_csv`` formatted per write: bounded memory for any
+# grid, and few enough writes that formatting dominates.
+CSV_CHUNK_ROWS = 4096
+
+
 class CurveSamples:
-    """Tabulated curve points, optionally with per-sample frames attached."""
+    """Tabulated curve points: one row ``(t, x1, x2, x3)`` per sample."""
 
-    parameters: list[float]
-    points: list[Vec3L]
-    frames: list | None = field(default=None)
-
-    def __post_init__(self) -> None:
-        if len(self.parameters) != len(self.points):
+    def __init__(self, parameters: Sequence[float], points) -> None:
+        t = np.asarray(parameters, dtype=float).reshape(-1)
+        if not isinstance(points, np.ndarray):
+            points = [p.as_tuple() for p in points]
+        p = np.asarray(points, dtype=float).reshape(-1, 3)
+        if len(t) != len(p):
             raise ValueError("parameters and points must have equal length")
-        diffs = np.diff(self.parameters)
-        if len(self.parameters) and not (diffs > 0).all():
+        if len(t) and not (np.diff(t) > 0).all():
             raise ValueError("parameters must be strictly increasing")
+        self.rows = np.column_stack((t, p))
+
+    @property
+    def parameters(self) -> list[float]:
+        return self.rows[:, 0].tolist()
+
+    @property
+    def points(self) -> list[Vec3L]:
+        return [Vec3L(*p) for p in self.rows[:, 1:].tolist()]
 
     def to_csv(self, stream: io.TextIOBase) -> None:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["t", "x1", "x2", "x3"])
-        for t, p in zip(self.parameters, self.points):
-            writer.writerow([f"{v:.17g}" for v in (t, p.x1, p.x2, p.x3)])
+        """Header ``t,x1,x2,x3``, then rows of four ``%.17g`` fields, as
+        ``csv.writer`` writes them, ``CSV_CHUNK_ROWS`` rows per write."""
+        stream.write("t,x1,x2,x3\n")
+        for i in range(0, len(self.rows), CSV_CHUNK_ROWS):
+            chunk = self.rows[i : i + CSV_CHUNK_ROWS]
+            stream.write("%.17g,%.17g,%.17g,%.17g\n" * len(chunk) % tuple(chunk.ravel().tolist()))
 
     @classmethod
     def from_csv(cls, stream: io.TextIOBase) -> "CurveSamples":
@@ -401,8 +504,7 @@ class CurveSamples:
             raise CsvFormatError("empty file; expected header t,x1,x2,x3")
         if [h.strip() for h in header] != ["t", "x1", "x2", "x3"]:
             raise CsvFormatError(f"bad header {header!r}; expected t,x1,x2,x3")
-        params: list[float] = []
-        points: list[Vec3L] = []
+        rows: list[list[float]] = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -414,12 +516,12 @@ class CurveSamples:
                 raise CsvFormatError(f"line {lineno}: {exc}") from None
             if not all(math.isfinite(v) for v in values):
                 raise CsvFormatError(f"line {lineno}: non-finite value")
-            params.append(values[0])
-            points.append(Vec3L(values[1], values[2], values[3]))
-        if len(params) < 2:
+            rows.append(values)
+        if len(rows) < 2:
             raise CsvFormatError("need at least two samples")
+        table = np.array(rows)
         try:
-            return cls(params, points)
+            return cls(table[:, 0], table[:, 1:])
         except ValueError as exc:
             raise CsvFormatError(str(exc)) from None
 
@@ -439,20 +541,16 @@ def curve_from_samples(samples: CurveSamples, label: str = "samples") -> Curve:
     # it is imported here so that only sampled curves load it.
     from scipy.interpolate import CubicSpline
 
-    t = np.asarray(samples.parameters)
-    data = np.asarray([p.as_tuple() for p in samples.points])
-    spline = CubicSpline(t, data, axis=0)
+    t = samples.rows[:, 0]
+    spline = CubicSpline(t, samples.rows[:, 1:], axis=0)
     d1, d2, d3 = spline.derivative(1), spline.derivative(2), spline.derivative(3)
-    return Curve(
-        pos=lambda s: Vec3L(*spline(s)),
-        domain=(float(t[0]), float(t[-1])),
-        label=label,
-        derivs={
-            1: lambda s: Vec3L(*d1(s)),
-            2: lambda s: Vec3L(*d2(s)),
-            3: lambda s: Vec3L(*d3(s)),
-        },
-    )
+
+    def evaluate(ts: np.ndarray, order: int):
+        if order == 0:
+            return spline(ts)
+        return d1(ts) if order == 1 else (d1(ts), d2(ts), d3(ts))
+
+    return Curve.on_grid(evaluate, (float(t[0]), float(t[-1])), label)
 
 
 def speed(c: Curve, t: float) -> float:
@@ -460,28 +558,34 @@ def speed(c: Curve, t: float) -> float:
     return c.speed(t)
 
 
+def _null_rows(d1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(null or zero, timelike) flags of tangent rows, as ``causal_character`` classifies them."""
+    q = inner_rows(d1, d1)
+    return (d1 == 0.0).all(axis=1) | (np.abs(q) <= NULL_BAND_TOL), q < 0.0
+
+
 def classify_curve(c: Curve, grid_size: int = 64) -> CausalCharacter:
     """Common causal character of the tangent over a uniform grid.
 
     Raises NullTangentError if any sampled tangent is null and
-    MixedCausalCharacterError if the character changes along the grid.
+    MixedCausalCharacterError if the character changes along the grid,
+    naming the first such parameter.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
-    a, b = c.domain
-    seen: CausalCharacter | None = None
-    for t in np.linspace(a, b, grid_size):
-        ch = causal_character(c.deriv(float(t), 1))
-        if ch in (CausalCharacter.NULL, CausalCharacter.ZERO):
-            raise NullTangentError(f"tangent of {c.label!r} is null at t={t:g}")
-        if seen is None:
-            seen = ch
-        elif ch is not seen:
-            raise MixedCausalCharacterError(
-                f"tangent of {c.label!r} changes character near t={t:g}"
-            )
-    assert seen is not None
-    return seen
+    ts = np.linspace(*c.domain, grid_size)
+    null, timelike = _null_rows(c.tangents(ts))
+    where = f"tangent of {c.label!r}"
+    raise_first(
+        [
+            (null, lambda i: NullTangentError(f"{where} is null at t={ts[i]:g}")),
+            (
+                timelike != timelike[0],
+                lambda i: MixedCausalCharacterError(f"{where} changes character near t={ts[i]:g}"),
+            ),
+        ]
+    )
+    return CausalCharacter.TIMELIKE if timelike[0] else CausalCharacter.SPACELIKE
 
 
 def arclength(c: Curve, t0: float, t1: float, tol: float = QUADRATURE_TOL) -> float:
@@ -494,13 +598,11 @@ def arclength(c: Curve, t0: float, t1: float, tol: float = QUADRATURE_TOL) -> fl
         raise OutOfDomainError(f"[{t0!r}, {t1!r}] not within [{a!r}, {b!r}]")
     if t0 == t1:
         return 0.0
-    for t in np.linspace(t0, t1, 17):
-        if causal_character(c.deriv(float(t), 1)) in (
-            CausalCharacter.NULL,
-            CausalCharacter.ZERO,
-        ):
-            raise NullTangentError(f"null tangent at t={t:g}")
-    return adaptive_simpson(lambda t: speed(c, t), t0, t1, tol)
+    ts = np.linspace(t0, t1, 17)
+    null, _ = _null_rows(c.tangents(ts))
+    raise_first([(null, lambda i: NullTangentError(f"null tangent at t={ts[i]:g}"))])
+    x = np.array([t0, t1], dtype=float)
+    return float(_adaptive_pieces(c.speeds, x, c.speeds(x), tol)[0])
 
 
 class _ArcLengthTable:
@@ -509,17 +611,9 @@ class _ArcLengthTable:
     def __init__(self, c: Curve, size: int, tol: float):
         a, b = c.domain
         t_nodes = np.linspace(a, b, size + 1)
-        s_nodes = np.empty(size + 1)
-        s_nodes[0] = 0.0
-        piece_tol = tol / size
-        f = c.speed
         # Each node's speed is evaluated once and shared by its two pieces.
-        t = t_nodes.tolist()
-        v = [f(ti) for ti in t]
-        for i in range(size):
-            s_nodes[i + 1] = s_nodes[i] + _simpson_piece(
-                f, t[i], t[i + 1], v[i], v[i + 1], piece_tol
-            )
+        pieces = _adaptive_pieces(c.speeds, t_nodes, c.speeds(t_nodes), tol / size)
+        s_nodes = np.array(list(accumulate(pieces.tolist(), initial=0.0)))
         if not (np.diff(s_nodes) > 0).all():
             raise NullTangentError("arc length is not strictly increasing")
         self.t_nodes = t_nodes
@@ -530,13 +624,13 @@ class _ArcLengthTable:
         self._inverse = PchipInterpolator(s_nodes, t_nodes)
         self._forward = PchipInterpolator(t_nodes, s_nodes)
 
-    def t_of_s(self, s: float) -> float:
-        s = min(max(s, 0.0), self.total)
-        return float(self._inverse(s))
+    def t_of_s(self, s):
+        """Raw parameter at arc length ``s`` (a float or an array)."""
+        return self._inverse(_clamp(s, 0.0, self.total))
 
-    def s_of_t(self, t: float) -> float:
-        t = min(max(t, self._a), self._b)
-        return float(self._forward(t))
+    def s_of_t(self, t):
+        """Arc length at raw parameter ``t`` (a float or an array)."""
+        return self._forward(_clamp(t, self._a, self._b))
 
 
 def reparametrize_unit(
@@ -564,38 +658,30 @@ def reparametrize_unit(
     classify_curve(c, min(grid_size, 257))
     table = _ArcLengthTable(c, grid_size, tol)
 
-    def pos_u(u: float) -> Vec3L:
-        return c.pos(table.t_of_s(u))
-
-    def d1_u(u: float) -> Vec3L:
-        d1 = c.deriv(table.t_of_s(u), 1)
-        return d1 / math.sqrt(abs(inner(d1, d1)))
-
-    def jet_u(u: float) -> Jet:
+    def evaluate(us: np.ndarray, order: int):
+        t = table.t_of_s(us)
+        if order == 0:
+            return c.positions(t)
+        if order == 1:
+            d1 = c.tangents(t)
+            return d1 / np.sqrt(np.abs(inner_rows(d1, d1)))[:, None]
         # Chain rule through t(u) with t' = 1/v, where v = |<a', a'>|^(1/2).
-        d1, d2, d3 = c.jet(table.t_of_s(u))
-        q = inner(d1, d1)
-        sgn = 1.0 if q > 0 else -1.0
-        v = math.sqrt(abs(q))
-        vp = sgn * inner(d2, d1) / v
-        vpp = sgn * ((inner(d3, d1) + inner(d2, d2)) / v) - vp * vp / v
+        d1, d2, d3 = c.jets(t)
+        q = inner_rows(d1, d1)
+        sgn = np.where(q > 0, 1.0, -1.0)
+        v = np.sqrt(np.abs(q))
+        vp = sgn * inner_rows(d2, d1) / v
+        vpp = sgn * ((inner_rows(d3, d1) + inner_rows(d2, d2)) / v) - vp * vp / v
         tp = 1.0 / v
-        tpp = -vp / v**3
-        tppp = -vpp / v**4 + 3.0 * vp * vp / v**5
+        tpp = -vp / power_rows(v, 3)
+        tppp = -vpp / power_rows(v, 4) + 3.0 * vp * vp / power_rows(v, 5)
         return (
-            d1 / v,
-            d2 * (tp * tp) + d1 * tpp,
-            d3 * (tp**3) + d2 * (3.0 * tp * tpp) + d1 * tppp,
+            d1 / v[:, None],
+            d2 * (tp * tp)[:, None] + d1 * tpp[:, None],
+            d3 * power_rows(tp, 3)[:, None] + d2 * (3.0 * tp * tpp)[:, None] + d1 * tppp[:, None],
         )
 
-    out = Curve(
-        pos=pos_u,
-        domain=(0.0, table.total),
-        label=f"{c.label}/unit-speed",
-        derivs={1: d1_u},
-        unit_speed=True,
-        jet=jet_u,
-    )
+    out = Curve.on_grid(evaluate, (0.0, table.total), f"{c.label}/unit-speed", unit_speed=True)
     out.arc_table = table
     out.base_curve = c
     return out
@@ -605,6 +691,5 @@ def sample(c: Curve, n: int) -> CurveSamples:
     """n uniform parameter samples with positions, endpoints included."""
     if n < 2:
         raise ValueError("need at least two samples")
-    a, b = c.domain
-    params = [float(t) for t in np.linspace(a, b, n)]
-    return CurveSamples(params, [c.pos(t) for t in params])
+    ts = np.linspace(*c.domain, n)
+    return CurveSamples(ts, c.positions(ts))

@@ -1,5 +1,7 @@
 """Exception taxonomy shared by the whole package."""
 
+import numpy as np
+
 __all__ = [
     "MannheimLabError",
     "NullInputError",
@@ -25,7 +27,20 @@ __all__ = [
     "ExprSyntaxError",
     "ExprDomainError",
     "CsvFormatError",
+    "raise_first",
 ]
+
+
+def raise_first(checks) -> None:
+    """Raise for the first failing grid row, as a row-by-row loop would.
+
+    ``checks`` holds ``(mask, error)`` pairs in the order one row is checked:
+    ``mask`` flags failing rows and ``error(i)`` builds the exception of row ``i``.
+    """
+    if not any(mask.any() for mask, _ in checks):
+        return
+    i = int(np.logical_or.reduce([mask for mask, _ in checks]).argmax())
+    raise next(error(i) for mask, error in checks if mask[i])
 
 
 class MannheimLabError(Exception):

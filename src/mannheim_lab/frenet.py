@@ -8,10 +8,11 @@ three first-order systems, keyed by the causal characters of T and N:
     spacelike, N timelike:     T' =  k N,   N' =  k T + t B,   B' =  t N
 
 with Gram signs (T, N, B) of (-1, +1, +1), (+1, +1, -1) and (+1, -1, +1)
-respectively.  ``frenet_apparatus`` extracts the frame and the two scalars
-from derivatives; ``scalar_jet`` gives the two scalars with their first two
-derivatives; ``frenet_synthesize`` integrates the system for prescribed
-scalar functions.
+respectively.  ``frenet_frames`` extracts the frame and the two scalars
+from derivatives on a whole grid, ``frenet_apparatus`` at one point;
+``scalar_jets`` gives the two scalars with their first two derivatives (and
+``scalar_jet`` at one point); ``frenet_synthesize`` integrates the system
+for prescribed scalar functions.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .curve import CubicHermiteSpline, Curve, Jet, fd_weights
+from .curve import CubicHermiteSpline, Curve, _looped, fd_weights
 from .errors import (
     InvalidInitialFrameError,
     NonPositiveCurvatureError,
@@ -33,14 +34,19 @@ from .errors import (
     SynthesisOverflowError,
     TooManyStepsError,
     VanishingCurvatureError,
+    raise_first,
 )
-from .lorentz import Vec3L, cross, inner
+from .lorentz import Vec3L, cross, cross_rows, inner, inner_rows, power_rows
 
 __all__ = [
     "CurveKind",
     "FrenetFrame",
+    "FrameGrid",
+    "frenet_frames",
     "frenet_apparatus",
+    "scalar_jets",
     "scalar_jet",
+    "kind_signs",
     "ScalarJet",
     "frenet_synthesize",
     "INITIAL_FRAMES",
@@ -93,6 +99,19 @@ _SIGNS = {
     CurveKind.SPACELIKE_EPS_MINUS: (1, -1, 1),
 }
 
+# A grid carries each row's kind as its index into _KINDS; row k of
+# _KIND_ROWS holds (<T,T>, <N,N>, <B,B>, c_n, c_b) of _KINDS[k].
+_KINDS = tuple(CurveKind)
+_KIND_ROWS = np.array(
+    [(*k.signs, k.normal_coefficient, k.binormal_coefficient) for k in _KINDS], dtype=float
+)
+
+
+def kind_signs(kinds: np.ndarray) -> np.ndarray:
+    """Rows (<T,T>, <N,N>, <B,B>, c_n, c_b) of grid kinds, as floats, shape (5, n)."""
+    return _KIND_ROWS[kinds].T
+
+
 # Initial frame (T, N, B) of each kind, built from the coordinate axes, for
 # synthesis from prescribed scalars alone.
 INITIAL_FRAMES = {
@@ -134,100 +153,141 @@ def frame_gram_residual(T: Vec3L, N: Vec3L, B: Vec3L, kind: CurveKind) -> float:
     return FrenetFrame(T, N, B, 0.0, 0.0, kind).gram_residual()
 
 
+@dataclass(frozen=True)
+class FrameGrid:
+    """The frame apparatus of a curve on a grid, one row per parameter.
+
+    ``T``, ``N`` and ``B`` are ``(n, 3)`` arrays; ``kinds`` holds each row's
+    kind as an index into ``tuple(CurveKind)``; ``dkappa`` is kappa', chained
+    exactly through the third derivative.
+    """
+
+    T: np.ndarray
+    N: np.ndarray
+    B: np.ndarray
+    kappa: np.ndarray
+    tau: np.ndarray
+    kinds: np.ndarray
+    dkappa: np.ndarray
+
+    def frames(self) -> list[FrenetFrame]:
+        """One ``FrenetFrame`` per row."""
+        rows = (self.T, self.N, self.B, self.kappa, self.tau, self.kinds)
+        return [
+            FrenetFrame(Vec3L(*T), Vec3L(*N), Vec3L(*B), kappa, tau, _KINDS[kind])
+            for T, N, B, kappa, tau, kind in zip(*(x.tolist() for x in rows))
+        ]
+
+
+def frenet_frames(
+    c: Curve,
+    s,
+    kappa_tol: float = KAPPA_TOL,
+    unit_tol: float = UNIT_SPEED_TOL,
+) -> FrameGrid:
+    """Frame, curvature and torsion of a unit-speed non-null curve on a grid.
+
+    T is the raw first derivative (no renormalization, so Gram drift stays
+    visible), N = T'/kappa with kappa = |<T',T'>|^(1/2), and B = T x N.
+    Torsion comes from <N',B>/<B,B>, which reduces to the sign rules of the
+    three frame systems.  The derivatives come from one ``c.jets(s)``.  The
+    checks run as for one point at a time: the error raised is that of the
+    first parameter failing any of them.
+    """
+    s = np.asarray(s, dtype=float).reshape(-1)
+    d1, d2, d3 = c.jets(s)
+    q1 = inner_rows(d1, d1)
+    e2 = np.array([math.hypot(*row) for row in d2.tolist()]).reshape(-1)
+    q2 = inner_rows(d2, d2)
+    kappa = np.sqrt(np.abs(q2))
+
+    def error(kind: type, text: str):
+        return lambda i: kind(text.format(label=c.label, s=s[i], q1=q1[i]))
+
+    vanishing = error(VanishingCurvatureError, "curvature of {label!r} vanishes at s={s:g}")
+    raise_first(
+        [
+            (
+                np.abs(np.abs(q1) - 1.0) > unit_tol,
+                error(
+                    NotUnitSpeedError,
+                    "{label!r} is not arc-length parametrized at s={s:g} "
+                    "(<T,T>={q1:.6g}); reparametrize first",
+                ),
+            ),
+            (e2 <= kappa_tol, vanishing),
+            (
+                kappa <= 1e-6 * e2,
+                error(NullPrincipalNormalError, "tangent derivative of {label!r} is null at s={s:g}"),
+            ),
+            (kappa <= kappa_tol, vanishing),
+        ]
+    )
+    kinds = np.where(q1 < 0.0, 0, np.where(q2 > 0.0, 1, 2))
+    N = d2 / kappa[:, None]
+    B = cross_rows(d1, N)
+    dkappa = np.copysign(1.0, q2) * inner_rows(d3, d2) / kappa
+    n_prime = d3 / kappa[:, None] - d2 * (dkappa / (kappa * kappa))[:, None]
+    tau = _KIND_ROWS[kinds, 2] * inner_rows(n_prime, B)
+    return FrameGrid(d1, N, B, kappa, tau, kinds, dkappa)
+
+
 def frenet_apparatus(
     c: Curve,
     s: float,
     kappa_tol: float = KAPPA_TOL,
     unit_tol: float = UNIT_SPEED_TOL,
 ) -> FrenetFrame:
-    """Frame, curvature and torsion of a unit-speed non-null curve at ``s``.
-
-    T is the raw first derivative (no renormalization, so Gram drift stays
-    visible), N = T'/kappa with kappa = |<T',T'>|^(1/2), and B = T x N.
-    Torsion comes from <N',B>/<B,B>, which reduces to the sign rules of the
-    three frame systems.  The three derivatives come from one ``c.jet(s)``.
-    """
-    d1, d2, d3 = c.jet(s)
-    q1 = inner(d1, d1)
-    if abs(abs(q1) - 1.0) > unit_tol:
-        raise NotUnitSpeedError(
-            f"{c.label!r} is not arc-length parametrized at s={s:g} "
-            f"(<T,T>={q1:.6g}); reparametrize first"
-        )
-
-    e2 = d2.euclidean_norm()
-    if e2 <= kappa_tol:
-        raise VanishingCurvatureError(f"curvature of {c.label!r} vanishes at s={s:g}")
-    q2 = inner(d2, d2)
-    kappa = math.sqrt(abs(q2))
-    if kappa <= 1e-6 * e2:
-        raise NullPrincipalNormalError(
-            f"tangent derivative of {c.label!r} is null at s={s:g}"
-        )
-    if kappa <= kappa_tol:
-        raise VanishingCurvatureError(f"curvature of {c.label!r} vanishes at s={s:g}")
-
-    if q1 < 0.0:
-        kind = CurveKind.TIMELIKE
-    else:
-        kind = (
-            CurveKind.SPACELIKE_EPS_PLUS if q2 > 0.0 else CurveKind.SPACELIKE_EPS_MINUS
-        )
-
-    T = d1
-    N = d2 / kappa
-    B = cross(T, N)
-
-    kappa_prime = math.copysign(1.0, q2) * inner(d3, d2) / kappa
-    n_prime = d3 / kappa - d2 * (kappa_prime / (kappa * kappa))
-    tau = kind.signs[2] * inner(n_prime, B)
-
-    return FrenetFrame(T=T, N=N, B=B, kappa=kappa, tau=tau, kind=kind)
+    """Frame, curvature and torsion at ``s``: the one-row ``frenet_frames``."""
+    return frenet_frames(c, [s], kappa_tol, unit_tol).frames()[0]
 
 
 # (kind, (kappa, kappa', ...), (tau, tau', ...)), both jets of equal length.
 ScalarJet = tuple[CurveKind, tuple[float, ...], tuple[float, ...]]
+# The grid form: kinds as indices into tuple(CurveKind), then arrays.
+ScalarJets = tuple[np.ndarray, tuple[np.ndarray, ...], tuple[np.ndarray, ...]]
 
 
-def scalar_jet(c: Curve, s: float, order: int = 2) -> ScalarJet:
-    """Frame kind, curvature jet and torsion jet of a unit-speed curve at ``s``.
+def scalar_jets(c: Curve, s, order: int = 2) -> ScalarJets:
+    """Frame kinds, curvature jets and torsion jets of a unit-speed curve on a grid.
 
-    ``order`` 0 gives ``(kind, (kappa,), (tau,))`` and involves no
-    differencing; order 2 gives ``(kind, (kappa, kappa', kappa''),
-    (tau, tau', tau''))``.  A curve carrying a ``scalars`` evaluator answers
+    ``order`` 0 gives ``(kinds, (kappa,), (tau,))`` and involves no
+    differencing; order 2 gives ``(kinds, (kappa, kappa', kappa''),
+    (tau, tau', tau''))``, one array per entry and ``kinds`` as indices into
+    ``tuple(CurveKind)``.  A curve carrying a ``scalars`` evaluator answers
     itself: built-in curves exactly, synthesized curves from their
     prescription.  Any other curve goes through the one fallback that
     differences extracted frame scalars: kappa' chained exactly through the
     third derivative, then kappa'', tau' and tau'' by 4th-order scalar
-    differences (steps 1e-4, 1e-4, 1e-3, scaled by max(1, |s|)).
+    differences (steps 1e-4, 1e-4, 1e-3, scaled by max(1, |s|)), the frames
+    at every stencil node of the grid extracted in one call per step.
     """
     if order not in (0, 2):
         raise ValueError("scalar jet order must be 0 or 2")
+    s = np.asarray(s, dtype=float).reshape(-1)
     if c.scalars is not None:
         return c.scalars(c._check_domain(s), order)
-    f = frenet_apparatus(c, s)
+    f = frenet_frames(c, s)
     if order == 0:
-        return f.kind, (f.kappa,), (f.tau,)
+        return f.kinds, (f.kappa,), (f.tau,)
     a, b = c.domain
-    scale = max(1.0, abs(s))
+    scale = np.maximum(1.0, np.abs(s))
 
-    def tau(t: float) -> float:
-        return frenet_apparatus(c, t).tau
+    def tau_and_dkappa(x: np.ndarray) -> np.ndarray:
+        g = frenet_frames(c, x)
+        return np.stack((g.tau, g.dkappa))
 
-    def kappa_p(t: float) -> float:
-        _, d2, d3 = c.jet(t)
-        q2 = inner(d2, d2)
-        return math.copysign(1.0, q2) * inner(d3, d2) / math.sqrt(abs(q2))
-
-    return (
-        f.kind,
-        (f.kappa, kappa_p(s), _scalar_fd(kappa_p, s, 1, a, b, 1e-4 * scale)),
-        (
-            f.tau,
-            _scalar_fd(tau, s, 1, a, b, 1e-4 * scale),
-            _scalar_fd(tau, s, 2, a, b, 1e-3 * scale),
-        ),
+    (tau_p, kappa_pp), = _grid_jet(
+        tau_and_dkappa, s, a, b, 1e-4 * scale, 1, np.stack((f.tau, f.dkappa))
     )
+    _, tau_pp = _grid_jet(lambda x: frenet_frames(c, x).tau, s, a, b, 1e-3 * scale, 2, f.tau)
+    return f.kinds, (f.kappa, f.dkappa, kappa_pp), (f.tau, tau_p, tau_pp)
+
+
+def scalar_jet(c: Curve, s: float, order: int = 2) -> ScalarJet:
+    """Kind, curvature jet and torsion jet at ``s``: the one-row ``scalar_jets``."""
+    kinds, kappa, tau = scalar_jets(c, [s], order)
+    return _KINDS[int(kinds[0])], tuple(float(k[0]) for k in kappa), tuple(float(t[0]) for t in tau)
 
 
 def _fd_offsets(t: float, m: int, a: float, b: float, h: float) -> tuple[int, ...]:
@@ -270,44 +330,30 @@ def _difference(weights: tuple[float, ...], values: list, h_m: float):
     return acc / h_m
 
 
-def _scalar_fd(
-    f: Callable[[float], float], t: float, m: int, a: float, b: float, h: float
-) -> float:
-    """4th-order finite difference (m = 1 or 2) of a scalar function, one-sided near ends."""
-    offsets = _fd_offsets(t, m, a, b, h)
-    return float(_difference(_UNIT_WEIGHTS[offsets, m], [f(t + o * h) for o in offsets], h**m))
-
-
-def _prescription_jet(
-    f: Callable[[float], float], t: float, a: float, b: float, h: float
-) -> tuple[float, float, float]:
-    """(f, f', f'') at ``t`` by 4th-order differences of step ``h``.
-
-    ``f`` is evaluated once per node of the union of the first- and
-    second-difference stencils: 5 nodes in the interior, 7 near an end.
-    Offset 0 gives f itself.
-    """
-    offsets = _fd_offsets(t, 2, a, b, h)
-    values = [f(t + o * h) for o in offsets]
-    return (
-        values[offsets.index(0)],
-        _difference(_UNIT_WEIGHTS[_fd_offsets(t, 1, a, b, h), 1], values, h),
-        _difference(_UNIT_WEIGHTS[offsets, 2], values, h**2),
-    )
-
-
 def _grid_jet(
-    f: Callable[[float], float], ts: np.ndarray, f_ts: np.ndarray, a: float, b: float, h: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """(f', f'') of ``_prescription_jet`` at every point of ``ts``, bit for bit.
+    f: Callable[[np.ndarray], np.ndarray],
+    ts: np.ndarray,
+    a: float,
+    b: float,
+    h,
+    m_max: int = 2,
+    f_ts: np.ndarray | None = None,
+) -> list[np.ndarray]:
+    """4th-order differences of orders 1..``m_max`` of ``f`` at every point of ``ts``.
 
-    ``f_ts`` holds f at ``ts`` (offset 0), so only the other stencil nodes
-    are evaluated.  Points sharing a stencil shape (interior, forward,
-    backward) are differenced together, node by node in stencil order.
+    ``f`` maps abscissae to values along its last axis (one call may carry
+    several functions); ``h`` is one step or one per point.  Each point's
+    ``m_max`` stencil (``_fd_offsets``) serves every order; ``f_ts``, if
+    given, is f at ``ts``, so offset 0 is not evaluated again.  Points of
+    one stencil shape are differenced together, node by node, so each
+    result equals the one-point difference bit for bit.
     """
+    if not len(ts):
+        return [f(ts)] * m_max
+    h = np.broadcast_to(np.asarray(h, dtype=float), ts.shape)
     lo = ts - 2 * h  # the shape test of ``_fd_offsets``
     central = (lo >= a) & (ts + 2 * h <= b)
-    d1, d2 = np.empty(len(ts)), np.empty(len(ts))
+    out = None
     for index in (
         np.flatnonzero(~central & (lo < a)),
         np.flatnonzero(central),
@@ -315,16 +361,25 @@ def _grid_jet(
     ):
         if not len(index):
             continue
-        t = ts[index]
-        t0 = float(t[0])
-        offsets = _fd_offsets(t0, 2, a, b, h)
+        t, step = ts[index], h[index]
+        t0, h0 = float(t[0]), float(step[0])
         values = [
-            f_ts[index] if o == 0 else np.array([f(x) for x in (t + o * h).tolist()])
-            for o in offsets
+            f_ts[..., index] if o == 0 and f_ts is not None else f(t + o * step)
+            for o in _fd_offsets(t0, m_max, a, b, h0)
         ]
-        d1[index] = _difference(_UNIT_WEIGHTS[_fd_offsets(t0, 1, a, b, h), 1], values, h)
-        d2[index] = _difference(_UNIT_WEIGHTS[offsets, 2], values, h**2)
-    return d1, d2
+        if out is None:
+            out = [np.empty(values[0].shape[:-1] + ts.shape) for _ in range(m_max)]
+        for m in range(1, m_max + 1):
+            weights = _UNIT_WEIGHTS[_fd_offsets(t0, m, a, b, h0), m]
+            out[m - 1][..., index] = _difference(weights, values, power_rows(step, m))
+    return out
+
+
+def _scalar_fd(
+    f: Callable[[float], float], t: float, m: int, a: float, b: float, h: float
+) -> float:
+    """4th-order finite difference (m = 1 or 2) of a scalar function, one-sided near ends."""
+    return float(_grid_jet(_looped(f), np.array([t], dtype=float), a, b, h, m)[m - 1][0])
 
 
 # Steps per block of the batched RK4 increments: the block's arrays stay a
@@ -426,6 +481,7 @@ def frenet_synthesize(
 
     c_n = float(kind.normal_coefficient)
     c_b = float(kind.binormal_coefficient)
+    kappa_grid, tau_grid = _looped(kappa_fn), _looped(tau_fn)
 
     def scalars(s: float) -> tuple[float, float]:
         k = kappa_fn(s)
@@ -489,8 +545,8 @@ def frenet_synthesize(
         B = states[:, 9:12]
 
         kappa, tau = node_scalars.T
-        kappa_p, kappa_pp = _grid_jet(kappa_fn, s_nodes, kappa, a, b, h_fd)
-        tau_p, _ = _grid_jet(tau_fn, s_nodes, tau, a, b, h_fd)
+        kappa_p, kappa_pp = _grid_jet(kappa_grid, s_nodes, a, b, h_fd, f_ts=kappa)
+        tau_p, _ = _grid_jet(tau_grid, s_nodes, a, b, h_fd, f_ts=tau)
 
         kN = kappa[:, None] * N
         Np = c_n * kappa[:, None] * T + tau[:, None] * B
@@ -524,26 +580,27 @@ def frenet_synthesize(
     # Columns 0:3, 3:6, 6:9 hold d1, d2, d3; one evaluation yields the jet.
     jet_spline = CubicHermiteSpline(s_nodes, values, slopes)
 
-    def jet(s: float) -> Jet:
-        v = jet_spline(s)
-        return Vec3L(*v[0:3]), Vec3L(*v[3:6]), Vec3L(*v[6:9])
-
-    def prescription(s: float, order: int) -> ScalarJet:
+    def evaluate(ts: np.ndarray, order: int):
         if order == 0:
-            return kind, (kappa_fn(s),), (tau_fn(s),)
+            return pos_spline(ts)
+        v = jet_spline(ts)
+        return v[:, 0:3] if order == 1 else (v[:, 0:3], v[:, 3:6], v[:, 6:9])
+
+    code = _KINDS.index(kind)
+
+    def prescription(ts: np.ndarray, order: int) -> ScalarJets:
+        k, t = kappa_grid(ts), tau_grid(ts)
+        kinds = np.full(len(ts), code)
+        if order == 0:
+            return kinds, (k,), (t,)
         return (
-            kind,
-            _prescription_jet(kappa_fn, s, a, b, h_fd),
-            _prescription_jet(tau_fn, s, a, b, h_fd),
+            kinds,
+            (k, *_grid_jet(kappa_grid, ts, a, b, h_fd, f_ts=k)),
+            (t, *_grid_jet(tau_grid, ts, a, b, h_fd, f_ts=t)),
         )
 
-    out = Curve(
-        pos=lambda s: Vec3L(*pos_spline(s)),
-        domain=(a, b),
-        label=f"synthesized-{kind.value}",
-        unit_speed=True,
-        jet=jet,
-        scalars=prescription,
+    out = Curve.on_grid(
+        evaluate, (a, b), f"synthesized-{kind.value}", unit_speed=True, scalars=prescription
     )
     out.synth_nodes = {"s": s_nodes, "p": P, "T": T, "N": N, "B": B}
     out.synth_kind = kind
@@ -556,23 +613,7 @@ def synthesized_gram_drift(c: Curve) -> float:
     kind = getattr(c, "synth_kind", None)
     if nodes is None or kind is None:
         raise ValueError("curve does not carry synthesis nodes")
-    eps_t, eps_n, eps_b = kind.signs
     T, N, B = nodes["T"], nodes["N"], nodes["B"]
-    eta = np.diag([-1.0, 1.0, 1.0])
-
-    def ip(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return np.einsum("ij,jk,ik->i", u, eta, v)
-
-    residual = np.max(
-        np.stack(
-            [
-                np.abs(ip(T, T) - eps_t),
-                np.abs(ip(N, N) - eps_n),
-                np.abs(ip(B, B) - eps_b),
-                np.abs(ip(T, N)),
-                np.abs(ip(T, B)),
-                np.abs(ip(N, B)),
-            ]
-        )
-    )
-    return float(residual)
+    squares = [inner_rows(u, u) - eps for u, eps in zip((T, N, B), kind.signs)]
+    products = [inner_rows(T, N), inner_rows(T, B), inner_rows(N, B)]
+    return float(np.abs(np.stack(squares + products)).max())

@@ -17,7 +17,7 @@ import numpy as np
 
 from .curve import Curve, CurveSamples
 from .errors import DegenerateIndicatrixError, MixedCausalCharacterError
-from .frenet import CurveKind, FrenetFrame, frenet_apparatus
+from .frenet import CurveKind, FrenetFrame, frenet_apparatus, frenet_frames
 from .lorentz import Vec3L
 from .mannheim import MannheimPair, _hypothesis, _tangent_components
 from .reports import VerificationReport
@@ -45,10 +45,6 @@ _FIELDS = ("T", "N", "B")
 
 def _field_sign(kind: CurveKind, which: str) -> int:
     return kind.signs[_FIELDS.index(which)]
-
-
-def _field_vector(frame: FrenetFrame, which: str) -> Vec3L:
-    return {"T": frame.T, "N": frame.N, "B": frame.B}[which]
 
 
 def _field_rate(frame: FrenetFrame, which: str) -> float:
@@ -81,24 +77,16 @@ class Indicatrix:
     sphere: SphereKind
 
     def point(self, s: float) -> Vec3L:
-        return _field_vector(frenet_apparatus(self.base, s), self.source)
+        return getattr(frenet_apparatus(self.base, s), self.source)
 
     def rate(self, s: float) -> float:
         """ds_image/ds at ``s``."""
         return _field_rate(frenet_apparatus(self.base, s), self.source)
 
-    def tangent(self, s: float) -> Vec3L:
-        return indicatrix_tangent(self.base, self.source, s)
-
     def samples(self, n: int) -> CurveSamples:
-        a, b = self.base.domain
-        params = [float(t) for t in np.linspace(a, b, n)]
-        return CurveSamples(params, [self.point(t) for t in params])
-
-    def arclength(self, s0: float, s1: float, tol: float = 1e-10) -> float:
-        from .curve import adaptive_simpson
-
-        return adaptive_simpson(self.rate, s0, s1, tol)
+        """n uniform samples of the image, endpoints included, from one grid of frames."""
+        s = np.linspace(*self.base.domain, n)
+        return CurveSamples(s, getattr(frenet_frames(self.base, s), self.source))
 
 
 def indicatrix_of(c: Curve, which: str, grid_size: int = 33) -> Indicatrix:
@@ -110,8 +98,7 @@ def indicatrix_of(c: Curve, which: str, grid_size: int = 33) -> Indicatrix:
     """
     if which not in _FIELDS:
         raise ValueError(f"field must be one of {_FIELDS}, got {which!r}")
-    a, b = c.domain
-    kinds = {frenet_apparatus(c, float(s)).kind for s in np.linspace(a, b, grid_size)}
+    kinds = {f.kind for f in frenet_frames(c, np.linspace(*c.domain, grid_size)).frames()}
     if len(kinds) != 1:
         raise MixedCausalCharacterError(
             f"frame kind of {c.label!r} varies along the curve"

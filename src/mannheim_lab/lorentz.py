@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import NullInputError, OrientationMismatchError
 
 __all__ = [
@@ -21,6 +23,10 @@ __all__ = [
     "NULL_BAND_TOL",
     "inner",
     "cross",
+    "vec_rows",
+    "inner_rows",
+    "cross_rows",
+    "power_rows",
     "norm",
     "causal_character",
     "angle_between",
@@ -129,6 +135,37 @@ def cross(u: Vec3L, v: Vec3L) -> Vec3L:
         u.x1 * v.x3 - u.x3 * v.x1,
         u.x2 * v.x1 - u.x1 * v.x2,
     )
+
+
+def vec_rows(x1, x2, x3) -> np.ndarray:
+    """The (n, 3) array of rows (x1, x2, x3); a float component is repeated."""
+    out = np.empty((len(x1), 3))
+    out[:, 0], out[:, 1], out[:, 2] = x1, x2, x3
+    return out
+
+
+def inner_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``inner`` of each row pair of two (n, 3) arrays, in the same operation order.
+
+    ``-u1*v1`` is formed as ``-(u1*v1)``: negation is exact, so the bits agree.
+    """
+    p = u * v
+    return -p[:, 0] + p[:, 1] + p[:, 2]
+
+
+def cross_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``cross`` of each row pair of two (n, 3) arrays."""
+    return vec_rows(
+        u[:, 1] * v[:, 2] - u[:, 2] * v[:, 1],
+        u[:, 0] * v[:, 2] - u[:, 2] * v[:, 0],
+        u[:, 1] * v[:, 0] - u[:, 0] * v[:, 1],
+    )
+
+
+def power_rows(x: np.ndarray, k: int) -> np.ndarray:
+    """``x ** k`` per element in Python floats, whose ``pow`` rounds unlike
+    ``x * x`` for about one double in a thousand, and unlike numpy's power."""
+    return np.array([v**k for v in x.tolist()])
 
 
 def norm(v: Vec3L) -> float:

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .curve import INVERSE_TABLE_SIZE, Curve, Jet, reparametrize_unit
+from .curve import INVERSE_TABLE_SIZE, Curve, reparametrize_unit
 from .errors import (
     InconsistentDecompositionError,
     MixedCausalCharacterError,
@@ -32,17 +32,20 @@ from .errors import (
     UnsupportedCombinationError,
     VanishingTorsionError,
     ZeroLambdaError,
+    raise_first,
 )
 from .frenet import (
     INITIAL_FRAMES,
     CurveKind,
     FrenetFrame,
-    frenet_apparatus,
+    frenet_apparatus,  # noqa: F401 - still importable from this module
+    frenet_frames,
     frenet_synthesize,
-    scalar_jet,
+    kind_signs,
+    scalar_jets,
     _scalar_fd,
 )
-from .lorentz import Vec3L, cross, inner, norm
+from .lorentz import Vec3L, cross, inner, inner_rows, norm, power_rows
 from .reports import VerificationReport, Verdict
 
 __all__ = [
@@ -125,6 +128,10 @@ _TYPE_TABLE = {
 _CIRCULAR_TYPES = frozenset({MannheimPairType.TYPE3})
 
 
+def _col(x: np.ndarray) -> np.ndarray:
+    return x[:, None]
+
+
 def offset_along_binormal(cstar: Curve, lam: float) -> Curve:
     """The curve s* -> a*(s*) + lam * B*(s*).
 
@@ -132,33 +139,23 @@ def offset_along_binormal(cstar: Curve, lam: float) -> Curve:
     generally not unit-speed, and nothing here asserts it is a genuine
     partner of ``cstar``; use ``mannheim_residual`` to audit that.
     Derivatives chain through the frame equations of the base curve, so no
-    positional differencing is involved; the jet reads the base frame and
-    the base scalar jet once per point for all three orders.  The speed
+    positional differencing is involved; the jets read the base frames and
+    the base scalar jets once per grid for all three orders.  The speed
     sqrt|eps_T + eps_N lam^2 tau^2| comes from the base torsion alone.
     """
     if lam == 0.0:
         raise ZeroLambdaError("offset distance must be nonzero")
 
-    def pos(t: float) -> Vec3L:
-        return cstar.pos(t) + frenet_apparatus(cstar, t).B * lam
-
-    def tangent(f: FrenetFrame, kind: CurveKind, tau: float) -> Vec3L:
-        return f.T + f.N * (lam * kind.binormal_coefficient * tau)
-
-    def d1(t: float) -> Vec3L:
-        kind, _, (tau,) = scalar_jet(cstar, t, 0)
-        return tangent(frenet_apparatus(cstar, t), kind, tau)
-
-    def speed(t: float) -> float:
-        kind, _, (tau,) = scalar_jet(cstar, t, 0)
-        eps_t, eps_n, _ = kind.signs
-        return math.sqrt(abs(eps_t + eps_n * (lam * tau) ** 2))
-
-    def jet(t: float) -> Jet:
-        f = frenet_apparatus(cstar, t)
-        kind, (k, kp, _), (tau, tau_p, tau_pp) = scalar_jet(cstar, t, 2)
-        c_b = kind.binormal_coefficient
-        c_n = kind.normal_coefficient
+    def evaluate(ts: np.ndarray, order: int):
+        f = frenet_frames(cstar, ts)
+        if order == 0:
+            return cstar.positions(ts) + f.B * lam
+        kinds, (k, *kd), (tau, *tau_d) = scalar_jets(cstar, ts, 0 if order == 1 else 2)
+        _, _, _, c_n, c_b = kind_signs(kinds)
+        d1 = f.T + f.N * _col(lam * c_b * tau)
+        if order == 1:
+            return d1
+        (kp, _), (tau_p, tau_pp) = kd, tau_d
         # d2 = d/dt [T + lam c_b tau N] with N' = c_n k T + tau B, written as
         # at T + cn N + db B; d3 differentiates those coefficients once more.
         at = lam * c_b * tau * c_n * k
@@ -168,21 +165,19 @@ def offset_along_binormal(cstar: Curve, lam: float) -> Curve:
         cn_p = kp + lam * c_b * tau_pp
         db_p = 2.0 * lam * c_b * tau * tau_p
         return (
-            tangent(f, kind, tau),
-            f.T * at + f.N * cn + f.B * db,
-            f.T * (at_p + cn * c_n * k)
-            + f.N * (at * k + cn_p + db * c_b * tau)
-            + f.B * (cn * tau + db_p),
+            d1,
+            f.T * _col(at) + f.N * _col(cn) + f.B * _col(db),
+            f.T * _col(at_p + cn * c_n * k)
+            + f.N * _col(at * k + cn_p + db * c_b * tau)
+            + f.B * _col(cn * tau + db_p),
         )
 
-    return Curve(
-        pos,
-        cstar.domain,
-        label=f"{cstar.label}+({lam:g})B",
-        derivs={1: d1},
-        jet=jet,
-        speed=speed,
-    )
+    def speeds(ts: np.ndarray) -> np.ndarray:
+        kinds, _, (tau,) = scalar_jets(cstar, ts, 0)
+        eps_t, eps_n, *_ = kind_signs(kinds)
+        return np.sqrt(np.abs(eps_t + eps_n * power_rows(lam * tau, 2)))
+
+    return Curve.on_grid(evaluate, cstar.domain, f"{cstar.label}+({lam:g})B", speeds=speeds)
 
 
 def offset_along_normal(c: Curve, lam: float) -> Curve:
@@ -194,30 +189,19 @@ def offset_along_normal(c: Curve, lam: float) -> Curve:
     if lam == 0.0:
         raise ZeroLambdaError("offset distance must be nonzero")
 
-    def pos(t: float) -> Vec3L:
-        return c.pos(t) - frenet_apparatus(c, t).N * lam
-
-    def tangent(f: FrenetFrame, kind: CurveKind, k: float, tau: float) -> Vec3L:
-        return f.T * (1.0 - lam * kind.normal_coefficient * k) + f.B * (-lam * tau)
-
-    def d1(t: float) -> Vec3L:
-        kind, (k,), (tau,) = scalar_jet(c, t, 0)
-        return tangent(frenet_apparatus(c, t), kind, k, tau)
-
-    def speed(t: float) -> float:
-        kind, (k,), (tau,) = scalar_jet(c, t, 0)
-        eps_t, _, eps_b = kind.signs
-        a_t = 1.0 - lam * kind.normal_coefficient * k
-        return math.sqrt(abs(eps_t * a_t * a_t + eps_b * (lam * tau) ** 2))
-
-    def jet(t: float) -> Jet:
-        f = frenet_apparatus(c, t)
-        kind, (k, kp, kpp), (tau, tau_p, tau_pp) = scalar_jet(c, t, 2)
-        c_n = kind.normal_coefficient
-        c_b = kind.binormal_coefficient
+    def evaluate(ts: np.ndarray, order: int):
+        f = frenet_frames(c, ts)
+        if order == 0:
+            return c.positions(ts) - f.N * lam
+        kinds, (k, *kd), (tau, *tau_d) = scalar_jets(c, ts, 0 if order == 1 else 2)
+        _, _, _, c_n, c_b = kind_signs(kinds)
         # d1 = a_t T + b_b B; its derivatives follow from the frame equations.
         a_t = 1.0 - lam * c_n * k
         b_b = -lam * tau
+        d1 = f.T * _col(a_t) + f.B * _col(b_b)
+        if order == 1:
+            return d1
+        (kp, kpp), (tau_p, tau_pp) = kd, tau_d
         a_p = -lam * c_n * kp
         b_p = -lam * tau_p
         n_coeff = a_t * k + b_b * c_b * tau
@@ -225,21 +209,20 @@ def offset_along_normal(c: Curve, lam: float) -> Curve:
         a_pp = -lam * c_n * kpp
         b_pp = -lam * tau_pp
         return (
-            tangent(f, kind, k, tau),
-            f.T * a_p + f.N * n_coeff + f.B * b_p,
-            f.T * (a_pp + n_coeff * c_n * k)
-            + f.N * (a_p * k + n_coeff_p + b_p * c_b * tau)
-            + f.B * (n_coeff * tau + b_pp),
+            d1,
+            f.T * _col(a_p) + f.N * _col(n_coeff) + f.B * _col(b_p),
+            f.T * _col(a_pp + n_coeff * c_n * k)
+            + f.N * _col(a_p * k + n_coeff_p + b_p * c_b * tau)
+            + f.B * _col(n_coeff * tau + b_pp),
         )
 
-    return Curve(
-        pos,
-        c.domain,
-        label=f"{c.label}-({lam:g})N",
-        derivs={1: d1},
-        jet=jet,
-        speed=speed,
-    )
+    def speeds(ts: np.ndarray) -> np.ndarray:
+        kinds, (k,), (tau,) = scalar_jets(c, ts, 0)
+        eps_t, _, eps_b, c_n, _ = kind_signs(kinds)
+        a_t = 1.0 - lam * c_n * k
+        return np.sqrt(np.abs(eps_t * a_t * a_t + eps_b * power_rows(lam * tau, 2)))
+
+    return Curve.on_grid(evaluate, c.domain, f"{c.label}-({lam:g})N", speeds=speeds)
 
 
 def classify_pair(c: Curve, cstar: Curve, grid_size: int = 9) -> MannheimPairType:
@@ -251,13 +234,12 @@ def classify_pair(c: Curve, cstar: Curve, grid_size: int = 9) -> MannheimPairTyp
     """
 
     def constant_kind(curve: Curve) -> CurveKind:
-        a, b = curve.domain
-        kinds = {frenet_apparatus(curve, float(s)).kind for s in np.linspace(a, b, grid_size)}
-        if len(kinds) != 1:
+        kinds = frenet_frames(curve, np.linspace(*curve.domain, grid_size)).frames()
+        if len({f.kind for f in kinds}) != 1:
             raise MixedCausalCharacterError(
                 f"frame kind of {curve.label!r} varies along the curve"
             )
-        return kinds.pop()
+        return kinds[0].kind
 
     key = (constant_kind(cstar), constant_kind(c))
     try:
@@ -277,18 +259,18 @@ def _unsupported(companion: CurveKind, curve: CurveKind) -> UnsupportedCombinati
 class MannheimPair:
     """Two corresponded unit-speed curves with a fixed offset constant.
 
-    ``correspondence`` maps the parameter of ``c`` to the parameter of
-    ``cstar``; ``correspondence_rate`` is its derivative (supplied
-    analytically by the constructors).  ``lam`` is the construction
-    constant of whichever offset built the pair.
+    ``correspondence`` maps parameters of ``c`` to parameters of ``cstar``;
+    ``correspondence_rate`` is its derivative (supplied analytically by the
+    constructors).  Both take a float or an array of parameters.  ``lam`` is
+    the construction constant of whichever offset built the pair.
     """
 
     c: Curve
     cstar: Curve
     lam: float
     pair_type: MannheimPairType
-    correspondence: Callable[[float], float]
-    correspondence_rate: Callable[[float], float] | None = None
+    correspondence: Callable
+    correspondence_rate: Callable | None = None
     label: str = "pair"
     _frame_cache: dict = field(default_factory=dict, repr=False)
 
@@ -300,24 +282,35 @@ class MannheimPair:
         a, b = self.c.domain
         return [float(s) for s in np.linspace(a, b, n)]
 
+    def frames(self, grid: list[float]) -> list[tuple[FrenetFrame, FrenetFrame, float]]:
+        """``frames_at`` of every point of ``grid``; the uncached points are
+        extracted as one grid on each curve and cached."""
+        cache = self._frame_cache
+        miss = [s for s in grid if s not in cache]
+        if miss:
+            s = np.array(miss, dtype=float)
+            sstar = np.asarray(self.correspondence(s), dtype=float)
+            f = frenet_frames(self.c, s).frames()
+            fstar = frenet_frames(self.cstar, sstar).frames()
+            cache.update(zip(miss, zip(f, fstar, sstar.tolist())))
+        return [cache[s] for s in grid]
+
     def frames_at(self, s: float) -> tuple[FrenetFrame, FrenetFrame, float]:
         hit = self._frame_cache.get(s)
-        if hit is None:
-            sstar = self.correspondence(s)
-            hit = (
-                frenet_apparatus(self.c, s),
-                frenet_apparatus(self.cstar, sstar),
-                sstar,
-            )
-            self._frame_cache[s] = hit
-        return hit
+        return self.frames([s])[0] if hit is None else hit
+
+    def rates(self, grid: list[float]) -> list[float]:
+        """ds*/ds at every point of ``grid``."""
+        if self.correspondence_rate is None:
+            a, b = self.c.domain
+            h = [1e-4 * max(1.0, abs(s)) for s in grid]
+            return [_scalar_fd(self.correspondence, s, 1, a, b, hs) for s, hs in zip(grid, h)]
+        s = np.array(grid, dtype=float)
+        return np.broadcast_to(self.correspondence_rate(s), s.shape).tolist()
 
     def rate(self, s: float) -> float:
         """ds*/ds at ``s``."""
-        if self.correspondence_rate is not None:
-            return self.correspondence_rate(s)
-        a, b = self.c.domain
-        return _scalar_fd(self.correspondence, s, 1, a, b, 1e-4 * max(1.0, abs(s)))
+        return self.rates([s])[0]
 
     @classmethod
     def from_binormal_offset(
@@ -336,8 +329,8 @@ class MannheimPair:
         def correspondence(u: float) -> float:
             return table.t_of_s(u)
 
-        def rate(u: float) -> float:
-            return 1.0 / offset.speed(table.t_of_s(u))
+        def rate(u):
+            return 1.0 / offset.speeds(table.t_of_s(u))
 
         return cls(
             c=c_unit,
@@ -361,16 +354,13 @@ class MannheimPair:
         def correspondence(s: float) -> float:
             return table.s_of_t(s)
 
-        def rate(s: float) -> float:
-            return offset.speed(s)
-
         return cls(
             c=c,
             cstar=cstar_unit,
             lam=lam,
             pair_type=classify_pair(c, cstar_unit),
             correspondence=correspondence,
-            correspondence_rate=rate,
+            correspondence_rate=offset.speeds,
             label=f"{c.label}/pair(lambda={lam:g})",
         )
 
@@ -400,11 +390,11 @@ class MannheimPair:
         def correspondence(s: float) -> float:
             return from_raw(to_raw(s))
 
-        def rate(s: float) -> float:
+        def rate(s):
             t = to_raw(s)
-            v_c = c_unit.base_curve.speed(t) if hasattr(c_unit, "base_curve") else 1.0
+            v_c = c_unit.base_curve.speeds(t) if hasattr(c_unit, "base_curve") else 1.0
             v_star = (
-                cstar_unit.base_curve.speed(t) if hasattr(cstar_unit, "base_curve") else 1.0
+                cstar_unit.base_curve.speeds(t) if hasattr(cstar_unit, "base_curve") else 1.0
             )
             return v_star / v_c
 
@@ -650,6 +640,7 @@ def torsion_square_residuals(
 
 
 def _hypothesis(pair: MannheimPair, grid: list[float], tol: float) -> tuple[bool, float]:
+    pair.frames(grid)
     worst = max(mannheim_residual(pair, s) for s in grid)
     return worst <= tol, worst
 
@@ -674,10 +665,9 @@ def verify_distance(
     """Deviation of the corresponding-point distance from |lambda|."""
     grid = pair.grid(grid_n)
     target = abs(pair.lam)
-    residuals = []
-    for s in grid:
-        sstar = pair.correspondence(s)
-        residuals.append(abs(norm(pair.c.pos(s) - pair.cstar.pos(sstar)) - target))
+    s = np.array(grid)
+    diff = pair.c.positions(s) - pair.cstar.positions(pair.correspondence(s))
+    residuals = np.abs(np.sqrt(np.abs(inner_rows(diff, diff))) - target).tolist()
     return VerificationReport.from_profile(
         "distance-constancy", grid, residuals, tol, details={"distance": target}
     )
@@ -751,10 +741,13 @@ def verify_linear_relation(
     )
 
 
-def _theta_rate(pair: MannheimPair, s: float, s_comp: float, c_comp: float) -> float:
+def _theta_rate(
+    pair: MannheimPair, s: float, s_comp: float, c_comp: float, r: float | None = None
+) -> float:
     """d(theta)/ds* at ``s`` by the chain rule through both frame systems.
 
-    ``s_comp``/``c_comp`` are the decomposition components at ``s``.  With
+    ``s_comp``/``c_comp`` are the decomposition components at ``s`` and
+    ``r`` is ``pair.rate(s)``, computed when not given.  With
     p = <T,T*>/eps_T*, q = <T,N*>/eps_N*, T' = kappa N and the companion's
     frame equations scaled by r = ds*/ds:
 
@@ -766,7 +759,7 @@ def _theta_rate(pair: MannheimPair, s: float, s_comp: float, c_comp: float) -> f
     grid point is needed.
     """
     f, fstar, _ = pair.frames_at(s)
-    r = pair.rate(s)
+    r = pair.rate(s) if r is None else r
     eps_t_star, eps_n_star, _ = fstar.kind.signs
     if pair.pair_type is MannheimPairType.TYPE1:
         p, q = s_comp, c_comp
@@ -802,7 +795,7 @@ def verify_frame_relations(
     grid = pair.grid(grid_n)
     met, worst = _hypothesis(pair, grid, hypothesis_tol)
     rows: tuple[list[float], ...] = ([], [], [], [])
-    for s in grid:
+    for s, r in zip(grid, pair.rates(grid)):
         f, fstar, _ = pair.frames_at(s)
         s_comp, c_comp = _tangent_components(pair, s, met)
         res = frame_relation_residuals(
@@ -813,7 +806,7 @@ def verify_frame_relations(
             fstar.tau,
             s_comp,
             c_comp,
-            _theta_rate(pair, s, s_comp, c_comp),
+            _theta_rate(pair, s, s_comp, c_comp, r),
         )
         for acc, r in zip(rows, res):
             acc.append(r)
@@ -906,6 +899,7 @@ def verify_ratio_nonconstant(
     failed.  Residuals hold the deviation-from-mean profile.
     """
     grid = pair.grid(grid_n)
+    pair.frames(grid)
     ratios = [curvature_center_ratio(pair, s) for s in grid]
     kappas = [pair.frames_at(s)[0].kappa for s in grid]
     kappa_stars = [pair.frames_at(s)[1].kappa for s in grid]
@@ -966,19 +960,29 @@ def mannheim_curve_test(
     NegativeConditionValueError when m is not positive somewhere (no real
     offset constant exists) and VanishingTorsionError on vanishing torsion.
     """
-    a, b = c.domain
-    profile = []
-    for s in np.linspace(a, b, grid_n):
-        f = frenet_apparatus(c, float(s))
-        if abs(f.tau) <= torsion_tol:
-            raise VanishingTorsionError(f"torsion vanishes at s={float(s):g}")
-        m = f.tau**2 * torsion_square_expression(pair_type, f.kappa, f.tau) / f.kappa**2
-        if m <= 0.0:
-            raise NegativeConditionValueError(
-                f"condition value {m:.6g} <= 0 at s={float(s):g}: "
-                "no real offset constant for this type"
-            )
-        profile.append(m)
+    s = np.linspace(*c.domain, grid_n)
+    f = frenet_frames(c, s)
+    m = (
+        power_rows(f.tau, 2)
+        * torsion_square_expression(pair_type, f.kappa, f.tau)
+        / power_rows(f.kappa, 2)
+    )
+    raise_first(
+        [
+            (
+                np.abs(f.tau) <= torsion_tol,
+                lambda i: VanishingTorsionError(f"torsion vanishes at s={s[i]:g}"),
+            ),
+            (
+                m <= 0.0,
+                lambda i: NegativeConditionValueError(
+                    f"condition value {m[i]:.6g} <= 0 at s={s[i]:g}: "
+                    "no real offset constant for this type"
+                ),
+            ),
+        ]
+    )
+    profile = m.tolist()
     mean = float(np.mean(profile))
     constant = (max(profile) - min(profile)) <= constancy_tol * abs(mean)
     return MannheimCurveTest(

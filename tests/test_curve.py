@@ -82,17 +82,17 @@ def test_arc_table_evaluates_each_node_speed_once(monkeypatch, exact_pair_type2)
     c = offset_along_normal(exact_pair_type2.c, -0.3)  # speed varies along it
     size = 64
     calls = []
-    closed_form = c._speed
+    closed_form = c._speeds
 
-    def counted(t):
-        calls.append(t)
-        return closed_form(t)
+    def counted(ts):
+        calls.extend(ts.tolist())
+        return closed_form(ts)
 
     # the table reads the offset's closed-form speed, not its derivative
-    monkeypatch.setattr(c, "_speed", counted)
+    monkeypatch.setattr(c, "_speeds", counted)
     table = curve_module._ArcLengthTable(c, size, QUADRATURE_TOL)
     # 1 speed per node, plus a midpoint and two quarter points per piece
-    assert len(calls) == 4 * size + 1
+    assert len(calls) == len(set(calls)) == 4 * size + 1
     monkeypatch.undo()
     expected = [0.0]
     for t0, t1 in zip(table.t_nodes[:-1], table.t_nodes[1:]):
@@ -375,13 +375,13 @@ class TestCsv:
 class TestFiniteDifferenceFallback:
     def test_first_derivative_matches_closed_form(self, example1, example2):
         for c in (example1, example2):
-            bare = Curve(c._pos, c.domain, label="bare")
+            bare = Curve(c.pos, c.domain, label="bare")
             for t in (0.0, 0.27, 0.5, 1.0):  # includes one-sided endpoints
                 err = (bare.deriv(t, 1) - c.deriv(t, 1)).euclidean_norm()
                 assert err < 1e-8, (c.label, t, err)
 
     def test_higher_orders_reasonable(self, example2):
-        bare = Curve(example2._pos, example2.domain, label="bare")
+        bare = Curve(example2.pos, example2.domain, label="bare")
         for t in (0.3, 0.7):
             e2 = (bare.deriv(t, 2) - example2.deriv(t, 2)).euclidean_norm()
             e3 = (bare.deriv(t, 3) - example2.deriv(t, 3)).euclidean_norm()
@@ -390,10 +390,10 @@ class TestFiniteDifferenceFallback:
 
     def test_derives_from_best_available_order(self, example2):
         partial = Curve(
-            example2._pos,
+            example2.pos,
             example2.domain,
             label="partial",
-            derivs={1: example2._derivs[1]},
+            derivs={1: lambda t: example2.deriv(t, 1)},
         )
         err = (partial.deriv(0.4, 2) - example2.deriv(0.4, 2)).euclidean_norm()
         assert err < 1e-9

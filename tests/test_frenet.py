@@ -248,15 +248,24 @@ class TestGridFiniteDifference:
         assert len(shapes) == 3  # interior, forward and backward stencils
         for name in ("kappa_fn", "tau_fn"):
             f = pair.construction[name]
-            scalar = np.array([frenet._prescription_jet(f, float(t), a, b, h) for t in nodes]).T
-            assert np.array_equal(scalar[0], [f(t) for t in nodes.tolist()])
-            grid = frenet._grid_jet(f, nodes, scalar[0], a, b, h)
-            for order in (1, 2):
-                assert np.array_equal(grid[order - 1], scalar[order]), (name, order)
+            on_grid = frenet._looped(f)
+            values = on_grid(nodes)
+            assert np.array_equal(values, [f(t) for t in nodes.tolist()])
+            grid = frenet._grid_jet(on_grid, nodes, a, b, h, f_ts=values)
+            # a node's differences equal the one-row jet at that node: the
+            # first and last four nodes (the ends take one-sided stencils)
+            # and every 50th node
+            n = len(nodes)
+            picks = sorted({*range(4), *range(n - 4, n), *range(0, n, 50)})
+            for i in picks:
+                row = frenet._grid_jet(on_grid, nodes[i : i + 1], a, b, h)
+                for order in (1, 2):
+                    assert grid[order - 1][i] == row[order - 1][0], (name, order, i)
             # the synthesized curve answers its scalar jet with the same rule
             for t in nodes[[0, 1, len(nodes) // 2, -2, -1]].tolist():
                 jet = scalar_jet(pair.c, t)[1 if name == "kappa_fn" else 2]
-                assert jet == frenet._prescription_jet(f, t, a, b, h)
+                one_row = frenet._grid_jet(on_grid, np.array([t]), a, b, h)
+                assert jet == (f(t), float(one_row[0][0]), float(one_row[1][0]))
 
     def test_jet_differences_equal_the_single_order_differences(self, exact_pair_type3):
         # the union stencil's first and second differences are the m=1 and
@@ -264,10 +273,9 @@ class TestGridFiniteDifference:
         f = exact_pair_type3.construction["tau_fn"]
         a, b = exact_pair_type3.c.domain
         for t in (a, a + 1e-4, 0.5, b - 1e-4, b):
-            f0, f1, f2 = frenet._prescription_jet(f, t, a, b, 1e-4)
-            assert f0 == f(t)
-            assert f1 == frenet._scalar_fd(f, t, 1, a, b, 1e-4)
-            assert f2 == frenet._scalar_fd(f, t, 2, a, b, 1e-4)
+            f1, f2 = frenet._grid_jet(frenet._looped(f), np.array([t]), a, b, 1e-4)
+            assert f1[0] == frenet._scalar_fd(f, t, 1, a, b, 1e-4)
+            assert f2[0] == frenet._scalar_fd(f, t, 2, a, b, 1e-4)
 
 
 class TestScalarJet:

@@ -111,21 +111,19 @@ class TestOffsets:
 
     def test_frame_of_offset_differences_torsion_once(self, exact_pair_type3, monkeypatch):
         # the companion is the unit-speed normal offset; its frame reads one
-        # jet, which reads one base scalar jet, so the prescribed torsion is
-        # differenced once (one jet gives tau' and tau'')
-        tau_fn = exact_pair_type3.construction["tau_fn"]
+        # jet, which reads one base scalar jet, so each prescribed function
+        # is differenced once, as a one-row grid (one jet gives f' and f'')
         calls = []
-        prescription_jet = frenet._prescription_jet
+        grid_jet = frenet._grid_jet
 
-        def counted(f, t, *rest):
-            if f is tau_fn:
-                calls.append(t)
-            return prescription_jet(f, t, *rest)
+        def counted(f, ts, *rest, **kwargs):
+            calls.append(len(ts))
+            return grid_jet(f, ts, *rest, **kwargs)
 
-        monkeypatch.setattr(frenet, "_prescription_jet", counted)
+        monkeypatch.setattr(frenet, "_grid_jet", counted)
         cstar = exact_pair_type3.cstar
         frenet_apparatus(cstar, 0.6180339 * cstar.domain[1])
-        assert len(calls) == 1
+        assert calls == [1, 1]  # kappa, then tau
 
     def test_normal_offset_inversion_residual(self, example2_pair):
         # projecting (alpha - alpha*) back onto the normal line measures how
@@ -455,11 +453,16 @@ class TestAngleRateChain:
     @staticmethod
     def _compare(pair):
         a, b = pair.domain
+        grid = pair.grid(101)
+        steps = [max(1e-4, 1e-3 * abs(s)) for s in grid]
+        # the frames at every stencil node, extracted as one grid
+        pair.frames(
+            [s + o * h for s, h in zip(grid, steps) for o in frenet._fd_offsets(s, 1, a, b, h)]
+        )
         worst = 0.0
-        for s in pair.grid(101):
+        for s, h in zip(grid, steps):
             dec = tangent_decomposition(pair, s)
             chained = mannheim._theta_rate(pair, s, dec.s_comp, dec.c_comp)
-            h = max(1e-4, 1e-3 * abs(s))
             differenced = _scalar_fd(lambda x: theta(pair, x), s, 1, a, b, h) / pair.rate(s)
             worst = max(worst, abs(chained - differenced))
         return worst
@@ -489,29 +492,29 @@ class TestAngleRateChain:
         depth = [0]
         fd_calls = []
         frames_under_fd = []
-        apparatus = frenet.frenet_apparatus
+        extract = frenet.frenet_frames
 
         def tracked(difference):
-            def wrapper(*args):
+            def wrapper(*args, **kwargs):
                 fd_calls.append(args[1])
                 depth[0] += 1
                 try:
-                    return difference(*args)
+                    return difference(*args, **kwargs)
                 finally:
                     depth[0] -= 1
 
             return wrapper
 
-        def tracked_apparatus(c, s, *rest):
+        def tracked_frames(c, s, *rest):
             if depth[0]:
                 frames_under_fd.append((c.label, s))
-            return apparatus(c, s, *rest)
+            return extract(c, s, *rest)
 
-        monkeypatch.setattr(frenet, "_prescription_jet", tracked(frenet._prescription_jet))
+        monkeypatch.setattr(frenet, "_grid_jet", tracked(frenet._grid_jet))
         for module in (frenet, mannheim, indicatrix_module):
             if hasattr(module, "_scalar_fd"):
                 monkeypatch.setattr(module, "_scalar_fd", tracked(module._scalar_fd))
-            monkeypatch.setattr(module, "frenet_apparatus", tracked_apparatus)
+            monkeypatch.setattr(module, "frenet_frames", tracked_frames)
         # a fresh frame cache makes every frame extraction run again
         pair = dataclasses.replace(exact_pair_type3, _frame_cache={})
         assert len(_run_pair_suite(pair, 11, None)) == 12

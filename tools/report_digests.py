@@ -12,6 +12,16 @@ With ``--residuals`` it prints, instead of digests, one line per report of
 each configuration (verdict and max residual), for a before/after table of
 a change that moves report numbers on purpose.
 
+With ``--csv`` it prints instead one sha256 per output file of the CLI's
+file-writing commands on pinned argument lists (``CLI_COMMANDS``):
+``export-plot``, ``offset --curve``/``--cstar``, ``indicatrix`` of T, N and
+B, ``synthesize``, and the JSON of ``classify`` and ``frenet``.  Each
+command runs in process in a scratch directory that also holds the
+``samples.csv`` read by the ``csv:`` specs, so no path enters a digest.
+Its lines read ``<sha256> exit <code>  <arguments>``; a command that fails
+writes no file and shows ``no output`` with its exit code (its message goes
+to stderr).
+
 Each line is ``<sha256>  <configuration>``.  The digest covers the JSON
 array that ``mannheim-lab pair-verify --out`` writes: the reports of
 ``cli._run_pair_suite``, serialized as ``cli._emit_json`` does.  The
@@ -35,9 +45,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import tempfile
 
 from mannheim_lab import MannheimPair, builtin_curve, exact_partner_pair
-from mannheim_lab.cli import _run_pair_suite, resolve_curve_spec
+from mannheim_lab.cli import _run_pair_suite, main as cli_main, resolve_curve_spec
 from mannheim_lab.frenet import CurveKind
 
 EXACT_GRID = 201
@@ -50,6 +62,51 @@ EXACT_BASES = {
     3: (CurveKind.SPACELIKE_EPS_MINUS, 0.3),
     5: (CurveKind.SPACELIKE_EPS_PLUS, 0.3),
 }
+
+
+# Curves of the CSV commands: both built-ins, one synthesized curve, and a
+# ``csv:`` curve through 41 samples of ``paper-example-2`` (written first).
+SYNTH_SPEC = "synth:kind=spacelike-,kappa=1 + 0.1*sin(s),tau=0.5 - 0.2*s,range=0:2"
+CSV_SPEC = "csv:samples.csv"
+CSV_CURVES = ("paper-example-1", "paper-example-2", SYNTH_SPEC, CSV_SPEC)
+CLI_COMMANDS = (
+    *(["export-plot", "--curve", c, "--grid", "2000"] for c in CSV_CURVES),
+    *(["offset", "--curve", c, "--lambda", "0.3", "--grid", "1000"] for c in CSV_CURVES),
+    *(["offset", "--cstar", c, "--lambda", "-7.5", "--grid", "1000"] for c in CSV_CURVES),
+    *(
+        ["indicatrix", "--curve", c, "--which", w, "--grid", "1000"]
+        for c in CSV_CURVES
+        for w in ("T", "N", "B")
+    ),
+    *(
+        ["synthesize", "--kind", k, "--kappa", "1 + 0.1*sin(s)", "--tau", "0.6 - 0.2*s",
+         "--range", "0:2", "--grid", "1000"]
+        for k in ("timelike", "spacelike+", "spacelike-")
+    ),
+    *(["classify", "--curve", c, "--grid", "500"] for c in CSV_CURVES),
+    *(["frenet", "--curve", c, "--at", at] for c in CSV_CURVES for at in ("0", "0.37", "1")),
+)
+
+
+def cli_digests():
+    """Yield (sha256 of the output file, argument list) for ``CLI_COMMANDS``."""
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            cli_main(["export-plot", "--curve", "paper-example-2", "--grid", "41",
+                      "--out", "samples.csv"])
+            for argv in CLI_COMMANDS:
+                code = cli_main([*argv, "--out", "out"])
+                if not os.path.exists("out"):  # an error exit writes nothing
+                    yield f"{'no output':64s} exit {code}", " ".join(argv)
+                    continue
+                with open("out", "rb") as fh:
+                    text = fh.read()
+                os.remove("out")
+                yield f"{hashlib.sha256(text).hexdigest()} exit {code}", " ".join(argv)
+        finally:
+            os.chdir(here)
 
 
 def _exact(pair_type: int, slope: float) -> MannheimPair:
@@ -101,7 +158,16 @@ def main() -> None:
         action="store_true",
         help="print each report's verdict and max residual instead of digests",
     )
+    parser.add_argument(
+        "--csv",
+        action="store_true",
+        help="print digests of the CLI's CSV and JSON output files instead",
+    )
     args = parser.parse_args()
+    if args.csv:
+        for text, label in cli_digests():
+            print(f"{text}  {label}", flush=True)
+        return
     for label, build, grid in configurations():
         reports = _run_pair_suite(build(), grid, None)
         if not args.residuals:
