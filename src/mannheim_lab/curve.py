@@ -32,7 +32,7 @@ from .errors import (
     TableSizeError,
     raise_first,
 )
-from .lorentz import NULL_BAND_TOL, CausalCharacter, Vec3L, inner_rows, power_rows
+from .lorentz import CausalCharacter, Vec3L, causal_characters, inner_rows, power_rows
 
 __all__ = [
     "Curve",
@@ -190,9 +190,11 @@ def adaptive_simpson(
     return float(_adaptive_pieces(on_grid, x, on_grid(x), tol)[0])
 
 
-def _looped(f: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
-    """A scalar function evaluated on an array of abscissae, point by point."""
-    return lambda x: np.array([f(v) for v in x.tolist()], dtype=float)
+def _looped(f: Callable[[float], float]) -> Callable:
+    """A scalar function evaluated at a float, or point by point on an array of abscissae."""
+    return lambda x: (
+        f(x) if np.ndim(x) == 0 else np.array([f(v) for v in np.asarray(x).tolist()], dtype=float)
+    )
 
 
 def _clamp(x, lo: float, hi: float):
@@ -558,12 +560,6 @@ def speed(c: Curve, t: float) -> float:
     return c.speed(t)
 
 
-def _null_rows(d1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(null or zero, timelike) flags of tangent rows, as ``causal_character`` classifies them."""
-    q = inner_rows(d1, d1)
-    return (d1 == 0.0).all(axis=1) | (np.abs(q) <= NULL_BAND_TOL), q < 0.0
-
-
 def classify_curve(c: Curve, grid_size: int = 64) -> CausalCharacter:
     """Common causal character of the tangent over a uniform grid.
 
@@ -574,18 +570,18 @@ def classify_curve(c: Curve, grid_size: int = 64) -> CausalCharacter:
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
     ts = np.linspace(*c.domain, grid_size)
-    null, timelike = _null_rows(c.tangents(ts))
+    chars = causal_characters(c.tangents(ts))  # 2 and 3: null and zero
     where = f"tangent of {c.label!r}"
     raise_first(
         [
-            (null, lambda i: NullTangentError(f"{where} is null at t={ts[i]:g}")),
+            (chars >= 2, lambda i: NullTangentError(f"{where} is null at t={ts[i]:g}")),
             (
-                timelike != timelike[0],
+                chars != chars[0],
                 lambda i: MixedCausalCharacterError(f"{where} changes character near t={ts[i]:g}"),
             ),
         ]
     )
-    return CausalCharacter.TIMELIKE if timelike[0] else CausalCharacter.SPACELIKE
+    return tuple(CausalCharacter)[chars[0]]
 
 
 def arclength(c: Curve, t0: float, t1: float, tol: float = QUADRATURE_TOL) -> float:
@@ -599,7 +595,7 @@ def arclength(c: Curve, t0: float, t1: float, tol: float = QUADRATURE_TOL) -> fl
     if t0 == t1:
         return 0.0
     ts = np.linspace(t0, t1, 17)
-    null, _ = _null_rows(c.tangents(ts))
+    null = causal_characters(c.tangents(ts)) >= 2  # null or zero
     raise_first([(null, lambda i: NullTangentError(f"null tangent at t={ts[i]:g}"))])
     x = np.array([t0, t1], dtype=float)
     return float(_adaptive_pieces(c.speeds, x, c.speeds(x), tol)[0])

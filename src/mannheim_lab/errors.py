@@ -40,11 +40,15 @@ def raise_first(checks) -> None:
     if not any(mask.any() for mask, _ in checks):
         return
     i = int(np.logical_or.reduce([mask for mask, _ in checks]).argmax())
-    raise next(error(i) for mask, error in checks if mask[i])
+    exc = next(error(i) for mask, error in checks if mask[i])
+    exc.row = i
+    raise exc
 
 
 class MannheimLabError(Exception):
     """Base class for all domain errors raised by this package."""
+
+    row: int | None = None  # the failing row, when a grid check raised the error
 
 
 class NullInputError(MannheimLabError):

@@ -27,6 +27,7 @@ import numpy as np
 from .curve import CubicHermiteSpline, Curve, _looped, fd_weights
 from .errors import (
     InvalidInitialFrameError,
+    MannheimLabError,
     NonPositiveCurvatureError,
     NotUnitSpeedError,
     NullPrincipalNormalError,
@@ -192,10 +193,16 @@ def frenet_frames(
     Torsion comes from <N',B>/<B,B>, which reduces to the sign rules of the
     three frame systems.  The derivatives come from one ``c.jets(s)``.  The
     checks run as for one point at a time: the error raised is that of the
-    first parameter failing any of them.
+    first parameter failing any of them, this curve's or, for an offset,
+    its base curve's.
     """
     s = np.asarray(s, dtype=float).reshape(-1)
-    d1, d2, d3 = c.jets(s)
+    try:
+        d1, d2, d3 = c.jets(s)
+    except MannheimLabError as exc:
+        if exc.row:  # an offset's base frames failed: this curve's earlier rows come first
+            frenet_frames(c, s[: exc.row], kappa_tol, unit_tol)
+        raise
     q1 = inner_rows(d1, d1)
     e2 = np.array([math.hypot(*row) for row in d2.tolist()]).reshape(-1)
     q2 = inner_rows(d2, d2)
@@ -363,10 +370,14 @@ def _grid_jet(
             continue
         t, step = ts[index], h[index]
         t0, h0 = float(t[0]), float(step[0])
-        values = [
-            f_ts[..., index] if o == 0 and f_ts is not None else f(t + o * step)
-            for o in _fd_offsets(t0, m_max, a, b, h0)
-        ]
+        try:
+            values = [
+                f_ts[..., index] if o == 0 and f_ts is not None else f(t + o * step)
+                for o in _fd_offsets(t0, m_max, a, b, h0)
+            ]
+        except MannheimLabError as exc:
+            exc.row = None if exc.row is None else int(index[exc.row])  # a row of ``ts``
+            raise
         if out is None:
             out = [np.empty(values[0].shape[:-1] + ts.shape) for _ in range(m_max)]
         for m in range(1, m_max + 1):

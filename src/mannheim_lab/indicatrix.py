@@ -17,7 +17,7 @@ import numpy as np
 
 from .curve import Curve, CurveSamples
 from .errors import DegenerateIndicatrixError, MixedCausalCharacterError
-from .frenet import CurveKind, FrenetFrame, frenet_apparatus, frenet_frames
+from .frenet import _KINDS, CurveKind, FrenetFrame, frenet_apparatus, frenet_frames
 from .lorentz import Vec3L
 from .mannheim import MannheimPair, _hypothesis, _tangent_components
 from .reports import VerificationReport
@@ -98,12 +98,12 @@ def indicatrix_of(c: Curve, which: str, grid_size: int = 33) -> Indicatrix:
     """
     if which not in _FIELDS:
         raise ValueError(f"field must be one of {_FIELDS}, got {which!r}")
-    kinds = {f.kind for f in frenet_frames(c, np.linspace(*c.domain, grid_size)).frames()}
-    if len(kinds) != 1:
+    kinds = frenet_frames(c, np.linspace(*c.domain, grid_size)).kinds
+    if (kinds != kinds[0]).any():
         raise MixedCausalCharacterError(
             f"frame kind of {c.label!r} varies along the curve"
         )
-    sign = _field_sign(kinds.pop(), which)
+    sign = _field_sign(_KINDS[kinds[0]], which)
     sphere = SphereKind.LORENTZIAN if sign > 0 else SphereKind.HYPERBOLIC
     return Indicatrix(source=which, base=c, sphere=sphere)
 

@@ -29,6 +29,7 @@ __all__ = [
     "power_rows",
     "norm",
     "causal_character",
+    "causal_characters",
     "angle_between",
     "E1",
     "E2",
@@ -78,9 +79,6 @@ class Vec3L:
     def euclidean_norm(self) -> float:
         """Plain Euclidean length, used only for scale estimates."""
         return math.hypot(self.x1, self.x2, self.x3)
-
-    def is_zero(self) -> bool:
-        return self.x1 == 0.0 and self.x2 == 0.0 and self.x3 == 0.0
 
 
 E1 = Vec3L(1.0, 0.0, 0.0)
@@ -173,18 +171,20 @@ def norm(v: Vec3L) -> float:
     return math.sqrt(abs(inner(v, v)))
 
 
-def causal_character(v: Vec3L, null_tol: float = NULL_BAND_TOL) -> CausalCharacter:
-    """Classify ``v`` by the sign of its self inner product.
+def causal_characters(rows: np.ndarray, null_tol: float = NULL_BAND_TOL) -> np.ndarray:
+    """Classify each row of an (n, 3) array by the sign of its self inner product.
 
     ``null_tol`` is the absolute half-width of the null band applied to
-    <v,v>.  The zero vector gets its own class.
+    <v,v>.  The zero vector gets its own class.  Each row gets its index
+    into ``tuple(CausalCharacter)``: 0 timelike, 1 spacelike, 2 null, 3 zero.
     """
-    if v.is_zero():
-        return CausalCharacter.ZERO
-    q = inner(v, v)
-    if abs(q) <= null_tol:
-        return CausalCharacter.NULL
-    return CausalCharacter.TIMELIKE if q < 0.0 else CausalCharacter.SPACELIKE
+    q = inner_rows(rows, rows)
+    return np.select([(rows == 0.0).all(axis=1), np.abs(q) <= null_tol, q < 0.0], [3, 2, 0], 1)
+
+
+def causal_character(v: Vec3L, null_tol: float = NULL_BAND_TOL) -> CausalCharacter:
+    """Causal character of ``v``: the one-row ``causal_characters``."""
+    return tuple(CausalCharacter)[int(causal_characters(np.array([v.as_tuple()]), null_tol)[0])]
 
 
 def is_future_pointing(v: Vec3L) -> bool:

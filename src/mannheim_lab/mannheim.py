@@ -24,9 +24,10 @@ from typing import Callable
 
 import numpy as np
 
-from .curve import INVERSE_TABLE_SIZE, Curve, reparametrize_unit
+from .curve import INVERSE_TABLE_SIZE, Curve, _looped, reparametrize_unit
 from .errors import (
     InconsistentDecompositionError,
+    MannheimLabError,
     MixedCausalCharacterError,
     NegativeConditionValueError,
     UnsupportedCombinationError,
@@ -43,6 +44,7 @@ from .frenet import (
     frenet_synthesize,
     kind_signs,
     scalar_jets,
+    _KINDS,
     _scalar_fd,
 )
 from .lorentz import Vec3L, cross, inner, inner_rows, norm, power_rows
@@ -234,12 +236,12 @@ def classify_pair(c: Curve, cstar: Curve, grid_size: int = 9) -> MannheimPairTyp
     """
 
     def constant_kind(curve: Curve) -> CurveKind:
-        kinds = frenet_frames(curve, np.linspace(*curve.domain, grid_size)).frames()
-        if len({f.kind for f in kinds}) != 1:
+        kinds = frenet_frames(curve, np.linspace(*curve.domain, grid_size)).kinds
+        if (kinds != kinds[0]).any():
             raise MixedCausalCharacterError(
                 f"frame kind of {curve.label!r} varies along the curve"
             )
-        return kinds[0].kind
+        return _KINDS[kinds[0]]
 
     key = (constant_kind(cstar), constant_kind(c))
     try:
@@ -261,8 +263,9 @@ class MannheimPair:
 
     ``correspondence`` maps parameters of ``c`` to parameters of ``cstar``;
     ``correspondence_rate`` is its derivative (supplied analytically by the
-    constructors).  Both take a float or an array of parameters.  ``lam`` is
-    the construction constant of whichever offset built the pair.
+    constructors).  Maps passed here take a float and are looped over grids;
+    the constructors' own maps take arrays.  ``lam`` is the construction
+    constant of whichever offset built the pair.
     """
 
     c: Curve
@@ -273,6 +276,12 @@ class MannheimPair:
     correspondence_rate: Callable | None = None
     label: str = "pair"
     _frame_cache: dict = field(default_factory=dict, repr=False)
+    _maps_on_grid: bool = field(default=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not self._maps_on_grid:  # maps passed by hand take floats
+            self.correspondence = _looped(self.correspondence)
+            self.correspondence_rate = self.correspondence_rate and _looped(self.correspondence_rate)
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -290,7 +299,12 @@ class MannheimPair:
         if miss:
             s = np.array(miss, dtype=float)
             sstar = np.asarray(self.correspondence(s), dtype=float)
-            f = frenet_frames(self.c, s).frames()
+            try:
+                f = frenet_frames(self.c, s).frames()
+            except MannheimLabError as exc:
+                if exc.row:  # C* failing at an earlier point comes first
+                    frenet_frames(self.cstar, sstar[: exc.row])
+                raise
             fstar = frenet_frames(self.cstar, sstar).frames()
             cache.update(zip(miss, zip(f, fstar, sstar.tolist())))
         return [cache[s] for s in grid]
@@ -340,6 +354,7 @@ class MannheimPair:
             correspondence=correspondence,
             correspondence_rate=rate,
             label=f"{cstar.label}/pair(lambda={lam:g})",
+            _maps_on_grid=True,
         )
 
     @classmethod
@@ -362,6 +377,7 @@ class MannheimPair:
             correspondence=correspondence,
             correspondence_rate=offset.speeds,
             label=f"{c.label}/pair(lambda={lam:g})",
+            _maps_on_grid=True,
         )
 
     @classmethod
@@ -406,6 +422,7 @@ class MannheimPair:
             correspondence=correspondence,
             correspondence_rate=rate,
             label=f"{c.label}|{cstar.label}",
+            _maps_on_grid=True,
         )
 
 

@@ -248,24 +248,25 @@ class TestGridFiniteDifference:
         assert len(shapes) == 3  # interior, forward and backward stencils
         for name in ("kappa_fn", "tau_fn"):
             f = pair.construction[name]
-            on_grid = frenet._looped(f)
-            values = on_grid(nodes)
-            assert np.array_equal(values, [f(t) for t in nodes.tolist()])
-            grid = frenet._grid_jet(on_grid, nodes, a, b, h, f_ts=values)
-            # a node's differences equal the one-row jet at that node: the
-            # first and last four nodes (the ends take one-sided stencils)
-            # and every 50th node
-            n = len(nodes)
-            picks = sorted({*range(4), *range(n - 4, n), *range(0, n, 50)})
-            for i in picks:
-                row = frenet._grid_jet(on_grid, nodes[i : i + 1], a, b, h)
-                for order in (1, 2):
-                    assert grid[order - 1][i] == row[order - 1][0], (name, order, i)
+            values = frenet._looped(f)(nodes)
+            grid = frenet._grid_jet(frenet._looped(f), nodes, a, b, h, f_ts=values)
+            # every node's jet formed in plain floats, one stencil at a time
+            point = []
+            for t in nodes.tolist():
+                at = [f(t + o * h) for o in frenet._fd_offsets(t, 2, a, b, h)]
+                jet = [f(t)]
+                for m in (1, 2):
+                    weights = frenet._UNIT_WEIGHTS[frenet._fd_offsets(t, m, a, b, h), m]
+                    jet.append(frenet._difference(weights, at, h**m))
+                point.append(jet)
+            point = np.array(point).T
+            assert np.array_equal(values, point[0])
+            for order in (1, 2):
+                assert np.array_equal(grid[order - 1], point[order]), (name, order)
             # the synthesized curve answers its scalar jet with the same rule
-            for t in nodes[[0, 1, len(nodes) // 2, -2, -1]].tolist():
-                jet = scalar_jet(pair.c, t)[1 if name == "kappa_fn" else 2]
-                one_row = frenet._grid_jet(on_grid, np.array([t]), a, b, h)
-                assert jet == (f(t), float(one_row[0][0]), float(one_row[1][0]))
+            for i in (0, 1, len(nodes) // 2, -2, -1):
+                jet = scalar_jet(pair.c, float(nodes[i]))[1 if name == "kappa_fn" else 2]
+                assert jet == tuple(point[:, i].tolist())
 
     def test_jet_differences_equal_the_single_order_differences(self, exact_pair_type3):
         # the union stencil's first and second differences are the m=1 and

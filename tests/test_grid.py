@@ -27,8 +27,14 @@ from mannheim_lab.errors import (
     VanishingCurvatureError,
 )
 from mannheim_lab.frenet import frenet_apparatus, frenet_frames
-from mannheim_lab.lorentz import Vec3L, causal_character
-from mannheim_lab.mannheim import offset_along_binormal, offset_along_normal
+from mannheim_lab.lorentz import CausalCharacter, Vec3L, causal_character, causal_characters
+from mannheim_lab.mannheim import (
+    MannheimPair,
+    MannheimPairType,
+    offset_along_binormal,
+    offset_along_normal,
+    verify_distance,
+)
 
 
 def _user_helix() -> Curve:
@@ -215,3 +221,74 @@ def test_chunked_csv_equals_csv_writer(extra):
     # the header, then one write per chunk: the file is never one string
     assert len(got.sizes) == 1 + math.ceil(n / CSV_CHUNK_ROWS)
     assert "-0," in got.getvalue() and "4.9406564584124654e-324" in got.getvalue()
+
+
+@pytest.mark.parametrize(
+    "ts",
+    [
+        np.linspace(0.0, 1.0, 11),
+        # the base frames hold at every point; the stencils of the base
+        # scalar jet at 0.3999 reach its straight part
+        np.array([0.0, 0.35, 0.3999]),
+    ],
+)
+def test_offset_frames_raise_the_first_failure_of_offset_or_base(ts):
+    # at lam = -5 the normal offset is unit-speed at t = 0 only; its base
+    # has no frame from t = 0.4 on
+    offset = offset_along_normal(_turning(), -5.0)
+    point = _first_point_error(lambda t: frenet_apparatus(offset, t), ts.tolist())
+    with pytest.raises(NotUnitSpeedError) as grid:
+        frenet_frames(offset, ts)
+    assert type(point) is NotUnitSpeedError
+    assert str(grid.value) == str(point)
+
+
+def _hand_built_pair(c: Curve, cstar: Curve, **maps) -> MannheimPair:
+    # maps that take floats only, as at the pair's parameters
+    maps = {"correspondence": math.fabs, **maps}
+    return MannheimPair(c, cstar, 1.0, MannheimPairType.TYPE3, **maps)
+
+
+@pytest.mark.parametrize(
+    "c_speed_from, cstar_speed_from, failing",
+    [(math.inf, 0.15, "C*"), (0.15, math.inf, "C"), (0.15, 0.15, "C")],
+)
+def test_pair_frames_raise_the_error_of_the_first_bad_point(
+    c_speed_from, cstar_speed_from, failing
+):
+    # _turning loses its frame at 0.4, and its unit speed at 0.2 when
+    # stretched from 0.15
+    ts = np.linspace(0.0, 1.0, 11).tolist()
+
+    def pair():
+        c, cstar = _turning(c_speed_from), _turning(cstar_speed_from)
+        c.label, cstar.label = "C", "C*"
+        return _hand_built_pair(c, cstar)
+
+    point = _first_point_error(lambda s: pair().frames_at(s), ts)
+    with pytest.raises(type(point)) as grid:
+        pair().frames(ts)
+    assert str(grid.value) == str(point)
+    assert str(point).startswith(f"{failing!r} ") or f"of {failing!r} " in str(point)
+    assert "s=0.2" in str(point) or "s=0.4" in str(point)
+
+
+def test_hand_built_pair_loops_float_only_maps():
+    c, cstar = builtin_curve("paper-example-1"), builtin_curve("paper-example-2")
+    grid = [0.0, 0.25, 0.5, 1.0]
+    pair = _hand_built_pair(c, cstar, correspondence_rate=lambda s: math.copysign(1.0, s))
+    assert pair.frames(grid) == [_hand_built_pair(c, cstar).frames_at(s) for s in grid]
+    assert pair.rates(grid) == [1.0] * len(grid)
+    # without a rate map the rate is a difference of the float-only map
+    assert _hand_built_pair(c, cstar).rates(grid) == pytest.approx([1.0] * len(grid))
+    assert len(verify_distance(pair, 5).residuals) == 5
+
+
+def test_row_characters_equal_the_one_row_rule():
+    # zero, negative zero, null, inside the null band, timelike, spacelike
+    rows = [(0, 0, 0), (-0.0, 0, 0), (1, 1, 0), (1, 1, 1e-7), (2, 1, 0), (0.5, 1, 0)]
+    chars = causal_characters(np.array(rows))
+    assert [tuple(CausalCharacter)[i] for i in chars.tolist()] == [
+        causal_character(Vec3L(*r)) for r in rows
+    ]
+    assert chars.tolist() == [3, 3, 2, 2, 0, 1]
