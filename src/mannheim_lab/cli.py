@@ -51,11 +51,7 @@ from .mannheim import (
 )
 from .reports import VerificationReport, Verdict
 
-_KINDS = {
-    "timelike": CurveKind.TIMELIKE,
-    "spacelike+": CurveKind.SPACELIKE_EPS_PLUS,
-    "spacelike-": CurveKind.SPACELIKE_EPS_MINUS,
-}
+_KINDS = {kind.value: kind for kind in CurveKind}
 
 
 class SpecError(ValueError):
@@ -152,20 +148,28 @@ def _frame_json(f: FrenetFrame, s: float) -> dict:
 
 
 def _run_pair_suite(pair: MannheimPair, grid_n: int, tol: float | None) -> list[VerificationReport]:
+    """The 12 reports of one pair on one grid.
+
+    ``tol`` (``--tol``) replaces the tolerance of every verifier that takes
+    one: all judged reports but frame-angle-rate, which keeps its published
+    1e-4, and center-ratio-nonconstancy, which has its own criterion.
+    """
     kw = {} if tol is None else {"tol": tol}
-    reports = [
-        verify_distance(pair, grid_n, **({} if tol is None else {"tol": tol})),
+    return [
+        verify_distance(pair, grid_n, **kw),
         verify_torsion_relation(pair, grid_n, **kw),
         verify_linear_relation(pair, grid_n, **kw),
         *verify_frame_relations(pair, grid_n, **kw),
         *verify_torsion_square(pair, grid_n, **kw),
         verify_ratio_nonconstant(pair, grid_n),
-        *verify_indicatrix_relations(pair, grid_n, **({} if tol is None else {"tol": tol})),
+        *verify_indicatrix_relations(pair, grid_n, **kw),
     ]
-    return reports
 
 
-def _report_lines(pair: MannheimPair, reports: list[VerificationReport]) -> None:
+def _audit(pair: MannheimPair, grid_n: int, tol: float | None, out: str | None) -> int:
+    """Run the suite, print one line per report and write the JSON array to
+    ``out``; the exit code is 1 on any Fail verdict."""
+    reports = _run_pair_suite(pair, grid_n, tol)
     print(f"pair type: {pair.pair_type.value} ({pair.pair_type.describe()})")
     print(f"lambda: {pair.lam:.17g}")
     for r in reports:
@@ -175,9 +179,8 @@ def _report_lines(pair: MannheimPair, reports: list[VerificationReport]) -> None
         print(
             f"{r.identity:28s} {r.verdict.value:8s} max={worst} mean={mean} tol={r.tolerance:.1e}"
         )
-
-
-def _exit_code(reports: list[VerificationReport]) -> int:
+    if out:
+        _emit_json([r.to_json_dict() for r in reports], out)
     return 1 if any(r.verdict is Verdict.FAIL for r in reports) else 0
 
 
@@ -227,11 +230,7 @@ def _cmd_pair_verify(args) -> int:
     c = resolve_curve_spec(args.c)
     cstar = resolve_curve_spec(args.cstar)
     pair = MannheimPair.from_shared_parameter(c, cstar, args.lam)
-    reports = _run_pair_suite(pair, args.grid, args.tol)
-    _report_lines(pair, reports)
-    if args.out:
-        _emit_json([r.to_json_dict() for r in reports], args.out)
-    return _exit_code(reports)
+    return _audit(pair, args.grid, args.tol, args.out)
 
 
 def _cmd_indicatrix(args) -> int:
@@ -242,16 +241,10 @@ def _cmd_indicatrix(args) -> int:
 
 
 def _cmd_examples(args) -> int:
-    if args.action != "run":
-        raise SpecError(f"unknown examples action {args.action!r}; expected 'run'")
     name = f"paper-example-{args.number}"
     cstar = builtin_curve(name)
     pair = MannheimPair.from_binormal_offset(cstar, args.lam)
-    reports = _run_pair_suite(pair, args.grid, None)
-    _report_lines(pair, reports)
-    if args.out:
-        _emit_json([r.to_json_dict() for r in reports], args.out)
-    return _exit_code(reports)
+    return _audit(pair, args.grid, None, args.out)
 
 
 def _cmd_export_plot(args) -> int:
@@ -300,9 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_curve(p, flag=True):
-        if flag:
-            p.add_argument("--curve", "-c", required=True, help="curve spec")
+    def add_curve(p):
+        p.add_argument("--curve", "-c", required=True, help="curve spec")
 
     p = sub.add_parser("classify", help="causal character of a curve's tangent")
     add_curve(p)

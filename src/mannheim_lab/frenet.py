@@ -28,6 +28,7 @@ from .curve import CubicHermiteSpline, Curve, _looped, fd_weights
 from .errors import (
     InvalidInitialFrameError,
     MannheimLabError,
+    MixedCausalCharacterError,
     NonPositiveCurvatureError,
     NotUnitSpeedError,
     NullPrincipalNormalError,
@@ -45,6 +46,7 @@ __all__ = [
     "FrameGrid",
     "frenet_frames",
     "frenet_apparatus",
+    "constant_kind",
     "scalar_jets",
     "scalar_jet",
     "kind_signs",
@@ -247,6 +249,14 @@ def frenet_apparatus(
 ) -> FrenetFrame:
     """Frame, curvature and torsion at ``s``: the one-row ``frenet_frames``."""
     return frenet_frames(c, [s], kappa_tol, unit_tol).frames()[0]
+
+
+def constant_kind(c: Curve, grid_size: int) -> CurveKind:
+    """The frame kind of ``c``, which must not vary over ``grid_size`` uniform points."""
+    kinds = frenet_frames(c, np.linspace(*c.domain, grid_size)).kinds
+    if (kinds != kinds[0]).any():
+        raise MixedCausalCharacterError(f"frame kind of {c.label!r} varies along the curve")
+    return _KINDS[kinds[0]]
 
 
 # (kind, (kappa, kappa', ...), (tau, tau', ...)), both jets of equal length.

@@ -16,10 +16,10 @@ from enum import Enum
 import numpy as np
 
 from .curve import Curve, CurveSamples
-from .errors import DegenerateIndicatrixError, MixedCausalCharacterError
-from .frenet import _KINDS, CurveKind, FrenetFrame, frenet_apparatus, frenet_frames
+from .errors import DegenerateIndicatrixError, InconsistentDecompositionError
+from .frenet import FrenetFrame, constant_kind, frenet_apparatus, frenet_frames
 from .lorentz import Vec3L
-from .mannheim import MannheimPair, _hypothesis, _tangent_components
+from .mannheim import MannheimPair, MannheimPairType, _term
 from .reports import VerificationReport
 
 __all__ = [
@@ -41,10 +41,6 @@ class SphereKind(Enum):
 
 
 _FIELDS = ("T", "N", "B")
-
-
-def _field_sign(kind: CurveKind, which: str) -> int:
-    return kind.signs[_FIELDS.index(which)]
 
 
 def _field_rate(frame: FrenetFrame, which: str) -> float:
@@ -98,29 +94,22 @@ def indicatrix_of(c: Curve, which: str, grid_size: int = 33) -> Indicatrix:
     """
     if which not in _FIELDS:
         raise ValueError(f"field must be one of {_FIELDS}, got {which!r}")
-    kinds = frenet_frames(c, np.linspace(*c.domain, grid_size)).kinds
-    if (kinds != kinds[0]).any():
-        raise MixedCausalCharacterError(
-            f"frame kind of {c.label!r} varies along the curve"
-        )
-    sign = _field_sign(_KINDS[kinds[0]], which)
+    sign = constant_kind(c, grid_size).signs[_FIELDS.index(which)]
     sphere = SphereKind.LORENTZIAN if sign > 0 else SphereKind.HYPERBOLIC
     return Indicatrix(source=which, base=c, sphere=sphere)
 
 
-def indicatrix_tangent(
-    c: Curve, which: str, s: float, rate_tol: float = RATE_TOL
-) -> Vec3L:
+def indicatrix_tangent(c: Curve, which: str, s: float) -> Vec3L:
     """Unit tangent of the spherical image at ``s``.
 
     Raises DegenerateIndicatrixError where the image is stationary (rate at
-    or below tolerance).
+    or below ``RATE_TOL``).
     """
     if which not in _FIELDS:
         raise ValueError(f"field must be one of {_FIELDS}, got {which!r}")
     frame = frenet_apparatus(c, s)
     rate = _field_rate(frame, which)
-    if rate <= rate_tol:
+    if rate <= RATE_TOL:
         raise DegenerateIndicatrixError(
             f"{which}-image of {c.label!r} is stationary at s={s:g}"
         )
@@ -128,20 +117,7 @@ def indicatrix_tangent(
 
 
 # ---------------------------------------------------------------------------
-# rate-coupled identities
-
-# Coefficient pattern of the type's two relations
-#     kappa/rate_N = sgn1 * f1(angle) * tau*/rate_B*,
-#     tau/rate_N   = sgn2 * f2(angle) * tau*/rate_B*,
-# expressed against the decomposition components: (sign, component) pairs
-# with component "c" (cosine-like) or "s" (sine-like).
-_RELATION_TABLE = {
-    1: ((1.0, "c"), (-1.0, "s")),
-    2: ((-1.0, "s"), (-1.0, "c")),
-    3: ((-1.0, "s"), (-1.0, "c")),
-    4: ((-1.0, "c"), (1.0, "s")),
-    5: ((1.0, "s"), (1.0, "c")),
-}
+# rate-coupled identities, signed by the pair type's ``image_terms``
 
 
 def indicatrix_relation_residuals(
@@ -160,70 +136,44 @@ def indicatrix_relation_residuals(
     ``alignment`` (+1/-1) flips the starred side of both relations at once;
     it absorbs the free relative orientation of the two spherical images.
     """
-    (g1, f1), (g2, f2) = _RELATION_TABLE[pair_type_value]
-    comp = {"c": c_comp, "s": s_comp}
+    first, second = MannheimPairType(pair_type_value).spec.image_terms
     rhs = alignment * tau_star * inv_rate_b
-    r1 = abs(kappa * inv_rate_n - g1 * comp[f1] * rhs)
-    r2 = abs(tau * inv_rate_n - g2 * comp[f2] * rhs)
+    r1 = abs(kappa * inv_rate_n - _term(first, rhs, s_comp, c_comp))
+    r2 = abs(tau * inv_rate_n - _term(second, rhs, s_comp, c_comp))
     return r1, r2
 
 
 def verify_indicatrix_relations(
-    pair: MannheimPair,
-    grid_n: int = 101,
-    tol: float = 1e-4,
-    hypothesis_tol: float = 1e-6,
-    rate_tol: float = RATE_TOL,
+    pair: MannheimPair, grid_n: int = 101, tol: float = 1e-4
 ) -> list[VerificationReport]:
     """The type's two relations between rates, scalars and the angle.
 
     The relative orientation of the N-image of C and the B-image of C* is a
     free sign; the verifier evaluates both alignments, keeps the one with
-    the smaller worst residual, and reports the choice.
+    the smaller worst residual, and reports the choice.  A stationary image
+    raises DegenerateIndicatrixError, before a failed decomposition at the
+    same or a later grid point.
     """
-    grid = pair.grid(grid_n)
-    met, worst = _hypothesis(pair, grid, hypothesis_tol)
-    per_alignment: dict[float, tuple[list[float], list[float]]] = {
-        1.0: ([], []),
-        -1.0: ([], []),
+    samples = pair.samples(grid_n)
+    kappa, tau, _, tau_star = samples.scalars
+    rate_n, rate_b = np.array(
+        [(_field_rate(f, "N"), _field_rate(fs, "B")) for f, fs, _ in samples.frames]
+    ).T
+    stationary = (rate_n <= RATE_TOL) | (rate_b <= RATE_TOL)
+    try:
+        s_comp, c_comp = samples.components
+    except InconsistentDecompositionError as exc:
+        if not stationary[: exc.row + 1].any():
+            raise
+    samples.check(stationary, DegenerateIndicatrixError, "stationary spherical image")
+    rows = {
+        g: indicatrix_relation_residuals(
+            pair.pair_type.value, kappa, tau, tau_star, s_comp, c_comp, 1.0 / rate_n, 1.0 / rate_b, g
+        )
+        for g in (1.0, -1.0)
     }
-    for s in grid:
-        f, fstar, _ = pair.frames_at(s)
-        rate_n = _field_rate(f, "N")
-        rate_b = _field_rate(fstar, "B")
-        if rate_n <= rate_tol or rate_b <= rate_tol:
-            raise DegenerateIndicatrixError(f"stationary spherical image at s={s:g}")
-        s_comp, c_comp = _tangent_components(pair, s, met)
-        for g, rows in per_alignment.items():
-            r1, r2 = indicatrix_relation_residuals(
-                pair.pair_type.value,
-                f.kappa,
-                f.tau,
-                fstar.tau,
-                s_comp,
-                c_comp,
-                1.0 / rate_n,
-                1.0 / rate_b,
-                alignment=g,
-            )
-            rows[0].append(r1)
-            rows[1].append(r2)
-
-    def score(g: float) -> float:
-        rows = per_alignment[g]
-        return max(max(rows[0]), max(rows[1]))
-
-    chosen = min((1.0, -1.0), key=score)
-    rows = per_alignment[chosen]
-    details = {
-        "hypothesis_residual": worst,
-        "alignment": int(chosen),
-    }
+    chosen = min(rows, key=lambda g: max(max(rows[g][0].tolist()), max(rows[g][1].tolist())))
     return [
-        VerificationReport.from_profile(
-            name, grid, residuals, tol, hypothesis_met=met, details=dict(details)
-        )
-        for name, residuals in zip(
-            ("image-rate-curvature", "image-rate-torsion"), rows
-        )
+        samples.report(name, residuals.tolist(), tol, alignment=int(chosen))
+        for name, residuals in zip(("image-rate-curvature", "image-rate-torsion"), rows[chosen])
     ]

@@ -7,6 +7,13 @@ points.  ``mannheim_residual`` measures how far a pair is from that
 property; the ``verify_*`` functions publish residual profiles for each of
 the catalogued scalar identities.
 
+Each pair type is one ``PairTypeSpec`` row (``MannheimPairType.spec``): the
+causal characters of (C*, C), the kind of its tangent decomposition, and
+the signs of its identities.  Classification, the decomposition and every
+residual read that row.  The verifiers read one ``PairSamples`` per (pair,
+grid), cached on the pair, so a suite walks the frames, the collinearity
+hypothesis and the tangent decomposition once.
+
 Verdict policy: identity verifiers only claim Pass/Fail when the defining
 collinearity is itself numerically satisfied (residual below a hypothesis
 threshold); otherwise the profile is published with verdict "Reported".
@@ -18,8 +25,10 @@ non-constancy criterion.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -28,7 +37,6 @@ from .curve import INVERSE_TABLE_SIZE, Curve, _looped, reparametrize_unit
 from .errors import (
     InconsistentDecompositionError,
     MannheimLabError,
-    MixedCausalCharacterError,
     NegativeConditionValueError,
     UnsupportedCombinationError,
     VanishingTorsionError,
@@ -39,12 +47,12 @@ from .frenet import (
     INITIAL_FRAMES,
     CurveKind,
     FrenetFrame,
+    constant_kind,
     frenet_apparatus,  # noqa: F401 - still importable from this module
     frenet_frames,
     frenet_synthesize,
     kind_signs,
     scalar_jets,
-    _KINDS,
     _scalar_fd,
 )
 from .lorentz import Vec3L, cross, inner, inner_rows, norm, power_rows
@@ -52,7 +60,9 @@ from .reports import VerificationReport, Verdict
 
 __all__ = [
     "MannheimPairType",
+    "PairTypeSpec",
     "MannheimPair",
+    "PairSamples",
     "MannheimCurveTest",
     "offset_along_binormal",
     "offset_along_normal",
@@ -82,6 +92,10 @@ __all__ = [
 HYPOTHESIS_TOL = 1e-6
 DECOMPOSITION_TOL = 1e-8
 INVARIANT_TOL = 1e-6
+# |tau| at or below this raises VanishingTorsionError where tau divides.
+TORSION_TOL = 1e-9
+# The center ratio counts as varying when its sample SD exceeds this * |mean|.
+RATIO_THRESHOLD_FACTOR = 1e-6
 
 # Default tolerances, graded by how many numerical layers an identity
 # crosses: plain algebra on analytic data, or one frame extraction.  The
@@ -101,33 +115,98 @@ class MannheimPairType(Enum):
     TYPE4 = 4  # C* spacelike, timelike binormal; C timelike
     TYPE5 = 5  # C* spacelike, timelike normal;   C spacelike, timelike binormal
 
+    @property
+    def spec(self) -> "PairTypeSpec":
+        """This type's row of the type table."""
+        return _SPECS[self.value - 1]
+
     def describe(self) -> str:
-        return _TYPE_DESCRIPTIONS[self]
+        return self.spec.description
 
 
-_TYPE_DESCRIPTIONS = {
-    MannheimPairType.TYPE1: "companion timelike; curve spacelike with timelike principal normal",
-    MannheimPairType.TYPE2: "companion timelike; curve timelike",
-    MannheimPairType.TYPE3: "companion spacelike with timelike binormal; curve spacelike with timelike principal normal",
-    MannheimPairType.TYPE4: "companion spacelike with timelike binormal; curve timelike",
-    MannheimPairType.TYPE5: "companion spacelike with timelike principal normal; curve spacelike with timelike binormal",
-}
+def _term(signed: str, x, s_comp, c_comp):
+    """``x`` times a signed component: "+s"/"-s" (sine-like) or "+c"/"-c".
 
-# (kind of C*, kind of C) -> pair type
-_TYPE_TABLE = {
-    (CurveKind.TIMELIKE, CurveKind.SPACELIKE_EPS_MINUS): MannheimPairType.TYPE1,
-    (CurveKind.TIMELIKE, CurveKind.TIMELIKE): MannheimPairType.TYPE2,
-    (CurveKind.SPACELIKE_EPS_PLUS, CurveKind.SPACELIKE_EPS_MINUS): MannheimPairType.TYPE3,
-    (CurveKind.SPACELIKE_EPS_PLUS, CurveKind.TIMELIKE): MannheimPairType.TYPE4,
-    (CurveKind.SPACELIKE_EPS_MINUS, CurveKind.SPACELIKE_EPS_PLUS): MannheimPairType.TYPE5,
-}
+    The sign scales ``x`` before the product, so "-" is an exact negation
+    and the term has the bits of the identity as written.
+    """
+    sign = -1.0 if signed[0] == "-" else 1.0
+    return (sign * x) * (s_comp if signed[1] == "s" else c_comp)
 
-# Whether the tangent decomposition of each type lives in a plane of
-# signature (-,+) / (+,-) (hyperbolic functions) or (+,+) (circular ones).
-# Type 4 would put a timelike tangent in a positive-definite plane, which
-# no decomposition satisfies; it is kept formally hyperbolic and its
-# decomposition check fails on any actual frame data.
-_CIRCULAR_TYPES = frozenset({MannheimPairType.TYPE3})
+
+@dataclass(frozen=True)
+class PairTypeSpec:
+    """One pair type: the kinds of (C*, C) and the sign pattern of its identities.
+
+    With x[a] the signed component named a (see ``_term``):
+
+        tau* = torsion_sign kappa / (lam tau)          torsion-reciprocal
+        mu tau + linear_sign lam kappa = 1             linear-curvature-torsion
+        kappa* = angle_rate_sign d(theta)/ds*          frame-angle-rate
+        tau* = kappa x[a] + tau x[b]                   (a, b) = tau_star_terms
+        kappa = tau* x[a],  tau = tau* x[b]            (a, b) = projections
+        tau*^2 = g kappa^2 + h tau^2                   (g, h) = square_signs
+        kappa/rate_N = x[a] tau*/rate_B*,  tau/rate_N = x[b] tau*/rate_B*
+                                                       (a, b) = image_terms
+
+    ``circular`` marks the type whose tangent decomposition lies in a plane
+    of signature (+,+) (circular functions); the others use hyperbolic ones.
+    Type 4 would put a timelike tangent in a positive-definite plane, which
+    no decomposition satisfies; it is kept formally hyperbolic and its
+    decomposition check fails on any actual frame data.  ``swap`` marks the
+    type whose sine-like component is the T* coefficient of T; the others
+    take their cosine-like component from T*.
+    """
+
+    companion: CurveKind
+    curve: CurveKind
+    circular: bool
+    swap: bool
+    torsion_sign: float
+    linear_sign: float
+    angle_rate_sign: float
+    tau_star_terms: tuple[str, str]
+    projections: tuple[str, str]
+    square_signs: tuple[float, float]
+    image_terms: tuple[str, str]
+    description: str
+
+    def oriented(self, a, b):
+        """(a, b) for the swapping type, else (b, a).
+
+        Maps the (T*, N*) coefficients of T to the (sine-like, cosine-like)
+        components, and the components back to the coefficients.
+        """
+        return (a, b) if self.swap else (b, a)
+
+    def square(self, kappa, tau):
+        """g kappa^2 + h tau^2, the right side of the torsion-square relation."""
+        g, h = self.square_signs
+        return (g * kappa) * kappa + (h * tau) * tau
+
+
+# The type table: entry k is MannheimPairType(k + 1), in PairTypeSpec's field
+# order, with the two kinds as CurveKind values.
+_SPECS = tuple(
+    PairTypeSpec(CurveKind(companion), CurveKind(curve), *row)
+    for companion, curve, *row in (
+        ("timelike", "spacelike-", False, True, -1.0, 1.0, -1.0,
+         ("+c", "+s"), ("+c", "-s"), (1.0, -1.0), ("+c", "-s"),
+         "companion timelike; curve spacelike with timelike principal normal"),
+        ("timelike", "timelike", False, False, 1.0, 1.0, -1.0,
+         ("-s", "-c"), ("+s", "-c"), (-1.0, 1.0), ("-s", "-c"),
+         "companion timelike; curve timelike"),
+        ("spacelike+", "spacelike-", True, False, 1.0, -1.0, -1.0,
+         ("-s", "+c"), ("+s", "+c"), (-1.0, 1.0), ("-s", "-c"),
+         "companion spacelike with timelike binormal; curve spacelike with timelike principal normal"),
+        ("spacelike+", "timelike", False, False, -1.0, -1.0, 1.0,
+         ("+c", "-s"), ("+c", "+s"), (1.0, -1.0), ("-c", "+s"),
+         "companion spacelike with timelike binormal; curve timelike"),
+        ("spacelike-", "spacelike+", False, False, 1.0, 1.0, -1.0,
+         ("+s", "+c"), ("+s", "+c"), (1.0, 1.0), ("+s", "+c"),
+         "companion spacelike with timelike principal normal; curve spacelike with timelike binormal"),
+    )
+)
 
 
 def _col(x: np.ndarray) -> np.ndarray:
@@ -234,20 +313,11 @@ def classify_pair(c: Curve, cstar: Curve, grid_size: int = 9) -> MannheimPairTyp
     along a sampling grid.  Combinations outside the five catalogued types
     (including any null curve) raise UnsupportedCombinationError.
     """
-
-    def constant_kind(curve: Curve) -> CurveKind:
-        kinds = frenet_frames(curve, np.linspace(*curve.domain, grid_size)).kinds
-        if (kinds != kinds[0]).any():
-            raise MixedCausalCharacterError(
-                f"frame kind of {curve.label!r} varies along the curve"
-            )
-        return _KINDS[kinds[0]]
-
-    key = (constant_kind(cstar), constant_kind(c))
-    try:
-        return _TYPE_TABLE[key]
-    except KeyError:
-        raise _unsupported(*key) from None
+    key = (constant_kind(cstar, grid_size), constant_kind(c, grid_size))
+    for pair_type in MannheimPairType:
+        if (pair_type.spec.companion, pair_type.spec.curve) == key:
+            return pair_type
+    raise _unsupported(*key)
 
 
 def _unsupported(companion: CurveKind, curve: CurveKind) -> UnsupportedCombinationError:
@@ -277,6 +347,8 @@ class MannheimPair:
     label: str = "pair"
     _frame_cache: dict = field(default_factory=dict, repr=False)
     _maps_on_grid: bool = field(default=False, repr=False)
+    # Keyed by (grid size, pair type); a dataclasses.replace copy starts empty.
+    _samples: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if not self._maps_on_grid:  # maps passed by hand take floats
@@ -326,6 +398,21 @@ class MannheimPair:
         """ds*/ds at ``s``."""
         return self.rates([s])[0]
 
+    def samples(self, grid_n: int) -> "PairSamples":
+        """The pair sampled on ``grid(grid_n)``, built once per grid size and pair type."""
+        key = (grid_n, self.pair_type)
+        if key not in self._samples:
+            self._samples[key] = PairSamples(self, grid_n)
+        return self._samples[key]
+
+    @classmethod
+    def _classified(
+        cls, c: Curve, cstar: Curve, lam: float, correspondence, rate, label: str
+    ) -> "MannheimPair":
+        """A constructor's pair: classified, with maps that take arrays."""
+        pair_type = classify_pair(c, cstar)
+        return cls(c, cstar, lam, pair_type, correspondence, rate, label, _maps_on_grid=True)
+
     @classmethod
     def from_binormal_offset(
         cls, cstar: Curve, lam: float, table_size: int = INVERSE_TABLE_SIZE
@@ -346,15 +433,8 @@ class MannheimPair:
         def rate(u):
             return 1.0 / offset.speeds(table.t_of_s(u))
 
-        return cls(
-            c=c_unit,
-            cstar=cstar,
-            lam=lam,
-            pair_type=classify_pair(c_unit, cstar),
-            correspondence=correspondence,
-            correspondence_rate=rate,
-            label=f"{cstar.label}/pair(lambda={lam:g})",
-            _maps_on_grid=True,
+        return cls._classified(
+            c_unit, cstar, lam, correspondence, rate, f"{cstar.label}/pair(lambda={lam:g})"
         )
 
     @classmethod
@@ -369,15 +449,8 @@ class MannheimPair:
         def correspondence(s: float) -> float:
             return table.s_of_t(s)
 
-        return cls(
-            c=c,
-            cstar=cstar_unit,
-            lam=lam,
-            pair_type=classify_pair(c, cstar_unit),
-            correspondence=correspondence,
-            correspondence_rate=offset.speeds,
-            label=f"{c.label}/pair(lambda={lam:g})",
-            _maps_on_grid=True,
+        return cls._classified(
+            c, cstar_unit, lam, correspondence, offset.speeds, f"{c.label}/pair(lambda={lam:g})"
         )
 
     @classmethod
@@ -414,15 +487,8 @@ class MannheimPair:
             )
             return v_star / v_c
 
-        return cls(
-            c=c_unit,
-            cstar=cstar_unit,
-            lam=lam,
-            pair_type=classify_pair(c_unit, cstar_unit),
-            correspondence=correspondence,
-            correspondence_rate=rate,
-            label=f"{c.label}|{cstar.label}",
-            _maps_on_grid=True,
+        return cls._classified(
+            c_unit, cstar_unit, lam, correspondence, rate, f"{c.label}|{cstar.label}"
         )
 
 
@@ -462,42 +528,29 @@ def _projections(T: Vec3L, fstar: FrenetFrame) -> tuple[float, float]:
     return inner(T, fstar.T) / eps_t_star, inner(T, fstar.N) / eps_n_star
 
 
-def _angle_components(pair_type: MannheimPairType, p: float, q: float) -> tuple[float, float]:
-    """(s_comp, c_comp) from the T* and N* coefficients; type 1 swaps them."""
-    if pair_type is MannheimPairType.TYPE1:
-        return p, q
-    return q, p  # types 2..5: c is the T* coefficient, s the N* coefficient
-
-
 def decompose_tangent(
-    T: Vec3L,
-    fstar: FrenetFrame,
-    pair_type: MannheimPairType,
-    invariant_tol: float = INVARIANT_TOL,
-    decomposition_tol: float = DECOMPOSITION_TOL,
-    where: str = "",
+    T: Vec3L, fstar: FrenetFrame, pair_type: MannheimPairType, where: str = ""
 ) -> TangentDecomposition:
     """Project a tangent onto the companion's (T*, N*) plane."""
     p, q = _projections(T, fstar)
 
     recon = fstar.T * p + fstar.N * q
     defect = (T - recon).euclidean_norm()
-    if defect > decomposition_tol * max(1.0, T.euclidean_norm()):
+    if defect > DECOMPOSITION_TOL * max(1.0, T.euclidean_norm()):
         raise InconsistentDecompositionError(
             f"tangent leaves the (T*, N*) plane{where} (defect {defect:.3e})"
         )
 
-    circular = pair_type in _CIRCULAR_TYPES
-    s_comp, c_comp = _angle_components(pair_type, p, q)
-
-    if circular:
+    spec = pair_type.spec
+    s_comp, c_comp = spec.oriented(p, q)
+    if spec.circular:
         invariant = c_comp * c_comp + s_comp * s_comp
         th = math.atan2(s_comp, c_comp)
     else:
         invariant = c_comp * c_comp - s_comp * s_comp
         th = math.asinh(s_comp)
-    if abs(invariant - 1.0) > invariant_tol:
-        kindname = "cos^2+sin^2" if circular else "cosh^2-sinh^2"
+    if abs(invariant - 1.0) > INVARIANT_TOL:
+        kindname = "cos^2+sin^2" if spec.circular else "cosh^2-sinh^2"
         raise InconsistentDecompositionError(
             f"{kindname} = {invariant:.9g}{where}; no consistent angle exists"
         )
@@ -505,26 +558,14 @@ def decompose_tangent(
         theta=th,
         s_comp=s_comp,
         c_comp=c_comp,
-        circular=circular,
+        circular=spec.circular,
         branch=1 if c_comp >= 0.0 else -1,
     )
 
 
-def tangent_decomposition(
-    pair: MannheimPair,
-    s: float,
-    invariant_tol: float = INVARIANT_TOL,
-    decomposition_tol: float = DECOMPOSITION_TOL,
-) -> TangentDecomposition:
+def tangent_decomposition(pair: MannheimPair, s: float) -> TangentDecomposition:
     f, fstar, _ = pair.frames_at(s)
-    return decompose_tangent(
-        f.T,
-        fstar,
-        pair.pair_type,
-        invariant_tol,
-        decomposition_tol,
-        where=f" at s={s:g}",
-    )
+    return decompose_tangent(f.T, fstar, pair.pair_type, where=f" at s={s:g}")
 
 
 def theta(pair: MannheimPair, s: float) -> float:
@@ -533,83 +574,21 @@ def theta(pair: MannheimPair, s: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# scalar identity residuals (single source of truth for the sign tables)
-
-_TORSION_RELATION_SIGN = {
-    MannheimPairType.TYPE1: -1.0,
-    MannheimPairType.TYPE2: 1.0,
-    MannheimPairType.TYPE3: 1.0,
-    MannheimPairType.TYPE4: -1.0,
-    MannheimPairType.TYPE5: 1.0,
-}
-
-_LINEAR_RELATION_SIGN = {
-    MannheimPairType.TYPE1: 1.0,
-    MannheimPairType.TYPE2: 1.0,
-    MannheimPairType.TYPE3: -1.0,
-    MannheimPairType.TYPE4: -1.0,
-    MannheimPairType.TYPE5: 1.0,
-}
-
-_ANGLE_RATE_SIGN = {
-    MannheimPairType.TYPE1: -1.0,
-    MannheimPairType.TYPE2: -1.0,
-    MannheimPairType.TYPE3: -1.0,
-    MannheimPairType.TYPE4: 1.0,
-    MannheimPairType.TYPE5: -1.0,
-}
+# scalar identity residuals, each reading the pair type's row
 
 
 def torsion_relation_residual(
     pair_type: MannheimPairType, kappa: float, tau: float, tau_star: float, lam: float
 ) -> float:
     """|tau* -/+ kappa/(lam tau)|: the reciprocal torsion relation."""
-    sign = _TORSION_RELATION_SIGN[pair_type]
-    return abs(tau_star - sign * kappa / (lam * tau))
+    return abs(tau_star - pair_type.spec.torsion_sign * kappa / (lam * tau))
 
 
 def linear_relation_residual(
     pair_type: MannheimPairType, kappa: float, tau: float, lam: float, mu: float
 ) -> float:
     """|mu tau +/- lam kappa - 1|: the linear curvature-torsion relation."""
-    sign = _LINEAR_RELATION_SIGN[pair_type]
-    return abs(mu * tau + sign * lam * kappa - 1.0)
-
-
-def _tau_star_combination(
-    pair_type: MannheimPairType, kappa: float, tau: float, s_comp: float, c_comp: float
-) -> float:
-    if pair_type is MannheimPairType.TYPE1:
-        return kappa * c_comp + tau * s_comp
-    if pair_type is MannheimPairType.TYPE2:
-        return -kappa * s_comp - tau * c_comp
-    if pair_type is MannheimPairType.TYPE3:
-        return -kappa * s_comp + tau * c_comp
-    if pair_type is MannheimPairType.TYPE4:
-        return kappa * c_comp - tau * s_comp
-    return kappa * s_comp + tau * c_comp
-
-
-def _kappa_projection(
-    pair_type: MannheimPairType, tau_star: float, s_comp: float, c_comp: float
-) -> float:
-    if pair_type in (MannheimPairType.TYPE1, MannheimPairType.TYPE4):
-        return tau_star * c_comp
-    return tau_star * s_comp
-
-
-def _tau_projection(
-    pair_type: MannheimPairType, tau_star: float, s_comp: float, c_comp: float
-) -> float:
-    if pair_type is MannheimPairType.TYPE1:
-        return -tau_star * s_comp
-    if pair_type is MannheimPairType.TYPE2:
-        return -tau_star * c_comp
-    if pair_type is MannheimPairType.TYPE3:
-        return tau_star * c_comp
-    if pair_type is MannheimPairType.TYPE4:
-        return tau_star * s_comp
-    return tau_star * c_comp
+    return abs(mu * tau + pair_type.spec.linear_sign * lam * kappa - 1.0)
 
 
 def frame_relation_residuals(
@@ -623,20 +602,13 @@ def frame_relation_residuals(
     dtheta_dsstar: float,
 ) -> tuple[float, float, float, float]:
     """Residuals of the four frame-decomposition identities of the type."""
-    r1 = abs(kappa_star - _ANGLE_RATE_SIGN[pair_type] * dtheta_dsstar)
-    r2 = abs(tau_star - _tau_star_combination(pair_type, kappa, tau, s_comp, c_comp))
-    r3 = abs(kappa - _kappa_projection(pair_type, tau_star, s_comp, c_comp))
-    r4 = abs(tau - _tau_projection(pair_type, tau_star, s_comp, c_comp))
+    spec = pair_type.spec
+    (k_term, t_term), (k_proj, t_proj) = spec.tau_star_terms, spec.projections
+    r1 = abs(kappa_star - spec.angle_rate_sign * dtheta_dsstar)
+    r2 = abs(tau_star - (_term(k_term, kappa, s_comp, c_comp) + _term(t_term, tau, s_comp, c_comp)))
+    r3 = abs(kappa - _term(k_proj, tau_star, s_comp, c_comp))
+    r4 = abs(tau - _term(t_proj, tau_star, s_comp, c_comp))
     return r1, r2, r3, r4
-
-
-def torsion_square_expression(pair_type: MannheimPairType, kappa: float, tau: float) -> float:
-    """kappa^2 -/+ tau^2 with the sign pattern implied by the type's projections."""
-    if pair_type in (MannheimPairType.TYPE1, MannheimPairType.TYPE4):
-        return kappa * kappa - tau * tau
-    if pair_type is MannheimPairType.TYPE5:
-        return kappa * kappa + tau * tau
-    return tau * tau - kappa * kappa
 
 
 def torsion_square_residuals(
@@ -648,7 +620,7 @@ def torsion_square_residuals(
     and is dimensionally inhomogeneous; it is published side by side but the
     squared form carries the pass criterion.
     """
-    expr = torsion_square_expression(pair_type, kappa, tau)
+    expr = pair_type.spec.square(kappa, tau)
     return abs(tau_star * tau_star - expr), abs(tau_star - expr)
 
 
@@ -656,31 +628,91 @@ def torsion_square_residuals(
 # pair-level verifiers
 
 
-def _hypothesis(pair: MannheimPair, grid: list[float], tol: float) -> tuple[bool, float]:
-    pair.frames(grid)
-    worst = max(mannheim_residual(pair, s) for s in grid)
-    return worst <= tol, worst
+class PairSamples:
+    """A pair sampled on one grid: what every identity verifier reads.
 
-
-def _tangent_components(pair: MannheimPair, s: float, checked: bool) -> tuple[float, float]:
-    """(s_comp, c_comp) at ``s`` for the identity verifiers.
-
-    With the hypothesis met (``checked``) the decomposition is checked and a
-    failure raises InconsistentDecompositionError.  Otherwise the raw
-    projections are used, so the profile is still published as Reported.
+    ``MannheimPair.samples(grid_n)`` builds one per grid size and keeps it.
+    Only the grid is computed up front; the frames, the collinearity
+    hypothesis, the tangent components and the rates ds*/ds are computed on
+    first use and kept, so a suite walks each of them once, and the
+    distance verifier, which reads positions only, extracts no frame.
     """
-    if checked:
-        dec = tangent_decomposition(pair, s)
-        return dec.s_comp, dec.c_comp
-    f, fstar, _ = pair.frames_at(s)
-    return _angle_components(pair.pair_type, *_projections(f.T, fstar))
+
+    def __init__(self, pair: MannheimPair, grid_n: int) -> None:
+        # Weak, as the pair keeps its samples: a strong cycle would keep each
+        # audited pair alive until a full garbage collection.
+        self.pair = weakref.proxy(pair)
+        self.pair_type = pair.pair_type
+        self.grid = pair.grid(grid_n)
+
+    @cached_property
+    def frames(self) -> list[tuple[FrenetFrame, FrenetFrame, float]]:
+        return self.pair.frames(self.grid)
+
+    @cached_property
+    def scalars(self) -> np.ndarray:
+        """Rows kappa, tau, kappa*, tau* over the grid."""
+        return np.array([(f.kappa, f.tau, fs.kappa, fs.tau) for f, fs, _ in self.frames]).T
+
+    @cached_property
+    def hypothesis(self) -> tuple[bool, float]:
+        """(met, worst collinearity residual over the grid)."""
+        self.frames  # extracted as one grid before the point lookups
+        worst = max(mannheim_residual(self.pair, s) for s in self.grid)
+        return worst <= HYPOTHESIS_TOL, worst
+
+    @cached_property
+    def components(self) -> np.ndarray:
+        """Rows s_comp, c_comp over the grid.
+
+        With the hypothesis met the decomposition is checked, and a failure
+        raises InconsistentDecompositionError carrying its grid ``row``.
+        Otherwise the raw projections are used, so the profiles are still
+        published as Reported.
+        """
+        if not self.hypothesis[0]:
+            raw = [self.pair_type.spec.oriented(*_projections(f.T, fs)) for f, fs, _ in self.frames]
+            return np.array(raw).T
+        out = []
+        for row, (s, (f, fstar, _)) in enumerate(zip(self.grid, self.frames)):
+            try:
+                dec = decompose_tangent(f.T, fstar, self.pair_type, where=f" at s={s:g}")
+            except InconsistentDecompositionError as exc:
+                exc.row = row
+                raise
+            out.append((dec.s_comp, dec.c_comp))
+        return np.array(out).T
+
+    @cached_property
+    def rates(self) -> list[float]:
+        return self.pair.rates(self.grid)
+
+    def check(self, failing: np.ndarray, error: type, what: str) -> None:
+        """Raise ``error("<what> at s=...")`` for the first flagged grid point."""
+        raise_first([(failing, lambda i: error(f"{what} at s={self.grid[i]:g}"))])
+
+    def report(
+        self, identity: str, residuals: list, tol: float, judged: bool = True, **details
+    ) -> VerificationReport:
+        """The verdict policy of the identity verifiers: Pass/Fail only under
+        the hypothesis, never for an unjudged report, and the worst
+        collinearity residual first in ``details``."""
+        met, worst = self.hypothesis
+        return VerificationReport.from_profile(
+            identity,
+            self.grid,
+            residuals,
+            tol,
+            hypothesis_met=judged and met,
+            details={"hypothesis_residual": worst, **details},
+        )
 
 
 def verify_distance(
     pair: MannheimPair, grid_n: int = 101, tol: float = TOL_ALGEBRAIC
 ) -> VerificationReport:
     """Deviation of the corresponding-point distance from |lambda|."""
-    grid = pair.grid(grid_n)
+    grid = pair.samples(grid_n).grid
     target = abs(pair.lam)
     s = np.array(grid)
     diff = pair.c.positions(s) - pair.cstar.positions(pair.correspondence(s))
@@ -691,38 +723,18 @@ def verify_distance(
 
 
 def verify_torsion_relation(
-    pair: MannheimPair,
-    grid_n: int = 101,
-    tol: float = TOL_EXTRACTED,
-    hypothesis_tol: float = HYPOTHESIS_TOL,
-    torsion_tol: float = 1e-9,
+    pair: MannheimPair, grid_n: int = 101, tol: float = TOL_EXTRACTED
 ) -> VerificationReport:
     """Reciprocal relation between tau* and kappa/(lambda tau)."""
-    grid = pair.grid(grid_n)
-    met, worst = _hypothesis(pair, grid, hypothesis_tol)
-    residuals = []
-    for s in grid:
-        f, fstar, _ = pair.frames_at(s)
-        if abs(f.tau) <= torsion_tol:
-            raise VanishingTorsionError(f"tau vanishes at s={s:g}")
-        residuals.append(
-            torsion_relation_residual(pair.pair_type, f.kappa, f.tau, fstar.tau, pair.lam)
-        )
-    return VerificationReport.from_profile(
-        "torsion-reciprocal",
-        grid,
-        residuals,
-        tol,
-        hypothesis_met=met,
-        details={"hypothesis_residual": worst},
-    )
+    samples = pair.samples(grid_n)
+    kappa, tau, _, tau_star = samples.scalars
+    samples.check(np.abs(tau) <= TORSION_TOL, VanishingTorsionError, "tau vanishes")
+    residuals = torsion_relation_residual(pair.pair_type, kappa, tau, tau_star, pair.lam)
+    return samples.report("torsion-reciprocal", residuals.tolist(), tol)
 
 
 def verify_linear_relation(
-    pair: MannheimPair,
-    grid_n: int = 101,
-    tol: float = TOL_EXTRACTED,
-    hypothesis_tol: float = HYPOTHESIS_TOL,
+    pair: MannheimPair, grid_n: int = 101, tol: float = TOL_EXTRACTED
 ) -> VerificationReport:
     """Linear relation mu*tau +/- lam*kappa = 1 with mu = lam * (s/c)-ratio.
 
@@ -731,31 +743,21 @@ def verify_linear_relation(
     mu is undefined: the residual there is None, mu statistics cover the
     other points, and ``undefined_at`` in ``details`` counts such points.
     """
-    grid = pair.grid(grid_n)
-    met, worst = _hypothesis(pair, grid, hypothesis_tol)
-    residuals = []
-    mus = []
-    for s in grid:
-        f, _, _ = pair.frames_at(s)
-        s_comp, c_comp = _tangent_components(pair, s, met)
-        if not c_comp:
-            residuals.append(None)
-            continue
-        mu = pair.lam * s_comp / c_comp
-        mus.append(mu)
-        residuals.append(
-            linear_relation_residual(pair.pair_type, f.kappa, f.tau, pair.lam, mu)
-        )
+    samples = pair.samples(grid_n)
+    kappa, tau, _, _ = samples.scalars
+    s_comp, c_comp = samples.components
+    defined = c_comp != 0.0
+    mus = pair.lam * s_comp[defined] / c_comp[defined]
+    profile = linear_relation_residual(pair.pair_type, kappa[defined], tau[defined], pair.lam, mus)
+    profile = iter(profile.tolist())
+    residuals = [next(profile) if d else None for d in defined.tolist()]
     details = {
-        "hypothesis_residual": worst,
-        "mu_mean": float(np.mean(mus)) if mus else None,
-        "mu_spread": float(np.max(mus) - np.min(mus)) if mus else None,
+        "mu_mean": float(np.mean(mus)) if mus.size else None,
+        "mu_spread": float(np.max(mus) - np.min(mus)) if mus.size else None,
     }
-    if len(mus) < len(grid):
-        details["undefined_at"] = len(grid) - len(mus)
-    return VerificationReport.from_profile(
-        "linear-curvature-torsion", grid, residuals, tol, hypothesis_met=met, details=details
-    )
+    if mus.size < len(residuals):
+        details["undefined_at"] = len(residuals) - mus.size
+    return samples.report("linear-curvature-torsion", residuals, tol, **details)
 
 
 def _theta_rate(
@@ -778,18 +780,16 @@ def _theta_rate(
     f, fstar, _ = pair.frames_at(s)
     r = pair.rate(s) if r is None else r
     eps_t_star, eps_n_star, _ = fstar.kind.signs
-    if pair.pair_type is MannheimPairType.TYPE1:
-        p, q = s_comp, c_comp
-    else:
-        p, q = c_comp, s_comp
+    spec = pair.pair_type.spec
+    p, q = spec.oriented(s_comp, c_comp)
     k, k_star, c_n_star = f.kappa, fstar.kappa, fstar.kind.normal_coefficient
     dp = (k * inner(f.N, fstar.T) + r * k_star * eps_n_star * q) / eps_t_star
     dq = (
         k * inner(f.N, fstar.N)
         + r * (c_n_star * k_star * eps_t_star * p + fstar.tau * inner(f.T, fstar.B))
     ) / eps_n_star
-    ds_comp, dc_comp = _angle_components(pair.pair_type, dp, dq)
-    if pair.pair_type in _CIRCULAR_TYPES:
+    ds_comp, dc_comp = spec.oriented(dp, dq)
+    if spec.circular:
         dtheta = (c_comp * ds_comp - s_comp * dc_comp) / (c_comp * c_comp + s_comp * s_comp)
     else:
         dtheta = ds_comp / math.sqrt(1.0 + s_comp * s_comp)
@@ -797,91 +797,51 @@ def _theta_rate(
 
 
 def verify_frame_relations(
-    pair: MannheimPair,
-    grid_n: int = 101,
-    tol: float = TOL_EXTRACTED,
-    tol_angle_rate: float = TOL_ANGLE_RATE,
-    hypothesis_tol: float = HYPOTHESIS_TOL,
+    pair: MannheimPair, grid_n: int = 101, tol: float = TOL_EXTRACTED
 ) -> list[VerificationReport]:
     """The four per-type frame-decomposition identities, one report each.
 
     The first one needs the angle rate d(theta)/ds*, which is chained exactly
     from the two frames at each grid point (``_theta_rate``); it keeps the
-    published angle-rate tolerance 1e-4.
+    published angle-rate tolerance ``TOL_ANGLE_RATE`` whatever ``tol`` is.
     """
-    grid = pair.grid(grid_n)
-    met, worst = _hypothesis(pair, grid, hypothesis_tol)
-    rows: tuple[list[float], ...] = ([], [], [], [])
-    for s, r in zip(grid, pair.rates(grid)):
-        f, fstar, _ = pair.frames_at(s)
-        s_comp, c_comp = _tangent_components(pair, s, met)
-        res = frame_relation_residuals(
-            pair.pair_type,
-            f.kappa,
-            f.tau,
-            fstar.kappa,
-            fstar.tau,
-            s_comp,
-            c_comp,
-            _theta_rate(pair, s, s_comp, c_comp, r),
-        )
-        for acc, r in zip(rows, res):
-            acc.append(r)
+    samples = pair.samples(grid_n)
+    rates = samples.rates
+    s_comp, c_comp = samples.components
+    dtheta = [
+        _theta_rate(pair, *point)
+        for point in zip(samples.grid, s_comp.tolist(), c_comp.tolist(), rates)
+    ]
+    rows = frame_relation_residuals(
+        pair.pair_type, *samples.scalars, s_comp, c_comp, np.array(dtheta)
+    )
     names = (
         "frame-angle-rate",
         "torsion-composition",
         "curvature-projection",
         "torsion-projection",
     )
-    tols = (tol_angle_rate, tol, tol, tol)
-    return [
-        VerificationReport.from_profile(
-            name,
-            grid,
-            residuals,
-            t,
-            hypothesis_met=met,
-            details={"hypothesis_residual": worst},
-        )
-        for name, residuals, t in zip(names, rows, tols)
-    ]
+    tols = (TOL_ANGLE_RATE, tol, tol, tol)
+    return [samples.report(n, r.tolist(), t) for n, r, t in zip(names, rows, tols)]
 
 
 def verify_torsion_square(
-    pair: MannheimPair,
-    grid_n: int = 101,
-    tol: float = TOL_EXTRACTED,
-    hypothesis_tol: float = HYPOTHESIS_TOL,
+    pair: MannheimPair, grid_n: int = 101, tol: float = TOL_EXTRACTED
 ) -> list[VerificationReport]:
     """Squared and literal torsion-square forms, published side by side."""
-    grid = pair.grid(grid_n)
-    met, worst = _hypothesis(pair, grid, hypothesis_tol)
-    squared, literal = [], []
-    for s in grid:
-        f, fstar, _ = pair.frames_at(s)
-        r_sq, r_lit = torsion_square_residuals(pair.pair_type, f.kappa, f.tau, fstar.tau)
-        squared.append(r_sq)
-        literal.append(r_lit)
-    squared_report = VerificationReport.from_profile(
-        "torsion-square",
-        grid,
-        squared,
-        tol,
-        hypothesis_met=met,
-        details={"hypothesis_residual": worst},
-    )
-    literal_report = VerificationReport(
-        identity="torsion-square-literal",
-        grid=list(grid),
-        residuals=literal,
-        tolerance=tol,
-        verdict=Verdict.REPORTED,
-        details={
-            "hypothesis_residual": worst,
-            "note": "dimensionally inhomogeneous variant; published, never judged",
-        },
-    )
-    return [squared_report, literal_report]
+    samples = pair.samples(grid_n)
+    kappa, tau, _, tau_star = samples.scalars
+    squared, literal = torsion_square_residuals(pair.pair_type, kappa, tau, tau_star)
+    return [
+        samples.report("torsion-square", squared.tolist(), tol),
+        samples.report(
+            "torsion-square-literal",
+            literal.tolist(),
+            tol,
+            judged=False,
+            note="dimensionally inhomogeneous variant; published, never judged",
+        ),
+    ]
 
 
 def curvature_center_distances(pair: MannheimPair, s: float) -> dict[str, float]:
@@ -903,26 +863,21 @@ def curvature_center_ratio(pair: MannheimPair, s: float) -> float:
     return (1.0 - lam * f.kappa) * math.sqrt(abs(lam * lam * fstar.kappa**2 - 1.0))
 
 
-def verify_ratio_nonconstant(
-    pair: MannheimPair,
-    grid_n: int = 101,
-    threshold_factor: float = 1e-6,
-) -> VerificationReport:
+def verify_ratio_nonconstant(pair: MannheimPair, grid_n: int = 101) -> VerificationReport:
     """Check that the curvature-center ratio actually varies along the pair.
 
     Passes when the sample standard deviation of the ratio profile exceeds
-    ``threshold_factor * |mean|``.  Constant-curvature input makes the ratio
-    exactly constant; that case is flagged as Reported (constant_ratio), not
-    failed.  Residuals hold the deviation-from-mean profile.
+    ``RATIO_THRESHOLD_FACTOR * |mean|``.  Constant-curvature input makes the
+    ratio exactly constant; that case is flagged as Reported
+    (constant_ratio), not failed.  Residuals hold the deviation-from-mean
+    profile.
     """
-    grid = pair.grid(grid_n)
-    pair.frames(grid)
-    ratios = [curvature_center_ratio(pair, s) for s in grid]
-    kappas = [pair.frames_at(s)[0].kappa for s in grid]
-    kappa_stars = [pair.frames_at(s)[1].kappa for s in grid]
+    samples = pair.samples(grid_n)
+    kappas, _, kappa_stars, _ = samples.scalars.tolist()
+    ratios = [curvature_center_ratio(pair, s) for s in samples.grid]
     mean = float(np.mean(ratios))
     sd = float(np.std(ratios, ddof=1))
-    threshold = threshold_factor * abs(mean)
+    threshold = RATIO_THRESHOLD_FACTOR * abs(mean)
     deviations = [abs(r - mean) for r in ratios]
 
     def spread(vals: list[float]) -> float:
@@ -936,7 +891,7 @@ def verify_ratio_nonconstant(
         verdict = Verdict.FAIL
     return VerificationReport(
         identity="center-ratio-nonconstancy",
-        grid=list(grid),
+        grid=list(samples.grid),
         residuals=deviations,
         tolerance=threshold,
         verdict=verdict,
@@ -973,7 +928,7 @@ def mannheim_curve_test(
 
     For a curve admitting a partner of the given type with constant offset,
     m must be the constant 1/lambda^2; the sign pattern inside the bracket
-    is the type's torsion-square expression.  Raises
+    is the right side of the type's torsion-square relation.  Raises
     NegativeConditionValueError when m is not positive somewhere (no real
     offset constant exists) and VanishingTorsionError on vanishing torsion.
     """
@@ -981,7 +936,7 @@ def mannheim_curve_test(
     f = frenet_frames(c, s)
     m = (
         power_rows(f.tau, 2)
-        * torsion_square_expression(pair_type, f.kappa, f.tau)
+        * pair_type.spec.square(f.kappa, f.tau)
         / power_rows(f.kappa, 2)
     )
     raise_first(

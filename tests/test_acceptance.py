@@ -34,11 +34,6 @@ from mannheim_lab.lorentz import E1, E2, E3, Vec3L, cross, norm
 from mannheim_lab.mannheim import (
     MannheimPair,
     MannheimPairType,
-    _kappa_projection,
-    _tau_projection,
-    _ANGLE_RATE_SIGN,
-    _LINEAR_RELATION_SIGN,
-    _TORSION_RELATION_SIGN,
     frame_relation_residuals,
     linear_relation_residual,
     mannheim_curve_test,
@@ -228,6 +223,12 @@ PIPELINE_CANDIDATES = {
 HYPOTHESIS_TOL = 1e-6
 
 
+def _signed(term, x, s_comp, c_comp):
+    """``x`` times a signed component of a type-table row ("-s" is -s_comp)."""
+    sign = -1.0 if term[0] == "-" else 1.0
+    return sign * x * (s_comp if term[1] == "s" else c_comp)
+
+
 def _helix(kind, kappa, tau):
     T0, N0, B0 = CANONICAL_FRAMES[kind]
     f0 = FrenetFrame(T0, N0, B0, kappa, tau, kind)
@@ -275,6 +276,7 @@ def _demonstrate_identities(pair_type):
     defining collinearity (their normal/binormal causal characters clash).
     """
     t = pair_type
+    spec = t.spec
     circular = t is MannheimPairType.TYPE5
 
     def comps(th):
@@ -287,16 +289,16 @@ def _demonstrate_identities(pair_type):
     for s in grid:
         kappa = 1.0 + 0.2 * s
         tau = 0.9
-        tau_star = _TORSION_RELATION_SIGN[t] * kappa / (lam * tau)
+        tau_star = spec.torsion_sign * kappa / (lam * tau)
         assert torsion_relation_residual(t, kappa, tau, tau_star, lam) < 1e-5
 
     # linear relation with mu = lam * (component ratio), constant angle
-    theta0, lam2 = (0.5, 0.8) if _LINEAR_RELATION_SIGN[t] > 0 else (1.2, 2.0)
+    theta0, lam2 = (0.5, 0.8) if spec.linear_sign > 0 else (1.2, 2.0)
     s0, c0 = comps(theta0)
     mu = lam2 * s0 / c0
     for s in grid:
         tau = 1.0 + 0.3 * math.sin(s)
-        kappa = (1.0 - mu * tau) / (_LINEAR_RELATION_SIGN[t] * lam2)
+        kappa = (1.0 - mu * tau) / (spec.linear_sign * lam2)
         assert linear_relation_residual(t, kappa, tau, lam2, mu) < 1e-5
 
     # frame rows: projections define kappa and tau; the angle varies so the
@@ -307,10 +309,9 @@ def _demonstrate_identities(pair_type):
     for s in grid:
         sc, cc = comps(theta_fn(s))
         tau_star = 1.1 + 0.1 * s
-        kappa = _kappa_projection(t, tau_star, sc, cc)
-        tau = _tau_projection(t, tau_star, sc, cc)
+        kappa, tau = (_signed(term, tau_star, sc, cc) for term in spec.projections)
         dtheta = _scalar_fd(theta_fn, float(s), 1, 0.0, 1.0, 1e-3)
-        kappa_star = _ANGLE_RATE_SIGN[t] * dtheta  # ds*/ds prescribed as 1
+        kappa_star = spec.angle_rate_sign * dtheta  # ds*/ds prescribed as 1
         r1, r2, r3, r4 = frame_relation_residuals(
             t, kappa, tau, kappa_star, tau_star, sc, cc, dtheta
         )

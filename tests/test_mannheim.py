@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import json
 import math
+import weakref
 
 import jsonschema
 import numpy as np
@@ -10,11 +12,13 @@ from _oracle_constants import ORACLE
 from mannheim_lab import frenet, mannheim
 from mannheim_lab import indicatrix as indicatrix_module
 from mannheim_lab.cli import _run_pair_suite
-from mannheim_lab.curve import reparametrize_unit
+from mannheim_lab.curve import Curve, reparametrize_unit
 from mannheim_lab.errors import (
+    DegenerateIndicatrixError,
     InconsistentDecompositionError,
     NegativeConditionValueError,
     UnsupportedCombinationError,
+    VanishingCurvatureError,
     VanishingTorsionError,
     ZeroLambdaError,
 )
@@ -25,7 +29,7 @@ from mannheim_lab.frenet import (
     frenet_apparatus,
     frenet_synthesize,
 )
-from mannheim_lab.indicatrix import verify_indicatrix_relations
+from mannheim_lab.indicatrix import indicatrix_relation_residuals, verify_indicatrix_relations
 from mannheim_lab.lorentz import Vec3L, inner, norm
 from mannheim_lab.mannheim import (
     HYPOTHESIS_TOL,
@@ -37,12 +41,16 @@ from mannheim_lab.mannheim import (
     decompose_tangent,
     exact_partner_kappa,
     exact_partner_pair,
+    frame_relation_residuals,
     mannheim_curve_test,
     mannheim_residual,
     offset_along_binormal,
     offset_along_normal,
     tangent_decomposition,
     theta,
+    torsion_relation_residual,
+    torsion_square_residuals,
+    linear_relation_residual,
     verify_distance,
     verify_frame_relations,
     verify_linear_relation,
@@ -576,3 +584,281 @@ class TestUnmetHypothesis:
             verify_linear_relation(pair, 11)
         with pytest.raises(InconsistentDecompositionError):
             verify_indicatrix_relations(pair, 11)
+
+
+# Each type's row written out independently of the type table: (C*, C) kind
+# values, description, circular, T*/N* swap, the torsion, linear and
+# angle-rate signs, the tau* combination, the kappa and tau projections and
+# the torsion-square expression as plain formulas, and the indicatrix
+# relations as ((sign, component), (sign, component)).
+TYPE_ROWS = {
+    MannheimPairType.TYPE1: (
+        "timelike", "spacelike-",
+        "companion timelike; curve spacelike with timelike principal normal",
+        False, True, -1.0, 1.0, -1.0,
+        lambda k, t, s, c: k * c + t * s,
+        lambda ts, s, c: ts * c,
+        lambda ts, s, c: -ts * s,
+        lambda k, t: k * k - t * t,
+        ((1.0, "c"), (-1.0, "s")),
+    ),
+    MannheimPairType.TYPE2: (
+        "timelike", "timelike",
+        "companion timelike; curve timelike",
+        False, False, 1.0, 1.0, -1.0,
+        lambda k, t, s, c: -k * s - t * c,
+        lambda ts, s, c: ts * s,
+        lambda ts, s, c: -ts * c,
+        lambda k, t: t * t - k * k,
+        ((-1.0, "s"), (-1.0, "c")),
+    ),
+    MannheimPairType.TYPE3: (
+        "spacelike+", "spacelike-",
+        "companion spacelike with timelike binormal; curve spacelike with timelike principal normal",
+        True, False, 1.0, -1.0, -1.0,
+        lambda k, t, s, c: -k * s + t * c,
+        lambda ts, s, c: ts * s,
+        lambda ts, s, c: ts * c,
+        lambda k, t: t * t - k * k,
+        ((-1.0, "s"), (-1.0, "c")),
+    ),
+    MannheimPairType.TYPE4: (
+        "spacelike+", "timelike",
+        "companion spacelike with timelike binormal; curve timelike",
+        False, False, -1.0, -1.0, 1.0,
+        lambda k, t, s, c: k * c - t * s,
+        lambda ts, s, c: ts * c,
+        lambda ts, s, c: ts * s,
+        lambda k, t: k * k - t * t,
+        ((-1.0, "c"), (1.0, "s")),
+    ),
+    MannheimPairType.TYPE5: (
+        "spacelike-", "spacelike+",
+        "companion spacelike with timelike principal normal; curve spacelike with timelike binormal",
+        False, False, 1.0, 1.0, -1.0,
+        lambda k, t, s, c: k * s + t * c,
+        lambda ts, s, c: ts * s,
+        lambda ts, s, c: ts * c,
+        lambda k, t: k * k + t * t,
+        ((1.0, "s"), (1.0, "c")),
+    ),
+}
+
+
+class TestPairTypeSpec:
+    """The type table against its identities written out as formulas, bit for bit."""
+
+    @pytest.mark.parametrize("pair_type", list(MannheimPairType))
+    def test_row_matches_the_written_formulas(self, pair_type):
+        (companion, curve, description, circular, swap, torsion, linear, rate,
+         combination, kappa_of, tau_of, square, relations) = TYPE_ROWS[pair_type]
+        spec = pair_type.spec
+        assert (spec.companion, spec.curve) == (CurveKind(companion), CurveKind(curve))
+        assert spec.description == pair_type.describe() == description
+        assert (spec.circular, spec.swap) == (circular, swap)
+        assert (spec.torsion_sign, spec.linear_sign, spec.angle_rate_sign) == (torsion, linear, rate)
+        assert spec.oriented(0.25, 0.75) == ((0.25, 0.75) if swap else (0.75, 0.25))
+        rng = np.random.default_rng(pair_type.value)
+        for k, t, ks, ts, s, c, d, lam, mu, n, b in rng.uniform(-2.0, 2.0, (50, 11)).tolist():
+            assert torsion_relation_residual(pair_type, k, t, ts, lam) == abs(ts - torsion * k / (lam * t))
+            assert linear_relation_residual(pair_type, k, t, lam, mu) == abs(
+                mu * t + linear * lam * k - 1.0
+            )
+            assert frame_relation_residuals(pair_type, k, t, ks, ts, s, c, d) == (
+                abs(ks - rate * d),
+                abs(ts - combination(k, t, s, c)),
+                abs(k - kappa_of(ts, s, c)),
+                abs(t - tau_of(ts, s, c)),
+            )
+            assert torsion_square_residuals(pair_type, k, t, ts) == (
+                abs(ts * ts - square(k, t)),
+                abs(ts - square(k, t)),
+            )
+            comp = {"s": s, "c": c}
+            for g in (1.0, -1.0):
+                rhs = g * ts * b
+                assert indicatrix_relation_residuals(pair_type.value, k, t, ts, s, c, n, b, g) == tuple(
+                    abs(x * n - sign * comp[name] * rhs)
+                    for x, (sign, name) in zip((k, t), relations)
+                )
+
+    def test_kind_pairs_outside_the_table_are_unsupported(self):
+        helices = {
+            CurveKind.TIMELIKE: helix(CurveKind.TIMELIKE, 1.0, 2.0, domain=(0.0, 0.2)),
+            CurveKind.SPACELIKE_EPS_PLUS: helix(CurveKind.SPACELIKE_EPS_PLUS, 1.0, 1.0, domain=(0.0, 0.2)),
+            CurveKind.SPACELIKE_EPS_MINUS: helix(CurveKind.SPACELIKE_EPS_MINUS, 2.0, 1.0, domain=(0.0, 0.2)),
+        }
+        rows = {(CurveKind(row[0]), CurveKind(row[1])): t for t, row in TYPE_ROWS.items()}
+        assert len(rows) == 5
+        for companion, cstar in helices.items():
+            for kind, c in helices.items():
+                if (companion, kind) in rows:
+                    assert classify_pair(c, cstar) is rows[companion, kind]
+                else:
+                    with pytest.raises(UnsupportedCombinationError):
+                        classify_pair(c, cstar)
+
+
+def _line_pair(example1):
+    """A hand-built pair whose curve C is a straight line: C has no frame."""
+    line = Curve(lambda t: Vec3L(0.0, t, 0.0), (0.0, 1.0), label="line")
+    return MannheimPair(
+        c=line,
+        cstar=example1,
+        lam=1.0,
+        pair_type=MannheimPairType.TYPE3,
+        correspondence=lambda s: s,
+        correspondence_rate=lambda s: 1.0,
+    )
+
+
+class TestPairSamples:
+    """One sample pass per (pair, grid), shared by every verifier of a suite."""
+
+    @staticmethod
+    def _count(monkeypatch, *names):
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            original = getattr(mannheim, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(mannheim, name, counted)
+        return calls
+
+    def test_suite_walks_hypothesis_and_decomposition_once(self, exact_pair_type3, monkeypatch):
+        calls = self._count(monkeypatch, "mannheim_residual", "decompose_tangent")
+        pair = dataclasses.replace(exact_pair_type3)
+        assert len(_run_pair_suite(pair, 11, None)) == 12
+        assert calls == {"mannheim_residual": 11, "decompose_tangent": 11}
+        _run_pair_suite(pair, 11, None)  # the same grid reuses its samples
+        assert calls == {"mannheim_residual": 11, "decompose_tangent": 11}
+
+    def test_second_grid_builds_new_samples(self, exact_pair_type3, monkeypatch):
+        calls = self._count(monkeypatch, "mannheim_residual", "decompose_tangent")
+        pair = dataclasses.replace(exact_pair_type3)
+        assert pair.samples(11) is pair.samples(11)
+        assert pair.samples(21) is not pair.samples(11)
+        _run_pair_suite(pair, 11, None)
+        _run_pair_suite(pair, 21, None)
+        assert calls == {"mannheim_residual": 32, "decompose_tangent": 32}
+
+    def test_replaced_copy_starts_empty(self, exact_pair_type2):
+        pair = dataclasses.replace(exact_pair_type2)
+        verify_linear_relation(pair, 11)
+        copy = dataclasses.replace(pair, pair_type=MannheimPairType.TYPE3)
+        assert list(pair._samples) == [(11, MannheimPairType.TYPE2)] and copy._samples == {}
+        assert copy.samples(11) is not pair.samples(11)
+
+    def test_relabelled_pair_is_sampled_again(self, exact_pair_type2):
+        # samples hold the type's components: a pair relabelled in place
+        # must not reuse those of its old type
+        pair = dataclasses.replace(exact_pair_type2)
+        assert verify_linear_relation(pair, 11).verdict is not None
+        pair.pair_type = MannheimPairType.TYPE3
+        with pytest.raises(InconsistentDecompositionError):
+            verify_linear_relation(pair, 11)
+
+    def test_an_audited_pair_is_freed_without_a_collection(self, example1):
+        # the pair keeps its samples, which refer back to it weakly: no
+        # reference cycle keeps an audited pair alive until a full collection
+        pair = MannheimPair.from_binormal_offset(example1, 20.0)
+        assert len(_run_pair_suite(pair, 11, None)) == 12
+        ref = weakref.ref(pair)
+        gc.disable()
+        try:
+            del pair
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_distance_reads_positions_only(self, example1):
+        rep = verify_distance(_line_pair(example1), 11)
+        assert rep.verdict is Verdict.FAIL
+        assert len(rep.residuals) == 11
+
+    def test_suite_on_a_frameless_curve_raises(self, example1):
+        with pytest.raises(VanishingCurvatureError, match="at s=0$") as info:
+            _run_pair_suite(_line_pair(example1), 11, None)
+        assert info.value.row == 0
+
+    def test_torsion_check_precedes_the_decomposition(self, exact_pair_type2, monkeypatch):
+        # every tau counts as vanishing, and no type-3 angle exists: the
+        # torsion verifier runs first and raises first
+        monkeypatch.setattr(mannheim, "TORSION_TOL", 1e9)
+        pair = dataclasses.replace(exact_pair_type2, pair_type=MannheimPairType.TYPE3)
+        with pytest.raises(VanishingTorsionError):
+            _run_pair_suite(pair, 11, None)
+
+    @pytest.mark.parametrize(
+        "stationary_at,error", [(0, DegenerateIndicatrixError), (5, InconsistentDecompositionError)]
+    )
+    def test_stationary_image_and_failed_decomposition_keep_point_order(
+        self, exact_pair_type2, monkeypatch, stationary_at, error
+    ):
+        # the decomposition fails from the first grid point on; a stationary
+        # image there is reported first, one further on is not reached
+        pair = dataclasses.replace(exact_pair_type2, pair_type=MannheimPairType.TYPE3)
+        frame = pair.frames_at(pair.grid(11)[stationary_at])[0]
+        rate = indicatrix_module._field_rate
+        monkeypatch.setattr(
+            indicatrix_module, "_field_rate", lambda f, which: 0.0 if f is frame else rate(f, which)
+        )
+        with pytest.raises(error):
+            verify_indicatrix_relations(pair, 11)
+
+
+class TestVerifiersAgainstPointLoop:
+    """Every verifier's profile equals a loop of the scalar identity functions."""
+
+    @pytest.mark.parametrize("which", ["exact-type3", "type4-normal-offset"])
+    def test_profiles_equal_the_point_loop(self, which, exact_pair_type3, example2):
+        # the exact pair meets the hypothesis (checked decomposition); the
+        # type-4 offset does not (raw projections, undefined mu)
+        if which == "exact-type3":
+            pair = dataclasses.replace(exact_pair_type3)
+        else:
+            pair = MannheimPair.from_normal_offset(example2, 0.5)
+        t, lam, grid = pair.pair_type, pair.lam, pair.grid(21)
+        met = max(mannheim_residual(pair, s) for s in grid) <= HYPOTHESIS_TOL
+        points = []
+        for s in grid:
+            f, fs, _ = pair.frames_at(s)
+            if met:
+                dec = tangent_decomposition(pair, s)
+                sc, cc = dec.s_comp, dec.c_comp
+            else:
+                sc, cc = t.spec.oriented(*mannheim._projections(f.T, fs))
+            points.append((s, f, fs, sc, cc))
+
+        def columns(rows):
+            return [list(col) for col in zip(*rows)]
+
+        assert verify_torsion_relation(pair, 21).residuals == [
+            torsion_relation_residual(t, f.kappa, f.tau, fs.tau, lam) for _, f, fs, _, _ in points
+        ]
+        assert verify_linear_relation(pair, 21).residuals == [
+            linear_relation_residual(t, f.kappa, f.tau, lam, lam * sc / cc) if cc else None
+            for _, f, _, sc, cc in points
+        ]
+        frame_rows = [
+            frame_relation_residuals(
+                t, f.kappa, f.tau, fs.kappa, fs.tau, sc, cc, mannheim._theta_rate(pair, s, sc, cc)
+            )
+            for s, f, fs, sc, cc in points
+        ]
+        assert [r.residuals for r in verify_frame_relations(pair, 21)] == columns(frame_rows)
+        square_rows = [torsion_square_residuals(t, f.kappa, f.tau, fs.tau) for _, f, fs, _, _ in points]
+        assert [r.residuals for r in verify_torsion_square(pair, 21)] == columns(square_rows)
+        images = verify_indicatrix_relations(pair, 21)
+        rate = indicatrix_module._field_rate
+        image_rows = [
+            indicatrix_relation_residuals(
+                t.value, f.kappa, f.tau, fs.tau, sc, cc,
+                1.0 / rate(f, "N"), 1.0 / rate(fs, "B"), images[0].details["alignment"],
+            )
+            for _, f, fs, sc, cc in points
+        ]
+        assert [r.residuals for r in images] == columns(image_rows)

@@ -3,10 +3,14 @@
 A change that claims to keep report output bit for bit the same is checked
 by running this script before and after it and diffing the two outputs:
 
-    PYTHONPATH=src python tools/report_digests.py > before.txt
+    python tools/report_digests.py > before.txt
     # apply the change
-    PYTHONPATH=src python tools/report_digests.py > after.txt
+    python tools/report_digests.py > after.txt
     diff before.txt after.txt
+
+The script imports ``mannheim_lab`` from the ``src`` directory of its own
+checkout, ahead of any installed copy or ``PYTHONPATH`` entry, and prints the
+path of the package it digests to stderr.
 
 With ``--residuals`` it prints, instead of digests, one line per report of
 each configuration (verdict and max residual), for a before/after table of
@@ -46,11 +50,15 @@ import argparse
 import hashlib
 import json
 import os
+import sys
 import tempfile
 
-from mannheim_lab import MannheimPair, builtin_curve, exact_partner_pair
-from mannheim_lab.cli import _run_pair_suite, main as cli_main, resolve_curve_spec
-from mannheim_lab.frenet import CurveKind
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+
+import mannheim_lab  # noqa: E402 - after the path of this checkout
+from mannheim_lab import MannheimPair, builtin_curve, exact_partner_pair  # noqa: E402
+from mannheim_lab.cli import _run_pair_suite, main as cli_main, resolve_curve_spec  # noqa: E402
+from mannheim_lab.frenet import CurveKind  # noqa: E402
 
 EXACT_GRID = 201
 REFERENCE_GRID = 101
@@ -164,6 +172,7 @@ def main() -> None:
         help="print digests of the CLI's CSV and JSON output files instead",
     )
     args = parser.parse_args()
+    print(f"mannheim_lab: {mannheim_lab.__file__}", file=sys.stderr)
     if args.csv:
         for text, label in cli_digests():
             print(f"{text}  {label}", flush=True)
