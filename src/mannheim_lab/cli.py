@@ -1,9 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success with no failed verdict, 1 on any Fail verdict or
-domain error, 2 on usage, curve-spec or expression parse errors, on a
-synthesis step too small for its range (``frenet.MAX_SYNTH_STEPS``) and on
-a synthesis range narrower than its prescription's difference stencils.
+domain error, 2 on usage, curve-spec or expression parse errors and on a
+synthesis step too small for its range (``frenet.MAX_SYNTH_STEPS``).
 
 Curve specs accepted by ``--curve/-c`` and ``--cstar``:
 
@@ -31,7 +30,6 @@ from .errors import (
     CsvFormatError,
     ExprSyntaxError,
     MannheimLabError,
-    ShortSynthesisRangeError,
     TooManyStepsError,
 )
 from .expr import parse_expr
@@ -372,7 +370,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         ExprSyntaxError,
         CsvFormatError,
         TooManyStepsError,
-        ShortSynthesisRangeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,7 +15,7 @@ __all__ = [
     "InvalidInitialFrameError",
     "NonPositiveCurvatureError",
     "TooManyStepsError",
-    "ShortSynthesisRangeError",
+    "PrescriptionError",
     "SynthesisOverflowError",
     "TableSizeError",
     "ZeroLambdaError",
@@ -95,8 +95,8 @@ class TooManyStepsError(MannheimLabError):
     """A synthesis step is too small for its range: the step count exceeds the cap."""
 
 
-class ShortSynthesisRangeError(MannheimLabError):
-    """A synthesis range is narrower than the stencils that differentiate its prescription."""
+class PrescriptionError(MannheimLabError):
+    """A prescribed scalar function rejects a ``Jet2`` or returns neither a float nor a ``Jet2``."""
 
 
 class SynthesisOverflowError(MannheimLabError):

@@ -13,40 +13,148 @@ There is no unary minus; write ``0 - x``.  Parse errors carry the byte
 offset of the failure.  Evaluation is total on finite inputs except for
 division by zero, overflow and math-domain errors, which raise
 ExprDomainError naming the failing subexpression and ``s``.
+
+``Expr.eval`` also takes a ``Jet2``, the identity jet at an array of
+abscissae, and returns the value with its first two derivatives there in
+one pass.  The error of a jet names the first failing abscissa, as
+evaluating the abscissae one by one would.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ExprDomainError, ExprSyntaxError
 
-__all__ = ["Expr", "Num", "Var", "BinOp", "Func", "Pow", "parse_expr", "FUNCTIONS"]
+__all__ = ["Expr", "Num", "Var", "BinOp", "Func", "Pow", "Jet2", "sqrt", "parse_expr", "FUNCTIONS"]
 
-FUNCTIONS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "sinh": math.sinh,
-    "cosh": math.cosh,
-    "exp": math.exp,
+# Each function f with f' and the sign c of f'' = c f.
+_JETS = {
+    "sin": (math.sin, math.cos, -1.0),
+    "cos": (math.cos, lambda x: -math.sin(x), -1.0),
+    "sinh": (math.sinh, math.cosh, 1.0),
+    "cosh": (math.cosh, math.sinh, 1.0),
+    "exp": (math.exp, math.exp, 1.0),
 }
+FUNCTIONS = {name: f for name, (f, *_) in _JETS.items()}
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 _NUMBER_RE = re.compile(r"(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
-class Expr:
-    """Base class of expression nodes."""
+def _per_element(f, x):
+    """``f`` of a float, or of each element of an array in Python floats."""
+    if np.ndim(x) == 0:
+        return f(x)
+    return np.array([f(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
-    def eval(self, s: float) -> float:
+
+def _jet(x) -> Jet2:
+    return x if isinstance(x, Jet2) else Jet2(x)
+
+
+class Jet2:
+    """A truncated order-2 Taylor number: value ``v``, derivatives ``d`` and ``dd``.
+
+    Components are floats or arrays of one shape.  Values are the float
+    operations', elementwise in scalar order (``sqrt`` is the correctly
+    rounded ``np.sqrt``; ``**`` and functions run per element in Python
+    floats), so they match scalar evaluation bit for bit on any CPU, and
+    errors are the float ones.  With no ``__float__``, ``math.sin(jet)``
+    raises TypeError.
+    """
+
+    __slots__ = ("v", "d", "dd")
+    __array_ufunc__ = None  # numpy operands defer to the methods below
+
+    def __init__(self, v, d=0.0, dd=0.0):
+        self.v, self.d, self.dd = v, d, dd
+
+    def _chain(self, f0, f1, f2) -> Jet2:
+        """f(self) from f, f' and f'' at the value: the chain rule to order 2."""
+        return Jet2(f0, f1 * self.d, f2 * self.d * self.d + f1 * self.dd)
+
+    def __add__(self, o) -> Jet2:
+        o = _jet(o)
+        return Jet2(self.v + o.v, self.d + o.d, self.dd + o.dd)
+
+    def __sub__(self, o) -> Jet2:
+        o = _jet(o)
+        return Jet2(self.v - o.v, self.d - o.d, self.dd - o.dd)
+
+    def __mul__(self, o) -> Jet2:
+        o = _jet(o)
+        dd = self.dd * o.v + 2.0 * (self.d * o.d) + self.v * o.dd
+        return Jet2(self.v * o.v, self.d * o.v + self.v * o.d, dd)
+
+    def __truediv__(self, o) -> Jet2:
+        o = _jet(o)
+        if np.any(o.v == 0.0):
+            raise ZeroDivisionError("float division by zero")
+        q = self.v / o.v
+        d = (self.d - q * o.d) / o.v
+        return Jet2(q, d, (self.dd - 2.0 * (d * o.d) - q * o.dd) / o.v)
+
+    __radd__, __rmul__ = __add__, __mul__
+    __rsub__ = lambda self, o: _jet(o) - self
+    __rtruediv__ = lambda self, o: _jet(o) / self
+
+    def __pow__(self, n: int) -> Jet2:
+        if not isinstance(n, int) or n < 0:  # the grammar's exponents only
+            return NotImplemented
+        value, f1, f2 = (
+            _per_element(lambda u: u**k, self.v) if k >= 0 else 0.0 for k in (n, n - 1, n - 2)
+        )
+        return self._chain(value, n * f1, n * (n - 1) * f2)
+
+    def sqrt(self) -> Jet2:
+        if np.any(self.v < 0.0):
+            raise ValueError("math domain error")
+        root = np.sqrt(self.v)
+        return self._chain(root, 0.5 / root, -0.25 / (root * self.v))
+
+    def func(self, name: str) -> Jet2:
+        """The grammar function ``name`` of this jet."""
+        f, derivative, sign = _JETS[name]
+        value = _per_element(f, self.v)
+        return self._chain(value, _per_element(derivative, self.v), sign * value)
+
+
+def sqrt(x):
+    """Square root of a float or a ``Jet2``."""
+    return x.sqrt() if isinstance(x, Jet2) else math.sqrt(x)
+
+
+class Expr:
+    """Base class of expression nodes.
+
+    ``eval`` takes a float or a ``Jet2`` and returns the same kind.
+    """
+
+    def eval(self, s):
         raise NotImplementedError
 
     def __str__(self) -> str:
         raise NotImplementedError
 
-    def _domain_error(self, s: float, exc: Exception) -> ExprDomainError:
+    def _domain_error(self, s, exc: Exception) -> ExprDomainError:
+        # On a jet, a later subexpression may fail at an earlier abscissa than
+        # the one that raised: the error is the first of a one-by-one walk.
+        if isinstance(s, Jet2):
+            for row, x in enumerate(np.ravel(s.v).tolist()):
+                try:
+                    self.eval(x)
+                except ExprDomainError as err:
+                    err.row = row
+                    return err
+        if isinstance(exc, ExprDomainError):
+            return exc
         # pow's OverflowError carries (errno, message); keep the message
         return ExprDomainError(f"{self} is undefined at s={s!r} ({exc.args[-1]})")
 
@@ -80,16 +188,9 @@ class BinOp(Expr):
     right: Expr
 
     def eval(self, s: float) -> float:
-        a, b = self.left.eval(s), self.right.eval(s)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
         try:
-            return a / b
-        except ZeroDivisionError as exc:
+            return _OPS[self.op](self.left.eval(s), self.right.eval(s))
+        except (ZeroDivisionError, ExprDomainError) as exc:
             raise self._domain_error(s, exc) from None
 
     def __str__(self) -> str:
@@ -102,10 +203,10 @@ class Func(Expr):
     arg: Expr
 
     def eval(self, s: float) -> float:
-        x = self.arg.eval(s)
         try:
-            return FUNCTIONS[self.name](x)
-        except (OverflowError, ValueError) as exc:
+            x = self.arg.eval(s)
+            return x.func(self.name) if isinstance(x, Jet2) else FUNCTIONS[self.name](x)
+        except (OverflowError, ValueError, ExprDomainError) as exc:
             raise self._domain_error(s, exc) from None
 
     def __str__(self) -> str:
@@ -118,10 +219,9 @@ class Pow(Expr):
     exponent: int
 
     def eval(self, s: float) -> float:
-        x = self.base.eval(s)
         try:
-            return x**self.exponent
-        except OverflowError as exc:
+            return self.base.eval(s) ** self.exponent
+        except (OverflowError, ExprDomainError) as exc:
             raise self._domain_error(s, exc) from None
 
     def __str__(self) -> str:

@@ -32,12 +32,13 @@ from .errors import (
     NonPositiveCurvatureError,
     NotUnitSpeedError,
     NullPrincipalNormalError,
-    ShortSynthesisRangeError,
+    PrescriptionError,
     SynthesisOverflowError,
     TooManyStepsError,
     VanishingCurvatureError,
     raise_first,
 )
+from .expr import Jet2
 from .lorentz import Vec3L, cross, cross_rows, inner, inner_rows, power_rows
 
 __all__ = [
@@ -66,10 +67,6 @@ FRAME0_TOL = 1e-10
 # of kappa = 1 + 0.1 sin s, tau = 0.6 + 0.2 cos s takes ~1 s and ~150 MB peak
 # RSS in a fresh interpreter on a 2-vCPU x86-64 VM.
 MAX_SYNTH_STEPS = 100_000
-# Farthest a prescription stencil reaches from a point of the range, in steps
-# of h_fd: a point within 2 h_fd of an end takes a one-sided stencil of up to
-# 7 nodes, so the range must span 8 h_fd to hold every node.
-_FD_REACH = 8
 
 
 class CurveKind(Enum):
@@ -272,8 +269,8 @@ def scalar_jets(c: Curve, s, order: int = 2) -> ScalarJets:
     differencing; order 2 gives ``(kinds, (kappa, kappa', kappa''),
     (tau, tau', tau''))``, one array per entry and ``kinds`` as indices into
     ``tuple(CurveKind)``.  A curve carrying a ``scalars`` evaluator answers
-    itself: built-in curves exactly, synthesized curves from their
-    prescription.  Any other curve goes through the one fallback that
+    itself exactly: built-in curves in closed form, synthesized curves from
+    their prescription jets.  Any other curve goes through the one fallback that
     differences extracted frame scalars: kappa' chained exactly through the
     third derivative, then kappa'', tau' and tau'' by 4th-order scalar
     differences (steps 1e-4, 1e-4, 1e-3, scaled by max(1, |s|)), the frames
@@ -427,10 +424,43 @@ def _mul4(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _jet_of(fn: Callable, s: np.ndarray, role: str) -> Jet2:
+    """``fn`` of the identity jet at abscissae ``s``, with arrays of s's shape."""
+    name = getattr(fn, "__qualname__", None) or repr(fn)
+    try:
+        out = fn(Jet2(s, np.ones_like(s), np.zeros_like(s)))
+    except TypeError as exc:
+        raise PrescriptionError(f"{role} prescription {name} rejects a Jet2: {exc}") from exc
+    if not isinstance(out, (int, float, Jet2)):
+        raise PrescriptionError(
+            f"{role} prescription {name} returned a {type(out).__name__}, neither a float nor a Jet2"
+        )
+    out = out if isinstance(out, Jet2) else Jet2(out)
+    return Jet2(*(np.broadcast_to(x, s.shape).astype(float) for x in (out.v, out.d, out.dd)))
+
+
+def _prescribe(kappa_fn: Callable, tau_fn: Callable, s: np.ndarray) -> tuple[Jet2, Jet2]:
+    """Jets of kappa and tau at abscissae ``s``, one call of each function.
+
+    The error raised is the one that evaluating kappa, checking kappa > 0
+    and evaluating tau, abscissa by abscissa in the order of ``s``, meets first.
+    """
+    try:
+        kappa = _jet_of(kappa_fn, s, "kappa")
+        bad = kappa.v <= 0.0
+        error = lambda i: NonPositiveCurvatureError(f"kappa(s={s[i]:g}) = {kappa.v[i]:g} <= 0")
+        raise_first([(bad, error)])
+        return kappa, _jet_of(tau_fn, s, "tau")
+    except MannheimLabError as exc:
+        if exc.row:  # an earlier abscissa may fail a later check
+            _prescribe(kappa_fn, tau_fn, s[: exc.row])
+        raise
+
+
 def frenet_synthesize(
     kind: CurveKind,
-    kappa_fn: Callable[[float], float],
-    tau_fn: Callable[[float], float],
+    kappa_fn: Callable,
+    tau_fn: Callable,
     frame0: FrenetFrame,
     p0: Vec3L,
     s_range: tuple[float, float],
@@ -438,42 +468,34 @@ def frenet_synthesize(
 ) -> Curve:
     """Integrate the frame system for prescribed kappa(s), tau(s).
 
-    Classical fixed-step 4th-order one-step integration of the coupled
-    12-dimensional system {position' = T} + frame equations, chosen for
-    determinism and reproducibility.  No re-orthonormalization is applied;
-    Gram drift is measured, not hidden (see ``synthesized_gram_drift``).
+    A prescription takes a float or an ``expr.Jet2`` and returns a float or
+    a ``Jet2`` (``Expr.eval`` is one).  Each is called once, on the jet of
+    every distinct abscissa RK4 meets in step order (node, midpoint and end
+    of each step; an end that rounds to the next node stands for it).
 
-    Each coordinate obeys the same linear 4x4 system Y' = A(kappa, tau) Y on
-    the rows (p, T, N, B), so one RK4 step is Y + D Y with the increment
-    matrix D = (h/6)(A0 + 2 K2 + 2 K3 + K4), K2 = Am (I + h/2 A0),
-    K3 = Am (I + h/2 K2), K4 = A1 (I + h K3) (A at the node, midpoint and
-    end of the step).  The range is walked in blocks of ``_SYNTH_BLOCK``
-    steps: the block's prescription is evaluated in step order, every D of
-    the block is built at once by elementwise numpy (no BLAS product, whose
-    kernels vary by CPU), and Y + D Y is summed in Python floats in a fixed
-    order, so the result does not depend on the host.
+    Classical fixed-step RK4 of {position' = T} + frame equations, with no
+    re-orthonormalization (``synthesized_gram_drift`` measures the drift).
+    Each coordinate obeys Y' = A(kappa, tau) Y on the rows (p, T, N, B), so
+    a step is Y + D Y with D = (h/6)(A0 + 2 K2 + 2 K3 + K4), K2 =
+    Am (I + h/2 A0), K3 = Am (I + h/2 K2), K4 = A1 (I + h K3).  Every D of
+    a block of ``_SYNTH_BLOCK`` steps is built by elementwise numpy (no BLAS
+    product, whose kernels vary by CPU) and Y + D Y is summed in Python
+    floats in a fixed order, so the result does not depend on the host.
 
-    The result is a sampled curve: position and derivative fields are cubic
-    Hermite interpolants over the integration nodes, each field built from
-    its own exact node values and node slopes supplied by the frame system,
-    so interpolation error is O(step^4) per field.  The three derivative
-    fields share one stacked interpolant, so a jet is one evaluation.
+    Position and derivative fields are cubic Hermite interpolants of exact
+    node values and node slopes (frame system and prescription jets), one
+    stacked interpolant for the three derivative fields.  The curve's
+    scalar jet, kappa and tau with two exact derivatives, reads one call of
+    each prescription per grid.
 
-    The curve carries its prescription as its scalar jet: kappa and tau are
-    evaluated directly, their first two derivatives by one declared 4th-order
-    difference of ``kappa_fn`` and ``tau_fn`` with step ``max(1e-4, h/10)``,
-    the rule the node slopes use.  RK4 evaluates the prescription once per
-    distinct abscissa, node, midpoint and end of each step in turn.
-
-    Raises TooManyStepsError, before any work, if the range needs more than
-    ``MAX_SYNTH_STEPS`` steps; ShortSynthesisRangeError, before any work, if
-    the range is narrower than ``_FD_REACH`` difference steps, where a
-    stencil would reach outside it; InvalidInitialFrameError if ``frame0``
-    violates the Gram invariants of ``kind`` (tolerance 1e-10);
-    NonPositiveCurvatureError, naming the first such abscissa, if the
-    prescribed curvature is not strictly positive on the range; and
-    SynthesisOverflowError, naming the first node, if the integrated frame
-    or the derivative fields overflow.
+    Raises TooManyStepsError, before any work, past ``MAX_SYNTH_STEPS``
+    steps; InvalidInitialFrameError if ``frame0`` violates the Gram
+    invariants of ``kind`` (tolerance 1e-10); before any integration,
+    PrescriptionError for a prescription that rejects a jet or returns
+    neither a float nor a jet, and ExprDomainError or
+    NonPositiveCurvatureError naming the first failing abscissa in step
+    order; and SynthesisOverflowError, naming the first node, if the
+    integrated frame or the derivative fields overflow.
     """
     a, b = float(s_range[0]), float(s_range[1])
     if not b > a:
@@ -487,12 +509,6 @@ def frenet_synthesize(
         )
     n_steps = max(1, math.ceil((b - a) / step))
     h = (b - a) / n_steps
-    h_fd = max(1e-4, 0.1 * h)
-    if b - a < _FD_REACH * h_fd:
-        raise ShortSynthesisRangeError(
-            f"synthesis range [{a:g}, {b:g}] is narrower than {_FD_REACH * h_fd:g}, "
-            "the reach of the stencils that differentiate the prescription"
-        )
     if frame_gram_residual(frame0.T, frame0.N, frame0.B, kind) > FRAME0_TOL:
         raise InvalidInitialFrameError(
             "initial frame violates the Gram invariants of the requested kind"
@@ -502,43 +518,32 @@ def frenet_synthesize(
 
     c_n = float(kind.normal_coefficient)
     c_b = float(kind.binormal_coefficient)
-    kappa_grid, tau_grid = _looped(kappa_fn), _looped(tau_fn)
-
-    def scalars(s: float) -> tuple[float, float]:
-        k = kappa_fn(s)
-        if k <= 0.0:
-            raise NonPositiveCurvatureError(f"kappa(s={s:g}) = {k:g} <= 0")
-        return k, tau_fn(s)
-
     s_nodes = a + h * np.arange(n_steps + 1)
     s_nodes[-1] = b
+    # Row i: midpoint, end and next node of step i; ``at`` indexes each into
+    # the abscissae, taken in step order after a, the next node only where
+    # the end does not round to it.
+    stages = np.stack((s_nodes[:-1] + 0.5 * h, s_nodes[:-1] + h, s_nodes[1:]), axis=1)
+    kept = np.ones(stages.shape, dtype=bool)
+    kept[:, 2] = stages[:, 1] != stages[:, 2]
+    at = np.cumsum(kept).reshape(stages.shape)
+    node = np.concatenate(([0], np.where(kept[:, 2], at[:, 2], at[:, 1])))
 
     states = np.empty((n_steps + 1, 12))
     states[0] = [v for u in (p0, frame0.T, frame0.N, frame0.B) for v in u.as_tuple()]
     # Y as three coordinate columns (p, T, N, B), advanced in Python floats.
     cols = states[0].reshape(4, 3).T.tolist()
-    # Prescription (kappa, tau) at each node; a step's end is reused as the
-    # next node whenever it rounds to that node.
-    node_scalars = np.empty((n_steps + 1, 2))
-    node_scalars[0] = scalars(a)
     eye = np.eye(4)
     # Overflow is not checked per step: the finished states and fields are
     # checked once below, and numpy's warnings on the way there are muted.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
+        k_jet, t_jet = _prescribe(kappa_fn, tau_fn, np.concatenate(([a], stages[kept])))
         for i0 in range(0, n_steps, _SYNTH_BLOCK):
             i1 = min(i0 + _SYNTH_BLOCK, n_steps)
-            s = s_nodes[i0:i1]
-            mid, end, nxt = [], [], []
-            for s_mid, s_end, s_next in zip(
-                (s + 0.5 * h).tolist(), (s + h).tolist(), s_nodes[i0 + 1 : i1 + 1].tolist()
-            ):
-                mid.append(scalars(s_mid))
-                end.append(scalars(s_end))
-                nxt.append(end[-1] if s_end == s_next else scalars(s_next))
-            node_scalars[i0 + 1 : i1 + 1] = nxt
-            A0 = _rate_matrices(*node_scalars[i0:i1].T, c_n, c_b)
-            Am = _rate_matrices(*np.array(mid).T, c_n, c_b)
-            A1 = _rate_matrices(*np.array(end).T, c_n, c_b)
+            A0, Am, A1 = (
+                _rate_matrices(k_jet.v[i], t_jet.v[i], c_n, c_b)
+                for i in (node[i0:i1], at[i0:i1, 0], at[i0:i1, 1])
+            )
             K2 = _mul4(Am, eye + (0.5 * h) * A0)
             K3 = _mul4(Am, eye + (0.5 * h) * K2)
             K4 = _mul4(A1, eye + h * K3)
@@ -565,9 +570,8 @@ def frenet_synthesize(
         N = states[:, 6:9]
         B = states[:, 9:12]
 
-        kappa, tau = node_scalars.T
-        kappa_p, kappa_pp = _grid_jet(kappa_grid, s_nodes, a, b, h_fd, f_ts=kappa)
-        tau_p, _ = _grid_jet(tau_grid, s_nodes, a, b, h_fd, f_ts=tau)
+        kappa, kappa_p, kappa_pp = k_jet.v[node], k_jet.d[node], k_jet.dd[node]
+        tau, tau_p = t_jet.v[node], t_jet.d[node]
 
         kN = kappa[:, None] * N
         Np = c_n * kappa[:, None] * T + tau[:, None] * B
@@ -610,15 +614,12 @@ def frenet_synthesize(
     code = _KINDS.index(kind)
 
     def prescription(ts: np.ndarray, order: int) -> ScalarJets:
-        k, t = kappa_grid(ts), tau_grid(ts)
+        with np.errstate(all="ignore"):
+            k, t = _jet_of(kappa_fn, ts, "kappa"), _jet_of(tau_fn, ts, "tau")
         kinds = np.full(len(ts), code)
         if order == 0:
-            return kinds, (k,), (t,)
-        return (
-            kinds,
-            (k, *_grid_jet(kappa_grid, ts, a, b, h_fd, f_ts=k)),
-            (t, *_grid_jet(tau_grid, ts, a, b, h_fd, f_ts=t)),
-        )
+            return kinds, (k.v,), (t.v,)
+        return kinds, (k.v, k.d, k.dd), (t.v, t.d, t.dd)
 
     out = Curve.on_grid(
         evaluate, (a, b), f"synthesized-{kind.value}", unit_speed=True, scalars=prescription

@@ -55,6 +55,7 @@ from .frenet import (
     scalar_jets,
     _scalar_fd,
 )
+from .expr import sqrt
 from .lorentz import Vec3L, cross, inner, inner_rows, norm, power_rows
 from .reports import VerificationReport, Verdict
 
@@ -964,9 +965,10 @@ def mannheim_curve_test(
     )
 
 
-def exact_partner_kappa(kind: CurveKind, lam: float, tau: float) -> float:
+def exact_partner_kappa(kind: CurveKind, lam: float, tau):
     """Curvature making the normal offset by ``lam`` an exact partner.
 
+    ``tau`` is a float or a ``Jet2``, and the curvature the same kind.
     Derived by requiring the normal component of the offset's second
     derivative to vanish, which is what makes the offset's binormal
     collinear with the base normal.  Branches:
@@ -982,21 +984,21 @@ def exact_partner_kappa(kind: CurveKind, lam: float, tau: float) -> float:
         if lam <= 0.0:
             raise ValueError("this branch needs lam > 0")
         disc = 1.0 - 4.0 * lam * lam * tau * tau
-        if disc <= 0.0:
+        if np.any(getattr(disc, "v", disc) <= 0.0):
             raise ValueError("need 4 lam^2 tau^2 < 1 on the whole range")
-        return (1.0 - math.sqrt(disc)) / (2.0 * lam)
+        return (1.0 - sqrt(disc)) / (2.0 * lam)
     if kind is CurveKind.TIMELIKE:
-        root = math.sqrt(1.0 + 4.0 * lam * lam * tau * tau)
+        root = sqrt(1.0 + 4.0 * lam * lam * tau * tau)
         return (1.0 + root) / (2.0 * lam) if lam > 0 else (1.0 - root) / (2.0 * lam)
     # SPACELIKE_EPS_PLUS
     if lam <= 0.0:
         raise ValueError("this branch needs lam > 0")
-    return (-1.0 + math.sqrt(1.0 + 4.0 * lam * lam * tau * tau)) / (2.0 * lam)
+    return (-1.0 + sqrt(1.0 + 4.0 * lam * lam * tau * tau)) / (2.0 * lam)
 
 
 def exact_partner_pair(
     kind: CurveKind,
-    tau_fn: Callable[[float], float],
+    tau_fn: Callable,
     lam: float,
     s_range: tuple[float, float] = (0.0, 1.0),
     step: float = 1e-3,
@@ -1016,7 +1018,7 @@ def exact_partner_pair(
     if kind is CurveKind.TIMELIKE and lam > 0.0:
         raise _unsupported(CurveKind.SPACELIKE_EPS_MINUS, CurveKind.TIMELIKE)
 
-    def kappa_fn(s: float) -> float:
+    def kappa_fn(s):
         return exact_partner_kappa(kind, lam, tau_fn(s))
 
     T0, N0, B0 = INITIAL_FRAMES[kind]

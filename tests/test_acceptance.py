@@ -21,6 +21,7 @@ from _oracle_constants import ORACLE
 from test_expr import run_fuzz_comparison
 from mannheim_lab.builtins import builtin_curve
 from mannheim_lab.curve import reparametrize_unit
+from mannheim_lab.expr import parse_expr
 from mannheim_lab.frenet import (
     CurveKind,
     FrenetFrame,
@@ -185,8 +186,8 @@ def test_criterion_06_synthesis_round_trip():
                 assert abs(f.kappa - 1.4) < 1e-6
                 assert abs(f.tau - 0.8) < 1e-6
 
-            kf = lambda s: 1.0 + 0.1 * math.sin(s)
-            tf = lambda s: 0.7 + 0.15 * math.cos(s)
+            kf = parse_expr("1.0 + 0.1 * sin(s)").eval
+            tf = parse_expr("0.7 + 0.15 * cos(s)").eval
             f0v = FrenetFrame(T0, N0, B0, kf(0.0), tf(0.0), kind)
             varying = frenet_synthesize(kind, kf, tf, f0v, Vec3L(0, 0, 0), (0.0, 1.0), 1e-3)
             for s in rng.uniform(0.0, 1.0, 15):

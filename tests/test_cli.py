@@ -186,7 +186,9 @@ class TestSynthesisBounds:
         assert out == ""
         assert not out_path.exists()
 
-    def test_range_narrower_than_stencils_is_usage_error(self, capsys, tmp_path):
+    def test_short_range_synthesizes(self, capsys, tmp_path):
+        # no stencil differentiates the prescription, so a range narrower
+        # than one step is one step
         out_path = tmp_path / "out.json"
         with warnings.catch_warnings():
             # any numpy or scipy warning would be raised instead of printed
@@ -195,13 +197,9 @@ class TestSynthesisBounds:
                 capsys, "classify", "--curve", "synth:kind=timelike,kappa=1,tau=0.5,range=0:1e-300",
                 "--out", str(out_path),
             )
-        assert code == 2
-        assert err == (
-            "error: synthesis range [0, 1e-300] is narrower than 0.0008, the reach of "
-            "the stencils that differentiate the prescription\n"
-        )
-        assert out == ""
-        assert not out_path.exists()
+        assert code == 0
+        assert err == ""
+        assert json.loads(out_path.read_text())["causal_character"] == "timelike"
 
     def test_overflow_is_domain_error_without_warnings(self, capsys, tmp_path):
         out_path = tmp_path / "out.csv"
@@ -369,6 +367,49 @@ class TestExpressionDomainErrors:
         assert err.startswith("error: ")
         assert f"{node} is undefined at s=" in err
         assert "Traceback" not in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["synthesize", "--kind", "timelike", "--kappa", "exp(1000 * s)", "--tau", "0.5"],
+                "exp((1000.0 * s)) is undefined at s=0.71 (math range error)",
+            ),
+            (
+                ["synthesize", "--kind", "timelike", "--kappa", "0.5 - s",
+                 "--tau", "1 / (s - 0.25)", "--step", "0.05"],
+                "(1.0 / (s - 0.25)) is undefined at s=0.25 (float division by zero)",
+            ),
+            (
+                ["synthesize", "--kind", "timelike", "--kappa", "0.2 - s", "--tau", "exp(800 * s)"],
+                "kappa(s=0.2) = 0 <= 0",
+            ),
+            (
+                ["synthesize", "--kind", "timelike", "--kappa", "1 + exp(800 * s)",
+                 "--tau", "1 / (s - 0.125)", "--step", "0.125"],
+                "(1.0 / (s - 0.125)) is undefined at s=0.125 (float division by zero)",
+            ),
+            (
+                ["synthesize", "--kind", "spacelike+", "--kappa", "(1 + s)^2000", "--tau", "0.5"],
+                "(1.0 + s)^2000 is undefined at s=0.4265 (Numerical result out of range)",
+            ),
+            (
+                ["pair-verify", "--c", "synth:kind=timelike,kappa=1 / (s - 0.5),tau=0.9",
+                 "--cstar", "paper-example-2", "--lambda", "1"],
+                "kappa(s=0) = -2 <= 0",
+            ),
+            (
+                ["classify", "--curve", "synth:kind=timelike,kappa=0.3 - s,tau=0.9"],
+                "kappa(s=0.3) = 0 <= 0",
+            ),
+        ],
+    )
+    def test_first_failing_abscissa_names_the_error(self, capsys, tmp_path, argv, message):
+        # the abscissae in RK4's step order, kappa then its sign then tau at each
+        out_path = tmp_path / "out"
+        code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+        assert (code, err) == (1, f"error: {message}\n")
         assert not out_path.exists()
 
     def test_synth_spec_is_exit_one(self, capsys):

@@ -12,7 +12,6 @@ from mannheim_lab.errors import (
     NonPositiveCurvatureError,
     NotUnitSpeedError,
     NullPrincipalNormalError,
-    ShortSynthesisRangeError,
     SynthesisOverflowError,
     TooManyStepsError,
     VanishingCurvatureError,
@@ -23,8 +22,10 @@ from mannheim_lab.frenet import (
     frenet_apparatus,
     frenet_synthesize,
     scalar_jet,
+    scalar_jets,
     synthesized_gram_drift,
 )
+from mannheim_lab.expr import Jet2, parse_expr
 from mannheim_lab.lorentz import Vec3L
 
 SQRT3 = math.sqrt(3.0)
@@ -209,8 +210,8 @@ class TestSynthesize:
     @pytest.mark.parametrize("kind", list(CurveKind))
     def test_round_trip_varying(self, kind):
         T0, N0, B0 = FRAME0[kind]
-        kf = lambda s: 1.0 + 0.1 * math.sin(s)
-        tf = lambda s: 0.6 + 0.2 * math.cos(s)
+        kf = parse_expr("1.0 + 0.1 * sin(s)").eval
+        tf = parse_expr("0.6 + 0.2 * cos(s)").eval
         f0 = FrenetFrame(T0, N0, B0, kf(0.0), tf(0.0), kind)
         c = frenet_synthesize(kind, kf, tf, f0, Vec3L(0, 0, 0), (0.0, 1.0), 1e-3)
         rng = np.random.default_rng(6)
@@ -235,44 +236,43 @@ class TestSynthesize:
 
 
 class TestGridFiniteDifference:
+    # The frame-difference fallback is the one grid difference left beneath
+    # scalar jets: a synthesized curve without its prescription jets takes it.
     @pytest.mark.parametrize("pair_type", [2, 3, 5])
     def test_grid_form_equals_scalar_form_at_every_synthesis_node(
         self, exact_pair_of, pair_type
     ):
-        pair = exact_pair_of(pair_type, -0.2)
-        nodes = pair.c.synth_nodes["s"]
-        a, b = pair.c.domain
+        c = copy.copy(exact_pair_of(pair_type, -0.2).c)
+        c.scalars = None
+        nodes = c.synth_nodes["s"]
+        a, b = c.domain
         assert (nodes[0], nodes[-1]) == (a, b)
-        h = max(1e-4, 0.1 * (nodes[1] - nodes[0]))  # the step synthesis uses
-        shapes = {frenet._fd_offsets(float(t), 2, a, b, h) for t in nodes}
-        assert len(shapes) == 3  # interior, forward and backward stencils
-        for name in ("kappa_fn", "tau_fn"):
-            f = pair.construction[name]
-            values = frenet._looped(f)(nodes)
-            grid = frenet._grid_jet(frenet._looped(f), nodes, a, b, h, f_ts=values)
-            # every node's jet formed in plain floats, one stencil at a time
+        _, (_, _, kappa_pp), (_, tau_p, tau_pp) = scalar_jets(c, nodes)
+        # (step, order, differenced field, the fallback's result)
+        for h, m, name, grid in (
+            (1e-4, 1, "tau", tau_p),
+            (1e-4, 1, "dkappa", kappa_pp),
+            (1e-3, 2, "tau", tau_pp),
+        ):
+            assert len({frenet._fd_offsets(t, m, a, b, h) for t in nodes.tolist()}) == 3
+            # every node's difference formed one stencil at a time in plain floats
             point = []
             for t in nodes.tolist():
-                at = [f(t + o * h) for o in frenet._fd_offsets(t, 2, a, b, h)]
-                jet = [f(t)]
-                for m in (1, 2):
-                    weights = frenet._UNIT_WEIGHTS[frenet._fd_offsets(t, m, a, b, h), m]
-                    jet.append(frenet._difference(weights, at, h**m))
-                point.append(jet)
-            point = np.array(point).T
-            assert np.array_equal(values, point[0])
-            for order in (1, 2):
-                assert np.array_equal(grid[order - 1], point[order]), (name, order)
-            # the synthesized curve answers its scalar jet with the same rule
-            for i in (0, 1, len(nodes) // 2, -2, -1):
-                jet = scalar_jet(pair.c, float(nodes[i]))[1 if name == "kappa_fn" else 2]
-                assert jet == tuple(point[:, i].tolist())
+                offsets = frenet._fd_offsets(t, m, a, b, h)
+                at = getattr(frenet.frenet_frames(c, [t + o * h for o in offsets]), name)
+                point.append(frenet._difference(frenet._UNIT_WEIGHTS[offsets, m], at.tolist(), h**m))
+            assert grid.tolist() == point, (name, m)
 
     def test_jet_differences_equal_the_single_order_differences(self, exact_pair_type3):
         # the union stencil's first and second differences are the m=1 and
         # m=2 differences, and the cached unit-step weights need no recursion
-        f = exact_pair_type3.construction["tau_fn"]
-        a, b = exact_pair_type3.c.domain
+        c = copy.copy(exact_pair_type3.c)
+        c.scalars = None
+
+        def f(t):
+            return float(frenet.frenet_frames(c, [t]).tau[0])
+
+        a, b = c.domain
         for t in (a, a + 1e-4, 0.5, b - 1e-4, b):
             f1, f2 = frenet._grid_jet(frenet._looped(f), np.array([t]), a, b, 1e-4)
             assert f1[0] == frenet._scalar_fd(f, t, 1, a, b, 1e-4)
@@ -281,12 +281,12 @@ class TestGridFiniteDifference:
 
 class TestScalarJet:
     # (kappa, kappa', kappa'', tau, tau', tau''): largest gap between a curve's
-    # own scalar jet and the frame-difference fallback.  The ends take
-    # one-sided stencils: there the prescription's 7-node second difference
-    # at step 1e-4 amplifies the rounding of tau about 2e10-fold (1.2e-6
-    # measured on a linear tau, whose tau'' is 0).
-    TOL = (1e-12, 1e-12, 1e-6, 1e-12, 1e-9, 1e-6)
-    TOL_AT_ENDS = (1e-12, 1e-12, 1e-6, 1e-12, 1e-9, 2e-6)
+    # own scalar jet, exact, and the frame-difference fallback, so the error
+    # of the fallback alone.  The ends take its one-sided stencils: the 7-node
+    # second difference of extracted tau at step 1e-3 is off by up to 3.9e-8
+    # there (type 3, tau = 0.8 + 0.2 s), against 2.3e-9 in the interior.
+    TOL = (1e-12, 1e-12, 1e-11, 1e-12, 1e-10, 1e-8)
+    TOL_AT_ENDS = (1e-12, 1e-12, 1e-11, 1e-12, 1e-10, 1e-7)
 
     @pytest.mark.parametrize(
         "fixture",
@@ -342,30 +342,28 @@ class TestSynthesisBounds:
         with pytest.raises(TooManyStepsError):
             self._synthesize(lambda s: 1.0, 1e-3, (-1e308, 1e308))
 
-    def test_range_narrower_than_stencil_reach_is_rejected(self):
-        # at step 1e-3 the difference step is 1e-4; a point within 2e-4 of an
-        # end takes a one-sided stencil reaching 6e-4 further, so 8e-4 is the
-        # narrowest range that holds every node
+    def test_short_range_synthesizes(self):
+        # no stencil differentiates the prescription, so any range narrower
+        # than a step is one step, and its jets stay inside the range
         calls = []
 
         def kappa(s):
             calls.append(s)
-            return 1.0
+            return 1.0 + 0.0 * s
 
-        for width in (1e-300, 6e-4, 7.9e-4):
-            with pytest.raises(ShortSynthesisRangeError, match="narrower than 0.0008"):
-                self._synthesize(kappa, 1e-3, (0.0, width))
-        assert calls == [0.0, 0.0, 0.0]  # only the initial frame's kappa(a)
-        c = self._synthesize(kappa, 1e-3, (0.0, 8e-4))
-        for s in np.linspace(0.0, 8e-4, 17):
-            scalar_jet(c, float(s))
-        assert 0.0 <= min(calls) and max(calls) <= 8e-4
+        for width in (1e-300, 6e-4, 7.9e-4, 8e-4):
+            c = self._synthesize(kappa, 1e-3, (0.0, width))
+            assert c.synth_nodes["s"].tolist() == [0.0, width]
+            for s in np.linspace(0.0, width, 17):
+                assert scalar_jet(c, float(s))[1] == (1.0, 0.0, 0.0)
+        abscissae = np.concatenate([np.ravel(s.v) for s in calls if isinstance(s, Jet2)])
+        assert 0.0 <= abscissae.min() and abscissae.max() <= 8e-4
 
     def test_overflow_names_the_first_non_finite_node(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(SynthesisOverflowError, match=r"overflows at s=0\.033:"):
-                self._synthesize(lambda s: math.exp(700.0 * s), 1e-3)
+                self._synthesize(parse_expr("exp(700.0 * s)").eval, 1e-3)
 
 
 def _stagewise_states(kind, kappa, tau, frame0, p0, s_range, step):
@@ -397,13 +395,8 @@ def _stagewise_states(kind, kappa, tau, frame0, p0, s_range, step):
 class TestBatchedIncrements:
     """RK4 as Y + D Y per block of steps, against the stage-wise loop."""
 
-    @staticmethod
-    def kappa(s):
-        return 1.0 + 0.1 * math.sin(s)
-
-    @staticmethod
-    def tau(s):
-        return 0.6 + 0.2 * math.cos(s)
+    kappa = staticmethod(parse_expr("1.0 + 0.1 * sin(s)").eval)
+    tau = staticmethod(parse_expr("0.6 + 0.2 * cos(s)").eval)
 
     @pytest.mark.parametrize("kind", list(CurveKind))
     @pytest.mark.parametrize(
@@ -441,22 +434,34 @@ class TestBatchedIncrements:
             stages += [s + 0.5 * h, s + h] + ([] if s + h == s_next else [s_next])
         assert len(stages) > 2 * len(s_nodes) - 1  # some ends miss their node
         assert len(set(stages)) == len(stages)
-        assert calls[: len(stages)] == stages
-        # the node slopes' differences reuse every node value
-        assert not set(calls[len(stages) :]) & set(s_nodes)
+        # one call, on the jet of every stage in step order; the node slopes
+        # read its derivatives, so no other abscissa is evaluated
+        (jet,) = calls
+        assert jet.v.tolist() == stages
+        assert (jet.d == 1.0).all() and (jet.dd == 0.0).all()
 
-    def test_non_positive_curvature_names_the_first_midpoint(self):
+    def test_non_positive_curvature_names_the_first_midpoint(self, monkeypatch):
         calls = []
 
         def kappa(s):
             calls.append(s)
-            return 1.0 if s < 0.34 else -1.0
+            return Jet2(np.where(s.v < 0.34, 1.0, -1.0), 0.0 * s.d, 0.0 * s.dd)
 
+        def integrate(*args):
+            raise AssertionError("an RK4 step ran")
+
+        monkeypatch.setattr(frenet, "_mul4", integrate)
         kind = CurveKind.TIMELIKE
         f0 = FrenetFrame(*FRAME0[kind], 1.0, 0.5, kind)
         with pytest.raises(NonPositiveCurvatureError, match=r"kappa\(s=0\.35\) = -1 <= 0"):
             frenet_synthesize(kind, kappa, lambda s: 0.5, f0, Vec3L(0, 0, 0), (0.0, 1.0), 0.1)
-        assert calls[-1] == pytest.approx(0.35) and max(calls[:-1]) == pytest.approx(0.3)
+        # one call on every stage in step order, before any integration; the
+        # second evaluates the stages before 0.35 again, where tau, evaluated
+        # after kappa at each stage, could fail first
+        whole, before = calls
+        assert whole.v[-1] == 1.0
+        assert before.v.tolist() == whole.v[: len(before.v)].tolist()
+        assert before.v[-1] == pytest.approx(0.3)
 
     def test_synthesis_makes_no_blas_product(self):
         # elementwise numpy only: BLAS kernels vary by CPU, so a product

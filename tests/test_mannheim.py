@@ -117,21 +117,22 @@ class TestOffsets:
             fd = (off.pos(s + h) - off.pos(s - h)) / (2 * h)
             assert (off.deriv(s, 1) - fd).euclidean_norm() < 1e-7
 
-    def test_frame_of_offset_differences_torsion_once(self, exact_pair_type3, monkeypatch):
+    def test_frame_of_offset_evaluates_each_prescription_once(self, exact_pair_type3, monkeypatch):
         # the companion is the unit-speed normal offset; its frame reads one
         # jet, which reads one base scalar jet, so each prescribed function
-        # is differenced once, as a one-row grid (one jet gives f' and f'')
+        # is called once, on a one-row Jet2 that gives f, f' and f''
         calls = []
-        grid_jet = frenet._grid_jet
+        jet_of = frenet._jet_of
 
-        def counted(f, ts, *rest, **kwargs):
-            calls.append(len(ts))
-            return grid_jet(f, ts, *rest, **kwargs)
+        def counted(fn, s, role):
+            calls.append((role, len(s)))
+            return jet_of(fn, s, role)
 
-        monkeypatch.setattr(frenet, "_grid_jet", counted)
+        monkeypatch.setattr(frenet, "_jet_of", counted)
+        monkeypatch.setattr(frenet, "_grid_jet", lambda *args, **kwargs: calls.append("fd"))
         cstar = exact_pair_type3.cstar
         frenet_apparatus(cstar, 0.6180339 * cstar.domain[1])
-        assert calls == [1, 1]  # kappa, then tau
+        assert calls == [("kappa", 1), ("tau", 1)]
 
     def test_normal_offset_inversion_residual(self, example2_pair):
         # projecting (alpha - alpha*) back onto the normal line measures how
@@ -494,9 +495,9 @@ class TestAngleRateChain:
         self, exact_pair_type3, example1, example2, monkeypatch
     ):
         # No frame is extracted beneath a scalar difference, so no difference
-        # sits on top of another numerical layer: the exact suite differences
-        # only the prescription (its jets), and the reference suites, whose
-        # scalars are constants, difference nothing.
+        # sits on top of another numerical layer: the exact suite reads its
+        # prescription jets and the reference suites their constant scalars,
+        # so neither differences anything.
         depth = [0]
         fd_calls = []
         frames_under_fd = []
@@ -526,8 +527,7 @@ class TestAngleRateChain:
         # a fresh frame cache makes every frame extraction run again
         pair = dataclasses.replace(exact_pair_type3, _frame_cache={})
         assert len(_run_pair_suite(pair, 11, None)) == 12
-        assert fd_calls and not frames_under_fd
-        fd_calls.clear()
+        assert fd_calls == [] and frames_under_fd == []
         for base in (example1, example2):
             pair = MannheimPair.from_binormal_offset(base, 20.0)
             assert len(_run_pair_suite(pair, 11, None)) == 12

@@ -33,6 +33,8 @@ configurations are
 
 * exact partner pairs of types 2, 3 and 5 with torsion 0.8 +/- 0.2 s
   (synthesis step 1e-3, inverse table 512), audited at grid 201;
+* the type-3 exact pair with the transcendental torsion ``SINE_TAU``, a
+  parsed expression, so the function jets of ``Expr.eval`` are pinned too;
 * binormal offsets of ``paper-example-1`` and ``-2`` at lambda 20 and
   -7.5, audited at grid 101;
 * the type-4 normal offset of ``paper-example-2`` at lambda 0.5, grid 101,
@@ -56,13 +58,14 @@ import tempfile
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 import mannheim_lab  # noqa: E402 - after the path of this checkout
-from mannheim_lab import MannheimPair, builtin_curve, exact_partner_pair  # noqa: E402
+from mannheim_lab import MannheimPair, builtin_curve, exact_partner_pair, parse_expr  # noqa: E402
 from mannheim_lab.cli import _run_pair_suite, main as cli_main, resolve_curve_spec  # noqa: E402
 from mannheim_lab.frenet import CurveKind  # noqa: E402
 
 EXACT_GRID = 201
 REFERENCE_GRID = 101
 SHARED_SPEC = "synth:kind=timelike,kappa=2 + 0.3*s,tau=0.9"
+SINE_TAU = "0.8 + 0.1 * sin(3 * s)"
 
 # Pair type -> (kind of the base curve C, lambda), as in the test fixtures.
 EXACT_BASES = {
@@ -117,11 +120,9 @@ def cli_digests():
             os.chdir(here)
 
 
-def _exact(pair_type: int, slope: float) -> MannheimPair:
+def _exact(pair_type: int, tau_fn) -> MannheimPair:
     kind, lam = EXACT_BASES[pair_type]
-    return exact_partner_pair(
-        kind, lambda s: 0.8 + slope * s, lam, (0.0, 1.0), step=1e-3, table_size=512
-    )
+    return exact_partner_pair(kind, tau_fn, lam, (0.0, 1.0), step=1e-3, table_size=512)
 
 
 def configurations():
@@ -130,9 +131,14 @@ def configurations():
         for slope in (0.2, -0.2):
             yield (
                 f"exact type {pair_type} tau=0.8{slope:+g}*s grid {EXACT_GRID}",
-                lambda t=pair_type, k=slope: _exact(t, k),
+                lambda t=pair_type, k=slope: _exact(t, lambda s: 0.8 + k * s),
                 EXACT_GRID,
             )
+    yield (
+        f"exact type 3 tau={SINE_TAU} grid {EXACT_GRID}",
+        lambda: _exact(3, parse_expr(SINE_TAU).eval),
+        EXACT_GRID,
+    )
     for name in ("paper-example-1", "paper-example-2"):
         for lam in (20.0, -7.5):
             yield (
