@@ -33,7 +33,9 @@ from .errors import (
     TooManyStepsError,
 )
 from .expr import parse_expr
-from .frenet import INITIAL_FRAMES, CurveKind, FrenetFrame, frenet_apparatus, frenet_synthesize
+from .frenet import (
+    INITIAL_FRAMES, UNIT_SPEED_TOL, CurveKind, FrenetFrame, frenet_apparatus, frenet_synthesize
+)
 from .indicatrix import indicatrix_of, verify_indicatrix_relations
 from .lorentz import Vec3L
 from .mannheim import (
@@ -192,8 +194,14 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_frenet(args) -> int:
-    c = _ensure_unit(resolve_curve_spec(args.curve))
-    f = frenet_apparatus(c, args.at)
+    raw = resolve_curve_spec(args.curve)
+    c, at = _ensure_unit(raw), args.at
+    span, length = raw.domain[1] - raw.domain[0], c.domain[1]
+    # A near-unit-speed curve (a sampled one, say) reparametrizes to an arc
+    # length a little short of its range's, the end a user passes.
+    if c is not raw and length < at <= span and span - length <= UNIT_SPEED_TOL * span:
+        at = length
+    f = frenet_apparatus(c, at)
     _emit_json(_frame_json(f, args.at), args.out)
     return 0
 

@@ -32,7 +32,7 @@ from .errors import (
     TableSizeError,
     raise_first,
 )
-from .lorentz import CausalCharacter, Vec3L, causal_characters, inner_rows, power_rows
+from .lorentz import CausalCharacter, Vec3L, causal_characters, inner_rows, norm_rows, power_rows
 
 __all__ = [
     "Curve",
@@ -432,7 +432,7 @@ class Curve:
         if self._speeds is not None:
             return self._speeds(self._check_domain(ts))
         d1 = self.tangents(ts)
-        return np.sqrt(np.abs(inner_rows(d1, d1)))
+        return norm_rows(d1)
 
     def pos(self, t: float) -> Vec3L:
         return _vec(self.positions([t])[0])
@@ -660,7 +660,7 @@ def reparametrize_unit(
             return c.positions(t)
         if order == 1:
             d1 = c.tangents(t)
-            return d1 / np.sqrt(np.abs(inner_rows(d1, d1)))[:, None]
+            return d1 / norm_rows(d1)[:, None]
         # Chain rule through t(u) with t' = 1/v, where v = |<a', a'>|^(1/2).
         d1, d2, d3 = c.jets(t)
         q = inner_rows(d1, d1)

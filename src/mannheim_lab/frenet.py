@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .errors import (
     raise_first,
 )
 from .expr import Jet2
-from .lorentz import Vec3L, cross, cross_rows, inner, inner_rows, power_rows
+from .lorentz import Vec3L, cross, cross_rows, euclidean_rows, inner_rows, power_rows
 
 __all__ = [
     "CurveKind",
@@ -134,23 +134,22 @@ class FrenetFrame:
 
     def gram_residual(self) -> float:
         """Largest deviation of the six inner products from their targets."""
-        eps_t, eps_n, eps_b = self.kind.signs
-        return max(
-            abs(inner(self.T, self.T) - eps_t),
-            abs(inner(self.N, self.N) - eps_n),
-            abs(inner(self.B, self.B) - eps_b),
-            abs(inner(self.T, self.N)),
-            abs(inner(self.T, self.B)),
-            abs(inner(self.N, self.B)),
-        )
+        f = FrameGrid.of([self])
+        return float(frame_gram_residual(f.T, f.N, f.B, f.kinds)[0])
 
     def cross_residual(self) -> float:
         """Euclidean deviation of B from T x N."""
         return (self.B - cross(self.T, self.N)).euclidean_norm()
 
 
-def frame_gram_residual(T: Vec3L, N: Vec3L, B: Vec3L, kind: CurveKind) -> float:
-    return FrenetFrame(T, N, B, 0.0, 0.0, kind).gram_residual()
+def frame_gram_residual(T: np.ndarray, N: np.ndarray, B: np.ndarray, kinds) -> np.ndarray:
+    """Per row of the (n, 3) arrays T, N, B, the largest deviation of the six
+    inner products from their targets; ``kinds`` holds each row's kind, or one
+    kind for all rows, as an index into ``tuple(CurveKind)``."""
+    signs = kind_signs(np.broadcast_to(kinds, len(T)))
+    squares = [inner_rows(u, u) - eps for u, eps in zip((T, N, B), signs)]
+    products = [inner_rows(T, N), inner_rows(T, B), inner_rows(N, B)]
+    return np.abs(np.stack(squares + products)).max(axis=0)
 
 
 @dataclass(frozen=True)
@@ -159,7 +158,8 @@ class FrameGrid:
 
     ``T``, ``N`` and ``B`` are ``(n, 3)`` arrays; ``kinds`` holds each row's
     kind as an index into ``tuple(CurveKind)``; ``dkappa`` is kappa', chained
-    exactly through the third derivative.
+    exactly through the third derivative, and None for a grid stacked from
+    ``FrenetFrame`` rows, which carry no kappa'.
     """
 
     T: np.ndarray
@@ -168,7 +168,17 @@ class FrameGrid:
     kappa: np.ndarray
     tau: np.ndarray
     kinds: np.ndarray
-    dkappa: np.ndarray
+    dkappa: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, frames: Sequence[FrenetFrame]) -> "FrameGrid":
+        """The grid whose rows are ``frames``."""
+        return cls(
+            *(np.array([getattr(f, v).as_tuple() for f in frames]).reshape(-1, 3) for v in "TNB"),
+            np.array([f.kappa for f in frames], dtype=float),
+            np.array([f.tau for f in frames], dtype=float),
+            np.array([_KINDS.index(f.kind) for f in frames], dtype=int),
+        )
 
     def frames(self) -> list[FrenetFrame]:
         """One ``FrenetFrame`` per row."""
@@ -203,7 +213,7 @@ def frenet_frames(
             frenet_frames(c, s[: exc.row], kappa_tol, unit_tol)
         raise
     q1 = inner_rows(d1, d1)
-    e2 = np.array([math.hypot(*row) for row in d2.tolist()]).reshape(-1)
+    e2 = euclidean_rows(d2)
     q2 = inner_rows(d2, d2)
     kappa = np.sqrt(np.abs(q2))
 
@@ -424,11 +434,20 @@ def _mul4(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _jet_of(fn: Callable, s: np.ndarray, role: str) -> Jet2:
-    """``fn`` of the identity jet at abscissae ``s``, with arrays of s's shape."""
+def _identity_jet(s: np.ndarray) -> Jet2:
+    """The jet of the abscissae ``s`` themselves."""
+    return Jet2(s, np.ones_like(s), np.zeros_like(s))
+
+
+def _jet_of(fn: Callable, x: Jet2, role: str) -> Jet2:
+    """``fn`` of the identity jet ``x``, with arrays of its shape.
+
+    Both prescriptions of a grid get the same ``x``, so one that calls the
+    other (``mannheim.exact_partner_pair``) may reuse its value.
+    """
     name = getattr(fn, "__qualname__", None) or repr(fn)
     try:
-        out = fn(Jet2(s, np.ones_like(s), np.zeros_like(s)))
+        out = fn(x)
     except TypeError as exc:
         raise PrescriptionError(f"{role} prescription {name} rejects a Jet2: {exc}") from exc
     if not isinstance(out, (int, float, Jet2)):
@@ -436,7 +455,7 @@ def _jet_of(fn: Callable, s: np.ndarray, role: str) -> Jet2:
             f"{role} prescription {name} returned a {type(out).__name__}, neither a float nor a Jet2"
         )
     out = out if isinstance(out, Jet2) else Jet2(out)
-    return Jet2(*(np.broadcast_to(x, s.shape).astype(float) for x in (out.v, out.d, out.dd)))
+    return Jet2(*(np.broadcast_to(y, x.v.shape).astype(float) for y in (out.v, out.d, out.dd)))
 
 
 def _prescribe(kappa_fn: Callable, tau_fn: Callable, s: np.ndarray) -> tuple[Jet2, Jet2]:
@@ -445,12 +464,13 @@ def _prescribe(kappa_fn: Callable, tau_fn: Callable, s: np.ndarray) -> tuple[Jet
     The error raised is the one that evaluating kappa, checking kappa > 0
     and evaluating tau, abscissa by abscissa in the order of ``s``, meets first.
     """
+    x = _identity_jet(s)
     try:
-        kappa = _jet_of(kappa_fn, s, "kappa")
+        kappa = _jet_of(kappa_fn, x, "kappa")
         bad = kappa.v <= 0.0
         error = lambda i: NonPositiveCurvatureError(f"kappa(s={s[i]:g}) = {kappa.v[i]:g} <= 0")
         raise_first([(bad, error)])
-        return kappa, _jet_of(tau_fn, s, "tau")
+        return kappa, _jet_of(tau_fn, x, "tau")
     except MannheimLabError as exc:
         if exc.row:  # an earlier abscissa may fail a later check
             _prescribe(kappa_fn, tau_fn, s[: exc.row])
@@ -509,11 +529,11 @@ def frenet_synthesize(
         )
     n_steps = max(1, math.ceil((b - a) / step))
     h = (b - a) / n_steps
-    if frame_gram_residual(frame0.T, frame0.N, frame0.B, kind) > FRAME0_TOL:
+    if FrenetFrame(frame0.T, frame0.N, frame0.B, 0.0, 0.0, kind).gram_residual() > FRAME0_TOL:
         raise InvalidInitialFrameError(
             "initial frame violates the Gram invariants of the requested kind"
         )
-    if (frame0.B - cross(frame0.T, frame0.N)).euclidean_norm() > FRAME0_TOL:
+    if frame0.cross_residual() > FRAME0_TOL:
         raise InvalidInitialFrameError("initial frame must satisfy B = T x N")
 
     c_n = float(kind.normal_coefficient)
@@ -614,8 +634,9 @@ def frenet_synthesize(
     code = _KINDS.index(kind)
 
     def prescription(ts: np.ndarray, order: int) -> ScalarJets:
+        x = _identity_jet(ts)
         with np.errstate(all="ignore"):
-            k, t = _jet_of(kappa_fn, ts, "kappa"), _jet_of(tau_fn, ts, "tau")
+            k, t = _jet_of(kappa_fn, x, "kappa"), _jet_of(tau_fn, x, "tau")
         kinds = np.full(len(ts), code)
         if order == 0:
             return kinds, (k.v,), (t.v,)
@@ -635,7 +656,4 @@ def synthesized_gram_drift(c: Curve) -> float:
     kind = getattr(c, "synth_kind", None)
     if nodes is None or kind is None:
         raise ValueError("curve does not carry synthesis nodes")
-    T, N, B = nodes["T"], nodes["N"], nodes["B"]
-    squares = [inner_rows(u, u) - eps for u, eps in zip((T, N, B), kind.signs)]
-    products = [inner_rows(T, N), inner_rows(T, B), inner_rows(N, B)]
-    return float(np.abs(np.stack(squares + products)).max())
+    return float(frame_gram_residual(nodes["T"], nodes["N"], nodes["B"], _KINDS.index(kind)).max())

@@ -9,7 +9,6 @@ differencing the field.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .curve import Curve, CurveSamples
 from .errors import DegenerateIndicatrixError, InconsistentDecompositionError
-from .frenet import FrenetFrame, constant_kind, frenet_apparatus, frenet_frames
+from .frenet import FrameGrid, FrenetFrame, constant_kind, frenet_apparatus, frenet_frames, kind_signs
 from .lorentz import Vec3L
 from .mannheim import MannheimPair, MannheimPairType, _term
 from .reports import VerificationReport
@@ -43,15 +42,19 @@ class SphereKind(Enum):
 _FIELDS = ("T", "N", "B")
 
 
-def _field_rate(frame: FrenetFrame, which: str) -> float:
-    """|gamma'(s)| for the chosen frame field, from the frame equations."""
-    k, t = frame.kappa, frame.tau
-    eps_t, _, eps_b = frame.kind.signs
+def _field_rates(f: FrameGrid, which: str) -> np.ndarray:
+    """|gamma'(s)| for the chosen frame field on each row, from the frame equations."""
     if which == "T":
-        return k
+        return f.kappa
     if which == "B":
-        return abs(t)
-    return math.sqrt(abs(eps_t * k * k + eps_b * t * t))
+        return np.abs(f.tau)
+    eps_t, _, eps_b, *_ = kind_signs(f.kinds)
+    return np.sqrt(np.abs(eps_t * f.kappa * f.kappa + eps_b * f.tau * f.tau))
+
+
+def _field_rate(frame: FrenetFrame, which: str) -> float:
+    """The one-row ``_field_rates``."""
+    return float(_field_rates(FrameGrid.of([frame]), which)[0])
 
 
 def _field_derivative(frame: FrenetFrame, which: str) -> Vec3L:
@@ -156,9 +159,8 @@ def verify_indicatrix_relations(
     """
     samples = pair.samples(grid_n)
     kappa, tau, _, tau_star = samples.scalars
-    rate_n, rate_b = np.array(
-        [(_field_rate(f, "N"), _field_rate(fs, "B")) for f, fs, _ in samples.frames]
-    ).T
+    f, fstar, _ = samples.frames
+    rate_n, rate_b = _field_rates(f, "N"), _field_rates(fstar, "B")
     stationary = (rate_n <= RATE_TOL) | (rate_b <= RATE_TOL)
     try:
         s_comp, c_comp = samples.components

@@ -28,6 +28,8 @@ __all__ = [
     "cross_rows",
     "power_rows",
     "norm",
+    "norm_rows",
+    "euclidean_rows",
     "causal_character",
     "causal_characters",
     "angle_between",
@@ -169,6 +171,17 @@ def power_rows(x: np.ndarray, k: int) -> np.ndarray:
 def norm(v: Vec3L) -> float:
     """Pseudo-norm |<v,v>|^(1/2); zero exactly for null and zero vectors."""
     return math.sqrt(abs(inner(v, v)))
+
+
+def norm_rows(x: np.ndarray) -> np.ndarray:
+    """``norm`` of each row of an (n, 3) array."""
+    return np.sqrt(np.abs(inner_rows(x, x)))
+
+
+def euclidean_rows(x: np.ndarray) -> np.ndarray:
+    """``Vec3L.euclidean_norm`` of each row of an (n, 3) array, by the same
+    3-argument ``math.hypot``, whose rounding numpy does not reproduce."""
+    return np.array([math.hypot(*row) for row in x.tolist()]).reshape(-1)
 
 
 def causal_characters(rows: np.ndarray, null_tol: float = NULL_BAND_TOL) -> np.ndarray:

@@ -11,8 +11,9 @@ Each pair type is one ``PairTypeSpec`` row (``MannheimPairType.spec``): the
 causal characters of (C*, C), the kind of its tangent decomposition, and
 the signs of its identities.  Classification, the decomposition and every
 residual read that row.  The verifiers read one ``PairSamples`` per (pair,
-grid), cached on the pair, so a suite walks the frames, the collinearity
-hypothesis and the tangent decomposition once.
+grid), cached on the pair: both curves' frames as ``FrameGrid`` columns, on
+which every identity is pointwise algebra; the point functions
+(``mannheim_residual``, ``decompose_tangent``, ...) are its one-row case.
 
 Verdict policy: identity verifiers only claim Pass/Fail when the defining
 collinearity is itself numerically satisfied (residual below a hypothesis
@@ -24,6 +25,7 @@ non-constancy criterion.
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -46,6 +48,7 @@ from .errors import (
 from .frenet import (
     INITIAL_FRAMES,
     CurveKind,
+    FrameGrid,
     FrenetFrame,
     constant_kind,
     frenet_apparatus,  # noqa: F401 - still importable from this module
@@ -56,7 +59,7 @@ from .frenet import (
     _scalar_fd,
 )
 from .expr import sqrt
-from .lorentz import Vec3L, cross, inner, inner_rows, norm, power_rows
+from .lorentz import Vec3L, cross_rows, euclidean_rows, inner_rows, norm_rows, power_rows
 from .reports import VerificationReport, Verdict
 
 __all__ = [
@@ -370,17 +373,23 @@ class MannheimPair:
         cache = self._frame_cache
         miss = [s for s in grid if s not in cache]
         if miss:
-            s = np.array(miss, dtype=float)
-            sstar = np.asarray(self.correspondence(s), dtype=float)
-            try:
-                f = frenet_frames(self.c, s).frames()
-            except MannheimLabError as exc:
-                if exc.row:  # C* failing at an earlier point comes first
-                    frenet_frames(self.cstar, sstar[: exc.row])
-                raise
-            fstar = frenet_frames(self.cstar, sstar).frames()
-            cache.update(zip(miss, zip(f, fstar, sstar.tolist())))
+            f, fstar, sstar = self.frame_grids(miss)
+            cache.update(zip(miss, zip(f.frames(), fstar.frames(), sstar.tolist())))
         return [cache[s] for s in grid]
+
+    def frame_grids(self, grid) -> tuple[FrameGrid, FrameGrid, np.ndarray]:
+        """Frames of C on ``grid`` and of C* on the corresponded parameters,
+        which come third; one extraction per curve.  The error raised is that
+        of the first failing point, C*'s before C's at a later one."""
+        s = np.asarray(grid, dtype=float)
+        sstar = np.asarray(self.correspondence(s), dtype=float)
+        try:
+            f = frenet_frames(self.c, s)
+        except MannheimLabError as exc:
+            if exc.row:  # C* failing at an earlier point comes first
+                frenet_frames(self.cstar, sstar[: exc.row])
+            raise
+        return f, frenet_frames(self.cstar, sstar), sstar
 
     def frames_at(self, s: float) -> tuple[FrenetFrame, FrenetFrame, float]:
         hit = self._frame_cache.get(s)
@@ -493,14 +502,24 @@ class MannheimPair:
         )
 
 
+def _rows_at(pair: MannheimPair, s: float) -> tuple[FrameGrid, FrameGrid]:
+    """The frames of C and C* at ``s`` as one-row grids."""
+    f, fstar, _ = pair.frames_at(s)
+    return FrameGrid.of([f]), FrameGrid.of([fstar])
+
+
+def _collinearity(f: FrameGrid, fstar: FrameGrid) -> np.ndarray:
+    """rho = |N x B*| / (|N| |B*|) on each row."""
+    return norm_rows(cross_rows(f.N, fstar.B)) / (norm_rows(f.N) * norm_rows(fstar.B))
+
+
 def mannheim_residual(pair: MannheimPair, s: float) -> float:
     """Collinearity defect of N(C) against B(C*) at corresponding points.
 
     rho = |N x B*| / (|N| |B*|), zero exactly when the two lines coincide
     in direction.
     """
-    f, fstar, _ = pair.frames_at(s)
-    return norm(cross(f.N, fstar.B)) / (norm(f.N) * norm(fstar.B))
+    return float(_collinearity(*_rows_at(pair, s))[0])
 
 
 @dataclass(frozen=True)
@@ -523,38 +542,51 @@ class TangentDecomposition:
     branch: int
 
 
-def _projections(T: Vec3L, fstar: FrenetFrame) -> tuple[float, float]:
-    """(p, q): the T* and N* coefficients of T, p = <T,T*>/eps_T*, q = <T,N*>/eps_N*."""
-    eps_t_star, eps_n_star, _ = fstar.kind.signs
-    return inner(T, fstar.T) / eps_t_star, inner(T, fstar.N) / eps_n_star
+def _projections(T: np.ndarray, fstar: FrameGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(p, q) on each row: the T* and N* coefficients of the tangents ``T``,
+    p = <T,T*>/eps_T*, q = <T,N*>/eps_N*."""
+    eps_t_star, eps_n_star, *_ = kind_signs(fstar.kinds)
+    return inner_rows(T, fstar.T) / eps_t_star, inner_rows(T, fstar.N) / eps_n_star
+
+
+def _decomposition(
+    spec: PairTypeSpec, T: np.ndarray, fstar: FrameGrid, where: Callable[[int], str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(s_comp, c_comp) on each row; InconsistentDecompositionError names the
+    first row whose tangent leaves the (T*, N*) plane or whose components
+    break the type's invariant, ``where(i)`` placing row ``i`` in the message."""
+    p, q = _projections(T, fstar)
+    defect = euclidean_rows(T - (fstar.T * p[:, None] + fstar.N * q[:, None]))
+    s_comp, c_comp = spec.oriented(p, q)
+    if spec.circular:
+        invariant, kindname = c_comp * c_comp + s_comp * s_comp, "cos^2+sin^2"
+    else:
+        invariant, kindname = c_comp * c_comp - s_comp * s_comp, "cosh^2-sinh^2"
+    error = InconsistentDecompositionError
+    raise_first(
+        [
+            (
+                defect > DECOMPOSITION_TOL * np.maximum(1.0, euclidean_rows(T)),
+                lambda i: error(f"tangent leaves the (T*, N*) plane{where(i)} (defect {defect[i]:.3e})"),
+            ),
+            (
+                np.abs(invariant - 1.0) > INVARIANT_TOL,
+                lambda i: error(f"{kindname} = {invariant[i]:.9g}{where(i)}; no consistent angle exists"),
+            ),
+        ]
+    )
+    return s_comp, c_comp
 
 
 def decompose_tangent(
     T: Vec3L, fstar: FrenetFrame, pair_type: MannheimPairType, where: str = ""
 ) -> TangentDecomposition:
-    """Project a tangent onto the companion's (T*, N*) plane."""
-    p, q = _projections(T, fstar)
-
-    recon = fstar.T * p + fstar.N * q
-    defect = (T - recon).euclidean_norm()
-    if defect > DECOMPOSITION_TOL * max(1.0, T.euclidean_norm()):
-        raise InconsistentDecompositionError(
-            f"tangent leaves the (T*, N*) plane{where} (defect {defect:.3e})"
-        )
-
+    """Project a tangent onto the companion's (T*, N*) plane: the one-row
+    ``_decomposition``, with the angle."""
     spec = pair_type.spec
-    s_comp, c_comp = spec.oriented(p, q)
-    if spec.circular:
-        invariant = c_comp * c_comp + s_comp * s_comp
-        th = math.atan2(s_comp, c_comp)
-    else:
-        invariant = c_comp * c_comp - s_comp * s_comp
-        th = math.asinh(s_comp)
-    if abs(invariant - 1.0) > INVARIANT_TOL:
-        kindname = "cos^2+sin^2" if spec.circular else "cosh^2-sinh^2"
-        raise InconsistentDecompositionError(
-            f"{kindname} = {invariant:.9g}{where}; no consistent angle exists"
-        )
+    rows = _decomposition(spec, np.array([T.as_tuple()]), FrameGrid.of([fstar]), lambda i: where)
+    s_comp, c_comp = (float(x[0]) for x in rows)
+    th = math.atan2(s_comp, c_comp) if spec.circular else math.asinh(s_comp)
     return TangentDecomposition(
         theta=th,
         s_comp=s_comp,
@@ -633,9 +665,10 @@ class PairSamples:
     """A pair sampled on one grid: what every identity verifier reads.
 
     ``MannheimPair.samples(grid_n)`` builds one per grid size and keeps it.
-    Only the grid is computed up front; the frames, the collinearity
+    Only the grid is computed up front; the frames (``FrameGrid`` columns of
+    C on the grid and of C* on the corresponded grid), the collinearity
     hypothesis, the tangent components and the rates ds*/ds are computed on
-    first use and kept, so a suite walks each of them once, and the
+    first use and kept, so a suite computes each of them once, and the
     distance verifier, which reads positions only, extracts no frame.
     """
 
@@ -647,19 +680,20 @@ class PairSamples:
         self.grid = pair.grid(grid_n)
 
     @cached_property
-    def frames(self) -> list[tuple[FrenetFrame, FrenetFrame, float]]:
-        return self.pair.frames(self.grid)
+    def frames(self) -> tuple[FrameGrid, FrameGrid, np.ndarray]:
+        """Frames of C and of C*, and the parameters s* of C*'s."""
+        return self.pair.frame_grids(self.grid)
 
     @cached_property
     def scalars(self) -> np.ndarray:
         """Rows kappa, tau, kappa*, tau* over the grid."""
-        return np.array([(f.kappa, f.tau, fs.kappa, fs.tau) for f, fs, _ in self.frames]).T
+        f, fstar, _ = self.frames
+        return np.stack((f.kappa, f.tau, fstar.kappa, fstar.tau))
 
     @cached_property
     def hypothesis(self) -> tuple[bool, float]:
         """(met, worst collinearity residual over the grid)."""
-        self.frames  # extracted as one grid before the point lookups
-        worst = max(mannheim_residual(self.pair, s) for s in self.grid)
+        worst = max(_collinearity(*self.frames[:2]).tolist())
         return worst <= HYPOTHESIS_TOL, worst
 
     @cached_property
@@ -671,22 +705,15 @@ class PairSamples:
         Otherwise the raw projections are used, so the profiles are still
         published as Reported.
         """
+        f, fstar, _ = self.frames
+        spec = self.pair_type.spec
         if not self.hypothesis[0]:
-            raw = [self.pair_type.spec.oriented(*_projections(f.T, fs)) for f, fs, _ in self.frames]
-            return np.array(raw).T
-        out = []
-        for row, (s, (f, fstar, _)) in enumerate(zip(self.grid, self.frames)):
-            try:
-                dec = decompose_tangent(f.T, fstar, self.pair_type, where=f" at s={s:g}")
-            except InconsistentDecompositionError as exc:
-                exc.row = row
-                raise
-            out.append((dec.s_comp, dec.c_comp))
-        return np.array(out).T
+            return np.stack(spec.oriented(*_projections(f.T, fstar)))
+        return np.stack(_decomposition(spec, f.T, fstar, lambda i: f" at s={self.grid[i]:g}"))
 
     @cached_property
-    def rates(self) -> list[float]:
-        return self.pair.rates(self.grid)
+    def rates(self) -> np.ndarray:
+        return np.array(self.pair.rates(self.grid), dtype=float)
 
     def check(self, failing: np.ndarray, error: type, what: str) -> None:
         """Raise ``error("<what> at s=...")`` for the first flagged grid point."""
@@ -717,7 +744,7 @@ def verify_distance(
     target = abs(pair.lam)
     s = np.array(grid)
     diff = pair.c.positions(s) - pair.cstar.positions(pair.correspondence(s))
-    residuals = np.abs(np.sqrt(np.abs(inner_rows(diff, diff))) - target).tolist()
+    residuals = np.abs(norm_rows(diff) - target).tolist()
     return VerificationReport.from_profile(
         "distance-constancy", grid, residuals, tol, details={"distance": target}
     )
@@ -761,40 +788,46 @@ def verify_linear_relation(
     return samples.report("linear-curvature-torsion", residuals, tol, **details)
 
 
-def _theta_rate(
-    pair: MannheimPair, s: float, s_comp: float, c_comp: float, r: float | None = None
-) -> float:
-    """d(theta)/ds* at ``s`` by the chain rule through both frame systems.
+def _theta_rates(spec: PairTypeSpec, f: FrameGrid, fstar: FrameGrid, r, s_comp, c_comp) -> np.ndarray:
+    """d(theta)/ds* on each row by the chain rule through both frame systems.
 
-    ``s_comp``/``c_comp`` are the decomposition components at ``s`` and
-    ``r`` is ``pair.rate(s)``, computed when not given.  With
-    p = <T,T*>/eps_T*, q = <T,N*>/eps_N*, T' = kappa N and the companion's
-    frame equations scaled by r = ds*/ds:
+    ``s_comp``/``c_comp`` are the decomposition components and ``r`` is
+    ds*/ds.  With p = <T,T*>/eps_T*, q = <T,N*>/eps_N*, T' = kappa N and the
+    companion's frame equations scaled by r:
 
         p' = (kappa <N,T*> + r kappa* <T,N*>) / eps_T*
         q' = (kappa <N,N*> + r (c_n* kappa* <T,T*> + tau* <T,B*>)) / eps_N*
 
     Every inner product is evaluated and none is set by the hypothesis, so
     the angle-rate identity is measured, not assumed.  No frame off the
-    grid point is needed.
+    grid is needed.
     """
-    f, fstar, _ = pair.frames_at(s)
-    r = pair.rate(s) if r is None else r
-    eps_t_star, eps_n_star, _ = fstar.kind.signs
-    spec = pair.pair_type.spec
+    eps_t_star, eps_n_star, _, c_n_star, _ = kind_signs(fstar.kinds)
     p, q = spec.oriented(s_comp, c_comp)
-    k, k_star, c_n_star = f.kappa, fstar.kappa, fstar.kind.normal_coefficient
-    dp = (k * inner(f.N, fstar.T) + r * k_star * eps_n_star * q) / eps_t_star
+    k, k_star = f.kappa, fstar.kappa
+    dp = (k * inner_rows(f.N, fstar.T) + r * k_star * eps_n_star * q) / eps_t_star
     dq = (
-        k * inner(f.N, fstar.N)
-        + r * (c_n_star * k_star * eps_t_star * p + fstar.tau * inner(f.T, fstar.B))
+        k * inner_rows(f.N, fstar.N)
+        + r * (c_n_star * k_star * eps_t_star * p + fstar.tau * inner_rows(f.T, fstar.B))
     ) / eps_n_star
     ds_comp, dc_comp = spec.oriented(dp, dq)
+    squared = c_comp * c_comp + s_comp * s_comp if spec.circular else 1.0
+    if not (np.all(squared) and np.all(r)):  # raised as by the point formula's floats
+        raise ZeroDivisionError("float division by zero")
     if spec.circular:
-        dtheta = (c_comp * ds_comp - s_comp * dc_comp) / (c_comp * c_comp + s_comp * s_comp)
+        dtheta = (c_comp * ds_comp - s_comp * dc_comp) / squared
     else:
-        dtheta = ds_comp / math.sqrt(1.0 + s_comp * s_comp)
+        dtheta = ds_comp / np.sqrt(1.0 + s_comp * s_comp)
     return dtheta / r
+
+
+def _theta_rate(
+    pair: MannheimPair, s: float, s_comp: float, c_comp: float, r: float | None = None
+) -> float:
+    """d(theta)/ds* at ``s``: the one-row ``_theta_rates``, ``r`` being
+    ``pair.rate(s)`` when not given."""
+    r = pair.rate(s) if r is None else r
+    return float(_theta_rates(pair.pair_type.spec, *_rows_at(pair, s), r, s_comp, c_comp)[0])
 
 
 def verify_frame_relations(
@@ -803,19 +836,14 @@ def verify_frame_relations(
     """The four per-type frame-decomposition identities, one report each.
 
     The first one needs the angle rate d(theta)/ds*, which is chained exactly
-    from the two frames at each grid point (``_theta_rate``); it keeps the
+    from the two frames at each grid point (``_theta_rates``); it keeps the
     published angle-rate tolerance ``TOL_ANGLE_RATE`` whatever ``tol`` is.
     """
     samples = pair.samples(grid_n)
     rates = samples.rates
     s_comp, c_comp = samples.components
-    dtheta = [
-        _theta_rate(pair, *point)
-        for point in zip(samples.grid, s_comp.tolist(), c_comp.tolist(), rates)
-    ]
-    rows = frame_relation_residuals(
-        pair.pair_type, *samples.scalars, s_comp, c_comp, np.array(dtheta)
-    )
+    dtheta = _theta_rates(pair.pair_type.spec, *samples.frames[:2], rates, s_comp, c_comp)
+    rows = frame_relation_residuals(pair.pair_type, *samples.scalars, s_comp, c_comp, dtheta)
     names = (
         "frame-angle-rate",
         "torsion-composition",
@@ -857,11 +885,15 @@ def curvature_center_distances(pair: MannheimPair, s: float) -> dict[str, float]
     }
 
 
+def _center_ratios(lam: float, kappa: np.ndarray, kappa_star: np.ndarray) -> np.ndarray:
+    """(1 - lam*kappa) * sqrt|lam^2 kappa*^2 - 1| on each row."""
+    return (1.0 - lam * kappa) * np.sqrt(np.abs(lam * lam * power_rows(kappa_star, 2) - 1.0))
+
+
 def curvature_center_ratio(pair: MannheimPair, s: float) -> float:
     """(1 - lam*kappa) * sqrt|lam^2 kappa*^2 - 1| at corresponding points."""
-    f, fstar, _ = pair.frames_at(s)
-    lam = pair.lam
-    return (1.0 - lam * f.kappa) * math.sqrt(abs(lam * lam * fstar.kappa**2 - 1.0))
+    f, fstar = _rows_at(pair, s)
+    return float(_center_ratios(pair.lam, f.kappa, fstar.kappa)[0])
 
 
 def verify_ratio_nonconstant(pair: MannheimPair, grid_n: int = 101) -> VerificationReport:
@@ -874,15 +906,15 @@ def verify_ratio_nonconstant(pair: MannheimPair, grid_n: int = 101) -> Verificat
     profile.
     """
     samples = pair.samples(grid_n)
-    kappas, _, kappa_stars, _ = samples.scalars.tolist()
-    ratios = [curvature_center_ratio(pair, s) for s in samples.grid]
+    kappas, _, kappa_stars, _ = samples.scalars
+    ratios = _center_ratios(pair.lam, kappas, kappa_stars)
     mean = float(np.mean(ratios))
     sd = float(np.std(ratios, ddof=1))
     threshold = RATIO_THRESHOLD_FACTOR * abs(mean)
-    deviations = [abs(r - mean) for r in ratios]
+    deviations = np.abs(ratios - mean).tolist()
 
-    def spread(vals: list[float]) -> float:
-        return (max(vals) - min(vals)) / max(1e-300, abs(float(np.mean(vals))))
+    def spread(vals: np.ndarray) -> float:
+        return float(np.ptp(vals)) / max(1e-300, abs(float(np.mean(vals))))
 
     if sd > threshold:
         verdict = Verdict.PASS
@@ -1017,15 +1049,27 @@ def exact_partner_pair(
     """
     if kind is CurveKind.TIMELIKE and lam > 0.0:
         raise _unsupported(CurveKind.SPACELIKE_EPS_MINUS, CurveKind.TIMELIKE)
+    # Synthesis hands both prescriptions one jet object per grid: the torsion
+    # kappa_fn evaluates is kept, keyed on that object, and serves tau_fn too.
+    last = (None, None)
+
+    @functools.wraps(tau_fn)
+    def tau_memo(s):
+        nonlocal last
+        key, value = last
+        if key is not s:
+            value = tau_fn(s)
+            last = (s, value)
+        return value
 
     def kappa_fn(s):
-        return exact_partner_kappa(kind, lam, tau_fn(s))
+        return exact_partner_kappa(kind, lam, tau_memo(s))
 
     T0, N0, B0 = INITIAL_FRAMES[kind]
     frame0 = FrenetFrame(
-        T=T0, N=N0, B=B0, kappa=kappa_fn(s_range[0]), tau=tau_fn(s_range[0]), kind=kind
+        T=T0, N=N0, B=B0, kappa=kappa_fn(s_range[0]), tau=tau_memo(s_range[0]), kind=kind
     )
-    base = frenet_synthesize(kind, kappa_fn, tau_fn, frame0, Vec3L(0, 0, 0), s_range, step)
+    base = frenet_synthesize(kind, kappa_fn, tau_memo, frame0, Vec3L(0, 0, 0), s_range, step)
     pair = MannheimPair.from_normal_offset(base, lam, table_size)
     pair.construction = {"kappa_fn": kappa_fn, "tau_fn": tau_fn}
     return pair

@@ -54,6 +54,23 @@ class TestFrenetCommand:
         assert data["N"] == pytest.approx([0.0, 1.0, 0.0], abs=1e-12)
         assert data["B"] == pytest.approx([-math.sqrt(5) / 2, 0.0, 0.5], abs=1e-12)
 
+    def test_sampled_curve_at_the_end_of_its_range(self, tmp_path, capsys):
+        # 41 samples of a unit-speed curve over [0, 1] reparametrize to an arc
+        # length 1e-9 short of 1: the end of the range is still accepted, a
+        # parameter beyond it is not
+        path = tmp_path / "c.csv"
+        run_cli(capsys, "export-plot", "--curve", "paper-example-2", "--grid", "41", "--out", str(path))
+        spec = f"csv:{path}"
+        assert resolve_curve_spec(spec).domain == (0.0, 1.0)
+        code, out, err = run_cli(capsys, "frenet", "--curve", spec, "--at", "1")
+        assert code == 0, err
+        data = json.loads(out)
+        assert data["s"] == 1.0
+        assert data["kappa"] == pytest.approx(2.0, abs=1e-3)
+        code, out, err = run_cli(capsys, "frenet", "--curve", spec, "--at", "1.01")
+        assert code == 1
+        assert "outside domain" in err
+
 
 class TestClassifyCommand:
     def test_classify(self, capsys):

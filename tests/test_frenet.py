@@ -19,6 +19,7 @@ from mannheim_lab.errors import (
 from mannheim_lab.frenet import (
     CurveKind,
     FrenetFrame,
+    frame_gram_residual,
     frenet_apparatus,
     frenet_synthesize,
     scalar_jet,
@@ -26,7 +27,7 @@ from mannheim_lab.frenet import (
     synthesized_gram_drift,
 )
 from mannheim_lab.expr import Jet2, parse_expr
-from mannheim_lab.lorentz import Vec3L
+from mannheim_lab.lorentz import Vec3L, inner
 
 SQRT3 = math.sqrt(3.0)
 SQRT5 = math.sqrt(5.0)
@@ -225,7 +226,25 @@ class TestSynthesize:
         T0, N0, B0 = FRAME0[kind]
         f0 = FrenetFrame(T0, N0, B0, 2.0, 1.0, kind)
         c = frenet_synthesize(kind, lambda s: 2.0, lambda s: 1.0, f0, Vec3L(0, 0, 0), (0.0, 1.0), 1e-3)
-        assert synthesized_gram_drift(c) < 1e-8
+        drift = synthesized_gram_drift(c)
+        assert drift < 1e-8
+        # one Gram formula: each row is the worst of the six inner products
+        # of that node's frame, the drift is the worst row, and a frame's
+        # residual is its one-row case
+        nodes = c.synth_nodes
+        eps_t, eps_n, eps_b = kind.signs
+        want = []
+        for t, n, b in zip(*(nodes[k].tolist() for k in "TNB")):
+            t, n, b = Vec3L(*t), Vec3L(*n), Vec3L(*b)
+            want.append(max(
+                abs(inner(t, t) - eps_t), abs(inner(n, n) - eps_n), abs(inner(b, b) - eps_b),
+                abs(inner(t, n)), abs(inner(t, b)), abs(inner(n, b)),
+            ))
+        rows = frame_gram_residual(nodes["T"], nodes["N"], nodes["B"], list(CurveKind).index(kind))
+        assert rows.tolist() == want
+        assert drift == max(want)
+        last = FrenetFrame(*(Vec3L(*nodes[k][-1].tolist()) for k in "TNB"), 2.0, 1.0, kind)
+        assert last.gram_residual() == want[-1]
 
     def test_constant_scalars_from_extraction(self, example1):
         # helix-type inputs give constant extracted scalars along the curve

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import json
 import math
+import re
 import weakref
 
 import jsonschema
@@ -15,6 +16,7 @@ from mannheim_lab.cli import _run_pair_suite
 from mannheim_lab.curve import Curve, reparametrize_unit
 from mannheim_lab.errors import (
     DegenerateIndicatrixError,
+    ExprDomainError,
     InconsistentDecompositionError,
     NegativeConditionValueError,
     UnsupportedCombinationError,
@@ -22,6 +24,7 @@ from mannheim_lab.errors import (
     VanishingTorsionError,
     ZeroLambdaError,
 )
+from mannheim_lab.expr import parse_expr
 from mannheim_lab.frenet import (
     CurveKind,
     FrenetFrame,
@@ -124,9 +127,9 @@ class TestOffsets:
         calls = []
         jet_of = frenet._jet_of
 
-        def counted(fn, s, role):
-            calls.append((role, len(s)))
-            return jet_of(fn, s, role)
+        def counted(fn, x, role):
+            calls.append((role, len(x.v)))
+            return jet_of(fn, x, role)
 
         monkeypatch.setattr(frenet, "_jet_of", counted)
         monkeypatch.setattr(frenet, "_grid_jet", lambda *args, **kwargs: calls.append("fd"))
@@ -388,6 +391,27 @@ class TestGenuinePairs:
         monkeypatch.setattr(mannheim, "frenet_synthesize", synthesize)
         with pytest.raises(UnsupportedCombinationError, match="spacelike-, curve=timelike"):
             exact_partner_pair(CurveKind.TIMELIKE, lambda s: 0.8 + 0.2 * s, 0.3)
+
+    def test_torsion_is_evaluated_once_per_jet(self):
+        # kappa_fn reads the torsion of the jet that the synthesis and the
+        # scalar jets then hand to tau_fn: one evaluation serves both
+        calls = []
+
+        def tau_fn(s):
+            calls.append(type(s).__name__)
+            return 0.8 - 0.2 * s
+
+        pair = exact_partner_pair(CurveKind.SPACELIKE_EPS_MINUS, tau_fn, 0.3, step=1e-3, table_size=512)
+        assert calls == ["float"] + ["Jet2"] * 6
+        calls.clear()
+        _run_pair_suite(pair, 201, None)
+        assert calls == ["Jet2"] * 2
+
+    def test_failing_torsion_abscissa_is_named_as_before(self):
+        tau = parse_expr("0.5 + exp(2000*s - 1000)")
+        want = "exp(((2000.0 * s) - 1000.0)) is undefined at s=0.855 (math range error)"
+        with pytest.raises(ExprDomainError, match=re.escape(want) + "$"):
+            exact_partner_pair(CurveKind.SPACELIKE_EPS_PLUS, tau.eval, 0.3, step=1e-3, table_size=512)
 
     def test_exact_kappa_branches(self):
         for kind, lam, tau in (
@@ -728,22 +752,49 @@ class TestPairSamples:
             monkeypatch.setattr(mannheim, name, counted)
         return calls
 
-    def test_suite_walks_hypothesis_and_decomposition_once(self, exact_pair_type3, monkeypatch):
-        calls = self._count(monkeypatch, "mannheim_residual", "decompose_tangent")
+    @staticmethod
+    def _extractions(monkeypatch, pair):
+        """Sizes of the grids on which frames of C (on its audit grids) and of
+        C* are extracted; C's frames are also read inside C*'s offset."""
+        grids = {"c": [], "cstar": []}
+        extract = mannheim.frenet_frames
+
+        def counted(c, s, *args, **kwargs):
+            if c is pair.cstar:
+                grids["cstar"].append(len(s))
+            elif c is pair.c and np.array_equal(s, pair.grid(len(s))):
+                grids["c"].append(len(s))
+            return extract(c, s, *args, **kwargs)
+
+        monkeypatch.setattr(mannheim, "frenet_frames", counted)
+        return grids
+
+    def test_suite_extracts_each_curve_once_and_builds_no_frame(self, exact_pair_type3, monkeypatch):
+        built = []
+        for cls in (FrenetFrame, Vec3L):
+            def init(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+                built.append(_cls.__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", init)
+        calls = self._count(monkeypatch, "mannheim_residual", "decompose_tangent", "_theta_rate")
         pair = dataclasses.replace(exact_pair_type3)
-        assert len(_run_pair_suite(pair, 11, None)) == 12
-        assert calls == {"mannheim_residual": 11, "decompose_tangent": 11}
-        _run_pair_suite(pair, 11, None)  # the same grid reuses its samples
-        assert calls == {"mannheim_residual": 11, "decompose_tangent": 11}
+        grids = self._extractions(monkeypatch, pair)
+        assert len(_run_pair_suite(pair, 201, None)) == 12
+        assert grids == {"c": [201], "cstar": [201]}
+        assert built == []
+        assert calls == {"mannheim_residual": 0, "decompose_tangent": 0, "_theta_rate": 0}
+        _run_pair_suite(pair, 201, None)  # the same grid reuses its samples
+        assert grids == {"c": [201], "cstar": [201]}
 
     def test_second_grid_builds_new_samples(self, exact_pair_type3, monkeypatch):
-        calls = self._count(monkeypatch, "mannheim_residual", "decompose_tangent")
         pair = dataclasses.replace(exact_pair_type3)
+        grids = self._extractions(monkeypatch, pair)
         assert pair.samples(11) is pair.samples(11)
         assert pair.samples(21) is not pair.samples(11)
         _run_pair_suite(pair, 11, None)
         _run_pair_suite(pair, 21, None)
-        assert calls == {"mannheim_residual": 32, "decompose_tangent": 32}
+        assert grids == {"c": [11, 21], "cstar": [11, 21]}
 
     def test_replaced_copy_starts_empty(self, exact_pair_type2):
         pair = dataclasses.replace(exact_pair_type2)
@@ -799,30 +850,48 @@ class TestPairSamples:
         self, exact_pair_type2, monkeypatch, stationary_at, error
     ):
         # the decomposition fails from the first grid point on; a stationary
-        # image there is reported first, one further on is not reached
+        # N-image of C there is reported first, one further on is not reached
         pair = dataclasses.replace(exact_pair_type2, pair_type=MannheimPairType.TYPE3)
-        frame = pair.frames_at(pair.grid(11)[stationary_at])[0]
-        rate = indicatrix_module._field_rate
-        monkeypatch.setattr(
-            indicatrix_module, "_field_rate", lambda f, which: 0.0 if f is frame else rate(f, which)
-        )
-        with pytest.raises(error):
+        rates = indicatrix_module._field_rates
+
+        def stalled(f, which):
+            out = rates(f, which)
+            if f is pair.samples(11).frames[0]:
+                out = out.copy()
+                out[stationary_at] = 0.0
+            return out
+
+        monkeypatch.setattr(indicatrix_module, "_field_rates", stalled)
+        with pytest.raises(error) as info:
             verify_indicatrix_relations(pair, 11)
+        assert info.value.row == 0
 
 
 class TestVerifiersAgainstPointLoop:
     """Every verifier's profile equals a loop of the scalar identity functions."""
 
-    @pytest.mark.parametrize("which", ["exact-type3", "type4-normal-offset"])
-    def test_profiles_equal_the_point_loop(self, which, exact_pair_type3, example2):
-        # the exact pair meets the hypothesis (checked decomposition); the
-        # type-4 offset does not (raw projections, undefined mu)
-        if which == "exact-type3":
-            pair = dataclasses.replace(exact_pair_type3)
-        else:
-            pair = MannheimPair.from_normal_offset(example2, 0.5)
+    PAIRS = {
+        "exact-type2": lambda fx: fx.getfixturevalue("exact_pair_type2"),
+        "exact-type3": lambda fx: fx.getfixturevalue("exact_pair_type3"),
+        "exact-type5": lambda fx: fx.getfixturevalue("exact_pair_type5"),
+        "type1-binormal-offset": lambda fx: fx.getfixturevalue("example2_pair"),
+        "type3-binormal-offset": lambda fx: fx.getfixturevalue("example1_pair"),
+        "type4-normal-offset": lambda fx: MannheimPair.from_normal_offset(
+            fx.getfixturevalue("example2"), 0.5
+        ),
+    }
+
+    @pytest.mark.parametrize("which", list(PAIRS))
+    def test_profiles_equal_the_point_loop(self, which, request):
+        # the exact pairs meet the hypothesis (checked decomposition); the
+        # offsets of the built-ins do not (raw projections; the type-4 one
+        # has undefined mu)
+        pair = dataclasses.replace(self.PAIRS[which](request))
+        assert pair.pair_type.value == int(which.split("type")[1][0])
         t, lam, grid = pair.pair_type, pair.lam, pair.grid(21)
-        met = max(mannheim_residual(pair, s) for s in grid) <= HYPOTHESIS_TOL
+        worst = max(mannheim_residual(pair, s) for s in grid)
+        met = worst <= HYPOTHESIS_TOL
+        assert met == which.startswith("exact")
         points = []
         for s in grid:
             f, fs, _ = pair.frames_at(s)
@@ -830,16 +899,19 @@ class TestVerifiersAgainstPointLoop:
                 dec = tangent_decomposition(pair, s)
                 sc, cc = dec.s_comp, dec.c_comp
             else:
-                sc, cc = t.spec.oriented(*mannheim._projections(f.T, fs))
+                eps_t, eps_n, _ = fs.kind.signs
+                sc, cc = t.spec.oriented(inner(f.T, fs.T) / eps_t, inner(f.T, fs.N) / eps_n)
             points.append((s, f, fs, sc, cc))
 
         def columns(rows):
             return [list(col) for col in zip(*rows)]
 
-        assert verify_torsion_relation(pair, 21).residuals == [
+        reports = _run_pair_suite(pair, 21, None)
+        by_name = {r.identity: r for r in reports}
+        assert by_name["torsion-reciprocal"].residuals == [
             torsion_relation_residual(t, f.kappa, f.tau, fs.tau, lam) for _, f, fs, _, _ in points
         ]
-        assert verify_linear_relation(pair, 21).residuals == [
+        assert by_name["linear-curvature-torsion"].residuals == [
             linear_relation_residual(t, f.kappa, f.tau, lam, lam * sc / cc) if cc else None
             for _, f, _, sc, cc in points
         ]
@@ -862,3 +934,14 @@ class TestVerifiersAgainstPointLoop:
             for _, f, fs, sc, cc in points
         ]
         assert [r.residuals for r in images] == columns(image_rows)
+        ratios = [curvature_center_ratio(pair, s) for s in grid]
+        mean = float(np.mean(ratios))
+        center = by_name["center-ratio-nonconstancy"]
+        assert center.residuals == [abs(r - mean) for r in ratios]
+        assert (center.details["ratio_mean"], center.details["ratio_sd"]) == (
+            mean,
+            float(np.std(ratios, ddof=1)),
+        )
+        judged = [r for r in reports if r.identity not in ("distance-constancy", center.identity)]
+        assert len(judged) == 10
+        assert all(r.details["hypothesis_residual"] == worst for r in judged)

@@ -1,0 +1,21 @@
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def test_report_digests_prints_one_digest_per_configuration():
+    # the script imports private names of the package (_run_pair_suite,
+    # resolve_curve_spec), so a refactor that renames one must fail here
+    proc = subprocess.run(
+        [sys.executable, str(TOOLS / "report_digests.py")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 13
+    assert all(re.fullmatch(r"[0-9a-f]{64}  \S.*", line) for line in lines), lines
