@@ -17,5 +17,5 @@ def test_report_digests_prints_one_digest_per_configuration():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 13
+    assert len(lines) == 15
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S.*", line) for line in lines), lines

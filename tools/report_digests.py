@@ -43,12 +43,20 @@ configurations are
 * the shared-parameter pair that ``pair-verify --c SPEC --cstar SPEC``
   builds from one ``synth:`` spec (curvature and torsion both parsed
   expressions, evaluated by ``Expr.eval``) at lambda 1, grid 101: the copy
-  of a curve is no partner, so its distance report fails.
+  of a curve is no partner, so its distance report fails;
+* the binormal offset at lambda 20 of ``paper-example-1`` reparametrized by
+  a 256-node arc-length table, grid 101: the reparametrized curve carries
+  no scalar jet, so the offset's jets read the frame-difference fallback
+  of ``frenet.scalar_jets``;
+* the first exact type-3 pair without its rate map
+  (``correspondence_rate=None``), grid 201, whose ds*/ds comes from the
+  difference of the correspondence.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -58,7 +66,13 @@ import tempfile
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 import mannheim_lab  # noqa: E402 - after the path of this checkout
-from mannheim_lab import MannheimPair, builtin_curve, exact_partner_pair, parse_expr  # noqa: E402
+from mannheim_lab import (  # noqa: E402
+    MannheimPair,
+    builtin_curve,
+    exact_partner_pair,
+    parse_expr,
+    reparametrize_unit,
+)
 from mannheim_lab.cli import _run_pair_suite, main as cli_main, resolve_curve_spec  # noqa: E402
 from mannheim_lab.frenet import CurveKind  # noqa: E402
 
@@ -157,6 +171,18 @@ def configurations():
             resolve_curve_spec(SHARED_SPEC), resolve_curve_spec(SHARED_SPEC), 1.0
         ),
         REFERENCE_GRID,
+    )
+    yield (
+        f"paper-example-1 unit-speed table 256 binormal lambda=20 grid {REFERENCE_GRID}",
+        lambda: MannheimPair.from_binormal_offset(
+            reparametrize_unit(builtin_curve("paper-example-1"), 256), 20.0
+        ),
+        REFERENCE_GRID,
+    )
+    yield (
+        f"exact type 3 tau=0.8+0.2*s without rate map grid {EXACT_GRID}",
+        lambda: dataclasses.replace(_exact(3, lambda s: 0.8 + 0.2 * s), correspondence_rate=None),
+        EXACT_GRID,
     )
 
 
