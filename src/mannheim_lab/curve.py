@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import (
     CsvFormatError,
+    MannheimLabError,
     MixedCausalCharacterError,
     NullTangentError,
     OutOfDomainError,
@@ -46,6 +47,7 @@ __all__ = [
     "curve_from_samples",
     "load_samples_csv",
     "fd_weights",
+    "grid_difference",
     "adaptive_simpson",
     "CubicHermiteSpline",
     "PchipInterpolator",
@@ -59,7 +61,7 @@ INVERSE_TABLE_SIZE = 1024
 # ``frenet.MAX_SYNTH_STEPS`` puts on synthesis.
 MAX_TABLE_SIZE = 100_000
 
-# Steps for the finite-difference fallback, per derivative order, scaled by
+# Steps for the positional fallback of ``Curve``, per difference order, scaled by
 # max(1, |t|).  First order keeps the small step (roundoff ~ eps/h is still
 # tiny); orders two and three must balance truncation against the eps/h^m
 # cancellation growth, which rules out reusing the first-order step.
@@ -110,34 +112,90 @@ def fd_weights(nodes: Sequence, z: float | np.ndarray, m: int) -> np.ndarray:
     return np.array([row[m] for row in c])
 
 
-def _fd_stencil(t: float, m: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Node positions and weights of the 4th-order stencil at ``t``.
+def _fd_offsets(m: int, side: int) -> tuple[int, ...]:
+    """Node offsets, in steps, of the 4th-order stencil of order ``m``.
 
-    Central stencils of 5 (m=1,2) or 7 (m=3) nodes; near an endpoint the
-    stencil shifts inside the domain, growing to m+4 nodes so the one-sided
-    variant keeps the same order.
+    Central (``side`` 0): 5 nodes for m = 1, 2 and 7 for m = 3.  One-sided,
+    forward (``side`` 1) or backward (-1): m + 5 nodes from the point on.
     """
-    h = FD_STEPS[m] * max(1.0, abs(t))
-    half = 2 if m <= 2 else 3
-    count = 2 * half + 1
-    span = b - a
-    if span < (count + 1) * h:
-        # Cramped domain: spread the stencil over what room there is.
-        h = span / (count + 1)
-    lo, hi = t - half * h, t + half * h
-    if lo >= a and hi <= b:
-        offsets = np.arange(-half, half + 1)
-    else:
-        count = max(count, m + 4)
-        if lo < a:
-            start = 0.0 if abs(t - a) < 0.25 * h else -round((t - a) / h)
-            offsets = np.arange(count) + start
-        else:
-            start = 0.0 if abs(b - t) < 0.25 * h else -round((b - t) / h)
-            offsets = -(np.arange(count) + start)
-    nodes = t + offsets * h
-    nodes = np.clip(nodes, a, b)
-    return nodes, fd_weights(nodes, t, m)
+    if side == 0:
+        half = 2 if m <= 2 else 3
+        return tuple(range(-half, half + 1))
+    return tuple(side * o for o in range(m + 5))
+
+
+# (offsets, unit-step Fornberg weights) of every stencil, keyed by (m, side);
+# a difference at step h divides by h**m.  Filled at import, so no
+# difference runs the recursion.
+_STENCILS = {
+    (m, side): (offsets, tuple(fd_weights([float(o) for o in offsets], 0.0, m).tolist()))
+    for m in (1, 2, 3)
+    for side in (1, 0, -1)
+    for offsets in (_fd_offsets(m, side),)
+}
+
+
+def grid_difference(
+    f: Callable[[np.ndarray], np.ndarray],
+    ts: np.ndarray,
+    a: float,
+    b: float,
+    h,
+    m: int,
+    f_ts: np.ndarray | None = None,
+) -> np.ndarray:
+    """The ``m``-th derivative (1 to 3) of ``f`` at every point of ``ts`` by
+    4th-order differences: the one finite-difference engine of the package.
+
+    ``f`` maps an array of abscissae in [a, b] to its values, one row (of any
+    shape) per abscissa; ``h`` is one step or one per point, and ``f_ts``, if
+    given, is f at ``ts``, so offset 0 is not evaluated again.  A point takes
+    the central stencil of ``_fd_offsets`` where it fits in [a, b] and
+    otherwise the one-sided one reaching into the domain.  No node leaves
+    [a, b]: a point whose stencil would is given the step
+    (b - a) / (2 (m + 4)), at which one of them fits.  Points of one stencil
+    shape are differenced together, node by node, summed in stencil order
+    and divided by h**m, so a row does not depend on the other points.  An
+    error raised by ``f`` carries, as its ``row``, the row of ``ts`` whose
+    stencil met it.
+    """
+    ts = np.asarray(ts, dtype=float)
+    if not len(ts):
+        return f(ts)
+    h = np.broadcast_to(np.asarray(h, dtype=float), ts.shape)
+    half, reach = (2 if m <= 2 else 3), m + 4
+
+    def sides(h: np.ndarray) -> np.ndarray:
+        central = (ts - half * h >= a) & (ts + half * h <= b)
+        return np.where(central, 0, np.where(ts - half * h < a, 1, -1))
+
+    side = sides(h)
+    end = ts + (side * reach) * h  # the far node of a one-sided stencil
+    cramped = (end < a) | (end > b)
+    if cramped.any():
+        h = np.where(cramped, (b - a) / (2 * reach), h)
+        side = sides(h)
+    out = None
+    for shape in (1, 0, -1):
+        index = np.flatnonzero(side == shape)
+        if not len(index):
+            continue
+        t, step = ts[index], h[index]
+        offsets, weights = _STENCILS[m, shape]
+        try:
+            values = [
+                f_ts[index] if o == 0 and f_ts is not None else f(t + o * step) for o in offsets
+            ]
+        except MannheimLabError as exc:
+            exc.row = None if exc.row is None else int(index[exc.row])
+            raise
+        acc = weights[0] * values[0]
+        for w, v in zip(weights[1:], values[1:]):
+            acc = acc + w * v
+        if out is None:
+            out = np.empty(ts.shape + acc.shape[1:])
+        out[index] = acc / power_rows(step, m).reshape((-1,) + (1,) * (acc.ndim - 1))
+    return out
 
 
 def _simpson(x0, x2, f0, f1, f2):
@@ -309,14 +367,6 @@ def _vec(row: np.ndarray) -> Vec3L:
     return Vec3L(*row.tolist())
 
 
-def _fd(f: Callable[[float], Vec3L], t: float, m: int, a: float, b: float) -> Vec3L:
-    nodes, weights = _fd_stencil(t, m, a, b)
-    acc = np.zeros(3)
-    for x, w in zip(nodes, weights):
-        acc += w * np.asarray(f(x).as_tuple())
-    return Vec3L(*acc)
-
-
 class Curve:
     """A map from a closed interval into Minkowski 3-space.
 
@@ -331,8 +381,8 @@ class Curve:
     ``pos`` maps a parameter to a ``Vec3L``, ``derivs`` may supply
     closed-form derivatives keyed by order 1..3 and ``speed`` the
     pseudo-speed, which must equal ``norm(deriv(t, 1))``.  An order missing
-    from ``derivs`` is realized by 4th-order finite differences of the
-    highest available lower order (one-sided at the ends of the domain).
+    from ``derivs`` is realized by ``grid_difference`` of the highest
+    available lower order, at the steps ``FD_STEPS``.
     ``Curve.on_grid`` takes an array evaluator instead, and the scalar-jet
     evaluator ``scalars`` of a unit-speed curve (see ``frenet.scalar_jets``).
     """
@@ -346,23 +396,21 @@ class Curve:
         unit_speed: bool = False,
         speed: Callable[[float], float] | None = None,
     ):
-        derivs = dict(derivs) if derivs else {}
+        maps = {0: pos, **(derivs or {})}
 
-        def point(t: float, order: int) -> Vec3L:
-            if order == 0:
-                return pos(t)
-            if order in derivs:
-                return derivs[order](t)
-            base_order = max((k for k in derivs if k < order), default=0)
-            base = derivs[base_order] if base_order else pos
-            return _fd(base, t, order - base_order, *self.domain)
+        def at(order: int, ts: np.ndarray) -> np.ndarray:
+            """A supplied map looped over ``ts``, or the difference of the
+            highest supplied lower order."""
+            if order in maps:
+                rows = [maps[order](t).as_tuple() for t in ts.tolist()]
+                return np.array(rows, dtype=float).reshape(-1, 3)
+            base = max(k for k in maps if k < order)
+            m = order - base
+            h = FD_STEPS[m] * np.maximum(1.0, np.abs(ts))
+            return grid_difference(lambda x: at(base, x), ts, *self.domain, h, m)
 
         def evaluate(ts: np.ndarray, order: int):
-            ts = ts.tolist()
-            out = tuple(
-                np.array([point(t, k).as_tuple() for t in ts], dtype=float).reshape(-1, 3)
-                for k in ((order,) if order < 3 else (1, 2, 3))
-            )
+            out = tuple(at(k, ts) for k in ((order,) if order < 3 else (1, 2, 3)))
             return out if order == 3 else out[0]
 
         self._init(evaluate, domain, label, unit_speed, speed and _looped(speed), None)

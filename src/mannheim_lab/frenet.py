@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .curve import CubicHermiteSpline, Curve, _looped, fd_weights
+from .curve import CubicHermiteSpline, Curve, grid_difference
 from .errors import (
     InvalidInitialFrameError,
     MannheimLabError,
@@ -39,7 +39,7 @@ from .errors import (
     raise_first,
 )
 from .expr import Jet2
-from .lorentz import Vec3L, cross, cross_rows, euclidean_rows, inner_rows, power_rows
+from .lorentz import Vec3L, cross, cross_rows, euclidean_rows, inner_rows
 
 __all__ = [
     "CurveKind",
@@ -282,9 +282,9 @@ def scalar_jets(c: Curve, s, order: int = 2) -> ScalarJets:
     itself exactly: built-in curves in closed form, synthesized curves from
     their prescription jets.  Any other curve goes through the one fallback that
     differences extracted frame scalars: kappa' chained exactly through the
-    third derivative, then kappa'', tau' and tau'' by 4th-order scalar
-    differences (steps 1e-4, 1e-4, 1e-3, scaled by max(1, |s|)), the frames
-    at every stencil node of the grid extracted in one call per step.
+    third derivative, then kappa'', tau' and tau'' by ``curve.grid_difference``
+    (steps 1e-4, 1e-4, 1e-3, scaled by max(1, |s|)), the frames at every
+    stencil node of the grid extracted in one call per node offset.
     """
     if order not in (0, 2):
         raise ValueError("scalar jet order must be 0 or 2")
@@ -299,12 +299,12 @@ def scalar_jets(c: Curve, s, order: int = 2) -> ScalarJets:
 
     def tau_and_dkappa(x: np.ndarray) -> np.ndarray:
         g = frenet_frames(c, x)
-        return np.stack((g.tau, g.dkappa))
+        return np.column_stack((g.tau, g.dkappa))
 
-    (tau_p, kappa_pp), = _grid_jet(
-        tau_and_dkappa, s, a, b, 1e-4 * scale, 1, np.stack((f.tau, f.dkappa))
-    )
-    _, tau_pp = _grid_jet(lambda x: frenet_frames(c, x).tau, s, a, b, 1e-3 * scale, 2, f.tau)
+    tau_p, kappa_pp = grid_difference(
+        tau_and_dkappa, s, a, b, 1e-4 * scale, 1, np.column_stack((f.tau, f.dkappa))
+    ).T
+    tau_pp = grid_difference(lambda x: frenet_frames(c, x).tau, s, a, b, 1e-3 * scale, 2, f.tau)
     return f.kinds, (f.kappa, f.dkappa, kappa_pp), (f.tau, tau_p, tau_pp)
 
 
@@ -312,102 +312,6 @@ def scalar_jet(c: Curve, s: float, order: int = 2) -> ScalarJet:
     """Kind, curvature jet and torsion jet at ``s``: the one-row ``scalar_jets``."""
     kinds, kappa, tau = scalar_jets(c, [s], order)
     return _KINDS[int(kinds[0])], tuple(float(k[0]) for k in kappa), tuple(float(t[0]) for t in tau)
-
-
-def _fd_offsets(t: float, m: int, a: float, b: float, h: float) -> tuple[int, ...]:
-    """Node offsets, in steps of ``h``, of the 4th-order stencil at ``t``.
-
-    Central (5 nodes, m=1 or 2) where it fits in [a, b]; otherwise one-sided
-    with m+5 nodes, reaching into the domain.  The one-sided first-difference
-    stencil is the second-difference one less its last node.
-    """
-    lo, hi = t - 2 * h, t + 2 * h
-    if lo >= a and hi <= b:
-        return tuple(range(-2, 3))
-    if lo < a:
-        return tuple(range(m + 5))
-    return tuple(range(0, -(m + 5), -1))
-
-
-# Fornberg weights at unit step of every stencil ``_fd_offsets`` returns
-# (forward, central, backward), keyed by (offsets, m); a difference at step h
-# divides by h**m.  Filled at import, so no audit runs the recursion.
-_UNIT_WEIGHTS = {
-    (offsets, m): tuple(fd_weights([float(o) for o in offsets], 0.0, m).tolist())
-    for m in (1, 2)
-    for offsets in (_fd_offsets(t, m, 0.0, 1.0, 0.1) for t in (0.0, 0.5, 1.0))
-}
-
-
-def _difference(weights: tuple[float, ...], values: list, h_m: float):
-    """Weighted sum of ``values`` in stencil order, divided by ``h_m``.
-
-    ``values`` may hold floats or arrays (one per node, covering a batch of
-    stencils); the operations are the same, so each result is equal.  Extra
-    trailing values (the union stencil of a jet) are ignored.
-    """
-    pairs = zip(weights, values)
-    w, v = next(pairs)
-    acc = w * v
-    for w, v in pairs:
-        acc = acc + w * v
-    return acc / h_m
-
-
-def _grid_jet(
-    f: Callable[[np.ndarray], np.ndarray],
-    ts: np.ndarray,
-    a: float,
-    b: float,
-    h,
-    m_max: int = 2,
-    f_ts: np.ndarray | None = None,
-) -> list[np.ndarray]:
-    """4th-order differences of orders 1..``m_max`` of ``f`` at every point of ``ts``.
-
-    ``f`` maps abscissae to values along its last axis (one call may carry
-    several functions); ``h`` is one step or one per point.  Each point's
-    ``m_max`` stencil (``_fd_offsets``) serves every order; ``f_ts``, if
-    given, is f at ``ts``, so offset 0 is not evaluated again.  Points of
-    one stencil shape are differenced together, node by node, so each
-    result equals the one-point difference bit for bit.
-    """
-    if not len(ts):
-        return [f(ts)] * m_max
-    h = np.broadcast_to(np.asarray(h, dtype=float), ts.shape)
-    lo = ts - 2 * h  # the shape test of ``_fd_offsets``
-    central = (lo >= a) & (ts + 2 * h <= b)
-    out = None
-    for index in (
-        np.flatnonzero(~central & (lo < a)),
-        np.flatnonzero(central),
-        np.flatnonzero(~central & (lo >= a)),
-    ):
-        if not len(index):
-            continue
-        t, step = ts[index], h[index]
-        t0, h0 = float(t[0]), float(step[0])
-        try:
-            values = [
-                f_ts[..., index] if o == 0 and f_ts is not None else f(t + o * step)
-                for o in _fd_offsets(t0, m_max, a, b, h0)
-            ]
-        except MannheimLabError as exc:
-            exc.row = None if exc.row is None else int(index[exc.row])  # a row of ``ts``
-            raise
-        if out is None:
-            out = [np.empty(values[0].shape[:-1] + ts.shape) for _ in range(m_max)]
-        for m in range(1, m_max + 1):
-            weights = _UNIT_WEIGHTS[_fd_offsets(t0, m, a, b, h0), m]
-            out[m - 1][..., index] = _difference(weights, values, power_rows(step, m))
-    return out
-
-
-def _scalar_fd(
-    f: Callable[[float], float], t: float, m: int, a: float, b: float, h: float
-) -> float:
-    """4th-order finite difference (m = 1 or 2) of a scalar function, one-sided near ends."""
-    return float(_grid_jet(_looped(f), np.array([t], dtype=float), a, b, h, m)[m - 1][0])
 
 
 # Steps per block of the batched RK4 increments: the block's arrays stay a

@@ -52,11 +52,6 @@ def _field_rates(f: FrameGrid, which: str) -> np.ndarray:
     return np.sqrt(np.abs(eps_t * f.kappa * f.kappa + eps_b * f.tau * f.tau))
 
 
-def _field_rate(frame: FrenetFrame, which: str) -> float:
-    """The one-row ``_field_rates``."""
-    return float(_field_rates(FrameGrid.of([frame]), which)[0])
-
-
 def _field_derivative(frame: FrenetFrame, which: str) -> Vec3L:
     """gamma'(s) for the chosen frame field, from the frame equations."""
     k, t = frame.kappa, frame.tau
@@ -80,7 +75,7 @@ class Indicatrix:
 
     def rate(self, s: float) -> float:
         """ds_image/ds at ``s``."""
-        return _field_rate(frenet_apparatus(self.base, s), self.source)
+        return float(_field_rates(frenet_frames(self.base, [s]), self.source)[0])
 
     def samples(self, n: int) -> CurveSamples:
         """n uniform samples of the image, endpoints included, from one grid of frames."""
@@ -110,13 +105,13 @@ def indicatrix_tangent(c: Curve, which: str, s: float) -> Vec3L:
     """
     if which not in _FIELDS:
         raise ValueError(f"field must be one of {_FIELDS}, got {which!r}")
-    frame = frenet_apparatus(c, s)
-    rate = _field_rate(frame, which)
+    grid = frenet_frames(c, [s])
+    rate = float(_field_rates(grid, which)[0])
     if rate <= RATE_TOL:
         raise DegenerateIndicatrixError(
             f"{which}-image of {c.label!r} is stationary at s={s:g}"
         )
-    return _field_derivative(frame, which) / rate
+    return _field_derivative(grid.frames()[0], which) / rate
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .curve import INVERSE_TABLE_SIZE, Curve, _looped, reparametrize_unit
+from .curve import INVERSE_TABLE_SIZE, Curve, _looped, grid_difference, reparametrize_unit
 from .errors import (
     InconsistentDecompositionError,
     MannheimLabError,
@@ -56,7 +56,6 @@ from .frenet import (
     frenet_synthesize,
     kind_signs,
     scalar_jets,
-    _scalar_fd,
 )
 from .expr import sqrt
 from .lorentz import Vec3L, cross_rows, euclidean_rows, inner_rows, norm_rows, power_rows
@@ -349,7 +348,6 @@ class MannheimPair:
     correspondence: Callable
     correspondence_rate: Callable | None = None
     label: str = "pair"
-    _frame_cache: dict = field(default_factory=dict, repr=False)
     _maps_on_grid: bool = field(default=False, repr=False)
     # Keyed by (grid size, pair type); a dataclasses.replace copy starts empty.
     _samples: dict = field(init=False, default_factory=dict, repr=False)
@@ -367,16 +365,6 @@ class MannheimPair:
         a, b = self.c.domain
         return [float(s) for s in np.linspace(a, b, n)]
 
-    def frames(self, grid: list[float]) -> list[tuple[FrenetFrame, FrenetFrame, float]]:
-        """``frames_at`` of every point of ``grid``; the uncached points are
-        extracted as one grid on each curve and cached."""
-        cache = self._frame_cache
-        miss = [s for s in grid if s not in cache]
-        if miss:
-            f, fstar, sstar = self.frame_grids(miss)
-            cache.update(zip(miss, zip(f.frames(), fstar.frames(), sstar.tolist())))
-        return [cache[s] for s in grid]
-
     def frame_grids(self, grid) -> tuple[FrameGrid, FrameGrid, np.ndarray]:
         """Frames of C on ``grid`` and of C* on the corresponded parameters,
         which come third; one extraction per curve.  The error raised is that
@@ -392,16 +380,17 @@ class MannheimPair:
         return f, frenet_frames(self.cstar, sstar), sstar
 
     def frames_at(self, s: float) -> tuple[FrenetFrame, FrenetFrame, float]:
-        hit = self._frame_cache.get(s)
-        return self.frames([s])[0] if hit is None else hit
+        """The frames of C and C* at ``s``, and s*: the one-row ``frame_grids``."""
+        f, fstar, sstar = self.frame_grids([s])
+        return f.frames()[0], fstar.frames()[0], float(sstar[0])
 
     def rates(self, grid: list[float]) -> list[float]:
-        """ds*/ds at every point of ``grid``."""
-        if self.correspondence_rate is None:
-            a, b = self.c.domain
-            h = [1e-4 * max(1.0, abs(s)) for s in grid]
-            return [_scalar_fd(self.correspondence, s, 1, a, b, hs) for s, hs in zip(grid, h)]
+        """ds*/ds at every point of ``grid``; without a rate map, the
+        ``grid_difference`` of the correspondence at step 1e-4 max(1, |s|)."""
         s = np.array(grid, dtype=float)
+        if self.correspondence_rate is None:
+            h = 1e-4 * np.maximum(1.0, np.abs(s))
+            return grid_difference(self.correspondence, s, *self.c.domain, h, 1).tolist()
         return np.broadcast_to(self.correspondence_rate(s), s.shape).tolist()
 
     def rate(self, s: float) -> float:
@@ -502,12 +491,6 @@ class MannheimPair:
         )
 
 
-def _rows_at(pair: MannheimPair, s: float) -> tuple[FrameGrid, FrameGrid]:
-    """The frames of C and C* at ``s`` as one-row grids."""
-    f, fstar, _ = pair.frames_at(s)
-    return FrameGrid.of([f]), FrameGrid.of([fstar])
-
-
 def _collinearity(f: FrameGrid, fstar: FrameGrid) -> np.ndarray:
     """rho = |N x B*| / (|N| |B*|) on each row."""
     return norm_rows(cross_rows(f.N, fstar.B)) / (norm_rows(f.N) * norm_rows(fstar.B))
@@ -519,7 +502,7 @@ def mannheim_residual(pair: MannheimPair, s: float) -> float:
     rho = |N x B*| / (|N| |B*|), zero exactly when the two lines coincide
     in direction.
     """
-    return float(_collinearity(*_rows_at(pair, s))[0])
+    return float(_collinearity(*pair.frame_grids([s])[:2])[0])
 
 
 @dataclass(frozen=True)
@@ -800,7 +783,8 @@ def _theta_rates(spec: PairTypeSpec, f: FrameGrid, fstar: FrameGrid, r, s_comp, 
 
     Every inner product is evaluated and none is set by the hypothesis, so
     the angle-rate identity is measured, not assumed.  No frame off the
-    grid is needed.
+    grid is needed.  A row where the angle has no rate, as both components
+    vanish on the circular type or ds*/ds = 0, is NaN.
     """
     eps_t_star, eps_n_star, _, c_n_star, _ = kind_signs(fstar.kinds)
     p, q = spec.oriented(s_comp, c_comp)
@@ -812,22 +796,12 @@ def _theta_rates(spec: PairTypeSpec, f: FrameGrid, fstar: FrameGrid, r, s_comp, 
     ) / eps_n_star
     ds_comp, dc_comp = spec.oriented(dp, dq)
     squared = c_comp * c_comp + s_comp * s_comp if spec.circular else 1.0
-    if not (np.all(squared) and np.all(r)):  # raised as by the point formula's floats
-        raise ZeroDivisionError("float division by zero")
-    if spec.circular:
-        dtheta = (c_comp * ds_comp - s_comp * dc_comp) / squared
-    else:
-        dtheta = ds_comp / np.sqrt(1.0 + s_comp * s_comp)
-    return dtheta / r
-
-
-def _theta_rate(
-    pair: MannheimPair, s: float, s_comp: float, c_comp: float, r: float | None = None
-) -> float:
-    """d(theta)/ds* at ``s``: the one-row ``_theta_rates``, ``r`` being
-    ``pair.rate(s)`` when not given."""
-    r = pair.rate(s) if r is None else r
-    return float(_theta_rates(pair.pair_type.spec, *_rows_at(pair, s), r, s_comp, c_comp)[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if spec.circular:
+            dtheta = (c_comp * ds_comp - s_comp * dc_comp) / squared
+        else:
+            dtheta = ds_comp / np.sqrt(1.0 + s_comp * s_comp)
+        return np.where((squared == 0.0) | (r == 0.0), np.nan, dtheta / r)
 
 
 def verify_frame_relations(
@@ -838,20 +812,20 @@ def verify_frame_relations(
     The first one needs the angle rate d(theta)/ds*, which is chained exactly
     from the two frames at each grid point (``_theta_rates``); it keeps the
     published angle-rate tolerance ``TOL_ANGLE_RATE`` whatever ``tol`` is.
+    Where the angle has no rate its residual is None, and ``undefined_at``
+    in its ``details`` counts such points.
     """
     samples = pair.samples(grid_n)
     rates = samples.rates
     s_comp, c_comp = samples.components
     dtheta = _theta_rates(pair.pair_type.spec, *samples.frames[:2], rates, s_comp, c_comp)
-    rows = frame_relation_residuals(pair.pair_type, *samples.scalars, s_comp, c_comp, dtheta)
-    names = (
-        "frame-angle-rate",
-        "torsion-composition",
-        "curvature-projection",
-        "torsion-projection",
-    )
-    tols = (TOL_ANGLE_RATE, tol, tol, tol)
-    return [samples.report(n, r.tolist(), t) for n, r, t in zip(names, rows, tols)]
+    angle, *rows = frame_relation_residuals(pair.pair_type, *samples.scalars, s_comp, c_comp, dtheta)
+    undefined = np.isnan(dtheta)
+    profile = [None if u else r for u, r in zip(undefined.tolist(), angle.tolist())]
+    details = {"undefined_at": int(undefined.sum())} if undefined.any() else {}
+    reports = [samples.report("frame-angle-rate", profile, TOL_ANGLE_RATE, **details)]
+    names = ("torsion-composition", "curvature-projection", "torsion-projection")
+    return reports + [samples.report(n, r.tolist(), tol) for n, r in zip(names, rows)]
 
 
 def verify_torsion_square(
@@ -892,7 +866,7 @@ def _center_ratios(lam: float, kappa: np.ndarray, kappa_star: np.ndarray) -> np.
 
 def curvature_center_ratio(pair: MannheimPair, s: float) -> float:
     """(1 - lam*kappa) * sqrt|lam^2 kappa*^2 - 1| at corresponding points."""
-    f, fstar = _rows_at(pair, s)
+    f, fstar, _ = pair.frame_grids([s])
     return float(_center_ratios(pair.lam, f.kappa, fstar.kappa)[0])
 
 

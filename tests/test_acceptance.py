@@ -20,7 +20,7 @@ import pytest
 from _oracle_constants import ORACLE
 from test_expr import run_fuzz_comparison
 from mannheim_lab.builtins import builtin_curve
-from mannheim_lab.curve import reparametrize_unit
+from mannheim_lab.curve import grid_difference, reparametrize_unit
 from mannheim_lab.expr import parse_expr
 from mannheim_lab.frenet import (
     CurveKind,
@@ -28,7 +28,6 @@ from mannheim_lab.frenet import (
     frenet_apparatus,
     frenet_synthesize,
     synthesized_gram_drift,
-    _scalar_fd,
 )
 from mannheim_lab.indicatrix import indicatrix_relation_residuals, verify_indicatrix_relations
 from mannheim_lab.lorentz import E1, E2, E3, Vec3L, cross, norm
@@ -311,7 +310,7 @@ def _demonstrate_identities(pair_type):
         sc, cc = comps(theta_fn(s))
         tau_star = 1.1 + 0.1 * s
         kappa, tau = (_signed(term, tau_star, sc, cc) for term in spec.projections)
-        dtheta = _scalar_fd(theta_fn, float(s), 1, 0.0, 1.0, 1e-3)
+        dtheta = float(grid_difference(theta_fn, np.array([s]), 0.0, 1.0, 1e-3, 1)[0])
         kappa_star = spec.angle_rate_sign * dtheta  # ds*/ds prescribed as 1
         r1, r2, r3, r4 = frame_relation_residuals(
             t, kappa, tau, kappa_star, tau_star, sc, cc, dtheta

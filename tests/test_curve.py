@@ -134,11 +134,21 @@ class TestClassify:
         with pytest.raises(NullTangentError):
             classify_curve(line_curve((1.0, 1.0, 0.0)), 8)
 
+    @staticmethod
+    def _mixed() -> Curve:
+        # tangent (1, 2t, 0): timelike near 0, null at t = 1/2, spacelike beyond
+        return Curve(lambda t: Vec3L(t, t * t, 0.0), (0.0, 2.0), label="mixed")
+
     def test_mixed(self):
-        # tangent (1, 2t, 0): timelike near 0, spacelike for t > 1/2
-        c = Curve(lambda t: Vec3L(t, t * t, 0.0), (0.0, 2.0), label="mixed")
-        with pytest.raises(MixedCausalCharacterError):
-            classify_curve(c, 33)
+        # no node of 32 points over [0, 2] is t = 1/2
+        with pytest.raises(MixedCausalCharacterError, match="near t=0.516129$"):
+            classify_curve(self._mixed(), 32)
+
+    def test_null_row_of_a_mixed_curve(self):
+        # node 8 of 33 points is t = 1/2, where the differenced tangent is
+        # null within the band of causal_character
+        with pytest.raises(NullTangentError, match="null at t=0.5$"):
+            classify_curve(self._mixed(), 33)
 
     def test_grid_validation(self, example1):
         with pytest.raises(ValueError):

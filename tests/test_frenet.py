@@ -5,8 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
+from mannheim_lab import curve as curve_module
 from mannheim_lab import frenet
-from mannheim_lab.curve import Curve
+from mannheim_lab.builtins import builtin_curve
+from mannheim_lab.curve import Curve, grid_difference, reparametrize_unit
 from mannheim_lab.errors import (
     InvalidInitialFrameError,
     NonPositiveCurvatureError,
@@ -28,6 +30,7 @@ from mannheim_lab.frenet import (
 )
 from mannheim_lab.expr import Jet2, parse_expr
 from mannheim_lab.lorentz import Vec3L, inner
+from mannheim_lab.mannheim import MannheimPair
 
 SQRT3 = math.sqrt(3.0)
 SQRT5 = math.sqrt(5.0)
@@ -255,8 +258,16 @@ class TestSynthesize:
 
 
 class TestGridFiniteDifference:
-    # The frame-difference fallback is the one grid difference left beneath
-    # scalar jets: a synthesized curve without its prescription jets takes it.
+    # ``curve.grid_difference`` is the one difference engine: the positional
+    # fallback of ``Curve``, the frame-difference fallback of scalar jets and
+    # the rate of a pair without a rate map all call it.
+    @staticmethod
+    def _side(t: float, a: float, b: float, h: float, m: int) -> int:
+        half = 2 if m <= 2 else 3
+        if t - half * h >= a and t + half * h <= b:
+            return 0
+        return 1 if t - half * h < a else -1
+
     @pytest.mark.parametrize("pair_type", [2, 3, 5])
     def test_grid_form_equals_scalar_form_at_every_synthesis_node(
         self, exact_pair_of, pair_type
@@ -273,29 +284,61 @@ class TestGridFiniteDifference:
             (1e-4, 1, "dkappa", kappa_pp),
             (1e-3, 2, "tau", tau_pp),
         ):
-            assert len({frenet._fd_offsets(t, m, a, b, h) for t in nodes.tolist()}) == 3
+            sides = [self._side(t, a, b, h, m) for t in nodes.tolist()]
+            assert set(sides) == {1, 0, -1}
             # every node's difference formed one stencil at a time in plain floats
             point = []
-            for t in nodes.tolist():
-                offsets = frenet._fd_offsets(t, m, a, b, h)
-                at = getattr(frenet.frenet_frames(c, [t + o * h for o in offsets]), name)
-                point.append(frenet._difference(frenet._UNIT_WEIGHTS[offsets, m], at.tolist(), h**m))
+            for t, side in zip(nodes.tolist(), sides):
+                offsets, weights = curve_module._STENCILS[m, side]
+                at = getattr(frenet.frenet_frames(c, [t + o * h for o in offsets]), name).tolist()
+                acc = weights[0] * at[0]
+                for w, v in zip(weights[1:], at[1:]):
+                    acc = acc + w * v
+                point.append(acc / h**m)
             assert grid.tolist() == point, (name, m)
 
-    def test_jet_differences_equal_the_single_order_differences(self, exact_pair_type3):
-        # the union stencil's first and second differences are the m=1 and
-        # m=2 differences, and the cached unit-step weights need no recursion
-        c = copy.copy(exact_pair_type3.c)
-        c.scalars = None
+    @pytest.mark.parametrize("m,tol", [(1, 1e-12), (2, 1e-8), (3, 1e-4)])
+    def test_no_node_leaves_a_domain_shorter_than_a_stencil(self, m, tol):
+        # at step 1e-3 no stencil of any order fits in [0, 0.004] one-sided,
+        # so every point takes the shrunk step (b - a) / (2 (m + 4))
+        a, b = 0.0, 0.004
+        ts = np.linspace(a, b, 9)
+        nodes = []
 
-        def f(t):
-            return float(frenet.frenet_frames(c, [t]).tau[0])
+        def cubic(x):
+            nodes.extend(x.tolist())
+            return np.column_stack((x**3 - 2.0 * x**2 + x, x))
 
-        a, b = c.domain
-        for t in (a, a + 1e-4, 0.5, b - 1e-4, b):
-            f1, f2 = frenet._grid_jet(frenet._looped(f), np.array([t]), a, b, 1e-4)
-            assert f1[0] == frenet._scalar_fd(f, t, 1, a, b, 1e-4)
-            assert f2[0] == frenet._scalar_fd(f, t, 2, a, b, 1e-4)
+        exact = {1: 3.0 * ts**2 - 4.0 * ts + 1.0, 2: 6.0 * ts - 4.0, 3: np.full_like(ts, 6.0)}[m]
+        d = grid_difference(cubic, ts, a, b, 1e-3, m)
+        assert a <= min(nodes) and max(nodes) <= b
+        assert np.abs(d[:, 0] - exact).max() <= tol
+        assert np.abs(d[:, 1] - (m == 1)).max() <= tol
+
+    def test_frame_difference_fallback_on_a_domain_shorter_than_a_stencil(self):
+        # the reparametrized helix carries no scalar jet, and its domain is
+        # shorter than the 7-node stencil of tau'' at step 1e-3; its binormal
+        # offset reads the fallback at every grid point
+        base = reparametrize_unit(builtin_curve("paper-example-1", (0.0, 0.005)), 64)
+        pair = MannheimPair.from_binormal_offset(base, 20.0)
+        assert pair.cstar is base
+        _, (_, *kappa_d), (_, *tau_d) = scalar_jets(base, np.linspace(*base.domain, 11))
+        # the helix has constant curvature and torsion
+        assert max(np.abs(x).max() for x in kappa_d + tau_d) < 1e-6
+
+    def test_positional_fallback_on_a_domain_shorter_than_a_stencil(self, example2):
+        nodes = []
+
+        def pos(t):
+            nodes.append(t)
+            return example2.pos(t)
+
+        a, b = 0.0, 0.01  # the 7-node third difference spans 0.048 at its step
+        bare = Curve(pos, (a, b), label="bare")
+        grid = np.linspace(a, b, 5)
+        gaps = [np.abs(d - e).max() for d, e in zip(bare.jets(grid), example2.jets(grid))]
+        assert a <= min(nodes) and max(nodes) <= b
+        assert gaps[0] < 1e-8 and gaps[1] < 1e-6 and gaps[2] < 1e-3
 
 
 class TestScalarJet:

@@ -267,7 +267,7 @@ def test_pair_frames_raise_the_error_of_the_first_bad_point(
 
     point = _first_point_error(lambda s: pair().frames_at(s), ts)
     with pytest.raises(type(point)) as grid:
-        pair().frames(ts)
+        pair().frame_grids(ts)
     assert str(grid.value) == str(point)
     assert str(point).startswith(f"{failing!r} ") or f"of {failing!r} " in str(point)
     assert "s=0.2" in str(point) or "s=0.4" in str(point)
@@ -277,7 +277,9 @@ def test_hand_built_pair_loops_float_only_maps():
     c, cstar = builtin_curve("paper-example-1"), builtin_curve("paper-example-2")
     grid = [0.0, 0.25, 0.5, 1.0]
     pair = _hand_built_pair(c, cstar, correspondence_rate=lambda s: math.copysign(1.0, s))
-    assert pair.frames(grid) == [_hand_built_pair(c, cstar).frames_at(s) for s in grid]
+    f, fstar, sstar = pair.frame_grids(grid)
+    rows = list(zip(f.frames(), fstar.frames(), sstar.tolist()))
+    assert rows == [_hand_built_pair(c, cstar).frames_at(s) for s in grid]
     assert pair.rates(grid) == [1.0] * len(grid)
     # without a rate map the rate is a difference of the float-only map
     assert _hand_built_pair(c, cstar).rates(grid) == pytest.approx([1.0] * len(grid))

@@ -220,9 +220,8 @@ class TestExactPairJets:
 
             return wrapper
 
-        monkeypatch.setattr(frenet, "_grid_jet", counted("fd", frenet._grid_jet))
-        monkeypatch.setattr(frenet, "_scalar_fd", counted("fd", frenet._scalar_fd))
-        monkeypatch.setattr(mannheim, "_scalar_fd", counted("fd", mannheim._scalar_fd))
+        for module in (curve, frenet, mannheim):
+            monkeypatch.setattr(module, "grid_difference", counted("fd", curve.grid_difference))
         monkeypatch.setattr(curve, "fd_weights", counted("fd", curve.fd_weights))
         tau = parse_expr("0.8 - 0.2 * s")
         calls = []

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from _oracle_constants import ORACLE
+from mannheim_lab import curve as curve_module
 from mannheim_lab import frenet, mannheim
 from mannheim_lab import indicatrix as indicatrix_module
 from mannheim_lab.cli import _run_pair_suite
-from mannheim_lab.curve import Curve, reparametrize_unit
+from mannheim_lab.curve import Curve, grid_difference, reparametrize_unit
 from mannheim_lab.errors import (
     DegenerateIndicatrixError,
     ExprDomainError,
@@ -28,11 +29,15 @@ from mannheim_lab.expr import parse_expr
 from mannheim_lab.frenet import (
     CurveKind,
     FrenetFrame,
-    _scalar_fd,
     frenet_apparatus,
     frenet_synthesize,
 )
-from mannheim_lab.indicatrix import indicatrix_relation_residuals, verify_indicatrix_relations
+from mannheim_lab.indicatrix import (
+    Indicatrix,
+    SphereKind,
+    indicatrix_relation_residuals,
+    verify_indicatrix_relations,
+)
 from mannheim_lab.lorentz import Vec3L, inner, norm
 from mannheim_lab.mannheim import (
     HYPOTHESIS_TOL,
@@ -132,7 +137,7 @@ class TestOffsets:
             return jet_of(fn, x, role)
 
         monkeypatch.setattr(frenet, "_jet_of", counted)
-        monkeypatch.setattr(frenet, "_grid_jet", lambda *args, **kwargs: calls.append("fd"))
+        monkeypatch.setattr(frenet, "grid_difference", lambda *args, **kwargs: calls.append("fd"))
         cstar = exact_pair_type3.cstar
         frenet_apparatus(cstar, 0.6180339 * cstar.domain[1])
         assert calls == [("kappa", 1), ("tau", 1)]
@@ -485,20 +490,22 @@ class TestAngleRateChain:
 
     @staticmethod
     def _compare(pair):
-        a, b = pair.domain
-        grid = pair.grid(101)
-        steps = [max(1e-4, 1e-3 * abs(s)) for s in grid]
-        # the frames at every stencil node, extracted as one grid
-        pair.frames(
-            [s + o * h for s, h in zip(grid, steps) for o in frenet._fd_offsets(s, 1, a, b, h)]
-        )
-        worst = 0.0
-        for s, h in zip(grid, steps):
-            dec = tangent_decomposition(pair, s)
-            chained = mannheim._theta_rate(pair, s, dec.s_comp, dec.c_comp)
-            differenced = _scalar_fd(lambda x: theta(pair, x), s, 1, a, b, h) / pair.rate(s)
-            worst = max(worst, abs(chained - differenced))
-        return worst
+        spec = pair.pair_type.spec
+
+        def thetas(x):
+            # the angle of ``theta`` on a grid: the checked components
+            f, fstar, _ = pair.frame_grids(x)
+            s_comp, c_comp = mannheim._decomposition(spec, f.T, fstar, lambda i: "")
+            return np.arctan2(s_comp, c_comp) if spec.circular else np.arcsinh(s_comp)
+
+        samples = pair.samples(101)
+        grid = np.array(samples.grid)
+        f, fstar, _ = samples.frames
+        chained = mannheim._theta_rates(spec, f, fstar, samples.rates, *samples.components)
+        steps = np.maximum(1e-4, 1e-3 * np.abs(grid))
+        differenced = grid_difference(thetas, grid, *pair.domain, steps, 1) / samples.rates
+        assert thetas(grid[[3]])[0] == pytest.approx(theta(pair, grid[3]), abs=1e-15)
+        return np.abs(chained - differenced).max()
 
     @pytest.mark.parametrize("pair_type,slope", EXACT_CONFIGS)
     def test_exact_pairs_match_difference_of_theta(self, exact_pair_of, pair_type, slope):
@@ -543,13 +550,12 @@ class TestAngleRateChain:
                 frames_under_fd.append((c.label, s))
             return extract(c, s, *rest)
 
-        monkeypatch.setattr(frenet, "_grid_jet", tracked(frenet._grid_jet))
+        for module in (curve_module, frenet, mannheim):
+            monkeypatch.setattr(module, "grid_difference", tracked(curve_module.grid_difference))
         for module in (frenet, mannheim, indicatrix_module):
-            if hasattr(module, "_scalar_fd"):
-                monkeypatch.setattr(module, "_scalar_fd", tracked(module._scalar_fd))
             monkeypatch.setattr(module, "frenet_frames", tracked_frames)
-        # a fresh frame cache makes every frame extraction run again
-        pair = dataclasses.replace(exact_pair_type3, _frame_cache={})
+        # a copy starts without samples, so every frame extraction runs again
+        pair = dataclasses.replace(exact_pair_type3)
         assert len(_run_pair_suite(pair, 11, None)) == 12
         assert fd_calls == [] and frames_under_fd == []
         for base in (example1, example2):
@@ -777,13 +783,13 @@ class TestPairSamples:
                 _init(self, *args, **kwargs)
 
             monkeypatch.setattr(cls, "__init__", init)
-        calls = self._count(monkeypatch, "mannheim_residual", "decompose_tangent", "_theta_rate")
+        calls = self._count(monkeypatch, "mannheim_residual", "decompose_tangent", "theta")
         pair = dataclasses.replace(exact_pair_type3)
         grids = self._extractions(monkeypatch, pair)
         assert len(_run_pair_suite(pair, 201, None)) == 12
         assert grids == {"c": [201], "cstar": [201]}
         assert built == []
-        assert calls == {"mannheim_residual": 0, "decompose_tangent": 0, "_theta_rate": 0}
+        assert calls == {"mannheim_residual": 0, "decompose_tangent": 0, "theta": 0}
         _run_pair_suite(pair, 201, None)  # the same grid reuses its samples
         assert grids == {"c": [201], "cstar": [201]}
 
@@ -802,6 +808,34 @@ class TestPairSamples:
         copy = dataclasses.replace(pair, pair_type=MannheimPairType.TYPE3)
         assert list(pair._samples) == [(11, MannheimPairType.TYPE2)] and copy._samples == {}
         assert copy.samples(11) is not pair.samples(11)
+
+    def test_replaced_copy_reads_its_own_curves_at_a_point(self, example2):
+        # a point query is the one-row frame grid of the pair at hand, so a
+        # copy with another pair's C answers from that C, whatever the
+        # original was asked before
+        pair = MannheimPair.from_binormal_offset(example2, 20.0)
+        other = MannheimPair.from_binormal_offset(example2, 5.0)
+        assert mannheim_residual(pair, 0.5) == pytest.approx(2.0025, abs=1e-4)
+        mixed = dataclasses.replace(pair, c=other.c, correspondence=other.correspondence)
+        assert mannheim_residual(mixed, 0.5) == mannheim_residual(other, 0.5)
+        assert mannheim_residual(mixed, 0.5) == pytest.approx(2.0418, abs=1e-4)
+
+    def test_angle_rate_is_undefined_where_circular_components_vanish(self, example2):
+        # the type-4 normal offset relabelled as the circular type 3 misses
+        # the hypothesis, and its raw tangent components both vanish at some
+        # grid points, where the angle has no rate
+        pair = dataclasses.replace(
+            MannheimPair.from_normal_offset(example2, 0.5), pair_type=MannheimPairType.TYPE3
+        )
+        reports = {r.identity: r for r in _run_pair_suite(pair, 21, None)}
+        rate = reports["frame-angle-rate"]
+        s_comp, c_comp = pair.samples(21).components
+        vanishing = (s_comp * s_comp + c_comp * c_comp == 0.0).tolist()
+        assert [r is None for r in rate.residuals] == vanishing
+        assert rate.details["undefined_at"] == sum(vanishing) > 0
+        assert rate.verdict is Verdict.REPORTED
+        assert rate.max_residual is not None
+        json.dumps([r.to_json_dict() for r in reports.values()], allow_nan=False)  # no NaN
 
     def test_relabelled_pair_is_sampled_again(self, exact_pair_type2):
         # samples hold the type's components: a pair relabelled in place
@@ -915,9 +949,16 @@ class TestVerifiersAgainstPointLoop:
             linear_relation_residual(t, f.kappa, f.tau, lam, lam * sc / cc) if cc else None
             for _, f, _, sc, cc in points
         ]
+
+        def theta_rate(s, sc, cc):
+            # the one-row chained rate
+            rows = pair.frame_grids([s])[:2]
+            r, sc, cc = (np.array([x]) for x in (pair.rate(s), sc, cc))
+            return float(mannheim._theta_rates(t.spec, *rows, r, sc, cc)[0])
+
         frame_rows = [
             frame_relation_residuals(
-                t, f.kappa, f.tau, fs.kappa, fs.tau, sc, cc, mannheim._theta_rate(pair, s, sc, cc)
+                t, f.kappa, f.tau, fs.kappa, fs.tau, sc, cc, theta_rate(s, sc, cc)
             )
             for s, f, fs, sc, cc in points
         ]
@@ -925,13 +966,15 @@ class TestVerifiersAgainstPointLoop:
         square_rows = [torsion_square_residuals(t, f.kappa, f.tau, fs.tau) for _, f, fs, _, _ in points]
         assert [r.residuals for r in verify_torsion_square(pair, 21)] == columns(square_rows)
         images = verify_indicatrix_relations(pair, 21)
-        rate = indicatrix_module._field_rate
+        n_image = Indicatrix("N", pair.c, SphereKind.LORENTZIAN)
+        b_image = Indicatrix("B", pair.cstar, SphereKind.LORENTZIAN)
         image_rows = [
             indicatrix_relation_residuals(
                 t.value, f.kappa, f.tau, fs.tau, sc, cc,
-                1.0 / rate(f, "N"), 1.0 / rate(fs, "B"), images[0].details["alignment"],
+                1.0 / n_image.rate(s), 1.0 / b_image.rate(pair.frames_at(s)[2]),
+                images[0].details["alignment"],
             )
-            for _, f, fs, sc, cc in points
+            for s, f, fs, sc, cc in points
         ]
         assert [r.residuals for r in images] == columns(image_rows)
         ratios = [curvature_center_ratio(pair, s) for s in grid]
