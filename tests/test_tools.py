@@ -19,3 +19,17 @@ def test_report_digests_prints_one_digest_per_configuration():
     lines = proc.stdout.splitlines()
     assert len(lines) == 15
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S.*", line) for line in lines), lines
+
+
+def test_report_digests_synth_prints_one_digest_per_synthesis():
+    proc = subprocess.run(
+        [sys.executable, str(TOOLS / "report_digests.py"), "--synth"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    # 3 kinds x 3 torsions x 3 (range, step) pairs
+    assert len(lines) == 27
+    assert all(re.fullmatch(r"[0-9a-f]{64}  \S.*", line) for line in lines), lines

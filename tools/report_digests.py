@@ -26,6 +26,11 @@ Its lines read ``<sha256> exit <code>  <arguments>``; a command that fails
 writes no file and shows ``no output`` with its exit code (its message goes
 to stderr).
 
+With ``--synth`` it prints instead one sha256 of the integrated states of
+``frenet_synthesize`` per configuration (``SYNTH_TAUS`` x ``SYNTH_RANGES``
+for every curve kind, curvature ``SYNTH_KAPPA``): the bytes of
+``synth_nodes`` s, p, T, N and B, so the sign of a zero counts too.
+
 Each line is ``<sha256>  <configuration>``.  The digest covers the JSON
 array that ``mannheim-lab pair-verify --out`` writes: the reports of
 ``cli._run_pair_suite``, serialized as ``cli._emit_json`` does.  The
@@ -68,13 +73,15 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 import mannheim_lab  # noqa: E402 - after the path of this checkout
 from mannheim_lab import (  # noqa: E402
     MannheimPair,
+    Vec3L,
     builtin_curve,
     exact_partner_pair,
+    frenet_synthesize,
     parse_expr,
     reparametrize_unit,
 )
 from mannheim_lab.cli import _run_pair_suite, main as cli_main, resolve_curve_spec  # noqa: E402
-from mannheim_lab.frenet import CurveKind  # noqa: E402
+from mannheim_lab.frenet import INITIAL_FRAMES, CurveKind, FrenetFrame  # noqa: E402
 
 EXACT_GRID = 201
 REFERENCE_GRID = 101
@@ -111,6 +118,30 @@ CLI_COMMANDS = (
     *(["classify", "--curve", c, "--grid", "500"] for c in CSV_CURVES),
     *(["frenet", "--curve", c, "--at", at] for c in CSV_CURVES for at in ("0", "0.37", "1")),
 )
+
+
+# Synthesis states: torsions including tau = 0, and (range, step) pairs of
+# 1000 steps, 2143 steps (no multiple of the block size) and one step.
+SYNTH_KAPPA = "1 + 0.1*sin(s)"
+SYNTH_TAUS = ("0.6 - 0.2*s", "0", "0.5*cos(3*s)")
+SYNTH_RANGES = (((0.0, 1.0), 1e-3), ((-1.0, 0.5), 7e-4), ((0.0, 0.01), 0.01))
+
+
+def synth_digests():
+    """Yield (sha256 of the synthesis nodes, configuration) for every kind."""
+    kappa = parse_expr(SYNTH_KAPPA).eval
+    for kind in CurveKind:
+        frame0 = FrenetFrame(*INITIAL_FRAMES[kind], 1.0, 0.0, kind)
+        for tau in SYNTH_TAUS:
+            for s_range, step in SYNTH_RANGES:
+                c = frenet_synthesize(
+                    kind, kappa, parse_expr(tau).eval, frame0, Vec3L(0.1, -0.2, 0.3), s_range, step
+                )
+                h = hashlib.sha256()
+                for key in ("s", "p", "T", "N", "B"):
+                    h.update(c.synth_nodes[key].tobytes())
+                a, b = s_range
+                yield h.hexdigest(), f"{kind.value} tau={tau} range={a:g}:{b:g} step {step:g}"
 
 
 def cli_digests():
@@ -203,10 +234,15 @@ def main() -> None:
         action="store_true",
         help="print digests of the CLI's CSV and JSON output files instead",
     )
+    parser.add_argument(
+        "--synth",
+        action="store_true",
+        help="print digests of the synthesized node states instead",
+    )
     args = parser.parse_args()
     print(f"mannheim_lab: {mannheim_lab.__file__}", file=sys.stderr)
-    if args.csv:
-        for text, label in cli_digests():
+    if args.csv or args.synth:
+        for text, label in cli_digests() if args.csv else synth_digests():
             print(f"{text}  {label}", flush=True)
         return
     for label, build, grid in configurations():
