@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success with no failed verdict, 1 on any Fail verdict or
 domain error, 2 on usage, curve-spec or expression parse errors and on a
-synthesis step too small for its range (``frenet.MAX_SYNTH_STEPS``).
+synthesis step too small for its range (``frenet.MAX_SYNTH_STEPS``, or
+integration nodes that do not differ as floats).
 
 Curve specs accepted by ``--curve/-c`` and ``--cstar``:
 

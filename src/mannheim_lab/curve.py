@@ -295,6 +295,11 @@ class CubicHermiteSpline:
         self._x = x
         self._last = len(x) - 2
 
+    @property
+    def coefficients(self) -> np.ndarray:
+        """Row i holds (c0, c1, c2, c3) of piece i, for values of shape ``(n,)`` or ``(n, m)``."""
+        return self._c
+
     def __call__(self, v):
         point = np.ndim(v) == 0
         v = np.asarray(v, dtype=float).reshape(-1)

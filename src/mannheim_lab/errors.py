@@ -92,7 +92,11 @@ class NonPositiveCurvatureError(MannheimLabError):
 
 
 class TooManyStepsError(MannheimLabError):
-    """A synthesis step is too small for its range: the step count exceeds the cap."""
+    """A synthesis step is too small for its range.
+
+    Either the step count exceeds the cap, or the integration nodes do not
+    differ as floats.
+    """
 
 
 class PrescriptionError(MannheimLabError):

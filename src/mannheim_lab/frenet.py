@@ -330,12 +330,31 @@ def _rate_matrices(kappa: np.ndarray, tau: np.ndarray, c_n: float, c_b: float) -
     return A
 
 
-def _mul4(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Batched 4x4 products x[i] y[i] by elementwise numpy, summed in index order."""
-    out = x[:, :, 0, None] * y[:, None, 0, :]
-    for k in range(1, 4):
-        out = out + x[:, :, k, None] * y[:, None, k, :]
-    return out
+def _increments(
+    kappa: Sequence[np.ndarray], tau: Sequence[np.ndarray], c_n: float, c_b: float, h: float
+) -> np.ndarray:
+    """Columns 1:4 of D = (h/6)(A0 + 2 K2 + 2 K3 + K4) for a block of steps.
+
+    ``kappa`` and ``tau`` hold the values at the node, midpoint and end of
+    each step.  A X is formed from the five nonzero entries of A, each term
+    in the order of the dense 4x4 sum, so it has the dense product's bits.
+    """
+    A0 = _rate_matrices(kappa[0], tau[0], c_n, c_b)[:, :, 1:]
+    eye = np.eye(4)[:, 1:]
+
+    def rate_product(k: np.ndarray, t: np.ndarray, X: np.ndarray) -> np.ndarray:
+        k, t = k[:, None], t[:, None]
+        out = np.empty_like(X)
+        out[:, 0] = X[:, 1]
+        out[:, 1] = k * X[:, 2]
+        out[:, 2] = (c_n * k) * X[:, 1] + t * X[:, 3]
+        out[:, 3] = (c_b * t) * X[:, 2]
+        return out
+
+    K2 = rate_product(kappa[1], tau[1], eye + (0.5 * h) * A0)
+    K3 = rate_product(kappa[1], tau[1], eye + (0.5 * h) * K2)
+    K4 = rate_product(kappa[2], tau[2], eye + h * K3)
+    return (h / 6.0) * (A0 + 2.0 * K2 + 2.0 * K3 + K4)
 
 
 def _identity_jet(s: np.ndarray) -> Jet2:
@@ -402,9 +421,12 @@ def frenet_synthesize(
     Each coordinate obeys Y' = A(kappa, tau) Y on the rows (p, T, N, B), so
     a step is Y + D Y with D = (h/6)(A0 + 2 K2 + 2 K3 + K4), K2 =
     Am (I + h/2 A0), K3 = Am (I + h/2 K2), K4 = A1 (I + h K3).  Every D of
-    a block of ``_SYNTH_BLOCK`` steps is built by elementwise numpy (no BLAS
-    product, whose kernels vary by CPU) and Y + D Y is summed in Python
-    floats in a fixed order, so the result does not depend on the host.
+    a block of ``_SYNTH_BLOCK`` steps is built by elementwise numpy from
+    the five nonzero entries of A (no BLAS product, whose kernels vary by
+    CPU).  T, N and B advance as nine Python floats, each component
+    summed in a fixed order; the positions are p0 plus the ordered running
+    sum of D01 T + D02 N + D03 B at each step's start.  So the result does
+    not depend on the host.
 
     Position and derivative fields are cubic Hermite interpolants of exact
     node values and node slopes (frame system and prescription jets), one
@@ -413,13 +435,14 @@ def frenet_synthesize(
     each prescription per grid.
 
     Raises TooManyStepsError, before any work, past ``MAX_SYNTH_STEPS``
-    steps; InvalidInitialFrameError if ``frame0`` violates the Gram
+    steps or where the nodes do not differ as floats; InvalidInitialFrameError if ``frame0`` violates the Gram
     invariants of ``kind`` (tolerance 1e-10); before any integration,
     PrescriptionError for a prescription that rejects a jet or returns
     neither a float nor a jet, and ExprDomainError or
     NonPositiveCurvatureError naming the first failing abscissa in step
     order; and SynthesisOverflowError, naming the first node, if the
-    integrated frame or the derivative fields overflow.
+    integrated frame, the derivative fields or the interpolant pieces
+    starting at a node overflow.
     """
     a, b = float(s_range[0]), float(s_range[1])
     if not b > a:
@@ -444,6 +467,11 @@ def frenet_synthesize(
     c_b = float(kind.binormal_coefficient)
     s_nodes = a + h * np.arange(n_steps + 1)
     s_nodes[-1] = b
+    if not (s_nodes[1:] > s_nodes[:-1]).all():
+        raise TooManyStepsError(
+            f"step {step:g} is too small for its range [{a:.17g}, {b:.17g}]: "
+            "the integration nodes do not differ as floats"
+        )
     # Row i: midpoint, end and next node of step i; ``at`` indexes each into
     # the abscissae, taken in step order after a, the next node only where
     # the end does not round to it.
@@ -453,46 +481,48 @@ def frenet_synthesize(
     at = np.cumsum(kept).reshape(stages.shape)
     node = np.concatenate(([0], np.where(kept[:, 2], at[:, 2], at[:, 1])))
 
-    states = np.empty((n_steps + 1, 12))
-    states[0] = [v for u in (p0, frame0.T, frame0.N, frame0.B) for v in u.as_tuple()]
-    # Y as three coordinate columns (p, T, N, B), advanced in Python floats.
-    cols = states[0].reshape(4, 3).T.tolist()
-    eye = np.eye(4)
+    # Rows (T, N, B) of each node, advanced coordinate by coordinate in
+    # Python floats; row 0 of every D, the position increment, is kept apart.
+    frame = np.empty((n_steps + 1, 9))
+    frame[0] = [v for u in (frame0.T, frame0.N, frame0.B) for v in u.as_tuple()]
+    tx, ty, tz, nx, ny, nz, bx, by, bz = frame[0].tolist()
+    D0 = np.empty((n_steps, 3))
     # Overflow is not checked per step: the finished states and fields are
     # checked once below, and numpy's warnings on the way there are muted.
     with np.errstate(all="ignore"):
         k_jet, t_jet = _prescribe(kappa_fn, tau_fn, np.concatenate(([a], stages[kept])))
         for i0 in range(0, n_steps, _SYNTH_BLOCK):
             i1 = min(i0 + _SYNTH_BLOCK, n_steps)
-            A0, Am, A1 = (
-                _rate_matrices(k_jet.v[i], t_jet.v[i], c_n, c_b)
-                for i in (node[i0:i1], at[i0:i1, 0], at[i0:i1, 1])
-            )
-            K2 = _mul4(Am, eye + (0.5 * h) * A0)
-            K3 = _mul4(Am, eye + (0.5 * h) * K2)
-            K4 = _mul4(A1, eye + h * K3)
-            D = (h / 6.0) * (A0 + 2.0 * K2 + 2.0 * K3 + K4)
-            # Column 0 of every A, hence of D, is zero: p feeds no row.
-            block = []
-            for d01, d02, d03, d11, d12, d13, d21, d22, d23, d31, d32, d33 in (
-                D[:, :, 1:].reshape(-1, 12).tolist()
-            ):
-                cols = [
-                    (
-                        y0 + (d01 * y1 + d02 * y2 + d03 * y3),
-                        y1 + (d11 * y1 + d12 * y2 + d13 * y3),
-                        y2 + (d21 * y1 + d22 * y2 + d23 * y3),
-                        y3 + (d31 * y1 + d32 * y2 + d33 * y3),
-                    )
-                    for y0, y1, y2, y3 in cols
-                ]
-                block.append(cols)
-            states[i0 + 1 : i1 + 1] = np.array(block).transpose(0, 2, 1).reshape(-1, 12)
+            at_steps = (node[i0:i1], at[i0:i1, 0], at[i0:i1, 1])
+            D = _increments([k_jet.v[i] for i in at_steps], [t_jet.v[i] for i in at_steps], c_n, c_b, h)
+            D0[i0:i1] = D[:, 0]
+            rows = []
+            for d11, d12, d13, d21, d22, d23, d31, d32, d33 in D[:, 1:].reshape(-1, 9).tolist():
+                tx, nx, bx = (
+                    tx + (d11 * tx + d12 * nx + d13 * bx),
+                    nx + (d21 * tx + d22 * nx + d23 * bx),
+                    bx + (d31 * tx + d32 * nx + d33 * bx),
+                )
+                ty, ny, by = (
+                    ty + (d11 * ty + d12 * ny + d13 * by),
+                    ny + (d21 * ty + d22 * ny + d23 * by),
+                    by + (d31 * ty + d32 * ny + d33 * by),
+                )
+                tz, nz, bz = (
+                    tz + (d11 * tz + d12 * nz + d13 * bz),
+                    nz + (d21 * tz + d22 * nz + d23 * bz),
+                    bz + (d31 * tz + d32 * nz + d33 * bz),
+                )
+                rows += (tx, ty, tz, nx, ny, nz, bx, by, bz)
+            frame[i0 + 1 : i1 + 1] = np.fromiter(rows, float, len(rows)).reshape(-1, 9)
 
-        P = states[:, 0:3]
-        T = states[:, 3:6]
-        N = states[:, 6:9]
-        B = states[:, 9:12]
+        T = frame[:, 0:3]
+        N = frame[:, 3:6]
+        B = frame[:, 6:9]
+        # p + (D01 T + D02 N + D03 B) per step, summed in step order.
+        P = np.add.accumulate(
+            np.vstack(([p0.as_tuple()], D0[:, 0:1] * T[:-1] + D0[:, 1:2] * N[:-1] + D0[:, 2:3] * B[:-1]))
+        )
 
         kappa, kappa_p, kappa_pp = k_jet.v[node], k_jet.d[node], k_jet.dd[node]
         tau, tau_p = t_jet.v[node], t_jet.d[node]
@@ -513,21 +543,19 @@ def frenet_synthesize(
         )
         values = np.hstack([T, d2, d3])
         slopes = np.hstack([kN, d2_slope, d3_slope])
-    finite = (
-        np.isfinite(states).all(axis=1)
-        & np.isfinite(values).all(axis=1)
-        & np.isfinite(slopes).all(axis=1)
-    )
-    if not finite.all():
-        s_bad = float(s_nodes[np.argmin(finite)])
-        raise SynthesisOverflowError(
-            f"synthesized {kind.value} curve overflows at s={s_bad:g}: its frame or "
-            "derivative fields are not finite"
-        )
-
-    pos_spline = CubicHermiteSpline(s_nodes, P, T)
-    # Columns 0:3, 3:6, 6:9 hold d1, d2, d3; one evaluation yields the jet.
-    jet_spline = CubicHermiteSpline(s_nodes, values, slopes)
+        pos_spline = CubicHermiteSpline(s_nodes, P, T)
+        # Columns 0:3, 3:6, 6:9 hold d1, d2, d3; one evaluation yields the jet.
+        jet_spline = CubicHermiteSpline(s_nodes, values, slopes)
+    # Each node's states and fields first, then the interpolant pieces that
+    # start at the nodes: on a very short range only the pieces overflow.
+    for fields in ((frame, P, values, slopes), (pos_spline.coefficients, jet_spline.coefficients)):
+        finite = np.logical_and.reduce([np.isfinite(f).reshape(len(f), -1).all(axis=1) for f in fields])
+        if not finite.all():
+            s_bad = float(s_nodes[np.argmin(finite)])
+            raise SynthesisOverflowError(
+                f"synthesized {kind.value} curve overflows at s={s_bad:g}: its frame or "
+                "derivative fields are not finite"
+            )
 
     def evaluate(ts: np.ndarray, order: int):
         if order == 0:

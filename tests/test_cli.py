@@ -218,6 +218,37 @@ class TestSynthesisBounds:
         assert err == ""
         assert json.loads(out_path.read_text())["causal_character"] == "timelike"
 
+    def test_range_whose_nodes_do_not_differ_is_usage_error(self, capsys, tmp_path):
+        out_path = tmp_path / "out.csv"
+        code, out, err = run_cli(
+            capsys, "synthesize", "--kind", "timelike", "--kappa", "1", "--tau", "0.5",
+            "--range", "1e15:1.0000000000000002e15", "--out", str(out_path),
+        )
+        assert code == 2
+        assert err == "error: step 0.001 is too small for its range " \
+            "[1000000000000000, 1000000000000000.2]: the integration nodes do not differ as floats\n"
+        assert out == ""
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synthesize", "--kind", "timelike", "--kappa", "1", "--tau", "0.5", "--range", "0:1e-307"],
+            ["pair-verify", "--c", "synth:kind=timelike,kappa=1,tau=0.5,range=0:1e-320",
+             "--cstar", "synth:kind=timelike,kappa=1,tau=0.5,range=0:1e-320", "--lambda", "1"],
+        ],
+        ids=["synthesize", "pair-verify"],
+    )
+    def test_short_range_overflow_is_domain_error_without_warnings(self, capsys, tmp_path, argv):
+        out_path = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+        assert code == 1
+        assert err == "error: synthesized timelike curve overflows at s=0: " \
+            "its frame or derivative fields are not finite\n"
+        assert not out_path.exists()
+
     def test_overflow_is_domain_error_without_warnings(self, capsys, tmp_path):
         out_path = tmp_path / "out.csv"
         with warnings.catch_warnings():

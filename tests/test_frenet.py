@@ -404,6 +404,26 @@ class TestSynthesisBounds:
         with pytest.raises(TooManyStepsError):
             self._synthesize(lambda s: 1.0, 1e-3, (-1e308, 1e308))
 
+    def test_range_whose_nodes_do_not_differ_is_rejected_before_any_work(self, monkeypatch):
+        def prescribe(*args):
+            raise AssertionError("a prescription was evaluated")
+
+        monkeypatch.setattr(frenet, "_prescribe", prescribe)
+        with pytest.raises(
+            TooManyStepsError,
+            match=r"step 0\.001 is too small for its range \[1000000000000000, 1000000000000000\.2\]",
+        ):
+            self._synthesize(lambda s: 1.0, 1e-3, (1e15, 1.0000000000000002e15))
+
+    @pytest.mark.parametrize("width", [1e-307, 1e-320])
+    def test_short_range_overflow_names_its_start(self, width):
+        # the nodes are finite, but the interpolant's coefficients divide by
+        # the width twice
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SynthesisOverflowError, match=r"overflows at s=0:"):
+                self._synthesize(lambda s: 1.0, 1e-3, (0.0, width))
+
     def test_short_range_synthesizes(self):
         # no stencil differentiates the prescription, so any range narrower
         # than a step is one step, and its jets stay inside the range
@@ -512,7 +532,7 @@ class TestBatchedIncrements:
         def integrate(*args):
             raise AssertionError("an RK4 step ran")
 
-        monkeypatch.setattr(frenet, "_mul4", integrate)
+        monkeypatch.setattr(frenet, "_increments", integrate)
         kind = CurveKind.TIMELIKE
         f0 = FrenetFrame(*FRAME0[kind], 1.0, 0.5, kind)
         with pytest.raises(NonPositiveCurvatureError, match=r"kappa\(s=0\.35\) = -1 <= 0"):
@@ -530,7 +550,7 @@ class TestBatchedIncrements:
         # through them could change the synthesized bits from host to host
         import inspect
 
-        for fn in (frenet.frenet_synthesize, frenet._mul4, frenet._rate_matrices):
+        for fn in (frenet.frenet_synthesize, frenet._increments, frenet._rate_matrices):
             source = inspect.getsource(fn)
             for token in ("@", "dot", "matmul", "einsum", "tensordot", "inner("):
                 assert token not in source, (fn.__name__, token)

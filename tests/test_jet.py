@@ -252,7 +252,7 @@ class TestPrescriptionContract:
         def integrate(*args):
             raise AssertionError("an RK4 step ran")
 
-        monkeypatch.setattr(frenet, "_mul4", integrate)
+        monkeypatch.setattr(frenet, "_increments", integrate)
 
     def test_a_float_only_callable_is_named(self):
         def kappa_of_s(s):
