@@ -320,35 +320,37 @@ _SYNTH_BLOCK = 256
 
 
 def _rate_matrices(kappa: np.ndarray, tau: np.ndarray, c_n: float, c_b: float) -> np.ndarray:
-    """A(kappa, tau) of y' = A y on the rows (p, T, N, B), one per entry."""
-    A = np.zeros((len(kappa), 4, 4))
-    A[:, 0, 1] = 1.0
-    A[:, 1, 2] = kappa
-    A[:, 2, 1] = c_n * kappa
-    A[:, 2, 3] = tau
-    A[:, 3, 2] = c_b * tau
+    """A(kappa, tau) of y' = A y on the rows (p, T, N, B); ``A[i, j]`` holds
+    entry (i, j) for every entry of ``kappa`` and ``tau``."""
+    A = np.zeros((4, 4, len(kappa)))
+    A[0, 1] = 1.0
+    A[1, 2] = kappa
+    A[2, 1] = c_n * kappa
+    A[2, 3] = tau
+    A[3, 2] = c_b * tau
     return A
 
 
 def _increments(
     kappa: Sequence[np.ndarray], tau: Sequence[np.ndarray], c_n: float, c_b: float, h: float
 ) -> np.ndarray:
-    """Columns 1:4 of D = (h/6)(A0 + 2 K2 + 2 K3 + K4) for a block of steps.
+    """Columns 1:4 of D = (h/6)(A0 + 2 K2 + 2 K3 + K4) for a block of steps,
+    shape ``(4, 3, steps)``.
 
     ``kappa`` and ``tau`` hold the values at the node, midpoint and end of
-    each step.  A X is formed from the five nonzero entries of A, each term
-    in the order of the dense 4x4 sum, so it has the dense product's bits.
+    each step.  Column 0 of every A, hence of D, is zero: p feeds no row.
+    A X is formed from the five nonzero entries of A, each term in the
+    order of the dense 4x4 sum, so it has the dense product's bits.
     """
-    A0 = _rate_matrices(kappa[0], tau[0], c_n, c_b)[:, :, 1:]
-    eye = np.eye(4)[:, 1:]
+    A0 = _rate_matrices(kappa[0], tau[0], c_n, c_b)[:, 1:]
+    eye = np.eye(4)[:, 1:, None]
 
     def rate_product(k: np.ndarray, t: np.ndarray, X: np.ndarray) -> np.ndarray:
-        k, t = k[:, None], t[:, None]
         out = np.empty_like(X)
-        out[:, 0] = X[:, 1]
-        out[:, 1] = k * X[:, 2]
-        out[:, 2] = (c_n * k) * X[:, 1] + t * X[:, 3]
-        out[:, 3] = (c_b * t) * X[:, 2]
+        out[0] = X[1]
+        out[1] = k * X[2]
+        out[2] = (c_n * k) * X[1] + t * X[3]
+        out[3] = (c_b * t) * X[2]
         return out
 
     K2 = rate_product(kappa[1], tau[1], eye + (0.5 * h) * A0)
@@ -435,8 +437,9 @@ def frenet_synthesize(
     each prescription per grid.
 
     Raises TooManyStepsError, before any work, past ``MAX_SYNTH_STEPS``
-    steps or where the nodes do not differ as floats; InvalidInitialFrameError if ``frame0`` violates the Gram
-    invariants of ``kind`` (tolerance 1e-10); before any integration,
+    steps or where the nodes do not differ as floats;
+    InvalidInitialFrameError if ``frame0`` violates the Gram invariants of
+    ``kind`` (tolerance 1e-10); before any integration,
     PrescriptionError for a prescription that rejects a jet or returns
     neither a float nor a jet, and ExprDomainError or
     NonPositiveCurvatureError naming the first failing abscissa in step
@@ -486,18 +489,18 @@ def frenet_synthesize(
     frame = np.empty((n_steps + 1, 9))
     frame[0] = [v for u in (frame0.T, frame0.N, frame0.B) for v in u.as_tuple()]
     tx, ty, tz, nx, ny, nz, bx, by, bz = frame[0].tolist()
-    D0 = np.empty((n_steps, 3))
+    D0 = np.empty((3, n_steps))
     # Overflow is not checked per step: the finished states and fields are
     # checked once below, and numpy's warnings on the way there are muted.
     with np.errstate(all="ignore"):
         k_jet, t_jet = _prescribe(kappa_fn, tau_fn, np.concatenate(([a], stages[kept])))
         for i0 in range(0, n_steps, _SYNTH_BLOCK):
             i1 = min(i0 + _SYNTH_BLOCK, n_steps)
-            at_steps = (node[i0:i1], at[i0:i1, 0], at[i0:i1, 1])
-            D = _increments([k_jet.v[i] for i in at_steps], [t_jet.v[i] for i in at_steps], c_n, c_b, h)
-            D0[i0:i1] = D[:, 0]
-            rows = []
-            for d11, d12, d13, d21, d22, d23, d31, d32, d33 in D[:, 1:].reshape(-1, 9).tolist():
+            ix = (node[i0:i1], at[i0:i1, 0], at[i0:i1, 1])
+            D = _increments([k_jet.v[i] for i in ix], [t_jet.v[i] for i in ix], c_n, c_b, h)
+            D0[:, i0:i1] = D[0]
+            flat = []
+            for d11, d12, d13, d21, d22, d23, d31, d32, d33 in D[1:].reshape(9, -1).T.tolist():
                 tx, nx, bx = (
                     tx + (d11 * tx + d12 * nx + d13 * bx),
                     nx + (d21 * tx + d22 * nx + d23 * bx),
@@ -513,16 +516,15 @@ def frenet_synthesize(
                     nz + (d21 * tz + d22 * nz + d23 * bz),
                     bz + (d31 * tz + d32 * nz + d33 * bz),
                 )
-                rows += (tx, ty, tz, nx, ny, nz, bx, by, bz)
-            frame[i0 + 1 : i1 + 1] = np.fromiter(rows, float, len(rows)).reshape(-1, 9)
+                flat += (tx, ty, tz, nx, ny, nz, bx, by, bz)
+            frame[i0 + 1 : i1 + 1] = np.fromiter(flat, float, len(flat)).reshape(-1, 9)
 
         T = frame[:, 0:3]
         N = frame[:, 3:6]
         B = frame[:, 6:9]
         # p + (D01 T + D02 N + D03 B) per step, summed in step order.
-        P = np.add.accumulate(
-            np.vstack(([p0.as_tuple()], D0[:, 0:1] * T[:-1] + D0[:, 1:2] * N[:-1] + D0[:, 2:3] * B[:-1]))
-        )
+        dP = D0[0, :, None] * T[:-1] + D0[1, :, None] * N[:-1] + D0[2, :, None] * B[:-1]
+        P = np.add.accumulate(np.vstack(([p0.as_tuple()], dP)))
 
         kappa, kappa_p, kappa_pp = k_jet.v[node], k_jet.d[node], k_jet.dd[node]
         tau, tau_p = t_jet.v[node], t_jet.d[node]
@@ -548,7 +550,10 @@ def frenet_synthesize(
         jet_spline = CubicHermiteSpline(s_nodes, values, slopes)
     # Each node's states and fields first, then the interpolant pieces that
     # start at the nodes: on a very short range only the pieces overflow.
-    for fields in ((frame, P, values, slopes), (pos_spline.coefficients, jet_spline.coefficients)):
+    for fields in (
+        (frame, P, values, slopes),
+        (pos_spline.coefficients, jet_spline.coefficients),
+    ):
         finite = np.logical_and.reduce([np.isfinite(f).reshape(len(f), -1).all(axis=1) for f in fields])
         if not finite.all():
             s_bad = float(s_nodes[np.argmin(finite)])

@@ -554,3 +554,54 @@ class TestBatchedIncrements:
             source = inspect.getsource(fn)
             for token in ("@", "dot", "matmul", "einsum", "tensordot", "inner("):
                 assert token not in source, (fn.__name__, token)
+
+
+def _dense_states(kind, kappa, tau, frame0, p0, s_range, step):
+    """Node states of RK4 as Y + D Y, D from dense 4x4 products summed in
+    index order, in Python floats one step at a time: the bit-level
+    reference of the synthesis kernel."""
+    a, b = s_range
+    n = max(1, math.ceil((b - a) / step))
+    h = (b - a) / n
+    s_nodes = a + h * np.arange(n + 1)
+    s_nodes[-1] = b
+    c_n, c_b = float(kind.normal_coefficient), float(kind.binormal_coefficient)
+
+    def rate(s):
+        k, t = float(kappa(s)), float(tau(s))
+        return [[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, k, 0.0], [0.0, c_n * k, 0.0, t], [0.0, 0.0, c_b * t, 0.0]]
+
+    def mul(x, y):
+        return [[x[i][0] * y[0][j] + x[i][1] * y[1][j] + x[i][2] * y[2][j] + x[i][3] * y[3][j]
+                 for j in range(4)] for i in range(4)]
+
+    def eye_plus(c, x):
+        return [[float(i == j) + c * x[i][j] for j in range(4)] for i in range(4)]
+
+    cols = [list(v) for v in zip(*(u.as_tuple() for u in (p0, frame0.T, frame0.N, frame0.B)))]
+    states = [[v for col in zip(*cols) for v in col]]
+    for s in s_nodes[:-1].tolist():
+        A0, Am, A1 = rate(s), rate(s + 0.5 * h), rate(s + h)
+        K2 = mul(Am, eye_plus(0.5 * h, A0))
+        K3 = mul(Am, eye_plus(0.5 * h, K2))
+        K4 = mul(A1, eye_plus(h, K3))
+        D = [[(h / 6.0) * (A0[i][j] + 2.0 * K2[i][j] + 2.0 * K3[i][j] + K4[i][j]) for j in range(4)]
+             for i in range(4)]
+        cols = [[y[i] + (D[i][1] * y[1] + D[i][2] * y[2] + D[i][3] * y[3]) for i in range(4)]
+                for y in cols]
+        states.append([v for col in zip(*cols) for v in col])
+    return s_nodes, np.array(states)
+
+
+@pytest.mark.parametrize("kind", list(CurveKind))
+@pytest.mark.parametrize("tau", ["0.6 + 0.2 * cos(s)", "0"])
+def test_synthesis_has_the_bits_of_dense_products(kind, tau):
+    # 600 steps cross two block boundaries; tau = 0 puts zeros in A
+    kappa, tau = parse_expr("1.0 + 0.1 * sin(s)").eval, parse_expr(tau).eval
+    f0 = FrenetFrame(*FRAME0[kind], 1.0, 0.0, kind)
+    p0 = Vec3L(0.1, -0.2, 0.3)
+    c = frenet_synthesize(kind, kappa, tau, f0, p0, (0.0, 0.6), 1e-3)
+    s_nodes, want = _dense_states(kind, kappa, tau, f0, p0, (0.0, 0.6), 1e-3)
+    got = np.hstack([c.synth_nodes[k] for k in "pTNB"])
+    assert c.synth_nodes["s"].tobytes() == s_nodes.tobytes()
+    assert got.tobytes() == want.tobytes()
