@@ -554,13 +554,13 @@ def frenet_synthesize(
         (frame, P, values, slopes),
         (pos_spline.coefficients, jet_spline.coefficients),
     ):
+        if all(np.isfinite(f).all() for f in fields):
+            continue
         finite = np.logical_and.reduce([np.isfinite(f).reshape(len(f), -1).all(axis=1) for f in fields])
-        if not finite.all():
-            s_bad = float(s_nodes[np.argmin(finite)])
-            raise SynthesisOverflowError(
-                f"synthesized {kind.value} curve overflows at s={s_bad:g}: its frame or "
-                "derivative fields are not finite"
-            )
+        raise SynthesisOverflowError(
+            f"synthesized {kind.value} curve overflows at s={float(s_nodes[np.argmin(finite)]):g}: "
+            "its frame or derivative fields are not finite"
+        )
 
     def evaluate(ts: np.ndarray, order: int):
         if order == 0:
