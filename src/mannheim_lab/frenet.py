@@ -550,16 +550,16 @@ def frenet_synthesize(
         jet_spline = CubicHermiteSpline(s_nodes, values, slopes)
     # Each node's states and fields first, then the interpolant pieces that
     # start at the nodes: on a very short range only the pieces overflow.
-    for fields in (
-        (frame, P, values, slopes),
-        (pos_spline.coefficients, jet_spline.coefficients),
+    for fields, what in (
+        ((frame, P, values, slopes), "frame or derivative fields"),
+        ((pos_spline.coefficients, jet_spline.coefficients), "interpolant coefficients"),
     ):
         if all(np.isfinite(f).all() for f in fields):
             continue
         finite = np.logical_and.reduce([np.isfinite(f).reshape(len(f), -1).all(axis=1) for f in fields])
         raise SynthesisOverflowError(
             f"synthesized {kind.value} curve overflows at s={float(s_nodes[np.argmin(finite)]):g}: "
-            "its frame or derivative fields are not finite"
+            f"its {what} are not finite"
         )
 
     def evaluate(ts: np.ndarray, order: int):

@@ -246,7 +246,7 @@ class TestSynthesisBounds:
             code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
         assert code == 1
         assert err == "error: synthesized timelike curve overflows at s=0: " \
-            "its frame or derivative fields are not finite\n"
+            "its interpolant coefficients are not finite\n"
         assert not out_path.exists()
 
     def test_overflow_is_domain_error_without_warnings(self, capsys, tmp_path):

@@ -421,7 +421,7 @@ class TestSynthesisBounds:
         # the width twice
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(SynthesisOverflowError, match=r"overflows at s=0:"):
+            with pytest.raises(SynthesisOverflowError, match=r"overflows at s=0: its interpolant"):
                 self._synthesize(lambda s: 1.0, 1e-3, (0.0, width))
 
     def test_short_range_synthesizes(self):
