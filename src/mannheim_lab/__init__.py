@@ -35,32 +35,21 @@ from .frenet import (
     synthesized_gram_drift,
 )
 from .mannheim import (
+    IDENTITIES,
     MannheimCurveTest,
     MannheimPair,
     MannheimPairType,
+    PairSamples,
     classify_pair,
-    curvature_center_distances,
-    curvature_center_ratio,
     exact_partner_pair,
     mannheim_curve_test,
-    mannheim_residual,
     offset_along_binormal,
     offset_along_normal,
-    tangent_decomposition,
-    theta,
-    verify_distance,
-    verify_frame_relations,
-    verify_linear_relation,
-    verify_ratio_nonconstant,
-    verify_torsion_relation,
-    verify_torsion_square,
 )
 from .indicatrix import (
     Indicatrix,
     SphereKind,
     indicatrix_of,
-    indicatrix_tangent,
-    verify_indicatrix_relations,
 )
 from .builtins import BUILTIN_CURVE_NAMES, builtin_curve
 from .expr import Expr, parse_expr

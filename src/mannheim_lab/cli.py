@@ -37,19 +37,9 @@ from .expr import parse_expr
 from .frenet import (
     INITIAL_FRAMES, UNIT_SPEED_TOL, CurveKind, FrenetFrame, frenet_apparatus, frenet_synthesize
 )
-from .indicatrix import indicatrix_of, verify_indicatrix_relations
+from .indicatrix import indicatrix_of
 from .lorentz import Vec3L
-from .mannheim import (
-    MannheimPair,
-    offset_along_binormal,
-    offset_along_normal,
-    verify_distance,
-    verify_frame_relations,
-    verify_linear_relation,
-    verify_ratio_nonconstant,
-    verify_torsion_relation,
-    verify_torsion_square,
-)
+from .mannheim import IDENTITIES, MannheimPair, offset_along_binormal, offset_along_normal
 from .reports import VerificationReport, Verdict
 
 _KINDS = {kind.value: kind for kind in CurveKind}
@@ -149,22 +139,14 @@ def _frame_json(f: FrenetFrame, s: float) -> dict:
 
 
 def _run_pair_suite(pair: MannheimPair, grid_n: int, tol: float | None) -> list[VerificationReport]:
-    """The 12 reports of one pair on one grid.
+    """The reports of one pair on one grid, one per row of ``IDENTITIES``.
 
-    ``tol`` (``--tol``) replaces the tolerance of every verifier that takes
-    one: all judged reports but frame-angle-rate, which keeps its published
-    1e-4, and center-ratio-nonconstancy, which has its own criterion.
+    ``tol`` (``--tol``) replaces the default tolerance of every tunable row:
+    all rows but frame-angle-rate, which keeps its published 1e-4, and
+    center-ratio-nonconstancy, which has its own criterion.
     """
-    kw = {} if tol is None else {"tol": tol}
-    return [
-        verify_distance(pair, grid_n, **kw),
-        verify_torsion_relation(pair, grid_n, **kw),
-        verify_linear_relation(pair, grid_n, **kw),
-        *verify_frame_relations(pair, grid_n, **kw),
-        *verify_torsion_square(pair, grid_n, **kw),
-        verify_ratio_nonconstant(pair, grid_n),
-        *verify_indicatrix_relations(pair, grid_n, **kw),
-    ]
+    samples = pair.samples(grid_n)
+    return [row.report(samples, tol) for row in IDENTITIES]
 
 
 def _audit(pair: MannheimPair, grid_n: int, tol: float | None, out: str | None) -> int:

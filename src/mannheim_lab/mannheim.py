@@ -3,24 +3,26 @@
 A partner pair couples a curve C with a companion C* through a point
 correspondence; the defining property under audit is that the principal
 normal line of C coincides with the binormal line of C* at corresponding
-points.  ``mannheim_residual`` measures how far a pair is from that
-property; the ``verify_*`` functions publish residual profiles for each of
-the catalogued scalar identities.
+points.  ``PairSamples.collinearity`` measures how far a pair is from that
+property, and ``IDENTITIES`` publishes a residual profile for each of the
+catalogued scalar identities.
 
 Each pair type is one ``PairTypeSpec`` row (``MannheimPairType.spec``): the
 causal characters of (C*, C), the kind of its tangent decomposition, and
 the signs of its identities.  Classification, the decomposition and every
-residual read that row.  The verifiers read one ``PairSamples`` per (pair,
-grid), cached on the pair: both curves' frames as ``FrameGrid`` columns, on
-which every identity is pointwise algebra; the point functions
-(``mannheim_residual``, ``decompose_tangent``, ...) are its one-row case.
+residual read that row.  Each identity is one row of ``IDENTITIES``: its
+name, its residual column over ``PairSamples``, its default tolerance and
+its verdict policy.  ``PairSamples(pair, grid)`` holds both curves' frames
+as ``FrameGrid`` columns, on which every identity is row-wise algebra;
+``MannheimPair.samples(grid_n)`` keeps one per uniform grid, and a point
+query is the one-row view ``PairSamples(pair, [s])``.
 
-Verdict policy: identity verifiers only claim Pass/Fail when the defining
+Verdict policy: identities only claim Pass/Fail when the defining
 collinearity is itself numerically satisfied (residual below a hypothesis
 threshold); otherwise the profile is published with verdict "Reported".
-The distance verifier and the center-ratio verifier are exempt: the former
-checks a construction invariant of the offsets, the latter has its own
-non-constancy criterion.
+The distance identity is exempt, as it checks a construction invariant of
+the offsets; the literal torsion square is never judged; the center ratio
+has its own non-constancy criterion.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import numpy as np
 
 from .curve import INVERSE_TABLE_SIZE, Curve, _looped, grid_difference, reparametrize_unit
 from .errors import (
+    DegenerateIndicatrixError,
     InconsistentDecompositionError,
     MannheimLabError,
     NegativeConditionValueError,
@@ -58,6 +61,7 @@ from .frenet import (
     scalar_jets,
 )
 from .expr import sqrt
+from .indicatrix import RATE_TOL, _field_rates
 from .lorentz import Vec3L, cross_rows, euclidean_rows, inner_rows, norm_rows, power_rows
 from .reports import VerificationReport, Verdict
 
@@ -66,29 +70,13 @@ __all__ = [
     "PairTypeSpec",
     "MannheimPair",
     "PairSamples",
+    "IDENTITIES",
     "MannheimCurveTest",
     "offset_along_binormal",
     "offset_along_normal",
     "classify_pair",
-    "mannheim_residual",
     "mannheim_curve_test",
-    "theta",
-    "tangent_decomposition",
-    "decompose_tangent",
-    "TangentDecomposition",
-    "verify_distance",
-    "verify_torsion_relation",
-    "verify_linear_relation",
-    "verify_frame_relations",
-    "verify_torsion_square",
-    "curvature_center_ratio",
-    "curvature_center_distances",
-    "verify_ratio_nonconstant",
     "exact_partner_pair",
-    "torsion_relation_residual",
-    "linear_relation_residual",
-    "frame_relation_residuals",
-    "torsion_square_residuals",
     "HYPOTHESIS_TOL",
 ]
 
@@ -97,7 +85,8 @@ DECOMPOSITION_TOL = 1e-8
 INVARIANT_TOL = 1e-6
 # |tau| at or below this raises VanishingTorsionError where tau divides.
 TORSION_TOL = 1e-9
-# The center ratio counts as varying when its sample SD exceeds this * |mean|.
+# The center ratio counts as varying when its sample SD exceeds this * |mean|
+# (and the rounding level of its operands; see _nonconstancy).
 RATIO_THRESHOLD_FACTOR = 1e-6
 
 # Default tolerances, graded by how many numerical layers an identity
@@ -107,6 +96,7 @@ RATIO_THRESHOLD_FACTOR = 1e-6
 TOL_ALGEBRAIC = 1e-9
 TOL_EXTRACTED = 1e-5
 TOL_ANGLE_RATE = 1e-4
+TOL_IMAGE_RATE = 1e-4
 
 
 class MannheimPairType(Enum):
@@ -379,11 +369,6 @@ class MannheimPair:
             raise
         return f, frenet_frames(self.cstar, sstar), sstar
 
-    def frames_at(self, s: float) -> tuple[FrenetFrame, FrenetFrame, float]:
-        """The frames of C and C* at ``s``, and s*: the one-row ``frame_grids``."""
-        f, fstar, sstar = self.frame_grids([s])
-        return f.frames()[0], fstar.frames()[0], float(sstar[0])
-
     def rates(self, grid: list[float]) -> list[float]:
         """ds*/ds at every point of ``grid``; without a rate map, the
         ``grid_difference`` of the correspondence at step 1e-4 max(1, |s|)."""
@@ -393,15 +378,14 @@ class MannheimPair:
             return grid_difference(self.correspondence, s, *self.c.domain, h, 1).tolist()
         return np.broadcast_to(self.correspondence_rate(s), s.shape).tolist()
 
-    def rate(self, s: float) -> float:
-        """ds*/ds at ``s``."""
-        return self.rates([s])[0]
-
     def samples(self, grid_n: int) -> "PairSamples":
-        """The pair sampled on ``grid(grid_n)``, built once per grid size and pair type."""
+        """The pair sampled on ``grid(grid_n)``, built once per grid size and
+        pair type; the samples refer to the pair weakly, so keep the pair."""
         key = (grid_n, self.pair_type)
         if key not in self._samples:
-            self._samples[key] = PairSamples(self, grid_n)
+            # Weak, as the pair keeps its samples: a strong cycle would keep
+            # each audited pair alive until a full garbage collection.
+            self._samples[key] = PairSamples(weakref.proxy(self), self.grid(grid_n))
         return self._samples[key]
 
     @classmethod
@@ -491,40 +475,6 @@ class MannheimPair:
         )
 
 
-def _collinearity(f: FrameGrid, fstar: FrameGrid) -> np.ndarray:
-    """rho = |N x B*| / (|N| |B*|) on each row."""
-    return norm_rows(cross_rows(f.N, fstar.B)) / (norm_rows(f.N) * norm_rows(fstar.B))
-
-
-def mannheim_residual(pair: MannheimPair, s: float) -> float:
-    """Collinearity defect of N(C) against B(C*) at corresponding points.
-
-    rho = |N x B*| / (|N| |B*|), zero exactly when the two lines coincide
-    in direction.
-    """
-    return float(_collinearity(*pair.frame_grids([s])[:2])[0])
-
-
-@dataclass(frozen=True)
-class TangentDecomposition:
-    """Projection of T(C) onto the {T*, N*} plane at corresponding points.
-
-    ``c_comp`` and ``s_comp`` are the cosine-like and sine-like coefficients
-    of the type's decomposition; for hyperbolic types the pair satisfies
-    c^2 - s^2 = 1 (up to the branch sign of c), for the circular type
-    c^2 + s^2 = 1.  ``theta`` is the signed scalar angle: asinh(s) for
-    hyperbolic types, atan2(s, c) for the circular one.  ``branch`` records
-    the sign of the cosine-like component; identities are audited against
-    the raw components, which is what the decomposition algebra defines.
-    """
-
-    theta: float
-    s_comp: float
-    c_comp: float
-    circular: bool
-    branch: int
-
-
 def _projections(T: np.ndarray, fstar: FrameGrid) -> tuple[np.ndarray, np.ndarray]:
     """(p, q) on each row: the T* and N* coefficients of the tangents ``T``,
     p = <T,T*>/eps_T*, q = <T,N*>/eps_N*."""
@@ -561,106 +511,28 @@ def _decomposition(
     return s_comp, c_comp
 
 
-def decompose_tangent(
-    T: Vec3L, fstar: FrenetFrame, pair_type: MannheimPairType, where: str = ""
-) -> TangentDecomposition:
-    """Project a tangent onto the companion's (T*, N*) plane: the one-row
-    ``_decomposition``, with the angle."""
-    spec = pair_type.spec
-    rows = _decomposition(spec, np.array([T.as_tuple()]), FrameGrid.of([fstar]), lambda i: where)
-    s_comp, c_comp = (float(x[0]) for x in rows)
-    th = math.atan2(s_comp, c_comp) if spec.circular else math.asinh(s_comp)
-    return TangentDecomposition(
-        theta=th,
-        s_comp=s_comp,
-        c_comp=c_comp,
-        circular=spec.circular,
-        branch=1 if c_comp >= 0.0 else -1,
-    )
-
-
-def tangent_decomposition(pair: MannheimPair, s: float) -> TangentDecomposition:
-    f, fstar, _ = pair.frames_at(s)
-    return decompose_tangent(f.T, fstar, pair.pair_type, where=f" at s={s:g}")
-
-
-def theta(pair: MannheimPair, s: float) -> float:
-    """Signed angle between T(C) and T(C*) from the frame decomposition."""
-    return tangent_decomposition(pair, s).theta
-
-
 # ---------------------------------------------------------------------------
-# scalar identity residuals, each reading the pair type's row
-
-
-def torsion_relation_residual(
-    pair_type: MannheimPairType, kappa: float, tau: float, tau_star: float, lam: float
-) -> float:
-    """|tau* -/+ kappa/(lam tau)|: the reciprocal torsion relation."""
-    return abs(tau_star - pair_type.spec.torsion_sign * kappa / (lam * tau))
-
-
-def linear_relation_residual(
-    pair_type: MannheimPairType, kappa: float, tau: float, lam: float, mu: float
-) -> float:
-    """|mu tau +/- lam kappa - 1|: the linear curvature-torsion relation."""
-    return abs(mu * tau + pair_type.spec.linear_sign * lam * kappa - 1.0)
-
-
-def frame_relation_residuals(
-    pair_type: MannheimPairType,
-    kappa: float,
-    tau: float,
-    kappa_star: float,
-    tau_star: float,
-    s_comp: float,
-    c_comp: float,
-    dtheta_dsstar: float,
-) -> tuple[float, float, float, float]:
-    """Residuals of the four frame-decomposition identities of the type."""
-    spec = pair_type.spec
-    (k_term, t_term), (k_proj, t_proj) = spec.tau_star_terms, spec.projections
-    r1 = abs(kappa_star - spec.angle_rate_sign * dtheta_dsstar)
-    r2 = abs(tau_star - (_term(k_term, kappa, s_comp, c_comp) + _term(t_term, tau, s_comp, c_comp)))
-    r3 = abs(kappa - _term(k_proj, tau_star, s_comp, c_comp))
-    r4 = abs(tau - _term(t_proj, tau_star, s_comp, c_comp))
-    return r1, r2, r3, r4
-
-
-def torsion_square_residuals(
-    pair_type: MannheimPairType, kappa: float, tau: float, tau_star: float
-) -> tuple[float, float]:
-    """(squared form, literal form) residuals of the torsion-square relation.
-
-    The literal form equates a torsion with a squared curvature expression
-    and is dimensionally inhomogeneous; it is published side by side but the
-    squared form carries the pass criterion.
-    """
-    expr = pair_type.spec.square(kappa, tau)
-    return abs(tau_star * tau_star - expr), abs(tau_star - expr)
-
-
-# ---------------------------------------------------------------------------
-# pair-level verifiers
+# the sampled pair and the identity table
 
 
 class PairSamples:
-    """A pair sampled on one grid: what every identity verifier reads.
+    """The pair ``pair`` sampled at the parameters ``grid`` of C: the columns
+    every identity reads.
 
-    ``MannheimPair.samples(grid_n)`` builds one per grid size and keeps it.
-    Only the grid is computed up front; the frames (``FrameGrid`` columns of
-    C on the grid and of C* on the corresponded grid), the collinearity
-    hypothesis, the tangent components and the rates ds*/ds are computed on
-    first use and kept, so a suite computes each of them once, and the
-    distance verifier, which reads positions only, extracts no frame.
+    Each column is computed on first use and kept, so a suite computes each
+    once, and the distance identity, which reads positions only, extracts no
+    frame.  ``MannheimPair.samples(grid_n)`` builds one on the uniform grid
+    per grid size and keeps it.  Every column is row-wise, so a point query
+    is the one-row view ``PairSamples(pair, [s])``: its columns equal row s
+    of any grid holding s.  Only the reductions over the grid (the
+    hypothesis, the image alignment and the center ratio's mean) depend on
+    the grid.
     """
 
-    def __init__(self, pair: MannheimPair, grid_n: int) -> None:
-        # Weak, as the pair keeps its samples: a strong cycle would keep each
-        # audited pair alive until a full garbage collection.
-        self.pair = weakref.proxy(pair)
-        self.pair_type = pair.pair_type
-        self.grid = pair.grid(grid_n)
+    def __init__(self, pair: MannheimPair, grid) -> None:
+        self.pair = pair
+        self.spec = pair.pair_type.spec
+        self.grid = [float(s) for s in grid]
 
     @cached_property
     def frames(self) -> tuple[FrameGrid, FrameGrid, np.ndarray]:
@@ -669,19 +541,28 @@ class PairSamples:
 
     @cached_property
     def scalars(self) -> np.ndarray:
-        """Rows kappa, tau, kappa*, tau* over the grid."""
+        """Rows kappa, tau, kappa*, tau*."""
         f, fstar, _ = self.frames
         return np.stack((f.kappa, f.tau, fstar.kappa, fstar.tau))
 
     @cached_property
+    def collinearity(self) -> np.ndarray:
+        """rho = |N x B*| / (|N| |B*|), zero exactly when the normal line of C
+        and the binormal line of C* coincide in direction."""
+        f, fstar, _ = self.frames
+        return norm_rows(cross_rows(f.N, fstar.B)) / (norm_rows(f.N) * norm_rows(fstar.B))
+
+    @cached_property
     def hypothesis(self) -> tuple[bool, float]:
         """(met, worst collinearity residual over the grid)."""
-        worst = max(_collinearity(*self.frames[:2]).tolist())
+        worst = max(self.collinearity.tolist())
         return worst <= HYPOTHESIS_TOL, worst
 
     @cached_property
     def components(self) -> np.ndarray:
-        """Rows s_comp, c_comp over the grid.
+        """Rows s_comp, c_comp: the sine-like and cosine-like coefficients of
+        T in the (T*, N*) plane (c^2 - s^2 = 1 for the hyperbolic types,
+        c^2 + s^2 = 1 for the circular one, up to the sign of c).
 
         With the hypothesis met the decomposition is checked, and a failure
         raises InconsistentDecompositionError carrying its grid ``row``.
@@ -689,203 +570,255 @@ class PairSamples:
         published as Reported.
         """
         f, fstar, _ = self.frames
-        spec = self.pair_type.spec
         if not self.hypothesis[0]:
-            return np.stack(spec.oriented(*_projections(f.T, fstar)))
-        return np.stack(_decomposition(spec, f.T, fstar, lambda i: f" at s={self.grid[i]:g}"))
+            return np.stack(self.spec.oriented(*_projections(f.T, fstar)))
+        return np.stack(_decomposition(self.spec, f.T, fstar, lambda i: f" at s={self.grid[i]:g}"))
+
+    @cached_property
+    def theta(self) -> np.ndarray:
+        """The signed angle between T and T*: atan2(s, c) for the circular
+        type, asinh(s) for the hyperbolic ones."""
+        s_comp, c_comp = self.components
+        return np.arctan2(s_comp, c_comp) if self.spec.circular else np.arcsinh(s_comp)
 
     @cached_property
     def rates(self) -> np.ndarray:
+        """ds*/ds."""
         return np.array(self.pair.rates(self.grid), dtype=float)
+
+    @cached_property
+    def dtheta(self) -> np.ndarray:
+        """d(theta)/ds* by the chain rule through both frame systems.
+
+        With p = <T,T*>/eps_T*, q = <T,N*>/eps_N*, r = ds*/ds, T' = kappa N
+        and the companion's frame equations scaled by r:
+
+            p' = (kappa <N,T*> + r kappa* <T,N*>) / eps_T*
+            q' = (kappa <N,N*> + r (c_n* kappa* <T,T*> + tau* <T,B*>)) / eps_N*
+
+        Every inner product is evaluated and none is set by the hypothesis,
+        so the angle-rate identity is measured, not assumed.  No frame off
+        the grid is needed.  A row where the angle has no rate, as both
+        components vanish on the circular type or ds*/ds = 0, is NaN.
+        """
+        r = self.rates
+        s_comp, c_comp = self.components
+        f, fstar, _ = self.frames
+        spec = self.spec
+        eps_t_star, eps_n_star, _, c_n_star, _ = kind_signs(fstar.kinds)
+        p, q = spec.oriented(s_comp, c_comp)
+        k, k_star = f.kappa, fstar.kappa
+        dp = (k * inner_rows(f.N, fstar.T) + r * k_star * eps_n_star * q) / eps_t_star
+        dq = (
+            k * inner_rows(f.N, fstar.N)
+            + r * (c_n_star * k_star * eps_t_star * p + fstar.tau * inner_rows(f.T, fstar.B))
+        ) / eps_n_star
+        ds_comp, dc_comp = spec.oriented(dp, dq)
+        squared = c_comp * c_comp + s_comp * s_comp if spec.circular else 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if spec.circular:
+                dtheta = (c_comp * ds_comp - s_comp * dc_comp) / squared
+            else:
+                dtheta = ds_comp / np.sqrt(1.0 + s_comp * s_comp)
+            return np.where((squared == 0.0) | (r == 0.0), np.nan, dtheta / r)
+
+    @cached_property
+    def mu(self) -> np.ndarray:
+        """mu = lam s/c; NaN where T is orthogonal to T* (c = 0)."""
+        s_comp, c_comp = self.components
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(c_comp != 0.0, self.pair.lam * s_comp / c_comp, np.nan)
+
+    @cached_property
+    def center_ratio(self) -> np.ndarray:
+        """(1 - lam kappa) sqrt|lam^2 kappa*^2 - 1|."""
+        kappa, _, kappa_star, _ = self.scalars
+        lam = self.pair.lam
+        return (1.0 - lam * kappa) * np.sqrt(np.abs(lam * lam * power_rows(kappa_star, 2) - 1.0))
+
+    @cached_property
+    def image_rates(self) -> tuple[np.ndarray, np.ndarray]:
+        """1/rate of the N-image of C and 1/rate of the B-image of C*.
+
+        A stationary image raises DegenerateIndicatrixError, before a failed
+        decomposition at the same or a later grid point.
+        """
+        f, fstar, _ = self.frames
+        rate_n, rate_b = _field_rates(f, "N"), _field_rates(fstar, "B")
+        stationary = (rate_n <= RATE_TOL) | (rate_b <= RATE_TOL)
+        try:
+            self.components
+        except InconsistentDecompositionError as exc:
+            if not stationary[: exc.row + 1].any():
+                raise
+        self.check(stationary, DegenerateIndicatrixError, "stationary spherical image")
+        return 1.0 / rate_n, 1.0 / rate_b
+
+    def image_residuals(self, alignment: float) -> tuple[np.ndarray, np.ndarray]:
+        """The two rate-coupled relations' residuals; ``alignment`` (+1/-1)
+        flips the starred side of both at once."""
+        kappa, tau, _, tau_star = self.scalars
+        inv_rate_n, inv_rate_b = self.image_rates
+        s_comp, c_comp = self.components
+        rhs = alignment * tau_star * inv_rate_b
+        return tuple(
+            np.abs(x * inv_rate_n - _term(term, rhs, s_comp, c_comp))
+            for x, term in zip((kappa, tau), self.spec.image_terms)
+        )
+
+    @cached_property
+    def alignment(self) -> float:
+        """The relative orientation of the N-image of C and the B-image of C*
+        is a free sign: the one with the smaller worst residual over the grid."""
+        rows = {g: self.image_residuals(g) for g in (1.0, -1.0)}
+        return min(rows, key=lambda g: max(max(r.tolist()) for r in rows[g]))
 
     def check(self, failing: np.ndarray, error: type, what: str) -> None:
         """Raise ``error("<what> at s=...")`` for the first flagged grid point."""
         raise_first([(failing, lambda i: error(f"{what} at s={self.grid[i]:g}"))])
 
-    def report(
-        self, identity: str, residuals: list, tol: float, judged: bool = True, **details
-    ) -> VerificationReport:
-        """The verdict policy of the identity verifiers: Pass/Fail only under
-        the hypothesis, never for an unjudged report, and the worst
-        collinearity residual first in ``details``."""
-        met, worst = self.hypothesis
+
+def _distance(p: PairSamples) -> np.ndarray:
+    s = np.array(p.grid)
+    pair = p.pair
+    diff = pair.c.positions(s) - pair.cstar.positions(pair.correspondence(s))
+    return np.abs(norm_rows(diff) - abs(pair.lam))
+
+
+def _torsion_reciprocal(p: PairSamples) -> np.ndarray:
+    kappa, tau, _, tau_star = p.scalars
+    p.check(np.abs(tau) <= TORSION_TOL, VanishingTorsionError, "tau vanishes")
+    return np.abs(tau_star - p.spec.torsion_sign * kappa / (p.pair.lam * tau))
+
+
+def _linear(p: PairSamples) -> np.ndarray:
+    kappa, tau, _, _ = p.scalars
+    return np.abs(p.mu * tau + p.spec.linear_sign * p.pair.lam * kappa - 1.0)
+
+
+def _mu_details(p: PairSamples) -> dict:
+    mus = p.mu[~np.isnan(p.mu)]
+    return {
+        "mu_mean": float(np.mean(mus)) if mus.size else None,
+        "mu_spread": float(np.max(mus) - np.min(mus)) if mus.size else None,
+    }
+
+
+def _angle_rate(p: PairSamples) -> np.ndarray:
+    return np.abs(p.scalars[2] - p.spec.angle_rate_sign * p.dtheta)
+
+
+def _composition(p: PairSamples) -> np.ndarray:
+    kappa, tau, _, tau_star = p.scalars
+    (k_term, t_term), (s_comp, c_comp) = p.spec.tau_star_terms, p.components
+    return np.abs(tau_star - (_term(k_term, kappa, s_comp, c_comp) + _term(t_term, tau, s_comp, c_comp)))
+
+
+def _projection(which: int) -> Callable[[PairSamples], np.ndarray]:
+    """kappa (``which`` 0) or tau (1) against tau* times its signed component."""
+
+    def residual(p: PairSamples) -> np.ndarray:
+        return np.abs(p.scalars[which] - _term(p.spec.projections[which], p.scalars[3], *p.components))
+
+    return residual
+
+
+def _torsion_square(p: PairSamples) -> np.ndarray:
+    kappa, tau, _, tau_star = p.scalars
+    return np.abs(tau_star * tau_star - p.spec.square(kappa, tau))
+
+
+def _torsion_square_literal(p: PairSamples) -> np.ndarray:
+    kappa, tau, _, tau_star = p.scalars
+    return np.abs(tau_star - p.spec.square(kappa, tau))
+
+
+def _ratio_deviation(p: PairSamples) -> np.ndarray:
+    return np.abs(p.center_ratio - float(np.mean(p.center_ratio)))
+
+
+def _image_rate(which: int) -> Callable[[PairSamples], np.ndarray]:
+    """The curvature (``which`` 0) or torsion (1) image-rate relation at the chosen alignment."""
+
+    def residual(p: PairSamples) -> np.ndarray:
+        return p.image_residuals(p.alignment)[which]
+
+    return residual
+
+
+class _Policy(Enum):
+    """How a report's verdict follows from its residual profile."""
+
+    GATED = "hypothesis-gated"  # Pass/Fail only where the collinearity holds, else Reported
+    EXEMPT = "exempt"  # a construction invariant of the offsets: always judged
+    UNJUDGED = "never judged"  # published as Reported
+    NONCONSTANT = "non-constancy"  # Pass when the profile varies; see _nonconstancy
+
+
+@dataclass(frozen=True)
+class _Identity:
+    """One row of the audit: a report's name, its residual column over
+    ``PairSamples`` (NaN where undefined), its default tolerance and its
+    verdict policy.  ``tunable`` says whether ``--tol`` replaces the
+    tolerance; ``details`` gives the report's extra fields."""
+
+    name: str
+    residual: Callable[[PairSamples], np.ndarray]
+    tol: float | None
+    policy: _Policy
+    tunable: bool = True
+    details: Callable[[PairSamples], dict] = lambda p: {}
+
+    def report(self, p: PairSamples, tol: float | None = None) -> VerificationReport:
+        """This identity's report on ``p``, with ``tol`` in place of the
+        default tolerance where the row is tunable.
+
+        A NaN residual is undefined: published as None and counted by
+        ``undefined_at`` in ``details``.  Judged reports put the worst
+        collinearity residual first in ``details``.
+        """
+        column = self.residual(p)
+        undefined = np.isnan(column)
+        profile = [None if u else r for u, r in zip(undefined.tolist(), column.tolist())]
+        details = self.details(p)
+        if undefined.any():
+            details["undefined_at"] = int(undefined.sum())
+        if tol is None or not self.tunable:
+            tol = self.tol
+        if self.policy is _Policy.NONCONSTANT:
+            return _nonconstancy(self.name, p, profile, details)
+        if self.policy is _Policy.EXEMPT:
+            return VerificationReport.from_profile(self.name, p.grid, profile, tol, details=details)
+        met, worst = p.hypothesis
         return VerificationReport.from_profile(
-            identity,
-            self.grid,
-            residuals,
+            self.name,
+            p.grid,
+            profile,
             tol,
-            hypothesis_met=judged and met,
+            hypothesis_met=met and self.policy is _Policy.GATED,
             details={"hypothesis_residual": worst, **details},
         )
 
 
-def verify_distance(
-    pair: MannheimPair, grid_n: int = 101, tol: float = TOL_ALGEBRAIC
-) -> VerificationReport:
-    """Deviation of the corresponding-point distance from |lambda|."""
-    grid = pair.samples(grid_n).grid
-    target = abs(pair.lam)
-    s = np.array(grid)
-    diff = pair.c.positions(s) - pair.cstar.positions(pair.correspondence(s))
-    residuals = np.abs(norm_rows(diff) - target).tolist()
-    return VerificationReport.from_profile(
-        "distance-constancy", grid, residuals, tol, details={"distance": target}
-    )
+def _nonconstancy(name: str, p: PairSamples, deviations: list, details: dict) -> VerificationReport:
+    """The center ratio's own criterion: Pass when it varies along the pair.
 
-
-def verify_torsion_relation(
-    pair: MannheimPair, grid_n: int = 101, tol: float = TOL_EXTRACTED
-) -> VerificationReport:
-    """Reciprocal relation between tau* and kappa/(lambda tau)."""
-    samples = pair.samples(grid_n)
-    kappa, tau, _, tau_star = samples.scalars
-    samples.check(np.abs(tau) <= TORSION_TOL, VanishingTorsionError, "tau vanishes")
-    residuals = torsion_relation_residual(pair.pair_type, kappa, tau, tau_star, pair.lam)
-    return samples.report("torsion-reciprocal", residuals.tolist(), tol)
-
-
-def verify_linear_relation(
-    pair: MannheimPair, grid_n: int = 101, tol: float = TOL_EXTRACTED
-) -> VerificationReport:
-    """Linear relation mu*tau +/- lam*kappa = 1 with mu = lam * (s/c)-ratio.
-
-    The spread of mu over the grid is published as a constancy diagnostic
-    without a pass criterion of its own.  Where T is orthogonal to T* (c = 0)
-    mu is undefined: the residual there is None, mu statistics cover the
-    other points, and ``undefined_at`` in ``details`` counts such points.
-    """
-    samples = pair.samples(grid_n)
-    kappa, tau, _, _ = samples.scalars
-    s_comp, c_comp = samples.components
-    defined = c_comp != 0.0
-    mus = pair.lam * s_comp[defined] / c_comp[defined]
-    profile = linear_relation_residual(pair.pair_type, kappa[defined], tau[defined], pair.lam, mus)
-    profile = iter(profile.tolist())
-    residuals = [next(profile) if d else None for d in defined.tolist()]
-    details = {
-        "mu_mean": float(np.mean(mus)) if mus.size else None,
-        "mu_spread": float(np.max(mus) - np.min(mus)) if mus.size else None,
-    }
-    if mus.size < len(residuals):
-        details["undefined_at"] = len(residuals) - mus.size
-    return samples.report("linear-curvature-torsion", residuals, tol, **details)
-
-
-def _theta_rates(spec: PairTypeSpec, f: FrameGrid, fstar: FrameGrid, r, s_comp, c_comp) -> np.ndarray:
-    """d(theta)/ds* on each row by the chain rule through both frame systems.
-
-    ``s_comp``/``c_comp`` are the decomposition components and ``r`` is
-    ds*/ds.  With p = <T,T*>/eps_T*, q = <T,N*>/eps_N*, T' = kappa N and the
-    companion's frame equations scaled by r:
-
-        p' = (kappa <N,T*> + r kappa* <T,N*>) / eps_T*
-        q' = (kappa <N,N*> + r (c_n* kappa* <T,T*> + tau* <T,B*>)) / eps_N*
-
-    Every inner product is evaluated and none is set by the hypothesis, so
-    the angle-rate identity is measured, not assumed.  No frame off the
-    grid is needed.  A row where the angle has no rate, as both components
-    vanish on the circular type or ds*/ds = 0, is NaN.
-    """
-    eps_t_star, eps_n_star, _, c_n_star, _ = kind_signs(fstar.kinds)
-    p, q = spec.oriented(s_comp, c_comp)
-    k, k_star = f.kappa, fstar.kappa
-    dp = (k * inner_rows(f.N, fstar.T) + r * k_star * eps_n_star * q) / eps_t_star
-    dq = (
-        k * inner_rows(f.N, fstar.N)
-        + r * (c_n_star * k_star * eps_t_star * p + fstar.tau * inner_rows(f.T, fstar.B))
-    ) / eps_n_star
-    ds_comp, dc_comp = spec.oriented(dp, dq)
-    squared = c_comp * c_comp + s_comp * s_comp if spec.circular else 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if spec.circular:
-            dtheta = (c_comp * ds_comp - s_comp * dc_comp) / squared
-        else:
-            dtheta = ds_comp / np.sqrt(1.0 + s_comp * s_comp)
-        return np.where((squared == 0.0) | (r == 0.0), np.nan, dtheta / r)
-
-
-def verify_frame_relations(
-    pair: MannheimPair, grid_n: int = 101, tol: float = TOL_EXTRACTED
-) -> list[VerificationReport]:
-    """The four per-type frame-decomposition identities, one report each.
-
-    The first one needs the angle rate d(theta)/ds*, which is chained exactly
-    from the two frames at each grid point (``_theta_rates``); it keeps the
-    published angle-rate tolerance ``TOL_ANGLE_RATE`` whatever ``tol`` is.
-    Where the angle has no rate its residual is None, and ``undefined_at``
-    in its ``details`` counts such points.
-    """
-    samples = pair.samples(grid_n)
-    rates = samples.rates
-    s_comp, c_comp = samples.components
-    dtheta = _theta_rates(pair.pair_type.spec, *samples.frames[:2], rates, s_comp, c_comp)
-    angle, *rows = frame_relation_residuals(pair.pair_type, *samples.scalars, s_comp, c_comp, dtheta)
-    undefined = np.isnan(dtheta)
-    profile = [None if u else r for u, r in zip(undefined.tolist(), angle.tolist())]
-    details = {"undefined_at": int(undefined.sum())} if undefined.any() else {}
-    reports = [samples.report("frame-angle-rate", profile, TOL_ANGLE_RATE, **details)]
-    names = ("torsion-composition", "curvature-projection", "torsion-projection")
-    return reports + [samples.report(n, r.tolist(), tol) for n, r in zip(names, rows)]
-
-
-def verify_torsion_square(
-    pair: MannheimPair, grid_n: int = 101, tol: float = TOL_EXTRACTED
-) -> list[VerificationReport]:
-    """Squared and literal torsion-square forms, published side by side."""
-    samples = pair.samples(grid_n)
-    kappa, tau, _, tau_star = samples.scalars
-    squared, literal = torsion_square_residuals(pair.pair_type, kappa, tau, tau_star)
-    return [
-        samples.report("torsion-square", squared.tolist(), tol),
-        samples.report(
-            "torsion-square-literal",
-            literal.tolist(),
-            tol,
-            judged=False,
-            note="dimensionally inhomogeneous variant; published, never judged",
-        ),
-    ]
-
-
-def curvature_center_distances(pair: MannheimPair, s: float) -> dict[str, float]:
-    """The four point-to-curvature-center distances entering the ratio."""
-    f, fstar, _ = pair.frames_at(s)
-    lam = pair.lam
-    return {
-        "curve_to_own_center": 1.0 / f.kappa,
-        "companion_to_own_center": 1.0 / fstar.kappa,
-        "curve_to_companion_center": math.sqrt(abs(lam * lam - 1.0 / fstar.kappa**2)),
-        "companion_to_curve_center": abs(1.0 / f.kappa - lam),
-    }
-
-
-def _center_ratios(lam: float, kappa: np.ndarray, kappa_star: np.ndarray) -> np.ndarray:
-    """(1 - lam*kappa) * sqrt|lam^2 kappa*^2 - 1| on each row."""
-    return (1.0 - lam * kappa) * np.sqrt(np.abs(lam * lam * power_rows(kappa_star, 2) - 1.0))
-
-
-def curvature_center_ratio(pair: MannheimPair, s: float) -> float:
-    """(1 - lam*kappa) * sqrt|lam^2 kappa*^2 - 1| at corresponding points."""
-    f, fstar, _ = pair.frame_grids([s])
-    return float(_center_ratios(pair.lam, f.kappa, fstar.kappa)[0])
-
-
-def verify_ratio_nonconstant(pair: MannheimPair, grid_n: int = 101) -> VerificationReport:
-    """Check that the curvature-center ratio actually varies along the pair.
-
-    Passes when the sample standard deviation of the ratio profile exceeds
-    ``RATIO_THRESHOLD_FACTOR * |mean|``.  Constant-curvature input makes the
-    ratio exactly constant; that case is flagged as Reported
+    It varies when its sample standard deviation exceeds a threshold:
+    ``RATIO_THRESHOLD_FACTOR * |mean|``, but never less than the rounding
+    level of the product of its operands, eps (1 + |lam kappa|)
+    sqrt(lam^2 kappa*^2 + 1) at its largest, so a ratio that cancels to
+    zero reads as constant, not as varying noise.  Constant-curvature input
+    makes the ratio exactly constant; that case is Reported
     (constant_ratio), not failed.  Residuals hold the deviation-from-mean
     profile.
     """
-    samples = pair.samples(grid_n)
-    kappas, _, kappa_stars, _ = samples.scalars
-    ratios = _center_ratios(pair.lam, kappas, kappa_stars)
+    ratios = p.center_ratio
+    kappas, _, kappa_stars, _ = p.scalars
+    lam = p.pair.lam
     mean = float(np.mean(ratios))
     sd = float(np.std(ratios, ddof=1))
-    threshold = RATIO_THRESHOLD_FACTOR * abs(mean)
-    deviations = np.abs(ratios - mean).tolist()
+    operands = (1.0 + np.abs(lam * kappas)) * np.sqrt(lam * lam * power_rows(kappa_stars, 2) + 1.0)
+    threshold = max(RATIO_THRESHOLD_FACTOR * abs(mean), float(np.finfo(float).eps * operands.max()))
 
     def spread(vals: np.ndarray) -> float:
         return float(np.ptp(vals)) / max(1e-300, abs(float(np.mean(vals))))
@@ -897,8 +830,8 @@ def verify_ratio_nonconstant(pair: MannheimPair, grid_n: int = 101) -> Verificat
     else:
         verdict = Verdict.FAIL
     return VerificationReport(
-        identity="center-ratio-nonconstancy",
-        grid=list(samples.grid),
+        identity=name,
+        grid=list(p.grid),
         residuals=deviations,
         tolerance=threshold,
         verdict=verdict,
@@ -907,8 +840,41 @@ def verify_ratio_nonconstant(pair: MannheimPair, grid_n: int = 101) -> Verificat
             "ratio_sd": sd,
             "criterion": "sd > tolerance",
             "constant_ratio": verdict is Verdict.REPORTED,
+            **details,
         },
     )
+
+
+# The audit suite, in report order.  Default tolerances are graded by how
+# many numerical layers an identity crosses (see TOL_ALGEBRAIC); the angle
+# rate keeps its published 1e-4 whatever ``--tol`` says, and the center
+# ratio's threshold comes from its own profile.
+IDENTITIES = (
+    _Identity(
+        "distance-constancy", _distance, TOL_ALGEBRAIC, _Policy.EXEMPT,
+        details=lambda p: {"distance": abs(p.pair.lam)},
+    ),
+    _Identity("torsion-reciprocal", _torsion_reciprocal, TOL_EXTRACTED, _Policy.GATED),
+    _Identity("linear-curvature-torsion", _linear, TOL_EXTRACTED, _Policy.GATED, details=_mu_details),
+    _Identity("frame-angle-rate", _angle_rate, TOL_ANGLE_RATE, _Policy.GATED, tunable=False),
+    _Identity("torsion-composition", _composition, TOL_EXTRACTED, _Policy.GATED),
+    _Identity("curvature-projection", _projection(0), TOL_EXTRACTED, _Policy.GATED),
+    _Identity("torsion-projection", _projection(1), TOL_EXTRACTED, _Policy.GATED),
+    _Identity("torsion-square", _torsion_square, TOL_EXTRACTED, _Policy.GATED),
+    _Identity(
+        "torsion-square-literal", _torsion_square_literal, TOL_EXTRACTED, _Policy.UNJUDGED,
+        details=lambda p: {"note": "dimensionally inhomogeneous variant; published, never judged"},
+    ),
+    _Identity("center-ratio-nonconstancy", _ratio_deviation, None, _Policy.NONCONSTANT, tunable=False),
+    _Identity(
+        "image-rate-curvature", _image_rate(0), TOL_IMAGE_RATE, _Policy.GATED,
+        details=lambda p: {"alignment": int(p.alignment)},
+    ),
+    _Identity(
+        "image-rate-torsion", _image_rate(1), TOL_IMAGE_RATE, _Policy.GATED,
+        details=lambda p: {"alignment": int(p.alignment)},
+    ),
+)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ import pytest
 
 from _oracle_constants import ORACLE
 from test_expr import run_fuzz_comparison
+from test_mannheim import given_samples
 from mannheim_lab.builtins import builtin_curve
 from mannheim_lab.curve import grid_difference, reparametrize_unit
 from mannheim_lab.expr import parse_expr
@@ -29,27 +30,34 @@ from mannheim_lab.frenet import (
     frenet_synthesize,
     synthesized_gram_drift,
 )
-from mannheim_lab.indicatrix import indicatrix_relation_residuals, verify_indicatrix_relations
 from mannheim_lab.lorentz import E1, E2, E3, Vec3L, cross, norm
 from mannheim_lab.mannheim import (
+    IDENTITIES,
     MannheimPair,
     MannheimPairType,
-    frame_relation_residuals,
-    linear_relation_residual,
+    PairSamples,
     mannheim_curve_test,
-    mannheim_residual,
     offset_along_binormal,
     offset_along_normal,
-    torsion_relation_residual,
-    torsion_square_residuals,
-    verify_distance,
-    verify_frame_relations,
-    verify_linear_relation,
-    verify_ratio_nonconstant,
-    verify_torsion_relation,
-    verify_torsion_square,
 )
 from mannheim_lab.reports import Verdict
+
+ROWS = {row.name: row for row in IDENTITIES}
+
+
+def _report(pair, name, grid_n):
+    return ROWS[name].report(pair.samples(grid_n))
+
+
+def _given(pair_type, lam, kappa, tau, kappa_star=0.0, tau_star=0.0, sc=0.0, cc=0.0, **columns):
+    """One-row PairSamples holding given scalars, components and ``columns``."""
+    scalars = np.array([[kappa], [tau], [kappa_star], [tau_star]])
+    return given_samples(pair_type, lam, scalars=scalars, components=np.array([[sc], [cc]]), **columns)
+
+
+def _residual(name, samples):
+    """The residual of identity ``name`` on a one-row PairSamples."""
+    return float(ROWS[name].residual(samples)[0])
 
 SQRT3 = math.sqrt(3.0)
 SQRT5 = math.sqrt(5.0)
@@ -143,7 +151,7 @@ def test_criterion_03_scalar_apparatus():
 def test_criterion_04_distance_constancy(example1_pair, example2_pair):
     with criterion(4, "corresponding-point distance is 20 on both pairs, deviation < 1e-9"):
         for pair in (example1_pair, example2_pair):
-            rep = verify_distance(pair, 101)
+            rep = _report(pair, "distance-constancy", 101)
             assert rep.verdict is Verdict.PASS
             assert rep.details["distance"] == 20.0
             assert rep.max_residual < 1e-9
@@ -257,13 +265,13 @@ def _pipeline_residual(pair_type):
 
 def _run_verifier_suite_on(pair):
     """Criterion-8 tolerances for a pair meeting the hypothesis."""
-    assert verify_torsion_relation(pair, 21).max_residual < 1e-5
-    assert verify_linear_relation(pair, 21).max_residual < 1e-5
-    for rep in verify_frame_relations(pair, 21):
-        assert rep.max_residual < 1e-4
-    assert verify_torsion_square(pair, 21)[0].max_residual < 1e-5
-    for rep in verify_indicatrix_relations(pair, 21):
-        assert rep.max_residual < 1e-4
+    assert _report(pair, "torsion-reciprocal", 21).max_residual < 1e-5
+    assert _report(pair, "linear-curvature-torsion", 21).max_residual < 1e-5
+    for name in ("frame-angle-rate", "torsion-composition", "curvature-projection", "torsion-projection"):
+        assert _report(pair, name, 21).max_residual < 1e-4
+    assert _report(pair, "torsion-square", 21).max_residual < 1e-5
+    for name in ("image-rate-curvature", "image-rate-torsion"):
+        assert _report(pair, name, 21).max_residual < 1e-4
 
 
 def _demonstrate_identities(pair_type):
@@ -290,7 +298,7 @@ def _demonstrate_identities(pair_type):
         kappa = 1.0 + 0.2 * s
         tau = 0.9
         tau_star = spec.torsion_sign * kappa / (lam * tau)
-        assert torsion_relation_residual(t, kappa, tau, tau_star, lam) < 1e-5
+        assert _residual("torsion-reciprocal", _given(t, lam, kappa, tau, tau_star=tau_star)) < 1e-5
 
     # linear relation with mu = lam * (component ratio), constant angle
     theta0, lam2 = (0.5, 0.8) if spec.linear_sign > 0 else (1.2, 2.0)
@@ -299,7 +307,7 @@ def _demonstrate_identities(pair_type):
     for s in grid:
         tau = 1.0 + 0.3 * math.sin(s)
         kappa = (1.0 - mu * tau) / (spec.linear_sign * lam2)
-        assert linear_relation_residual(t, kappa, tau, lam2, mu) < 1e-5
+        assert _residual("linear-curvature-torsion", _given(t, lam2, kappa, tau, mu=np.array([mu]))) < 1e-5
 
     # frame rows: projections define kappa and tau; the angle varies so the
     # rate row is a genuine numerical differentiation
@@ -312,20 +320,20 @@ def _demonstrate_identities(pair_type):
         kappa, tau = (_signed(term, tau_star, sc, cc) for term in spec.projections)
         dtheta = float(grid_difference(theta_fn, np.array([s]), 0.0, 1.0, 1e-3, 1)[0])
         kappa_star = spec.angle_rate_sign * dtheta  # ds*/ds prescribed as 1
-        r1, r2, r3, r4 = frame_relation_residuals(
-            t, kappa, tau, kappa_star, tau_star, sc, cc, dtheta
+        samples = _given(
+            t, 0.0, kappa, tau, kappa_star, tau_star, sc, cc,
+            dtheta=np.array([dtheta]), image_rates=np.ones((2, 1)),
+        )
+        r1, r2, r3, r4 = (
+            _residual(name, samples)
+            for name in ("frame-angle-rate", "torsion-composition", "curvature-projection", "torsion-projection")
         )
         assert r1 < 1e-4 and r2 < 1e-4 and r3 < 1e-4 and r4 < 1e-4
         # squared torsion relation telescopes on the same data
-        assert torsion_square_residuals(t, kappa, tau, tau_star)[0] < 1e-5
+        assert _residual("torsion-square", samples) < 1e-5
 
         # rate-coupled image relations with free rates
-        rows = {
-            g: indicatrix_relation_residuals(
-                t.value, kappa, tau, tau_star, sc, cc, 1.0, 1.0, alignment=g
-            )
-            for g in (1.0, -1.0)
-        }
+        rows = {g: tuple(float(r[0]) for r in samples.image_residuals(g)) for g in (1.0, -1.0)}
         if t in (MannheimPairType.TYPE2, MannheimPairType.TYPE4):
             # the published row pair demands opposite alignments; each row is
             # demonstrable alone, their conjunction is not
@@ -373,23 +381,16 @@ def test_criterion_09_oracle_regression(example1_pair, example2_pair):
             (example2_pair, "paper-example-2"),
         ):
             want = ORACLE[name]
-            from mannheim_lab.mannheim import theta
-
             for s in (0.0, pair.domain[1] / 2, pair.domain[1]):
-                assert mannheim_residual(pair, s) == pytest.approx(want["rho"], abs=1e-8)
-                assert theta(pair, s) == pytest.approx(want["theta"], abs=1e-8)
-            reports = [
-                verify_torsion_relation(pair, 11),
-                verify_linear_relation(pair, 11),
-                *verify_frame_relations(pair, 11),
-                *verify_torsion_square(pair, 11),
-                *verify_indicatrix_relations(pair, 11),
-            ]
+                view = PairSamples(pair, [s])
+                assert view.collinearity[0] == pytest.approx(want["rho"], abs=1e-8)
+                assert view.theta[0] == pytest.approx(want["theta"], abs=1e-8)
+            reports = [_report(pair, name, 11) for name in report_keys]
             for rep in reports:
                 assert rep.verdict is Verdict.REPORTED
                 key = report_keys[rep.identity]
                 assert rep.max_residual == pytest.approx(want[key], abs=1e-8), rep.identity
-            ratio = verify_ratio_nonconstant(pair, 11)
+            ratio = _report(pair, "center-ratio-nonconstancy", 11)
             assert ratio.details["ratio_mean"] == pytest.approx(want["center_ratio"], abs=1e-8)
 
 
@@ -410,9 +411,9 @@ def test_criterion_10_center_ratio_nonconstancy(
     ):
         for pair in (exact_pair_type2, exact_pair_type3, exact_pair_type5):
             name = pair.pair_type.name
-            rho = max(mannheim_residual(pair, float(s)) for s in pair.grid(101))
+            rho = max(PairSamples(pair, pair.grid(101)).collinearity)
             assert rho < HYPOTHESIS_TOL, f"{name}: collinearity residual {rho:.3e}"
-            rep = verify_ratio_nonconstant(pair, 101)
+            rep = _report(pair, "center-ratio-nonconstancy", 101)
             sd, mean = rep.details["ratio_sd"], rep.details["ratio_mean"]
             print(f"    {name}: ratio sd/|mean| = {sd / abs(mean):.3e}")
             assert rep.verdict is Verdict.PASS, name
@@ -421,7 +422,7 @@ def test_criterion_10_center_ratio_nonconstancy(
             (example1_pair, "paper-example-1"),
             (example2_pair, "paper-example-2"),
         ):
-            rep = verify_ratio_nonconstant(pair, 101)
+            rep = _report(pair, "center-ratio-nonconstancy", 101)
             sd, mean = rep.details["ratio_sd"], rep.details["ratio_mean"]
             print(f"    {name}: ratio sd/|mean| = {sd / abs(mean):.3e}")
             assert rep.verdict is Verdict.REPORTED, name

@@ -304,6 +304,34 @@ class TestPairVerifyCommand:
         for rep in reports:
             jsonschema.validate(rep, REPORT_JSON_SCHEMA)
 
+    def test_tol_replaces_the_tolerance_of_the_tunable_reports(self, capsys, tmp_path):
+        # the angle rate keeps its published 1e-4 and the center ratio its
+        # own threshold; every other report takes --tol
+        spec = "synth:kind=timelike,kappa=2 + 0.3*s,tau=0.9"
+
+        def tolerances(*tol):
+            out_path = tmp_path / "pair.json"
+            run_cli(capsys, "pair-verify", "--c", spec, "--cstar", spec, "--lambda", "1",
+                    "--grid", "11", *tol, "--out", str(out_path))
+            return {r["identity"]: r["tolerance"] for r in json.loads(out_path.read_text())}
+
+        default, tuned = tolerances(), tolerances("--tol", "1e-3")
+        assert len(tuned) == 12
+        assert {name for name, tol in tuned.items() if tol == 1e-3} == {
+            "distance-constancy",
+            "torsion-reciprocal",
+            "linear-curvature-torsion",
+            "torsion-composition",
+            "curvature-projection",
+            "torsion-projection",
+            "torsion-square",
+            "torsion-square-literal",
+            "image-rate-curvature",
+            "image-rate-torsion",
+        }
+        assert tuned["frame-angle-rate"] == default["frame-angle-rate"] == 1e-4
+        assert tuned["center-ratio-nonconstancy"] == default["center-ratio-nonconstancy"] > 0.0
+
     def test_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "pair-verify", "--c", "paper-example-1")
         assert code == 2

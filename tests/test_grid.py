@@ -29,11 +29,11 @@ from mannheim_lab.errors import (
 from mannheim_lab.frenet import frenet_apparatus, frenet_frames
 from mannheim_lab.lorentz import CausalCharacter, Vec3L, causal_character, causal_characters
 from mannheim_lab.mannheim import (
+    IDENTITIES,
     MannheimPair,
     MannheimPairType,
     offset_along_binormal,
     offset_along_normal,
-    verify_distance,
 )
 
 
@@ -265,7 +265,7 @@ def test_pair_frames_raise_the_error_of_the_first_bad_point(
         c.label, cstar.label = "C", "C*"
         return _hand_built_pair(c, cstar)
 
-    point = _first_point_error(lambda s: pair().frames_at(s), ts)
+    point = _first_point_error(lambda s: pair().frame_grids([s]), ts)
     with pytest.raises(type(point)) as grid:
         pair().frame_grids(ts)
     assert str(grid.value) == str(point)
@@ -279,11 +279,13 @@ def test_hand_built_pair_loops_float_only_maps():
     pair = _hand_built_pair(c, cstar, correspondence_rate=lambda s: math.copysign(1.0, s))
     f, fstar, sstar = pair.frame_grids(grid)
     rows = list(zip(f.frames(), fstar.frames(), sstar.tolist()))
-    assert rows == [_hand_built_pair(c, cstar).frames_at(s) for s in grid]
+    one_row = [_hand_built_pair(c, cstar).frame_grids([s]) for s in grid]
+    assert rows == [(f1.frames()[0], fs1.frames()[0], float(ss1[0])) for f1, fs1, ss1 in one_row]
     assert pair.rates(grid) == [1.0] * len(grid)
     # without a rate map the rate is a difference of the float-only map
     assert _hand_built_pair(c, cstar).rates(grid) == pytest.approx([1.0] * len(grid))
-    assert len(verify_distance(pair, 5).residuals) == 5
+    distance = next(row for row in IDENTITIES if row.name == "distance-constancy")
+    assert len(distance.report(pair.samples(5)).residuals) == 5
 
 
 def test_row_characters_equal_the_one_row_rule():

@@ -6,16 +6,18 @@ import pytest
 from _oracle_constants import ORACLE
 from mannheim_lab.errors import DegenerateIndicatrixError
 from mannheim_lab.frenet import CurveKind, FrenetFrame, frenet_apparatus, frenet_synthesize
-from mannheim_lab.indicatrix import (
-    SphereKind,
-    indicatrix_of,
-    indicatrix_tangent,
-    verify_indicatrix_relations,
-)
-from mannheim_lab.lorentz import Vec3L, inner
+from mannheim_lab.indicatrix import SphereKind, indicatrix_of
+from mannheim_lab.lorentz import Vec3L, inner, inner_rows
+from mannheim_lab.mannheim import IDENTITIES
 from mannheim_lab.reports import Verdict
 
 SQRT3 = math.sqrt(3.0)
+
+
+def image_reports(pair, grid_n):
+    """The two image-rate reports of a pair: curvature, then torsion."""
+    samples = pair.samples(grid_n)
+    return [row.report(samples) for row in IDENTITIES if row.name.startswith("image-rate-")]
 
 
 def planar_curve():
@@ -32,14 +34,13 @@ class TestImages:
     def test_normal_image_of_reference_curve(self, example2):
         ind = indicatrix_of(example2, "N")
         assert ind.sphere is SphereKind.LORENTZIAN
-        for s in (0.0, 0.5, 1.0):
-            want = Vec3L(math.sinh(s), math.cosh(s), 0.0)
-            assert (ind.point(s) - want).euclidean_norm() < 1e-12
+        s = np.array([0.0, 0.5, 1.0])
+        want = np.stack((np.sinh(s), np.cosh(s), np.zeros(3)), axis=1)
+        assert np.linalg.norm(ind.points(s) - want, axis=1).max() < 1e-12
 
     def test_binormal_image_rate_constant(self, example2):
         ind = indicatrix_of(example2, "B")
-        for s in (0.0, 0.3, 0.9):
-            assert ind.rate(s) == pytest.approx(SQRT3, abs=1e-12)
+        assert ind.rates([0.0, 0.3, 0.9]) == pytest.approx([SQRT3] * 3, abs=1e-12)
 
     def test_tangent_image_of_timelike_curve_is_hyperbolic(self, example2):
         assert indicatrix_of(example2, "T").sphere is SphereKind.HYPERBOLIC
@@ -49,16 +50,15 @@ class TestImages:
             for which in ("T", "N", "B"):
                 ind = indicatrix_of(c, which)
                 sign = 1.0 if ind.sphere is SphereKind.LORENTZIAN else -1.0
-                for s in np.linspace(*c.domain, 9):
-                    q = inner(ind.point(float(s)), ind.point(float(s)))
-                    assert abs(q - sign) < 1e-9
+                points = ind.points(np.linspace(*c.domain, 9))
+                assert np.abs(inner_rows(points, points) - sign).max() < 1e-9
 
     def test_degenerate_binormal_image(self):
         c = planar_curve()
         ind = indicatrix_of(c, "B")
-        assert ind.rate(0.5) == pytest.approx(0.0, abs=1e-12)
-        with pytest.raises(DegenerateIndicatrixError):
-            indicatrix_tangent(c, "B", 0.5)
+        assert ind.rates([0.5])[0] == pytest.approx(0.0, abs=1e-12)
+        with pytest.raises(DegenerateIndicatrixError, match=r"^B-image of .* is stationary at s=0.5$"):
+            ind.tangents([0.5])
 
     def test_bad_field_name(self, example2):
         with pytest.raises(ValueError):
@@ -69,23 +69,22 @@ class TestImageTangents:
     def test_normal_image_tangent_direction(self, exact_pair_type3):
         # for a spacelike curve with timelike normal: N' = kappa T + tau B
         c = exact_pair_type3.c
-        for s in (0.1, 0.6):
+        tangents = indicatrix_of(c, "N").tangents([0.1, 0.6])
+        for s, t_vec in zip((0.1, 0.6), tangents):
             f = frenet_apparatus(c, s)
-            t_vec = indicatrix_tangent(c, "N", s)
             want = (f.T * f.kappa + f.B * f.tau) / math.hypot(f.kappa, f.tau)
-            assert (t_vec - want).euclidean_norm() < 1e-9
+            assert (Vec3L(*t_vec) - want).euclidean_norm() < 1e-9
 
     def test_binormal_image_tangent_closed_form(self, example2):
         # B' = -tau N for a timelike curve, so the unit tangent is -N
-        for s in (0.0, 0.4, 1.0):
-            t_vec = indicatrix_tangent(example2, "B", s)
-            want = Vec3L(-math.sinh(s), -math.cosh(s), 0.0)
-            assert (t_vec - want).euclidean_norm() < 1e-10
+        s = np.array([0.0, 0.4, 1.0])
+        want = np.stack((-np.sinh(s), -np.cosh(s), np.zeros(3)), axis=1)
+        assert np.linalg.norm(indicatrix_of(example2, "B").tangents(s) - want, axis=1).max() < 1e-10
 
     def test_unit_modulus(self, example1):
         for which in ("T", "N", "B"):
-            v = indicatrix_tangent(example1, which, 0.5)
-            assert abs(abs(inner(v, v)) - 1.0) < 1e-10
+            v = indicatrix_of(example1, which).tangents([0.5])
+            assert abs(abs(inner_rows(v, v)[0]) - 1.0) < 1e-10
 
 
 class TestRateCrossCheck:
@@ -93,18 +92,18 @@ class TestRateCrossCheck:
         h = 1e-5
         for c in (example1, example2):
             ind = indicatrix_of(c, "N")
-            for s in (0.3, 0.6):
+            for s, rate in zip((0.3, 0.6), ind.rates([0.3, 0.6])):
                 fp = frenet_apparatus(c, s + h).N
                 fm = frenet_apparatus(c, s - h).N
                 fd_rate = math.sqrt(abs(inner(fp - fm, fp - fm))) / (2 * h)
-                assert abs(ind.rate(s) - fd_rate) < 1e-6
+                assert abs(rate - fd_rate) < 1e-6
 
 
 class TestPairRelations:
     def test_reference_pairs_reported_with_oracle_values(self, example1_pair, example2_pair):
         for pair, name in ((example1_pair, "paper-example-1"), (example2_pair, "paper-example-2")):
             want = ORACLE[name]
-            r1, r2 = verify_indicatrix_relations(pair, 11)
+            r1, r2 = image_reports(pair, 11)
             assert r1.verdict is Verdict.REPORTED
             assert r2.verdict is Verdict.REPORTED
             assert r1.details["alignment"] == want["image_alignment"]
@@ -112,7 +111,7 @@ class TestPairRelations:
             assert r2.max_residual == pytest.approx(want["image_rate_torsion"], abs=1e-8)
 
     def test_exact_type3_pair_satisfies_both(self, exact_pair_type3):
-        r1, r2 = verify_indicatrix_relations(exact_pair_type3, 21)
+        r1, r2 = image_reports(exact_pair_type3, 21)
         assert r1.verdict is Verdict.PASS
         assert r2.verdict is Verdict.PASS
         assert max(r1.max_residual, r2.max_residual) < 1e-10
@@ -121,7 +120,7 @@ class TestPairRelations:
         # with this fixture's rising torsion the two relations demand
         # opposite alignments, so one of them fails; a falling torsion
         # passes both (TestImageRateTruthTable)
-        r1, r2 = verify_indicatrix_relations(exact_pair_type2, 21)
+        r1, r2 = image_reports(exact_pair_type2, 21)
         verdicts = {r1.verdict, r2.verdict}
         assert Verdict.PASS in verdicts and Verdict.FAIL in verdicts
 
@@ -130,11 +129,11 @@ class TestPairRelations:
         # B-image of C* up to overall sign
         ind_n = indicatrix_of(exact_pair_type3.c, "N")
         ind_b = indicatrix_of(exact_pair_type3.cstar, "B")
-        for s in (0.0, 0.5, 1.0):
-            sstar = exact_pair_type3.correspondence(s)
-            a = ind_n.point(s)
-            b = ind_b.point(sstar)
-            assert min((a - b).euclidean_norm(), (a + b).euclidean_norm()) < 1e-9
+        s = np.array([0.0, 0.5, 1.0])
+        a = ind_n.points(s)
+        b = ind_b.points(exact_pair_type3.correspondence(s))
+        gap = np.minimum(np.linalg.norm(a - b, axis=1), np.linalg.norm(a + b, axis=1))
+        assert gap.max() < 1e-9
 
 
 class TestImageRateTruthTable:
@@ -151,7 +150,7 @@ class TestImageRateTruthTable:
     def test_verdicts_follow_torsion_slope(self, exact_pair_of, pair_type, slope):
         pair = exact_pair_of(pair_type, slope)
         assert pair.pair_type.value == pair_type
-        curvature, torsion = verify_indicatrix_relations(pair, 21)
+        curvature, torsion = image_reports(pair, 21)
         assert torsion.verdict is Verdict.PASS
         assert torsion.max_residual < 1e-13
         if slope < 0:

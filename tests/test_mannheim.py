@@ -4,6 +4,7 @@ import json
 import math
 import re
 import weakref
+from types import SimpleNamespace
 
 import jsonschema
 import numpy as np
@@ -28,48 +29,40 @@ from mannheim_lab.errors import (
 from mannheim_lab.expr import parse_expr
 from mannheim_lab.frenet import (
     CurveKind,
+    FrameGrid,
     FrenetFrame,
     frenet_apparatus,
     frenet_synthesize,
 )
-from mannheim_lab.indicatrix import (
-    Indicatrix,
-    SphereKind,
-    indicatrix_relation_residuals,
-    verify_indicatrix_relations,
-)
 from mannheim_lab.lorentz import Vec3L, inner, norm
 from mannheim_lab.mannheim import (
     HYPOTHESIS_TOL,
+    IDENTITIES,
     MannheimPair,
     MannheimPairType,
+    PairSamples,
     classify_pair,
-    curvature_center_distances,
-    curvature_center_ratio,
-    decompose_tangent,
     exact_partner_kappa,
     exact_partner_pair,
-    frame_relation_residuals,
     mannheim_curve_test,
-    mannheim_residual,
     offset_along_binormal,
     offset_along_normal,
-    tangent_decomposition,
-    theta,
-    torsion_relation_residual,
-    torsion_square_residuals,
-    linear_relation_residual,
-    verify_distance,
-    verify_frame_relations,
-    verify_linear_relation,
-    verify_ratio_nonconstant,
-    verify_torsion_relation,
-    verify_torsion_square,
 )
 from mannheim_lab.reports import REPORT_JSON_SCHEMA, Verdict, VerificationReport
 
 SQRT3 = math.sqrt(3.0)
 SQRT5 = math.sqrt(5.0)
+
+ROWS = {row.name: row for row in IDENTITIES}
+
+
+def _decompose(T, fstar, pair_type):
+    """(theta, s_comp, c_comp) of a tangent against one companion frame: the
+    one-row decomposition, with the angle taken as ``PairSamples.theta`` takes it."""
+    spec = pair_type.spec
+    rows = mannheim._decomposition(spec, np.array([T.as_tuple()]), FrameGrid.of([fstar]), lambda i: "")
+    s_comp, c_comp = (float(x[0]) for x in rows)
+    return (math.atan2(s_comp, c_comp) if spec.circular else math.asinh(s_comp)), s_comp, c_comp
 
 
 def helix(kind, kappa, tau, domain=(0.0, 1.0), step=1e-3):
@@ -147,7 +140,8 @@ class TestOffsets:
         # far the reference pair is from the defining collinearity
         want = ORACLE["paper-example-2"]
         pair = example2_pair
-        f, _, sstar = pair.frames_at(0.0)
+        f, _, sstar = PairSamples(pair, [0.0]).frames
+        f, sstar = f.frames()[0], float(sstar[0])
         diff = pair.c.pos(0.0) - pair.cstar.pos(sstar)
         lam_fit = inner(diff, f.N) / inner(f.N, f.N)
         residual = norm(diff - f.N * lam_fit)
@@ -197,14 +191,14 @@ class TestClassification:
 
 class TestResidual:
     def test_exact_pair_is_collinear(self, exact_pair_type3):
-        worst = max(mannheim_residual(exact_pair_type3, s) for s in exact_pair_type3.grid(21))
+        worst = max(PairSamples(exact_pair_type3, exact_pair_type3.grid(21)).collinearity)
         assert worst < 1e-9
 
     def test_oracle_values(self, example1_pair, example2_pair):
         for pair, name in ((example1_pair, "paper-example-1"), (example2_pair, "paper-example-2")):
             want = ORACLE[name]["rho"]
             for s in (0.0, 0.5 * pair.domain[1], pair.domain[1]):
-                assert mannheim_residual(pair, s) == pytest.approx(want, abs=1e-8)
+                assert PairSamples(pair, [s]).collinearity[0] == pytest.approx(want, abs=1e-8)
 
 
 class TestCurveTest:
@@ -238,17 +232,18 @@ class TestTheta:
         for pair, name in ((example1_pair, "paper-example-1"), (example2_pair, "paper-example-2")):
             want = ORACLE[name]
             for s in (0.0, 0.5 * pair.domain[1], pair.domain[1]):
-                assert theta(pair, s) == pytest.approx(want["theta"], abs=1e-8)
-                dec = tangent_decomposition(pair, s)
-                assert dec.s_comp == pytest.approx(want["s_comp"], abs=1e-8)
-                assert dec.c_comp == pytest.approx(want["c_comp"], abs=1e-8)
+                view = PairSamples(pair, [s])
+                assert view.theta[0] == pytest.approx(want["theta"], abs=1e-8)
+                s_comp, c_comp = view.components[:, 0]
+                assert s_comp == pytest.approx(want["s_comp"], abs=1e-8)
+                assert c_comp == pytest.approx(want["c_comp"], abs=1e-8)
 
     def test_tangent_equal_normal_gives_zero(self, example2):
         # T = N* makes the sine-like component vanish exactly
         fstar = frenet_apparatus(example2, 0.3)
-        dec = decompose_tangent(fstar.N, fstar, MannheimPairType.TYPE1)
-        assert dec.theta == 0.0
-        assert dec.c_comp == pytest.approx(1.0, abs=1e-12)
+        angle, _, c_comp = _decompose(fstar.N, fstar, MannheimPairType.TYPE1)
+        assert angle == 0.0
+        assert c_comp == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("theta0", [-1.2, -0.3, 0.0, 0.4, 1.7])
     def test_construct_then_recover_type1(self, example2, theta0):
@@ -256,48 +251,47 @@ class TestTheta:
         for s in rng.uniform(0.0, 1.0, 5):
             fstar = frenet_apparatus(example2, float(s))
             T = fstar.T * math.sinh(theta0) + fstar.N * math.cosh(theta0)
-            dec = decompose_tangent(T, fstar, MannheimPairType.TYPE1)
-            assert dec.theta == pytest.approx(theta0, abs=1e-10)
-            assert dec.branch == 1
+            angle, _, c_comp = _decompose(T, fstar, MannheimPairType.TYPE1)
+            assert angle == pytest.approx(theta0, abs=1e-10)
+            assert c_comp >= 0.0  # the positive branch
 
     @pytest.mark.parametrize("theta0", [-1.0, 0.2, 2.5])
     def test_construct_then_recover_type3(self, example1, theta0):
         fstar = frenet_apparatus(example1, 0.45)
         T = fstar.T * math.cos(theta0) + fstar.N * math.sin(theta0)
-        dec = decompose_tangent(T, fstar, MannheimPairType.TYPE3)
-        assert dec.circular
-        assert dec.theta == pytest.approx(theta0, abs=1e-10)
+        assert MannheimPairType.TYPE3.spec.circular
+        assert _decompose(T, fstar, MannheimPairType.TYPE3)[0] == pytest.approx(theta0, abs=1e-10)
 
     def test_reconstruction_identity(self, example2_pair):
         # the published components reproduce the tangent exactly
-        for s in (0.0, 10.0, 30.0):
-            f, fstar, _ = example2_pair.frames_at(s)
-            dec = tangent_decomposition(example2_pair, s)
-            # type 1 decomposition: T = s * T* + c * N*
-            recon = fstar.T * dec.s_comp + fstar.N * dec.c_comp
-            assert (f.T - recon).euclidean_norm() < 1e-8
+        view = PairSamples(example2_pair, [0.0, 10.0, 30.0])
+        f, fstar, _ = view.frames
+        s_comp, c_comp = view.components
+        # type 1 decomposition: T = s * T* + c * N*
+        recon = fstar.T * s_comp[:, None] + fstar.N * c_comp[:, None]
+        assert np.abs(f.T - recon).max() < 1e-8
 
     def test_off_plane_tangent_rejected(self, example2):
         fstar = frenet_apparatus(example2, 0.0)
         T = fstar.T * 1.2 + fstar.B * 0.8
-        with pytest.raises(InconsistentDecompositionError):
-            decompose_tangent(T, fstar, MannheimPairType.TYPE1)
+        with pytest.raises(InconsistentDecompositionError, match=r"^tangent leaves the \(T\*, N\*\) plane \(defect "):
+            _decompose(T, fstar, MannheimPairType.TYPE1)
 
     def test_type4_never_decomposes(self, exact_pair_type2):
         # a timelike tangent cannot live in a positive-definite plane; feed
         # the type-2 pair's tangent to the type-4 rule against an eps=+1
         # companion frame
-        f, _, _ = exact_pair_type2.frames_at(0.5)
+        f = PairSamples(exact_pair_type2, [0.5]).frames[0].frames()[0]
         helix_sp = helix(CurveKind.SPACELIKE_EPS_PLUS, 1.0, 0.5, domain=(0.0, 0.2), step=1e-3)
         fstar = frenet_apparatus(helix_sp, 0.1)
         with pytest.raises(InconsistentDecompositionError):
-            decompose_tangent(f.T, fstar, MannheimPairType.TYPE4)
+            _decompose(f.T, fstar, MannheimPairType.TYPE4)
 
 
 class TestDistance:
     def test_examples_pass_at_twenty(self, example1_pair, example2_pair):
         for pair in (example1_pair, example2_pair):
-            rep = verify_distance(pair, 101)
+            rep = ROWS["distance-constancy"].report(pair.samples(101))
             assert rep.verdict is Verdict.PASS
             assert rep.max_residual < 1e-9
             assert rep.details["distance"] == 20.0
@@ -305,7 +299,7 @@ class TestDistance:
     def test_normal_offset_negative_lambda(self, example2):
         pair = MannheimPair.from_normal_offset(example2, -3.0, table_size=256)
         assert pair.pair_type is MannheimPairType.TYPE2
-        rep = verify_distance(pair, 51)
+        rep = ROWS["distance-constancy"].report(pair.samples(51))
         assert rep.verdict is Verdict.PASS
         assert rep.details["distance"] == 3.0
 
@@ -313,17 +307,23 @@ class TestDistance:
 class TestVerdictGating:
     def test_reference_pairs_are_reported(self, example2_pair):
         # hypothesis residual ~2 >> threshold: no pass/fail claims
-        for rep in (
-            verify_torsion_relation(example2_pair, 11),
-            verify_linear_relation(example2_pair, 11),
-            *verify_frame_relations(example2_pair, 11),
-            *verify_torsion_square(example2_pair, 11),
+        for name in (
+            "torsion-reciprocal",
+            "linear-curvature-torsion",
+            "frame-angle-rate",
+            "torsion-composition",
+            "curvature-projection",
+            "torsion-projection",
+            "torsion-square",
+            "torsion-square-literal",
         ):
+            rep = ROWS[name].report(example2_pair.samples(11))
             assert rep.verdict is Verdict.REPORTED
             assert rep.details["hypothesis_residual"] > 1.0
 
     def test_literal_square_form_never_judged(self, exact_pair_type3):
-        squared, literal = verify_torsion_square(exact_pair_type3, 11)
+        samples = exact_pair_type3.samples(11)
+        squared, literal = (ROWS[n].report(samples) for n in ("torsion-square", "torsion-square-literal"))
         assert literal.verdict is Verdict.REPORTED
         assert squared.verdict in (Verdict.PASS, Verdict.FAIL)
 
@@ -338,7 +338,7 @@ class TestGenuinePairs:
     """
 
     def test_type3_torsion_reciprocal_holds(self, exact_pair_type3):
-        rep = verify_torsion_relation(exact_pair_type3, 21)
+        rep = ROWS["torsion-reciprocal"].report(exact_pair_type3.samples(21))
         assert rep.verdict is Verdict.PASS
         assert rep.max_residual < 1e-8
 
@@ -346,46 +346,44 @@ class TestGenuinePairs:
         # kappa = lam (kappa^2 + tau^2) held pointwise by construction
         lam = exact_pair_type3.lam
         for s in (0.0, 0.5, 1.0):
-            f, _, _ = exact_pair_type3.frames_at(s)
-            assert f.kappa == pytest.approx(lam * (f.kappa**2 + f.tau**2), abs=1e-9)
+            kappa, tau = PairSamples(exact_pair_type3, [s]).scalars[:2, 0]
+            assert kappa == pytest.approx(lam * (kappa**2 + tau**2), abs=1e-9)
 
     def test_type3_linear_relation_fails_by_one(self, exact_pair_type3):
         # the construction orientation makes mu*tau - lam*kappa identically
         # zero, so the linear relation misses its target by exactly 1
-        rep = verify_linear_relation(exact_pair_type3, 21)
+        rep = ROWS["linear-curvature-torsion"].report(exact_pair_type3.samples(21))
         assert rep.verdict is Verdict.FAIL
         assert rep.max_residual == pytest.approx(1.0, abs=1e-9)
         assert rep.details["mu_spread"] > 1e-3  # and mu is not constant either
 
     def test_type3_angle_rate_holds(self, exact_pair_type3):
-        rep = verify_frame_relations(exact_pair_type3, 21)[0]
-        assert rep.identity == "frame-angle-rate"
+        rep = ROWS["frame-angle-rate"].report(exact_pair_type3.samples(21))
         assert rep.verdict is Verdict.PASS
 
     def test_type3_projection_rows_fail_by_rate_factor(self, exact_pair_type3):
         # the projection rows hold only after multiplying by ds*/ds; the
         # published literal forms fail, and the corrected forms pass
-        _, r2, r3, r4 = verify_frame_relations(exact_pair_type3, 21)
+        samples = exact_pair_type3.samples(21)
+        r3, r4 = (ROWS[n].report(samples) for n in ("curvature-projection", "torsion-projection"))
         assert r3.verdict is Verdict.FAIL
         assert r4.verdict is Verdict.FAIL
         for s in (0.0, 0.5, 1.0):
-            f, fstar, _ = exact_pair_type3.frames_at(s)
-            dec = tangent_decomposition(exact_pair_type3, s)
-            rate = exact_pair_type3.rate(s)
-            assert f.kappa == pytest.approx(fstar.tau * dec.s_comp * rate, abs=1e-8)
-            assert f.tau == pytest.approx(fstar.tau * dec.c_comp * rate, abs=1e-8)
+            view = PairSamples(exact_pair_type3, [s])
+            (kappa, tau, _, tau_star), (s_comp, c_comp) = view.scalars[:, 0], view.components[:, 0]
+            rate = view.rates[0]
+            assert kappa == pytest.approx(tau_star * s_comp * rate, abs=1e-8)
+            assert tau == pytest.approx(tau_star * c_comp * rate, abs=1e-8)
 
     def test_type2_reciprocal_holds_with_opposite_sign(self, exact_pair_type2):
-        rep = verify_torsion_relation(exact_pair_type2, 21)
+        rep = ROWS["torsion-reciprocal"].report(exact_pair_type2.samples(21))
         assert rep.verdict is Verdict.FAIL
         for s in (0.0, 0.5, 1.0):
-            f, fstar, _ = exact_pair_type2.frames_at(s)
-            assert fstar.tau == pytest.approx(
-                -f.kappa / (exact_pair_type2.lam * f.tau), abs=1e-8
-            )
+            kappa, tau, _, tau_star = PairSamples(exact_pair_type2, [s]).scalars[:, 0]
+            assert tau_star == pytest.approx(-kappa / (exact_pair_type2.lam * tau), abs=1e-8)
 
     def test_type5_reciprocal_holds(self, exact_pair_type5):
-        rep = verify_torsion_relation(exact_pair_type5, 21)
+        rep = ROWS["torsion-reciprocal"].report(exact_pair_type5.samples(21))
         assert rep.verdict is Verdict.PASS
         assert rep.max_residual < 1e-8
 
@@ -438,29 +436,43 @@ class TestGenuinePairs:
 
 class TestCenterRatio:
     def test_distances_at_degenerate_lambda(self, example2):
-        # lam = 1/kappa puts the companion point on the curvature center
+        # lam = 1/kappa puts the companion point on the curvature center:
+        # its distance |1/kappa - lam| to it and the ratio's factor
+        # (1 - lam kappa) vanish
         pair = MannheimPair.from_normal_offset(example2, 0.5, table_size=256)
-        d = curvature_center_distances(pair, 0.3)
-        assert d["companion_to_curve_center"] == pytest.approx(0.0, abs=1e-9)
+        view = PairSamples(pair, [0.3])
+        assert abs(1.0 / view.scalars[0, 0] - pair.lam) == pytest.approx(0.0, abs=1e-9)
+        assert view.center_ratio[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_ratio_zero_when_lambda_kappa_star_unit(self, example2):
         # binormal offset with lam = 1/kappa* makes |lam^2 kappa*^2 - 1| = 0
         pair = MannheimPair.from_binormal_offset(example2, 0.5, table_size=256)
-        assert curvature_center_ratio(pair, 0.2) == pytest.approx(0.0, abs=1e-7)
+        assert PairSamples(pair, [0.2]).center_ratio[0] == pytest.approx(0.0, abs=1e-7)
 
     def test_oracle_value(self, example2_pair):
         want = ORACLE["paper-example-2"]["center_ratio"]
-        assert curvature_center_ratio(example2_pair, 0.0) == pytest.approx(want, abs=1e-8)
+        assert PairSamples(example2_pair, [0.0]).center_ratio[0] == pytest.approx(want, abs=1e-8)
 
     def test_constant_curvature_flagged(self, example2_pair):
-        rep = verify_ratio_nonconstant(example2_pair, 31)
+        rep = ROWS["center-ratio-nonconstancy"].report(example2_pair.samples(31))
         assert rep.verdict is Verdict.REPORTED
         assert rep.details["constant_ratio"] is True
 
     def test_varying_pair_passes(self, exact_pair_type3):
-        rep = verify_ratio_nonconstant(exact_pair_type3, 31)
+        rep = ROWS["center-ratio-nonconstancy"].report(exact_pair_type3.samples(31))
         assert rep.verdict is Verdict.PASS
         assert rep.details["ratio_sd"] > rep.tolerance
+
+    def test_ratio_that_cancels_to_zero_is_constant(self, example2):
+        # the type-4 normal offset at lam = 1/kappa = 0.5: 1 - lam kappa
+        # cancels, so every ratio is rounding noise of ~1e-23; that is a
+        # constant ratio, Reported, not a varying one
+        pair = MannheimPair.from_normal_offset(example2, 0.5)
+        rep = ROWS["center-ratio-nonconstancy"].report(pair.samples(101))
+        assert 0.0 < rep.details["ratio_sd"] < 1e-20
+        assert rep.verdict is Verdict.REPORTED
+        assert rep.details["constant_ratio"] is True
+        assert rep.details["ratio_sd"] <= rep.tolerance < 1e-15
 
 
 class TestSharedParameter:
@@ -473,7 +485,7 @@ class TestSharedParameter:
         for u in (0.0, c.domain[1] / 2, c.domain[1]):
             sstar = pair.correspondence(u)
             assert sstar == pytest.approx(u / math.sqrt(1199.0), abs=1e-9)
-        assert pair.rate(1.0) == pytest.approx(1.0 / math.sqrt(1199.0), abs=1e-10)
+        assert PairSamples(pair, [1.0]).rates[0] == pytest.approx(1.0 / math.sqrt(1199.0), abs=1e-10)
 
     def test_domain_mismatch_rejected(self, example1):
         c2 = helix(CurveKind.TIMELIKE, 1.0, 0.5, domain=(0.0, 0.5))
@@ -490,22 +502,16 @@ class TestAngleRateChain:
 
     @staticmethod
     def _compare(pair):
-        spec = pair.pair_type.spec
-
         def thetas(x):
-            # the angle of ``theta`` on a grid: the checked components
-            f, fstar, _ = pair.frame_grids(x)
-            s_comp, c_comp = mannheim._decomposition(spec, f.T, fstar, lambda i: "")
-            return np.arctan2(s_comp, c_comp) if spec.circular else np.arcsinh(s_comp)
+            # the angle on the difference's own points
+            return PairSamples(pair, x).theta
 
         samples = pair.samples(101)
         grid = np.array(samples.grid)
-        f, fstar, _ = samples.frames
-        chained = mannheim._theta_rates(spec, f, fstar, samples.rates, *samples.components)
         steps = np.maximum(1e-4, 1e-3 * np.abs(grid))
         differenced = grid_difference(thetas, grid, *pair.domain, steps, 1) / samples.rates
-        assert thetas(grid[[3]])[0] == pytest.approx(theta(pair, grid[3]), abs=1e-15)
-        return np.abs(chained - differenced).max()
+        assert thetas(grid[[3]])[0] == samples.theta[3]
+        return np.abs(samples.dtheta - differenced).max()
 
     @pytest.mark.parametrize("pair_type,slope", EXACT_CONFIGS)
     def test_exact_pairs_match_difference_of_theta(self, exact_pair_of, pair_type, slope):
@@ -517,8 +523,7 @@ class TestAngleRateChain:
 
     @pytest.mark.parametrize("pair_type,slope", EXACT_CONFIGS)
     def test_exact_pairs_angle_rate_at_rounding_level(self, exact_pair_of, pair_type, slope):
-        rep = verify_frame_relations(exact_pair_of(pair_type, slope), 101)[0]
-        assert rep.identity == "frame-angle-rate"
+        rep = ROWS["frame-angle-rate"].report(exact_pair_of(pair_type, slope).samples(101))
         assert rep.verdict is Verdict.PASS
         assert rep.max_residual <= 1e-13
 
@@ -583,7 +588,7 @@ class TestUnmetHypothesis:
         # where T is orthogonal to T*, mu = lam s/c is undefined: the residual
         # is None (JSON null), never an infinity that strict JSON rejects
         pair = MannheimPair.from_normal_offset(example2, 0.5)
-        rep = verify_linear_relation(pair, 101)
+        rep = ROWS["linear-curvature-torsion"].report(pair.samples(101))
         undefined = rep.residuals.count(None)
         assert 0 < undefined < 101
         assert rep.details["undefined_at"] == undefined
@@ -608,12 +613,9 @@ class TestUnmetHypothesis:
         # the collinearity holds, but the pair's hyperbolic components give
         # no circular (type-3) angle: that is an error, not a Reported profile
         pair = dataclasses.replace(exact_pair_type2, pair_type=MannheimPairType.TYPE3)
-        with pytest.raises(InconsistentDecompositionError):
-            verify_frame_relations(pair, 11)
-        with pytest.raises(InconsistentDecompositionError):
-            verify_linear_relation(pair, 11)
-        with pytest.raises(InconsistentDecompositionError):
-            verify_indicatrix_relations(pair, 11)
+        for name in ("frame-angle-rate", "linear-curvature-torsion", "image-rate-curvature"):
+            with pytest.raises(InconsistentDecompositionError, match=r" at s=0; no consistent angle exists$"):
+                ROWS[name].report(pair.samples(11))
 
 
 # Each type's row written out independently of the type table: (C*, C) kind
@@ -675,8 +677,18 @@ TYPE_ROWS = {
 }
 
 
+def given_samples(pair_type, lam, **columns):
+    """PairSamples holding the given columns instead of columns of curve data:
+    a cached column is read from the instance dictionary first."""
+    grid = range(columns["scalars"].shape[1])
+    samples = PairSamples(SimpleNamespace(pair_type=pair_type, lam=lam), grid)
+    samples.__dict__.update(columns)
+    return samples
+
+
 class TestPairTypeSpec:
-    """The type table against its identities written out as formulas, bit for bit."""
+    """The type table and the identity rows against the identities written
+    out as formulas, bit for bit."""
 
     @pytest.mark.parametrize("pair_type", list(MannheimPairType))
     def test_row_matches_the_written_formulas(self, pair_type):
@@ -689,28 +701,40 @@ class TestPairTypeSpec:
         assert (spec.torsion_sign, spec.linear_sign, spec.angle_rate_sign) == (torsion, linear, rate)
         assert spec.oriented(0.25, 0.75) == ((0.25, 0.75) if swap else (0.75, 0.25))
         rng = np.random.default_rng(pair_type.value)
-        for k, t, ks, ts, s, c, d, lam, mu, n, b in rng.uniform(-2.0, 2.0, (50, 11)).tolist():
-            assert torsion_relation_residual(pair_type, k, t, ts, lam) == abs(ts - torsion * k / (lam * t))
-            assert linear_relation_residual(pair_type, k, t, lam, mu) == abs(
-                mu * t + linear * lam * k - 1.0
-            )
-            assert frame_relation_residuals(pair_type, k, t, ks, ts, s, c, d) == (
-                abs(ks - rate * d),
-                abs(ts - combination(k, t, s, c)),
-                abs(k - kappa_of(ts, s, c)),
-                abs(t - tau_of(ts, s, c)),
-            )
-            assert torsion_square_residuals(pair_type, k, t, ts) == (
-                abs(ts * ts - square(k, t)),
-                abs(ts - square(k, t)),
-            )
-            comp = {"s": s, "c": c}
-            for g in (1.0, -1.0):
-                rhs = g * ts * b
-                assert indicatrix_relation_residuals(pair_type.value, k, t, ts, s, c, n, b, g) == tuple(
-                    abs(x * n - sign * comp[name] * rhs)
-                    for x, (sign, name) in zip((k, t), relations)
-                )
+        lam = float(rng.uniform(-2.0, 2.0))
+        k, t, ks, ts, s, c, d, mu, n, b = rng.uniform(-2.0, 2.0, (10, 50))
+        samples = given_samples(
+            pair_type,
+            lam,
+            scalars=np.stack((k, t, ks, ts)),
+            components=np.stack((s, c)),
+            dtheta=d,
+            mu=mu,
+            image_rates=(n, b),
+        )
+        want = {
+            "torsion-reciprocal": abs(ts - torsion * k / (lam * t)),
+            "linear-curvature-torsion": abs(mu * t + linear * lam * k - 1.0),
+            "frame-angle-rate": abs(ks - rate * d),
+            "torsion-composition": abs(ts - combination(k, t, s, c)),
+            "curvature-projection": abs(k - kappa_of(ts, s, c)),
+            "torsion-projection": abs(t - tau_of(ts, s, c)),
+            "torsion-square": abs(ts * ts - square(k, t)),
+            "torsion-square-literal": abs(ts - square(k, t)),
+        }
+        for name, column in want.items():
+            assert ROWS[name].residual(samples).tolist() == column.tolist(), name
+        comp = {"s": s, "c": c}
+        for g in (1.0, -1.0):
+            rhs = g * ts * b
+            assert [r.tolist() for r in samples.image_residuals(g)] == [
+                abs(x * n - sign * comp[name] * rhs).tolist()
+                for x, (sign, name) in zip((k, t), relations)
+            ]
+        images = [ROWS[name].residual(samples) for name in ("image-rate-curvature", "image-rate-torsion")]
+        assert [r.tolist() for r in images] == [
+            r.tolist() for r in samples.image_residuals(samples.alignment)
+        ]
 
     def test_kind_pairs_outside_the_table_are_unsupported(self):
         helices = {
@@ -746,17 +770,17 @@ class TestPairSamples:
     """One sample pass per (pair, grid), shared by every verifier of a suite."""
 
     @staticmethod
-    def _count(monkeypatch, *names):
-        calls = dict.fromkeys(names, 0)
-        for name in names:
-            original = getattr(mannheim, name)
+    def _views(monkeypatch):
+        """Grid sizes of the PairSamples built from now on."""
+        sizes = []
+        init = PairSamples.__init__
 
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
+        def counted(self, pair, grid):
+            init(self, pair, grid)
+            sizes.append(len(self.grid))
 
-            monkeypatch.setattr(mannheim, name, counted)
-        return calls
+        monkeypatch.setattr(PairSamples, "__init__", counted)
+        return sizes
 
     @staticmethod
     def _extractions(monkeypatch, pair):
@@ -783,15 +807,16 @@ class TestPairSamples:
                 _init(self, *args, **kwargs)
 
             monkeypatch.setattr(cls, "__init__", init)
-        calls = self._count(monkeypatch, "mannheim_residual", "decompose_tangent", "theta")
+        views = self._views(monkeypatch)
         pair = dataclasses.replace(exact_pair_type3)
         grids = self._extractions(monkeypatch, pair)
         assert len(_run_pair_suite(pair, 201, None)) == 12
         assert grids == {"c": [201], "cstar": [201]}
         assert built == []
-        assert calls == {"mannheim_residual": 0, "decompose_tangent": 0, "theta": 0}
+        assert views == [201]  # one sampling of the grid, no one-row view
         _run_pair_suite(pair, 201, None)  # the same grid reuses its samples
         assert grids == {"c": [201], "cstar": [201]}
+        assert views == [201]
 
     def test_second_grid_builds_new_samples(self, exact_pair_type3, monkeypatch):
         pair = dataclasses.replace(exact_pair_type3)
@@ -804,7 +829,7 @@ class TestPairSamples:
 
     def test_replaced_copy_starts_empty(self, exact_pair_type2):
         pair = dataclasses.replace(exact_pair_type2)
-        verify_linear_relation(pair, 11)
+        ROWS["linear-curvature-torsion"].report(pair.samples(11))
         copy = dataclasses.replace(pair, pair_type=MannheimPairType.TYPE3)
         assert list(pair._samples) == [(11, MannheimPairType.TYPE2)] and copy._samples == {}
         assert copy.samples(11) is not pair.samples(11)
@@ -815,10 +840,13 @@ class TestPairSamples:
         # original was asked before
         pair = MannheimPair.from_binormal_offset(example2, 20.0)
         other = MannheimPair.from_binormal_offset(example2, 5.0)
-        assert mannheim_residual(pair, 0.5) == pytest.approx(2.0025, abs=1e-4)
+        def rho(p):
+            return PairSamples(p, [0.5]).collinearity[0]
+
+        assert rho(pair) == pytest.approx(2.0025, abs=1e-4)
         mixed = dataclasses.replace(pair, c=other.c, correspondence=other.correspondence)
-        assert mannheim_residual(mixed, 0.5) == mannheim_residual(other, 0.5)
-        assert mannheim_residual(mixed, 0.5) == pytest.approx(2.0418, abs=1e-4)
+        assert rho(mixed) == rho(other)
+        assert rho(mixed) == pytest.approx(2.0418, abs=1e-4)
 
     def test_angle_rate_is_undefined_where_circular_components_vanish(self, example2):
         # the type-4 normal offset relabelled as the circular type 3 misses
@@ -841,10 +869,11 @@ class TestPairSamples:
         # samples hold the type's components: a pair relabelled in place
         # must not reuse those of its old type
         pair = dataclasses.replace(exact_pair_type2)
-        assert verify_linear_relation(pair, 11).verdict is not None
+        linear = ROWS["linear-curvature-torsion"]
+        assert linear.report(pair.samples(11)).verdict is not None
         pair.pair_type = MannheimPairType.TYPE3
         with pytest.raises(InconsistentDecompositionError):
-            verify_linear_relation(pair, 11)
+            linear.report(pair.samples(11))
 
     def test_an_audited_pair_is_freed_without_a_collection(self, example1):
         # the pair keeps its samples, which refer back to it weakly: no
@@ -860,7 +889,8 @@ class TestPairSamples:
             gc.enable()
 
     def test_distance_reads_positions_only(self, example1):
-        rep = verify_distance(_line_pair(example1), 11)
+        pair = _line_pair(example1)
+        rep = ROWS["distance-constancy"].report(pair.samples(11))
         assert rep.verdict is Verdict.FAIL
         assert len(rep.residuals) == 11
 
@@ -886,7 +916,7 @@ class TestPairSamples:
         # the decomposition fails from the first grid point on; a stationary
         # N-image of C there is reported first, one further on is not reached
         pair = dataclasses.replace(exact_pair_type2, pair_type=MannheimPairType.TYPE3)
-        rates = indicatrix_module._field_rates
+        rates = mannheim._field_rates
 
         def stalled(f, which):
             out = rates(f, which)
@@ -895,14 +925,22 @@ class TestPairSamples:
                 out[stationary_at] = 0.0
             return out
 
-        monkeypatch.setattr(indicatrix_module, "_field_rates", stalled)
-        with pytest.raises(error) as info:
-            verify_indicatrix_relations(pair, 11)
-        assert info.value.row == 0
+        monkeypatch.setattr(mannheim, "_field_rates", stalled)
+        message = "stationary spherical image at s=0$" if stationary_at == 0 else "at s=0; no consistent"
+        for name in ("image-rate-curvature", "image-rate-torsion"):
+            with pytest.raises(error, match=message) as info:
+                ROWS[name].report(pair.samples(11))
+            assert info.value.row == 0
 
 
-class TestVerifiersAgainstPointLoop:
-    """Every verifier's profile equals a loop of the scalar identity functions."""
+def _profile(column):
+    """A residual column as a report publishes it: NaN is undefined, None."""
+    return [None if math.isnan(x) else x for x in column.tolist()]
+
+
+class TestRowsAgainstOneRowViews:
+    """Every column and every identity residual of a grid equals, row for
+    row, the one-row view ``PairSamples(pair, [s])``."""
 
     PAIRS = {
         "exact-type2": lambda fx: fx.getfixturevalue("exact_pair_type2"),
@@ -914,77 +952,48 @@ class TestVerifiersAgainstPointLoop:
             fx.getfixturevalue("example2"), 0.5
         ),
     }
+    COLUMNS = ("scalars", "collinearity", "components", "theta", "rates", "dtheta", "mu", "center_ratio")
+    IMAGES = ("image-rate-curvature", "image-rate-torsion")
 
     @pytest.mark.parametrize("which", list(PAIRS))
-    def test_profiles_equal_the_point_loop(self, which, request):
+    def test_grid_rows_equal_the_one_row_views(self, which, request):
         # the exact pairs meet the hypothesis (checked decomposition); the
         # offsets of the built-ins do not (raw projections; the type-4 one
         # has undefined mu)
         pair = dataclasses.replace(self.PAIRS[which](request))
         assert pair.pair_type.value == int(which.split("type")[1][0])
-        t, lam, grid = pair.pair_type, pair.lam, pair.grid(21)
-        worst = max(mannheim_residual(pair, s) for s in grid)
-        met = worst <= HYPOTHESIS_TOL
+        full = pair.samples(21)
+        reports = {r.identity: r for r in _run_pair_suite(pair, 21, None)}
+        views = [PairSamples(pair, [s]) for s in full.grid]
+        met, worst = full.hypothesis
         assert met == which.startswith("exact")
-        points = []
-        for s in grid:
-            f, fs, _ = pair.frames_at(s)
-            if met:
-                dec = tangent_decomposition(pair, s)
-                sc, cc = dec.s_comp, dec.c_comp
-            else:
-                eps_t, eps_n, _ = fs.kind.signs
-                sc, cc = t.spec.oriented(inner(f.T, fs.T) / eps_t, inner(f.T, fs.N) / eps_n)
-            points.append((s, f, fs, sc, cc))
-
-        def columns(rows):
-            return [list(col) for col in zip(*rows)]
-
-        reports = _run_pair_suite(pair, 21, None)
-        by_name = {r.identity: r for r in reports}
-        assert by_name["torsion-reciprocal"].residuals == [
-            torsion_relation_residual(t, f.kappa, f.tau, fs.tau, lam) for _, f, fs, _, _ in points
-        ]
-        assert by_name["linear-curvature-torsion"].residuals == [
-            linear_relation_residual(t, f.kappa, f.tau, lam, lam * sc / cc) if cc else None
-            for _, f, _, sc, cc in points
-        ]
-
-        def theta_rate(s, sc, cc):
-            # the one-row chained rate
-            rows = pair.frame_grids([s])[:2]
-            r, sc, cc = (np.array([x]) for x in (pair.rate(s), sc, cc))
-            return float(mannheim._theta_rates(t.spec, *rows, r, sc, cc)[0])
-
-        frame_rows = [
-            frame_relation_residuals(
-                t, f.kappa, f.tau, fs.kappa, fs.tau, sc, cc, theta_rate(s, sc, cc)
-            )
-            for s, f, fs, sc, cc in points
-        ]
-        assert [r.residuals for r in verify_frame_relations(pair, 21)] == columns(frame_rows)
-        square_rows = [torsion_square_residuals(t, f.kappa, f.tau, fs.tau) for _, f, fs, _, _ in points]
-        assert [r.residuals for r in verify_torsion_square(pair, 21)] == columns(square_rows)
-        images = verify_indicatrix_relations(pair, 21)
-        n_image = Indicatrix("N", pair.c, SphereKind.LORENTZIAN)
-        b_image = Indicatrix("B", pair.cstar, SphereKind.LORENTZIAN)
-        image_rows = [
-            indicatrix_relation_residuals(
-                t.value, f.kappa, f.tau, fs.tau, sc, cc,
-                1.0 / n_image.rate(s), 1.0 / b_image.rate(pair.frames_at(s)[2]),
-                images[0].details["alignment"],
-            )
-            for s, f, fs, sc, cc in points
-        ]
-        assert [r.residuals for r in images] == columns(image_rows)
-        ratios = [curvature_center_ratio(pair, s) for s in grid]
-        mean = float(np.mean(ratios))
-        center = by_name["center-ratio-nonconstancy"]
-        assert center.residuals == [abs(r - mean) for r in ratios]
+        assert worst == max(view.collinearity[0] for view in views)
+        for i, view in enumerate(views):
+            assert view.hypothesis[0] == met
+            for name in self.COLUMNS:
+                np.testing.assert_array_equal(getattr(view, name), getattr(full, name)[..., [i]], name)
+            for mine, theirs in zip(view.frames[:2], full.frames[:2]):
+                for field in ("T", "N", "B", "kinds"):
+                    assert getattr(mine, field).tolist() == getattr(theirs, field)[[i]].tolist()
+            assert view.frames[2].tolist() == full.frames[2][[i]].tolist()
+            # the alignment is chosen over the whole grid, and the center
+            # ratio's residual is its deviation from the grid's mean
+            for k, name in enumerate(self.IMAGES):
+                want = reports[name].residuals[i : i + 1]
+                assert _profile(view.image_residuals(full.alignment)[k]) == want, name
+            for row in IDENTITIES:
+                if row.name not in (*self.IMAGES, "center-ratio-nonconstancy"):
+                    assert _profile(row.residual(view)) == reports[row.name].residuals[i : i + 1], row.name
+        for rep in reports.values():
+            assert rep.details.get("undefined_at", 0) == rep.residuals.count(None), rep.identity
+        ratios = full.center_ratio
+        center = reports["center-ratio-nonconstancy"]
+        assert center.residuals == np.abs(ratios - float(np.mean(ratios))).tolist()
         assert (center.details["ratio_mean"], center.details["ratio_sd"]) == (
-            mean,
+            float(np.mean(ratios)),
             float(np.std(ratios, ddof=1)),
         )
-        judged = [r for r in reports if r.identity not in ("distance-constancy", center.identity)]
+        assert reports["image-rate-curvature"].details["alignment"] == full.alignment
+        judged = [r for r in reports.values() if r.identity not in ("distance-constancy", center.identity)]
         assert len(judged) == 10
         assert all(r.details["hypothesis_residual"] == worst for r in judged)

@@ -14,7 +14,8 @@ path of the package it digests to stderr.
 
 With ``--residuals`` it prints, instead of digests, one line per report of
 each configuration (verdict and max residual), for a before/after table of
-a change that moves report numbers on purpose.
+a change that moves report numbers on purpose.  The reports of a
+configuration are the rows of ``mannheim.IDENTITIES``, in table order.
 
 With ``--csv`` it prints instead one sha256 per output file of the CLI's
 file-writing commands on pinned argument lists (``CLI_COMMANDS``):
@@ -33,7 +34,8 @@ for every curve kind, curvature ``SYNTH_KAPPA``): the bytes of
 
 Each line is ``<sha256>  <configuration>``.  The digest covers the JSON
 array that ``mannheim-lab pair-verify --out`` writes: the reports of
-``cli._run_pair_suite``, serialized as ``cli._emit_json`` does.  The
+``cli._run_pair_suite``, one per row of ``mannheim.IDENTITIES``, serialized
+as ``cli._emit_json`` does.  The
 configurations are
 
 * exact partner pairs of types 2, 3 and 5 with torsion 0.8 +/- 0.2 s
