@@ -73,7 +73,9 @@ class Indicatrix:
         stationary = rate <= RATE_TOL
         if stationary.any():
             s = ts[int(np.argmax(stationary))]
-            raise DegenerateIndicatrixError(f"{self.source}-image of {self.base.label!r} is stationary at s={s:g}")
+            raise DegenerateIndicatrixError(
+                f"{self.source}-image of {self.base.label!r} is stationary at s={s:g}"
+            )
         # gamma' from the frame equations: T' = k N, N' = c_n k T + t B, B' = c_b t N
         _, _, _, c_n, c_b = kind_signs(f.kinds)
         k, t = f.kappa[:, None], f.tau[:, None]

@@ -778,10 +778,10 @@ class _Identity:
         collinearity residual first in ``details``.
         """
         column = self.residual(p)
+        profile, details = column.tolist(), self.details(p)
         undefined = np.isnan(column)
-        profile = [None if u else r for u, r in zip(undefined.tolist(), column.tolist())]
-        details = self.details(p)
         if undefined.any():
+            profile = [None if u else r for u, r in zip(undefined.tolist(), profile)]
             details["undefined_at"] = int(undefined.sum())
         if tol is None or not self.tunable:
             tol = self.tol
@@ -803,22 +803,23 @@ class _Identity:
 def _nonconstancy(name: str, p: PairSamples, deviations: list, details: dict) -> VerificationReport:
     """The center ratio's own criterion: Pass when it varies along the pair.
 
-    It varies when its sample standard deviation exceeds a threshold:
-    ``RATIO_THRESHOLD_FACTOR * |mean|``, but never less than the rounding
-    level of the product of its operands, eps (1 + |lam kappa|)
-    sqrt(lam^2 kappa*^2 + 1) at its largest, so a ratio that cancels to
-    zero reads as constant, not as varying noise.  Constant-curvature input
-    makes the ratio exactly constant; that case is Reported
-    (constant_ratio), not failed.  Residuals hold the deviation-from-mean
-    profile.
+    It varies when its sample standard deviation exceeds a threshold,
+    ``RATIO_THRESHOLD_FACTOR * |mean|`` but never less than the ratio's
+    rounding level: sqrt(eps) (1 + |lam kappa|) sqrt(lam^2 kappa*^2 + 1) at
+    its largest, as a square root of a difference near zero carries
+    sqrt(eps) of its operands' scale.  A ratio whose factor 1 - lam kappa or
+    sqrt|lam^2 kappa*^2 - 1| cancels to zero thus reads as constant, not as
+    varying noise.  Constant-curvature input makes the ratio exactly
+    constant; that case is Reported (constant_ratio), not failed.  Residuals
+    hold the deviation-from-mean profile.
     """
     ratios = p.center_ratio
     kappas, _, kappa_stars, _ = p.scalars
     lam = p.pair.lam
     mean = float(np.mean(ratios))
     sd = float(np.std(ratios, ddof=1))
-    operands = (1.0 + np.abs(lam * kappas)) * np.sqrt(lam * lam * power_rows(kappa_stars, 2) + 1.0)
-    threshold = max(RATIO_THRESHOLD_FACTOR * abs(mean), float(np.finfo(float).eps * operands.max()))
+    scale = (1.0 + np.abs(lam * kappas)) * np.sqrt(lam * lam * power_rows(kappa_stars, 2) + 1.0)
+    threshold = max(RATIO_THRESHOLD_FACTOR * abs(mean), float(np.sqrt(np.finfo(float).eps) * scale.max()))
 
     def spread(vals: np.ndarray) -> float:
         return float(np.ptp(vals)) / max(1e-300, abs(float(np.mean(vals))))

@@ -205,7 +205,8 @@ class TestExactPairJets:
         kappa, tau, _, tau_star = pair.samples(201).scalars
         sign = pair.pair_type.spec.torsion_sign * (-1.0 if pair_type == 2 else 1.0)
         assert np.abs(tau_star - sign * kappa / (pair.lam * tau)).max() <= 1e-12
-        rep = next(r for r in mannheim.IDENTITIES if r.name == "torsion-reciprocal").report(pair.samples(201))
+        row = next(r for r in mannheim.IDENTITIES if r.name == "torsion-reciprocal")
+        rep = row.report(pair.samples(201))
         assert rep.verdict.value == ("Fail" if pair_type == 2 else "Pass")
 
     def test_exact_suite_differences_nothing_and_calls_the_prescription_a_fixed_number_of_times(
