@@ -818,7 +818,7 @@ def _nonconstancy(name: str, p: PairSamples, deviations: list, details: dict) ->
     lam = p.pair.lam
     mean = float(np.mean(ratios))
     sd = float(np.std(ratios, ddof=1))
-    scale = (1.0 + np.abs(lam * kappas)) * np.sqrt(lam * lam * power_rows(kappa_stars, 2) + 1.0)
+    scale = (1.0 + np.abs(lam * kappas)) * np.sqrt(lam * lam * kappa_stars * kappa_stars + 1.0)
     threshold = max(RATIO_THRESHOLD_FACTOR * abs(mean), float(np.sqrt(np.finfo(float).eps) * scale.max()))
 
     def spread(vals: np.ndarray) -> float:
