@@ -505,7 +505,7 @@ class Curve:
     def speed(self, t: float) -> float:
         return float(self.speeds([t])[0])
 
-    def validate_unit_speed(self, grid_size: int = 64, tol: float = 1e-8) -> float:
+    def validate_unit_speed(self, grid_size: int = 64) -> float:
         """Largest deviation of |<a',a'>| from 1 on a uniform grid."""
         d1 = self.tangents(np.linspace(*self.domain, grid_size))
         return max(0.0, *np.abs(np.abs(inner_rows(d1, d1)) - 1.0).tolist())

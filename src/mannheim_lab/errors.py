@@ -120,7 +120,7 @@ class UnsupportedCombinationError(MannheimLabError):
 
 
 class NegativeConditionValueError(MannheimLabError):
-    """The partner-condition expression went non-positive: no real offset."""
+    """The partner equation leaves the offset constant undefined: no real offset."""
 
 
 class VanishingTorsionError(MannheimLabError):

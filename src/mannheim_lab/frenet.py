@@ -189,12 +189,7 @@ class FrameGrid:
         ]
 
 
-def frenet_frames(
-    c: Curve,
-    s,
-    kappa_tol: float = KAPPA_TOL,
-    unit_tol: float = UNIT_SPEED_TOL,
-) -> FrameGrid:
+def frenet_frames(c: Curve, s) -> FrameGrid:
     """Frame, curvature and torsion of a unit-speed non-null curve on a grid.
 
     T is the raw first derivative (no renormalization, so Gram drift stays
@@ -210,7 +205,7 @@ def frenet_frames(
         d1, d2, d3 = c.jets(s)
     except MannheimLabError as exc:
         if exc.row:  # an offset's base frames failed: this curve's earlier rows come first
-            frenet_frames(c, s[: exc.row], kappa_tol, unit_tol)
+            frenet_frames(c, s[: exc.row])
         raise
     q1 = inner_rows(d1, d1)
     e2 = euclidean_rows(d2)
@@ -224,19 +219,19 @@ def frenet_frames(
     raise_first(
         [
             (
-                np.abs(np.abs(q1) - 1.0) > unit_tol,
+                np.abs(np.abs(q1) - 1.0) > UNIT_SPEED_TOL,
                 error(
                     NotUnitSpeedError,
                     "{label!r} is not arc-length parametrized at s={s:g} "
                     "(<T,T>={q1:.6g}); reparametrize first",
                 ),
             ),
-            (e2 <= kappa_tol, vanishing),
+            (e2 <= KAPPA_TOL, vanishing),
             (
                 kappa <= 1e-6 * e2,
                 error(NullPrincipalNormalError, "tangent derivative of {label!r} is null at s={s:g}"),
             ),
-            (kappa <= kappa_tol, vanishing),
+            (kappa <= KAPPA_TOL, vanishing),
         ]
     )
     kinds = np.where(q1 < 0.0, 0, np.where(q2 > 0.0, 1, 2))
@@ -248,14 +243,9 @@ def frenet_frames(
     return FrameGrid(d1, N, B, kappa, tau, kinds, dkappa)
 
 
-def frenet_apparatus(
-    c: Curve,
-    s: float,
-    kappa_tol: float = KAPPA_TOL,
-    unit_tol: float = UNIT_SPEED_TOL,
-) -> FrenetFrame:
+def frenet_apparatus(c: Curve, s: float) -> FrenetFrame:
     """Frame, curvature and torsion at ``s``: the one-row ``frenet_frames``."""
-    return frenet_frames(c, [s], kappa_tol, unit_tol).frames()[0]
+    return frenet_frames(c, [s]).frames()[0]
 
 
 def constant_kind(c: Curve, grid_size: int) -> CurveKind:

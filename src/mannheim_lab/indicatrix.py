@@ -93,15 +93,15 @@ class Indicatrix:
         return CurveSamples(s, self.points(s))
 
 
-def indicatrix_of(c: Curve, which: str, grid_size: int = 33) -> Indicatrix:
+def indicatrix_of(c: Curve, which: str) -> Indicatrix:
     """Spherical image of the chosen frame field of ``c``.
 
     The field must keep one causal character along the curve; since frame
     extraction already fixes per-point Gram signs, this reduces to the
-    frame kind staying constant over the validation grid.
+    frame kind staying constant over 33 uniform points.
     """
     if which not in _FIELDS:
         raise ValueError(f"field must be one of {_FIELDS}, got {which!r}")
-    sign = constant_kind(c, grid_size).signs[_FIELDS.index(which)]
+    sign = constant_kind(c, 33).signs[_FIELDS.index(which)]
     sphere = SphereKind.LORENTZIAN if sign > 0 else SphereKind.HYPERBOLIC
     return Indicatrix(source=which, base=c, sphere=sphere)

@@ -28,8 +28,6 @@ has its own non-constancy criterion.
 from __future__ import annotations
 
 import functools
-import math
-import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -85,6 +83,8 @@ DECOMPOSITION_TOL = 1e-8
 INVARIANT_TOL = 1e-6
 # |tau| at or below this raises VanishingTorsionError where tau divides.
 TORSION_TOL = 1e-9
+# mannheim_curve_test's lambda(s) is constant when its spread is <= this * |mean|.
+LAMBDA_CONSTANCY_TOL = 1e-6
 # The center ratio counts as varying when its sample SD exceeds this * |mean|
 # (and the rounding level of its operands; see _nonconstancy).
 RATIO_THRESHOLD_FACTOR = 1e-6
@@ -299,14 +299,14 @@ def offset_along_normal(c: Curve, lam: float) -> Curve:
     return Curve.on_grid(evaluate, c.domain, f"{c.label}-({lam:g})N", speeds=speeds)
 
 
-def classify_pair(c: Curve, cstar: Curve, grid_size: int = 9) -> MannheimPairType:
+def classify_pair(c: Curve, cstar: Curve) -> MannheimPairType:
     """Pair type from the causal characters of the two framed curves.
 
     Both curves must be unit-speed with extractable frames of constant kind
-    along a sampling grid.  Combinations outside the five catalogued types
+    along 9 uniform points.  Combinations outside the five catalogued types
     (including any null curve) raise UnsupportedCombinationError.
     """
-    key = (constant_kind(cstar, grid_size), constant_kind(c, grid_size))
+    key = (constant_kind(cstar, 9), constant_kind(c, 9))
     for pair_type in MannheimPairType:
         if (pair_type.spec.companion, pair_type.spec.curve) == key:
             return pair_type
@@ -355,37 +355,12 @@ class MannheimPair:
         a, b = self.c.domain
         return [float(s) for s in np.linspace(a, b, n)]
 
-    def frame_grids(self, grid) -> tuple[FrameGrid, FrameGrid, np.ndarray]:
-        """Frames of C on ``grid`` and of C* on the corresponded parameters,
-        which come third; one extraction per curve.  The error raised is that
-        of the first failing point, C*'s before C's at a later one."""
-        s = np.asarray(grid, dtype=float)
-        sstar = np.asarray(self.correspondence(s), dtype=float)
-        try:
-            f = frenet_frames(self.c, s)
-        except MannheimLabError as exc:
-            if exc.row:  # C* failing at an earlier point comes first
-                frenet_frames(self.cstar, sstar[: exc.row])
-            raise
-        return f, frenet_frames(self.cstar, sstar), sstar
-
-    def rates(self, grid: list[float]) -> list[float]:
-        """ds*/ds at every point of ``grid``; without a rate map, the
-        ``grid_difference`` of the correspondence at step 1e-4 max(1, |s|)."""
-        s = np.array(grid, dtype=float)
-        if self.correspondence_rate is None:
-            h = 1e-4 * np.maximum(1.0, np.abs(s))
-            return grid_difference(self.correspondence, s, *self.c.domain, h, 1).tolist()
-        return np.broadcast_to(self.correspondence_rate(s), s.shape).tolist()
-
     def samples(self, grid_n: int) -> "PairSamples":
         """The pair sampled on ``grid(grid_n)``, built once per grid size and
-        pair type; the samples refer to the pair weakly, so keep the pair."""
+        pair type and kept on the pair."""
         key = (grid_n, self.pair_type)
         if key not in self._samples:
-            # Weak, as the pair keeps its samples: a strong cycle would keep
-            # each audited pair alive until a full garbage collection.
-            self._samples[key] = PairSamples(weakref.proxy(self), self.grid(grid_n))
+            self._samples[key] = PairSamples(self, self.grid(grid_n))
         return self._samples[key]
 
     @classmethod
@@ -530,14 +505,26 @@ class PairSamples:
     """
 
     def __init__(self, pair: MannheimPair, grid) -> None:
-        self.pair = pair
+        # Not the pair, which keeps its samples: no reference cycle.
+        self.c, self.cstar, self.lam = pair.c, pair.cstar, pair.lam
+        self.correspondence, self.correspondence_rate = pair.correspondence, pair.correspondence_rate
         self.spec = pair.pair_type.spec
         self.grid = [float(s) for s in grid]
 
     @cached_property
     def frames(self) -> tuple[FrameGrid, FrameGrid, np.ndarray]:
-        """Frames of C and of C*, and the parameters s* of C*'s."""
-        return self.pair.frame_grids(self.grid)
+        """Frames of C on the grid and of C* on the corresponded parameters
+        s*, which come third; one extraction per curve.  The error raised is
+        that of the first failing point, C*'s before C's at a later one."""
+        s = np.asarray(self.grid, dtype=float)
+        sstar = np.asarray(self.correspondence(s), dtype=float)
+        try:
+            f = frenet_frames(self.c, s)
+        except MannheimLabError as exc:
+            if exc.row:  # C* failing at an earlier point comes first
+                frenet_frames(self.cstar, sstar[: exc.row])
+            raise
+        return f, frenet_frames(self.cstar, sstar), sstar
 
     @cached_property
     def scalars(self) -> np.ndarray:
@@ -583,8 +570,13 @@ class PairSamples:
 
     @cached_property
     def rates(self) -> np.ndarray:
-        """ds*/ds."""
-        return np.array(self.pair.rates(self.grid), dtype=float)
+        """ds*/ds; without a rate map, the ``grid_difference`` of the
+        correspondence at step 1e-4 max(1, |s|)."""
+        s = np.array(self.grid, dtype=float)
+        if self.correspondence_rate is None:
+            h = 1e-4 * np.maximum(1.0, np.abs(s))
+            return grid_difference(self.correspondence, s, *self.c.domain, h, 1)
+        return np.array(np.broadcast_to(self.correspondence_rate(s), s.shape), dtype=float)
 
     @cached_property
     def dtheta(self) -> np.ndarray:
@@ -627,13 +619,13 @@ class PairSamples:
         """mu = lam s/c; NaN where T is orthogonal to T* (c = 0)."""
         s_comp, c_comp = self.components
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(c_comp != 0.0, self.pair.lam * s_comp / c_comp, np.nan)
+            return np.where(c_comp != 0.0, self.lam * s_comp / c_comp, np.nan)
 
     @cached_property
     def center_ratio(self) -> np.ndarray:
         """(1 - lam kappa) sqrt|lam^2 kappa*^2 - 1|."""
         kappa, _, kappa_star, _ = self.scalars
-        lam = self.pair.lam
+        lam = self.lam
         return (1.0 - lam * kappa) * np.sqrt(np.abs(lam * lam * power_rows(kappa_star, 2) - 1.0))
 
     @cached_property
@@ -680,20 +672,19 @@ class PairSamples:
 
 def _distance(p: PairSamples) -> np.ndarray:
     s = np.array(p.grid)
-    pair = p.pair
-    diff = pair.c.positions(s) - pair.cstar.positions(pair.correspondence(s))
-    return np.abs(norm_rows(diff) - abs(pair.lam))
+    diff = p.c.positions(s) - p.cstar.positions(p.correspondence(s))
+    return np.abs(norm_rows(diff) - abs(p.lam))
 
 
 def _torsion_reciprocal(p: PairSamples) -> np.ndarray:
     kappa, tau, _, tau_star = p.scalars
     p.check(np.abs(tau) <= TORSION_TOL, VanishingTorsionError, "tau vanishes")
-    return np.abs(tau_star - p.spec.torsion_sign * kappa / (p.pair.lam * tau))
+    return np.abs(tau_star - p.spec.torsion_sign * kappa / (p.lam * tau))
 
 
 def _linear(p: PairSamples) -> np.ndarray:
     kappa, tau, _, _ = p.scalars
-    return np.abs(p.mu * tau + p.spec.linear_sign * p.pair.lam * kappa - 1.0)
+    return np.abs(p.mu * tau + p.spec.linear_sign * p.lam * kappa - 1.0)
 
 
 def _mu_details(p: PairSamples) -> dict:
@@ -815,7 +806,7 @@ def _nonconstancy(name: str, p: PairSamples, deviations: list, details: dict) ->
     """
     ratios = p.center_ratio
     kappas, _, kappa_stars, _ = p.scalars
-    lam = p.pair.lam
+    lam = p.lam
     mean = float(np.mean(ratios))
     sd = float(np.std(ratios, ddof=1))
     scale = (1.0 + np.abs(lam * kappas)) * np.sqrt(lam * lam * kappa_stars * kappa_stars + 1.0)
@@ -853,7 +844,7 @@ def _nonconstancy(name: str, p: PairSamples, deviations: list, details: dict) ->
 IDENTITIES = (
     _Identity(
         "distance-constancy", _distance, TOL_ALGEBRAIC, _Policy.EXEMPT,
-        details=lambda p: {"distance": abs(p.pair.lam)},
+        details=lambda p: {"distance": abs(p.lam)},
     ),
     _Identity("torsion-reciprocal", _torsion_reciprocal, TOL_EXTRACTED, _Policy.GATED),
     _Identity("linear-curvature-torsion", _linear, TOL_EXTRACTED, _Policy.GATED, details=_mu_details),
@@ -879,94 +870,82 @@ IDENTITIES = (
 
 
 # ---------------------------------------------------------------------------
-# the partner-condition test and exact constructions
+# the partner equation and exact constructions
+#
+# With C* = C - lam N, the N-component of C*'' is (1 - lam c_n kappa) kappa -
+# lam c_b tau^2 (N' = c_n kappa T + tau B, B' = c_b tau N), so the binormal
+# of C* lies along N exactly when kappa = lam (c_n kappa^2 + c_b tau^2).
 
 
 @dataclass(frozen=True)
 class MannheimCurveTest:
-    """Outcome of the scalar partner-condition test on a candidate curve."""
+    """The partner equation solved for lam along a candidate curve."""
 
     constant: bool
     lambda_estimate: float
     profile: list[float]
 
 
-def mannheim_curve_test(
-    c: Curve,
-    pair_type: MannheimPairType,
-    grid_n: int = 101,
-    constancy_tol: float = 1e-6,
-    torsion_tol: float = 1e-9,
-) -> MannheimCurveTest:
-    """Evaluate m(s) = tau^2 (kappa^2 -/+ tau^2) / kappa^2 on a grid.
+def mannheim_curve_test(c: Curve, pair_type: MannheimPairType, grid_n: int = 101) -> MannheimCurveTest:
+    """lambda(s) = kappa / (c_n kappa^2 + c_b tau^2) on ``grid_n`` points of
+    the curve C of a ``pair_type`` pair, (c_n, c_b) from C's own frames: C
+    has a partner, its normal offset by lam, exactly when lambda(s) is the
+    constant lam.  ``lambda_estimate`` is the mean.
 
-    For a curve admitting a partner of the given type with constant offset,
-    m must be the constant 1/lambda^2; the sign pattern inside the bracket
-    is the right side of the type's torsion-square relation.  Raises
-    NegativeConditionValueError when m is not positive somewhere (no real
-    offset constant exists) and VanishingTorsionError on vanishing torsion.
+    UnsupportedCombinationError for types 1 and 4, whose rows give the
+    normal of C and the binormal of C* unlike causal characters (a timelike
+    line never lies on a spacelike one), and where C's kind is not the
+    row's; VanishingTorsionError where tau vanishes (the offset stops);
+    NegativeConditionValueError where c_n kappa^2 + c_b tau^2 vanishes.  A
+    helix meets the equation, but its offset is a straight line, whose
+    frames raise VanishingCurvatureError.
     """
+    spec, n = pair_type.spec, pair_type.value
+    if spec.curve.signs[1] != spec.companion.signs[2]:
+        raise UnsupportedCombinationError(f"type {n}: normal of C, binormal of C* of unlike character")
     s = np.linspace(*c.domain, grid_n)
     f = frenet_frames(c, s)
-    m = (
-        power_rows(f.tau, 2)
-        * pair_type.spec.square(f.kappa, f.tau)
-        / power_rows(f.kappa, 2)
-    )
+    _, _, _, c_n, c_b = kind_signs(f.kinds)
+    condition = c_n * f.kappa * f.kappa + c_b * f.tau * f.tau
+    kinds = tuple(CurveKind)
     raise_first(
         [
             (
-                np.abs(f.tau) <= torsion_tol,
-                lambda i: VanishingTorsionError(f"torsion vanishes at s={s[i]:g}"),
-            ),
-            (
-                m <= 0.0,
-                lambda i: NegativeConditionValueError(
-                    f"condition value {m[i]:.6g} <= 0 at s={s[i]:g}: "
-                    "no real offset constant for this type"
+                f.kinds != kinds.index(spec.curve),
+                lambda i: UnsupportedCombinationError(
+                    f"{c.label!r} is {kinds[f.kinds[i]].value} at s={s[i]:g}, not {spec.curve.value}"
                 ),
             ),
+            (np.abs(f.tau) <= TORSION_TOL, lambda i: VanishingTorsionError(f"tau = 0 at s={s[i]:g}")),
+            (condition == 0.0, lambda i: NegativeConditionValueError(f"no finite lam at s={s[i]:g}")),
         ]
     )
-    profile = m.tolist()
+    profile = (f.kappa / condition).tolist()
     mean = float(np.mean(profile))
-    constant = (max(profile) - min(profile)) <= constancy_tol * abs(mean)
-    return MannheimCurveTest(
-        constant=constant,
-        lambda_estimate=1.0 / math.sqrt(mean),
-        profile=profile,
-    )
+    constant = max(profile) - min(profile) <= LAMBDA_CONSTANCY_TOL * abs(mean)
+    return MannheimCurveTest(constant, mean, profile)
 
 
 def exact_partner_kappa(kind: CurveKind, lam: float, tau):
-    """Curvature making the normal offset by ``lam`` an exact partner.
+    """The curvature that makes the normal offset by ``lam`` an exact partner.
 
-    ``tau`` is a float or a ``Jet2``, and the curvature the same kind.
-    Derived by requiring the normal component of the offset's second
-    derivative to vanish, which is what makes the offset's binormal
-    collinear with the base normal.  Branches:
-
-      N timelike:   kappa = lam (kappa^2 + tau^2), lam > 0, 4 lam^2 tau^2 < 1
-      curve timelike: kappa = lam (kappa^2 - tau^2), solved for either sign;
-        only lam < 0 gives a catalogued pair (type 2): for lam > 0 the
-        offset is spacelike with timelike normal, and (spacelike-, timelike)
-        is no pair type, so ``exact_partner_pair`` rejects it
-      N spacelike (B timelike): kappa = lam (tau^2 - kappa^2), lam > 0
+    ``tau`` is a float or a ``Jet2``, and the curvature the same kind: the
+    root (1 - sqrt(1 - 4 c_n c_b lam^2 tau^2)) / (2 c_n lam) of the partner
+    equation, (c_n, c_b) the frame coefficients of ``kind``.  Its
+    discriminant and value must be positive on the whole range, else
+    ValueError: lam > 0 for a spacelike curve (with 4 lam^2 tau^2 < 1 if
+    its normal is timelike), lam < 0 for a timelike one.
     """
-    if kind is CurveKind.SPACELIKE_EPS_MINUS:
-        if lam <= 0.0:
-            raise ValueError("this branch needs lam > 0")
-        disc = 1.0 - 4.0 * lam * lam * tau * tau
-        if np.any(getattr(disc, "v", disc) <= 0.0):
-            raise ValueError("need 4 lam^2 tau^2 < 1 on the whole range")
-        return (1.0 - sqrt(disc)) / (2.0 * lam)
-    if kind is CurveKind.TIMELIKE:
-        root = sqrt(1.0 + 4.0 * lam * lam * tau * tau)
-        return (1.0 + root) / (2.0 * lam) if lam > 0 else (1.0 - root) / (2.0 * lam)
-    # SPACELIKE_EPS_PLUS
-    if lam <= 0.0:
-        raise ValueError("this branch needs lam > 0")
-    return (-1.0 + sqrt(1.0 + 4.0 * lam * lam * tau * tau)) / (2.0 * lam)
+    if lam == 0.0:
+        raise ZeroLambdaError("offset distance must be nonzero")
+    c_n, c_b = kind.normal_coefficient, kind.binormal_coefficient
+    disc = 1.0 - 4.0 * c_n * c_b * lam * lam * tau * tau
+    if np.any(getattr(disc, "v", disc) <= 0.0):
+        raise ValueError("need 1 - 4 c_n c_b lam^2 tau^2 > 0 on the whole range")
+    kappa = (1.0 - sqrt(disc)) / (2.0 * c_n * lam)
+    if np.any(getattr(kappa, "v", kappa) <= 0.0):
+        raise ValueError(f"no positive curvature for a {kind.value} curve at lam = {lam:g}")
+    return kappa
 
 
 def exact_partner_pair(
@@ -980,10 +959,10 @@ def exact_partner_pair(
     """Synthesize a curve whose normal offset by ``lam`` is an exact partner.
 
     The torsion profile is free; the curvature is tied to it pointwise by
-    ``exact_partner_kappa``, which is exactly the constraint that makes the
-    defining collinearity hold.  A varying torsion keeps the companion's
-    curvature away from zero (a constant profile degenerates the companion
-    to a straight line).
+    ``exact_partner_kappa``, the root of the partner equation, which is
+    exactly the constraint that makes the defining collinearity hold.  A
+    varying torsion keeps the companion's curvature away from zero (a
+    constant profile degenerates the companion to a straight line).
 
     Raises UnsupportedCombinationError before any synthesis for a timelike
     curve with ``lam > 0``, whose offset would form no catalogued pair type.
@@ -1011,6 +990,4 @@ def exact_partner_pair(
         T=T0, N=N0, B=B0, kappa=kappa_fn(s_range[0]), tau=tau_memo(s_range[0]), kind=kind
     )
     base = frenet_synthesize(kind, kappa_fn, tau_memo, frame0, Vec3L(0, 0, 0), s_range, step)
-    pair = MannheimPair.from_normal_offset(base, lam, table_size)
-    pair.construction = {"kappa_fn": kappa_fn, "tau_fn": tau_fn}
-    return pair
+    return MannheimPair.from_normal_offset(base, lam, table_size)

@@ -32,6 +32,7 @@ from mannheim_lab.mannheim import (
     IDENTITIES,
     MannheimPair,
     MannheimPairType,
+    PairSamples,
     offset_along_binormal,
     offset_along_normal,
 )
@@ -265,9 +266,9 @@ def test_pair_frames_raise_the_error_of_the_first_bad_point(
         c.label, cstar.label = "C", "C*"
         return _hand_built_pair(c, cstar)
 
-    point = _first_point_error(lambda s: pair().frame_grids([s]), ts)
+    point = _first_point_error(lambda s: PairSamples(pair(), [s]).frames, ts)
     with pytest.raises(type(point)) as grid:
-        pair().frame_grids(ts)
+        PairSamples(pair(), ts).frames
     assert str(grid.value) == str(point)
     assert str(point).startswith(f"{failing!r} ") or f"of {failing!r} " in str(point)
     assert "s=0.2" in str(point) or "s=0.4" in str(point)
@@ -277,13 +278,14 @@ def test_hand_built_pair_loops_float_only_maps():
     c, cstar = builtin_curve("paper-example-1"), builtin_curve("paper-example-2")
     grid = [0.0, 0.25, 0.5, 1.0]
     pair = _hand_built_pair(c, cstar, correspondence_rate=lambda s: math.copysign(1.0, s))
-    f, fstar, sstar = pair.frame_grids(grid)
+    f, fstar, sstar = PairSamples(pair, grid).frames
     rows = list(zip(f.frames(), fstar.frames(), sstar.tolist()))
-    one_row = [_hand_built_pair(c, cstar).frame_grids([s]) for s in grid]
+    one_row = [PairSamples(_hand_built_pair(c, cstar), [s]).frames for s in grid]
     assert rows == [(f1.frames()[0], fs1.frames()[0], float(ss1[0])) for f1, fs1, ss1 in one_row]
-    assert pair.rates(grid) == [1.0] * len(grid)
+    assert PairSamples(pair, grid).rates.tolist() == [1.0] * len(grid)
     # without a rate map the rate is a difference of the float-only map
-    assert _hand_built_pair(c, cstar).rates(grid) == pytest.approx([1.0] * len(grid))
+    rates = PairSamples(_hand_built_pair(c, cstar), grid).rates
+    assert rates.tolist() == pytest.approx([1.0] * len(grid))
     distance = next(row for row in IDENTITIES if row.name == "distance-constancy")
     assert len(distance.report(pair.samples(5)).residuals) == 5
 

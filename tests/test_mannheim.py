@@ -26,7 +26,7 @@ from mannheim_lab.errors import (
     VanishingTorsionError,
     ZeroLambdaError,
 )
-from mannheim_lab.expr import parse_expr
+from mannheim_lab.expr import Jet2, parse_expr
 from mannheim_lab.frenet import (
     CurveKind,
     FrameGrid,
@@ -54,6 +54,8 @@ SQRT3 = math.sqrt(3.0)
 SQRT5 = math.sqrt(5.0)
 
 ROWS = {row.name: row for row in IDENTITIES}
+# The six exact partner pairs: (pair type, slope of the torsion 0.8 + slope s).
+EXACT_CONFIGS = [(t, slope) for t in (2, 3, 5) for slope in (0.2, -0.2)]
 
 
 def _decompose(T, fstar, pair_type):
@@ -201,30 +203,83 @@ class TestResidual:
                 assert PairSamples(pair, [s]).collinearity[0] == pytest.approx(want, abs=1e-8)
 
 
-class TestCurveTest:
-    def test_reference_curve_as_candidate(self, example2):
-        # kappa = 2, tau = sqrt(3): m = 3 (4 - 3) / 4 = 3/4 for the first type
-        out = mannheim_curve_test(example2, MannheimPairType.TYPE1, 41)
-        assert out.constant
-        assert out.profile[0] == pytest.approx(0.75, abs=1e-9)
-        assert out.lambda_estimate == pytest.approx(2.0 / SQRT3, abs=1e-9)
+class TestPartnerEquation:
+    """kappa = lam (c_n kappa^2 + c_b tau^2), (c_n, c_b) the frame
+    coefficients of the curve's kind: solved for kappa by
+    ``exact_partner_kappa`` and for lam by ``mannheim_curve_test``."""
 
-    def test_constant_condition_on_helix(self):
-        c = helix(CurveKind.TIMELIKE, 1.0, 2.0)
-        out = mannheim_curve_test(c, MannheimPairType.TYPE2, 21)
+    @pytest.mark.parametrize("pair_type,slope", EXACT_CONFIGS)
+    def test_recovers_lambda_on_exact_bases(self, exact_pair_of, pair_type, slope):
+        pair = exact_pair_of(pair_type, slope)
+        out = mannheim_curve_test(pair.c, pair.pair_type, 101)
         assert out.constant
-        # m = tau^2 (tau^2 - kappa^2) / kappa^2 = 4 * 3 / 1
-        assert out.lambda_estimate == pytest.approx(1.0 / math.sqrt(12.0), abs=1e-6)
+        assert len(out.profile) == 101
+        assert abs(out.lambda_estimate - pair.lam) <= 1e-12
 
-    def test_negative_condition(self):
-        c = helix(CurveKind.TIMELIKE, 1.0, 2.0)
-        with pytest.raises(NegativeConditionValueError):
-            mannheim_curve_test(c, MannheimPairType.TYPE1, 11)
+    @pytest.mark.parametrize("kind", list(CurveKind))
+    def test_root_solves_the_equation_of_its_kind(self, kind):
+        c_n, c_b = kind.normal_coefficient, kind.binormal_coefficient
+        lam = 0.3 * kind.signs[0]  # the sign of <T,T>: the admissible one
+        s = np.linspace(0.0, 1.0, 11)
+        tau = parse_expr("0.8 + 0.2*s + 0.1*sin(3*s)").eval(Jet2(s, np.ones(11), np.zeros(11)))
+        kappa = exact_partner_kappa(kind, lam, tau)
+        rhs = lam * (c_n * kappa * kappa + c_b * tau * tau)
+        assert (kappa.v > 0.0).all()
+        for got, want in zip((kappa.v, kappa.d, kappa.dd), (rhs.v, rhs.d, rhs.dd)):
+            assert np.abs(got - want).max() <= 1e-14
+        for i, t in enumerate(tau.v.tolist()):
+            k = exact_partner_kappa(kind, lam, t)
+            assert k == kappa.v[i]
+            assert abs(k - lam * (c_n * k * k + c_b * t * t)) <= 1e-15
+
+    @pytest.mark.parametrize("pair_type", [MannheimPairType.TYPE1, MannheimPairType.TYPE4])
+    def test_rows_whose_lines_never_coincide_are_unsupported(self, pair_type):
+        # the timelike normal (binormal) of C never lies on the spacelike
+        # binormal (normal) of C*
+        spec = pair_type.spec
+        assert spec.curve.signs[1] != spec.companion.signs[2]
+        with pytest.raises(UnsupportedCombinationError, match="of unlike character"):
+            mannheim_curve_test(helix(spec.curve, 2.0, 1.0), pair_type, 11)
+
+    def test_curve_of_another_kind_is_unsupported(self, exact_pair_type3):
+        with pytest.raises(UnsupportedCombinationError, match="spacelike- at s=0, not timelike$"):
+            mannheim_curve_test(exact_pair_type3.c, MannheimPairType.TYPE2, 11)
+
+    def test_timelike_base_with_positive_lambda_has_no_root(self):
+        # the root is negative; the other one is no catalogued pair
+        with pytest.raises(ValueError, match="no positive curvature for a timelike curve"):
+            exact_partner_kappa(CurveKind.TIMELIKE, 0.3, 0.9)
+        with pytest.raises(ValueError, match="no positive curvature for a spacelike\\+ curve"):
+            exact_partner_kappa(CurveKind.SPACELIKE_EPS_PLUS, -0.3, 0.9)
+
+    def test_non_positive_discriminant_is_rejected(self):
+        # 1 - 4 lam^2 tau^2 on a spacelike curve with timelike normal: zero, then negative
+        tau = Jet2(np.array([0.9, 1.0, 2.0]), np.ones(3), np.zeros(3))
+        for t in (1.0, 2.0, tau):
+            with pytest.raises(ValueError, match="need 1 - 4 c_n c_b lam\\^2 tau\\^2 > 0"):
+                exact_partner_kappa(CurveKind.SPACELIKE_EPS_MINUS, 0.5, t)
+        with pytest.raises(ZeroLambdaError):
+            exact_partner_kappa(CurveKind.SPACELIKE_EPS_PLUS, 0.0, 0.9)
 
     def test_vanishing_torsion(self):
-        c = helix(CurveKind.TIMELIKE, 1.0, 0.0)
         with pytest.raises(VanishingTorsionError):
-            mannheim_curve_test(c, MannheimPairType.TYPE1, 11)
+            mannheim_curve_test(helix(CurveKind.TIMELIKE, 1.0, 0.0), MannheimPairType.TYPE2, 11)
+
+    def test_vanishing_condition(self, monkeypatch):
+        # kappa = tau on a timelike curve: kappa^2 - tau^2 = 0, and no lam solves the equation
+        rows = np.ones(3)
+        grid = FrameGrid(*[np.zeros((3, 3))] * 3, rows, rows, np.zeros(3, dtype=int))
+        monkeypatch.setattr(mannheim, "frenet_frames", lambda c, s: grid)
+        with pytest.raises(NegativeConditionValueError, match="no finite lam at s=0$"):
+            mannheim_curve_test(helix(CurveKind.TIMELIKE, 1.0, 2.0), MannheimPairType.TYPE2, 3)
+
+    def test_helix_meets_the_equation_with_a_straight_companion(self, example2):
+        # kappa = 2, tau = sqrt(3): lam = 2 / (4 - 3), and C*'' = 0 on the offset at lam
+        out = mannheim_curve_test(example2, MannheimPairType.TYPE2, 11)
+        assert out.constant
+        assert out.lambda_estimate == pytest.approx(2.0, abs=1e-12)
+        with pytest.raises(VanishingCurvatureError):
+            MannheimPair.from_normal_offset(example2, out.lambda_estimate)
 
 
 class TestTheta:
@@ -418,23 +473,6 @@ class TestGenuinePairs:
         with pytest.raises(ExprDomainError, match=re.escape(want) + "$"):
             exact_partner_pair(CurveKind.SPACELIKE_EPS_PLUS, tau.eval, 0.3, step=1e-3, table_size=512)
 
-    def test_exact_kappa_branches(self):
-        for kind, lam, tau in (
-            (CurveKind.SPACELIKE_EPS_MINUS, 0.3, 0.8),
-            (CurveKind.TIMELIKE, -0.3, 0.9),
-            (CurveKind.TIMELIKE, 0.4, 0.9),
-            (CurveKind.SPACELIKE_EPS_PLUS, 0.3, 0.9),
-        ):
-            kappa = exact_partner_kappa(kind, lam, tau)
-            assert kappa > 0.0
-            if kind is CurveKind.SPACELIKE_EPS_MINUS:
-                target = lam * (kappa**2 + tau**2)
-            elif kind is CurveKind.TIMELIKE:
-                target = lam * (kappa**2 - tau**2)
-            else:
-                target = lam * (tau**2 - kappa**2)
-            assert kappa == pytest.approx(target, abs=1e-12)
-
 
 class TestCenterRatio:
     def test_distances_at_degenerate_lambda(self, example2):
@@ -499,7 +537,6 @@ class TestSharedParameter:
 
 
 # (pair type, torsion slope) of the exact configurations under audit.
-EXACT_CONFIGS = [(t, slope) for t in (2, 3, 5) for slope in (0.2, -0.2)]
 
 
 class TestAngleRateChain:
@@ -686,7 +723,9 @@ def given_samples(pair_type, lam, **columns):
     """PairSamples holding the given columns instead of columns of curve data:
     a cached column is read from the instance dictionary first."""
     grid = range(columns["scalars"].shape[1])
-    samples = PairSamples(SimpleNamespace(pair_type=pair_type, lam=lam), grid)
+    maps = dict(c=None, cstar=None, correspondence=None, correspondence_rate=None)
+    pair = SimpleNamespace(lam=lam, pair_type=pair_type, **maps)
+    samples = PairSamples(pair, grid)
     samples.__dict__.update(columns)
     return samples
 
@@ -881,8 +920,9 @@ class TestPairSamples:
             linear.report(pair.samples(11))
 
     def test_an_audited_pair_is_freed_without_a_collection(self, example1):
-        # the pair keeps its samples, which refer back to it weakly: no
-        # reference cycle keeps an audited pair alive until a full collection
+        # the pair keeps its samples, which keep what they read but not the
+        # pair: no reference cycle keeps an audited pair alive until a full
+        # collection
         pair = MannheimPair.from_binormal_offset(example1, 20.0)
         assert len(_run_pair_suite(pair, 11, None)) == 12
         ref = weakref.ref(pair)
@@ -892,6 +932,12 @@ class TestPairSamples:
             assert ref() is None
         finally:
             gc.enable()
+
+    def test_samples_outlive_their_pair(self, example1):
+        # nothing keeps the pair once its samples are handed out
+        samples = MannheimPair.from_binormal_offset(example1, 20.0).samples(11)
+        assert IDENTITIES[0].report(samples).verdict is Verdict.PASS
+        assert samples.scalars.shape == (4, 11)
 
     def test_distance_reads_positions_only(self, example1):
         pair = _line_pair(example1)
