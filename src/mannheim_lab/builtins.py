@@ -47,7 +47,7 @@ def _helix(
         return np.full(n, code), (np.full(n, kappa), *derivs), (np.full(n, tau), *derivs)
 
     def factory(domain: tuple[float, float]) -> Curve:
-        return Curve.on_grid(evaluate, domain, label, unit_speed=True, scalars=scalars)
+        return Curve(evaluate, domain, label, unit_speed=True, scalars=scalars)
 
     return factory
 

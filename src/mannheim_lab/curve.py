@@ -1,17 +1,17 @@
 """Parametric curves into Minkowski 3-space, evaluated on grids.
 
-The grid is the unit of evaluation.  Every :class:`Curve` has one array
-evaluator that returns, for an array of parameters, the positions or the
-first three derivatives as ``(n, 3)`` arrays; a point query is the one-row
-case of it.  Built-in, synthesized, reparametrized, offset and sampled
-curves supply their evaluator in closed form, doing the arithmetic of a
-point elementwise in the same operation order, so row ``i`` of a grid
-equals the point at ``ts[i]`` bit for bit.  Curves built from scalar
-callables are evaluated by looping over the grid.  A curve may also carry
-a closed-form speed and, when it is unit-speed, an evaluator of its
-curvature and torsion with their derivatives (read by
-``frenet.scalar_jets``).  Curves are immutable after construction and all
-operations here are pure, so concurrent evaluation needs no coordination.
+The grid is the unit of evaluation.  A :class:`Curve` is built from its
+array evaluator, which returns, for an array of parameters, the positions
+or the first three derivatives as ``(n, 3)`` arrays; a point query is the
+one-row case of it.  Built-in, synthesized, reparametrized, offset and
+sampled curves supply their evaluator in closed form, doing the arithmetic
+of a point elementwise in the same operation order, so row ``i`` of a grid
+equals the point at ``ts[i]`` bit for bit; no curve differences its
+positions.  A curve may also carry a closed-form speed and, when it is
+unit-speed, an evaluator of its curvature and torsion with their
+derivatives (read by ``frenet.scalar_jets``).  Curves are immutable after
+construction and all operations here are pure, so concurrent evaluation
+needs no coordination.
 """
 
 from __future__ import annotations
@@ -61,29 +61,15 @@ INVERSE_TABLE_SIZE = 1024
 # ``frenet.MAX_SYNTH_STEPS`` puts on synthesis.
 MAX_TABLE_SIZE = 100_000
 
-# Steps for the positional fallback of ``Curve``, per difference order, scaled by
-# max(1, |t|).  First order keeps the small step (roundoff ~ eps/h is still
-# tiny); orders two and three must balance truncation against the eps/h^m
-# cancellation growth, which rules out reusing the first-order step.
-FD_STEPS = {1: 1e-5, 2: 3e-3, 3: 8e-3}
 
-
-def fd_weights(nodes: Sequence, z: float | np.ndarray, m: int) -> np.ndarray:
+def fd_weights(nodes: Sequence[float], z: float, m: int) -> np.ndarray:
     """Finite-difference weights for the m-th derivative at ``z``.
 
     Fornberg's recursion over arbitrary nodes; exact for polynomials up to
     degree ``len(nodes) - 1``.
-
-    Array form: the nodes and ``z`` may be arrays of one shape covering a
-    batch of stencils (``nodes[i]`` holds node ``i`` of every stencil).  The
-    result then has shape ``(len(nodes), batch)``, row ``i`` holding the
-    weight of node ``i`` in each stencil.  The recursion runs elementwise in the same
-    order as for one stencil, so every weight equals its scalar call bit for
-    bit.
     """
-    x = nodes.tolist() if isinstance(nodes, np.ndarray) and nodes.ndim == 1 else list(nodes)
-    if not isinstance(z, np.ndarray):
-        z = float(z)
+    x = [float(v) for v in nodes]
+    z = float(z)
     n = len(x) - 1
     if m > n:
         raise ValueError("stencil too short for requested derivative order")
@@ -128,7 +114,7 @@ def _fd_offsets(m: int, side: int) -> tuple[int, ...]:
 # a difference at step h divides by h**m.  Filled at import, so no
 # difference runs the recursion.
 _STENCILS = {
-    (m, side): (offsets, tuple(fd_weights([float(o) for o in offsets], 0.0, m).tolist()))
+    (m, side): (offsets, tuple(fd_weights(offsets, 0.0, m).tolist()))
     for m in (1, 2, 3)
     for side in (1, 0, -1)
     for offsets in (_fd_offsets(m, side),)
@@ -238,21 +224,14 @@ def _adaptive_pieces(
 
 
 def adaptive_simpson(
-    f: Callable[[float], float], a: float, b: float, tol: float = QUADRATURE_TOL
+    f: Callable[[np.ndarray], np.ndarray], a: float, b: float, tol: float = QUADRATURE_TOL
 ) -> float:
-    """Adaptive Simpson quadrature with absolute tolerance ``tol``."""
+    """Adaptive Simpson quadrature of ``f`` over [a, b] with absolute
+    tolerance ``tol``; ``f`` maps an array of abscissae to its values."""
     if a == b:
         return 0.0
-    on_grid = _looped(f)
     x = np.array([a, b], dtype=float)
-    return float(_adaptive_pieces(on_grid, x, on_grid(x), tol)[0])
-
-
-def _looped(f: Callable[[float], float]) -> Callable:
-    """A scalar function evaluated at a float, or point by point on an array of abscissae."""
-    return lambda x: (
-        f(x) if np.ndim(x) == 0 else np.array([f(v) for v in np.asarray(x).tolist()], dtype=float)
-    )
+    return float(_adaptive_pieces(f, x, f(x), tol)[0])
 
 
 def _clamp(x, lo: float, hi: float):
@@ -373,69 +352,28 @@ def _vec(row: np.ndarray) -> Vec3L:
 
 
 class Curve:
-    """A map from a closed interval into Minkowski 3-space.
+    """A map from a closed interval into Minkowski 3-space, given by its array evaluator.
 
-    Every curve has one array evaluator, ``evaluate(ts, order)``: for a
-    float array ``ts`` of in-domain parameters it returns the positions
-    (order 0) or first derivatives (order 1) as an ``(n, 3)`` array, or the
-    jet ``(d1, d2, d3)`` as three such arrays (order 3).  ``positions``,
-    ``tangents``, ``jets`` and ``speeds`` evaluate a whole grid; ``pos``,
-    ``deriv``, ``jet`` and ``speed`` are their one-row case.
-
-    The constructor takes scalar callables, evaluated on a grid by looping:
-    ``pos`` maps a parameter to a ``Vec3L``, ``derivs`` may supply
-    closed-form derivatives keyed by order 1..3 and ``speed`` the
-    pseudo-speed, which must equal ``norm(deriv(t, 1))``.  An order missing
-    from ``derivs`` is realized by ``grid_difference`` of the highest
-    available lower order, at the steps ``FD_STEPS``.
-    ``Curve.on_grid`` takes an array evaluator instead, and the scalar-jet
-    evaluator ``scalars`` of a unit-speed curve (see ``frenet.scalar_jets``).
+    ``evaluate(ts, order)``: for a float array ``ts`` of in-domain
+    parameters it returns the positions (order 0) or first derivatives
+    (order 1) as an ``(n, 3)`` array, or the jet ``(d1, d2, d3)`` as three
+    such arrays (order 3).  ``positions``, ``tangents``, ``jets`` and
+    ``speeds`` evaluate a whole grid; ``pos``, ``deriv``, ``jet`` and
+    ``speed`` are their one-row case.  ``speeds`` may give the pseudo-speed
+    of an array of parameters in closed form, which must equal the norm of
+    the tangents, and ``scalars`` is the scalar-jet evaluator of a
+    unit-speed curve (see ``frenet.scalar_jets``).
     """
 
     def __init__(
         self,
-        pos: Callable[[float], Vec3L],
-        domain: tuple[float, float],
-        label: str = "curve",
-        derivs: dict[int, Callable[[float], Vec3L]] | None = None,
-        unit_speed: bool = False,
-        speed: Callable[[float], float] | None = None,
-    ):
-        maps = {0: pos, **(derivs or {})}
-
-        def at(order: int, ts: np.ndarray) -> np.ndarray:
-            """A supplied map looped over ``ts``, or the difference of the
-            highest supplied lower order."""
-            if order in maps:
-                rows = [maps[order](t).as_tuple() for t in ts.tolist()]
-                return np.array(rows, dtype=float).reshape(-1, 3)
-            base = max(k for k in maps if k < order)
-            m = order - base
-            h = FD_STEPS[m] * np.maximum(1.0, np.abs(ts))
-            return grid_difference(lambda x: at(base, x), ts, *self.domain, h, m)
-
-        def evaluate(ts: np.ndarray, order: int):
-            out = tuple(at(k, ts) for k in ((order,) if order < 3 else (1, 2, 3)))
-            return out if order == 3 else out[0]
-
-        self._init(evaluate, domain, label, unit_speed, speed and _looped(speed), None)
-
-    @classmethod
-    def on_grid(
-        cls,
         evaluate: Callable,
         domain: tuple[float, float],
         label: str = "curve",
         unit_speed: bool = False,
         speeds: Callable[[np.ndarray], np.ndarray] | None = None,
         scalars: Callable | None = None,
-    ) -> "Curve":
-        """A curve from its array evaluator, with an optional array speed and scalar jet."""
-        c = cls.__new__(cls)
-        c._init(evaluate, domain, label, unit_speed, speeds, scalars)
-        return c
-
-    def _init(self, evaluate, domain, label, unit_speed, speeds, scalars) -> None:
+    ):
         a, b = float(domain[0]), float(domain[1])
         if not (math.isfinite(a) and math.isfinite(b)) or a >= b:
             raise ValueError(f"invalid domain: {domain!r}")
@@ -521,12 +459,11 @@ CSV_CHUNK_ROWS = 4096
 
 
 class CurveSamples:
-    """Tabulated curve points: one row ``(t, x1, x2, x3)`` per sample."""
+    """Tabulated curve points: one row ``(t, x1, x2, x3)`` per sample, from
+    the parameters and an ``(n, 3)`` array of points."""
 
-    def __init__(self, parameters: Sequence[float], points) -> None:
+    def __init__(self, parameters: Sequence[float], points: np.ndarray) -> None:
         t = np.asarray(parameters, dtype=float).reshape(-1)
-        if not isinstance(points, np.ndarray):
-            points = [p.as_tuple() for p in points]
         p = np.asarray(points, dtype=float).reshape(-1, 3)
         if len(t) != len(p):
             raise ValueError("parameters and points must have equal length")
@@ -605,7 +542,7 @@ def curve_from_samples(samples: CurveSamples, label: str = "samples") -> Curve:
             return spline(ts)
         return d1(ts) if order == 1 else (d1(ts), d2(ts), d3(ts))
 
-    return Curve.on_grid(evaluate, (float(t[0]), float(t[-1])), label)
+    return Curve(evaluate, (float(t[0]), float(t[-1])), label)
 
 
 def speed(c: Curve, t: float) -> float:
@@ -637,8 +574,9 @@ def classify_curve(c: Curve, grid_size: int = 64) -> CausalCharacter:
     return tuple(CausalCharacter)[chars[0]]
 
 
-def arclength(c: Curve, t0: float, t1: float, tol: float = QUADRATURE_TOL) -> float:
-    """Pseudo arc length: adaptive quadrature of the speed over [t0, t1]."""
+def arclength(c: Curve, t0: float, t1: float) -> float:
+    """Pseudo arc length: adaptive quadrature of the speed over [t0, t1] to
+    ``QUADRATURE_TOL``."""
     a, b = c.domain
     if t0 > t1:
         raise ValueError("t0 must not exceed t1")
@@ -650,18 +588,17 @@ def arclength(c: Curve, t0: float, t1: float, tol: float = QUADRATURE_TOL) -> fl
     ts = np.linspace(t0, t1, 17)
     null = causal_characters(c.tangents(ts)) >= 2  # null or zero
     raise_first([(null, lambda i: NullTangentError(f"null tangent at t={ts[i]:g}"))])
-    x = np.array([t0, t1], dtype=float)
-    return float(_adaptive_pieces(c.speeds, x, c.speeds(x), tol)[0])
+    return adaptive_simpson(c.speeds, t0, t1)
 
 
 class _ArcLengthTable:
     """Cumulative arc length over a uniform parameter grid and its inverse."""
 
-    def __init__(self, c: Curve, size: int, tol: float):
+    def __init__(self, c: Curve, size: int):
         a, b = c.domain
         t_nodes = np.linspace(a, b, size + 1)
         # Each node's speed is evaluated once and shared by its two pieces.
-        pieces = _adaptive_pieces(c.speeds, t_nodes, c.speeds(t_nodes), tol / size)
+        pieces = _adaptive_pieces(c.speeds, t_nodes, c.speeds(t_nodes), QUADRATURE_TOL / size)
         s_nodes = np.array(list(accumulate(pieces.tolist(), initial=0.0)))
         if not (np.diff(s_nodes) > 0).all():
             raise NullTangentError("arc length is not strictly increasing")
@@ -682,11 +619,7 @@ class _ArcLengthTable:
         return self._forward(_clamp(t, self._a, self._b))
 
 
-def reparametrize_unit(
-    c: Curve,
-    grid_size: int = INVERSE_TABLE_SIZE,
-    tol: float = QUADRATURE_TOL,
-) -> Curve:
+def reparametrize_unit(c: Curve, grid_size: int = INVERSE_TABLE_SIZE) -> Curve:
     """Arc-length reparametrization of ``c``.
 
     The inverse parameter map comes from a monotone cubic table of the given
@@ -705,7 +638,7 @@ def reparametrize_unit(
             f"arc-length table size {grid_size!r} is outside [2, {MAX_TABLE_SIZE}]"
         )
     classify_curve(c, min(grid_size, 257))
-    table = _ArcLengthTable(c, grid_size, tol)
+    table = _ArcLengthTable(c, grid_size)
 
     def evaluate(us: np.ndarray, order: int):
         t = table.t_of_s(us)
@@ -730,7 +663,7 @@ def reparametrize_unit(
             d3 * power_rows(tp, 3)[:, None] + d2 * (3.0 * tp * tpp)[:, None] + d1 * tppp[:, None],
         )
 
-    out = Curve.on_grid(evaluate, (0.0, table.total), f"{c.label}/unit-speed", unit_speed=True)
+    out = Curve(evaluate, (0.0, table.total), f"{c.label}/unit-speed", unit_speed=True)
     out.arc_table = table
     out.base_curve = c
     return out

@@ -569,9 +569,7 @@ def frenet_synthesize(
             return kinds, (k.v,), (t.v,)
         return kinds, (k.v, k.d, k.dd), (t.v, t.d, t.dd)
 
-    out = Curve.on_grid(
-        evaluate, (a, b), f"synthesized-{kind.value}", unit_speed=True, scalars=prescription
-    )
+    out = Curve(evaluate, (a, b), f"synthesized-{kind.value}", unit_speed=True, scalars=prescription)
     out.synth_nodes = {"s": s_nodes, "p": P, "T": T, "N": N, "B": B}
     out.synth_kind = kind
     return out

@@ -184,20 +184,20 @@ def euclidean_rows(x: np.ndarray) -> np.ndarray:
     return np.array([math.hypot(*row) for row in x.tolist()]).reshape(-1)
 
 
-def causal_characters(rows: np.ndarray, null_tol: float = NULL_BAND_TOL) -> np.ndarray:
+def causal_characters(rows: np.ndarray) -> np.ndarray:
     """Classify each row of an (n, 3) array by the sign of its self inner product.
 
-    ``null_tol`` is the absolute half-width of the null band applied to
-    <v,v>.  The zero vector gets its own class.  Each row gets its index
-    into ``tuple(CausalCharacter)``: 0 timelike, 1 spacelike, 2 null, 3 zero.
+    <v,v> within ``NULL_BAND_TOL`` of zero is null.  The zero vector gets
+    its own class.  Each row gets its index into ``tuple(CausalCharacter)``:
+    0 timelike, 1 spacelike, 2 null, 3 zero.
     """
     q = inner_rows(rows, rows)
-    return np.select([(rows == 0.0).all(axis=1), np.abs(q) <= null_tol, q < 0.0], [3, 2, 0], 1)
+    return np.select([(rows == 0.0).all(axis=1), np.abs(q) <= NULL_BAND_TOL, q < 0.0], [3, 2, 0], 1)
 
 
-def causal_character(v: Vec3L, null_tol: float = NULL_BAND_TOL) -> CausalCharacter:
+def causal_character(v: Vec3L) -> CausalCharacter:
     """Causal character of ``v``: the one-row ``causal_characters``."""
-    return tuple(CausalCharacter)[int(causal_characters(np.array([v.as_tuple()]), null_tol)[0])]
+    return tuple(CausalCharacter)[int(causal_characters(np.array([v.as_tuple()]))[0])]
 
 
 def is_future_pointing(v: Vec3L) -> bool:
@@ -205,7 +205,7 @@ def is_future_pointing(v: Vec3L) -> bool:
     return v.x1 > 0.0
 
 
-def angle_between(u: Vec3L, v: Vec3L, null_tol: float = NULL_BAND_TOL) -> LorentzAngle:
+def angle_between(u: Vec3L, v: Vec3L) -> LorentzAngle:
     """Angle between two non-null vectors, dispatching on causal characters.
 
     * both timelike (matching orientation): cosh(theta) = -<u,v>/(|u||v|)
@@ -220,8 +220,8 @@ def angle_between(u: Vec3L, v: Vec3L, null_tol: float = NULL_BAND_TOL) -> Lorent
     Raises NullInputError for null or zero input and OrientationMismatchError
     for a pair of timelike vectors pointing into opposite time halves.
     """
-    cu = causal_character(u, null_tol)
-    cv = causal_character(v, null_tol)
+    cu = causal_character(u)
+    cv = causal_character(v)
     if cu in (CausalCharacter.NULL, CausalCharacter.ZERO) or cv in (
         CausalCharacter.NULL,
         CausalCharacter.ZERO,

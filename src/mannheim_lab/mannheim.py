@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .curve import INVERSE_TABLE_SIZE, Curve, _looped, grid_difference, reparametrize_unit
+from .curve import INVERSE_TABLE_SIZE, Curve, reparametrize_unit
 from .errors import (
     DegenerateIndicatrixError,
     InconsistentDecompositionError,
@@ -251,7 +251,7 @@ def offset_along_binormal(cstar: Curve, lam: float) -> Curve:
         eps_t, eps_n, *_ = kind_signs(kinds)
         return np.sqrt(np.abs(eps_t + eps_n * power_rows(lam * tau, 2)))
 
-    return Curve.on_grid(evaluate, cstar.domain, f"{cstar.label}+({lam:g})B", speeds=speeds)
+    return Curve(evaluate, cstar.domain, f"{cstar.label}+({lam:g})B", speeds=speeds)
 
 
 def offset_along_normal(c: Curve, lam: float) -> Curve:
@@ -296,7 +296,7 @@ def offset_along_normal(c: Curve, lam: float) -> Curve:
         a_t = 1.0 - lam * c_n * k
         return np.sqrt(np.abs(eps_t * a_t * a_t + eps_b * power_rows(lam * tau, 2)))
 
-    return Curve.on_grid(evaluate, c.domain, f"{c.label}-({lam:g})N", speeds=speeds)
+    return Curve(evaluate, c.domain, f"{c.label}-({lam:g})N", speeds=speeds)
 
 
 def classify_pair(c: Curve, cstar: Curve) -> MannheimPairType:
@@ -324,28 +324,21 @@ def _unsupported(companion: CurveKind, curve: CurveKind) -> UnsupportedCombinati
 class MannheimPair:
     """Two corresponded unit-speed curves with a fixed offset constant.
 
-    ``correspondence`` maps parameters of ``c`` to parameters of ``cstar``;
-    ``correspondence_rate`` is its derivative (supplied analytically by the
-    constructors).  Maps passed here take a float and are looped over grids;
-    the constructors' own maps take arrays.  ``lam`` is the construction
-    constant of whichever offset built the pair.
+    ``correspondence`` maps an array of parameters of ``c`` to parameters of
+    ``cstar``, and ``correspondence_rate`` to its derivative ds*/ds; the
+    constructors chain both exactly through their arc-length tables.
+    ``lam`` is the construction constant of whichever offset built the pair.
     """
 
     c: Curve
     cstar: Curve
     lam: float
     pair_type: MannheimPairType
-    correspondence: Callable
-    correspondence_rate: Callable | None = None
+    correspondence: Callable[[np.ndarray], np.ndarray]
+    correspondence_rate: Callable[[np.ndarray], np.ndarray]
     label: str = "pair"
-    _maps_on_grid: bool = field(default=False, repr=False)
     # Keyed by (grid size, pair type); a dataclasses.replace copy starts empty.
     _samples: dict = field(init=False, default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
-        if not self._maps_on_grid:  # maps passed by hand take floats
-            self.correspondence = _looped(self.correspondence)
-            self.correspondence_rate = self.correspondence_rate and _looped(self.correspondence_rate)
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -364,14 +357,6 @@ class MannheimPair:
         return self._samples[key]
 
     @classmethod
-    def _classified(
-        cls, c: Curve, cstar: Curve, lam: float, correspondence, rate, label: str
-    ) -> "MannheimPair":
-        """A constructor's pair: classified, with maps that take arrays."""
-        pair_type = classify_pair(c, cstar)
-        return cls(c, cstar, lam, pair_type, correspondence, rate, label, _maps_on_grid=True)
-
-    @classmethod
     def from_binormal_offset(
         cls, cstar: Curve, lam: float, table_size: int = INVERSE_TABLE_SIZE
     ) -> "MannheimPair":
@@ -385,15 +370,14 @@ class MannheimPair:
         c_unit = reparametrize_unit(offset, table_size)
         table = c_unit.arc_table
 
-        def correspondence(u: float) -> float:
+        def correspondence(u: np.ndarray) -> np.ndarray:
             return table.t_of_s(u)
 
-        def rate(u):
+        def rate(u: np.ndarray) -> np.ndarray:
             return 1.0 / offset.speeds(table.t_of_s(u))
 
-        return cls._classified(
-            c_unit, cstar, lam, correspondence, rate, f"{cstar.label}/pair(lambda={lam:g})"
-        )
+        label = f"{cstar.label}/pair(lambda={lam:g})"
+        return cls(c_unit, cstar, lam, classify_pair(c_unit, cstar), correspondence, rate, label)
 
     @classmethod
     def from_normal_offset(
@@ -404,12 +388,11 @@ class MannheimPair:
         cstar_unit = reparametrize_unit(offset, table_size)
         table = cstar_unit.arc_table
 
-        def correspondence(s: float) -> float:
+        def correspondence(s: np.ndarray) -> np.ndarray:
             return table.s_of_t(s)
 
-        return cls._classified(
-            c, cstar_unit, lam, correspondence, offset.speeds, f"{c.label}/pair(lambda={lam:g})"
-        )
+        label = f"{c.label}/pair(lambda={lam:g})"
+        return cls(c, cstar_unit, lam, classify_pair(c, cstar_unit), correspondence, offset.speeds, label)
 
     @classmethod
     def from_shared_parameter(
@@ -426,18 +409,18 @@ class MannheimPair:
         c_unit = c if c.unit_speed else reparametrize_unit(c, table_size)
         cstar_unit = cstar if cstar.unit_speed else reparametrize_unit(cstar, table_size)
 
-        def to_raw(s: float) -> float:
+        def to_raw(s: np.ndarray) -> np.ndarray:
             table = getattr(c_unit, "arc_table", None)
             return s if table is None else table.t_of_s(s)
 
-        def from_raw(t: float) -> float:
+        def from_raw(t: np.ndarray) -> np.ndarray:
             table = getattr(cstar_unit, "arc_table", None)
             return t if table is None else table.s_of_t(t)
 
-        def correspondence(s: float) -> float:
+        def correspondence(s: np.ndarray) -> np.ndarray:
             return from_raw(to_raw(s))
 
-        def rate(s):
+        def rate(s: np.ndarray) -> np.ndarray:
             t = to_raw(s)
             v_c = c_unit.base_curve.speeds(t) if hasattr(c_unit, "base_curve") else 1.0
             v_star = (
@@ -445,9 +428,8 @@ class MannheimPair:
             )
             return v_star / v_c
 
-        return cls._classified(
-            c_unit, cstar_unit, lam, correspondence, rate, f"{c.label}|{cstar.label}"
-        )
+        label = f"{c.label}|{cstar.label}"
+        return cls(c_unit, cstar_unit, lam, classify_pair(c_unit, cstar_unit), correspondence, rate, label)
 
 
 def _projections(T: np.ndarray, fstar: FrameGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -570,12 +552,8 @@ class PairSamples:
 
     @cached_property
     def rates(self) -> np.ndarray:
-        """ds*/ds; without a rate map, the ``grid_difference`` of the
-        correspondence at step 1e-4 max(1, |s|)."""
+        """ds*/ds from the pair's rate map."""
         s = np.array(self.grid, dtype=float)
-        if self.correspondence_rate is None:
-            h = 1e-4 * np.maximum(1.0, np.abs(s))
-            return grid_difference(self.correspondence, s, *self.c.domain, h, 1)
         return np.array(np.broadcast_to(self.correspondence_rate(s), s.shape), dtype=float)
 
     @cached_property
@@ -894,8 +872,12 @@ def mannheim_curve_test(c: Curve, pair_type: MannheimPairType, grid_n: int = 101
 
     UnsupportedCombinationError for types 1 and 4, whose rows give the
     normal of C and the binormal of C* unlike causal characters (a timelike
-    line never lies on a spacelike one), and where C's kind is not the
-    row's; VanishingTorsionError where tau vanishes (the offset stops);
+    line never lies on a spacelike one), where C's kind is not the row's,
+    and where the offset by ``lambda_estimate`` is not of the character of
+    the row's C*: its tangent (1 - lam c_n kappa) T - lam tau B has
+    <T*,T*> of the sign of eps_T (1 - lam c_n kappa)^2 + eps_B lam^2 tau^2,
+    which must be that of the row's companion kind.
+    VanishingTorsionError where tau vanishes (the offset stops);
     NegativeConditionValueError where c_n kappa^2 + c_b tau^2 vanishes.  A
     helix meets the equation, but its offset is a straight line, whose
     frames raise VanishingCurvatureError.
@@ -905,7 +887,7 @@ def mannheim_curve_test(c: Curve, pair_type: MannheimPairType, grid_n: int = 101
         raise UnsupportedCombinationError(f"type {n}: normal of C, binormal of C* of unlike character")
     s = np.linspace(*c.domain, grid_n)
     f = frenet_frames(c, s)
-    _, _, _, c_n, c_b = kind_signs(f.kinds)
+    eps_t, _, eps_b, c_n, c_b = kind_signs(f.kinds)
     condition = c_n * f.kappa * f.kappa + c_b * f.tau * f.tau
     kinds = tuple(CurveKind)
     raise_first(
@@ -922,6 +904,19 @@ def mannheim_curve_test(c: Curve, pair_type: MannheimPairType, grid_n: int = 101
     )
     profile = (f.kappa / condition).tolist()
     mean = float(np.mean(profile))
+    companion = np.sign(eps_t * (1.0 - mean * c_n * f.kappa) ** 2 + eps_b * (mean * f.tau) ** 2)
+    character = ("timelike", "null", "spacelike")
+    raise_first(
+        [
+            (
+                companion != spec.companion.signs[0],
+                lambda i: UnsupportedCombinationError(
+                    f"the offset by lam={mean:g} is {character[int(companion[i]) + 1]} at s={s[i]:g}, "
+                    f"not {spec.companion.value}"
+                ),
+            )
+        ]
+    )
     constant = max(profile) - min(profile) <= LAMBDA_CONSTANCY_TOL * abs(mean)
     return MannheimCurveTest(constant, mean, profile)
 

@@ -1,9 +1,11 @@
 import functools
 
+import numpy as np
 import pytest
 
 from mannheim_lab import MannheimPair, exact_partner_pair
 from mannheim_lab.builtins import builtin_curve
+from mannheim_lab.curve import Curve
 from mannheim_lab.frenet import CurveKind
 
 # Exact partner pairs by pair type: (kind of the base curve C, lambda).
@@ -12,6 +14,25 @@ EXACT_PAIR_BASES = {
     3: (CurveKind.SPACELIKE_EPS_MINUS, 0.3),
     5: (CurveKind.SPACELIKE_EPS_PLUS, 0.3),
 }
+
+
+def closed_form_curve(rows, domain, label="curve", **kwargs) -> Curve:
+    """A curve whose positions and derivatives of orders 1 to 3 are closed
+    forms: ``rows[k](ts)`` gives the three components of order ``k`` at an
+    array of parameters, each an array or a constant, and the orders past
+    ``rows`` vanish.  ``kwargs`` go to ``Curve`` (``unit_speed``,
+    ``speeds``)."""
+
+    def at(k, ts):
+        out = np.zeros((len(ts), 3))
+        if k < len(rows):
+            out[:, 0], out[:, 1], out[:, 2] = rows[k](ts)
+        return out
+
+    def evaluate(ts, order):
+        return (at(1, ts), at(2, ts), at(3, ts)) if order == 3 else at(order, ts)
+
+    return Curve(evaluate, domain, label, **kwargs)
 
 
 @functools.cache

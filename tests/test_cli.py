@@ -4,6 +4,7 @@ import math
 import warnings
 
 import jsonschema
+import numpy as np
 import pytest
 
 from mannheim_lab.cli import main, resolve_curve_spec, SpecError
@@ -83,9 +84,7 @@ class TestClassifyCommand:
         path = tmp_path / "null.csv"
         rows = [(t, t, t, 0.0) for t in (0.0, 0.5, 1.0, 1.5)]
         with open(path, "w", newline="") as fh:
-            CurveSamples([r[0] for r in rows], [
-                __import__("mannheim_lab").Vec3L(r[1], r[2], r[3]) for r in rows
-            ]).to_csv(fh)
+            CurveSamples([r[0] for r in rows], np.array([r[1:] for r in rows])).to_csv(fh)
         code, out, err = run_cli(capsys, "classify", "--curve", f"csv:{path}")
         assert code == 1
         assert "error:" in err

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import closed_form_curve
 from mannheim_lab import curve as curve_module
 from mannheim_lab.builtins import builtin_curve
 from mannheim_lab.curve import (
@@ -36,13 +37,10 @@ from mannheim_lab.mannheim import offset_along_binormal, offset_along_normal
 SQRT3 = math.sqrt(3.0)
 
 
-def line_curve(direction, domain=(0.0, 3.0)):
+def line_curve(direction, domain=(0.0, 3.0), **kwargs):
     dx, dy, dz = direction
-    return Curve(
-        lambda t: Vec3L(dx * t, dy * t, dz * t),
-        domain,
-        label="line",
-    )
+    rows = (lambda t: (dx * t, dy * t, dz * t), lambda t: direction)
+    return closed_form_curve(rows, domain, "line", **kwargs)
 
 
 def test_fd_weights_match_known_tables():
@@ -51,31 +49,6 @@ def test_fd_weights_match_known_tables():
     assert np.allclose(w, [1 / 12, -8 / 12, 0, 8 / 12, -1 / 12])
     w2 = fd_weights([-2, -1, 0, 1, 2], 0.0, 2)
     assert np.allclose(w2, [-1 / 12, 16 / 12, -30 / 12, 16 / 12, -1 / 12])
-
-
-def _stencil_shapes(m):
-    half = 2 if m <= 2 else 3
-    return {
-        "interior": range(-half, half + 1),
-        "forward": range(m + 5),
-        "backward": range(0, -(m + 5), -1),
-    }
-
-
-@pytest.mark.parametrize("shape", ["interior", "forward", "backward"])
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_fd_weights_array_form_equals_scalar_calls(m, shape):
-    offsets = _stencil_shapes(m)[shape]
-    ts = np.array([0.0, 1e-4, 0.137, 0.5, 0.8123456789, 1.0, 2.75])
-    h = 1e-4 * np.maximum(1.0, np.abs(ts))
-    nodes = [ts + o * h for o in offsets]
-    batched = fd_weights(nodes, ts, m)
-    rows = [
-        fd_weights([float(t) + o * float(hi) for o in offsets], float(t), m)
-        for t, hi in zip(ts, h)
-    ]
-    assert batched.shape == (len(offsets), len(ts))
-    assert np.array_equal(batched, np.array(rows).T)
 
 
 def test_arc_table_evaluates_each_node_speed_once(monkeypatch, exact_pair_type2):
@@ -90,23 +63,21 @@ def test_arc_table_evaluates_each_node_speed_once(monkeypatch, exact_pair_type2)
 
     # the table reads the offset's closed-form speed, not its derivative
     monkeypatch.setattr(c, "_speeds", counted)
-    table = curve_module._ArcLengthTable(c, size, QUADRATURE_TOL)
+    table = curve_module._ArcLengthTable(c, size)
     # 1 speed per node, plus a midpoint and two quarter points per piece
     assert len(calls) == len(set(calls)) == 4 * size + 1
     monkeypatch.undo()
     expected = [0.0]
     for t0, t1 in zip(table.t_nodes[:-1], table.t_nodes[1:]):
-        piece = adaptive_simpson(
-            lambda t: speed(c, t), float(t0), float(t1), QUADRATURE_TOL / size
-        )
+        piece = adaptive_simpson(c.speeds, float(t0), float(t1), QUADRATURE_TOL / size)
         expected.append(expected[-1] + piece)
     assert np.array_equal(table.s_nodes, np.array(expected))
 
 
 def test_adaptive_simpson():
-    assert adaptive_simpson(math.exp, 0.0, 1.0) == pytest.approx(math.e - 1.0, abs=1e-12)
+    assert adaptive_simpson(np.exp, 0.0, 1.0) == pytest.approx(math.e - 1.0, abs=1e-12)
     assert adaptive_simpson(lambda t: t * t, -1.0, 2.0) == pytest.approx(3.0, abs=1e-12)
-    assert adaptive_simpson(math.cos, 2.0, 2.0) == 0.0
+    assert adaptive_simpson(np.cos, 2.0, 2.0) == 0.0
 
 
 class TestSpeed:
@@ -137,7 +108,8 @@ class TestClassify:
     @staticmethod
     def _mixed() -> Curve:
         # tangent (1, 2t, 0): timelike near 0, null at t = 1/2, spacelike beyond
-        return Curve(lambda t: Vec3L(t, t * t, 0.0), (0.0, 2.0), label="mixed")
+        rows = (lambda t: (t, t * t, 0.0), lambda t: (1.0, 2.0 * t, 0.0), lambda t: (0.0, 2.0, 0.0))
+        return closed_form_curve(rows, (0.0, 2.0), "mixed")
 
     def test_mixed(self):
         # no node of 32 points over [0, 2] is t = 1/2
@@ -145,8 +117,7 @@ class TestClassify:
             classify_curve(self._mixed(), 32)
 
     def test_null_row_of_a_mixed_curve(self):
-        # node 8 of 33 points is t = 1/2, where the differenced tangent is
-        # null within the band of causal_character
+        # node 8 of 33 points is t = 1/2, where the tangent (1, 1, 0) is null
         with pytest.raises(NullTangentError, match="null at t=0.5$"):
             classify_curve(self._mixed(), 33)
 
@@ -207,7 +178,8 @@ class TestReparametrize:
 
     def test_nonconstant_speed(self):
         # tangent (0, 1, t) has speed sqrt(1 + t^2)
-        c = Curve(lambda t: Vec3L(0.0, t, t * t / 2.0), (0.0, 2.0), label="quad")
+        rows = (lambda t: (0.0, t, t * t / 2.0), lambda t: (0.0, 1.0, t), lambda t: (0.0, 0.0, 1.0))
+        c = closed_form_curve(rows, (0.0, 2.0), "quad")
         u = reparametrize_unit(c, 512)
         expected = math.asinh(2.0) / 2.0 + math.sqrt(5.0)  # integral of sqrt(1+t^2)
         assert u.domain[1] == pytest.approx(expected, abs=1e-8)
@@ -215,12 +187,7 @@ class TestReparametrize:
 
 
     def test_table_size_is_bounded(self):
-        c = Curve(
-            lambda t: Vec3L(0.0, 2.0 * t, 0.0),
-            (0.0, 1.0),
-            derivs={1: lambda t: Vec3L(0.0, 2.0, 0.0)},
-            speed=lambda t: 2.0,
-        )
+        c = line_curve((0.0, 2.0, 0.0), (0.0, 1.0), speeds=lambda ts: np.full(len(ts), 2.0))
         assert len(reparametrize_unit(c, MAX_TABLE_SIZE).arc_table.t_nodes) == MAX_TABLE_SIZE + 1
         for size in (1, 0, MAX_TABLE_SIZE + 1):
             message = rf"size {size} is outside \[2, {MAX_TABLE_SIZE}\]"
@@ -230,11 +197,11 @@ class TestReparametrize:
 
     @pytest.mark.parametrize("size", [300.5, "512", True])
     def test_table_size_must_be_an_int(self, size):
-        def pos(t):
+        def evaluate(ts, order):
             raise AssertionError("no work before the size check")
 
         with pytest.raises(TableSizeError, match="is not an integer"):
-            reparametrize_unit(Curve(pos, (0.0, 1.0)), size)
+            reparametrize_unit(Curve(evaluate, (0.0, 1.0)), size)
         with pytest.raises(TableSizeError, match="is not an integer"):
             reparametrize_unit(builtin_curve("paper-example-1"), size)
 
@@ -382,33 +349,6 @@ class TestCsv:
             assert d1_err < 1e-5
 
 
-class TestFiniteDifferenceFallback:
-    def test_first_derivative_matches_closed_form(self, example1, example2):
-        for c in (example1, example2):
-            bare = Curve(c.pos, c.domain, label="bare")
-            for t in (0.0, 0.27, 0.5, 1.0):  # includes one-sided endpoints
-                err = (bare.deriv(t, 1) - c.deriv(t, 1)).euclidean_norm()
-                assert err < 1e-8, (c.label, t, err)
-
-    def test_higher_orders_reasonable(self, example2):
-        bare = Curve(example2.pos, example2.domain, label="bare")
-        for t in (0.3, 0.7):
-            e2 = (bare.deriv(t, 2) - example2.deriv(t, 2)).euclidean_norm()
-            e3 = (bare.deriv(t, 3) - example2.deriv(t, 3)).euclidean_norm()
-            assert e2 < 1e-7
-            assert e3 < 1e-5
-
-    def test_derives_from_best_available_order(self, example2):
-        partial = Curve(
-            example2.pos,
-            example2.domain,
-            label="partial",
-            derivs={1: lambda t: example2.deriv(t, 1)},
-        )
-        err = (partial.deriv(0.4, 2) - example2.deriv(0.4, 2)).euclidean_norm()
-        assert err < 1e-9
-
-
 def test_unit_speed_validation_grid(example1):
     assert example1.validate_unit_speed(32) < 1e-12
 
@@ -421,9 +361,8 @@ def _synthesized(example1, example2):
     )
 
 
-# One curve per constructor: closed forms, a spline, a synthesized curve,
-# the chained ones (arc length over an offset, both offsets) and the
-# finite-difference fallback for the orders a curve does not supply.
+# One curve per constructor: closed forms, a spline, a synthesized curve and
+# the chained ones (arc length over an offset, both offsets).
 JET_CURVES = {
     "builtin-1": lambda example1, example2: example1,
     "builtin-2": lambda example1, example2: example2,
@@ -434,9 +373,6 @@ JET_CURVES = {
     ),
     "binormal-offset": lambda example1, example2: offset_along_binormal(example2, 20.0),
     "normal-offset": lambda example1, example2: offset_along_normal(example2, 0.5),
-    "fd-fallback": lambda example1, example2: Curve(
-        example2.pos, example2.domain, derivs={1: lambda s: example2.deriv(s, 1)}
-    ),
 }
 
 

@@ -1,14 +1,17 @@
+import ast
 import copy
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import closed_form_curve
 from mannheim_lab import curve as curve_module
 from mannheim_lab import frenet
 from mannheim_lab.builtins import builtin_curve
-from mannheim_lab.curve import Curve, grid_difference, reparametrize_unit
+from mannheim_lab.curve import grid_difference, reparametrize_unit
 from mannheim_lab.errors import (
     InvalidInitialFrameError,
     NonPositiveCurvatureError,
@@ -82,29 +85,26 @@ class TestApparatus:
             assert f.tau == pytest.approx(SQRT3, abs=1e-12)
 
     def test_straight_line_has_no_frame(self):
-        c = Curve(lambda t: Vec3L(0.0, t, 0.0), (0.0, 1.0), label="line")
+        c = closed_form_curve((lambda t: (0.0, t, 0.0), lambda t: (0.0, 1.0, 0.0)), (0.0, 1.0), "line")
         with pytest.raises(VanishingCurvatureError):
             frenet_apparatus(c, 0.5)
 
     def test_null_principal_normal(self):
         # tangent (t, t, 1) is unit spacelike; its derivative (1, 1, 0) is null
-        c = Curve(
-            lambda t: Vec3L(t * t / 2.0, t * t / 2.0, t),
-            (0.0, 1.0),
-            label="null-normal",
-            derivs={
-                1: lambda t: Vec3L(t, t, 1.0),
-                2: lambda t: Vec3L(1.0, 1.0, 0.0),
-                3: lambda t: Vec3L(0.0, 0.0, 0.0),
-            },
-        )
+        rows = (lambda t: (t * t / 2.0, t * t / 2.0, t), lambda t: (t, t, 1.0), lambda t: (1.0, 1.0, 0.0))
+        c = closed_form_curve(rows, (0.0, 1.0), "null-normal")
         with pytest.raises(NullPrincipalNormalError):
             frenet_apparatus(c, 0.5)
 
     def test_requires_unit_speed(self, example2):
-        doubled = Curve(
-            lambda t: example2.pos(2.0 * t), (0.0, 0.5), label="fast"
+        # paper-example-2 at twice its speed: s -> (2 sinh 2s, 2 cosh 2s, 2 sqrt(3) s)
+        rows = (
+            lambda t: (2.0 * np.sinh(2.0 * t), 2.0 * np.cosh(2.0 * t), 2.0 * SQRT3 * t),
+            lambda t: (4.0 * np.cosh(2.0 * t), 4.0 * np.sinh(2.0 * t), 2.0 * SQRT3),
+            lambda t: (8.0 * np.sinh(2.0 * t), 8.0 * np.cosh(2.0 * t), 0.0),
+            lambda t: (16.0 * np.cosh(2.0 * t), 16.0 * np.sinh(2.0 * t), 0.0),
         )
+        doubled = closed_form_curve(rows, (0.0, 0.5), "fast")
         with pytest.raises(NotUnitSpeedError):
             frenet_apparatus(doubled, 0.25)
 
@@ -258,9 +258,8 @@ class TestSynthesize:
 
 
 class TestGridFiniteDifference:
-    # ``curve.grid_difference`` is the one difference engine: the positional
-    # fallback of ``Curve``, the frame-difference fallback of scalar jets and
-    # the rate of a pair without a rate map all call it.
+    # ``curve.grid_difference`` is the one difference engine, and the
+    # frame-difference fallback of scalar jets its one caller.
     @staticmethod
     def _side(t: float, a: float, b: float, h: float, m: int) -> int:
         half = 2 if m <= 2 else 3
@@ -326,19 +325,16 @@ class TestGridFiniteDifference:
         # the helix has constant curvature and torsion
         assert max(np.abs(x).max() for x in kappa_d + tau_d) < 1e-6
 
-    def test_positional_fallback_on_a_domain_shorter_than_a_stencil(self, example2):
-        nodes = []
-
-        def pos(t):
-            nodes.append(t)
-            return example2.pos(t)
-
-        a, b = 0.0, 0.01  # the 7-node third difference spans 0.048 at its step
-        bare = Curve(pos, (a, b), label="bare")
-        grid = np.linspace(a, b, 5)
-        gaps = [np.abs(d - e).max() for d, e in zip(bare.jets(grid), example2.jets(grid))]
-        assert a <= min(nodes) and max(nodes) <= b
-        assert gaps[0] < 1e-8 and gaps[1] < 1e-6 and gaps[2] < 1e-3
+    def test_frame_difference_fallback_is_the_one_caller(self):
+        # every reference to the engine in the package source, by module and
+        # top-level definition: scalar_jets alone differences numerically
+        uses = set()
+        for path in sorted(Path(curve_module.__file__).parent.glob("*.py")):
+            for top in ast.parse(path.read_text()).body:
+                for node in ast.walk(top):
+                    if getattr(node, "id", getattr(node, "attr", None)) == "grid_difference":
+                        uses.add((path.stem, getattr(top, "name", None)))
+        assert uses == {("frenet", "scalar_jets")}
 
 
 class TestScalarJet:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import closed_form_curve
 from mannheim_lab.builtins import builtin_curve
 from mannheim_lab.cli import main
 from mannheim_lab.curve import (
@@ -29,25 +30,12 @@ from mannheim_lab.errors import (
 from mannheim_lab.frenet import frenet_apparatus, frenet_frames
 from mannheim_lab.lorentz import CausalCharacter, Vec3L, causal_character, causal_characters
 from mannheim_lab.mannheim import (
-    IDENTITIES,
     MannheimPair,
     MannheimPairType,
     PairSamples,
     offset_along_binormal,
     offset_along_normal,
 )
-
-
-def _user_helix() -> Curve:
-    # paper-example-1 written as scalar callables with only its tangent in
-    # closed form: evaluated by looping, orders 2 and 3 by differences
-    return Curve(
-        lambda s: Vec3L(-0.5 * math.sinh(s), 0.5 * math.cosh(s), 0.5 * math.sqrt(5.0) * s),
-        (0.0, 1.0),
-        label="user-helix",
-        derivs={1: lambda s: Vec3L(-0.5 * math.cosh(s), 0.5 * math.sinh(s), 0.5 * math.sqrt(5.0))},
-        unit_speed=True,
-    )
 
 
 def _without_scalar_jet(c: Curve) -> Curve:
@@ -77,7 +65,6 @@ CURVES = {
         False,
     ),
     "csv": (lambda pair: _sampled(), False),
-    "user-callables": (lambda pair: _user_helix(), True),
 }
 
 
@@ -116,25 +103,26 @@ def _turning(speed_from: float = math.inf) -> Curve:
     0.4 - t up to t = 0.4 and a straight line beyond; past ``speed_from``
     its tangent is stretched by 1 + (t - speed_from)."""
 
-    def parts(t: float):
-        k, dk = (0.4 - t, -1.0) if t < 0.4 else (0.0, 0.0)
-        phi = 0.4 * t - 0.5 * t * t if t < 0.4 else 0.08
-        v = 1.0 + max(0.0, t - speed_from)
-        return k, dk, math.cos(phi), math.sin(phi), v
+    def parts(t: np.ndarray):
+        turning = t < 0.4
+        k, dk = np.where(turning, 0.4 - t, 0.0), np.where(turning, -1.0, 0.0)
+        phi = np.where(turning, 0.4 * t - 0.5 * t * t, 0.08)
+        v = 1.0 + np.maximum(0.0, t - speed_from)
+        return k, dk, np.cos(phi), np.sin(phi), v
 
     def d1(t):
         k, dk, c, s, v = parts(t)
-        return Vec3L(0.0, v * c, v * s)
+        return 0.0, v * c, v * s
 
     def d2(t):
         k, dk, c, s, v = parts(t)
-        return Vec3L(0.0, -k * s, k * c)
+        return 0.0, -k * s, k * c
 
     def d3(t):
         k, dk, c, s, v = parts(t)
-        return Vec3L(0.0, -dk * s - k * k * c, dk * c - k * k * s)
+        return 0.0, -dk * s - k * k * c, dk * c - k * k * s
 
-    return Curve(lambda t: Vec3L(0.0, 0.0, 0.0), (0.0, 1.0), "turning", {1: d1, 2: d2, 3: d3})
+    return closed_form_curve((lambda t: (0.0, 0.0, 0.0), d1, d2, d3), (0.0, 1.0), "turning")
 
 
 def _first_point_error(fn, ts):
@@ -150,7 +138,11 @@ def _first_point_error(fn, ts):
     "curve, error, first",
     [
         (_turning(), VanishingCurvatureError, "s=0.4"),
-        (Curve(lambda t: Vec3L(0.0, t, 0.0), (0.0, 1.0), "line"), VanishingCurvatureError, "s=0"),
+        (
+            closed_form_curve((lambda t: (0.0, t, 0.0), lambda t: (0.0, 1.0, 0.0)), (0.0, 1.0), "line"),
+            VanishingCurvatureError,
+            "s=0",
+        ),
         (_turning(speed_from=0.25), NotUnitSpeedError, "s=0.3"),
     ],
 )
@@ -166,7 +158,8 @@ def test_grid_frames_raise_the_point_error_of_the_first_bad_parameter(curve, err
 
 def test_mixed_character_names_the_first_changed_tangent():
     # tangent (1, 2t, 0): timelike below t = 1/2, spacelike above
-    c = Curve(lambda t: Vec3L(t, t * t, 0.0), (0.0, 2.0), label="mixed")
+    rows = (lambda t: (t, t * t, 0.0), lambda t: (1.0, 2.0 * t, 0.0), lambda t: (0.0, 2.0, 0.0))
+    c = closed_form_curve(rows, (0.0, 2.0), "mixed")
     ts = np.linspace(0.0, 2.0, 10)
     characters = [causal_character(c.deriv(t, 1)) for t in ts.tolist()]
     first = next(t for t, ch in zip(ts, characters) if ch is not characters[0])
@@ -186,7 +179,7 @@ def test_cli_exit_codes_of_grid_errors(tmp_path, capsys, rows, argv):
     # a straight line has no frame and a mixed tangent no character: exit 1
     path = tmp_path / "curve.csv"
     with open(path, "w", newline="") as fh:
-        CurveSamples([r[0] for r in rows], [Vec3L(*r[1:]) for r in rows]).to_csv(fh)
+        CurveSamples([r[0] for r in rows], np.array([r[1:] for r in rows])).to_csv(fh)
     out = tmp_path / "out"
     assert main([argv[0], "--curve", f"csv:{path}", *argv[1:], "--out", str(out)]) == 1
     assert "error:" in capsys.readouterr().err
@@ -244,10 +237,9 @@ def test_offset_frames_raise_the_first_failure_of_offset_or_base(ts):
     assert str(grid.value) == str(point)
 
 
-def _hand_built_pair(c: Curve, cstar: Curve, **maps) -> MannheimPair:
-    # maps that take floats only, as at the pair's parameters
-    maps = {"correspondence": math.fabs, **maps}
-    return MannheimPair(c, cstar, 1.0, MannheimPairType.TYPE3, **maps)
+def _hand_built_pair(c: Curve, cstar: Curve) -> MannheimPair:
+    # the identity correspondence on the shared domain [0, 1]
+    return MannheimPair(c, cstar, 1.0, MannheimPairType.TYPE3, lambda s: s, np.ones_like)
 
 
 @pytest.mark.parametrize(
@@ -272,22 +264,6 @@ def test_pair_frames_raise_the_error_of_the_first_bad_point(
     assert str(grid.value) == str(point)
     assert str(point).startswith(f"{failing!r} ") or f"of {failing!r} " in str(point)
     assert "s=0.2" in str(point) or "s=0.4" in str(point)
-
-
-def test_hand_built_pair_loops_float_only_maps():
-    c, cstar = builtin_curve("paper-example-1"), builtin_curve("paper-example-2")
-    grid = [0.0, 0.25, 0.5, 1.0]
-    pair = _hand_built_pair(c, cstar, correspondence_rate=lambda s: math.copysign(1.0, s))
-    f, fstar, sstar = PairSamples(pair, grid).frames
-    rows = list(zip(f.frames(), fstar.frames(), sstar.tolist()))
-    one_row = [PairSamples(_hand_built_pair(c, cstar), [s]).frames for s in grid]
-    assert rows == [(f1.frames()[0], fs1.frames()[0], float(ss1[0])) for f1, fs1, ss1 in one_row]
-    assert PairSamples(pair, grid).rates.tolist() == [1.0] * len(grid)
-    # without a rate map the rate is a difference of the float-only map
-    rates = PairSamples(_hand_built_pair(c, cstar), grid).rates
-    assert rates.tolist() == pytest.approx([1.0] * len(grid))
-    distance = next(row for row in IDENTITIES if row.name == "distance-constancy")
-    assert len(distance.report(pair.samples(5)).residuals) == 5
 
 
 def test_row_characters_equal_the_one_row_rule():

@@ -221,7 +221,7 @@ class TestExactPairJets:
 
             return wrapper
 
-        for module in (curve, frenet, mannheim):
+        for module in (curve, frenet):
             monkeypatch.setattr(module, "grid_difference", counted("fd", curve.grid_difference))
         monkeypatch.setattr(curve, "fd_weights", counted("fd", curve.fd_weights))
         tau = parse_expr("0.8 - 0.2 * s")

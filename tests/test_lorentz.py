@@ -88,10 +88,10 @@ def test_causal_character_scale_invariant():
             assert causal_character(v * scale) is ch
 
 
-def test_null_band_is_configurable():
-    v = Vec3L(1.0, 1.0 + 1e-10, 0.0)
-    assert causal_character(v) is CausalCharacter.SPACELIKE
-    assert causal_character(v, null_tol=1e-6) is CausalCharacter.NULL
+def test_null_band_is_absolute():
+    # <v,v> = 2e-10 + 1e-20 lies outside the band, 2e-13 + 1e-26 inside it
+    assert causal_character(Vec3L(1.0, 1.0 + 1e-10, 0.0)) is CausalCharacter.SPACELIKE
+    assert causal_character(Vec3L(1.0, 1.0 + 1e-13, 0.0)) is CausalCharacter.NULL
 
 
 def test_norm():

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 from _oracle_constants import ORACLE
+from conftest import closed_form_curve
 from mannheim_lab import curve as curve_module
 from mannheim_lab import frenet, mannheim
 from mannheim_lab import indicatrix as indicatrix_module
 from mannheim_lab.cli import _run_pair_suite
-from mannheim_lab.curve import Curve, grid_difference, reparametrize_unit
+from mannheim_lab.curve import grid_difference, reparametrize_unit
 from mannheim_lab.errors import (
     DegenerateIndicatrixError,
     ExprDomainError,
@@ -26,8 +27,9 @@ from mannheim_lab.errors import (
     VanishingTorsionError,
     ZeroLambdaError,
 )
-from mannheim_lab.expr import Jet2, parse_expr
+from mannheim_lab.expr import Jet2, parse_expr, sqrt
 from mannheim_lab.frenet import (
+    INITIAL_FRAMES,
     CurveKind,
     FrameGrid,
     FrenetFrame,
@@ -273,13 +275,38 @@ class TestPartnerEquation:
         with pytest.raises(NegativeConditionValueError, match="no finite lam at s=0$"):
             mannheim_curve_test(helix(CurveKind.TIMELIKE, 1.0, 2.0), MannheimPairType.TYPE2, 3)
 
-    def test_helix_meets_the_equation_with_a_straight_companion(self, example2):
-        # kappa = 2, tau = sqrt(3): lam = 2 / (4 - 3), and C*'' = 0 on the offset at lam
-        out = mannheim_curve_test(example2, MannheimPairType.TYPE2, 11)
+    def test_helix_meets_the_equation_with_a_straight_companion(self, example1):
+        # kappa = 1/2, tau = sqrt(5)/2 on a spacelike curve with spacelike
+        # normal: lam = (1/2) / (-1/4 + 5/4), and C*'' = 0 on the offset at lam
+        out = mannheim_curve_test(example1, MannheimPairType.TYPE5, 11)
         assert out.constant
-        assert out.lambda_estimate == pytest.approx(2.0, abs=1e-12)
+        assert out.lambda_estimate == pytest.approx(0.5, abs=1e-12)
         with pytest.raises(VanishingCurvatureError):
-            MannheimPair.from_normal_offset(example2, out.lambda_estimate)
+            MannheimPair.from_normal_offset(example1, out.lambda_estimate)
+
+    def test_offset_of_another_character_is_unsupported(self, example2):
+        # lambda(s) is constant, but the normal offset by it is spacelike,
+        # where a type-2 companion is timelike: its tangent (1 - lam kappa) T
+        # - lam tau B has <,> = -(1 - lam kappa)^2 + lam^2 tau^2 > 0.  First
+        # the other root on a timelike base, kappa = (1 + sqrt(1 + 4 lam^2
+        # tau^2)) / (2 lam), whose offset forms no catalogued pair.
+        lam, kind = 0.3, CurveKind.TIMELIKE
+
+        def tau(s):
+            return 0.8 + 0.2 * s
+
+        def kappa(s):
+            return (1.0 + sqrt(1.0 + 4.0 * lam * lam * tau(s) * tau(s))) / (2.0 * lam)
+
+        f0 = FrenetFrame(*INITIAL_FRAMES[kind], kappa(0.0), tau(0.0), kind)
+        base = frenet_synthesize(kind, kappa, tau, f0, Vec3L(0, 0, 0), (0.0, 1.0), 1e-3)
+        with pytest.raises(UnsupportedCombinationError, match="lam=0.3 is spacelike at s=0, not timelike$"):
+            mannheim_curve_test(base, MannheimPairType.TYPE2)
+        with pytest.raises(UnsupportedCombinationError, match="companion=spacelike-, curve=timelike"):
+            MannheimPair.from_normal_offset(base, lam, 512)
+        # kappa = 2, tau = sqrt(3): lam = 2 / (4 - 3), and -9 + 12 > 0
+        with pytest.raises(UnsupportedCombinationError, match="lam=2 is spacelike at s=0, not timelike$"):
+            mannheim_curve_test(example2, MannheimPairType.TYPE2, 11)
 
 
 class TestTheta:
@@ -597,7 +624,7 @@ class TestAngleRateChain:
                 frames_under_fd.append((c.label, s))
             return extract(c, s, *rest)
 
-        for module in (curve_module, frenet, mannheim):
+        for module in (curve_module, frenet):
             monkeypatch.setattr(module, "grid_difference", tracked(curve_module.grid_difference))
         for module in (frenet, mannheim, indicatrix_module):
             monkeypatch.setattr(module, "frenet_frames", tracked_frames)
@@ -799,7 +826,7 @@ class TestPairTypeSpec:
 
 def _line_pair(example1):
     """A hand-built pair whose curve C is a straight line: C has no frame."""
-    line = Curve(lambda t: Vec3L(0.0, t, 0.0), (0.0, 1.0), label="line")
+    line = closed_form_curve((lambda t: (0.0, t, 0.0), lambda t: (0.0, 1.0, 0.0)), (0.0, 1.0), "line")
     return MannheimPair(
         c=line,
         cstar=example1,

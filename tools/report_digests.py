@@ -54,16 +54,12 @@ configurations are
 * the binormal offset at lambda 20 of ``paper-example-1`` reparametrized by
   a 256-node arc-length table, grid 101: the reparametrized curve carries
   no scalar jet, so the offset's jets read the frame-difference fallback
-  of ``frenet.scalar_jets``;
-* the first exact type-3 pair without its rate map
-  (``correspondence_rate=None``), grid 201, whose ds*/ds comes from the
-  difference of the correspondence.
+  of ``frenet.scalar_jets``, the one numerical difference in the package.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -211,11 +207,6 @@ def configurations():
             reparametrize_unit(builtin_curve("paper-example-1"), 256), 20.0
         ),
         REFERENCE_GRID,
-    )
-    yield (
-        f"exact type 3 tau=0.8+0.2*s without rate map grid {EXACT_GRID}",
-        lambda: dataclasses.replace(_exact(3, lambda s: 0.8 + 0.2 * s), correspondence_rate=None),
-        EXACT_GRID,
     )
 
 
