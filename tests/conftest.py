@@ -35,6 +35,18 @@ def closed_form_curve(rows, domain, label="curve", **kwargs) -> Curve:
     return Curve(evaluate, domain, label, **kwargs)
 
 
+def closed_form_helix() -> Curve:
+    """paper-example-1 written as row functions, as a user writes a curve."""
+    r5 = 0.5 * np.sqrt(5.0)
+    rows = (
+        lambda s: (-0.5 * np.sinh(s), 0.5 * np.cosh(s), r5 * s),
+        lambda s: (-0.5 * np.cosh(s), 0.5 * np.sinh(s), r5),
+        lambda s: (-0.5 * np.sinh(s), 0.5 * np.cosh(s), 0.0),
+        lambda s: (-0.5 * np.cosh(s), 0.5 * np.sinh(s), 0.0),
+    )
+    return closed_form_curve(rows, (0.0, 1.0), "user-helix", unit_speed=True)
+
+
 @functools.cache
 def _exact_pair(pair_type, slope):
     kind, lam = EXACT_PAIR_BASES[pair_type]

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import closed_form_curve
+from conftest import closed_form_curve, closed_form_helix
 from mannheim_lab import curve as curve_module
 from mannheim_lab.builtins import builtin_curve
 from mannheim_lab.curve import (
@@ -19,6 +19,7 @@ from mannheim_lab.curve import (
     classify_curve,
     curve_from_samples,
     fd_weights,
+    grid_difference,
     reparametrize_unit,
     sample,
     speed,
@@ -49,6 +50,32 @@ def test_fd_weights_match_known_tables():
     assert np.allclose(w, [1 / 12, -8 / 12, 0, 8 / 12, -1 / 12])
     w2 = fd_weights([-2, -1, 0, 1, 2], 0.0, 2)
     assert np.allclose(w2, [-1 / 12, 16 / 12, -30 / 12, 16 / 12, -1 / 12])
+
+
+def _stencil_shapes(m):
+    half = 2 if m <= 2 else 3
+    return {
+        "interior": (0, range(-half, half + 1)),
+        "forward": (1, range(m + 5)),
+        "backward": (-1, range(0, -(m + 5), -1)),
+    }
+
+
+@pytest.mark.parametrize("shape", ["interior", "forward", "backward"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_fd_weights_are_exact_on_polynomials(m, shape):
+    side, offsets = _stencil_shapes(m)[shape]
+    assert curve_module._STENCILS[m, side][0] == tuple(offsets)
+    # a polynomial of the stencil's degree, differenced about scattered points
+    coeffs = np.array([0.3, -1.1, 0.7, 2.0, -0.4, 0.9, -0.25, 0.6])[: len(offsets)]
+    poly = np.polynomial.Polynomial(coeffs)
+    exact = poly.deriv(m)
+    for t in (0.0, 0.137, 0.5, 0.8123456789, 2.75):
+        h = 0.1
+        nodes = [t + o * h for o in offsets]
+        w = fd_weights(nodes, t, m)
+        assert w.shape == (len(offsets),)
+        assert float(np.dot(w, poly(np.array(nodes)))) == pytest.approx(exact(t), rel=1e-10, abs=1e-8)
 
 
 def test_arc_table_evaluates_each_node_speed_once(monkeypatch, exact_pair_type2):
@@ -349,6 +376,34 @@ class TestCsv:
             assert d1_err < 1e-5
 
 
+class TestGridDifferenceOfPositions:
+    # the difference engine on the paper's curves, at steps that balance
+    # truncation against cancellation for each order
+    STEPS = {1: 1e-5, 2: 3e-3, 3: 8e-3}
+
+    @classmethod
+    def _difference(cls, f, c, ts, m):
+        ts = np.asarray(ts, dtype=float)
+        return grid_difference(f, ts, *c.domain, cls.STEPS[m] * np.maximum(1.0, np.abs(ts)), m)
+
+    def test_first_derivative_matches_closed_form(self, example1, example2):
+        ts = [0.0, 0.27, 0.5, 1.0]  # includes one-sided endpoints
+        for c in (example1, example2):
+            err = np.abs(self._difference(c.positions, c, ts, 1) - c.tangents(ts)).max()
+            assert err < 1e-8, (c.label, err)
+
+    def test_higher_orders_reasonable(self, example2):
+        ts = [0.3, 0.7]
+        _, d2, d3 = example2.jets(ts)
+        assert np.abs(self._difference(example2.positions, example2, ts, 2) - d2).max() < 1e-7
+        assert np.abs(self._difference(example2.positions, example2, ts, 3) - d3).max() < 1e-5
+
+    def test_differences_of_the_closed_form_tangent(self, example2):
+        # one order above the tangent is far closer than two above positions
+        err = np.abs(self._difference(example2.tangents, example2, [0.4], 1) - example2.jets([0.4])[1])
+        assert err.max() < 1e-9
+
+
 def test_unit_speed_validation_grid(example1):
     assert example1.validate_unit_speed(32) < 1e-12
 
@@ -361,8 +416,9 @@ def _synthesized(example1, example2):
     )
 
 
-# One curve per constructor: closed forms, a spline, a synthesized curve and
-# the chained ones (arc length over an offset, both offsets).
+# One curve per constructor: closed forms (built in and from row functions),
+# a spline, a synthesized curve and the chained ones (arc length over an
+# offset, both offsets).
 JET_CURVES = {
     "builtin-1": lambda example1, example2: example1,
     "builtin-2": lambda example1, example2: example2,
@@ -373,6 +429,7 @@ JET_CURVES = {
     ),
     "binormal-offset": lambda example1, example2: offset_along_binormal(example2, 20.0),
     "normal-offset": lambda example1, example2: offset_along_normal(example2, 0.5),
+    "closed-form-rows": lambda example1, example2: closed_form_helix(),
 }
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import closed_form_curve
+from conftest import closed_form_curve, closed_form_helix
 from mannheim_lab.builtins import builtin_curve
 from mannheim_lab.cli import main
 from mannheim_lab.curve import (
@@ -30,6 +30,7 @@ from mannheim_lab.errors import (
 from mannheim_lab.frenet import frenet_apparatus, frenet_frames
 from mannheim_lab.lorentz import CausalCharacter, Vec3L, causal_character, causal_characters
 from mannheim_lab.mannheim import (
+    IDENTITIES,
     MannheimPair,
     MannheimPairType,
     PairSamples,
@@ -65,6 +66,7 @@ CURVES = {
         False,
     ),
     "csv": (lambda pair: _sampled(), False),
+    "user-callables": (lambda pair: closed_form_helix(), True),
 }
 
 
@@ -264,6 +266,20 @@ def test_pair_frames_raise_the_error_of_the_first_bad_point(
     assert str(grid.value) == str(point)
     assert str(point).startswith(f"{failing!r} ") or f"of {failing!r} " in str(point)
     assert "s=0.2" in str(point) or "s=0.4" in str(point)
+
+
+def test_hand_built_pair_rows_equal_one_row_samples():
+    c, cstar = builtin_curve("paper-example-1"), builtin_curve("paper-example-2")
+    grid = [0.0, 0.25, 0.5, 1.0]
+    pair = _hand_built_pair(c, cstar)
+    f, fstar, sstar = PairSamples(pair, grid).frames
+    rows = list(zip(f.frames(), fstar.frames(), sstar.tolist()))
+    one_row = [PairSamples(pair, [s]).frames for s in grid]
+    assert rows == [(f1.frames()[0], fs1.frames()[0], float(ss1[0])) for f1, fs1, ss1 in one_row]
+    # the rate is the pair's rate map, read as given
+    assert PairSamples(pair, grid).rates.tolist() == [1.0] * len(grid)
+    distance = next(row for row in IDENTITIES if row.name == "distance-constancy")
+    assert len(distance.report(pair.samples(5)).residuals) == 5
 
 
 def test_row_characters_equal_the_one_row_rule():
