@@ -28,12 +28,12 @@ def _helix(
     label: str, kind: CurveKind, kappa: float, tau: float, p: float, q: float, r: float
 ):
     """Factory of the unit-speed curve s -> (p sinh s, q cosh s, r s), with
-    ``math.sinh`` and ``math.cosh`` taken element by element."""
+    libm's ``sinh`` and ``cosh`` per element through ``math``, not numpy's SIMD."""
     code = tuple(CurveKind).index(kind)
 
     def evaluate(ts: np.ndarray, order: int):
-        sh = np.array([math.sinh(s) for s in ts.tolist()]).reshape(-1)
-        ch = np.array([math.cosh(s) for s in ts.tolist()]).reshape(-1)
+        sh = np.fromiter(map(math.sinh, ts.tolist()), float, len(ts))
+        ch = np.fromiter(map(math.cosh, ts.tolist()), float, len(ts))
         if order == 0:
             return vec_rows(p * sh, q * ch, r * ts)
         d1 = vec_rows(p * ch, q * sh, r)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -420,10 +419,12 @@ class Curve:
 
     def speeds(self, ts) -> np.ndarray:
         """Pseudo-speeds |<a'(t), a'(t)>|^(1/2), in closed form when supplied."""
-        if self._speeds is not None:
-            return self._speeds(self._check_domain(ts))
-        d1 = self.tangents(ts)
-        return norm_rows(d1)
+        ts = self._check_domain(ts)
+        out = norm_rows(self.tangents(ts)) if self._speeds is None else self._speeds(ts)
+        if not np.isfinite(out).all():
+            t = float(ts[(~np.isfinite(out)).argmax()])
+            raise ValueError(f"non-finite speeds of {self.label!r} at t={t!r}")
+        return out
 
     def pos(self, t: float) -> Vec3L:
         return _vec(self.positions([t])[0])
@@ -599,7 +600,7 @@ class _ArcLengthTable:
         t_nodes = np.linspace(a, b, size + 1)
         # Each node's speed is evaluated once and shared by its two pieces.
         pieces = _adaptive_pieces(c.speeds, t_nodes, c.speeds(t_nodes), QUADRATURE_TOL / size)
-        s_nodes = np.array(list(accumulate(pieces.tolist(), initial=0.0)))
+        s_nodes = np.concatenate(([0.0], np.add.accumulate(pieces)))
         if not (np.diff(s_nodes) > 0).all():
             raise NullTangentError("arc length is not strictly increasing")
         self.t_nodes = t_nodes

@@ -163,9 +163,9 @@ def cross_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def power_rows(x: np.ndarray, k: int) -> np.ndarray:
-    """``x ** k`` per element in Python floats, whose ``pow`` rounds unlike
-    ``x * x`` for about one double in a thousand, and unlike numpy's power."""
-    return np.array([v**k for v in x.tolist()])
+    """``x ** k`` by libm's ``pow`` per element, as Python's float ``**``; not
+    ``np.power``, which squares at k = 2 and may run a SIMD ``pow``."""
+    return np.float_power(x, k)
 
 
 def norm(v: Vec3L) -> float:
@@ -179,9 +179,9 @@ def norm_rows(x: np.ndarray) -> np.ndarray:
 
 
 def euclidean_rows(x: np.ndarray) -> np.ndarray:
-    """``Vec3L.euclidean_norm`` of each row of an (n, 3) array, by the same
-    3-argument ``math.hypot``, whose rounding numpy does not reproduce."""
-    return np.array([math.hypot(*row) for row in x.tolist()]).reshape(-1)
+    """Euclidean length of each row of an (n, 3) array by ``np.hypot`` twice:
+    within an ulp of ``Vec3L.euclidean_norm``, and read only by thresholds."""
+    return np.hypot(np.hypot(x[:, 0], x[:, 1]), x[:, 2])
 
 
 def causal_characters(rows: np.ndarray) -> np.ndarray:

@@ -210,12 +210,12 @@ def offset_along_binormal(cstar: Curve, lam: float) -> Curve:
     """The curve s* -> a*(s*) + lam * B*(s*).
 
     ``cstar`` must be unit-speed with nonvanishing curvature.  The result is
-    generally not unit-speed, and nothing here asserts it is a genuine
-    partner of ``cstar``; use ``mannheim_residual`` to audit that.
-    Derivatives chain through the frame equations of the base curve, so no
-    positional differencing is involved; the jets read the base frames and
-    the base scalar jets once per grid for all three orders.  The speed
-    sqrt|eps_T + eps_N lam^2 tau^2| comes from the base torsion alone.
+    generally not unit-speed, and nothing here asserts it is a genuine partner
+    of ``cstar``: ``PairSamples.collinearity`` and the ``distance-constancy``
+    row audit that.  Derivatives chain through the frame equations of the base
+    curve, so no positional differencing is involved; the jets read the base
+    frames and the base scalar jets once per grid for all three orders.  The
+    speed sqrt|eps_T + eps_N lam^2 tau^2| comes from the base torsion alone.
     """
     if lam == 0.0:
         raise ZeroLambdaError("offset distance must be nonzero")

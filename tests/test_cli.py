@@ -284,6 +284,16 @@ class TestExamplesCommand:
         assert code == 0
         assert "pair type: 3" in out
 
+    @pytest.mark.parametrize("example", ["1", "2"])
+    def test_overflowing_offset_speed_is_an_error(self, capsys, example):
+        # (lambda tau)^2 of the closed-form speed overflows past ~1.34e154
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, _, err = run_cli(capsys, "examples", "run", example, "--lambda", "1e160")
+        assert code == 1
+        assert err.splitlines()[-1].startswith("error: non-finite speeds of ")
+        assert "Traceback" not in err
+
 
 class TestPairVerifyCommand:
     def test_shared_parameter_pair(self, capsys, tmp_path):

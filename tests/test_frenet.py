@@ -336,6 +336,23 @@ class TestGridFiniteDifference:
                         uses.add((path.stem, getattr(top, "name", None)))
         assert uses == {("frenet", "scalar_jets")}
 
+    def test_row_kernels_do_not_loop_per_element(self):
+        # no *_rows function of lorentz.py walks its rows in Python: no
+        # comprehension and no .tolist()
+        tree = ast.parse(Path(curve_module.__file__).with_name("lorentz.py").read_text())
+        kernels = [
+            f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name.endswith("_rows")
+        ]
+        assert len(kernels) >= 6
+        loops = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+        looped = {
+            f.name
+            for f in kernels
+            for node in ast.walk(f)
+            if isinstance(node, loops) or getattr(node, "attr", None) == "tolist"
+        }
+        assert looped == set()
+
 
 class TestScalarJet:
     # (kappa, kappa', kappa'', tau, tau', tau''): largest gap between a curve's

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mannheim_lab.builtins import builtin_curve
 from mannheim_lab.errors import NullInputError, OrientationMismatchError
 from mannheim_lab.lorentz import (
     E1,
@@ -14,8 +15,11 @@ from mannheim_lab.lorentz import (
     angle_between,
     causal_character,
     cross,
+    euclidean_rows,
     inner,
     norm,
+    power_rows,
+    vec_rows,
 )
 
 BASIS = (E1, E2, E3)
@@ -105,6 +109,51 @@ def test_rejects_non_finite_components():
         Vec3L(math.nan, 0, 0)
     with pytest.raises(ValueError):
         Vec3L(0.0, math.inf, 0.0)
+
+
+class TestRowKernelBits:
+    """The row kernels give the bits of the per-element Python code."""
+
+    @staticmethod
+    def sample(n=100_000):
+        rng = np.random.default_rng(20)
+        x = np.copysign(10.0 ** rng.uniform(-3.0, 50.0, n), rng.uniform(-1.0, 1.0, n))
+        x[:2] = 0.0, -0.0
+        return x
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_power_rows_is_python_pow(self, k):
+        x = self.sample()
+        assert power_rows(x, k).tobytes() == np.array([v**k for v in x.tolist()]).tobytes()
+
+    def test_power_sample_tells_pow_from_squaring(self):
+        # a kernel that squared, as np.power does at k = 2, would fail above
+        assert any(v * v != v**2 for v in self.sample().tolist())
+
+    def test_euclidean_rows_within_an_ulp_of_math_hypot(self):
+        rows = self.sample(30_000).reshape(-1, 3)
+        want = np.array([math.hypot(*row) for row in rows.tolist()])
+        assert (np.abs(euclidean_rows(rows) - want) <= np.spacing(want)).all()
+
+    def test_euclidean_rows_do_not_overflow(self):
+        rows = np.full((2, 3), 1e200)
+        rows[1] *= -1.0
+        assert np.isfinite(euclidean_rows(rows)).all()
+        assert euclidean_rows(rows)[0] == pytest.approx(math.sqrt(3.0) * 1e200, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "name, p, q, r",
+        [
+            ("paper-example-1", -0.5, 0.5, 0.5 * math.sqrt(5.0)),
+            ("paper-example-2", 2.0, 2.0, math.sqrt(3.0)),
+        ],
+    )
+    def test_helix_is_math_sinh_and_cosh_per_element(self, name, p, q, r):
+        ts = np.linspace(-3.0, 3.0, 1001)
+        sh = np.array([math.sinh(t) for t in ts.tolist()])
+        ch = np.array([math.cosh(t) for t in ts.tolist()])
+        got = builtin_curve(name, (-3.0, 3.0)).positions(ts)
+        assert got.tobytes() == vec_rows(p * sh, q * ch, r * ts).tobytes()
 
 
 class TestAngles:
