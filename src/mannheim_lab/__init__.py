@@ -5,27 +5,15 @@ non-null curves, partner-curve offsets with a full set of numerical
 identity audits, spherical frame images, and a command-line front end.
 """
 
-from .lorentz import (
-    AngleKind,
-    CausalCharacter,
-    LorentzAngle,
-    Vec3L,
-    angle_between,
-    causal_character,
-    cross,
-    inner,
-    norm,
-)
+from .lorentz import CausalCharacter, Vec3L
 from .curve import (
     Curve,
     CurveSamples,
-    arclength,
     classify_curve,
     curve_from_samples,
     load_samples_csv,
     reparametrize_unit,
     sample,
-    speed,
 )
 from .frenet import (
     CurveKind,

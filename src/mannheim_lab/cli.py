@@ -26,7 +26,9 @@ from typing import Sequence
 
 from . import __version__
 from .builtins import BUILTIN_CURVE_NAMES, builtin_curve
-from .curve import Curve, CurveSamples, curve_from_samples, load_samples_csv, reparametrize_unit, sample
+from .curve import (
+    MAX_TABLE_SIZE, Curve, CurveSamples, curve_from_samples, load_samples_csv, reparametrize_unit, sample
+)
 from .errors import (
     CsvFormatError,
     ExprSyntaxError,
@@ -243,15 +245,16 @@ def _cmd_export_plot(args) -> int:
 
 
 def _grid_size(text: str) -> int:
-    """argparse type of every ``--grid``: an integer of at least 2."""
+    """argparse type of every ``--grid``: an integer in [2, ``MAX_TABLE_SIZE``],
+    the bound on every table the package builds."""
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"invalid grid size {text!r}; expected an integer >= 2"
+            f"invalid grid size {text!r}; expected an integer in [2, {MAX_TABLE_SIZE}]"
         ) from None
-    if n < 2:
-        raise argparse.ArgumentTypeError(f"grid size must be at least 2, got {n}")
+    if not 2 <= n <= MAX_TABLE_SIZE:
+        raise argparse.ArgumentTypeError(f"grid size must be in [2, {MAX_TABLE_SIZE}], got {n}")
     return n
 
 

@@ -2,11 +2,10 @@
 
 The grid is the unit of evaluation.  A :class:`Curve` is built from its
 array evaluator, which returns, for an array of parameters, the positions
-or the first three derivatives as ``(n, 3)`` arrays; a point query is the
-one-row case of it.  Built-in, synthesized, reparametrized, offset and
-sampled curves supply their evaluator in closed form, doing the arithmetic
-of a point elementwise in the same operation order, so row ``i`` of a grid
-equals the point at ``ts[i]`` bit for bit; no curve differences its
+or the first three derivatives as ``(n, 3)`` arrays.  Built-in,
+synthesized, reparametrized, offset and sampled curves supply their
+evaluator in closed form, elementwise, so row ``i`` of a grid does not
+depend on the other parameters of the grid; no curve differences its
 positions.  A curve may also carry a closed-form speed and, when it is
 unit-speed, an evaluator of its curvature and torsion with their
 derivatives (read by ``frenet.scalar_jets``).  Curves are immutable after
@@ -32,22 +31,18 @@ from .errors import (
     TableSizeError,
     raise_first,
 )
-from .lorentz import CausalCharacter, Vec3L, causal_characters, inner_rows, norm_rows, power_rows
+from .lorentz import CausalCharacter, causal_characters, inner_rows, norm_rows, power_rows
 
 __all__ = [
     "Curve",
-    "Jet",
     "CurveSamples",
-    "speed",
     "classify_curve",
-    "arclength",
     "reparametrize_unit",
     "sample",
     "curve_from_samples",
     "load_samples_csv",
     "fd_weights",
     "grid_difference",
-    "adaptive_simpson",
     "CubicHermiteSpline",
     "PchipInterpolator",
     "INVERSE_TABLE_SIZE",
@@ -222,17 +217,6 @@ def _adaptive_pieces(
     return values[0]
 
 
-def adaptive_simpson(
-    f: Callable[[np.ndarray], np.ndarray], a: float, b: float, tol: float = QUADRATURE_TOL
-) -> float:
-    """Adaptive Simpson quadrature of ``f`` over [a, b] with absolute
-    tolerance ``tol``; ``f`` maps an array of abscissae to its values."""
-    if a == b:
-        return 0.0
-    x = np.array([a, b], dtype=float)
-    return float(_adaptive_pieces(f, x, f(x), tol)[0])
-
-
 def _clamp(x, lo: float, hi: float):
     """``min(max(x, lo), hi)`` elementwise; a value in range, or NaN, is kept as is."""
     x = np.asarray(x, dtype=float)
@@ -343,13 +327,6 @@ class PchipInterpolator(CubicHermiteSpline):
         super().__init__(x, y, _pchip_slopes(x, y))
 
 
-Jet = tuple[Vec3L, Vec3L, Vec3L]
-
-
-def _vec(row: np.ndarray) -> Vec3L:
-    return Vec3L(*row.tolist())
-
-
 class Curve:
     """A map from a closed interval into Minkowski 3-space, given by its array evaluator.
 
@@ -357,8 +334,7 @@ class Curve:
     parameters it returns the positions (order 0) or first derivatives
     (order 1) as an ``(n, 3)`` array, or the jet ``(d1, d2, d3)`` as three
     such arrays (order 3).  ``positions``, ``tangents``, ``jets`` and
-    ``speeds`` evaluate a whole grid; ``pos``, ``deriv``, ``jet`` and
-    ``speed`` are their one-row case.  ``speeds`` may give the pseudo-speed
+    ``speeds`` evaluate a whole grid.  ``speeds`` may give the pseudo-speed
     of an array of parameters in closed form, which must equal the norm of
     the tangents, and ``scalars`` is the scalar-jet evaluator of a
     unit-speed curve (see ``frenet.scalar_jets``).
@@ -420,34 +396,16 @@ class Curve:
     def speeds(self, ts) -> np.ndarray:
         """Pseudo-speeds |<a'(t), a'(t)>|^(1/2), in closed form when supplied."""
         ts = self._check_domain(ts)
-        out = norm_rows(self.tangents(ts)) if self._speeds is None else self._speeds(ts)
+        if self._speeds is None:
+            out = norm_rows(self.tangents(ts))
+        else:
+            # an overflow is named by the finiteness check below
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = self._speeds(ts)
         if not np.isfinite(out).all():
             t = float(ts[(~np.isfinite(out)).argmax()])
             raise ValueError(f"non-finite speeds of {self.label!r} at t={t!r}")
         return out
-
-    def pos(self, t: float) -> Vec3L:
-        return _vec(self.positions([t])[0])
-
-    def deriv(self, t: float, order: int = 1) -> Vec3L:
-        if order not in (1, 2, 3):
-            raise ValueError("derivative order must be 1, 2 or 3")
-        if order == 1:
-            return _vec(self.tangents([t])[0])
-        return self.jet(t)[order - 1]
-
-    def jet(self, t: float) -> Jet:
-        """Derivatives of orders 1, 2 and 3 at ``t``, equal to three ``deriv`` calls."""
-        d1, d2, d3 = self.jets([t])
-        return _vec(d1[0]), _vec(d2[0]), _vec(d3[0])
-
-    def speed(self, t: float) -> float:
-        return float(self.speeds([t])[0])
-
-    def validate_unit_speed(self, grid_size: int = 64) -> float:
-        """Largest deviation of |<a',a'>| from 1 on a uniform grid."""
-        d1 = self.tangents(np.linspace(*self.domain, grid_size))
-        return max(0.0, *np.abs(np.abs(inner_rows(d1, d1)) - 1.0).tolist())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         a, b = self.domain
@@ -471,14 +429,6 @@ class CurveSamples:
         if len(t) and not (np.diff(t) > 0).all():
             raise ValueError("parameters must be strictly increasing")
         self.rows = np.column_stack((t, p))
-
-    @property
-    def parameters(self) -> list[float]:
-        return self.rows[:, 0].tolist()
-
-    @property
-    def points(self) -> list[Vec3L]:
-        return [Vec3L(*p) for p in self.rows[:, 1:].tolist()]
 
     def to_csv(self, stream: io.TextIOBase) -> None:
         """Header ``t,x1,x2,x3``, then rows of four ``%.17g`` fields, as
@@ -546,11 +496,6 @@ def curve_from_samples(samples: CurveSamples, label: str = "samples") -> Curve:
     return Curve(evaluate, (float(t[0]), float(t[-1])), label)
 
 
-def speed(c: Curve, t: float) -> float:
-    """Pseudo-speed |<a'(t), a'(t)>|^(1/2); see ``Curve.speed``."""
-    return c.speed(t)
-
-
 def classify_curve(c: Curve, grid_size: int = 64) -> CausalCharacter:
     """Common causal character of the tangent over a uniform grid.
 
@@ -573,23 +518,6 @@ def classify_curve(c: Curve, grid_size: int = 64) -> CausalCharacter:
         ]
     )
     return tuple(CausalCharacter)[chars[0]]
-
-
-def arclength(c: Curve, t0: float, t1: float) -> float:
-    """Pseudo arc length: adaptive quadrature of the speed over [t0, t1] to
-    ``QUADRATURE_TOL``."""
-    a, b = c.domain
-    if t0 > t1:
-        raise ValueError("t0 must not exceed t1")
-    slack = 1e-9 * (b - a)
-    if t0 < a - slack or t1 > b + slack:
-        raise OutOfDomainError(f"[{t0!r}, {t1!r}] not within [{a!r}, {b!r}]")
-    if t0 == t1:
-        return 0.0
-    ts = np.linspace(t0, t1, 17)
-    null = causal_characters(c.tangents(ts)) >= 2  # null or zero
-    raise_first([(null, lambda i: NullTangentError(f"null tangent at t={ts[i]:g}"))])
-    return adaptive_simpson(c.speeds, t0, t1)
 
 
 class _ArcLengthTable:

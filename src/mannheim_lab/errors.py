@@ -4,8 +4,6 @@ import numpy as np
 
 __all__ = [
     "MannheimLabError",
-    "NullInputError",
-    "OrientationMismatchError",
     "OutOfDomainError",
     "NullTangentError",
     "MixedCausalCharacterError",
@@ -49,14 +47,6 @@ class MannheimLabError(Exception):
     """Base class for all domain errors raised by this package."""
 
     row: int | None = None  # the failing row, when a grid check raised the error
-
-
-class NullInputError(MannheimLabError):
-    """A null or zero vector was fed to an operation that excludes them."""
-
-
-class OrientationMismatchError(MannheimLabError):
-    """Two timelike vectors point into opposite time halves."""
 
 
 class OutOfDomainError(MannheimLabError):

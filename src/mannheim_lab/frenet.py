@@ -10,9 +10,9 @@ three first-order systems, keyed by the causal characters of T and N:
 with Gram signs (T, N, B) of (-1, +1, +1), (+1, +1, -1) and (+1, -1, +1)
 respectively.  ``frenet_frames`` extracts the frame and the two scalars
 from derivatives on a whole grid, ``frenet_apparatus`` at one point;
-``scalar_jets`` gives the two scalars with their first two derivatives (and
-``scalar_jet`` at one point); ``frenet_synthesize`` integrates the system
-for prescribed scalar functions.
+``scalar_jets`` gives the two scalars with their first two derivatives on a
+grid; ``frenet_synthesize`` integrates the system for prescribed scalar
+functions.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .errors import (
     raise_first,
 )
 from .expr import Jet2
-from .lorentz import Vec3L, cross, cross_rows, euclidean_rows, inner_rows
+from .lorentz import Vec3L, cross_rows, euclidean_rows, inner_rows
 
 __all__ = [
     "CurveKind",
@@ -49,9 +49,7 @@ __all__ = [
     "frenet_apparatus",
     "constant_kind",
     "scalar_jets",
-    "scalar_jet",
     "kind_signs",
-    "ScalarJet",
     "frenet_synthesize",
     "INITIAL_FRAMES",
     "frame_gram_residual",
@@ -139,7 +137,8 @@ class FrenetFrame:
 
     def cross_residual(self) -> float:
         """Euclidean deviation of B from T x N."""
-        return (self.B - cross(self.T, self.N)).euclidean_norm()
+        f = FrameGrid.of([self])
+        return float(euclidean_rows(f.B - cross_rows(f.T, f.N))[0])
 
 
 def frame_gram_residual(T: np.ndarray, N: np.ndarray, B: np.ndarray, kinds) -> np.ndarray:
@@ -256,9 +255,8 @@ def constant_kind(c: Curve, grid_size: int) -> CurveKind:
     return _KINDS[kinds[0]]
 
 
-# (kind, (kappa, kappa', ...), (tau, tau', ...)), both jets of equal length.
-ScalarJet = tuple[CurveKind, tuple[float, ...], tuple[float, ...]]
-# The grid form: kinds as indices into tuple(CurveKind), then arrays.
+# Kinds as indices into tuple(CurveKind), then (kappa, kappa', ...) and
+# (tau, tau', ...), arrays, both jets of equal length.
 ScalarJets = tuple[np.ndarray, tuple[np.ndarray, ...], tuple[np.ndarray, ...]]
 
 
@@ -296,12 +294,6 @@ def scalar_jets(c: Curve, s, order: int = 2) -> ScalarJets:
     ).T
     tau_pp = grid_difference(lambda x: frenet_frames(c, x).tau, s, a, b, 1e-3 * scale, 2, f.tau)
     return f.kinds, (f.kappa, f.dkappa, kappa_pp), (f.tau, tau_p, tau_pp)
-
-
-def scalar_jet(c: Curve, s: float, order: int = 2) -> ScalarJet:
-    """Kind, curvature jet and torsion jet at ``s``: the one-row ``scalar_jets``."""
-    kinds, kappa, tau = scalar_jets(c, [s], order)
-    return _KINDS[int(kinds[0])], tuple(float(k[0]) for k in kappa), tuple(float(t[0]) for t in tau)
 
 
 # Steps per block of the batched RK4 increments: the block's arrays stay a

@@ -7,8 +7,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from mannheim_lab.cli import main, resolve_curve_spec, SpecError
-from mannheim_lab.curve import CurveSamples
+from mannheim_lab.cli import _grid_size, main, resolve_curve_spec, SpecError
+from mannheim_lab.curve import MAX_TABLE_SIZE, CurveSamples
 from mannheim_lab.reports import REPORT_JSON_SCHEMA
 
 
@@ -89,6 +89,27 @@ class TestClassifyCommand:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "direction, verdict",
+        [((1e200, 1e200, 0.0), None), ((2e200, 1e200, 0.0), "timelike")],
+        ids=["null", "timelike"],
+    )
+    def test_tangent_whose_square_overflows(self, capsys, tmp_path, direction, verdict):
+        # <T,T> of these lines overflows to NaN, which once read as spacelike
+        path = tmp_path / "line.csv"
+        ts = np.array([0.0, 1.0, 2.0, 3.0])
+        with open(path, "w", newline="") as fh:
+            CurveSamples(ts, ts[:, None] * np.array(direction)).to_csv(fh)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, "classify", "--curve", f"csv:{path}")
+        if verdict is None:
+            assert code == 1
+            assert err.startswith(f"error: tangent of '{path}' is null at t=")
+        else:
+            assert code == 0
+            assert json.loads(out)["causal_character"] == verdict
+
 
 class TestOffsetCommand:
     def test_binormal_offset_csv(self, capsys):
@@ -97,8 +118,8 @@ class TestOffsetCommand:
         )
         assert code == 0
         samples = CurveSamples.from_csv(io.StringIO(out))
-        assert len(samples.parameters) == 5
-        assert samples.points[0].x3 == pytest.approx(-40.0)
+        assert len(samples.rows) == 5
+        assert samples.rows[0, 3] == pytest.approx(-40.0)
 
     def test_requires_exactly_one_base(self, capsys):
         code, _, err = run_cli(capsys, "offset", "--lambda", "2")
@@ -125,7 +146,7 @@ class TestSynthesizeCommand:
         )
         assert code == 0
         samples = CurveSamples.from_csv(io.StringIO(out))
-        assert len(samples.parameters) == 9
+        assert len(samples.rows) == 9
 
     def test_expression_error_is_exit_two(self, capsys):
         code, _, err = run_cli(
@@ -286,13 +307,14 @@ class TestExamplesCommand:
 
     @pytest.mark.parametrize("example", ["1", "2"])
     def test_overflowing_offset_speed_is_an_error(self, capsys, example):
-        # (lambda tau)^2 of the closed-form speed overflows past ~1.34e154
+        # (lambda tau)^2 of the closed-form speed overflows past ~1.34e154;
+        # the error names it, and no numpy warning precedes it
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error", RuntimeWarning)
             code, _, err = run_cli(capsys, "examples", "run", example, "--lambda", "1e160")
         assert code == 1
-        assert err.splitlines()[-1].startswith("error: non-finite speeds of ")
-        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: non-finite speeds of ")
 
 
 class TestPairVerifyCommand:
@@ -354,7 +376,7 @@ class TestIndicatrixCommand:
         )
         assert code == 0
         samples = CurveSamples.from_csv(io.StringIO(out))
-        assert samples.points[0].x2 == pytest.approx(1.0)  # cosh(0)
+        assert samples.rows[0, 2] == pytest.approx(1.0)  # cosh(0)
 
 
 # Every command that takes --grid, with its other required arguments.
@@ -382,6 +404,20 @@ class TestGridSizes:
         assert "--grid" in err
         assert out == ""
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("grid", [str(MAX_TABLE_SIZE + 1), "1000000000"])
+    @pytest.mark.parametrize("command", sorted(GRID_COMMANDS))
+    def test_grid_above_the_table_bound_is_usage_error(self, capsys, tmp_path, command, grid):
+        out_path = tmp_path / "out"
+        argv = GRID_COMMANDS[command] + ["--grid", grid, "--out", str(out_path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert f"grid size must be in [2, {MAX_TABLE_SIZE}], got {grid}" in err
+        assert out == ""
+        assert not out_path.exists()
+
+    def test_grid_of_the_table_bound_is_accepted(self):
+        assert _grid_size(str(MAX_TABLE_SIZE)) == MAX_TABLE_SIZE
 
     def test_grid_of_two_runs(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
@@ -430,7 +466,7 @@ class TestFiniteFloats:
         code, out, _ = run_cli(capsys, "offset", "--cstar", "paper-example-2",
                                "--lambda=-7.5", "--grid", "3")
         assert code == 0
-        assert len(CurveSamples.from_csv(io.StringIO(out)).parameters) == 3
+        assert len(CurveSamples.from_csv(io.StringIO(out)).rows) == 3
 
 
 class TestExpressionDomainErrors:

@@ -14,15 +14,14 @@ from mannheim_lab.curve import (
     Curve,
     CurveSamples,
     PchipInterpolator,
-    adaptive_simpson,
-    arclength,
+    _adaptive_pieces,
+    _ArcLengthTable,
     classify_curve,
     curve_from_samples,
     fd_weights,
     grid_difference,
     reparametrize_unit,
     sample,
-    speed,
 )
 from mannheim_lab.errors import (
     CsvFormatError,
@@ -32,7 +31,7 @@ from mannheim_lab.errors import (
     TableSizeError,
 )
 from mannheim_lab.frenet import INITIAL_FRAMES, CurveKind, FrenetFrame, frenet_synthesize
-from mannheim_lab.lorentz import CausalCharacter, Vec3L
+from mannheim_lab.lorentz import CausalCharacter, Vec3L, euclidean_rows, inner_rows
 from mannheim_lab.mannheim import offset_along_binormal, offset_along_normal
 
 SQRT3 = math.sqrt(3.0)
@@ -42,6 +41,23 @@ def line_curve(direction, domain=(0.0, 3.0), **kwargs):
     dx, dy, dz = direction
     rows = (lambda t: (dx * t, dy * t, dz * t), lambda t: direction)
     return closed_form_curve(rows, domain, "line", **kwargs)
+
+
+def simpson(f, a, b, eps=QUADRATURE_TOL):
+    """Adaptive Simpson integral of ``f`` over [a, b]: the one-piece ``_adaptive_pieces``."""
+    x = np.array([a, b], dtype=float)
+    return float(_adaptive_pieces(f, x, f(x), eps)[0])
+
+
+def unit_speed_deviation(c, grid_size):
+    """Largest deviation of |<a',a'>| from 1 on a uniform grid."""
+    d1 = c.tangents(np.linspace(*c.domain, grid_size))
+    return float(np.abs(np.abs(inner_rows(d1, d1)) - 1.0).max())
+
+
+def distance(p, q):
+    """Euclidean distance of each row pair."""
+    return euclidean_rows(np.asarray(p) - np.asarray(q))
 
 
 def test_fd_weights_match_known_tables():
@@ -96,31 +112,34 @@ def test_arc_table_evaluates_each_node_speed_once(monkeypatch, exact_pair_type2)
     monkeypatch.undo()
     expected = [0.0]
     for t0, t1 in zip(table.t_nodes[:-1], table.t_nodes[1:]):
-        piece = adaptive_simpson(c.speeds, float(t0), float(t1), QUADRATURE_TOL / size)
+        piece = simpson(c.speeds, float(t0), float(t1), QUADRATURE_TOL / size)
         expected.append(expected[-1] + piece)
     assert np.array_equal(table.s_nodes, np.array(expected))
 
 
 def test_adaptive_simpson():
-    assert adaptive_simpson(np.exp, 0.0, 1.0) == pytest.approx(math.e - 1.0, abs=1e-12)
-    assert adaptive_simpson(lambda t: t * t, -1.0, 2.0) == pytest.approx(3.0, abs=1e-12)
-    assert adaptive_simpson(np.cos, 2.0, 2.0) == 0.0
+    assert simpson(np.exp, 0.0, 1.0) == pytest.approx(math.e - 1.0, abs=1e-12)
+    assert simpson(lambda t: t * t, -1.0, 2.0) == pytest.approx(3.0, abs=1e-12)
+    assert simpson(np.cos, 2.0, 2.0) == 0.0
+    # several pieces at once, each to its own tolerance
+    x = np.array([0.0, 0.25, 1.0, 1.0])
+    pieces = _adaptive_pieces(np.exp, x, np.exp(x), QUADRATURE_TOL)
+    assert pieces == pytest.approx(np.exp(x[1:]) - np.exp(x[:-1]), abs=1e-12)
+    assert pieces[-1] == 0.0
 
 
 class TestSpeed:
     def test_builtin_unit(self, example1, example2):
         for c in (example1, example2):
-            for t in (0.0, 0.3, 1.0):
-                assert speed(c, t) == pytest.approx(1.0, abs=1e-12)
+            assert c.speeds([0.0, 0.3, 1.0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_offset_constant_speed(self, example2):
         off = offset_along_binormal(example2, 20.0)
-        for t in (0.0, 0.5, 1.0):
-            assert speed(off, t) == pytest.approx(math.sqrt(1199.0), abs=1e-10)
+        assert off.speeds([0.0, 0.5, 1.0]) == pytest.approx(math.sqrt(1199.0), abs=1e-10)
 
     def test_out_of_domain(self, example1):
         with pytest.raises(OutOfDomainError):
-            speed(example1, 2.0)
+            example1.speeds([0.5, 2.0])
 
 
 class TestClassify:
@@ -155,49 +174,46 @@ class TestClassify:
 
 class TestArclength:
     def test_unit_speed_interval(self, example2):
-        assert arclength(example2, 0.0, 1.0) == pytest.approx(1.0, abs=1e-10)
+        assert _ArcLengthTable(example2, 16).total == pytest.approx(1.0, abs=1e-10)
 
     def test_degenerate_interval(self, example1):
-        assert arclength(example1, 0.4, 0.4) == 0.0
+        assert simpson(example1.speeds, 0.4, 0.4) == 0.0
 
     def test_constant_speed_two(self):
         c = line_curve((0.0, 2.0, 0.0))
-        assert arclength(c, 0.0, 3.0) == pytest.approx(6.0, abs=1e-10)
+        assert _ArcLengthTable(c, 16).total == pytest.approx(6.0, abs=1e-10)
 
     def test_additive(self, example2):
         off = offset_along_binormal(example2, 20.0)
-        total = arclength(off, 0.0, 1.0)
-        split = arclength(off, 0.0, 0.3) + arclength(off, 0.3, 1.0)
+        total = _ArcLengthTable(off, 16).total
+        split = simpson(off.speeds, 0.0, 0.3) + simpson(off.speeds, 0.3, 1.0)
         assert split == pytest.approx(total, abs=2e-10)
 
     def test_null_rejected(self):
         with pytest.raises(NullTangentError):
-            arclength(line_curve((1.0, 1.0, 0.0)), 0.0, 1.0)
+            _ArcLengthTable(line_curve((1.0, 1.0, 0.0)), 16)
 
 
 class TestReparametrize:
     def test_already_unit(self, example1):
         c = reparametrize_unit(example1, 256)
         assert c.domain[1] == pytest.approx(1.0, abs=1e-10)
-        for u in (0.0, 0.35, 0.9):
-            p, q = c.pos(u), example1.pos(u)
-            assert (p - q).euclidean_norm() < 1e-8
+        us = [0.0, 0.35, 0.9]
+        assert (distance(c.positions(us), example1.positions(us)) < 1e-8).all()
 
     def test_constant_speed_line(self):
         c = reparametrize_unit(line_curve((0.0, 2.0, 0.0)), 128)
         assert c.domain[1] == pytest.approx(6.0, abs=1e-9)
-        for u in (0.0, 1.0, 5.5):
-            assert speed(c, u) == pytest.approx(1.0, abs=1e-12)
+        assert c.speeds([0.0, 1.0, 5.5]) == pytest.approx(1.0, abs=1e-12)
 
     def test_offset_curve(self, example2):
         off = offset_along_binormal(example2, 20.0)
         c = reparametrize_unit(off, 512)
-        assert c.validate_unit_speed(48) < 1e-8
+        assert unit_speed_deviation(c, 48) < 1e-8
         # point set is preserved: positions at corresponding parameters match
-        table = c.arc_table
-        for t in (0.0, 0.25, 0.8):
-            u = table.s_of_t(t)
-            assert (c.pos(u) - off.pos(t)).euclidean_norm() < 1e-8
+        ts = np.array([0.0, 0.25, 0.8])
+        us = c.arc_table.s_of_t(ts)
+        assert (distance(c.positions(us), off.positions(ts)) < 1e-8).all()
 
     def test_classification_preserved(self, example2):
         off = offset_along_binormal(example2, 20.0)
@@ -210,7 +226,7 @@ class TestReparametrize:
         u = reparametrize_unit(c, 512)
         expected = math.asinh(2.0) / 2.0 + math.sqrt(5.0)  # integral of sqrt(1+t^2)
         assert u.domain[1] == pytest.approx(expected, abs=1e-8)
-        assert u.validate_unit_speed(33) < 1e-12
+        assert unit_speed_deviation(u, 33) < 1e-12
 
 
     def test_table_size_is_bounded(self):
@@ -328,14 +344,14 @@ class TestHermiteEvaluator:
 class TestSample:
     def test_endpoints(self, example1):
         out = sample(example1, 2)
-        assert out.parameters == [0.0, 1.0]
-        assert out.points[0] == example1.pos(0.0)
+        assert out.rows[:, 0].tolist() == [0.0, 1.0]
+        assert out.rows[0, 1:].tolist() == example1.positions([0.0])[0].tolist()
 
     def test_matches_closed_form(self, example2):
         out = sample(example2, 3)
-        assert out.parameters[1] == pytest.approx(0.5)
-        expect = Vec3L(2.0 * math.sinh(0.5), 2.0 * math.cosh(0.5), SQRT3 * 0.5)
-        assert (out.points[1] - expect).euclidean_norm() < 1e-14
+        assert out.rows[1, 0] == pytest.approx(0.5)
+        expect = [2.0 * math.sinh(0.5), 2.0 * math.cosh(0.5), SQRT3 * 0.5]
+        assert distance(out.rows[1:2, 1:], [expect])[0] < 1e-14
 
     def test_too_few(self, example1):
         with pytest.raises(ValueError):
@@ -351,9 +367,8 @@ class TestCsv:
         assert text.startswith("t,x1,x2,x3\n")
         assert "\r" not in text
         back = CurveSamples.from_csv(io.StringIO(text))
-        assert back.parameters == out.parameters
-        for p, q in zip(back.points, out.points):
-            assert p == q  # 17 significant digits round-trip doubles exactly
+        # 17 significant digits round-trip doubles exactly
+        assert back.rows.tobytes() == out.rows.tobytes()
 
     def test_header_required(self):
         with pytest.raises(CsvFormatError):
@@ -370,10 +385,9 @@ class TestCsv:
     def test_curve_from_samples(self, example2):
         rich = sample(example2, 200)
         c = curve_from_samples(rich)
-        for t in (0.1, 0.42, 0.9):
-            assert (c.pos(t) - example2.pos(t)).euclidean_norm() < 1e-8
-            d1_err = (c.deriv(t, 1) - example2.deriv(t, 1)).euclidean_norm()
-            assert d1_err < 1e-5
+        ts = [0.1, 0.42, 0.9]
+        assert (distance(c.positions(ts), example2.positions(ts)) < 1e-8).all()
+        assert (distance(c.tangents(ts), example2.tangents(ts)) < 1e-5).all()
 
 
 class TestGridDifferenceOfPositions:
@@ -405,7 +419,7 @@ class TestGridDifferenceOfPositions:
 
 
 def test_unit_speed_validation_grid(example1):
-    assert example1.validate_unit_speed(32) < 1e-12
+    assert unit_speed_deviation(example1, 32) < 1e-12
 
 
 def _synthesized(example1, example2):
@@ -434,8 +448,11 @@ JET_CURVES = {
 
 
 @pytest.mark.parametrize("name", sorted(JET_CURVES))
-def test_jet_equals_three_derivative_calls(name, example1, example2):
+def test_jets_open_with_the_tangents(name, example1, example2):
     c = JET_CURVES[name](example1, example2)
     a, b = c.domain
-    for t in (a, a + 0.37 * (b - a), a + 0.81 * (b - a), b):
-        assert c.jet(t) == (c.deriv(t, 1), c.deriv(t, 2), c.deriv(t, 3)), t
+    ts = [a, a + 0.37 * (b - a), a + 0.81 * (b - a), b]
+    assert c.jets(ts)[0].tobytes() == c.tangents(ts).tobytes()
+    # a row does not depend on the rest of the grid
+    for i, t in enumerate(ts):
+        assert [d[i].tolist() for d in c.jets(ts)] == [d[0].tolist() for d in c.jets([t])], t

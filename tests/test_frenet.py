@@ -26,13 +26,14 @@ from mannheim_lab.frenet import (
     FrenetFrame,
     frame_gram_residual,
     frenet_apparatus,
+    frenet_frames,
     frenet_synthesize,
-    scalar_jet,
+    kind_signs,
     scalar_jets,
     synthesized_gram_drift,
 )
 from mannheim_lab.expr import Jet2, parse_expr
-from mannheim_lab.lorentz import Vec3L, inner
+from mannheim_lab.lorentz import Vec3L, euclidean_rows
 from mannheim_lab.mannheim import MannheimPair
 
 SQRT3 = math.sqrt(3.0)
@@ -43,6 +44,16 @@ FRAME0 = {
     CurveKind.SPACELIKE_EPS_PLUS: (Vec3L(0, 1, 0), Vec3L(0, 0, 1), Vec3L(1, 0, 0)),
     CurveKind.SPACELIKE_EPS_MINUS: (Vec3L(0, 1, 0), Vec3L(1, 0, 0), Vec3L(0, 0, 1)),
 }
+
+
+def gap(u, v):
+    """Euclidean distance of two ``Vec3L``."""
+    return math.dist(u.as_tuple(), v.as_tuple())
+
+
+def inner(u, v):
+    """The Minkowski inner product of two sequences, in plain floats."""
+    return -u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 def example1_frame(s):
@@ -67,9 +78,9 @@ class TestApparatus:
             f = frenet_apparatus(example1, s)
             assert f.kind is CurveKind.SPACELIKE_EPS_PLUS
             T, N, B = example1_frame(s)
-            assert (f.T - T).euclidean_norm() < 1e-12
-            assert (f.N - N).euclidean_norm() < 1e-12
-            assert (f.B - B).euclidean_norm() < 1e-12
+            assert gap(f.T, T) < 1e-12
+            assert gap(f.N, N) < 1e-12
+            assert gap(f.B, B) < 1e-12
             assert f.kappa == pytest.approx(0.5, abs=1e-12)
             assert f.tau == pytest.approx(SQRT5 / 2, abs=1e-12)
 
@@ -78,9 +89,9 @@ class TestApparatus:
             f = frenet_apparatus(example2, s)
             assert f.kind is CurveKind.TIMELIKE
             T, N, B = example2_frame(s)
-            assert (f.T - T).euclidean_norm() < 1e-12
-            assert (f.N - N).euclidean_norm() < 1e-12
-            assert (f.B - B).euclidean_norm() < 1e-12
+            assert gap(f.T, T) < 1e-12
+            assert gap(f.N, N) < 1e-12
+            assert gap(f.B, B) < 1e-12
             assert f.kappa == pytest.approx(2.0, abs=1e-12)
             assert f.tau == pytest.approx(SQRT3, abs=1e-12)
 
@@ -111,20 +122,17 @@ class TestApparatus:
     def test_frame_equations_hold(self, example1, example2):
         # residuals of all three equations of the applicable system
         h = 1e-6
+        s = np.array([0.2, 0.6])
         for c in (example1, example2):
-            for s in (0.2, 0.6):
-                f = frenet_apparatus(c, s)
-                fp = frenet_apparatus(c, s + h)
-                fm = frenet_apparatus(c, s - h)
-                c_n = f.kind.normal_coefficient
-                c_b = f.kind.binormal_coefficient
-                tp = (fp.T - fm.T) / (2 * h)
-                np_ = (fp.N - fm.N) / (2 * h)
-                bp = (fp.B - fm.B) / (2 * h)
-                assert (tp - f.N * f.kappa).euclidean_norm() < 1e-6
-                want_np = f.T * (c_n * f.kappa) + f.B * f.tau
-                assert (np_ - want_np).euclidean_norm() < 1e-6
-                assert (bp - f.N * (c_b * f.tau)).euclidean_norm() < 1e-6
+            fm, f, fp = (frenet_frames(c, s + d) for d in (-h, 0.0, h))
+            c_n, c_b = kind_signs(f.kinds)[3:, :, None]
+            kappa, tau = f.kappa[:, None], f.tau[:, None]
+            tp = (fp.T - fm.T) / (2 * h)
+            np_ = (fp.N - fm.N) / (2 * h)
+            bp = (fp.B - fm.B) / (2 * h)
+            assert (euclidean_rows(tp - f.N * kappa) < 1e-6).all()
+            assert (euclidean_rows(np_ - (f.T * (c_n * kappa) + f.B * tau)) < 1e-6).all()
+            assert (euclidean_rows(bp - f.N * (c_b * tau)) < 1e-6).all()
 
     def test_gram_and_cross_invariants(self, example1, example2):
         for c in (example1, example2):
@@ -142,14 +150,12 @@ class TestSynthesize:
             lambda s: 2.0,
             lambda s: SQRT3,
             f0,
-            example2.pos(0.0),
+            Vec3L(*example2.positions([0.0])[0]),
             (0.0, 1.0),
             1e-3,
         )
-        worst = max(
-            (c.pos(float(s)) - example2.pos(float(s))).euclidean_norm()
-            for s in np.linspace(0, 1, 41)
-        )
+        ss = np.linspace(0, 1, 41)
+        worst = euclidean_rows(c.positions(ss) - example2.positions(ss)).max()
         assert worst < 1e-6
 
     def test_reproduces_example1(self, example1):
@@ -159,14 +165,12 @@ class TestSynthesize:
             lambda s: 0.5,
             lambda s: SQRT5 / 2,
             f0,
-            example1.pos(0.0),
+            Vec3L(*example1.positions([0.0])[0]),
             (0.0, 1.0),
             1e-3,
         )
-        worst = max(
-            (c.pos(float(s)) - example1.pos(float(s))).euclidean_norm()
-            for s in np.linspace(0, 1, 41)
-        )
+        ss = np.linspace(0, 1, 41)
+        worst = euclidean_rows(c.positions(ss) - example1.positions(ss)).max()
         assert worst < 1e-6
 
     def test_zero_curvature_rejected(self):
@@ -238,7 +242,6 @@ class TestSynthesize:
         eps_t, eps_n, eps_b = kind.signs
         want = []
         for t, n, b in zip(*(nodes[k].tolist() for k in "TNB")):
-            t, n, b = Vec3L(*t), Vec3L(*n), Vec3L(*b)
             want.append(max(
                 abs(inner(t, t) - eps_t), abs(inner(n, n) - eps_n), abs(inner(b, b) - eps_b),
                 abs(inner(t, n)), abs(inner(t, b)), abs(inner(n, b)),
@@ -375,27 +378,32 @@ class TestScalarJet:
         fallback.scalars = None
         a, b = c.domain
         grid = np.linspace(a, b, 41)
-        for s in grid:
-            s = float(s)
-            kind, kappa, tau = scalar_jet(c, s)
-            kind_fd, kappa_fd, tau_fd = scalar_jet(fallback, s)
-            assert kind is kind_fd
-            assert scalar_jet(c, s, 0) == (kind, kappa[:1], tau[:1])
-            gaps = np.abs(np.array(kappa + tau) - np.array(kappa_fd + tau_fd))
-            tol = self.TOL_AT_ENDS if s in (a, b) else self.TOL
-            assert (gaps <= tol).all(), (s, gaps)
+        kinds, kappa, tau = scalar_jets(c, grid)
+        kinds_fd, kappa_fd, tau_fd = scalar_jets(fallback, grid)
+        assert kinds.tolist() == kinds_fd.tolist()
+        kinds0, kappa0, tau0 = scalar_jets(c, grid, 0)
+        assert kinds0.tolist() == kinds.tolist()
+        assert [x.tolist() for x in kappa0 + tau0] == [x.tolist() for x in kappa[:1] + tau[:1]]
+        gaps = np.abs(np.array(kappa + tau) - np.array(kappa_fd + tau_fd))
+        tol = np.array([self.TOL_AT_ENDS] + [self.TOL] * (len(grid) - 2) + [self.TOL_AT_ENDS]).T
+        assert (gaps <= tol).all(), gaps
 
     def test_builtin_jets_are_exact_constants(self, example1, example2):
-        assert scalar_jet(example1, 0.3) == (
-            CurveKind.SPACELIKE_EPS_PLUS, (0.5, 0.0, 0.0), (SQRT5 / 2, 0.0, 0.0)
+        def jets(c):
+            kinds, kappa, tau = scalar_jets(c, [0.3, 0.7])
+            return [list(CurveKind)[k] for k in kinds], [x.tolist() for x in kappa + tau]
+
+        def constant(*values):
+            return [[v, v] for v in values]
+
+        assert jets(example1) == (
+            [CurveKind.SPACELIKE_EPS_PLUS] * 2, constant(0.5, 0.0, 0.0, SQRT5 / 2, 0.0, 0.0)
         )
-        assert scalar_jet(example2, 0.3) == (
-            CurveKind.TIMELIKE, (2.0, 0.0, 0.0), (SQRT3, 0.0, 0.0)
-        )
+        assert jets(example2) == ([CurveKind.TIMELIKE] * 2, constant(2.0, 0.0, 0.0, SQRT3, 0.0, 0.0))
 
     def test_order_must_be_zero_or_two(self, example1):
         with pytest.raises(ValueError, match="order must be 0 or 2"):
-            scalar_jet(example1, 0.3, 1)
+            scalar_jets(example1, [0.3], 1)
 
 
 class TestSynthesisBounds:
@@ -449,8 +457,8 @@ class TestSynthesisBounds:
         for width in (1e-300, 6e-4, 7.9e-4, 8e-4):
             c = self._synthesize(kappa, 1e-3, (0.0, width))
             assert c.synth_nodes["s"].tolist() == [0.0, width]
-            for s in np.linspace(0.0, width, 17):
-                assert scalar_jet(c, float(s))[1] == (1.0, 0.0, 0.0)
+            jet = scalar_jets(c, np.linspace(0.0, width, 17))[1]
+            assert [x.tolist() for x in jet] == [[1.0] * 17, [0.0] * 17, [0.0] * 17]
         abscissae = np.concatenate([np.ravel(s.v) for s in calls if isinstance(s, Jet2)])
         assert 0.0 <= abscissae.min() and abscissae.max() <= 8e-4
 

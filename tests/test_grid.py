@@ -28,7 +28,7 @@ from mannheim_lab.errors import (
     VanishingCurvatureError,
 )
 from mannheim_lab.frenet import frenet_apparatus, frenet_frames
-from mannheim_lab.lorentz import CausalCharacter, Vec3L, causal_character, causal_characters
+from mannheim_lab.lorentz import causal_characters
 from mannheim_lab.mannheim import (
     IDENTITIES,
     MannheimPair,
@@ -92,8 +92,8 @@ def test_grid_rows_equal_points_bit_for_bit(name, fractions, exact_pair_of):
     positions = c.positions(grid)
     jets = c.jets(grid)
     for i, t in enumerate(ts):
-        assert positions[i].tolist() == list(c.pos(t).as_tuple()), (name, t)
-        assert [d[i].tolist() for d in jets] == [list(d.as_tuple()) for d in c.jet(t)], (name, t)
+        assert positions[i].tolist() == c.positions([t])[0].tolist(), (name, t)
+        assert [d[i].tolist() for d in jets] == [d[0].tolist() for d in c.jets([t])], (name, t)
     if CURVES[name][1]:
         frames = frenet_frames(c, grid).frames()
         for t, f in zip(ts, frames):
@@ -163,8 +163,8 @@ def test_mixed_character_names_the_first_changed_tangent():
     rows = (lambda t: (t, t * t, 0.0), lambda t: (1.0, 2.0 * t, 0.0), lambda t: (0.0, 2.0, 0.0))
     c = closed_form_curve(rows, (0.0, 2.0), "mixed")
     ts = np.linspace(0.0, 2.0, 10)
-    characters = [causal_character(c.deriv(t, 1)) for t in ts.tolist()]
-    first = next(t for t, ch in zip(ts, characters) if ch is not characters[0])
+    characters = [causal_characters(c.tangents([t]))[0] for t in ts.tolist()]
+    first = next(t for t, ch in zip(ts, characters) if ch != characters[0])
     with pytest.raises(MixedCausalCharacterError, match=f"near t={first:g}$"):
         classify_curve(c, 10)
 
@@ -286,7 +286,5 @@ def test_row_characters_equal_the_one_row_rule():
     # zero, negative zero, null, inside the null band, timelike, spacelike
     rows = [(0, 0, 0), (-0.0, 0, 0), (1, 1, 0), (1, 1, 1e-7), (2, 1, 0), (0.5, 1, 0)]
     chars = causal_characters(np.array(rows))
-    assert [tuple(CausalCharacter)[i] for i in chars.tolist()] == [
-        causal_character(Vec3L(*r)) for r in rows
-    ]
+    assert chars.tolist() == [causal_characters(np.array([r]))[0] for r in rows]
     assert chars.tolist() == [3, 3, 2, 2, 0, 1]

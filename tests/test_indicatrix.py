@@ -5,9 +5,9 @@ import pytest
 
 from _oracle_constants import ORACLE
 from mannheim_lab.errors import DegenerateIndicatrixError
-from mannheim_lab.frenet import CurveKind, FrenetFrame, frenet_apparatus, frenet_synthesize
+from mannheim_lab.frenet import CurveKind, FrenetFrame, frenet_frames, frenet_synthesize
 from mannheim_lab.indicatrix import SphereKind, indicatrix_of
-from mannheim_lab.lorentz import Vec3L, inner, inner_rows
+from mannheim_lab.lorentz import Vec3L, euclidean_rows, inner_rows, norm_rows
 from mannheim_lab.mannheim import IDENTITIES
 from mannheim_lab.reports import Verdict
 
@@ -70,10 +70,9 @@ class TestImageTangents:
         # for a spacelike curve with timelike normal: N' = kappa T + tau B
         c = exact_pair_type3.c
         tangents = indicatrix_of(c, "N").tangents([0.1, 0.6])
-        for s, t_vec in zip((0.1, 0.6), tangents):
-            f = frenet_apparatus(c, s)
-            want = (f.T * f.kappa + f.B * f.tau) / math.hypot(f.kappa, f.tau)
-            assert (Vec3L(*t_vec) - want).euclidean_norm() < 1e-9
+        f = frenet_frames(c, [0.1, 0.6])
+        want = (f.T * f.kappa[:, None] + f.B * f.tau[:, None]) / np.hypot(f.kappa, f.tau)[:, None]
+        assert (euclidean_rows(tangents - want) < 1e-9).all()
 
     def test_binormal_image_tangent_closed_form(self, example2):
         # B' = -tau N for a timelike curve, so the unit tangent is -N
@@ -92,11 +91,9 @@ class TestRateCrossCheck:
         h = 1e-5
         for c in (example1, example2):
             ind = indicatrix_of(c, "N")
-            for s, rate in zip((0.3, 0.6), ind.rates([0.3, 0.6])):
-                fp = frenet_apparatus(c, s + h).N
-                fm = frenet_apparatus(c, s - h).N
-                fd_rate = math.sqrt(abs(inner(fp - fm, fp - fm))) / (2 * h)
-                assert abs(rate - fd_rate) < 1e-6
+            s = np.array([0.3, 0.6])
+            fd_rate = norm_rows(frenet_frames(c, s + h).N - frenet_frames(c, s - h).N) / (2 * h)
+            assert (np.abs(ind.rates(s) - fd_rate) < 1e-6).all()
 
 
 class TestPairRelations:

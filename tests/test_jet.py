@@ -19,7 +19,7 @@ from mannheim_lab.frenet import (
     CurveKind,
     FrenetFrame,
     frenet_synthesize,
-    scalar_jet,
+    scalar_jets,
 )
 from mannheim_lab.lorentz import Vec3L
 
@@ -189,11 +189,11 @@ class TestExactPairJets:
         _, lam, eps1, eps2 = EXACT[pair_type]
         c = exact_pair_of(pair_type, slope).c
         a, b = c.domain
-        for s in (a, a + 1e-4, 0.25, 0.5, 0.61803, b - 1e-4, b):
-            _, (kappa, kappa_p, _), (tau, tau_p, tau_pp) = scalar_jet(c, s)
-            assert tau_p == slope and tau_pp == 0.0
-            want = 2.0 * lam * eps2 * tau * tau_p / (1.0 - 2.0 * lam * eps1 * kappa)
-            assert abs(kappa_p - want) <= 1e-13, (s, kappa_p, want)
+        s = np.array([a, a + 1e-4, 0.25, 0.5, 0.61803, b - 1e-4, b])
+        _, (kappa, kappa_p, _), (tau, tau_p, tau_pp) = scalar_jets(c, s)
+        assert (tau_p == slope).all() and (tau_pp == 0.0).all()
+        want = 2.0 * lam * eps2 * tau * tau_p / (1.0 - 2.0 * lam * eps1 * kappa)
+        assert (np.abs(kappa_p - want) <= 1e-13).all(), (kappa_p, want)
 
     @pytest.mark.parametrize("slope", [0.2, -0.2])
     @pytest.mark.parametrize("pair_type", [2, 3, 5])

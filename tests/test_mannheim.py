@@ -36,7 +36,7 @@ from mannheim_lab.frenet import (
     frenet_apparatus,
     frenet_synthesize,
 )
-from mannheim_lab.lorentz import Vec3L, inner, norm
+from mannheim_lab.lorentz import Vec3L, euclidean_rows, inner_rows, norm_rows
 from mannheim_lab.mannheim import (
     HYPOTHESIS_TOL,
     IDENTITIES,
@@ -60,11 +60,17 @@ ROWS = {row.name: row for row in IDENTITIES}
 EXACT_CONFIGS = [(t, slope) for t in (2, 3, 5) for slope in (0.2, -0.2)]
 
 
+def _combine(a, u, b, v):
+    """The row a u + b v of two ``Vec3L``."""
+    return a * np.array(u.as_tuple()) + b * np.array(v.as_tuple())
+
+
 def _decompose(T, fstar, pair_type):
-    """(theta, s_comp, c_comp) of a tangent against one companion frame: the
-    one-row decomposition, with the angle taken as ``PairSamples.theta`` takes it."""
+    """(theta, s_comp, c_comp) of a tangent row against one companion frame:
+    the one-row decomposition, with the angle taken as ``PairSamples.theta``
+    takes it."""
     spec = pair_type.spec
-    rows = mannheim._decomposition(spec, np.array([T.as_tuple()]), FrameGrid.of([fstar]), lambda i: "")
+    rows = mannheim._decomposition(spec, np.reshape(T, (1, 3)), FrameGrid.of([fstar]), lambda i: "")
     s_comp, c_comp = (float(x[0]) for x in rows)
     return (math.atan2(s_comp, c_comp) if spec.circular else math.asinh(s_comp)), s_comp, c_comp
 
@@ -83,25 +89,23 @@ def helix(kind, kappa, tau, domain=(0.0, 1.0), step=1e-3):
 class TestOffsets:
     def test_example1_printed_form(self, example1):
         off = offset_along_binormal(example1, 20.0)
-        for s in np.linspace(0.0, 1.0, 11):
-            s = float(s)
-            want = Vec3L(
-                -0.5 * math.sinh(s) - 10 * SQRT5 * math.cosh(s),
-                0.5 * math.cosh(s) + 10 * SQRT5 * math.sinh(s),
-                SQRT5 / 2 * s + 10.0,
-            )
-            assert (off.pos(s) - want).euclidean_norm() < 1e-12
+        s = np.linspace(0.0, 1.0, 11)
+        want = np.column_stack((
+            -0.5 * np.sinh(s) - 10 * SQRT5 * np.cosh(s),
+            0.5 * np.cosh(s) + 10 * SQRT5 * np.sinh(s),
+            SQRT5 / 2 * s + 10.0,
+        ))
+        assert (euclidean_rows(off.positions(s) - want) < 1e-12).all()
 
     def test_example2_printed_form(self, example2):
         off = offset_along_binormal(example2, 20.0)
-        for s in np.linspace(0.0, 1.0, 11):
-            s = float(s)
-            want = Vec3L(
-                2.0 * math.sinh(s) - 20 * SQRT3 * math.cosh(s),
-                2.0 * math.cosh(s) - 20 * SQRT3 * math.sinh(s),
-                SQRT3 * s - 40.0,
-            )
-            assert (off.pos(s) - want).euclidean_norm() < 1e-12
+        s = np.linspace(0.0, 1.0, 11)
+        want = np.column_stack((
+            2.0 * np.sinh(s) - 20 * SQRT3 * np.cosh(s),
+            2.0 * np.cosh(s) - 20 * SQRT3 * np.sinh(s),
+            SQRT3 * s - 40.0,
+        ))
+        assert (euclidean_rows(off.positions(s) - want) < 1e-12).all()
 
     def test_zero_lambda(self, example1):
         with pytest.raises(ZeroLambdaError):
@@ -111,16 +115,16 @@ class TestOffsets:
 
     def test_normal_offset_distance(self, example2):
         off = offset_along_normal(example2, 1.0)
-        for s in (0.0, 0.4, 1.0):
-            assert norm(off.pos(s) - example2.pos(s)) == pytest.approx(1.0, abs=1e-12)
+        s = [0.0, 0.4, 1.0]
+        assert norm_rows(off.positions(s) - example2.positions(s)) == pytest.approx(1.0, abs=1e-12)
 
     def test_offset_derivatives_consistent(self, example2):
         # closed-chain derivatives agree with differences of positions
         off = offset_along_binormal(example2, 20.0)
         h = 1e-6
-        for s in (0.2, 0.7):
-            fd = (off.pos(s + h) - off.pos(s - h)) / (2 * h)
-            assert (off.deriv(s, 1) - fd).euclidean_norm() < 1e-7
+        s = np.array([0.2, 0.7])
+        fd = (off.positions(s + h) - off.positions(s - h)) / (2 * h)
+        assert (euclidean_rows(off.tangents(s) - fd) < 1e-7).all()
 
     def test_frame_of_offset_evaluates_each_prescription_once(self, exact_pair_type3, monkeypatch):
         # the companion is the unit-speed normal offset; its frame reads one
@@ -145,10 +149,9 @@ class TestOffsets:
         want = ORACLE["paper-example-2"]
         pair = example2_pair
         f, _, sstar = PairSamples(pair, [0.0]).frames
-        f, sstar = f.frames()[0], float(sstar[0])
-        diff = pair.c.pos(0.0) - pair.cstar.pos(sstar)
-        lam_fit = inner(diff, f.N) / inner(f.N, f.N)
-        residual = norm(diff - f.N * lam_fit)
+        diff = pair.c.positions([0.0]) - pair.cstar.positions(sstar)
+        lam_fit = float(inner_rows(diff, f.N)[0] / inner_rows(f.N, f.N)[0])
+        residual = float(norm_rows(diff - f.N * lam_fit)[0])
         assert lam_fit == pytest.approx(want["normal_recovery_lambda"], abs=1e-8)
         assert residual == pytest.approx(want["normal_recovery_residual"], abs=1e-8)
 
@@ -162,10 +165,8 @@ class TestClosedFormSpeed:
         for lam in lams:
             for make in (offset_along_normal, offset_along_binormal):
                 off = make(base, lam)
-                a, b = off.domain
-                for t in np.linspace(a, b, 21):
-                    t = float(t)
-                    worst = max(worst, abs(off.speed(t) - norm(off.deriv(t, 1))))
+                t = np.linspace(*off.domain, 21)
+                worst = max(worst, np.abs(off.speeds(t) - norm_rows(off.tangents(t))).max())
         return worst
 
     @pytest.mark.parametrize("pair_type,slope", [(2, 0.2), (3, -0.2), (5, 0.2)])
@@ -323,7 +324,7 @@ class TestTheta:
     def test_tangent_equal_normal_gives_zero(self, example2):
         # T = N* makes the sine-like component vanish exactly
         fstar = frenet_apparatus(example2, 0.3)
-        angle, _, c_comp = _decompose(fstar.N, fstar, MannheimPairType.TYPE1)
+        angle, _, c_comp = _decompose(fstar.N.as_tuple(), fstar, MannheimPairType.TYPE1)
         assert angle == 0.0
         assert c_comp == pytest.approx(1.0, abs=1e-12)
 
@@ -332,7 +333,7 @@ class TestTheta:
         rng = np.random.default_rng(99)
         for s in rng.uniform(0.0, 1.0, 5):
             fstar = frenet_apparatus(example2, float(s))
-            T = fstar.T * math.sinh(theta0) + fstar.N * math.cosh(theta0)
+            T = _combine(math.sinh(theta0), fstar.T, math.cosh(theta0), fstar.N)
             angle, _, c_comp = _decompose(T, fstar, MannheimPairType.TYPE1)
             assert angle == pytest.approx(theta0, abs=1e-10)
             assert c_comp >= 0.0  # the positive branch
@@ -340,7 +341,7 @@ class TestTheta:
     @pytest.mark.parametrize("theta0", [-1.0, 0.2, 2.5])
     def test_construct_then_recover_type3(self, example1, theta0):
         fstar = frenet_apparatus(example1, 0.45)
-        T = fstar.T * math.cos(theta0) + fstar.N * math.sin(theta0)
+        T = _combine(math.cos(theta0), fstar.T, math.sin(theta0), fstar.N)
         assert MannheimPairType.TYPE3.spec.circular
         assert _decompose(T, fstar, MannheimPairType.TYPE3)[0] == pytest.approx(theta0, abs=1e-10)
 
@@ -355,7 +356,7 @@ class TestTheta:
 
     def test_off_plane_tangent_rejected(self, example2):
         fstar = frenet_apparatus(example2, 0.0)
-        T = fstar.T * 1.2 + fstar.B * 0.8
+        T = _combine(1.2, fstar.T, 0.8, fstar.B)
         message = r"^tangent leaves the \(T\*, N\*\) plane \(defect "
         with pytest.raises(InconsistentDecompositionError, match=message):
             _decompose(T, fstar, MannheimPairType.TYPE1)
@@ -369,7 +370,7 @@ class TestTheta:
         fstar = frenet_apparatus(helix_sp, 0.1)
         message = r"^tangent leaves the \(T\*, N\*\) plane \(defect 1.010e\+00\)$"
         with pytest.raises(InconsistentDecompositionError, match=message):
-            _decompose(f.T, fstar, MannheimPairType.TYPE4)
+            _decompose(f.T.as_tuple(), fstar, MannheimPairType.TYPE4)
 
 
 class TestDistance:
