@@ -36,11 +36,8 @@ from .errors import (
     TooManyStepsError,
 )
 from .expr import parse_expr
-from .frenet import (
-    INITIAL_FRAMES, UNIT_SPEED_TOL, CurveKind, FrenetFrame, frenet_apparatus, frenet_synthesize
-)
+from .frenet import UNIT_SPEED_TOL, CurveKind, FrenetFrame, frenet_apparatus, frenet_synthesize
 from .indicatrix import indicatrix_of
-from .lorentz import Vec3L
 from .mannheim import IDENTITIES, MannheimPair, offset_along_binormal, offset_along_normal
 from .reports import VerificationReport, Verdict
 
@@ -74,11 +71,7 @@ def _synthesize_from_parts(parts: dict[str, str]) -> Curve:
         raise SpecError(f"bad synth step: {exc}") from None
     if parts:
         raise SpecError(f"unknown synth keys: {sorted(parts)}")
-    T0, N0, B0 = INITIAL_FRAMES[kind]
-    frame0 = FrenetFrame(T0, N0, B0, kappa_expr.eval(a), tau_expr.eval(a), kind)
-    return frenet_synthesize(
-        kind, kappa_expr.eval, tau_expr.eval, frame0, Vec3L(0, 0, 0), (a, b), step
-    )
+    return frenet_synthesize(kind, kappa_expr.eval, tau_expr.eval, (a, b), step)
 
 
 def resolve_curve_spec(spec: str) -> Curve:
@@ -259,7 +252,7 @@ def _grid_size(text: str) -> int:
 
 
 def _finite_float(text: str) -> float:
-    """argparse type of ``--at``, ``--lambda`` and ``--tol``: a finite float."""
+    """argparse type of ``--at`` and ``--lambda``: a finite float."""
     try:
         x = float(text)
     except ValueError:
@@ -274,6 +267,14 @@ def _positive_float(text: str) -> float:
     x = _finite_float(text)
     if not x > 0.0:
         raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    return x
+
+
+def _tolerance(text: str) -> float:
+    """argparse type of ``--tol``: a finite float, zero or above."""
+    x = _finite_float(text)
+    if not x >= 0.0:
+        raise argparse.ArgumentTypeError(f"expected a tolerance >= 0, got {text!r}")
     return x
 
 
@@ -323,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cstar", required=True, help="curve spec for C*")
     p.add_argument("--lambda", dest="lam", type=_finite_float, required=True)
     p.add_argument("--grid", type=_grid_size, default=101)
-    p.add_argument("--tol", type=_finite_float, default=None, help="override verifier tolerances")
+    p.add_argument("--tol", type=_tolerance, default=None, help="override verifier tolerances")
     p.add_argument("--out", help="write the JSON report array here")
     p.set_defaults(func=_cmd_pair_verify)
 

@@ -10,7 +10,6 @@ __all__ = [
     "NotUnitSpeedError",
     "VanishingCurvatureError",
     "NullPrincipalNormalError",
-    "InvalidInitialFrameError",
     "NonPositiveCurvatureError",
     "TooManyStepsError",
     "PrescriptionError",
@@ -73,10 +72,6 @@ class NullPrincipalNormalError(MannheimLabError):
     """The tangent derivative is null, so no unit principal normal exists."""
 
 
-class InvalidInitialFrameError(MannheimLabError):
-    """An initial frame violates the Gram invariants of the requested kind."""
-
-
 class NonPositiveCurvatureError(MannheimLabError):
     """A prescribed curvature function is not strictly positive."""
 
@@ -90,7 +85,7 @@ class TooManyStepsError(MannheimLabError):
 
 
 class PrescriptionError(MannheimLabError):
-    """A prescribed scalar function rejects a ``Jet2`` or returns neither a float nor a ``Jet2``."""
+    """A prescribed scalar function rejects a ``Jet2``, or returns no number or a non-finite one."""
 
 
 class SynthesisOverflowError(MannheimLabError):

@@ -10,9 +10,10 @@ exponent):
     func   := 'sin' | 'cos' | 'sinh' | 'cosh' | 'exp'
 
 There is no unary minus; write ``0 - x``.  Parse errors carry the byte
-offset of the failure.  Evaluation is total on finite inputs except for
-division by zero, overflow and math-domain errors, which raise
-ExprDomainError naming the failing subexpression and ``s``.
+offset of the failure.  Division by zero and the overflow and math-domain
+errors of functions and ``^`` raise ExprDomainError naming the failing
+subexpression and ``s``; ``+ - * /`` otherwise follow IEEE arithmetic and
+may give inf or nan, which ``frenet_synthesize`` rejects.
 
 ``Expr.eval`` also takes a ``Jet2``, the identity jet at an array of
 abscissae, and returns the value with its first two derivatives there in

@@ -12,7 +12,7 @@ respectively.  ``frenet_frames`` extracts the frame and the two scalars
 from derivatives on a whole grid, ``frenet_apparatus`` at one point;
 ``scalar_jets`` gives the two scalars with their first two derivatives on a
 grid; ``frenet_synthesize`` integrates the system for prescribed scalar
-functions.
+functions from the fixed start ``INITIAL_FRAMES[kind]`` at the origin.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import numpy as np
 
 from .curve import CubicHermiteSpline, Curve, grid_difference
 from .errors import (
-    InvalidInitialFrameError,
     MannheimLabError,
     MixedCausalCharacterError,
     NonPositiveCurvatureError,
@@ -60,7 +59,6 @@ __all__ = [
 
 KAPPA_TOL = 1e-9
 UNIT_SPEED_TOL = 1e-6
-FRAME0_TOL = 1e-10
 # Largest number of fixed steps one synthesis may take; at the cap a synthesis
 # of kappa = 1 + 0.1 sin s, tau = 0.6 + 0.2 cos s takes ~1 s and ~150 MB peak
 # RSS in a fresh interpreter on a 2-vCPU x86-64 VM.
@@ -110,8 +108,8 @@ def kind_signs(kinds: np.ndarray) -> np.ndarray:
     return _KIND_ROWS[kinds].T
 
 
-# Initial frame (T, N, B) of each kind, built from the coordinate axes, for
-# synthesis from prescribed scalars alone.
+# Frame (T, N, B) of each kind, from the coordinate axes, where synthesis starts (at the
+# origin): kind, kappa and tau fix a curve up to a Lorentz isometry, which no audit sees.
 INITIAL_FRAMES = {
     CurveKind.TIMELIKE: (Vec3L(1, 0, 0), Vec3L(0, 1, 0), Vec3L(0, 0, -1)),
     CurveKind.SPACELIKE_EPS_PLUS: (Vec3L(0, 1, 0), Vec3L(0, 0, 1), Vec3L(1, 0, 0)),
@@ -134,11 +132,6 @@ class FrenetFrame:
         """Largest deviation of the six inner products from their targets."""
         f = FrameGrid.of([self])
         return float(frame_gram_residual(f.T, f.N, f.B, f.kinds)[0])
-
-    def cross_residual(self) -> float:
-        """Euclidean deviation of B from T x N."""
-        f = FrameGrid.of([self])
-        return float(euclidean_rows(f.B - cross_rows(f.T, f.N))[0])
 
 
 def frame_gram_residual(T: np.ndarray, N: np.ndarray, B: np.ndarray, kinds) -> np.ndarray:
@@ -368,16 +361,24 @@ def _jet_of(fn: Callable, x: Jet2, role: str) -> Jet2:
 def _prescribe(kappa_fn: Callable, tau_fn: Callable, s: np.ndarray) -> tuple[Jet2, Jet2]:
     """Jets of kappa and tau at abscissae ``s``, one call of each function.
 
-    The error raised is the one that evaluating kappa, checking kappa > 0
-    and evaluating tau, abscissa by abscissa in the order of ``s``, meets first.
+    The error raised is the one that evaluating kappa, checking that its value
+    is finite and > 0, evaluating tau and checking that its value is finite,
+    abscissa by abscissa in the order of ``s``, meets first.  Derivatives are
+    not checked: where only they overflow, the curve overflows.
     """
     x = _identity_jet(s)
+    error = lambda kind, role, jet, text: lambda i: kind(f"{role}(s={s[i]:g}) = {jet.v[i]:g} {text}")
     try:
         kappa = _jet_of(kappa_fn, x, "kappa")
-        bad = kappa.v <= 0.0
-        error = lambda i: NonPositiveCurvatureError(f"kappa(s={s[i]:g}) = {kappa.v[i]:g} <= 0")
-        raise_first([(bad, error)])
-        return kappa, _jet_of(tau_fn, x, "tau")
+        raise_first(
+            [
+                (~np.isfinite(kappa.v), error(PrescriptionError, "kappa", kappa, "is not finite")),
+                (kappa.v <= 0.0, error(NonPositiveCurvatureError, "kappa", kappa, "<= 0")),
+            ]
+        )
+        tau = _jet_of(tau_fn, x, "tau")
+        raise_first([(~np.isfinite(tau.v), error(PrescriptionError, "tau", tau, "is not finite"))])
+        return kappa, tau
     except MannheimLabError as exc:
         if exc.row:  # an earlier abscissa may fail a later check
             _prescribe(kappa_fn, tau_fn, s[: exc.row])
@@ -388,17 +389,17 @@ def frenet_synthesize(
     kind: CurveKind,
     kappa_fn: Callable,
     tau_fn: Callable,
-    frame0: FrenetFrame,
-    p0: Vec3L,
     s_range: tuple[float, float],
     step: float = 1e-3,
 ) -> Curve:
     """Integrate the frame system for prescribed kappa(s), tau(s).
 
-    A prescription takes a float or an ``expr.Jet2`` and returns a float or
-    a ``Jet2`` (``Expr.eval`` is one).  Each is called once, on the jet of
-    every distinct abscissa RK4 meets in step order (node, midpoint and end
-    of each step; an end that rounds to the next node stands for it).
+    The curve starts at the origin with the frame ``INITIAL_FRAMES[kind]``
+    at ``s_range[0]``.  A prescription takes a float or an ``expr.Jet2`` and
+    returns a float or a ``Jet2`` (``Expr.eval`` is one).  Each is called
+    once, on the jet of every distinct abscissa RK4 meets in step order
+    (node, midpoint and end of each step; an end that rounds to the next
+    node stands for it).
 
     Classical fixed-step RK4 of {position' = T} + frame equations, with no
     re-orthonormalization (``synthesized_gram_drift`` measures the drift).
@@ -408,9 +409,9 @@ def frenet_synthesize(
     a block of ``_SYNTH_BLOCK`` steps is built by elementwise numpy from
     the five nonzero entries of A (no BLAS product, whose kernels vary by
     CPU).  T, N and B advance as nine Python floats, each component
-    summed in a fixed order; the positions are p0 plus the ordered running
-    sum of D01 T + D02 N + D03 B at each step's start.  So the result does
-    not depend on the host.
+    summed in a fixed order; the positions are the ordered running sum of
+    D01 T + D02 N + D03 B at each step's start.  So the result does not
+    depend on the host.
 
     Position and derivative fields are cubic Hermite interpolants of exact
     node values and node slopes (frame system and prescription jets), one
@@ -419,15 +420,14 @@ def frenet_synthesize(
     each prescription per grid.
 
     Raises TooManyStepsError, before any work, past ``MAX_SYNTH_STEPS``
-    steps or where the nodes do not differ as floats;
-    InvalidInitialFrameError if ``frame0`` violates the Gram invariants of
-    ``kind`` (tolerance 1e-10); before any integration,
-    PrescriptionError for a prescription that rejects a jet or returns
-    neither a float nor a jet, and ExprDomainError or
-    NonPositiveCurvatureError naming the first failing abscissa in step
-    order; and SynthesisOverflowError, naming the first node, if the
-    integrated frame, the derivative fields or the interpolant pieces
-    starting at a node overflow.
+    steps or where the nodes do not differ as floats; before any
+    integration, PrescriptionError for a prescription that rejects a jet or
+    returns neither a float nor a jet, and ExprDomainError,
+    NonPositiveCurvatureError or PrescriptionError (a value that is not
+    finite) naming the first failing abscissa in step order; and
+    SynthesisOverflowError, naming the first node, if the integrated frame,
+    the derivative fields or the interpolant pieces starting at a node
+    overflow.
     """
     a, b = float(s_range[0]), float(s_range[1])
     if not b > a:
@@ -441,12 +441,6 @@ def frenet_synthesize(
         )
     n_steps = max(1, math.ceil((b - a) / step))
     h = (b - a) / n_steps
-    if FrenetFrame(frame0.T, frame0.N, frame0.B, 0.0, 0.0, kind).gram_residual() > FRAME0_TOL:
-        raise InvalidInitialFrameError(
-            "initial frame violates the Gram invariants of the requested kind"
-        )
-    if frame0.cross_residual() > FRAME0_TOL:
-        raise InvalidInitialFrameError("initial frame must satisfy B = T x N")
 
     c_n = float(kind.normal_coefficient)
     c_b = float(kind.binormal_coefficient)
@@ -469,7 +463,7 @@ def frenet_synthesize(
     # Rows (T, N, B) of each node, advanced coordinate by coordinate in
     # Python floats; row 0 of every D, the position increment, is kept apart.
     frame = np.empty((n_steps + 1, 9))
-    frame[0] = [v for u in (frame0.T, frame0.N, frame0.B) for v in u.as_tuple()]
+    frame[0] = [v for u in INITIAL_FRAMES[kind] for v in u.as_tuple()]
     tx, ty, tz, nx, ny, nz, bx, by, bz = frame[0].tolist()
     D0 = np.empty((3, n_steps))
     # Overflow is not checked per step: the finished states and fields are
@@ -506,7 +500,7 @@ def frenet_synthesize(
         B = frame[:, 6:9]
         # p + (D01 T + D02 N + D03 B) per step, summed in step order.
         dP = D0[0, :, None] * T[:-1] + D0[1, :, None] * N[:-1] + D0[2, :, None] * B[:-1]
-        P = np.add.accumulate(np.vstack(([p0.as_tuple()], dP)))
+        P = np.add.accumulate(np.vstack((np.zeros((1, 3)), dP)))
 
         kappa, kappa_p, kappa_pp = k_jet.v[node], k_jet.d[node], k_jet.dd[node]
         tau, tau_p = t_jet.v[node], t_jet.d[node]

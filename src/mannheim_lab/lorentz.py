@@ -3,8 +3,8 @@
 The first coordinate carries the negative metric sign.  Vectors are the rows
 of ``(n, 3)`` float arrays, and every operation is a pure function of whole
 arrays, so it is safe to use concurrently without coordination.
-:class:`Vec3L` holds one point or vector where a single one is meant: an
-initial frame or position of a synthesis, or a row of a frame.
+:class:`Vec3L` holds one vector where a single one is meant: a vector of
+the start frame of a synthesis (``frenet.INITIAL_FRAMES``) or of one frame.
 """
 
 from __future__ import annotations

@@ -47,10 +47,8 @@ from .errors import (
     raise_first,
 )
 from .frenet import (
-    INITIAL_FRAMES,
     CurveKind,
     FrameGrid,
-    FrenetFrame,
     constant_kind,
     frenet_apparatus,  # noqa: F401 - still importable from this module
     frenet_frames,
@@ -60,7 +58,7 @@ from .frenet import (
 )
 from .expr import sqrt
 from .indicatrix import RATE_TOL, _field_rates
-from .lorentz import Vec3L, cross_rows, euclidean_rows, inner_rows, norm_rows, power_rows
+from .lorentz import cross_rows, euclidean_rows, inner_rows, norm_rows, power_rows
 from .reports import VerificationReport, Verdict
 
 __all__ = [
@@ -980,9 +978,5 @@ def exact_partner_pair(
     def kappa_fn(s):
         return exact_partner_kappa(kind, lam, tau_memo(s))
 
-    T0, N0, B0 = INITIAL_FRAMES[kind]
-    frame0 = FrenetFrame(
-        T=T0, N=N0, B=B0, kappa=kappa_fn(s_range[0]), tau=tau_memo(s_range[0]), kind=kind
-    )
-    base = frenet_synthesize(kind, kappa_fn, tau_memo, frame0, Vec3L(0, 0, 0), s_range, step)
+    base = frenet_synthesize(kind, kappa_fn, tau_memo, s_range, step)
     return MannheimPair.from_normal_offset(base, lam, table_size)

@@ -26,12 +26,12 @@ from mannheim_lab.errors import UnsupportedCombinationError
 from mannheim_lab.expr import parse_expr
 from mannheim_lab.frenet import (
     CurveKind,
-    FrenetFrame,
     frenet_apparatus,
+    frenet_frames,
     frenet_synthesize,
     synthesized_gram_drift,
 )
-from mannheim_lab.lorentz import Vec3L, cross_rows
+from mannheim_lab.lorentz import Vec3L, cross_rows, euclidean_rows
 from mannheim_lab.mannheim import (
     IDENTITIES,
     MannheimPair,
@@ -61,13 +61,6 @@ def _residual(name, samples):
 
 SQRT3 = math.sqrt(3.0)
 SQRT5 = math.sqrt(5.0)
-
-CANONICAL_FRAMES = {
-    CurveKind.TIMELIKE: (Vec3L(1, 0, 0), Vec3L(0, 1, 0), Vec3L(0, 0, -1)),
-    CurveKind.SPACELIKE_EPS_PLUS: (Vec3L(0, 1, 0), Vec3L(0, 0, 1), Vec3L(1, 0, 0)),
-    CurveKind.SPACELIKE_EPS_MINUS: (Vec3L(0, 1, 0), Vec3L(1, 0, 0), Vec3L(0, 0, 1)),
-}
-
 
 @contextmanager
 def criterion(number, text):
@@ -167,15 +160,11 @@ def test_criterion_05_frame_invariants(example1_pair, example2_pair):
         ]
         for c in curves:
             for s in np.linspace(*c.domain, 33):
-                f = frenet_apparatus(c, float(s))
-                assert f.gram_residual() < 1e-9
-                assert f.cross_residual() < 1e-9
+                assert frenet_apparatus(c, float(s)).gram_residual() < 1e-9
+            f = frenet_frames(c, np.linspace(*c.domain, 33))
+            assert (euclidean_rows(f.B - cross_rows(f.T, f.N)) < 1e-9).all()
         for kind in CurveKind:
-            T0, N0, B0 = CANONICAL_FRAMES[kind]
-            f0 = FrenetFrame(T0, N0, B0, 2.0, 1.0, kind)
-            synth = frenet_synthesize(
-                kind, lambda s: 2.0, lambda s: 1.0, f0, Vec3L(0, 0, 0), (0.0, 1.0), 1e-3
-            )
+            synth = frenet_synthesize(kind, lambda s: 2.0, lambda s: 1.0, (0.0, 1.0), 1e-3)
             assert synthesized_gram_drift(synth) < 1e-8
 
 
@@ -183,11 +172,7 @@ def test_criterion_06_synthesis_round_trip():
     with criterion(6, "synthesis round trip: constant scalars to 1e-6, varying to 1e-5, all kinds"):
         rng = np.random.default_rng(17)
         for kind in CurveKind:
-            T0, N0, B0 = CANONICAL_FRAMES[kind]
-            f0 = FrenetFrame(T0, N0, B0, 1.4, 0.8, kind)
-            const = frenet_synthesize(
-                kind, lambda s: 1.4, lambda s: 0.8, f0, Vec3L(0, 0, 0), (0.0, 1.0), 1e-3
-            )
+            const = frenet_synthesize(kind, lambda s: 1.4, lambda s: 0.8, (0.0, 1.0), 1e-3)
             for s in rng.uniform(0.0, 1.0, 15):
                 f = frenet_apparatus(const, float(s))
                 assert abs(f.kappa - 1.4) < 1e-6
@@ -195,8 +180,7 @@ def test_criterion_06_synthesis_round_trip():
 
             kf = parse_expr("1.0 + 0.1 * sin(s)").eval
             tf = parse_expr("0.7 + 0.15 * cos(s)").eval
-            f0v = FrenetFrame(T0, N0, B0, kf(0.0), tf(0.0), kind)
-            varying = frenet_synthesize(kind, kf, tf, f0v, Vec3L(0, 0, 0), (0.0, 1.0), 1e-3)
+            varying = frenet_synthesize(kind, kf, tf, (0.0, 1.0), 1e-3)
             for s in rng.uniform(0.0, 1.0, 15):
                 f = frenet_apparatus(varying, float(s))
                 assert abs(f.kappa - kf(float(s))) < 1e-5
@@ -239,11 +223,7 @@ def _signed(term, x, s_comp, c_comp):
 
 
 def _helix(kind, kappa, tau):
-    T0, N0, B0 = CANONICAL_FRAMES[kind]
-    f0 = FrenetFrame(T0, N0, B0, kappa, tau, kind)
-    return frenet_synthesize(
-        kind, lambda s: kappa, lambda s: tau, f0, Vec3L(0, 0, 0), (0.0, 1.0), 1e-3
-    )
+    return frenet_synthesize(kind, lambda s: kappa, lambda s: tau, (0.0, 1.0), 1e-3)
 
 
 def _pipeline(base, pair_type):

@@ -462,6 +462,16 @@ class TestFiniteFloats:
         assert out == ""
         assert not out_path.exists()
 
+    def test_negative_tol_is_usage_error(self, capsys, tmp_path):
+        out_path = tmp_path / "out"
+        code, out, err = run_cli(
+            capsys, *GRID_COMMANDS["pair-verify"], "--tol=-1", "--out", str(out_path)
+        )
+        assert code == 2
+        assert "--tol" in err and "expected a tolerance >= 0, got '-1'" in err
+        assert out == ""
+        assert not out_path.exists()
+
     def test_negative_finite_value_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "offset", "--cstar", "paper-example-2",
                                "--lambda=-7.5", "--grid", "3")
@@ -523,6 +533,25 @@ class TestExpressionDomainErrors:
             (
                 ["classify", "--curve", "synth:kind=timelike,kappa=0.3 - s,tau=0.9"],
                 "kappa(s=0.3) = 0 <= 0",
+            ),
+            (
+                ["synthesize", "--kind", "timelike", "--kappa", "0-1", "--tau", "1/s"],
+                "kappa(s=0) = -1 <= 0",
+            ),
+            (
+                ["synthesize", "--kind", "timelike", "--kappa", "1/s", "--tau", "1"],
+                "(1.0 / s) is undefined at s=0.0 (float division by zero)",
+            ),
+            # + - * / follow IEEE arithmetic: a non-finite value is the
+            # prescription's error, not an overflow of the curve
+            (
+                ["synthesize", "--kind", "timelike",
+                 "--kappa", "exp(700)*exp(10) - exp(700)*exp(10)", "--tau", "1"],
+                "kappa(s=0) = nan is not finite",
+            ),
+            (
+                ["synthesize", "--kind", "timelike", "--kappa", "1", "--tau", "exp(700)*exp(10)"],
+                "tau(s=0) = inf is not finite",
             ),
         ],
     )

@@ -30,8 +30,8 @@ from mannheim_lab.errors import (
     OutOfDomainError,
     TableSizeError,
 )
-from mannheim_lab.frenet import INITIAL_FRAMES, CurveKind, FrenetFrame, frenet_synthesize
-from mannheim_lab.lorentz import CausalCharacter, Vec3L, euclidean_rows, inner_rows
+from mannheim_lab.frenet import CurveKind, frenet_synthesize
+from mannheim_lab.lorentz import CausalCharacter, euclidean_rows, inner_rows
 from mannheim_lab.mannheim import offset_along_binormal, offset_along_normal
 
 SQRT3 = math.sqrt(3.0)
@@ -424,10 +424,7 @@ def test_unit_speed_validation_grid(example1):
 
 def _synthesized(example1, example2):
     kind = CurveKind.SPACELIKE_EPS_MINUS
-    f0 = FrenetFrame(*INITIAL_FRAMES[kind], 0.4, 0.8, kind)
-    return frenet_synthesize(
-        kind, lambda s: 0.4 + 0.1 * s, lambda s: 0.8 - 0.2 * s, f0, Vec3L(0, 0, 0), (0.0, 1.0), 1e-2
-    )
+    return frenet_synthesize(kind, lambda s: 0.4 + 0.1 * s, lambda s: 0.8 - 0.2 * s, (0.0, 1.0), 1e-2)
 
 
 # One curve per constructor: closed forms (built in and from row functions),

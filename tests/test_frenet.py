@@ -13,15 +13,16 @@ from mannheim_lab import frenet
 from mannheim_lab.builtins import builtin_curve
 from mannheim_lab.curve import grid_difference, reparametrize_unit
 from mannheim_lab.errors import (
-    InvalidInitialFrameError,
     NonPositiveCurvatureError,
     NotUnitSpeedError,
     NullPrincipalNormalError,
+    PrescriptionError,
     SynthesisOverflowError,
     TooManyStepsError,
     VanishingCurvatureError,
 )
 from mannheim_lab.frenet import (
+    INITIAL_FRAMES,
     CurveKind,
     FrenetFrame,
     frame_gram_residual,
@@ -33,17 +34,11 @@ from mannheim_lab.frenet import (
     synthesized_gram_drift,
 )
 from mannheim_lab.expr import Jet2, parse_expr
-from mannheim_lab.lorentz import Vec3L, euclidean_rows
+from mannheim_lab.lorentz import Vec3L, cross_rows, euclidean_rows
 from mannheim_lab.mannheim import MannheimPair
 
 SQRT3 = math.sqrt(3.0)
 SQRT5 = math.sqrt(5.0)
-
-FRAME0 = {
-    CurveKind.TIMELIKE: (Vec3L(1, 0, 0), Vec3L(0, 1, 0), Vec3L(0, 0, -1)),
-    CurveKind.SPACELIKE_EPS_PLUS: (Vec3L(0, 1, 0), Vec3L(0, 0, 1), Vec3L(1, 0, 0)),
-    CurveKind.SPACELIKE_EPS_MINUS: (Vec3L(0, 1, 0), Vec3L(1, 0, 0), Vec3L(0, 0, 1)),
-}
 
 
 def gap(u, v):
@@ -137,77 +132,56 @@ class TestApparatus:
     def test_gram_and_cross_invariants(self, example1, example2):
         for c in (example1, example2):
             for s in np.linspace(*c.domain, 17):
-                f = frenet_apparatus(c, float(s))
-                assert f.gram_residual() < 1e-9
-                assert f.cross_residual() < 1e-9
+                assert frenet_apparatus(c, float(s)).gram_residual() < 1e-9
+            f = frenet_frames(c, np.linspace(*c.domain, 17))
+            assert (euclidean_rows(f.B - cross_rows(f.T, f.N)) < 1e-9).all()
+
+
+def _mapped_onto(c, reference, s):
+    """Positions of the synthesized ``c`` at ``s`` under the Lorentz isometry
+    that carries its start frame ``INITIAL_FRAMES[kind]`` at the origin to the
+    frame and position of ``reference`` at s = 0."""
+    start = np.array([u.as_tuple() for u in INITIAL_FRAMES[c.synth_kind]]).T
+    f = frenet_frames(reference, [0.0])
+    target = np.column_stack([f.T[0], f.N[0], f.B[0]])
+    # start is a signed permutation, so its inverse is its transpose
+    return reference.positions([0.0])[0] + c.positions(s) @ (target @ start.T).T
 
 
 class TestSynthesize:
     def test_reproduces_example2(self, example2):
-        f0 = frenet_apparatus(example2, 0.0)
-        c = frenet_synthesize(
-            CurveKind.TIMELIKE,
-            lambda s: 2.0,
-            lambda s: SQRT3,
-            f0,
-            Vec3L(*example2.positions([0.0])[0]),
-            (0.0, 1.0),
-            1e-3,
-        )
+        c = frenet_synthesize(CurveKind.TIMELIKE, lambda s: 2.0, lambda s: SQRT3, (0.0, 1.0), 1e-3)
         ss = np.linspace(0, 1, 41)
-        worst = euclidean_rows(c.positions(ss) - example2.positions(ss)).max()
+        worst = euclidean_rows(_mapped_onto(c, example2, ss) - example2.positions(ss)).max()
         assert worst < 1e-6
 
     def test_reproduces_example1(self, example1):
-        f0 = frenet_apparatus(example1, 0.0)
         c = frenet_synthesize(
-            CurveKind.SPACELIKE_EPS_PLUS,
-            lambda s: 0.5,
-            lambda s: SQRT5 / 2,
-            f0,
-            Vec3L(*example1.positions([0.0])[0]),
-            (0.0, 1.0),
-            1e-3,
+            CurveKind.SPACELIKE_EPS_PLUS, lambda s: 0.5, lambda s: SQRT5 / 2, (0.0, 1.0), 1e-3
         )
         ss = np.linspace(0, 1, 41)
-        worst = euclidean_rows(c.positions(ss) - example1.positions(ss)).max()
+        worst = euclidean_rows(_mapped_onto(c, example1, ss) - example1.positions(ss)).max()
         assert worst < 1e-6
 
-    def test_zero_curvature_rejected(self):
-        T0, N0, B0 = FRAME0[CurveKind.TIMELIKE]
-        f0 = FrenetFrame(T0, N0, B0, 0.0, 0.0, CurveKind.TIMELIKE)
-        with pytest.raises(NonPositiveCurvatureError):
-            frenet_synthesize(
-                CurveKind.TIMELIKE,
-                lambda s: 0.0,
-                lambda s: 1.0,
-                f0,
-                Vec3L(0, 0, 0),
-                (0.0, 1.0),
-                1e-2,
-            )
+    @pytest.mark.parametrize("kind", list(CurveKind))
+    def test_starts_at_the_initial_frame_at_the_origin(self, kind):
+        T0, N0, B0 = (np.array([u.as_tuple()]) for u in INITIAL_FRAMES[kind])
+        assert frame_gram_residual(T0, N0, B0, list(CurveKind).index(kind)).tolist() == [0.0]
+        assert (B0 == cross_rows(T0, N0)).all()
+        nodes = frenet_synthesize(kind, lambda s: 1.3, lambda s: 0.7, (0.5, 1.0), 1e-3).synth_nodes
+        assert nodes["s"][0] == 0.5
+        assert nodes["p"][0].tolist() == [0.0, 0.0, 0.0]
+        for key, u in zip("TNB", (T0, N0, B0)):
+            assert nodes[key][0].tolist() == u[0].tolist()
 
-    def test_bad_initial_frame_rejected(self):
-        f0 = FrenetFrame(
-            Vec3L(1, 0.1, 0), Vec3L(0, 1, 0), Vec3L(0, 0, -1), 1.0, 1.0, CurveKind.TIMELIKE
-        )
-        with pytest.raises(InvalidInitialFrameError):
-            frenet_synthesize(
-                CurveKind.TIMELIKE,
-                lambda s: 1.0,
-                lambda s: 1.0,
-                f0,
-                Vec3L(0, 0, 0),
-                (0.0, 1.0),
-                1e-2,
-            )
+    def test_zero_curvature_rejected(self):
+        with pytest.raises(NonPositiveCurvatureError):
+            frenet_synthesize(CurveKind.TIMELIKE, lambda s: 0.0, lambda s: 1.0, (0.0, 1.0), 1e-2)
 
     @pytest.mark.parametrize("kind", list(CurveKind))
     def test_round_trip_constant(self, kind):
-        T0, N0, B0 = FRAME0[kind]
         kappa, tau = 1.3, 0.7
-        f0 = FrenetFrame(T0, N0, B0, kappa, tau, kind)
-        c = frenet_synthesize(kind, lambda s: kappa, lambda s: tau, f0, Vec3L(0, 0, 0), (0.0, 1.0), 1e-3)
+        c = frenet_synthesize(kind, lambda s: kappa, lambda s: tau, (0.0, 1.0), 1e-3)
         rng = np.random.default_rng(5)
         for s in rng.uniform(0.0, 1.0, 25):
             f = frenet_apparatus(c, float(s))
@@ -217,11 +191,9 @@ class TestSynthesize:
 
     @pytest.mark.parametrize("kind", list(CurveKind))
     def test_round_trip_varying(self, kind):
-        T0, N0, B0 = FRAME0[kind]
         kf = parse_expr("1.0 + 0.1 * sin(s)").eval
         tf = parse_expr("0.6 + 0.2 * cos(s)").eval
-        f0 = FrenetFrame(T0, N0, B0, kf(0.0), tf(0.0), kind)
-        c = frenet_synthesize(kind, kf, tf, f0, Vec3L(0, 0, 0), (0.0, 1.0), 1e-3)
+        c = frenet_synthesize(kind, kf, tf, (0.0, 1.0), 1e-3)
         rng = np.random.default_rng(6)
         for s in rng.uniform(0.0, 1.0, 25):
             f = frenet_apparatus(c, float(s))
@@ -230,9 +202,7 @@ class TestSynthesize:
 
     @pytest.mark.parametrize("kind", list(CurveKind))
     def test_gram_drift_bounded(self, kind):
-        T0, N0, B0 = FRAME0[kind]
-        f0 = FrenetFrame(T0, N0, B0, 2.0, 1.0, kind)
-        c = frenet_synthesize(kind, lambda s: 2.0, lambda s: 1.0, f0, Vec3L(0, 0, 0), (0.0, 1.0), 1e-3)
+        c = frenet_synthesize(kind, lambda s: 2.0, lambda s: 1.0, (0.0, 1.0), 1e-3)
         drift = synthesized_gram_drift(c)
         assert drift < 1e-8
         # one Gram formula: each row is the worst of the six inner products
@@ -408,9 +378,7 @@ class TestScalarJet:
 
 class TestSynthesisBounds:
     def _synthesize(self, kappa, step, s_range=(0.0, 1.0)):
-        kind = CurveKind.TIMELIKE
-        f0 = FrenetFrame(*FRAME0[kind], kappa(s_range[0]), 0.5, kind)
-        return frenet_synthesize(kind, kappa, lambda s: 0.5, f0, Vec3L(0, 0, 0), s_range, step)
+        return frenet_synthesize(CurveKind.TIMELIKE, kappa, lambda s: 0.5, s_range, step)
 
     def test_step_count_is_capped(self, monkeypatch):
         monkeypatch.setattr(frenet, "MAX_SYNTH_STEPS", 10)
@@ -469,8 +437,9 @@ class TestSynthesisBounds:
                 self._synthesize(parse_expr("exp(700.0 * s)").eval, 1e-3)
 
 
-def _stagewise_states(kind, kappa, tau, frame0, p0, s_range, step):
-    """Node states of classical RK4 taken stage by stage, as a reference."""
+def _stagewise_states(kind, kappa, tau, s_range, step):
+    """Node states of classical RK4 taken stage by stage from the frame
+    ``INITIAL_FRAMES[kind]`` at the origin, as a reference."""
     a, b = s_range
     n = max(1, math.ceil((b - a) / step))
     h = (b - a) / n
@@ -483,7 +452,7 @@ def _stagewise_states(kind, kappa, tau, frame0, p0, s_range, step):
         T, N, B = y[3:6], y[6:9], y[9:12]
         return np.concatenate([T, k * N, c_n * k * T + t * B, c_b * t * N])
 
-    y = np.array([*p0.as_tuple(), *frame0.T.as_tuple(), *frame0.N.as_tuple(), *frame0.B.as_tuple()])
+    y = np.array([0.0, 0.0, 0.0, *(v for u in INITIAL_FRAMES[kind] for v in u.as_tuple())])
     states = [y]
     for s in s_nodes[:-1].tolist():
         k1 = rhs(s, y)
@@ -508,10 +477,8 @@ class TestBatchedIncrements:
     )
     def test_matches_stagewise_rk4_at_every_node(self, kind, s_range, step, n_steps):
         assert n_steps == 1 or n_steps % frenet._SYNTH_BLOCK
-        f0 = FrenetFrame(*FRAME0[kind], self.kappa(0.0), self.tau(0.0), kind)
-        p0 = Vec3L(0.1, -0.2, 0.3)
-        c = frenet_synthesize(kind, self.kappa, self.tau, f0, p0, s_range, step)
-        s_nodes, want = _stagewise_states(kind, self.kappa, self.tau, f0, p0, s_range, step)
+        c = frenet_synthesize(kind, self.kappa, self.tau, s_range, step)
+        s_nodes, want = _stagewise_states(kind, self.kappa, self.tau, s_range, step)
         nodes = c.synth_nodes
         assert len(nodes["s"]) == n_steps + 1
         assert np.array_equal(nodes["s"], s_nodes)
@@ -525,9 +492,7 @@ class TestBatchedIncrements:
             calls.append(s)
             return self.kappa(s)
 
-        kind = CurveKind.TIMELIKE
-        f0 = FrenetFrame(*FRAME0[kind], 1.0, self.tau(0.0), kind)
-        c = frenet_synthesize(kind, kappa, self.tau, f0, Vec3L(0, 0, 0), (0.0, 1.0), 1.3e-3)
+        c = frenet_synthesize(CurveKind.TIMELIKE, kappa, self.tau, (0.0, 1.0), 1.3e-3)
         s_nodes = c.synth_nodes["s"].tolist()
         h = (s_nodes[-1] - s_nodes[0]) / (len(s_nodes) - 1)
         # node, then midpoint and end of each step; an end that does not
@@ -554,10 +519,8 @@ class TestBatchedIncrements:
             raise AssertionError("an RK4 step ran")
 
         monkeypatch.setattr(frenet, "_increments", integrate)
-        kind = CurveKind.TIMELIKE
-        f0 = FrenetFrame(*FRAME0[kind], 1.0, 0.5, kind)
         with pytest.raises(NonPositiveCurvatureError, match=r"kappa\(s=0\.35\) = -1 <= 0"):
-            frenet_synthesize(kind, kappa, lambda s: 0.5, f0, Vec3L(0, 0, 0), (0.0, 1.0), 0.1)
+            frenet_synthesize(CurveKind.TIMELIKE, kappa, lambda s: 0.5, (0.0, 1.0), 0.1)
         # one call on every stage in step order, before any integration; the
         # second evaluates the stages before 0.35 again, where tau, evaluated
         # after kappa at each stage, could fail first
@@ -565,6 +528,27 @@ class TestBatchedIncrements:
         assert whole.v[-1] == 1.0
         assert before.v.tolist() == whole.v[: len(before.v)].tolist()
         assert before.v[-1] == pytest.approx(0.3)
+
+    @pytest.mark.parametrize(
+        "kappa_after, tau_after, message",
+        [
+            # tau, not finite from 0.25 on, fails before kappa turns negative at 0.35
+            (-1.0, math.inf, r"tau\(s=0\.25\) = inf is not finite"),
+            # at one abscissa, kappa's finiteness is checked before its sign
+            (-math.inf, 0.5, r"kappa\(s=0\.35\) = -inf is not finite"),
+        ],
+    )
+    def test_non_finite_prescription_names_the_first_failing_check(
+        self, kappa_after, tau_after, message
+    ):
+        def kappa(s):
+            return Jet2(np.where(s.v < 0.34, 1.0, kappa_after))
+
+        def tau(s):
+            return Jet2(np.where(s.v < 0.22, 0.5, tau_after))
+
+        with pytest.raises(PrescriptionError, match=message):
+            frenet_synthesize(CurveKind.TIMELIKE, kappa, tau, (0.0, 1.0), 0.1)
 
     def test_synthesis_makes_no_blas_product(self):
         # elementwise numpy only: BLAS kernels vary by CPU, so a product
@@ -577,10 +561,11 @@ class TestBatchedIncrements:
                 assert token not in source, (fn.__name__, token)
 
 
-def _dense_states(kind, kappa, tau, frame0, p0, s_range, step):
-    """Node states of RK4 as Y + D Y, D from dense 4x4 products summed in
-    index order, in Python floats one step at a time: the bit-level
-    reference of the synthesis kernel."""
+def _dense_states(kind, kappa, tau, s_range, step):
+    """Node states of RK4 as Y + D Y from the frame ``INITIAL_FRAMES[kind]``
+    at the origin, D from dense 4x4 products summed in index order, in
+    Python floats one step at a time: the bit-level reference of the
+    synthesis kernel."""
     a, b = s_range
     n = max(1, math.ceil((b - a) / step))
     h = (b - a) / n
@@ -599,7 +584,7 @@ def _dense_states(kind, kappa, tau, frame0, p0, s_range, step):
     def eye_plus(c, x):
         return [[float(i == j) + c * x[i][j] for j in range(4)] for i in range(4)]
 
-    cols = [list(v) for v in zip(*(u.as_tuple() for u in (p0, frame0.T, frame0.N, frame0.B)))]
+    cols = [[0.0, *v] for v in zip(*(u.as_tuple() for u in INITIAL_FRAMES[kind]))]
     states = [[v for col in zip(*cols) for v in col]]
     for s in s_nodes[:-1].tolist():
         A0, Am, A1 = rate(s), rate(s + 0.5 * h), rate(s + h)
@@ -619,10 +604,8 @@ def _dense_states(kind, kappa, tau, frame0, p0, s_range, step):
 def test_synthesis_has_the_bits_of_dense_products(kind, tau):
     # 600 steps cross two block boundaries; tau = 0 puts zeros in A
     kappa, tau = parse_expr("1.0 + 0.1 * sin(s)").eval, parse_expr(tau).eval
-    f0 = FrenetFrame(*FRAME0[kind], 1.0, 0.0, kind)
-    p0 = Vec3L(0.1, -0.2, 0.3)
-    c = frenet_synthesize(kind, kappa, tau, f0, p0, (0.0, 0.6), 1e-3)
-    s_nodes, want = _dense_states(kind, kappa, tau, f0, p0, (0.0, 0.6), 1e-3)
+    c = frenet_synthesize(kind, kappa, tau, (0.0, 0.6), 1e-3)
+    s_nodes, want = _dense_states(kind, kappa, tau, (0.0, 0.6), 1e-3)
     got = np.hstack([c.synth_nodes[k] for k in "pTNB"])
     assert c.synth_nodes["s"].tobytes() == s_nodes.tobytes()
     assert got.tobytes() == want.tobytes()

@@ -5,9 +5,9 @@ import pytest
 
 from _oracle_constants import ORACLE
 from mannheim_lab.errors import DegenerateIndicatrixError
-from mannheim_lab.frenet import CurveKind, FrenetFrame, frenet_frames, frenet_synthesize
+from mannheim_lab.frenet import CurveKind, frenet_frames, frenet_synthesize
 from mannheim_lab.indicatrix import SphereKind, indicatrix_of
-from mannheim_lab.lorentz import Vec3L, euclidean_rows, inner_rows, norm_rows
+from mannheim_lab.lorentz import euclidean_rows, inner_rows, norm_rows
 from mannheim_lab.mannheim import IDENTITIES
 from mannheim_lab.reports import Verdict
 
@@ -22,12 +22,7 @@ def image_reports(pair, grid_n):
 
 def planar_curve():
     """Timelike curve with zero torsion: its binormal image is a point."""
-    f0 = FrenetFrame(
-        Vec3L(1, 0, 0), Vec3L(0, 1, 0), Vec3L(0, 0, -1), 1.0, 0.0, CurveKind.TIMELIKE
-    )
-    return frenet_synthesize(
-        CurveKind.TIMELIKE, lambda s: 1.0, lambda s: 0.0, f0, Vec3L(0, 0, 0), (0.0, 1.0), 1e-3
-    )
+    return frenet_synthesize(CurveKind.TIMELIKE, lambda s: 1.0, lambda s: 0.0, (0.0, 1.0), 1e-3)
 
 
 class TestImages:

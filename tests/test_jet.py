@@ -14,14 +14,7 @@ from mannheim_lab import curve, exact_partner_pair, frenet, mannheim
 from mannheim_lab.cli import _run_pair_suite
 from mannheim_lab.errors import ExprDomainError, NonPositiveCurvatureError, PrescriptionError
 from mannheim_lab.expr import FUNCTIONS, Jet2, parse_expr, sqrt
-from mannheim_lab.frenet import (
-    INITIAL_FRAMES,
-    CurveKind,
-    FrenetFrame,
-    frenet_synthesize,
-    scalar_jets,
-)
-from mannheim_lab.lorentz import Vec3L
+from mannheim_lab.frenet import CurveKind, frenet_synthesize, scalar_jets
 
 # Seeded and bounded: the same examples on every run, nothing stored between runs.
 PROPERTY = settings(derandomize=True, database=None, max_examples=20, deadline=None)
@@ -239,12 +232,8 @@ class TestExactPairJets:
         assert calls[0] == calls[1] == calls[2], calls
 
 
-def _frame0(kind: CurveKind, kappa0: float = 1.0, tau0: float = 0.5) -> FrenetFrame:
-    return FrenetFrame(*INITIAL_FRAMES[kind], kappa0, tau0, kind)
-
-
 def _synthesize(kappa_fn, tau_fn, step=1e-3, kind=CurveKind.TIMELIKE):
-    return frenet_synthesize(kind, kappa_fn, tau_fn, _frame0(kind), Vec3L(0, 0, 0), (0.0, 1.0), step)
+    return frenet_synthesize(kind, kappa_fn, tau_fn, (0.0, 1.0), step)
 
 
 class TestPrescriptionContract:

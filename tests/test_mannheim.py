@@ -22,6 +22,7 @@ from mannheim_lab.errors import (
     ExprDomainError,
     InconsistentDecompositionError,
     NegativeConditionValueError,
+    PrescriptionError,
     UnsupportedCombinationError,
     VanishingCurvatureError,
     VanishingTorsionError,
@@ -29,7 +30,6 @@ from mannheim_lab.errors import (
 )
 from mannheim_lab.expr import Jet2, parse_expr, sqrt
 from mannheim_lab.frenet import (
-    INITIAL_FRAMES,
     CurveKind,
     FrameGrid,
     FrenetFrame,
@@ -76,14 +76,7 @@ def _decompose(T, fstar, pair_type):
 
 
 def helix(kind, kappa, tau, domain=(0.0, 1.0), step=1e-3):
-    frames = {
-        CurveKind.TIMELIKE: (Vec3L(1, 0, 0), Vec3L(0, 1, 0), Vec3L(0, 0, -1)),
-        CurveKind.SPACELIKE_EPS_PLUS: (Vec3L(0, 1, 0), Vec3L(0, 0, 1), Vec3L(1, 0, 0)),
-        CurveKind.SPACELIKE_EPS_MINUS: (Vec3L(0, 1, 0), Vec3L(1, 0, 0), Vec3L(0, 0, 1)),
-    }
-    T0, N0, B0 = frames[kind]
-    f0 = FrenetFrame(T0, N0, B0, kappa, tau, kind)
-    return frenet_synthesize(kind, lambda s: kappa, lambda s: tau, f0, Vec3L(0, 0, 0), domain, step)
+    return frenet_synthesize(kind, lambda s: kappa, lambda s: tau, domain, step)
 
 
 class TestOffsets:
@@ -299,8 +292,7 @@ class TestPartnerEquation:
         def kappa(s):
             return (1.0 + sqrt(1.0 + 4.0 * lam * lam * tau(s) * tau(s))) / (2.0 * lam)
 
-        f0 = FrenetFrame(*INITIAL_FRAMES[kind], kappa(0.0), tau(0.0), kind)
-        base = frenet_synthesize(kind, kappa, tau, f0, Vec3L(0, 0, 0), (0.0, 1.0), 1e-3)
+        base = frenet_synthesize(kind, kappa, tau, (0.0, 1.0), 1e-3)
         with pytest.raises(UnsupportedCombinationError, match="lam=0.3 is spacelike at s=0, not timelike$"):
             mannheim_curve_test(base, MannheimPairType.TYPE2)
         with pytest.raises(UnsupportedCombinationError, match="companion=spacelike-, curve=timelike"):
@@ -490,15 +482,20 @@ class TestGenuinePairs:
             return 0.8 - 0.2 * s
 
         pair = exact_partner_pair(CurveKind.SPACELIKE_EPS_MINUS, tau_fn, 0.3, step=1e-3, table_size=512)
-        assert calls == ["float"] + ["Jet2"] * 6
+        assert calls == ["Jet2"] * 6
         calls.clear()
         _run_pair_suite(pair, 201, None)
         assert calls == ["Jet2"] * 2
 
     def test_failing_torsion_abscissa_is_named_as_before(self):
-        tau = parse_expr("0.5 + exp(2000*s - 1000)")
-        want = "exp(((2000.0 * s) - 1000.0)) is undefined at s=0.855 (math range error)"
+        tau = parse_expr("0.8 + 0.01/(s - 0.5)^2")
+        want = "(0.01 / (s - 0.5)^2) is undefined at s=0.5 (float division by zero)"
         with pytest.raises(ExprDomainError, match=re.escape(want) + "$"):
+            exact_partner_pair(CurveKind.SPACELIKE_EPS_PLUS, tau.eval, 0.3, step=1e-3, table_size=512)
+        # a torsion whose square overflows before the torsion fails makes
+        # the curvature tied to it infinite first: kappa's check comes first
+        tau = parse_expr("0.5 + exp(2000*s - 1000)")
+        with pytest.raises(PrescriptionError, match=re.escape("kappa(s=0.678) = inf is not finite") + "$"):
             exact_partner_pair(CurveKind.SPACELIKE_EPS_PLUS, tau.eval, 0.3, step=1e-3, table_size=512)
 
 

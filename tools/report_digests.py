@@ -29,8 +29,9 @@ to stderr).
 
 With ``--synth`` it prints instead one sha256 of the integrated states of
 ``frenet_synthesize`` per configuration (``SYNTH_TAUS`` x ``SYNTH_RANGES``
-for every curve kind, curvature ``SYNTH_KAPPA``): the bytes of
-``synth_nodes`` s, p, T, N and B, so the sign of a zero counts too.
+for every curve kind, curvature ``SYNTH_KAPPA``, each from the fixed start
+frame at the origin): the bytes of ``synth_nodes`` s, p, T, N and B, so the
+sign of a zero counts too.
 
 Each line is ``<sha256>  <configuration>``.  The digest covers the JSON
 array that ``mannheim-lab pair-verify --out`` writes: the reports of
@@ -71,7 +72,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 import mannheim_lab  # noqa: E402 - after the path of this checkout
 from mannheim_lab import (  # noqa: E402
     MannheimPair,
-    Vec3L,
     builtin_curve,
     exact_partner_pair,
     frenet_synthesize,
@@ -79,7 +79,7 @@ from mannheim_lab import (  # noqa: E402
     reparametrize_unit,
 )
 from mannheim_lab.cli import _run_pair_suite, main as cli_main, resolve_curve_spec  # noqa: E402
-from mannheim_lab.frenet import INITIAL_FRAMES, CurveKind, FrenetFrame  # noqa: E402
+from mannheim_lab.frenet import CurveKind  # noqa: E402
 
 EXACT_GRID = 201
 REFERENCE_GRID = 101
@@ -129,12 +129,9 @@ def synth_digests():
     """Yield (sha256 of the synthesis nodes, configuration) for every kind."""
     kappa = parse_expr(SYNTH_KAPPA).eval
     for kind in CurveKind:
-        frame0 = FrenetFrame(*INITIAL_FRAMES[kind], 1.0, 0.0, kind)
         for tau in SYNTH_TAUS:
             for s_range, step in SYNTH_RANGES:
-                c = frenet_synthesize(
-                    kind, kappa, parse_expr(tau).eval, frame0, Vec3L(0.1, -0.2, 0.3), s_range, step
-                )
+                c = frenet_synthesize(kind, kappa, parse_expr(tau).eval, s_range, step)
                 h = hashlib.sha256()
                 for key in ("s", "p", "T", "N", "B"):
                     h.update(c.synth_nodes[key].tobytes())
