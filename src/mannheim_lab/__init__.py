@@ -17,7 +17,6 @@ from .curve import (
 )
 from .frenet import (
     CurveKind,
-    FrenetFrame,
     frenet_apparatus,
     frenet_synthesize,
     synthesized_gram_drift,
@@ -36,7 +35,6 @@ from .mannheim import (
 )
 from .indicatrix import (
     Indicatrix,
-    SphereKind,
     indicatrix_of,
 )
 from .builtins import BUILTIN_CURVE_NAMES, builtin_curve

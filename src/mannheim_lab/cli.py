@@ -24,6 +24,8 @@ import math
 import sys
 from typing import Sequence
 
+import numpy as np
+
 from . import __version__
 from .builtins import BUILTIN_CURVE_NAMES, builtin_curve
 from .curve import (
@@ -36,7 +38,9 @@ from .errors import (
     TooManyStepsError,
 )
 from .expr import parse_expr
-from .frenet import UNIT_SPEED_TOL, CurveKind, FrenetFrame, frenet_apparatus, frenet_synthesize
+from .frenet import (
+    UNIT_SPEED_TOL, CurveKind, FrameGrid, frame_gram_residual, frenet_apparatus, frenet_synthesize
+)
 from .indicatrix import indicatrix_of
 from .mannheim import IDENTITIES, MannheimPair, offset_along_binormal, offset_along_normal
 from .reports import VerificationReport, Verdict
@@ -120,16 +124,16 @@ def _emit_json(payload, out: str | None) -> None:
         print(text)
 
 
-def _frame_json(f: FrenetFrame, s: float) -> dict:
+def _frame_json(f: FrameGrid, s: float) -> dict:
     return {
         "s": s,
-        "kind": f.kind.value,
-        "kappa": f.kappa,
-        "tau": f.tau,
-        "T": list(f.T.as_tuple()),
-        "N": list(f.N.as_tuple()),
-        "B": list(f.B.as_tuple()),
-        "gram_residual": f.gram_residual(),
+        "kind": tuple(CurveKind)[f.kinds[0]].value,
+        "kappa": float(f.kappa[0]),
+        "tau": float(f.tau[0]),
+        "T": f.T[0].tolist(),
+        "N": f.N[0].tolist(),
+        "B": f.B[0].tolist(),
+        "gram_residual": float(frame_gram_residual(f.T, f.N, f.B, f.kinds)[0]),
     }
 
 
@@ -146,8 +150,18 @@ def _run_pair_suite(pair: MannheimPair, grid_n: int, tol: float | None) -> list[
 
 def _audit(pair: MannheimPair, grid_n: int, tol: float | None, out: str | None) -> int:
     """Run the suite, print one line per report and write the JSON array to
-    ``out``; the exit code is 1 on any Fail verdict."""
-    reports = _run_pair_suite(pair, grid_n, tol)
+    ``out``; the exit code is 1 on any Fail verdict.  The first report that
+    holds a number that is not finite (a huge ``--lambda`` overflows) raises
+    ValueError before anything is printed or written, numpy's warnings muted."""
+    with np.errstate(all="ignore"):
+        reports = _run_pair_suite(pair, grid_n, tol)
+    payload = [r.to_json_dict() for r in reports]
+    for item in payload:
+        try:
+            json.dumps(item, allow_nan=False)
+        except ValueError:
+            text = f"report {item['identity']} holds a number that is not finite at lambda {pair.lam:g}"
+            raise ValueError(text) from None
     print(f"pair type: {pair.pair_type.value} ({pair.pair_type.describe()})")
     print(f"lambda: {pair.lam:.17g}")
     for r in reports:
@@ -158,7 +172,7 @@ def _audit(pair: MannheimPair, grid_n: int, tol: float | None, out: str | None) 
             f"{r.identity:28s} {r.verdict.value:8s} max={worst} mean={mean} tol={r.tolerance:.1e}"
         )
     if out:
-        _emit_json([r.to_json_dict() for r in reports], out)
+        _emit_json(payload, out)
     return 1 if any(r.verdict is Verdict.FAIL for r in reports) else 0
 
 

@@ -231,8 +231,7 @@ class CubicHermiteSpline:
 
     ``y`` and ``dydx`` hold one value per node, shape ``(n,)``, or one row per
     node, shape ``(n, m)``.  Calling the spline at an array of ``k`` points
-    returns an array of shape ``(k,)`` or ``(k, m)``; at a float (or a 0-d
-    array) it returns a float, or a list of ``m`` floats.  A point outside
+    returns an array of shape ``(k,)`` or ``(k, m)``.  A point outside
     ``[x[0], x[-1]]`` is extrapolated from the nearest end piece.
 
     The coefficients and the evaluation order are those of
@@ -262,8 +261,7 @@ class CubicHermiteSpline:
         """Row i holds (c0, c1, c2, c3) of piece i, for values of shape ``(n,)`` or ``(n, m)``."""
         return self._c
 
-    def __call__(self, v):
-        point = np.ndim(v) == 0
+    def __call__(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=float).reshape(-1)
         i = np.minimum(np.maximum(np.searchsorted(self._x, v, side="right") - 1, 0), self._last)
         s = v - self._x[i]
@@ -274,8 +272,7 @@ class CubicHermiteSpline:
         s2 = s * s
         s3 = s2 * s
         # Ascending powers from 0.0, the order scipy's evaluator sums them in.
-        out = 0.0 + c3 + c2 * s + c1 * s2 + c0 * s3
-        return out[0].tolist() if point else out
+        return 0.0 + c3 + c2 * s + c1 * s2 + c0 * s3
 
 
 def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -540,11 +537,11 @@ class _ArcLengthTable:
         self._forward = PchipInterpolator(t_nodes, s_nodes)
 
     def t_of_s(self, s):
-        """Raw parameter at arc length ``s`` (a float or an array)."""
+        """Raw parameters at the arc lengths of the array ``s``."""
         return self._inverse(_clamp(s, 0.0, self.total))
 
     def s_of_t(self, t):
-        """Arc length at raw parameter ``t`` (a float or an array)."""
+        """Arc lengths at the raw parameters of the array ``t``."""
         return self._forward(_clamp(t, self._a, self._b))
 
 

@@ -9,10 +9,11 @@ three first-order systems, keyed by the causal characters of T and N:
 
 with Gram signs (T, N, B) of (-1, +1, +1), (+1, +1, -1) and (+1, -1, +1)
 respectively.  ``frenet_frames`` extracts the frame and the two scalars
-from derivatives on a whole grid, ``frenet_apparatus`` at one point;
-``scalar_jets`` gives the two scalars with their first two derivatives on a
-grid; ``frenet_synthesize`` integrates the system for prescribed scalar
-functions from the fixed start ``INITIAL_FRAMES[kind]`` at the origin.
+from derivatives on a whole grid, and ``frenet_apparatus`` at one point
+as the one-row grid; ``scalar_jets`` gives the two scalars with their
+first two derivatives on a grid; ``frenet_synthesize`` integrates the
+system for prescribed scalar functions from the fixed start
+``INITIAL_FRAMES[kind]`` at the origin.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .lorentz import Vec3L, cross_rows, euclidean_rows, inner_rows
 
 __all__ = [
     "CurveKind",
-    "FrenetFrame",
     "FrameGrid",
     "frenet_frames",
     "frenet_apparatus",
@@ -117,23 +117,6 @@ INITIAL_FRAMES = {
 }
 
 
-@dataclass(frozen=True)
-class FrenetFrame:
-    """Frame vectors with curvature, torsion and curve kind at one parameter."""
-
-    T: Vec3L
-    N: Vec3L
-    B: Vec3L
-    kappa: float
-    tau: float
-    kind: CurveKind
-
-    def gram_residual(self) -> float:
-        """Largest deviation of the six inner products from their targets."""
-        f = FrameGrid.of([self])
-        return float(frame_gram_residual(f.T, f.N, f.B, f.kinds)[0])
-
-
 def frame_gram_residual(T: np.ndarray, N: np.ndarray, B: np.ndarray, kinds) -> np.ndarray:
     """Per row of the (n, 3) arrays T, N, B, the largest deviation of the six
     inner products from their targets; ``kinds`` holds each row's kind, or one
@@ -150,8 +133,7 @@ class FrameGrid:
 
     ``T``, ``N`` and ``B`` are ``(n, 3)`` arrays; ``kinds`` holds each row's
     kind as an index into ``tuple(CurveKind)``; ``dkappa`` is kappa', chained
-    exactly through the third derivative, and None for a grid stacked from
-    ``FrenetFrame`` rows, which carry no kappa'.
+    exactly through the third derivative.  A point is the one-row grid.
     """
 
     T: np.ndarray
@@ -160,25 +142,7 @@ class FrameGrid:
     kappa: np.ndarray
     tau: np.ndarray
     kinds: np.ndarray
-    dkappa: np.ndarray | None = None
-
-    @classmethod
-    def of(cls, frames: Sequence[FrenetFrame]) -> "FrameGrid":
-        """The grid whose rows are ``frames``."""
-        return cls(
-            *(np.array([getattr(f, v).as_tuple() for f in frames]).reshape(-1, 3) for v in "TNB"),
-            np.array([f.kappa for f in frames], dtype=float),
-            np.array([f.tau for f in frames], dtype=float),
-            np.array([_KINDS.index(f.kind) for f in frames], dtype=int),
-        )
-
-    def frames(self) -> list[FrenetFrame]:
-        """One ``FrenetFrame`` per row."""
-        rows = (self.T, self.N, self.B, self.kappa, self.tau, self.kinds)
-        return [
-            FrenetFrame(Vec3L(*T), Vec3L(*N), Vec3L(*B), kappa, tau, _KINDS[kind])
-            for T, N, B, kappa, tau, kind in zip(*(x.tolist() for x in rows))
-        ]
+    dkappa: np.ndarray
 
 
 def frenet_frames(c: Curve, s) -> FrameGrid:
@@ -235,9 +199,9 @@ def frenet_frames(c: Curve, s) -> FrameGrid:
     return FrameGrid(d1, N, B, kappa, tau, kinds, dkappa)
 
 
-def frenet_apparatus(c: Curve, s: float) -> FrenetFrame:
+def frenet_apparatus(c: Curve, s: float) -> FrameGrid:
     """Frame, curvature and torsion at ``s``: the one-row ``frenet_frames``."""
-    return frenet_frames(c, [s]).frames()[0]
+    return frenet_frames(c, [s])
 
 
 def constant_kind(c: Curve, grid_size: int) -> CurveKind:

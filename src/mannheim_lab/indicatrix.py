@@ -3,35 +3,26 @@
 A unit frame field traces a curve on the unit Lorentzian sphere (self
 inner product +1) or the unit hyperbolic sphere (-1).  Only the rates
 ds_image/ds enter the catalogued identities, so the image is never
-reparametrized; rates and tangents come from the frame equations rather
-than from differencing the field.
+reparametrized; the rates come from the frame equations rather than from
+differencing the field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .curve import Curve, CurveSamples
-from .errors import DegenerateIndicatrixError
 from .frenet import FrameGrid, constant_kind, frenet_frames, kind_signs
 
 __all__ = [
-    "SphereKind",
     "Indicatrix",
     "indicatrix_of",
     "RATE_TOL",
 ]
 
 RATE_TOL = 1e-9
-
-
-class SphereKind(Enum):
-    LORENTZIAN = "lorentzian"   # <x,x> = +1
-    HYPERBOLIC = "hyperbolic"   # <x,x> = -1
-
 
 _FIELDS = ("T", "N", "B")
 
@@ -48,49 +39,15 @@ def _field_rates(f: FrameGrid, which: str) -> np.ndarray:
 
 @dataclass
 class Indicatrix:
-    """Spherical image of one frame field of a base curve."""
+    """Spherical image of the frame field ``source`` of a base curve."""
 
     source: str
     base: Curve
-    sphere: SphereKind
-
-    def points(self, ts) -> np.ndarray:
-        """The image at the parameters ``ts`` of the base curve, one row each."""
-        return getattr(frenet_frames(self.base, ts), self.source)
-
-    def rates(self, ts) -> np.ndarray:
-        """ds_image/ds at each of ``ts``."""
-        return _field_rates(frenet_frames(self.base, ts), self.source)
-
-    def tangents(self, ts) -> np.ndarray:
-        """Unit tangents of the image at ``ts``, one row each.
-
-        Raises DegenerateIndicatrixError for the first row where the image
-        is stationary (rate at or below ``RATE_TOL``).
-        """
-        f = frenet_frames(self.base, ts)
-        rate = _field_rates(f, self.source)
-        stationary = rate <= RATE_TOL
-        if stationary.any():
-            s = ts[int(np.argmax(stationary))]
-            raise DegenerateIndicatrixError(
-                f"{self.source}-image of {self.base.label!r} is stationary at s={s:g}"
-            )
-        # gamma' from the frame equations: T' = k N, N' = c_n k T + t B, B' = c_b t N
-        _, _, _, c_n, c_b = kind_signs(f.kinds)
-        k, t = f.kappa[:, None], f.tau[:, None]
-        if self.source == "T":
-            derivative = f.N * k
-        elif self.source == "B":
-            derivative = f.N * (c_b[:, None] * t)
-        else:
-            derivative = f.T * (c_n[:, None] * k) + f.B * t
-        return derivative / rate[:, None]
 
     def samples(self, n: int) -> CurveSamples:
         """n uniform samples of the image, endpoints included, from one grid of frames."""
         s = np.linspace(*self.base.domain, n)
-        return CurveSamples(s, self.points(s))
+        return CurveSamples(s, getattr(frenet_frames(self.base, s), self.source))
 
 
 def indicatrix_of(c: Curve, which: str) -> Indicatrix:
@@ -102,6 +59,5 @@ def indicatrix_of(c: Curve, which: str) -> Indicatrix:
     """
     if which not in _FIELDS:
         raise ValueError(f"field must be one of {_FIELDS}, got {which!r}")
-    sign = constant_kind(c, 33).signs[_FIELDS.index(which)]
-    sphere = SphereKind.LORENTZIAN if sign > 0 else SphereKind.HYPERBOLIC
-    return Indicatrix(source=which, base=c, sphere=sphere)
+    constant_kind(c, 33)
+    return Indicatrix(source=which, base=c)

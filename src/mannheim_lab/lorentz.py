@@ -3,8 +3,8 @@
 The first coordinate carries the negative metric sign.  Vectors are the rows
 of ``(n, 3)`` float arrays, and every operation is a pure function of whole
 arrays, so it is safe to use concurrently without coordination.
-:class:`Vec3L` holds one vector where a single one is meant: a vector of
-the start frame of a synthesis (``frenet.INITIAL_FRAMES``) or of one frame.
+:class:`Vec3L` holds one vector of the start frame of a synthesis
+(``frenet.INITIAL_FRAMES``).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ NULL_BAND_TOL = 1e-12
 
 @dataclass(frozen=True, slots=True)
 class Vec3L:
-    """A point or vector of Minkowski 3-space; x1 is the timelike axis."""
+    """One vector of a synthesis start frame in Minkowski 3-space; x1 is the timelike axis."""
 
     x1: float
     x2: float

@@ -14,8 +14,8 @@ residual read that row.  Each identity is one row of ``IDENTITIES``: its
 name, its residual column over ``PairSamples``, its default tolerance and
 its verdict policy.  ``PairSamples(pair, grid)`` holds both curves' frames
 as ``FrameGrid`` columns, on which every identity is row-wise algebra;
-``MannheimPair.samples(grid_n)`` keeps one per uniform grid, and a point
-query is the one-row view ``PairSamples(pair, [s])``.
+``MannheimPair.samples(grid_n)`` builds one on the uniform grid, and a
+point query is the one-row view ``PairSamples(pair, [s])``.
 
 Verdict policy: identities only claim Pass/Fail when the defining
 collinearity is itself numerically satisfied (residual below a hypothesis
@@ -28,7 +28,7 @@ has its own non-constancy criterion.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Callable
@@ -334,9 +334,6 @@ class MannheimPair:
     pair_type: MannheimPairType
     correspondence: Callable[[np.ndarray], np.ndarray]
     correspondence_rate: Callable[[np.ndarray], np.ndarray]
-    label: str = "pair"
-    # Keyed by (grid size, pair type); a dataclasses.replace copy starts empty.
-    _samples: dict = field(init=False, default_factory=dict, repr=False)
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -347,12 +344,8 @@ class MannheimPair:
         return [float(s) for s in np.linspace(a, b, n)]
 
     def samples(self, grid_n: int) -> "PairSamples":
-        """The pair sampled on ``grid(grid_n)``, built once per grid size and
-        pair type and kept on the pair."""
-        key = (grid_n, self.pair_type)
-        if key not in self._samples:
-            self._samples[key] = PairSamples(self, self.grid(grid_n))
-        return self._samples[key]
+        """The pair sampled on ``grid(grid_n)``, built afresh on each call."""
+        return PairSamples(self, self.grid(grid_n))
 
     @classmethod
     def from_binormal_offset(
@@ -374,8 +367,7 @@ class MannheimPair:
         def rate(u: np.ndarray) -> np.ndarray:
             return 1.0 / offset.speeds(table.t_of_s(u))
 
-        label = f"{cstar.label}/pair(lambda={lam:g})"
-        return cls(c_unit, cstar, lam, classify_pair(c_unit, cstar), correspondence, rate, label)
+        return cls(c_unit, cstar, lam, classify_pair(c_unit, cstar), correspondence, rate)
 
     @classmethod
     def from_normal_offset(
@@ -389,8 +381,7 @@ class MannheimPair:
         def correspondence(s: np.ndarray) -> np.ndarray:
             return table.s_of_t(s)
 
-        label = f"{c.label}/pair(lambda={lam:g})"
-        return cls(c, cstar_unit, lam, classify_pair(c, cstar_unit), correspondence, offset.speeds, label)
+        return cls(c, cstar_unit, lam, classify_pair(c, cstar_unit), correspondence, offset.speeds)
 
     @classmethod
     def from_shared_parameter(
@@ -426,8 +417,7 @@ class MannheimPair:
             )
             return v_star / v_c
 
-        label = f"{c.label}|{cstar.label}"
-        return cls(c_unit, cstar_unit, lam, classify_pair(c_unit, cstar_unit), correspondence, rate, label)
+        return cls(c_unit, cstar_unit, lam, classify_pair(c_unit, cstar_unit), correspondence, rate)
 
 
 def _projections(T: np.ndarray, fstar: FrameGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -476,16 +466,14 @@ class PairSamples:
 
     Each column is computed on first use and kept, so a suite computes each
     once, and the distance identity, which reads positions only, extracts no
-    frame.  ``MannheimPair.samples(grid_n)`` builds one on the uniform grid
-    per grid size and keeps it.  Every column is row-wise, so a point query
-    is the one-row view ``PairSamples(pair, [s])``: its columns equal row s
-    of any grid holding s.  Only the reductions over the grid (the
-    hypothesis, the image alignment and the center ratio's mean) depend on
-    the grid.
+    frame.  ``MannheimPair.samples(grid_n)`` builds one on the uniform grid.
+    Every column is row-wise, so a point query is the one-row view
+    ``PairSamples(pair, [s])``: its columns equal row s of any grid holding
+    s.  Only the reductions over the grid (the hypothesis, the image
+    alignment and the center ratio's mean) depend on the grid.
     """
 
     def __init__(self, pair: MannheimPair, grid) -> None:
-        # Not the pair, which keeps its samples: no reference cycle.
         self.c, self.cstar, self.lam = pair.c, pair.cstar, pair.lam
         self.correspondence, self.correspondence_rate = pair.correspondence, pair.correspondence_rate
         self.spec = pair.pair_type.spec

@@ -48,6 +48,8 @@ class TestFrenetCommand:
         code, out, err = run_cli(capsys, "frenet", "--curve", "paper-example-1", "--at", "0")
         assert code == 0
         data = json.loads(out)
+        assert list(data) == ["s", "kind", "kappa", "tau", "T", "N", "B", "gram_residual"]
+        assert 0.0 <= data["gram_residual"] < 1e-12
         assert data["kind"] == "spacelike+"
         assert data["kappa"] == pytest.approx(0.5, abs=1e-12)
         assert data["tau"] == pytest.approx(math.sqrt(5) / 2, abs=1e-12)
@@ -366,6 +368,24 @@ class TestPairVerifyCommand:
     def test_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "pair-verify", "--c", "paper-example-1")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "lam, report", [("1e160", "center-ratio-nonconstancy"), ("1e308", "distance-constancy")]
+    )
+    def test_overflowing_lambda_is_one_error_line(self, capsys, tmp_path, lam, report):
+        # at 1e160 the center ratio's tolerance overflows; at 1e308 the
+        # distance mean and the linear row's residuals do too
+        out_path = tmp_path / "x.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "pair-verify", "--c", "paper-example-2", "--cstar", "paper-example-2",
+                "--lambda", lam, "--out", str(out_path),
+            )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: report {report} holds a number that is not finite at lambda {float(lam):g}\n"
+        assert not out_path.exists()
 
 
 class TestIndicatrixCommand:

@@ -24,7 +24,6 @@ from mannheim_lab.errors import (
 from mannheim_lab.frenet import (
     INITIAL_FRAMES,
     CurveKind,
-    FrenetFrame,
     frame_gram_residual,
     frenet_apparatus,
     frenet_frames,
@@ -34,16 +33,11 @@ from mannheim_lab.frenet import (
     synthesized_gram_drift,
 )
 from mannheim_lab.expr import Jet2, parse_expr
-from mannheim_lab.lorentz import Vec3L, cross_rows, euclidean_rows
+from mannheim_lab.lorentz import cross_rows, euclidean_rows, vec_rows
 from mannheim_lab.mannheim import MannheimPair
 
 SQRT3 = math.sqrt(3.0)
 SQRT5 = math.sqrt(5.0)
-
-
-def gap(u, v):
-    """Euclidean distance of two ``Vec3L``."""
-    return math.dist(u.as_tuple(), v.as_tuple())
 
 
 def inner(u, v):
@@ -53,42 +47,41 @@ def inner(u, v):
 
 def example1_frame(s):
     return (
-        Vec3L(-0.5 * math.cosh(s), 0.5 * math.sinh(s), SQRT5 / 2),
-        Vec3L(-math.sinh(s), math.cosh(s), 0.0),
-        Vec3L(-SQRT5 / 2 * math.cosh(s), SQRT5 / 2 * math.sinh(s), 0.5),
+        vec_rows(-0.5 * np.cosh(s), 0.5 * np.sinh(s), SQRT5 / 2),
+        vec_rows(-np.sinh(s), np.cosh(s), 0.0),
+        vec_rows(-SQRT5 / 2 * np.cosh(s), SQRT5 / 2 * np.sinh(s), 0.5),
     )
 
 
 def example2_frame(s):
     return (
-        Vec3L(2.0 * math.cosh(s), 2.0 * math.sinh(s), SQRT3),
-        Vec3L(math.sinh(s), math.cosh(s), 0.0),
-        Vec3L(-SQRT3 * math.cosh(s), -SQRT3 * math.sinh(s), -2.0),
+        vec_rows(2.0 * np.cosh(s), 2.0 * np.sinh(s), SQRT3),
+        vec_rows(np.sinh(s), np.cosh(s), 0.0),
+        vec_rows(-SQRT3 * np.cosh(s), -SQRT3 * np.sinh(s), -2.0),
     )
+
+
+def kind_index(kind):
+    """The index of ``kind`` into ``tuple(CurveKind)``, as grids hold it."""
+    return list(CurveKind).index(kind)
+
+
+def assert_reference_frames(c, frame, kind, kappa, tau):
+    s = np.array([0.0, 0.5, 1.0])
+    f = frenet_frames(c, s)
+    assert f.kinds.tolist() == [kind_index(kind)] * 3
+    for got, want in zip((f.T, f.N, f.B), frame(s)):
+        assert euclidean_rows(got - want).max() < 1e-12
+    assert f.kappa == pytest.approx([kappa] * 3, abs=1e-12)
+    assert f.tau == pytest.approx([tau] * 3, abs=1e-12)
 
 
 class TestApparatus:
     def test_example1(self, example1):
-        for s in (0.0, 0.5, 1.0):
-            f = frenet_apparatus(example1, s)
-            assert f.kind is CurveKind.SPACELIKE_EPS_PLUS
-            T, N, B = example1_frame(s)
-            assert gap(f.T, T) < 1e-12
-            assert gap(f.N, N) < 1e-12
-            assert gap(f.B, B) < 1e-12
-            assert f.kappa == pytest.approx(0.5, abs=1e-12)
-            assert f.tau == pytest.approx(SQRT5 / 2, abs=1e-12)
+        assert_reference_frames(example1, example1_frame, CurveKind.SPACELIKE_EPS_PLUS, 0.5, SQRT5 / 2)
 
     def test_example2(self, example2):
-        for s in (0.0, 0.5, 1.0):
-            f = frenet_apparatus(example2, s)
-            assert f.kind is CurveKind.TIMELIKE
-            T, N, B = example2_frame(s)
-            assert gap(f.T, T) < 1e-12
-            assert gap(f.N, N) < 1e-12
-            assert gap(f.B, B) < 1e-12
-            assert f.kappa == pytest.approx(2.0, abs=1e-12)
-            assert f.tau == pytest.approx(SQRT3, abs=1e-12)
+        assert_reference_frames(example2, example2_frame, CurveKind.TIMELIKE, 2.0, SQRT3)
 
     def test_straight_line_has_no_frame(self):
         c = closed_form_curve((lambda t: (0.0, t, 0.0), lambda t: (0.0, 1.0, 0.0)), (0.0, 1.0), "line")
@@ -131,9 +124,8 @@ class TestApparatus:
 
     def test_gram_and_cross_invariants(self, example1, example2):
         for c in (example1, example2):
-            for s in np.linspace(*c.domain, 17):
-                assert frenet_apparatus(c, float(s)).gram_residual() < 1e-9
             f = frenet_frames(c, np.linspace(*c.domain, 17))
+            assert frame_gram_residual(f.T, f.N, f.B, f.kinds).max() < 1e-9
             assert (euclidean_rows(f.B - cross_rows(f.T, f.N)) < 1e-9).all()
 
 
@@ -166,7 +158,7 @@ class TestSynthesize:
     @pytest.mark.parametrize("kind", list(CurveKind))
     def test_starts_at_the_initial_frame_at_the_origin(self, kind):
         T0, N0, B0 = (np.array([u.as_tuple()]) for u in INITIAL_FRAMES[kind])
-        assert frame_gram_residual(T0, N0, B0, list(CurveKind).index(kind)).tolist() == [0.0]
+        assert frame_gram_residual(T0, N0, B0, kind_index(kind)).tolist() == [0.0]
         assert (B0 == cross_rows(T0, N0)).all()
         nodes = frenet_synthesize(kind, lambda s: 1.3, lambda s: 0.7, (0.5, 1.0), 1e-3).synth_nodes
         assert nodes["s"][0] == 0.5
@@ -183,11 +175,10 @@ class TestSynthesize:
         kappa, tau = 1.3, 0.7
         c = frenet_synthesize(kind, lambda s: kappa, lambda s: tau, (0.0, 1.0), 1e-3)
         rng = np.random.default_rng(5)
-        for s in rng.uniform(0.0, 1.0, 25):
-            f = frenet_apparatus(c, float(s))
-            assert f.kind is kind
-            assert abs(f.kappa - kappa) < 1e-6
-            assert abs(f.tau - tau) < 1e-6
+        f = frenet_frames(c, rng.uniform(0.0, 1.0, 25))
+        assert (f.kinds == kind_index(kind)).all()
+        assert (np.abs(f.kappa - kappa) < 1e-6).all()
+        assert (np.abs(f.tau - tau) < 1e-6).all()
 
     @pytest.mark.parametrize("kind", list(CurveKind))
     def test_round_trip_varying(self, kind):
@@ -195,10 +186,10 @@ class TestSynthesize:
         tf = parse_expr("0.6 + 0.2 * cos(s)").eval
         c = frenet_synthesize(kind, kf, tf, (0.0, 1.0), 1e-3)
         rng = np.random.default_rng(6)
-        for s in rng.uniform(0.0, 1.0, 25):
-            f = frenet_apparatus(c, float(s))
-            assert abs(f.kappa - kf(float(s))) < 1e-5
-            assert abs(f.tau - tf(float(s))) < 1e-5
+        s = rng.uniform(0.0, 1.0, 25)
+        f = frenet_frames(c, s)
+        assert (np.abs(f.kappa - [kf(x) for x in s.tolist()]) < 1e-5).all()
+        assert (np.abs(f.tau - [tf(x) for x in s.tolist()]) < 1e-5).all()
 
     @pytest.mark.parametrize("kind", list(CurveKind))
     def test_gram_drift_bounded(self, kind):
@@ -216,18 +207,17 @@ class TestSynthesize:
                 abs(inner(t, t) - eps_t), abs(inner(n, n) - eps_n), abs(inner(b, b) - eps_b),
                 abs(inner(t, n)), abs(inner(t, b)), abs(inner(n, b)),
             ))
-        rows = frame_gram_residual(nodes["T"], nodes["N"], nodes["B"], list(CurveKind).index(kind))
+        rows = frame_gram_residual(nodes["T"], nodes["N"], nodes["B"], kind_index(kind))
         assert rows.tolist() == want
         assert drift == max(want)
-        last = FrenetFrame(*(Vec3L(*nodes[k][-1].tolist()) for k in "TNB"), 2.0, 1.0, kind)
-        assert last.gram_residual() == want[-1]
+        last = frame_gram_residual(*(nodes[k][-1:] for k in "TNB"), kind_index(kind))
+        assert last.tolist() == want[-1:]
 
     def test_constant_scalars_from_extraction(self, example1):
         # helix-type inputs give constant extracted scalars along the curve
-        for s in np.linspace(0.0, 1.0, 9):
-            f = frenet_apparatus(example1, float(s))
-            assert abs(f.kappa - 0.5) < 1e-9
-            assert abs(f.tau - SQRT5 / 2) < 1e-9
+        f = frenet_frames(example1, np.linspace(0.0, 1.0, 9))
+        assert (np.abs(f.kappa - 0.5) < 1e-9).all()
+        assert (np.abs(f.tau - SQRT5 / 2) < 1e-9).all()
 
 
 class TestGridFiniteDifference:

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from _oracle_constants import ORACLE
-from mannheim_lab.errors import DegenerateIndicatrixError
-from mannheim_lab.frenet import CurveKind, frenet_frames, frenet_synthesize
-from mannheim_lab.indicatrix import SphereKind, indicatrix_of
+from mannheim_lab.frenet import CurveKind, constant_kind, frenet_frames, frenet_synthesize
+from mannheim_lab.indicatrix import _field_rates, indicatrix_of
 from mannheim_lab.lorentz import euclidean_rows, inner_rows, norm_rows
 from mannheim_lab.mannheim import IDENTITIES
 from mannheim_lab.reports import Verdict
@@ -25,35 +24,36 @@ def planar_curve():
     return frenet_synthesize(CurveKind.TIMELIKE, lambda s: 1.0, lambda s: 0.0, (0.0, 1.0), 1e-3)
 
 
+def rates(c, which, s):
+    """ds_image/ds of the ``which`` image of ``c`` at ``s``, from the frame equations."""
+    return _field_rates(frenet_frames(c, s), which)
+
+
 class TestImages:
     def test_normal_image_of_reference_curve(self, example2):
-        ind = indicatrix_of(example2, "N")
-        assert ind.sphere is SphereKind.LORENTZIAN
+        rows = indicatrix_of(example2, "N").samples(3).rows
         s = np.array([0.0, 0.5, 1.0])
+        assert rows[:, 0].tolist() == s.tolist()
         want = np.stack((np.sinh(s), np.cosh(s), np.zeros(3)), axis=1)
-        assert np.linalg.norm(ind.points(s) - want, axis=1).max() < 1e-12
+        assert np.linalg.norm(rows[:, 1:] - want, axis=1).max() < 1e-12
 
     def test_binormal_image_rate_constant(self, example2):
-        ind = indicatrix_of(example2, "B")
-        assert ind.rates([0.0, 0.3, 0.9]) == pytest.approx([SQRT3] * 3, abs=1e-12)
+        assert rates(example2, "B", [0.0, 0.3, 0.9]) == pytest.approx([SQRT3] * 3, abs=1e-12)
 
     def test_tangent_image_of_timelike_curve_is_hyperbolic(self, example2):
-        assert indicatrix_of(example2, "T").sphere is SphereKind.HYPERBOLIC
+        points = indicatrix_of(example2, "T").samples(9).rows[:, 1:]
+        assert np.abs(inner_rows(points, points) + 1.0).max() < 1e-9
 
     def test_sphere_membership(self, example1, example2, exact_pair_type3):
+        # each image lies on the sphere <x,x> = its field's Gram sign
         for c in (example1, example2, exact_pair_type3.c, exact_pair_type3.cstar):
-            for which in ("T", "N", "B"):
-                ind = indicatrix_of(c, which)
-                sign = 1.0 if ind.sphere is SphereKind.LORENTZIAN else -1.0
-                points = ind.points(np.linspace(*c.domain, 9))
+            signs = constant_kind(c, 9).signs
+            for which, sign in zip("TNB", signs):
+                points = indicatrix_of(c, which).samples(9).rows[:, 1:]
                 assert np.abs(inner_rows(points, points) - sign).max() < 1e-9
 
     def test_degenerate_binormal_image(self):
-        c = planar_curve()
-        ind = indicatrix_of(c, "B")
-        assert ind.rates([0.5])[0] == pytest.approx(0.0, abs=1e-12)
-        with pytest.raises(DegenerateIndicatrixError, match=r"^B-image of .* is stationary at s=0.5$"):
-            ind.tangents([0.5])
+        assert rates(planar_curve(), "B", [0.5])[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_bad_field_name(self, example2):
         with pytest.raises(ValueError):
@@ -61,23 +61,36 @@ class TestImages:
 
 
 class TestImageTangents:
+    """Unit tangents of the images: the fourth-order central difference of
+    the frame field over s, divided by the rate from the frame equations."""
+
+    @staticmethod
+    def unit_tangents(c, which, s, h=1e-3):
+        s = np.asarray(s, dtype=float)
+
+        def field(k):
+            return getattr(frenet_frames(c, s + k * h), which)
+
+        derivative = (field(-2) - 8 * field(-1) + 8 * field(1) - field(2)) / (12 * h)
+        return derivative / rates(c, which, s)[:, None]
+
     def test_normal_image_tangent_direction(self, exact_pair_type3):
         # for a spacelike curve with timelike normal: N' = kappa T + tau B
         c = exact_pair_type3.c
-        tangents = indicatrix_of(c, "N").tangents([0.1, 0.6])
+        tangents = self.unit_tangents(c, "N", [0.1, 0.6])
         f = frenet_frames(c, [0.1, 0.6])
         want = (f.T * f.kappa[:, None] + f.B * f.tau[:, None]) / np.hypot(f.kappa, f.tau)[:, None]
         assert (euclidean_rows(tangents - want) < 1e-9).all()
 
     def test_binormal_image_tangent_closed_form(self, example2):
         # B' = -tau N for a timelike curve, so the unit tangent is -N
-        s = np.array([0.0, 0.4, 1.0])
+        s = np.array([0.1, 0.4, 0.9])
         want = np.stack((-np.sinh(s), -np.cosh(s), np.zeros(3)), axis=1)
-        assert np.linalg.norm(indicatrix_of(example2, "B").tangents(s) - want, axis=1).max() < 1e-10
+        assert np.linalg.norm(self.unit_tangents(example2, "B", s) - want, axis=1).max() < 1e-10
 
     def test_unit_modulus(self, example1):
         for which in ("T", "N", "B"):
-            v = indicatrix_of(example1, which).tangents([0.5])
+            v = self.unit_tangents(example1, which, [0.5])
             assert abs(abs(inner_rows(v, v)[0]) - 1.0) < 1e-10
 
 
@@ -85,10 +98,9 @@ class TestRateCrossCheck:
     def test_rate_matches_direct_differencing(self, example1, example2):
         h = 1e-5
         for c in (example1, example2):
-            ind = indicatrix_of(c, "N")
             s = np.array([0.3, 0.6])
             fd_rate = norm_rows(frenet_frames(c, s + h).N - frenet_frames(c, s - h).N) / (2 * h)
-            assert (np.abs(ind.rates(s) - fd_rate) < 1e-6).all()
+            assert (np.abs(rates(c, "N", s) - fd_rate) < 1e-6).all()
 
 
 class TestPairRelations:
@@ -119,11 +131,9 @@ class TestPairRelations:
     def test_image_point_sets_coincide_up_to_sign(self, exact_pair_type3):
         # the defining collinearity makes the N-image of C equal the
         # B-image of C* up to overall sign
-        ind_n = indicatrix_of(exact_pair_type3.c, "N")
-        ind_b = indicatrix_of(exact_pair_type3.cstar, "B")
         s = np.array([0.0, 0.5, 1.0])
-        a = ind_n.points(s)
-        b = ind_b.points(exact_pair_type3.correspondence(s))
+        a = frenet_frames(exact_pair_type3.c, s).N
+        b = frenet_frames(exact_pair_type3.cstar, exact_pair_type3.correspondence(s)).B
         gap = np.minimum(np.linalg.norm(a - b, axis=1), np.linalg.norm(a + b, axis=1))
         assert gap.max() < 1e-9
 

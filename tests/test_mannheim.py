@@ -32,7 +32,6 @@ from mannheim_lab.expr import Jet2, parse_expr, sqrt
 from mannheim_lab.frenet import (
     CurveKind,
     FrameGrid,
-    FrenetFrame,
     frenet_apparatus,
     frenet_synthesize,
 )
@@ -61,16 +60,16 @@ EXACT_CONFIGS = [(t, slope) for t in (2, 3, 5) for slope in (0.2, -0.2)]
 
 
 def _combine(a, u, b, v):
-    """The row a u + b v of two ``Vec3L``."""
-    return a * np.array(u.as_tuple()) + b * np.array(v.as_tuple())
+    """The row a u + b v of two one-row arrays."""
+    return a * u[0] + b * v[0]
 
 
 def _decompose(T, fstar, pair_type):
-    """(theta, s_comp, c_comp) of a tangent row against one companion frame:
-    the one-row decomposition, with the angle taken as ``PairSamples.theta``
-    takes it."""
+    """(theta, s_comp, c_comp) of a tangent row against the one-row frame
+    grid ``fstar``: the one-row decomposition, with the angle taken as
+    ``PairSamples.theta`` takes it."""
     spec = pair_type.spec
-    rows = mannheim._decomposition(spec, np.reshape(T, (1, 3)), FrameGrid.of([fstar]), lambda i: "")
+    rows = mannheim._decomposition(spec, np.reshape(T, (1, 3)), fstar, lambda i: "")
     s_comp, c_comp = (float(x[0]) for x in rows)
     return (math.atan2(s_comp, c_comp) if spec.circular else math.asinh(s_comp)), s_comp, c_comp
 
@@ -264,7 +263,7 @@ class TestPartnerEquation:
     def test_vanishing_condition(self, monkeypatch):
         # kappa = tau on a timelike curve: kappa^2 - tau^2 = 0, and no lam solves the equation
         rows = np.ones(3)
-        grid = FrameGrid(*[np.zeros((3, 3))] * 3, rows, rows, np.zeros(3, dtype=int))
+        grid = FrameGrid(*[np.zeros((3, 3))] * 3, rows, rows, np.zeros(3, dtype=int), np.zeros(3))
         monkeypatch.setattr(mannheim, "frenet_frames", lambda c, s: grid)
         with pytest.raises(NegativeConditionValueError, match="no finite lam at s=0$"):
             mannheim_curve_test(helix(CurveKind.TIMELIKE, 1.0, 2.0), MannheimPairType.TYPE2, 3)
@@ -316,7 +315,7 @@ class TestTheta:
     def test_tangent_equal_normal_gives_zero(self, example2):
         # T = N* makes the sine-like component vanish exactly
         fstar = frenet_apparatus(example2, 0.3)
-        angle, _, c_comp = _decompose(fstar.N.as_tuple(), fstar, MannheimPairType.TYPE1)
+        angle, _, c_comp = _decompose(fstar.N[0], fstar, MannheimPairType.TYPE1)
         assert angle == 0.0
         assert c_comp == pytest.approx(1.0, abs=1e-12)
 
@@ -357,12 +356,12 @@ class TestTheta:
         # a timelike tangent cannot live in a positive-definite plane; feed
         # the type-2 pair's tangent to the type-4 rule against an eps=+1
         # companion frame
-        f = PairSamples(exact_pair_type2, [0.5]).frames[0].frames()[0]
+        f = PairSamples(exact_pair_type2, [0.5]).frames[0]
         helix_sp = helix(CurveKind.SPACELIKE_EPS_PLUS, 1.0, 0.5, domain=(0.0, 0.2), step=1e-3)
         fstar = frenet_apparatus(helix_sp, 0.1)
         message = r"^tangent leaves the \(T\*, N\*\) plane \(defect 1.010e\+00\)$"
         with pytest.raises(InconsistentDecompositionError, match=message):
-            _decompose(f.T.as_tuple(), fstar, MannheimPairType.TYPE4)
+            _decompose(f.T[0], fstar, MannheimPairType.TYPE4)
 
 
 class TestDistance:
@@ -870,12 +869,13 @@ class TestPairSamples:
 
     def test_suite_extracts_each_curve_once_and_builds_no_frame(self, exact_pair_type3, monkeypatch):
         built = []
-        for cls in (FrenetFrame, Vec3L):
-            def init(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
-                built.append(_cls.__name__)
-                _init(self, *args, **kwargs)
+        init = Vec3L.__init__
 
-            monkeypatch.setattr(cls, "__init__", init)
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(Vec3L, "__init__", counted)
         views = self._views(monkeypatch)
         pair = dataclasses.replace(exact_pair_type3)
         grids = self._extractions(monkeypatch, pair)
@@ -883,25 +883,28 @@ class TestPairSamples:
         assert grids == {"c": [201], "cstar": [201]}
         assert built == []
         assert views == [201]  # one sampling of the grid, no one-row view
-        _run_pair_suite(pair, 201, None)  # the same grid reuses its samples
-        assert grids == {"c": [201], "cstar": [201]}
-        assert views == [201]
+        _run_pair_suite(pair, 201, None)  # a second suite samples afresh, once
+        assert grids == {"c": [201, 201], "cstar": [201, 201]}
+        assert views == [201, 201]
 
     def test_second_grid_builds_new_samples(self, exact_pair_type3, monkeypatch):
         pair = dataclasses.replace(exact_pair_type3)
         grids = self._extractions(monkeypatch, pair)
-        assert pair.samples(11) is pair.samples(11)
-        assert pair.samples(21) is not pair.samples(11)
         _run_pair_suite(pair, 11, None)
         _run_pair_suite(pair, 21, None)
         assert grids == {"c": [11, 21], "cstar": [11, 21]}
 
     def test_replaced_copy_starts_empty(self, exact_pair_type2):
+        # samples of a relabelled copy hold no column computed for the
+        # original and read the copy's own type
         pair = dataclasses.replace(exact_pair_type2)
-        ROWS["linear-curvature-torsion"].report(pair.samples(11))
+        used = pair.samples(11)
+        ROWS["linear-curvature-torsion"].report(used)
+        assert "frames" in vars(used)
         copy = dataclasses.replace(pair, pair_type=MannheimPairType.TYPE3)
-        assert list(pair._samples) == [(11, MannheimPairType.TYPE2)] and copy._samples == {}
-        assert copy.samples(11) is not pair.samples(11)
+        fresh = copy.samples(11)
+        assert "frames" not in vars(fresh) and "frames" not in vars(pair.samples(11))
+        assert used.spec is MannheimPairType.TYPE2.spec and fresh.spec is MannheimPairType.TYPE3.spec
 
     def test_replaced_copy_reads_its_own_curves_at_a_point(self, example2):
         # a point query is the one-row frame grid of the pair at hand, so a
@@ -945,9 +948,8 @@ class TestPairSamples:
             linear.report(pair.samples(11))
 
     def test_an_audited_pair_is_freed_without_a_collection(self, example1):
-        # the pair keeps its samples, which keep what they read but not the
-        # pair: no reference cycle keeps an audited pair alive until a full
-        # collection
+        # the pair keeps no samples: no reference cycle keeps an audited pair
+        # alive until a full collection
         pair = MannheimPair.from_binormal_offset(example1, 20.0)
         assert len(_run_pair_suite(pair, 11, None)) == 12
         ref = weakref.ref(pair)
@@ -992,11 +994,12 @@ class TestPairSamples:
         # the decomposition fails from the first grid point on; a stationary
         # N-image of C there is reported first, one further on is not reached
         pair = dataclasses.replace(exact_pair_type2, pair_type=MannheimPairType.TYPE3)
+        samples = pair.samples(11)
         rates = mannheim._field_rates
 
         def stalled(f, which):
             out = rates(f, which)
-            if f is pair.samples(11).frames[0]:
+            if f is samples.frames[0]:
                 out = out.copy()
                 out[stationary_at] = 0.0
             return out
@@ -1005,7 +1008,7 @@ class TestPairSamples:
         message = "stationary spherical image at s=0$" if stationary_at == 0 else "at s=0; no consistent"
         for name in ("image-rate-curvature", "image-rate-torsion"):
             with pytest.raises(error, match=message) as info:
-                ROWS[name].report(pair.samples(11))
+                ROWS[name].report(samples)
             assert info.value.row == 0
 
 
