@@ -21,11 +21,11 @@ CLI_DIGEST = r"([0-9a-f]{64}|no output {55}) exit \d+  \S.*"
     "flags, count, line",
     [
         # one digest per audit configuration
-        ([], 14, DIGEST),
+        ([], 15, DIGEST),
         # 3 kinds x 3 torsions x 3 (range, step) pairs
         (["--synth"], 27, DIGEST),
-        # 14 configurations x 12 reports, each configuration in table order
-        (["--residuals"], 14 * 12, RESIDUAL),
+        # 15 configurations x 12 reports, each configuration in table order
+        (["--residuals"], 15 * 12, RESIDUAL),
         # one digest per pinned CLI command, with its exit code
         (["--csv"], 43, CLI_DIGEST),
     ],
@@ -44,4 +44,4 @@ def test_report_digests_prints_one_line_per_configuration(flags, count, line):
     assert all(re.fullmatch(line, text) for text in lines), lines
     if flags == ["--residuals"]:
         names = [re.fullmatch(line, text).group(1) for text in lines]
-        assert names == [row.name for row in IDENTITIES] * 14
+        assert names == [row.name for row in IDENTITIES] * 15

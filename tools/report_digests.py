@@ -55,7 +55,12 @@ configurations are
 * the binormal offset at lambda 20 of ``paper-example-1`` reparametrized by
   a 256-node arc-length table, grid 101: the reparametrized curve carries
   no scalar jet, so the offset's jets read the frame-difference fallback
-  of ``frenet.scalar_jets``, the one numerical difference in the package.
+  of ``frenet.scalar_jets``, the one numerical difference in the package;
+* the shared-parameter pair of two raw curves that are not unit-speed, the
+  binormal offset at lambda 20 and the normal offset at lambda -0.5 of
+  ``paper-example-1``, at lambda 1 with 256-node arc-length tables, grid
+  101: both sides are reparametrized, so the correspondence reads both
+  tables and both raw speeds.
 """
 
 from __future__ import annotations
@@ -75,6 +80,8 @@ from mannheim_lab import (  # noqa: E402
     builtin_curve,
     exact_partner_pair,
     frenet_synthesize,
+    offset_along_binormal,
+    offset_along_normal,
     parse_expr,
     reparametrize_unit,
 )
@@ -202,6 +209,17 @@ def configurations():
         f"paper-example-1 unit-speed table 256 binormal lambda=20 grid {REFERENCE_GRID}",
         lambda: MannheimPair.from_binormal_offset(
             reparametrize_unit(builtin_curve("paper-example-1"), 256), 20.0
+        ),
+        REFERENCE_GRID,
+    )
+    yield (
+        f"paper-example-1 binormal lambda=20 and normal lambda=-0.5 shared lambda=1 "
+        f"table 256 grid {REFERENCE_GRID}",
+        lambda: MannheimPair.from_shared_parameter(
+            offset_along_binormal(builtin_curve("paper-example-1"), 20.0),
+            offset_along_normal(builtin_curve("paper-example-1"), -0.5),
+            1.0,
+            256,
         ),
         REFERENCE_GRID,
     )
