@@ -39,7 +39,7 @@ from .indicatrix import (
 )
 from .builtins import BUILTIN_CURVE_NAMES, builtin_curve
 from .expr import Expr, parse_expr
-from .reports import REPORT_JSON_SCHEMA, VerificationReport, Verdict
+from .reports import VerificationReport, Verdict
 from . import errors
 
 __version__ = "0.1.0"

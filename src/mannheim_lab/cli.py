@@ -162,7 +162,7 @@ def _audit(pair: MannheimPair, grid_n: int, tol: float | None, out: str | None) 
         except ValueError:
             text = f"report {item['identity']} holds a number that is not finite at lambda {pair.lam:g}"
             raise ValueError(text) from None
-    print(f"pair type: {pair.pair_type.value} ({pair.pair_type.describe()})")
+    print(f"pair type: {pair.pair_type.value} ({pair.pair_type.spec.description})")
     print(f"lambda: {pair.lam:.17g}")
     for r in reports:
         worst, mean = (

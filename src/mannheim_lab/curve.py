@@ -552,7 +552,8 @@ def reparametrize_unit(c: Curve, grid_size: int = INVERSE_TABLE_SIZE) -> Curve:
     size, but all derivatives are chained analytically through the local
     speed, so the result is unit-speed to machine precision regardless of the
     table resolution.  The returned curve exposes the table on the
-    ``arc_table`` attribute for correspondence bookkeeping.
+    ``arc_table`` attribute, which ``MannheimPair.from_shared_parameter``
+    reads for the correspondence.
 
     Raises TableSizeError, before any work, if ``grid_size`` is not an
     ``int`` (a bool is not a size) or lies outside ``[2, MAX_TABLE_SIZE]``.
@@ -591,7 +592,6 @@ def reparametrize_unit(c: Curve, grid_size: int = INVERSE_TABLE_SIZE) -> Curve:
 
     out = Curve(evaluate, (0.0, table.total), f"{c.label}/unit-speed", unit_speed=True)
     out.arc_table = table
-    out.base_curve = c
     return out
 
 

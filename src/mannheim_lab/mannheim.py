@@ -111,9 +111,6 @@ class MannheimPairType(Enum):
         """This type's row of the type table."""
         return _SPECS[self.value - 1]
 
-    def describe(self) -> str:
-        return self.spec.description
-
 
 def _term(signed: str, x, s_comp, c_comp):
     """``x`` times a signed component: "+s"/"-s" (sine-like) or "+c"/"-c".
@@ -323,8 +320,9 @@ class MannheimPair:
     """Two corresponded unit-speed curves with a fixed offset constant.
 
     ``correspondence`` maps an array of parameters of ``c`` to parameters of
-    ``cstar``, and ``correspondence_rate`` to its derivative ds*/ds; the
-    constructors chain both exactly through their arc-length tables.
+    ``cstar``, and ``correspondence_rate`` to its derivative ds*/ds;
+    ``from_shared_parameter``, the one constructor the others call, chains
+    both exactly through the arc-length tables it builds.
     ``lam`` is the construction constant of whichever offset built the pair.
     """
 
@@ -351,37 +349,15 @@ class MannheimPair:
     def from_binormal_offset(
         cls, cstar: Curve, lam: float, table_size: int = INVERSE_TABLE_SIZE
     ) -> "MannheimPair":
-        """Pair {C, C*} with C the unit-speed binormal offset of C*.
-
-        The two curves share the construction parameter; the correspondence
-        composes the offset's inverse arc-length table with that shared
-        parameter.
-        """
-        offset = offset_along_binormal(cstar, lam)
-        c_unit = reparametrize_unit(offset, table_size)
-        table = c_unit.arc_table
-
-        def correspondence(u: np.ndarray) -> np.ndarray:
-            return table.t_of_s(u)
-
-        def rate(u: np.ndarray) -> np.ndarray:
-            return 1.0 / offset.speeds(table.t_of_s(u))
-
-        return cls(c_unit, cstar, lam, classify_pair(c_unit, cstar), correspondence, rate)
+        """Pair {C, C*} with C the binormal offset of the unit-speed C*."""
+        return cls.from_shared_parameter(offset_along_binormal(cstar, lam), cstar, lam, table_size)
 
     @classmethod
     def from_normal_offset(
         cls, c: Curve, lam: float, table_size: int = INVERSE_TABLE_SIZE
     ) -> "MannheimPair":
-        """Pair {C, C*} with C* the unit-speed normal offset of C."""
-        offset = offset_along_normal(c, lam)
-        cstar_unit = reparametrize_unit(offset, table_size)
-        table = cstar_unit.arc_table
-
-        def correspondence(s: np.ndarray) -> np.ndarray:
-            return table.s_of_t(s)
-
-        return cls(c, cstar_unit, lam, classify_pair(c, cstar_unit), correspondence, offset.speeds)
+        """Pair {C, C*} with C* the normal offset of the unit-speed C."""
+        return cls.from_shared_parameter(c, offset_along_normal(c, lam), lam, table_size)
 
     @classmethod
     def from_shared_parameter(
@@ -389,33 +365,35 @@ class MannheimPair:
     ) -> "MannheimPair":
         """Correspond two curves through a shared raw parameter.
 
-        Both inputs are reparametrized to arc length; points correspond when
-        they come from the same raw parameter value, which requires equal
-        domains.
+        Points correspond when they come from the same raw parameter value,
+        which requires equal domains.  An input that is not unit-speed is
+        reparametrized here to arc length, and its side of the
+        correspondence runs through that arc-length table and its raw
+        speeds; a unit-speed input is its own raw parameter, with the
+        identity map and speed 1.
         """
         if c.domain != cstar.domain:
             raise ValueError("shared-parameter pairing needs identical domains")
-        c_unit = c if c.unit_speed else reparametrize_unit(c, table_size)
-        cstar_unit = cstar if cstar.unit_speed else reparametrize_unit(cstar, table_size)
+
+        def on_arc_length(curve: Curve):
+            if curve.unit_speed:
+                return curve, None, lambda t: 1.0
+            unit = reparametrize_unit(curve, table_size)
+            return unit, unit.arc_table, curve.speeds
+
+        c_unit, c_table, c_speeds = on_arc_length(c)
+        cstar_unit, cstar_table, cstar_speeds = on_arc_length(cstar)
 
         def to_raw(s: np.ndarray) -> np.ndarray:
-            table = getattr(c_unit, "arc_table", None)
-            return s if table is None else table.t_of_s(s)
-
-        def from_raw(t: np.ndarray) -> np.ndarray:
-            table = getattr(cstar_unit, "arc_table", None)
-            return t if table is None else table.s_of_t(t)
+            return s if c_table is None else c_table.t_of_s(s)
 
         def correspondence(s: np.ndarray) -> np.ndarray:
-            return from_raw(to_raw(s))
+            t = to_raw(s)
+            return t if cstar_table is None else cstar_table.s_of_t(t)
 
         def rate(s: np.ndarray) -> np.ndarray:
             t = to_raw(s)
-            v_c = c_unit.base_curve.speeds(t) if hasattr(c_unit, "base_curve") else 1.0
-            v_star = (
-                cstar_unit.base_curve.speeds(t) if hasattr(cstar_unit, "base_curve") else 1.0
-            )
-            return v_star / v_c
+            return cstar_speeds(t) / c_speeds(t)
 
         return cls(c_unit, cstar_unit, lam, classify_pair(c_unit, cstar_unit), correspondence, rate)
 
@@ -729,8 +707,12 @@ class _Identity:
         default tolerance where the row is tunable.
 
         A NaN residual is undefined: published as None and counted by
-        ``undefined_at`` in ``details``.  Judged reports put the worst
-        collinearity residual first in ``details``.
+        ``undefined_at`` in ``details``.  The verdict is Reported where the
+        row is not judged (UNJUDGED, or GATED without the collinearity
+        hypothesis); otherwise Fail on any undefined residual or on a
+        largest residual above the tolerance, and Pass.  Every row but an
+        EXEMPT one puts the worst collinearity residual first in
+        ``details``.
         """
         column = self.residual(p)
         profile, details = column.tolist(), self.details(p)
@@ -742,17 +724,13 @@ class _Identity:
             tol = self.tol
         if self.policy is _Policy.NONCONSTANT:
             return _nonconstancy(self.name, p, profile, details)
-        if self.policy is _Policy.EXEMPT:
-            return VerificationReport.from_profile(self.name, p.grid, profile, tol, details=details)
-        met, worst = p.hypothesis
-        return VerificationReport.from_profile(
-            self.name,
-            p.grid,
-            profile,
-            tol,
-            hypothesis_met=met and self.policy is _Policy.GATED,
-            details={"hypothesis_residual": worst, **details},
-        )
+        verdict = Verdict.FAIL if undefined.any() or column.max() > tol else Verdict.PASS
+        if self.policy is not _Policy.EXEMPT:
+            met, worst = p.hypothesis
+            details = {"hypothesis_residual": worst, **details}
+            if not (met and self.policy is _Policy.GATED):
+                verdict = Verdict.REPORTED
+        return VerificationReport(self.name, list(p.grid), profile, tol, verdict, details)
 
 
 def _nonconstancy(name: str, p: PairSamples, deviations: list, details: dict) -> VerificationReport:

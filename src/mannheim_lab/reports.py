@@ -1,13 +1,12 @@
 """Residual reports emitted by the identity verifiers.
 
-A report never averages away a failure: the verdict is keyed to the largest
-residual on the grid.  ``REPORTED`` means the residual profile is published
-without a pass/fail claim, which the verifiers use when the hypothesis an
-identity depends on is itself not satisfied by the input pair.
+A report records a residual profile on a grid, its tolerance and a verdict;
+``mannheim._Identity.report`` decides the verdict.  ``REPORTED`` means the
+profile is published without a pass/fail claim.
 
 A residual that is undefined at a grid point is ``None`` (``null`` in JSON);
-the maximum and mean cover the defined residuals only, and an undefined
-residual fails a judged report.
+the maximum and mean cover the defined residuals only.  The JSON form is
+described by ``docs/report.schema.json``.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
 
-__all__ = ["Verdict", "VerificationReport", "REPORT_JSON_SCHEMA"]
+__all__ = ["Verdict", "VerificationReport"]
 
 
 class Verdict(Enum):
@@ -53,25 +52,6 @@ class VerificationReport:
         defined = self._defined()
         return sum(defined) / len(defined) if defined else None
 
-    @classmethod
-    def from_profile(
-        cls,
-        identity: str,
-        grid: list[float],
-        residuals: list[float | None],
-        tolerance: float,
-        hypothesis_met: bool = True,
-        details: dict[str, Any] | None = None,
-    ) -> "VerificationReport":
-        """Apply the verdict policy: pass/fail only under the hypothesis."""
-        if not hypothesis_met:
-            verdict = Verdict.REPORTED
-        elif None not in residuals and max(residuals) <= tolerance:
-            verdict = Verdict.PASS
-        else:
-            verdict = Verdict.FAIL
-        return cls(identity, list(grid), list(residuals), tolerance, verdict, details or {})
-
     def to_json_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {
             "identity": self.identity,
@@ -86,29 +66,3 @@ class VerificationReport:
             out["details"] = self.details
         return out
 
-
-REPORT_JSON_SCHEMA: dict[str, Any] = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "title": "VerificationReport",
-    "type": "object",
-    "required": [
-        "identity",
-        "grid",
-        "residuals",
-        "max_residual",
-        "mean_residual",
-        "tolerance",
-        "verdict",
-    ],
-    "properties": {
-        "identity": {"type": "string"},
-        "grid": {"type": "array", "items": {"type": "number"}},
-        "residuals": {"type": "array", "items": {"type": ["number", "null"]}},
-        "max_residual": {"type": ["number", "null"]},
-        "mean_residual": {"type": ["number", "null"]},
-        "tolerance": {"type": "number"},
-        "verdict": {"enum": ["Pass", "Fail", "Reported"]},
-        "details": {"type": "object"},
-    },
-    "additionalProperties": False,
-}

@@ -1,4 +1,6 @@
 import functools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,11 @@ from mannheim_lab import MannheimPair, exact_partner_pair
 from mannheim_lab.builtins import builtin_curve
 from mannheim_lab.curve import Curve
 from mannheim_lab.frenet import CurveKind
+
+# The JSON schema of one report, as published with the package docs.
+REPORT_SCHEMA = json.loads(
+    (Path(__file__).resolve().parent.parent / "docs" / "report.schema.json").read_text()
+)
 
 # Exact partner pairs by pair type: (kind of the base curve C, lambda).
 EXACT_PAIR_BASES = {

