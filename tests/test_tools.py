@@ -8,6 +8,9 @@ import pytest
 from mannheim_lab.mannheim import IDENTITIES
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
+# The committed output of each mode: a change that means to move a digest
+# regenerates its file, so every moved line shows in the diff.
+DIGESTS = TOOLS / "digests"
 
 DIGEST = r"[0-9a-f]{64}  \S.*"
 RESIDUAL = r".+ \| (\S+) (Pass|Fail|Reported) \S+"
@@ -18,20 +21,20 @@ CLI_DIGEST = r"([0-9a-f]{64}|no output {55}) exit \d+  \S.*"
 # The script imports private names of the package (_run_pair_suite,
 # resolve_curve_spec), so a refactor that renames one must fail here.
 @pytest.mark.parametrize(
-    "flags, count, line",
+    "flags, count, line, baseline",
     [
         # one digest per audit configuration
-        ([], 15, DIGEST),
+        ([], 15, DIGEST, "default.txt"),
         # 3 kinds x 3 torsions x 3 (range, step) pairs
-        (["--synth"], 27, DIGEST),
+        (["--synth"], 27, DIGEST, "synth.txt"),
         # 15 configurations x 12 reports, each configuration in table order
-        (["--residuals"], 15 * 12, RESIDUAL),
+        (["--residuals"], 15 * 12, RESIDUAL, "residuals.txt"),
         # one digest per pinned CLI command, with its exit code
-        (["--csv"], 43, CLI_DIGEST),
+        (["--csv"], 43, CLI_DIGEST, "csv.txt"),
     ],
     ids=["default", "synth", "residuals", "csv"],
 )
-def test_report_digests_prints_one_line_per_configuration(flags, count, line):
+def test_report_digests_prints_one_line_per_configuration(flags, count, line, baseline):
     proc = subprocess.run(
         [sys.executable, str(TOOLS / "report_digests.py"), *flags],
         capture_output=True,
@@ -45,3 +48,4 @@ def test_report_digests_prints_one_line_per_configuration(flags, count, line):
     if flags == ["--residuals"]:
         names = [re.fullmatch(line, text).group(1) for text in lines]
         assert names == [row.name for row in IDENTITIES] * 15
+    assert proc.stdout == (DIGESTS / baseline).read_text()
