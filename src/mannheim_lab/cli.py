@@ -93,7 +93,10 @@ def resolve_curve_spec(spec: str) -> Curve:
             key, eq, value = item.partition("=")
             if not eq:
                 raise SpecError(f"bad synth item {item!r}; expected key=value")
-            parts[key.strip()] = value.strip()
+            key = key.strip()
+            if key in parts:
+                raise SpecError(f"repeated synth key {key!r}")
+            parts[key] = value.strip()
         return _synthesize_from_parts(parts)
     raise SpecError(
         f"unknown curve spec {spec!r}; expected one of {', '.join(BUILTIN_CURVE_NAMES)}, "

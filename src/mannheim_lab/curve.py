@@ -182,23 +182,27 @@ def _simpson(x0, x2, f0, f1, f2):
     return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
 
 
-def _adaptive_pieces(
-    f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, fx: np.ndarray, eps: float
-) -> np.ndarray:
+def _adaptive_pieces(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, eps: float) -> np.ndarray:
     """Adaptive Simpson integral of ``f`` over each piece ``[x[i], x[i+1]]``.
 
-    ``f`` maps an array of abscissae to its values, ``fx`` holds f at ``x``.
-    All open pieces are halved level by level, one call of ``f`` per level,
-    and the halves are summed back in the order of the recursive algorithm
-    (at most 48 levels, ``eps`` halving with each), bit for bit.
+    ``f`` maps an array of abscissae to its values.  One call evaluates the
+    nodes ``x``, the midpoints and the first-level quarter points, in that
+    order, so each node's value serves both of its pieces; each deeper level
+    costs one more call, on the quarter points of the pieces still open.
+    The halves are summed back in the order of the recursive algorithm (at
+    most 48 levels, ``eps`` halving with each), bit for bit.
     """
-    x0, x2, f0, f2 = x[:-1], x[1:], fx[:-1], fx[1:]
-    f1 = f(0.5 * (x0 + x2))
+    n = len(x) - 1
+    x0, x2 = x[:-1], x[1:]
+    xm = 0.5 * (x0 + x2)
+    fx, f1, quarters = np.split(
+        f(np.concatenate((x, xm, 0.5 * (x0 + xm), 0.5 * (xm + x2)))), [n + 1, 2 * n + 1]
+    )
+    f0, f2 = fx[:-1], fx[1:]
     whole = _simpson(x0, x2, f0, f1, f2)
     values, splits = [], []
     for depth in range(48, -1, -1):
-        xm = 0.5 * (x0 + x2)
-        fl, fr = np.split(f(np.concatenate((0.5 * (x0 + xm), 0.5 * (xm + x2)))), 2)
+        fl, fr = np.split(quarters, 2)
         left = _simpson(x0, xm, f0, fl, f1)
         right = _simpson(xm, x2, f1, fr, f2)
         delta = left + right - whole
@@ -211,6 +215,8 @@ def _adaptive_pieces(
         halves = (np.stack((x0, xm, f0, fl, f1, left)), np.stack((xm, x2, f1, fr, f2, right)))
         x0, x2, f0, f1, f2, whole = np.hstack([half[:, split] for half in halves])
         eps = eps / 2.0
+        xm = 0.5 * (x0 + x2)
+        quarters = f(np.concatenate((0.5 * (x0 + xm), 0.5 * (xm + x2))))
     for level in range(len(values) - 2, -1, -1):
         halves = np.split(values[level + 1], 2)
         values[level][splits[level]] = halves[0] + halves[1]
@@ -220,9 +226,9 @@ def _adaptive_pieces(
 def _clamp(x, lo: float, hi: float):
     """``min(max(x, lo), hi)`` elementwise; a value in range, or NaN, is kept as is."""
     x = np.asarray(x, dtype=float)
-    below, above = x < lo, x > hi
-    if not (below.any() or above.any()):
+    if x.size and lo <= x.min() and x.max() <= hi:
         return x
+    below, above = x < lo, x > hi
     return np.where(below, lo, np.where(above, hi, x))
 
 
@@ -361,6 +367,8 @@ class Curve:
         names the first parameter beyond it by more than the slack."""
         ts = np.asarray(ts, dtype=float).reshape(-1)
         a, b = self.domain
+        if len(ts) and a <= ts.min() and ts.max() <= b:
+            return ts
         slack = 1e-9 * (b - a)
         out = (ts < a - slack) | (ts > b + slack)
         if out.any():
@@ -371,8 +379,9 @@ class Curve:
     def _grid(self, ts, order: int):
         ts = self._check_domain(ts)
         out = self._evaluate(ts, order)
-        rows = np.hstack(out) if order == 3 else out
-        if not np.isfinite(rows).all():
+        parts = out if order == 3 else (out,)
+        if not all(np.isfinite(x).all() for x in parts):
+            rows = np.hstack(parts)
             t = float(ts[(~np.isfinite(rows)).any(axis=1).argmax()])
             what = ("positions", "tangents", "", "jets")[order]
             raise ValueError(f"non-finite {what} of {self.label!r} at t={t!r}")
@@ -518,13 +527,17 @@ def classify_curve(c: Curve, grid_size: int = 64) -> CausalCharacter:
 
 
 class _ArcLengthTable:
-    """Cumulative arc length over a uniform parameter grid and its inverse."""
+    """Cumulative arc length over a uniform parameter grid and its inverse.
+
+    The pieces between nodes are integrated by ``_adaptive_pieces``: one
+    ``speeds`` call covers the nodes, midpoints and first-level quarter
+    points, and only a piece that splits further costs another call.
+    """
 
     def __init__(self, c: Curve, size: int):
         a, b = c.domain
         t_nodes = np.linspace(a, b, size + 1)
-        # Each node's speed is evaluated once and shared by its two pieces.
-        pieces = _adaptive_pieces(c.speeds, t_nodes, c.speeds(t_nodes), QUADRATURE_TOL / size)
+        pieces = _adaptive_pieces(c.speeds, t_nodes, QUADRATURE_TOL / size)
         s_nodes = np.concatenate(([0.0], np.add.accumulate(pieces)))
         if not (np.diff(s_nodes) > 0).all():
             raise NullTangentError("arc length is not strictly increasing")

@@ -319,7 +319,17 @@ def _jet_of(fn: Callable, x: Jet2, role: str) -> Jet2:
             f"{role} prescription {name} returned a {type(out).__name__}, neither a float nor a Jet2"
         )
     out = out if isinstance(out, Jet2) else Jet2(out)
-    return Jet2(*(np.broadcast_to(y, x.v.shape).astype(float) for y in (out.v, out.d, out.dd)))
+    return Jet2(*(_grid_component(y, x) for y in (out.v, out.d, out.dd)))
+
+
+def _grid_component(y, x: Jet2) -> np.ndarray:
+    """``y`` as a float array of the shape of ``x``: a float64 array of that
+    shape is kept as is, unless it is one of ``x``'s own, and anything else
+    is broadcast and copied."""
+    if isinstance(y, np.ndarray) and y.dtype == np.float64 and y.shape == x.v.shape:
+        if y is not x.v and y is not x.d and y is not x.dd:
+            return y
+    return np.broadcast_to(y, x.v.shape).astype(float)
 
 
 def _prescribe(kappa_fn: Callable, tau_fn: Callable, s: np.ndarray) -> tuple[Jet2, Jet2]:

@@ -39,26 +39,30 @@ class VerificationReport:
         if not self.residuals:
             raise ValueError("empty residual profile")
 
-    def _defined(self) -> list[float]:
-        return [r for r in self.residuals if r is not None]
+    def _summary(self) -> tuple[float | None, float | None]:
+        """Max and mean of the defined residuals, from one list of them; the
+        mean is the sequential sum over the count (``np.mean`` sums pairwise)."""
+        defined = [r for r in self.residuals if r is not None]
+        if not defined:
+            return None, None
+        return max(defined), sum(defined) / len(defined)
 
     @property
     def max_residual(self) -> float | None:
-        defined = self._defined()
-        return max(defined) if defined else None
+        return self._summary()[0]
 
     @property
     def mean_residual(self) -> float | None:
-        defined = self._defined()
-        return sum(defined) / len(defined) if defined else None
+        return self._summary()[1]
 
     def to_json_dict(self) -> dict[str, Any]:
+        top, mean = self._summary()
         out: dict[str, Any] = {
             "identity": self.identity,
             "grid": list(self.grid),
             "residuals": list(self.residuals),
-            "max_residual": self.max_residual,
-            "mean_residual": self.mean_residual,
+            "max_residual": top,
+            "mean_residual": mean,
             "tolerance": self.tolerance,
             "verdict": self.verdict.value,
         }

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 import warnings
 
 import jsonschema
@@ -31,6 +32,14 @@ class TestSpecs:
     def test_unknown(self):
         with pytest.raises(SpecError):
             resolve_curve_spec("nonsense")
+
+    def test_repeated_synth_key(self, capsys):
+        spec = "synth:kind=timelike,kappa=1,tau=1, kind =spacelike+"
+        with pytest.raises(SpecError, match=re.escape("repeated synth key 'kind'")):
+            resolve_curve_spec(spec)
+        code, out, err = run_cli(capsys, "classify", "--curve", spec)
+        assert code == 2 and out == ""
+        assert "repeated synth key 'kind'" in err
 
     def test_csv(self, tmp_path, capsys):
         path = tmp_path / "c.csv"

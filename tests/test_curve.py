@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -46,7 +47,7 @@ def line_curve(direction, domain=(0.0, 3.0), **kwargs):
 def simpson(f, a, b, eps=QUADRATURE_TOL):
     """Adaptive Simpson integral of ``f`` over [a, b]: the one-piece ``_adaptive_pieces``."""
     x = np.array([a, b], dtype=float)
-    return float(_adaptive_pieces(f, x, f(x), eps)[0])
+    return float(_adaptive_pieces(f, x, eps)[0])
 
 
 def unit_speed_deviation(c, grid_size):
@@ -101,14 +102,16 @@ def test_arc_table_evaluates_each_node_speed_once(monkeypatch, exact_pair_type2)
     closed_form = c._speeds
 
     def counted(ts):
-        calls.extend(ts.tolist())
+        calls.append(ts.tolist())
         return closed_form(ts)
 
     # the table reads the offset's closed-form speed, not its derivative
     monkeypatch.setattr(c, "_speeds", counted)
     table = curve_module._ArcLengthTable(c, size)
-    # 1 speed per node, plus a midpoint and two quarter points per piece
-    assert len(calls) == len(set(calls)) == 4 * size + 1
+    # no piece splits past the first level: one call covers 1 speed per node,
+    # plus a midpoint and two quarter points per piece
+    assert len(calls) == 1
+    assert len(calls[0]) == len(set(calls[0])) == 4 * size + 1
     monkeypatch.undo()
     expected = [0.0]
     for t0, t1 in zip(table.t_nodes[:-1], table.t_nodes[1:]):
@@ -123,7 +126,7 @@ def test_adaptive_simpson():
     assert simpson(np.cos, 2.0, 2.0) == 0.0
     # several pieces at once, each to its own tolerance
     x = np.array([0.0, 0.25, 1.0, 1.0])
-    pieces = _adaptive_pieces(np.exp, x, np.exp(x), QUADRATURE_TOL)
+    pieces = _adaptive_pieces(np.exp, x, QUADRATURE_TOL)
     assert pieces == pytest.approx(np.exp(x[1:]) - np.exp(x[:-1]), abs=1e-12)
     assert pieces[-1] == 0.0
 
@@ -140,6 +143,58 @@ class TestSpeed:
     def test_out_of_domain(self, example1):
         with pytest.raises(OutOfDomainError):
             example1.speeds([0.5, 2.0])
+
+
+class TestDomainChecks:
+    def test_parameter_within_slack_reads_as_the_end(self, example1):
+        a, b = example1.domain
+        slack = 1e-9 * (b - a)
+        for end, past in ((a, a - 0.5 * slack), (b, b + 0.5 * slack)):
+            assert past != end
+            got, want = example1.positions([0.5, past]), example1.positions([0.5, end])
+            assert got.tobytes() == want.tobytes()
+
+    def test_parameter_past_slack_names_first_offender(self, example1):
+        a, b = example1.domain
+        slack = 1e-9 * (b - a)
+        first, second = b + 2.0 * slack, a - 2.0 * slack
+        for query in (example1.positions, example1.jets, example1.speeds):
+            with pytest.raises(OutOfDomainError, match=re.escape(f"t={first!r} outside domain")):
+                query([0.5, first, second])
+
+    def test_nan_reaches_the_finiteness_check(self, example1):
+        for query, what in (
+            (example1.positions, "positions"),
+            (example1.tangents, "tangents"),
+            (example1.jets, "jets"),
+            (example1.speeds, "tangents"),  # no closed-form speed: the norm of the tangents
+        ):
+            with pytest.raises(ValueError, match=re.escape(f"non-finite {what} of 'paper-example-1' at t=nan")):
+                query([0.2, math.nan, 0.5])
+        table = reparametrize_unit(example1, 64).arc_table
+        assert np.isnan(table.t_of_s(np.array([math.nan, 0.1]))[0])
+        assert np.isnan(table.s_of_t(np.array([math.nan]))[0])
+
+    def test_empty_grid(self, example1):
+        assert example1.positions([]).shape == (0, 3)
+        assert example1.speeds([]).shape == (0,)
+
+    def test_table_lookup_clamps_into_range(self, example2):
+        c = offset_along_binormal(example2, 20.0)
+        table = reparametrize_unit(c, 64).arc_table
+        past = table.total * (1.0 + 1e-15)
+        assert past > table.total
+        assert table.t_of_s(np.array([past])).tobytes() == table.t_of_s(np.array([table.total])).tobytes()
+        assert table.s_of_t(np.array([-1e-300])).tobytes() == table.s_of_t(np.array([0.0])).tobytes()
+
+    def test_non_finite_third_derivative_alone_is_named(self):
+        spike = lambda t: (np.where(t == 0.3, np.inf, 0.0), 0.0, 0.0)
+        rows = (lambda t: (t, 0.0, 0.0), lambda t: (1.0, 0.0, 0.0), lambda t: (0.0, 0.0, 0.0), spike)
+        c = closed_form_curve(rows, (0.0, 1.0), "spike")
+        ts = [0.1, 0.2, 0.3, 0.4]
+        assert np.isfinite(c.positions(ts)).all() and np.isfinite(c.tangents(ts)).all()
+        with pytest.raises(ValueError, match=re.escape("non-finite jets of 'spike' at t=0.3")):
+            c.jets(ts)
 
 
 class TestClassify:
