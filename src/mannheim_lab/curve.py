@@ -260,7 +260,9 @@ class CubicHermiteSpline:
         # Row i holds (c0, c1, c2, c3): c3 + c2 s + c1 s^2 + c0 s^3 on piece i.
         self._c = np.stack((t / dxr, (slope - dydx[:-1]) / dxr - t, dydx[:-1], y[:-1]), axis=1)
         self._x = x
-        self._last = len(x) - 2
+        # A point's piece is the number of interior nodes at or below it:
+        # 0 before x[1], the last piece from x[-2] on (and for NaN).
+        self._interior = x[1:-1]
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -269,7 +271,7 @@ class CubicHermiteSpline:
 
     def __call__(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=float).reshape(-1)
-        i = np.minimum(np.maximum(np.searchsorted(self._x, v, side="right") - 1, 0), self._last)
+        i = np.searchsorted(self._interior, v, side="right")
         s = v - self._x[i]
         c = self._c[i]
         c0, c1, c2, c3 = c[:, 0], c[:, 1], c[:, 2], c[:, 3]
