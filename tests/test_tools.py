@@ -30,7 +30,7 @@ CLI_DIGEST = r"([0-9a-f]{64}|no output {55}) exit \d+  \S.*"
         # 15 configurations x 12 reports, each configuration in table order
         (["--residuals"], 15 * 12, RESIDUAL, "residuals.txt"),
         # one digest per pinned CLI command, with its exit code
-        (["--csv"], 43, CLI_DIGEST, "csv.txt"),
+        (["--csv"], 51, CLI_DIGEST, "csv.txt"),
     ],
     ids=["default", "synth", "residuals", "csv"],
 )

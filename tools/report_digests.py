@@ -20,7 +20,10 @@ configuration are the rows of ``mannheim.IDENTITIES``, in table order.
 With ``--csv`` it prints instead one sha256 per output file of the CLI's
 file-writing commands on pinned argument lists (``CLI_COMMANDS``):
 ``export-plot``, ``offset --curve``/``--cstar``, ``indicatrix`` of T, N and
-B, ``synthesize``, and the JSON of ``classify`` and ``frenet``.  Each
+B, ``synthesize``, and the JSON of ``classify`` and ``frenet``.
+``export-plot``, ``offset --cstar``, ``indicatrix`` of N and ``classify``
+run once more on a grid of ``2 * CSV_CHUNK_ROWS + 1`` rows, which crosses
+two chunk boundaries of the grid evaluation.  Each
 command runs in process in a scratch directory that also holds the
 ``samples.csv`` read by the ``csv:`` specs, so no path enters a digest.
 Its lines read ``<sha256> exit <code>  <arguments>``; a command that fails
@@ -86,6 +89,7 @@ from mannheim_lab import (  # noqa: E402
     reparametrize_unit,
 )
 from mannheim_lab.cli import _run_pair_suite, main as cli_main, resolve_curve_spec  # noqa: E402
+from mannheim_lab.curve import CSV_CHUNK_ROWS  # noqa: E402
 from mannheim_lab.frenet import CurveKind  # noqa: E402
 
 EXACT_GRID = 201
@@ -106,6 +110,8 @@ EXACT_BASES = {
 SYNTH_SPEC = "synth:kind=spacelike-,kappa=1 + 0.1*sin(s),tau=0.5 - 0.2*s,range=0:2"
 CSV_SPEC = "csv:samples.csv"
 CSV_CURVES = ("paper-example-1", "paper-example-2", SYNTH_SPEC, CSV_SPEC)
+# A grid that crosses two boundaries of ``CSV_CHUNK_ROWS`` rows.
+CHUNKED_GRID = str(2 * CSV_CHUNK_ROWS + 1)
 CLI_COMMANDS = (
     *(["export-plot", "--curve", c, "--grid", "2000"] for c in CSV_CURVES),
     *(["offset", "--curve", c, "--lambda", "0.3", "--grid", "1000"] for c in CSV_CURVES),
@@ -122,6 +128,16 @@ CLI_COMMANDS = (
     ),
     *(["classify", "--curve", c, "--grid", "500"] for c in CSV_CURVES),
     *(["frenet", "--curve", c, "--at", at] for c in CSV_CURVES for at in ("0", "0.37", "1")),
+    *(
+        argv
+        for c in ("paper-example-1", SYNTH_SPEC)
+        for argv in (
+            ["export-plot", "--curve", c, "--grid", CHUNKED_GRID],
+            ["offset", "--cstar", c, "--lambda", "-7.5", "--grid", CHUNKED_GRID],
+            ["indicatrix", "--curve", c, "--which", "N", "--grid", CHUNKED_GRID],
+            ["classify", "--curve", c, "--grid", CHUNKED_GRID],
+        )
+    ),
 )
 
 
