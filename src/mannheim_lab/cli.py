@@ -29,7 +29,8 @@ import numpy as np
 from . import __version__
 from .builtins import BUILTIN_CURVE_NAMES, builtin_curve
 from .curve import (
-    MAX_TABLE_SIZE, Curve, CurveSamples, curve_from_samples, load_samples_csv, reparametrize_unit, sample
+    MAX_TABLE_SIZE, Curve, CurveSamples, classify_curve, curve_from_samples, load_samples_csv,
+    reparametrize_unit, sample,
 )
 from .errors import (
     CsvFormatError,
@@ -153,18 +154,20 @@ def _run_pair_suite(pair: MannheimPair, grid_n: int, tol: float | None) -> list[
 
 def _audit(pair: MannheimPair, grid_n: int, tol: float | None, out: str | None) -> int:
     """Run the suite, print one line per report and write the JSON array to
-    ``out``; the exit code is 1 on any Fail verdict.  The first report that
-    holds a number that is not finite (a huge ``--lambda`` overflows) raises
-    ValueError before anything is printed or written, numpy's warnings muted."""
-    with np.errstate(all="ignore"):
-        reports = _run_pair_suite(pair, grid_n, tol)
+    ``out``; the exit code is 1 on any Fail verdict.  The array is encoded once, before
+    anything is printed: a report holding a number that is not finite raises ValueError."""
+    reports = _run_pair_suite(pair, grid_n, tol)
     payload = [r.to_json_dict() for r in reports]
-    for item in payload:
-        try:
-            json.dumps(item, allow_nan=False)
-        except ValueError:
-            text = f"report {item['identity']} holds a number that is not finite at lambda {pair.lam:g}"
-            raise ValueError(text) from None
+    try:
+        text = json.dumps(payload, indent=2 if out else None, allow_nan=False)
+    except ValueError:
+        for item in payload:
+            try:
+                json.dumps(item, allow_nan=False)
+            except ValueError:
+                text = f"report {item['identity']} holds a number that is not finite at lambda {pair.lam:g}"
+                raise ValueError(text) from None
+        raise
     print(f"pair type: {pair.pair_type.value} ({pair.pair_type.spec.description})")
     print(f"lambda: {pair.lam:.17g}")
     for r in reports:
@@ -175,13 +178,12 @@ def _audit(pair: MannheimPair, grid_n: int, tol: float | None, out: str | None) 
             f"{r.identity:28s} {r.verdict.value:8s} max={worst} mean={mean} tol={r.tolerance:.1e}"
         )
     if out:
-        _emit_json(payload, out)
+        with open(out, "w") as fh:
+            fh.write(text + "\n")
     return 1 if any(r.verdict is Verdict.FAIL for r in reports) else 0
 
 
 def _cmd_classify(args) -> int:
-    from .curve import classify_curve
-
     c = resolve_curve_spec(args.curve)
     character = classify_curve(c, args.grid)
     _emit_json({"label": c.label, "causal_character": character.value}, args.out)
@@ -376,7 +378,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):  # a failure shows as its error line alone
+            return args.func(args)
     except (
         SpecError,
         ExprSyntaxError,

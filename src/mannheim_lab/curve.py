@@ -420,9 +420,20 @@ class Curve:
         return f"Curve({self.label!r}, domain=[{a:g}, {b:g}])"
 
 
-# Rows of ``CurveSamples.to_csv`` formatted per write: bounded memory for any
-# grid, and few enough writes that formatting dominates.
+# Rows per step of ``_chunked`` and ``CurveSamples.to_csv``: bounded memory, few steps.
 CSV_CHUNK_ROWS = 4096
+
+
+def _chunked(f: Callable[[np.ndarray], np.ndarray], ts: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out`` filled with the row-wise ``f`` of ``ts``, ``CSV_CHUNK_ROWS`` rows at a time, in
+    order, so the bits and the first failing row (``exc.row``, in ``ts``) are those of one call."""
+    for i in range(0, len(ts), CSV_CHUNK_ROWS):
+        try:
+            out[i : i + CSV_CHUNK_ROWS] = f(ts[i : i + CSV_CHUNK_ROWS])
+        except MannheimLabError as exc:
+            exc.row = None if exc.row is None else exc.row + i
+            raise
+    return out
 
 
 class CurveSamples:
@@ -505,7 +516,7 @@ def curve_from_samples(samples: CurveSamples, label: str = "samples") -> Curve:
 
 
 def classify_curve(c: Curve, grid_size: int = 64) -> CausalCharacter:
-    """Common causal character of the tangent over a uniform grid.
+    """Common causal character of the tangent over a uniform grid, classified in chunks.
 
     Raises NullTangentError if any sampled tangent is null and
     MixedCausalCharacterError if the character changes along the grid,
@@ -514,7 +525,7 @@ def classify_curve(c: Curve, grid_size: int = 64) -> CausalCharacter:
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
     ts = np.linspace(*c.domain, grid_size)
-    chars = causal_characters(c.tangents(ts))  # 2 and 3: null and zero
+    chars = _chunked(lambda t: causal_characters(c.tangents(t)), ts, np.empty(grid_size, np.int8))
     where = f"tangent of {c.label!r}"
     raise_first(
         [
@@ -610,9 +621,15 @@ def reparametrize_unit(c: Curve, grid_size: int = INVERSE_TABLE_SIZE) -> Curve:
     return out
 
 
+def _grid_samples(domain: tuple[float, float], n: int, f) -> CurveSamples:
+    """n uniform samples over ``domain``, the points ``f`` gives them filled in by ``_chunked``."""
+    samples = CurveSamples(ts := np.linspace(*domain, n), np.broadcast_to(0.0, (n, 3)))
+    _chunked(f, ts, samples.rows[:, 1:])
+    return samples
+
+
 def sample(c: Curve, n: int) -> CurveSamples:
-    """n uniform parameter samples with positions, endpoints included."""
+    """n uniform parameter samples with positions, endpoints included, in chunks."""
     if n < 2:
         raise ValueError("need at least two samples")
-    ts = np.linspace(*c.domain, n)
-    return CurveSamples(ts, c.positions(ts))
+    return _grid_samples(c.domain, n, c.positions)

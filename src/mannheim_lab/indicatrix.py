@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import Curve, CurveSamples
+from .curve import Curve, CurveSamples, _grid_samples
 from .frenet import FrameGrid, constant_kind, frenet_frames, kind_signs
 
 __all__ = [
@@ -45,9 +45,9 @@ class Indicatrix:
     base: Curve
 
     def samples(self, n: int) -> CurveSamples:
-        """n uniform samples of the image, endpoints included, from one grid of frames."""
-        s = np.linspace(*self.base.domain, n)
-        return CurveSamples(s, getattr(frenet_frames(self.base, s), self.source))
+        """n uniform samples of the image, endpoints included, from frames extracted in chunks."""
+        base, field = self.base, self.source
+        return _grid_samples(base.domain, n, lambda s: getattr(frenet_frames(base, s), field))
 
 
 def indicatrix_of(c: Curve, which: str) -> Indicatrix:

@@ -1,7 +1,10 @@
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import jsonschema
@@ -327,6 +330,36 @@ class TestExamplesCommand:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: non-finite speeds of ")
 
+    def test_out_file_is_the_indented_report_array(self, capsys, tmp_path):
+        from mannheim_lab.builtins import builtin_curve
+        from mannheim_lab.cli import _run_pair_suite
+        from mannheim_lab.mannheim import MannheimPair
+
+        out_path = tmp_path / "report.json"
+        code, out, _ = run_cli(capsys, "examples", "run", "1", "--grid", "11", "--out", str(out_path))
+        # the stdout lines do not depend on --out
+        assert (code, out) == run_cli(capsys, "examples", "run", "1", "--grid", "11")[:2]
+        pair = MannheimPair.from_binormal_offset(builtin_curve("paper-example-1"), 20.0)
+        reports = _run_pair_suite(pair, 11, None)
+        text = json.dumps([r.to_json_dict() for r in reports], indent=2, allow_nan=False) + "\n"
+        assert out_path.read_text() == text
+
+    @pytest.mark.parametrize(
+        "example, lam, message",
+        [
+            ("1", "1e100", "curvature of 'paper-example-1+(1e+100)B/unit-speed' vanishes at s=0"),
+            ("2", "1e150", "non-finite jets of 'paper-example-2' at t=nan"),
+        ],
+    )
+    def test_overflow_before_the_audit_is_one_error_line(self, capsys, example, lam, message):
+        # the pair's own construction overflows: numpy's warnings stay muted there too
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, "examples", "run", example, "--lambda", lam)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
 
 class TestPairVerifyCommand:
     def test_shared_parameter_pair(self, capsys, tmp_path):
@@ -447,6 +480,29 @@ class TestGridSizes:
 
     def test_grid_of_the_table_bound_is_accepted(self):
         assert _grid_size(str(MAX_TABLE_SIZE)) == MAX_TABLE_SIZE
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux")
+    def test_child_peak_memory_does_not_grow_with_the_grid(self, tmp_path):
+        # A child's ru_maxrss starts at the peak of the process it forks
+        # from, so the CLI runs under a small launcher, not under pytest.
+        launch = (
+            "import os, subprocess, sys\n"
+            "_, status, usage = os.wait4(subprocess.Popen(sys.argv[1:]).pid, 0)\n"
+            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+        )
+
+        def peak_kb(grid: int) -> int:
+            argv = GRID_COMMANDS["indicatrix"] + ["--grid", str(grid), "--out", str(tmp_path / "out")]
+            proc = subprocess.run(
+                [sys.executable, "-c", launch, sys.executable, "-m", "mannheim_lab", *argv],
+                capture_output=True, text=True, check=True,
+            )
+            code, kb = map(int, proc.stdout.split())
+            assert code == 0
+            return kb
+
+        # whole-grid evaluation took ~24 MB more at the table bound
+        assert peak_kb(MAX_TABLE_SIZE) - peak_kb(2) < 10 * 1024
 
     def test_grid_of_two_runs(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
@@ -630,9 +686,6 @@ def test_version_flag(capsys):
 
 class TestImportPath:
     def test_cli_import_loads_no_scipy_until_a_csv_curve(self, tmp_path):
-        import subprocess
-        import sys
-
         from mannheim_lab.builtins import builtin_curve
         from mannheim_lab.curve import sample
 
@@ -665,9 +718,6 @@ class TestDeterminism:
     def test_repeated_runs_are_byte_identical(self):
         # synthesis sums in a fixed order with no BLAS call, so a synthesized
         # frame, and everything else printed, repeats bit for bit
-        import subprocess
-        import sys
-
         spec = "synth:kind=spacelike-,kappa=1.2 + 0.1*sin(s),tau=0.8 - 0.2*s"
         for argv in (
             ["frenet", "--curve", spec, "--at", "0.37"],

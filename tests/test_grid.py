@@ -6,6 +6,7 @@ import dataclasses
 import functools
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,8 @@ from mannheim_lab.errors import (
     VanishingCurvatureError,
 )
 from mannheim_lab.frenet import frenet_apparatus, frenet_frames
-from mannheim_lab.lorentz import causal_characters
+from mannheim_lab.indicatrix import Indicatrix, indicatrix_of
+from mannheim_lab.lorentz import CausalCharacter, causal_characters
 from mannheim_lab.mannheim import (
     IDENTITIES,
     MannheimPair,
@@ -106,15 +108,15 @@ def test_grid_rows_equal_points_bit_for_bit(name, fractions, exact_pair_of):
             assert _row_bytes(frames, i) == _row_bytes(frenet_apparatus(c, t), 0), (name, t)
 
 
-def _turning(speed_from: float = math.inf) -> Curve:
+def _turning(speed_from: float = math.inf, end: float = 0.4) -> Curve:
     """Unit-speed spacelike curve (0, cos phi, sin phi)' with curvature
-    0.4 - t up to t = 0.4 and a straight line beyond; past ``speed_from``
+    end - t up to t = end and a straight line beyond; past ``speed_from``
     its tangent is stretched by 1 + (t - speed_from)."""
 
     def parts(t: np.ndarray):
-        turning = t < 0.4
-        k, dk = np.where(turning, 0.4 - t, 0.0), np.where(turning, -1.0, 0.0)
-        phi = np.where(turning, 0.4 * t - 0.5 * t * t, 0.08)
+        turning = t < end
+        k, dk = np.where(turning, end - t, 0.0), np.where(turning, -1.0, 0.0)
+        phi = np.where(turning, end * t - 0.5 * t * t, 0.5 * end * end)
         v = 1.0 + np.maximum(0.0, t - speed_from)
         return k, dk, np.cos(phi), np.sin(phi), v
 
@@ -223,6 +225,60 @@ def test_chunked_csv_equals_csv_writer(extra):
     # the header, then one write per chunk: the file is never one string
     assert len(got.sizes) == 1 + math.ceil(n / CSV_CHUNK_ROWS)
     assert "-0," in got.getvalue() and "4.9406564584124654e-324" in got.getvalue()
+
+
+# Grids below, at and past one chunk, and past two chunk boundaries.
+CHUNK_GRIDS = (CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, 2 * CSV_CHUNK_ROWS + 1)
+
+
+@pytest.mark.parametrize(
+    "name", ["builtin-1", "synthesized-timelike", "reparametrized-offset", "reparametrized-csv", "csv"]
+)
+def test_chunked_grids_equal_whole_grid_evaluation(name, exact_pair_of):
+    c = _curve(name, exact_pair_of)
+    for n in CHUNK_GRIDS:
+        ts = np.linspace(*c.domain, n)
+        assert sample(c, n).rows.tobytes() == np.column_stack((ts, c.positions(ts))).tobytes(), n
+        chars = causal_characters(c.tangents(ts))
+        assert (chars == chars[0]).all()
+        assert classify_curve(c, n) is tuple(CausalCharacter)[chars[0]], n
+        if not CURVES[name][1]:
+            continue
+        frames = frenet_frames(c, ts)
+        for which in ("T", "N", "B"):
+            rows = indicatrix_of(c, which).samples(n).rows
+            assert rows[:, 0].tobytes() == ts.tobytes(), (n, which)
+            assert rows[:, 1:].tobytes() == getattr(frames, which).tobytes(), (n, which)
+
+
+def test_chunked_frames_raise_the_whole_grid_error_and_row():
+    # the curvature 0.6 - t vanishes from t = 0.6 on: in the second chunk only
+    c, n = _turning(end=0.6), 2 * CSV_CHUNK_ROWS + 1
+    with pytest.raises(VanishingCurvatureError) as whole:
+        frenet_frames(c, np.linspace(0.0, 1.0, n))
+    with pytest.raises(VanishingCurvatureError) as chunked:
+        Indicatrix("N", c).samples(n)
+    assert CSV_CHUNK_ROWS < chunked.value.row < 2 * CSV_CHUNK_ROWS
+    assert (str(chunked.value), chunked.value.row) == (str(whole.value), whole.value.row)
+
+
+@pytest.mark.parametrize("name", ["synthesized-spacelike-", "reparametrized-offset"])
+@pytest.mark.parametrize(
+    "evaluate",
+    [sample, lambda c, n: indicatrix_of(c, "N").samples(n), classify_curve],
+    ids=["sample", "indicatrix", "classify"],
+)
+def test_grid_memory_beyond_the_result_stays_flat(name, evaluate, exact_pair_of):
+    # whole-grid evaluation at this size took 15 to 48 MB beyond the table
+    c, n = _curve(name, exact_pair_of), 100_000
+    tracemalloc.start()
+    try:
+        out = evaluate(c, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    result = out.rows.nbytes if isinstance(out, CurveSamples) else 0
+    assert peak - result < 3.5e6
 
 
 @pytest.mark.parametrize(
