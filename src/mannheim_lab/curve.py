@@ -621,7 +621,7 @@ def reparametrize_unit(c: Curve, grid_size: int = INVERSE_TABLE_SIZE) -> Curve:
     return out
 
 
-def _grid_samples(domain: tuple[float, float], n: int, f) -> CurveSamples:
+def _grid_samples(domain: tuple[float, float], n: int, f: Callable) -> CurveSamples:
     """n uniform samples over ``domain``, the points ``f`` gives them filled in by ``_chunked``."""
     samples = CurveSamples(ts := np.linspace(*domain, n), np.broadcast_to(0.0, (n, 3)))
     _chunked(f, ts, samples.rows[:, 1:])
