@@ -6,8 +6,8 @@ or the first three derivatives as ``(n, 3)`` arrays.  Built-in,
 synthesized, reparametrized, offset and sampled curves supply their
 evaluator in closed form, elementwise, so row ``i`` of a grid does not
 depend on the other parameters of the grid; no curve differences its
-positions.  A curve may also carry a closed-form speed and, when it is
-unit-speed, an evaluator of its curvature and torsion with their
+positions.  A curve may also carry a closed-form square <a', a'> and, when
+it is unit-speed, an evaluator of its curvature and torsion with their
 derivatives (read by ``frenet.scalar_jets``).  Curves are immutable after
 construction and all operations here are pure, so concurrent evaluation
 needs no coordination.
@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (
+    ArcLengthOverflowError,
     CsvFormatError,
     MannheimLabError,
     MixedCausalCharacterError,
@@ -31,7 +32,7 @@ from .errors import (
     TableSizeError,
     raise_first,
 )
-from .lorentz import CausalCharacter, causal_characters, inner_rows, norm_rows, power_rows
+from .lorentz import NULL_BAND_TOL, CausalCharacter, causal_characters, inner_rows, norm_rows, power_rows
 
 __all__ = [
     "Curve",
@@ -338,11 +339,11 @@ class Curve:
     ``evaluate(ts, order)``: for a float array ``ts`` of in-domain
     parameters it returns the positions (order 0) or first derivatives
     (order 1) as an ``(n, 3)`` array, or the jet ``(d1, d2, d3)`` as three
-    such arrays (order 3).  ``positions``, ``tangents``, ``jets`` and
-    ``speeds`` evaluate a whole grid.  ``speeds`` may give the pseudo-speed
-    of an array of parameters in closed form, which must equal the norm of
-    the tangents, and ``scalars`` is the scalar-jet evaluator of a
-    unit-speed curve (see ``frenet.scalar_jets``).
+    such arrays (order 3).  ``positions``, ``tangents``, ``jets``, ``squares``
+    and ``speeds`` evaluate a whole grid.  ``squares`` may give <a', a'> of
+    an array of parameters in closed form, signed, which must equal that of
+    the tangents; ``scalars`` is the scalar-jet evaluator of a unit-speed
+    curve (see ``frenet.scalar_jets``).
     """
 
     def __init__(
@@ -351,7 +352,7 @@ class Curve:
         domain: tuple[float, float],
         label: str = "curve",
         unit_speed: bool = False,
-        speeds: Callable[[np.ndarray], np.ndarray] | None = None,
+        squares: Callable[[np.ndarray], np.ndarray] | None = None,
         scalars: Callable | None = None,
     ):
         a, b = float(domain[0]), float(domain[1])
@@ -360,7 +361,7 @@ class Curve:
         self._evaluate = evaluate
         self.domain = (a, b)
         self.label = label
-        self._speeds = speeds
+        self._squares = squares
         self.scalars = scalars
         self.unit_speed = unit_speed
 
@@ -401,19 +402,19 @@ class Curve:
         """Derivatives of orders 1, 2 and 3 at every parameter of ``ts``."""
         return self._grid(ts, 3)
 
-    def speeds(self, ts) -> np.ndarray:
-        """Pseudo-speeds |<a'(t), a'(t)>|^(1/2), in closed form when supplied."""
+    def squares(self, ts) -> np.ndarray:
+        """Signed squares <a'(t), a'(t)> of the tangents, in closed form when supplied."""
         ts = self._check_domain(ts)
-        if self._speeds is None:
-            out = norm_rows(self.tangents(ts))
-        else:
-            # an overflow is named by the finiteness check below
-            with np.errstate(over="ignore", invalid="ignore"):
-                out = self._speeds(ts)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+            out = inner_rows(*(self.tangents(ts),) * 2) if self._squares is None else self._squares(ts)
         if not np.isfinite(out).all():
             t = float(ts[(~np.isfinite(out)).argmax()])
             raise ValueError(f"non-finite speeds of {self.label!r} at t={t!r}")
         return out
+
+    def speeds(self, ts) -> np.ndarray:
+        """Pseudo-speeds |<a'(t), a'(t)>|^(1/2), the roots of ``squares``."""
+        return np.sqrt(np.abs(self.squares(ts)))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging nicety
         a, b = self.domain
@@ -515,6 +516,17 @@ def curve_from_samples(samples: CurveSamples, label: str = "samples") -> Curve:
     return Curve(evaluate, (float(t[0]), float(t[-1])), label)
 
 
+def _check_characters(null: np.ndarray, timelike: np.ndarray, ts: np.ndarray, label: str) -> None:
+    """The tangent rule of ``classify_curve`` and the arc-length table: the first t of ``ts`` in
+    ascending order (``ts[0]`` least) with a ``null`` tangent, or ``timelike`` unlike it, raises."""
+    if (null | (timelike != timelike[0])).any():
+        order = np.argsort(ts, kind="stable")
+        null, timelike, ts, where = null[order], timelike[order], ts[order], f"tangent of {label!r}"
+        null_error = lambda i: NullTangentError(f"{where} is null at t={ts[i]:g}")
+        mixed = lambda i: MixedCausalCharacterError(f"{where} changes character near t={ts[i]:g}")
+        raise_first([(null, null_error), (timelike != timelike[0], mixed)])
+
+
 def classify_curve(c: Curve, grid_size: int = 64) -> CausalCharacter:
     """Common causal character of the tangent over a uniform grid, classified in chunks.
 
@@ -526,48 +538,49 @@ def classify_curve(c: Curve, grid_size: int = 64) -> CausalCharacter:
         raise ValueError("grid_size must be at least 2")
     ts = np.linspace(*c.domain, grid_size)
     chars = _chunked(lambda t: causal_characters(c.tangents(t)), ts, np.empty(grid_size, np.int8))
-    where = f"tangent of {c.label!r}"
-    raise_first(
-        [
-            (chars >= 2, lambda i: NullTangentError(f"{where} is null at t={ts[i]:g}")),
-            (
-                chars != chars[0],
-                lambda i: MixedCausalCharacterError(f"{where} changes character near t={ts[i]:g}"),
-            ),
-        ]
-    )
+    _check_characters(chars >= 2, chars == 0, ts, c.label)
     return tuple(CausalCharacter)[chars[0]]
 
 
 class _ArcLengthTable:
     """Cumulative arc length over a uniform parameter grid and its inverse.
 
-    The pieces between nodes are integrated by ``_adaptive_pieces``: one
-    ``speeds`` call covers the nodes, midpoints and first-level quarter
-    points, and only a piece that splits further costs another call.
+    The pieces between nodes are integrated by ``_adaptive_pieces`` over the roots of
+    ``c.squares``: one call covers the nodes, midpoints and first-level quarter points, and
+    the signs of its squares classify the tangent; only a piece that splits further costs
+    another call.  Pieces too long for the spline to evaluate raise ArcLengthOverflowError.
     """
 
     def __init__(self, c: Curve, size: int):
         a, b = c.domain
         t_nodes = np.linspace(a, b, size + 1)
-        pieces = _adaptive_pieces(c.speeds, t_nodes, QUADRATURE_TOL / size)
+
+        def speeds(ts: np.ndarray) -> np.ndarray:
+            q = c.squares(ts)
+            if ts[0] == a:  # the first call, which holds every node from a on
+                _check_characters(np.abs(q) <= NULL_BAND_TOL, q < 0.0, ts, c.label)
+            return np.sqrt(np.abs(q))
+
+        pieces = _adaptive_pieces(speeds, t_nodes, QUADRATURE_TOL / size)
         s_nodes = np.concatenate(([0.0], np.add.accumulate(pieces)))
-        if not (np.diff(s_nodes) > 0).all():
+        widths = np.diff(s_nodes)
+        if not (widths > 0).all():
             raise NullTangentError("arc length is not strictly increasing")
-        self.t_nodes = t_nodes
-        self.s_nodes = s_nodes
-        self.total = float(s_nodes[-1])
+        if (w := widths.max()) > np.finfo(float).max ** (1 / 3):  # its s**3 would overflow
+            raise ArcLengthOverflowError(f"arc length of {c.label!r} overflows: a piece spans {w:.3g}")
+        self.t_nodes, self.s_nodes, self.total = t_nodes, s_nodes, float(s_nodes[-1])
         self._a, self._b = a, b
         # Monotone interpolation guarantees the inverse map is a bijection.
-        self._inverse = PchipInterpolator(s_nodes, t_nodes)
-        self._forward = PchipInterpolator(t_nodes, s_nodes)
+        self._inverse, self._forward = PchipInterpolator(s_nodes, t_nodes), None
 
     def t_of_s(self, s):
         """Raw parameters at the arc lengths of the array ``s``."""
         return self._inverse(_clamp(s, 0.0, self.total))
 
     def s_of_t(self, t):
-        """Arc lengths at the raw parameters of the array ``t``."""
+        """Arc lengths at the raw parameters of the array ``t``; the first call builds the map."""
+        if self._forward is None:
+            self._forward = PchipInterpolator(self.t_nodes, self.s_nodes)
         return self._forward(_clamp(t, self._a, self._b))
 
 
@@ -583,6 +596,7 @@ def reparametrize_unit(c: Curve, grid_size: int = INVERSE_TABLE_SIZE) -> Curve:
 
     Raises TableSizeError, before any work, if ``grid_size`` is not an
     ``int`` (a bool is not a size) or lies outside ``[2, MAX_TABLE_SIZE]``.
+    The table's first speeds pass classifies the tangent (``_check_characters``).
     """
     if not isinstance(grid_size, int) or isinstance(grid_size, bool):
         raise TableSizeError(f"arc-length table size {grid_size!r} is not an integer")
@@ -590,7 +604,6 @@ def reparametrize_unit(c: Curve, grid_size: int = INVERSE_TABLE_SIZE) -> Curve:
         raise TableSizeError(
             f"arc-length table size {grid_size!r} is outside [2, {MAX_TABLE_SIZE}]"
         )
-    classify_curve(c, min(grid_size, 257))
     table = _ArcLengthTable(c, grid_size)
 
     def evaluate(us: np.ndarray, order: int):

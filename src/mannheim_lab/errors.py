@@ -15,6 +15,7 @@ __all__ = [
     "PrescriptionError",
     "SynthesisOverflowError",
     "TableSizeError",
+    "ArcLengthOverflowError",
     "ZeroLambdaError",
     "UnsupportedCombinationError",
     "NegativeConditionValueError",
@@ -94,6 +95,10 @@ class SynthesisOverflowError(MannheimLabError):
 
 class TableSizeError(MannheimLabError):
     """An arc-length table size lies outside [2, ``curve.MAX_TABLE_SIZE``]."""
+
+
+class ArcLengthOverflowError(MannheimLabError):
+    """An arc-length table's pieces are too long for its interpolant to evaluate."""
 
 
 class ZeroLambdaError(MannheimLabError):

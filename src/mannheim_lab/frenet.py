@@ -205,8 +205,9 @@ def frenet_apparatus(c: Curve, s: float) -> FrameGrid:
 
 
 def constant_kind(c: Curve, grid_size: int) -> CurveKind:
-    """The frame kind of ``c``, which must not vary over ``grid_size`` uniform points."""
-    kinds = frenet_frames(c, np.linspace(*c.domain, grid_size)).kinds
+    """The frame kind of ``c``, which must not vary over ``grid_size`` uniform points, from
+    ``scalar_jets``: a curve with a scalar jet (built-in, synthesized) extracts no frame."""
+    kinds = scalar_jets(c, np.linspace(*c.domain, grid_size), 0)[0]
     if (kinds != kinds[0]).any():
         raise MixedCausalCharacterError(f"frame kind of {c.label!r} varies along the curve")
     return _KINDS[kinds[0]]

@@ -209,8 +209,8 @@ def offset_along_binormal(cstar: Curve, lam: float) -> Curve:
     of ``cstar``: ``PairSamples.collinearity`` and the ``distance-constancy``
     row audit that.  Derivatives chain through the frame equations of the base
     curve, so no positional differencing is involved; the jets read the base
-    frames and the base scalar jets once per grid for all three orders.  The
-    speed sqrt|eps_T + eps_N lam^2 tau^2| comes from the base torsion alone.
+    frames and the base scalar jets once per grid for all three orders.  Its
+    <a', a'> = eps_T + eps_N lam^2 tau^2 comes from the base torsion alone.
     """
     if lam == 0.0:
         raise ZeroLambdaError("offset distance must be nonzero")
@@ -241,19 +241,19 @@ def offset_along_binormal(cstar: Curve, lam: float) -> Curve:
             + f.B * _col(cn * tau + db_p),
         )
 
-    def speeds(ts: np.ndarray) -> np.ndarray:
+    def squares(ts: np.ndarray) -> np.ndarray:
         kinds, _, (tau,) = scalar_jets(cstar, ts, 0)
         eps_t, eps_n, *_ = kind_signs(kinds)
-        return np.sqrt(np.abs(eps_t + eps_n * power_rows(lam * tau, 2)))
+        return eps_t + eps_n * power_rows(lam * tau, 2)
 
-    return Curve(evaluate, cstar.domain, f"{cstar.label}+({lam:g})B", speeds=speeds)
+    return Curve(evaluate, cstar.domain, f"{cstar.label}+({lam:g})B", squares=squares)
 
 
 def offset_along_normal(c: Curve, lam: float) -> Curve:
     """The curve s -> a(s) - lam * N(s); same contract as the binormal offset.
 
-    Its speed sqrt|eps_T (1 - lam c_n kappa)^2 + eps_B lam^2 tau^2| comes
-    from the base curvature and torsion alone.
+    Its <a', a'> = eps_T (1 - lam c_n kappa)^2 + eps_B lam^2 tau^2 comes from
+    the base curvature and torsion alone.
     """
     if lam == 0.0:
         raise ZeroLambdaError("offset distance must be nonzero")
@@ -285,13 +285,13 @@ def offset_along_normal(c: Curve, lam: float) -> Curve:
             + f.B * _col(n_coeff * tau + b_pp),
         )
 
-    def speeds(ts: np.ndarray) -> np.ndarray:
+    def squares(ts: np.ndarray) -> np.ndarray:
         kinds, (k,), (tau,) = scalar_jets(c, ts, 0)
         eps_t, _, eps_b, c_n, _ = kind_signs(kinds)
         a_t = 1.0 - lam * c_n * k
-        return np.sqrt(np.abs(eps_t * a_t * a_t + eps_b * power_rows(lam * tau, 2)))
+        return eps_t * a_t * a_t + eps_b * power_rows(lam * tau, 2)
 
-    return Curve(evaluate, c.domain, f"{c.label}-({lam:g})N", speeds=speeds)
+    return Curve(evaluate, c.domain, f"{c.label}-({lam:g})N", squares=squares)
 
 
 def classify_pair(c: Curve, cstar: Curve) -> MannheimPairType:
@@ -442,13 +442,13 @@ class PairSamples:
     """The pair ``pair`` sampled at the parameters ``grid`` of C: the columns
     every identity reads.
 
-    Each column is computed on first use and kept, so a suite computes each
-    once, and the distance identity, which reads positions only, extracts no
-    frame.  ``MannheimPair.samples(grid_n)`` builds one on the uniform grid.
-    Every column is row-wise, so a point query is the one-row view
-    ``PairSamples(pair, [s])``: its columns equal row s of any grid holding
-    s.  Only the reductions over the grid (the hypothesis, the image
-    alignment and the center ratio's mean) depend on the grid.
+    Each column is computed on first use and kept, so a suite computes each once:
+    ``sstar`` serves the frames and the distance identity, which reads positions
+    only and extracts no frame.  ``MannheimPair.samples(grid_n)`` builds one on
+    the uniform grid.  Every column is row-wise, so a point query is the one-row
+    view ``PairSamples(pair, [s])``: its columns equal row s of any grid holding
+    s.  Only the reductions over the grid (the hypothesis, the image alignment
+    and the center ratio's mean) depend on the grid.
     """
 
     def __init__(self, pair: MannheimPair, grid) -> None:
@@ -458,12 +458,16 @@ class PairSamples:
         self.grid = [float(s) for s in grid]
 
     @cached_property
+    def sstar(self) -> np.ndarray:
+        """The parameters of C* corresponding to the grid."""
+        return np.asarray(self.correspondence(np.asarray(self.grid, dtype=float)), dtype=float)
+
+    @cached_property
     def frames(self) -> tuple[FrameGrid, FrameGrid, np.ndarray]:
         """Frames of C on the grid and of C* on the corresponded parameters
         s*, which come third; one extraction per curve.  The error raised is
         that of the first failing point, C*'s before C's at a later one."""
-        s = np.asarray(self.grid, dtype=float)
-        sstar = np.asarray(self.correspondence(s), dtype=float)
+        s, sstar = np.asarray(self.grid, dtype=float), self.sstar
         try:
             f = frenet_frames(self.c, s)
         except MannheimLabError as exc:
@@ -601,11 +605,14 @@ class PairSamples:
         )
 
     @cached_property
-    def alignment(self) -> float:
-        """The relative orientation of the N-image of C and the B-image of C*
-        is a free sign: the one with the smaller worst residual over the grid."""
+    def aligned(self) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+        """The relative orientation of the N-image of C and the B-image of C* is a
+        free sign: the one with the smaller worst residual, and ``image_residuals`` at it."""
         rows = {g: self.image_residuals(g) for g in (1.0, -1.0)}
-        return min(rows, key=lambda g: max(max(r.tolist()) for r in rows[g]))
+        g = min(rows, key=lambda g: max(max(r.tolist()) for r in rows[g]))
+        return g, rows[g]
+
+    alignment = property(lambda self: self.aligned[0], doc="The sign chosen by ``aligned``.")
 
     def check(self, failing: np.ndarray, error: type, what: str) -> None:
         """Raise ``error("<what> at s=...")`` for the first flagged grid point."""
@@ -613,8 +620,7 @@ class PairSamples:
 
 
 def _distance(p: PairSamples) -> np.ndarray:
-    s = np.array(p.grid)
-    diff = p.c.positions(s) - p.cstar.positions(p.correspondence(s))
+    diff = p.c.positions(np.array(p.grid)) - p.cstar.positions(p.sstar)
     return np.abs(norm_rows(diff) - abs(p.lam))
 
 
@@ -674,7 +680,7 @@ def _image_rate(which: int) -> Callable[[PairSamples], np.ndarray]:
     """The curvature (``which`` 0) or torsion (1) image-rate relation at the chosen alignment."""
 
     def residual(p: PairSamples) -> np.ndarray:
-        return p.image_residuals(p.alignment)[which]
+        return p.aligned[1][which]
 
     return residual
 

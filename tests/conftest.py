@@ -28,7 +28,7 @@ def closed_form_curve(rows, domain, label="curve", **kwargs) -> Curve:
     forms: ``rows[k](ts)`` gives the three components of order ``k`` at an
     array of parameters, each an array or a constant, and the orders past
     ``rows`` vanish.  ``kwargs`` go to ``Curve`` (``unit_speed``,
-    ``speeds``)."""
+    ``squares``)."""
 
     def at(k, ts):
         out = np.zeros((len(ts), 3))

@@ -348,11 +348,18 @@ class TestExamplesCommand:
         "example, lam, message",
         [
             ("1", "1e100", "curvature of 'paper-example-1+(1e+100)B/unit-speed' vanishes at s=0"),
-            ("2", "1e150", "non-finite jets of 'paper-example-2' at t=nan"),
+            (
+                "2",
+                "1e150",
+                "arc length of 'paper-example-2+(1e+150)B' overflows: a piece spans 1.69e+147",
+            ),
         ],
+        ids=["1-1e100", "2-1e150"],
     )
     def test_overflow_before_the_audit_is_one_error_line(self, capsys, example, lam, message):
-        # the pair's own construction overflows: numpy's warnings stay muted there too
+        # the pair's own construction overflows: numpy's warnings stay muted
+        # there too, and the arc-length table whose pieces s**3 would overflow
+        # is refused at build, naming the offset, not a NaN parameter of its base
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code, out, err = run_cli(capsys, "examples", "run", example, "--lambda", lam)

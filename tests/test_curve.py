@@ -5,10 +5,12 @@ import re
 import numpy as np
 import pytest
 
-from conftest import closed_form_curve, closed_form_helix
+from conftest import EXACT_PAIR_BASES, closed_form_curve, closed_form_helix
 from mannheim_lab import curve as curve_module
+from mannheim_lab import exact_partner_pair, parse_expr
 from mannheim_lab.builtins import builtin_curve
 from mannheim_lab.curve import (
+    INVERSE_TABLE_SIZE,
     MAX_TABLE_SIZE,
     QUADRATURE_TOL,
     CubicHermiteSpline,
@@ -24,7 +26,9 @@ from mannheim_lab.curve import (
     reparametrize_unit,
     sample,
 )
+from mannheim_lab.cli import _ensure_unit, resolve_curve_spec
 from mannheim_lab.errors import (
+    ArcLengthOverflowError,
     CsvFormatError,
     MixedCausalCharacterError,
     NullTangentError,
@@ -99,14 +103,19 @@ def test_arc_table_evaluates_each_node_speed_once(monkeypatch, exact_pair_type2)
     c = offset_along_normal(exact_pair_type2.c, -0.3)  # speed varies along it
     size = 64
     calls = []
-    closed_form = c._speeds
+    closed_form = c._squares
 
     def counted(ts):
         calls.append(ts.tolist())
         return closed_form(ts)
 
-    # the table reads the offset's closed-form speed, not its derivative
-    monkeypatch.setattr(c, "_speeds", counted)
+    def no_tangents(ts):
+        raise AssertionError("the table classifies the tangent from the squares")
+
+    # the table reads the offset's closed-form square, not its derivative,
+    # and classifies the tangent from that square's signs
+    monkeypatch.setattr(c, "_squares", counted)
+    monkeypatch.setattr(c, "tangents", no_tangents)
     table = curve_module._ArcLengthTable(c, size)
     # no piece splits past the first level: one call covers 1 speed per node,
     # plus a midpoint and two quarter points per piece
@@ -248,6 +257,87 @@ class TestArclength:
         with pytest.raises(NullTangentError):
             _ArcLengthTable(line_curve((1.0, 1.0, 0.0)), 16)
 
+    def test_overflowing_square_is_named(self, example2):
+        # (lam tau)^2 overflows: the square is checked before its sign classifies the tangent
+        off = offset_along_binormal(example2, 1e160)
+        want = "non-finite speeds of 'paper-example-2+(1e+160)B' at t=0.0"
+        with pytest.raises(ValueError, match=re.escape(want) + "$"):
+            _ArcLengthTable(off, 16)
+
+    def test_pieces_too_long_for_the_spline_are_refused(self, example2):
+        # every square (~3e300) and node is finite, but s**3 of a piece of
+        # ~1.7e147 overflows in the spline, which would map every s > 0 to NaN
+        off = offset_along_binormal(example2, 1e150)
+        want = "arc length of 'paper-example-2+(1e+150)B' overflows: a piece spans 1.69e+147"
+        with pytest.raises(ArcLengthOverflowError, match=re.escape(want) + "$"):
+            _ArcLengthTable(off, INVERSE_TABLE_SIZE)
+        # just below the bound the table evaluates
+        table = _ArcLengthTable(offset_along_binormal(example2, 3e105), INVERSE_TABLE_SIZE)
+        assert np.isfinite(table.t_of_s(np.linspace(0.0, table.total, 101))).all()
+
+
+SINE_TAU = "0.8 + 0.1 * sin(3 * s)"
+
+
+def test_offset_squares_equal_the_squares_of_their_tangents(exact_pair_of, example1, example2):
+    # every offset that the exact and reference configurations of
+    # tools/report_digests.py build
+    pairs = [exact_pair_of(t, k) for t in EXACT_PAIR_BASES for k in (0.2, -0.2)]
+    kind, lam = EXACT_PAIR_BASES[3]
+    pairs.append(exact_partner_pair(kind, parse_expr(SINE_TAU).eval, lam, step=1e-3, table_size=512))
+    offsets = [offset_along_normal(p.c, p.lam) for p in pairs]
+    offsets += [offset_along_binormal(c, lam) for c in (example1, example2) for lam in (20.0, -7.5)]
+    offsets += [offset_along_normal(example2, 0.5), offset_along_normal(example1, -0.5)]
+    offsets.append(offset_along_binormal(reparametrize_unit(example1, 256), 20.0))
+    for off in offsets:
+        ts = np.linspace(*off.domain, 4097)
+        d1 = off.tangents(ts)
+        np.testing.assert_allclose(off.squares(ts), inner_rows(d1, d1), rtol=1e-12, atol=0.0, err_msg=off.label)
+
+
+class TestTableClassifiesTangent:
+    """The arc-length table classifies the tangent on its first pass, in ascending t."""
+
+    @staticmethod
+    def _offset(b: float):
+        # kappa = 1, tau = s on a timelike curve: its normal offset by 0.5 has
+        # <a', a'> = (s^2 - 1)/4, timelike before s = 1, null there, spacelike beyond
+        base = frenet_synthesize(CurveKind.TIMELIKE, lambda s: 1.0, lambda s: s, (0.0, b), 1e-3)
+        return offset_along_normal(base, 0.5)
+
+    def test_null_offset(self):
+        # 3 pieces over [0, 2]: s = 1 is the midpoint of the middle piece; the
+        # node 4/3 after it, evaluated first, is spacelike
+        off = self._offset(2.0)
+        with pytest.raises(NullTangentError, match=re.escape(f"tangent of {off.label!r} is null at t=1") + "$"):
+            reparametrize_unit(off, 3)
+
+    def test_mixed_offset(self):
+        # 4 pieces over [0, 1.9]: the points are the multiples of 1.9/16, the
+        # first beyond s = 1 (9 of them, a quarter point) is spacelike
+        off = self._offset(1.9)
+        want = f"tangent of {off.label!r} changes character near t=1.06875"
+        with pytest.raises(MixedCausalCharacterError, match=re.escape(want) + "$"):
+            reparametrize_unit(off, 4)
+
+    @pytest.mark.parametrize(
+        "end, error, message",
+        [
+            # the node t = 1/2 of the 1024 pieces over [0, 2], where (1, 2t, 0) is null
+            (2.0, NullTangentError, "is null at t=0.5"),
+            # over [0, 1.9] the first point beyond t = 1/2 is 1078 * 1.9/4096
+            (1.9, MixedCausalCharacterError, "changes character near t=0.500049"),
+        ],
+        ids=["null", "mixed"],
+    )
+    def test_csv_curve(self, tmp_path, end, error, message):
+        path = tmp_path / "parabola.csv"
+        ts = np.linspace(0.0, end, 20)
+        with open(path, "w", newline="") as fh:
+            CurveSamples(ts, np.column_stack((ts, ts * ts, 0.0 * ts))).to_csv(fh)
+        with pytest.raises(error, match=re.escape(f"tangent of '{path}' {message}") + "$"):
+            _ensure_unit(resolve_curve_spec(f"csv:{path}"))
+
 
 class TestReparametrize:
     def test_already_unit(self, example1):
@@ -285,7 +375,7 @@ class TestReparametrize:
 
 
     def test_table_size_is_bounded(self):
-        c = line_curve((0.0, 2.0, 0.0), (0.0, 1.0), speeds=lambda ts: np.full(len(ts), 2.0))
+        c = line_curve((0.0, 2.0, 0.0), (0.0, 1.0), squares=lambda ts: np.full(len(ts), 4.0))
         assert len(reparametrize_unit(c, MAX_TABLE_SIZE).arc_table.t_nodes) == MAX_TABLE_SIZE + 1
         for size in (1, 0, MAX_TABLE_SIZE + 1):
             message = rf"size {size} is outside \[2, {MAX_TABLE_SIZE}\]"

@@ -24,6 +24,7 @@ from mannheim_lab.errors import (
 from mannheim_lab.frenet import (
     INITIAL_FRAMES,
     CurveKind,
+    constant_kind,
     frame_gram_residual,
     frenet_apparatus,
     frenet_frames,
@@ -599,3 +600,27 @@ def test_synthesis_has_the_bits_of_dense_products(kind, tau):
     got = np.hstack([c.synth_nodes[k] for k in "pTNB"])
     assert c.synth_nodes["s"].tobytes() == s_nodes.tobytes()
     assert got.tobytes() == want.tobytes()
+
+
+def test_constant_kind_reads_scalar_jets(monkeypatch):
+    calls = []
+    extract = frenet.frenet_frames
+
+    def counted(c, s):
+        calls.append(c.label)
+        return extract(c, s)
+
+    monkeypatch.setattr(frenet, "frenet_frames", counted)
+    synth = frenet_synthesize(CurveKind.SPACELIKE_EPS_MINUS, lambda s: 1.0 + 0.1 * s, lambda s: 0.5, (0.0, 1.0))
+    for c, kind in (
+        (builtin_curve("paper-example-1"), CurveKind.SPACELIKE_EPS_PLUS),
+        (builtin_curve("paper-example-2"), CurveKind.TIMELIKE),
+        (synth, CurveKind.SPACELIKE_EPS_MINUS),
+    ):
+        assert constant_kind(c, 9) is kind
+    # built-in and synthesized curves answer from their scalar jets
+    assert calls == []
+    # a curve without one extracts its frames, once
+    unit = reparametrize_unit(builtin_curve("paper-example-1"), 64)
+    assert constant_kind(unit, 9) is CurveKind.SPACELIKE_EPS_PLUS
+    assert calls == [unit.label]

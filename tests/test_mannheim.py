@@ -475,9 +475,10 @@ class TestGenuinePairs:
     def test_torsion_is_evaluated_once_per_jet(self):
         # kappa_fn reads the torsion of the jet that the synthesis and the
         # scalar jets then hand to tau_fn: one evaluation serves both.  A
-        # build evaluates it four times: synthesis, the tangent's causal
-        # character, the arc-length table's single speeds pass and the pair
-        # type of the partners.
+        # build evaluates it four times: synthesis, the arc-length table's
+        # single pass of the offset's squares (which also classifies its
+        # tangent), and the pair type, once for the companion's frames and
+        # once for the curve's own scalar jet.
         calls = []
 
         def tau_fn(s):

@@ -1,0 +1,80 @@
+"""Pass budget: how often one pair build plus the audit suite evaluates each layer.
+
+One reference pair (a binormal offset of a built-in curve, grid 101) and one
+exact pair (synthesized, table 512, grid 201) are built and audited with
+every counted function wrapped.  The counts are pinned, so a change that adds
+an evaluation pass fails here and must say so.
+"""
+
+import collections
+
+import pytest
+
+from mannheim_lab import curve, frenet, indicatrix, mannheim
+from mannheim_lab.builtins import builtin_curve
+from mannheim_lab.cli import _run_pair_suite
+from mannheim_lab.frenet import CurveKind
+from mannheim_lab.mannheim import MannheimPair, exact_partner_pair
+
+
+def _reference():
+    return MannheimPair.from_binormal_offset(builtin_curve("paper-example-1"), 20.0), 101
+
+
+def _exact():
+    pair = exact_partner_pair(CurveKind.TIMELIKE, lambda s: 0.8 + 0.2 * s, -0.3, step=1e-3, table_size=512)
+    return pair, 201
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Calls per counted name while the test runs."""
+    seen = collections.Counter()
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            seen[name] += 1
+            return f(*args, **kwargs)
+
+        return wrapper
+
+    # module functions are counted in every module that calls them by name
+    for name, modules in (
+        ("frenet_frames", (frenet, mannheim, indicatrix)),
+        ("scalar_jets", (frenet, mannheim)),
+    ):
+        wrapper = counted(name, getattr(frenet, name))
+        for module in modules:
+            monkeypatch.setattr(module, name, wrapper)
+    for cls, attr, name in (
+        (curve.Curve, "_grid", "Curve._grid"),
+        (curve.Curve, "speeds", "Curve.speeds"),
+        (curve.PchipInterpolator, "__init__", "PCHIP builds"),
+        (mannheim.PairSamples, "image_residuals", "image_residuals"),
+    ):
+        monkeypatch.setattr(cls, attr, counted(name, getattr(cls, attr)))
+    return seen
+
+
+# Per build plus suite.  Frames: C* of a reference pair is built-in and C of
+# an exact pair synthesized, so their pair type reads scalar jets; the other
+# side's kind takes one extraction of it and one of its base (2), the suite's
+# frames 3 and the distance identity's positions 1.  The tangent is classified
+# on the arc-length table's own pass of closed-form squares, which calls no
+# Curve.speeds: the one call is the suite's rate map.  A reference pair never
+# maps t to s, so its table builds no forward interpolant.
+BUDGET = {
+    "frenet_frames": 6,
+    "scalar_jets": 6,
+    "Curve._grid": 12,
+    "Curve.speeds": 1,
+    "image_residuals": 2,
+}
+
+
+@pytest.mark.parametrize("build, pchip", [(_reference, 1), (_exact, 2)], ids=["reference", "exact"])
+def test_build_and_suite_keep_their_pass_budget(counts, build, pchip):
+    pair, grid_n = build()
+    reports = _run_pair_suite(pair, grid_n, None)
+    assert len(reports) == len(mannheim.IDENTITIES)
+    assert dict(counts) == {**BUDGET, "PCHIP builds": pchip}
