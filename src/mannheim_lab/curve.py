@@ -5,12 +5,13 @@ array evaluator, which returns, for an array of parameters, the positions
 or the first three derivatives as ``(n, 3)`` arrays.  Built-in,
 synthesized, reparametrized, offset and sampled curves supply their
 evaluator in closed form, elementwise, so row ``i`` of a grid does not
-depend on the other parameters of the grid; no curve differences its
-positions.  A curve may also carry a closed-form square <a', a'> and, when
+depend on the other parameters of the grid; nothing here differentiates
+numerically.  A curve may also carry a closed-form square <a', a'> and, when
 it is unit-speed, an evaluator of its curvature and torsion with their
-derivatives (read by ``frenet.scalar_jets``).  Curves are immutable after
-construction and all operations here are pure, so concurrent evaluation
-needs no coordination.
+derivatives (read by ``frenet.scalar_jets``): built-in and synthesized
+curves do, and so does the arc-length reparametrization of a curve that
+does.  Curves are immutable after construction and all operations here are
+pure, so concurrent evaluation needs no coordination.
 """
 
 from __future__ import annotations
@@ -42,8 +43,6 @@ __all__ = [
     "sample",
     "curve_from_samples",
     "load_samples_csv",
-    "fd_weights",
-    "grid_difference",
     "CubicHermiteSpline",
     "PchipInterpolator",
     "INVERSE_TABLE_SIZE",
@@ -55,128 +54,6 @@ INVERSE_TABLE_SIZE = 1024
 # Largest arc-length table ``reparametrize_unit`` builds, the same bound as
 # ``frenet.MAX_SYNTH_STEPS`` puts on synthesis.
 MAX_TABLE_SIZE = 100_000
-
-
-def fd_weights(nodes: Sequence[float], z: float, m: int) -> np.ndarray:
-    """Finite-difference weights for the m-th derivative at ``z``.
-
-    Fornberg's recursion over arbitrary nodes; exact for polynomials up to
-    degree ``len(nodes) - 1``.
-    """
-    x = [float(v) for v in nodes]
-    z = float(z)
-    n = len(x) - 1
-    if m > n:
-        raise ValueError("stencil too short for requested derivative order")
-    c = [[0.0] * (m + 1) for _ in range(n + 1)]
-    c[0][0] = 1.0
-    c1 = 1.0
-    c4 = x[0] - z
-    for i in range(1, n + 1):
-        mn = min(i, m)
-        c2 = 1.0
-        c5 = c4
-        c4 = x[i] - z
-        ci, cprev = c[i], c[i - 1]
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 = c2 * c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    ci[k] = c1 * (k * cprev[k - 1] - c5 * cprev[k]) / c2
-                ci[0] = -c1 * c5 * cprev[0] / c2
-            cj = c[j]
-            for k in range(mn, 0, -1):
-                cj[k] = (c4 * cj[k] - k * cj[k - 1]) / c3
-            cj[0] = c4 * cj[0] / c3
-        c1 = c2
-    return np.array([row[m] for row in c])
-
-
-def _fd_offsets(m: int, side: int) -> tuple[int, ...]:
-    """Node offsets, in steps, of the 4th-order stencil of order ``m``.
-
-    Central (``side`` 0): 5 nodes for m = 1, 2 and 7 for m = 3.  One-sided,
-    forward (``side`` 1) or backward (-1): m + 5 nodes from the point on.
-    """
-    if side == 0:
-        half = 2 if m <= 2 else 3
-        return tuple(range(-half, half + 1))
-    return tuple(side * o for o in range(m + 5))
-
-
-# (offsets, unit-step Fornberg weights) of every stencil, keyed by (m, side);
-# a difference at step h divides by h**m.  Filled at import, so no
-# difference runs the recursion.
-_STENCILS = {
-    (m, side): (offsets, tuple(fd_weights(offsets, 0.0, m).tolist()))
-    for m in (1, 2, 3)
-    for side in (1, 0, -1)
-    for offsets in (_fd_offsets(m, side),)
-}
-
-
-def grid_difference(
-    f: Callable[[np.ndarray], np.ndarray],
-    ts: np.ndarray,
-    a: float,
-    b: float,
-    h,
-    m: int,
-    f_ts: np.ndarray | None = None,
-) -> np.ndarray:
-    """The ``m``-th derivative (1 to 3) of ``f`` at every point of ``ts`` by
-    4th-order differences: the one finite-difference engine of the package.
-
-    ``f`` maps an array of abscissae in [a, b] to its values, one row (of any
-    shape) per abscissa; ``h`` is one step or one per point, and ``f_ts``, if
-    given, is f at ``ts``, so offset 0 is not evaluated again.  A point takes
-    the central stencil of ``_fd_offsets`` where it fits in [a, b] and
-    otherwise the one-sided one reaching into the domain.  No node leaves
-    [a, b]: a point whose stencil would is given the step
-    (b - a) / (2 (m + 4)), at which one of them fits.  Points of one stencil
-    shape are differenced together, node by node, summed in stencil order
-    and divided by h**m, so a row does not depend on the other points.  An
-    error raised by ``f`` carries, as its ``row``, the row of ``ts`` whose
-    stencil met it.
-    """
-    ts = np.asarray(ts, dtype=float)
-    if not len(ts):
-        return f(ts)
-    h = np.broadcast_to(np.asarray(h, dtype=float), ts.shape)
-    half, reach = (2 if m <= 2 else 3), m + 4
-
-    def sides(h: np.ndarray) -> np.ndarray:
-        central = (ts - half * h >= a) & (ts + half * h <= b)
-        return np.where(central, 0, np.where(ts - half * h < a, 1, -1))
-
-    side = sides(h)
-    end = ts + (side * reach) * h  # the far node of a one-sided stencil
-    cramped = (end < a) | (end > b)
-    if cramped.any():
-        h = np.where(cramped, (b - a) / (2 * reach), h)
-        side = sides(h)
-    out = None
-    for shape in (1, 0, -1):
-        index = np.flatnonzero(side == shape)
-        if not len(index):
-            continue
-        t, step = ts[index], h[index]
-        offsets, weights = _STENCILS[m, shape]
-        try:
-            values = [
-                f_ts[index] if o == 0 and f_ts is not None else f(t + o * step) for o in offsets
-            ]
-        except MannheimLabError as exc:
-            exc.row = None if exc.row is None else int(index[exc.row])
-            raise
-        acc = weights[0] * values[0]
-        for w, v in zip(weights[1:], values[1:]):
-            acc = acc + w * v
-        if out is None:
-            out = np.empty(ts.shape + acc.shape[1:])
-        out[index] = acc / power_rows(step, m).reshape((-1,) + (1,) * (acc.ndim - 1))
-    return out
 
 
 def _simpson(x0, x2, f0, f1, f2):
@@ -584,6 +461,20 @@ class _ArcLengthTable:
         return self._forward(_clamp(t, self._a, self._b))
 
 
+def _inverse_rates(d1: np.ndarray, d2: np.ndarray, d3: np.ndarray):
+    """(v, t', t'', t''') of the inverse arc-length map t(u), from the jet of a curve at t(u):
+    t' = 1/v and t'' = -v'/v^3, where v = |<a', a'>|^(1/2)."""
+    q = inner_rows(d1, d1)
+    sgn = np.where(q > 0, 1.0, -1.0)
+    v = np.sqrt(np.abs(q))
+    vp = sgn * inner_rows(d2, d1) / v
+    vpp = sgn * ((inner_rows(d3, d1) + inner_rows(d2, d2)) / v) - vp * vp / v
+    tp = 1.0 / v
+    tpp = -vp / power_rows(v, 3)
+    tppp = -vpp / power_rows(v, 4) + 3.0 * vp * vp / power_rows(v, 5)
+    return v, tp, tpp, tppp
+
+
 def reparametrize_unit(c: Curve, grid_size: int = INVERSE_TABLE_SIZE) -> Curve:
     """Arc-length reparametrization of ``c``.
 
@@ -593,6 +484,10 @@ def reparametrize_unit(c: Curve, grid_size: int = INVERSE_TABLE_SIZE) -> Curve:
     table resolution.  The returned curve exposes the table on the
     ``arc_table`` attribute, which ``MannheimPair.from_shared_parameter``
     reads for the correspondence.
+
+    Curvature and torsion do not change under reparametrization: where ``c``
+    carries a scalar jet, the result carries that jet at t(u), its first and
+    second derivatives chained through t' and t'' as the positional ones are.
 
     Raises TableSizeError, before any work, if ``grid_size`` is not an
     ``int`` (a bool is not a size) or lies outside ``[2, MAX_TABLE_SIZE]``.
@@ -613,23 +508,24 @@ def reparametrize_unit(c: Curve, grid_size: int = INVERSE_TABLE_SIZE) -> Curve:
         if order == 1:
             d1 = c.tangents(t)
             return d1 / norm_rows(d1)[:, None]
-        # Chain rule through t(u) with t' = 1/v, where v = |<a', a'>|^(1/2).
         d1, d2, d3 = c.jets(t)
-        q = inner_rows(d1, d1)
-        sgn = np.where(q > 0, 1.0, -1.0)
-        v = np.sqrt(np.abs(q))
-        vp = sgn * inner_rows(d2, d1) / v
-        vpp = sgn * ((inner_rows(d3, d1) + inner_rows(d2, d2)) / v) - vp * vp / v
-        tp = 1.0 / v
-        tpp = -vp / power_rows(v, 3)
-        tppp = -vpp / power_rows(v, 4) + 3.0 * vp * vp / power_rows(v, 5)
+        v, tp, tpp, tppp = _inverse_rates(d1, d2, d3)
         return (
             d1 / v[:, None],
             d2 * (tp * tp)[:, None] + d1 * tpp[:, None],
             d3 * power_rows(tp, 3)[:, None] + d2 * (3.0 * tp * tpp)[:, None] + d1 * tppp[:, None],
         )
 
-    out = Curve(evaluate, (0.0, table.total), f"{c.label}/unit-speed", unit_speed=True)
+    def scalars(us: np.ndarray, order: int):
+        t = c._check_domain(table.t_of_s(us))
+        kinds, kappa, tau = c.scalars(t, order)
+        if order:  # f' t' and f'' t'^2 + f' t'' of each scalar f
+            _, tp, tpp, _ = _inverse_rates(*c.jets(t))
+            kappa, tau = ((f, fp * tp, fpp * (tp * tp) + fp * tpp) for f, fp, fpp in (kappa, tau))
+        return kinds, kappa, tau
+
+    jet = None if c.scalars is None else scalars
+    out = Curve(evaluate, (0.0, table.total), f"{c.label}/unit-speed", unit_speed=True, scalars=jet)
     out.arc_table = table
     return out
 

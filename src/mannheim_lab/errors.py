@@ -8,6 +8,7 @@ __all__ = [
     "NullTangentError",
     "MixedCausalCharacterError",
     "NotUnitSpeedError",
+    "MissingScalarJetError",
     "VanishingCurvatureError",
     "NullPrincipalNormalError",
     "NonPositiveCurvatureError",
@@ -63,6 +64,10 @@ class MixedCausalCharacterError(MannheimLabError):
 
 class NotUnitSpeedError(MannheimLabError):
     """An operation requiring arc-length parametrization got something else."""
+
+
+class MissingScalarJetError(MannheimLabError):
+    """Derivatives of curvature and torsion were asked of a curve without a scalar jet."""
 
 
 class VanishingCurvatureError(MannheimLabError):

@@ -25,9 +25,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .curve import CubicHermiteSpline, Curve, grid_difference
+from .curve import CubicHermiteSpline, Curve
 from .errors import (
     MannheimLabError,
+    MissingScalarJetError,
     MixedCausalCharacterError,
     NonPositiveCurvatureError,
     NotUnitSpeedError,
@@ -221,37 +222,27 @@ ScalarJets = tuple[np.ndarray, tuple[np.ndarray, ...], tuple[np.ndarray, ...]]
 def scalar_jets(c: Curve, s, order: int = 2) -> ScalarJets:
     """Frame kinds, curvature jets and torsion jets of a unit-speed curve on a grid.
 
-    ``order`` 0 gives ``(kinds, (kappa,), (tau,))`` and involves no
-    differencing; order 2 gives ``(kinds, (kappa, kappa', kappa''),
-    (tau, tau', tau''))``, one array per entry and ``kinds`` as indices into
-    ``tuple(CurveKind)``.  A curve carrying a ``scalars`` evaluator answers
-    itself exactly: built-in curves in closed form, synthesized curves from
-    their prescription jets.  Any other curve goes through the one fallback that
-    differences extracted frame scalars: kappa' chained exactly through the
-    third derivative, then kappa'', tau' and tau'' by ``curve.grid_difference``
-    (steps 1e-4, 1e-4, 1e-3, scaled by max(1, |s|)), the frames at every
-    stencil node of the grid extracted in one call per node offset.
+    ``order`` 0 gives ``(kinds, (kappa,), (tau,))``; order 2 gives ``(kinds,
+    (kappa, kappa', kappa''), (tau, tau', tau''))``, one array per entry and
+    ``kinds`` as indices into ``tuple(CurveKind)``.  A curve carrying a
+    ``scalars`` evaluator answers itself exactly: built-in curves in closed
+    form, synthesized curves from their prescription jets, and the
+    arc-length reparametrization of either through the chain rule.  Any
+    other curve gives order 0 from its extracted frames and raises
+    MissingScalarJetError, naming the curve, for order 2: no exact chain
+    gives its derivatives.
     """
     if order not in (0, 2):
         raise ValueError("scalar jet order must be 0 or 2")
     s = np.asarray(s, dtype=float).reshape(-1)
     if c.scalars is not None:
         return c.scalars(c._check_domain(s), order)
+    if order == 2:
+        raise MissingScalarJetError(
+            f"{c.label!r} carries no scalar jet: its curvature and torsion have no exact derivatives"
+        )
     f = frenet_frames(c, s)
-    if order == 0:
-        return f.kinds, (f.kappa,), (f.tau,)
-    a, b = c.domain
-    scale = np.maximum(1.0, np.abs(s))
-
-    def tau_and_dkappa(x: np.ndarray) -> np.ndarray:
-        g = frenet_frames(c, x)
-        return np.column_stack((g.tau, g.dkappa))
-
-    tau_p, kappa_pp = grid_difference(
-        tau_and_dkappa, s, a, b, 1e-4 * scale, 1, np.column_stack((f.tau, f.dkappa))
-    ).T
-    tau_pp = grid_difference(lambda x: frenet_frames(c, x).tau, s, a, b, 1e-3 * scale, 2, f.tau)
-    return f.kinds, (f.kappa, f.dkappa, kappa_pp), (f.tau, tau_p, tau_pp)
+    return f.kinds, (f.kappa,), (f.tau,)
 
 
 # Steps per block of the batched RK4 increments: the block's arrays stay a

@@ -208,8 +208,8 @@ def offset_along_binormal(cstar: Curve, lam: float) -> Curve:
     generally not unit-speed, and nothing here asserts it is a genuine partner
     of ``cstar``: ``PairSamples.collinearity`` and the ``distance-constancy``
     row audit that.  Derivatives chain through the frame equations of the base
-    curve, so no positional differencing is involved; the jets read the base
-    frames and the base scalar jets once per grid for all three orders.  Its
+    curve, so nothing is differenced; the jets read the base frames and the
+    base scalar jet, which the base must carry, once per grid.  Its
     <a', a'> = eps_T + eps_N lam^2 tau^2 comes from the base torsion alone.
     """
     if lam == 0.0:
@@ -757,6 +757,9 @@ def _nonconstancy(name: str, p: PairSamples, deviations: list, details: dict) ->
     lam = p.lam
     mean = float(np.mean(ratios))
     sd = float(np.std(ratios, ddof=1))
+    if not np.isfinite(sd):  # the squared deviations overflow: scale them by the largest first
+        big = float(np.abs(ratios - mean).max())
+        sd = big * float(np.std((ratios - mean) / big, ddof=1))
     scale = (1.0 + np.abs(lam * kappas)) * np.sqrt(lam * lam * kappa_stars * kappa_stars + 1.0)
     threshold = max(RATIO_THRESHOLD_FACTOR * abs(mean), float(np.sqrt(np.finfo(float).eps) * scale.max()))
 

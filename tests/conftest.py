@@ -42,6 +42,30 @@ def closed_form_curve(rows, domain, label="curve", **kwargs) -> Curve:
     return Curve(evaluate, domain, label, **kwargs)
 
 
+# Unit-step weights of the fourth-order central difference of order m, on the
+# offsets -k..k of a (2k + 1)-node stencil.
+CENTRAL_WEIGHTS = {
+    1: (1 / 12, -8 / 12, 0.0, 8 / 12, -1 / 12),
+    2: (-1 / 12, 16 / 12, -30 / 12, 16 / 12, -1 / 12),
+    3: (1 / 8, -1.0, 13 / 8, 0.0, -13 / 8, 1.0, -1 / 8),
+}
+
+
+def central_difference(f, ts, h, m=1):
+    """The ``m``-th derivative (1 to 3) of ``f`` at each point of ``ts`` by a
+    fourth-order central difference at step ``h`` (one, or one per point).
+
+    ``f`` maps an array of abscissae to one value or row each; every node
+    ``t + k h`` must lie where ``f`` is defined, so a curve is differenced at
+    interior points or on a domain wider than the points."""
+    ts = np.asarray(ts, dtype=float)
+    h = np.broadcast_to(np.asarray(h, dtype=float), ts.shape)
+    weights = CENTRAL_WEIGHTS[m]
+    half = len(weights) // 2
+    total = sum(w * f(ts + (k - half) * h) for k, w in enumerate(weights) if w)
+    return total / (h**m).reshape((-1,) + (1,) * (total.ndim - 1))
+
+
 def closed_form_helix() -> Curve:
     """paper-example-1 written as row functions, as a user writes a curve."""
     r5 = 0.5 * np.sqrt(5.0)

@@ -18,10 +18,10 @@ import numpy as np
 import pytest
 
 from _oracle_constants import ORACLE
+from conftest import central_difference
 from test_expr import run_fuzz_comparison
 from test_mannheim import given_samples
 from mannheim_lab.builtins import builtin_curve
-from mannheim_lab.curve import grid_difference
 from mannheim_lab.errors import UnsupportedCombinationError
 from mannheim_lab.expr import parse_expr
 from mannheim_lab.frenet import (
@@ -289,7 +289,7 @@ def _demonstrate_identities(pair_type):
         sc, cc = comps(theta_fn(s))
         tau_star = 1.1 + 0.1 * s
         kappa, tau = (_signed(term, tau_star, sc, cc) for term in spec.projections)
-        dtheta = float(grid_difference(theta_fn, np.array([s]), 0.0, 1.0, 1e-3, 1)[0])
+        dtheta = float(central_difference(theta_fn, [s], 1e-3)[0])
         kappa_star = spec.angle_rate_sign * dtheta  # ds*/ds prescribed as 1
         samples = _given(
             t, 0.0, kappa, tau, kappa_star, tau_star, sc, cc,

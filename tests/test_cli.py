@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import statistics
 import subprocess
 import sys
 import warnings
@@ -437,6 +438,62 @@ class TestPairVerifyCommand:
         assert not out_path.exists()
 
 
+    @pytest.mark.parametrize("lam", ["1e100", "1e150"])
+    def test_huge_lambda_publishes_its_reports(self, capsys, tmp_path, lam):
+        # the squared deviations of the center ratio overflow here, so its
+        # standard deviation is taken from the deviations scaled to at most 1
+        from mannheim_lab.builtins import builtin_curve
+        from mannheim_lab.mannheim import MannheimPair
+
+        out_path = tmp_path / "x.json"
+        code, out, err = run_cli(
+            capsys, "pair-verify", "--c", "paper-example-2", "--cstar", "paper-example-1",
+            "--lambda", lam, "--out", str(out_path),
+        )
+        reports = {r["identity"]: r for r in json.loads(out_path.read_text())}
+        assert code == 1 and err == ""
+        assert [name for name, r in reports.items() if r["verdict"] == "Fail"] == ["distance-constancy"]
+        c, cstar = builtin_curve("paper-example-2"), builtin_curve("paper-example-1")
+        ratios = MannheimPair.from_shared_parameter(c, cstar, float(lam)).samples(101).center_ratio
+        sd = reports["center-ratio-nonconstancy"]["details"]["ratio_sd"]
+        assert math.isfinite(sd)
+        assert sd == pytest.approx(statistics.stdev(ratios.tolist()), rel=1e-12)
+
+    def test_lambda_whose_center_ratio_mean_overflows_is_one_error_line(self, capsys):
+        # the ratios reach -1e308, so their sum, and hence their mean, overflows
+        code, out, err = run_cli(
+            capsys, "pair-verify", "--c", "paper-example-2", "--cstar", "paper-example-1",
+            "--lambda", "1e154",
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: report center-ratio-nonconstancy holds a number that is not finite at lambda 1e+154\n"
+        )
+
+
+# Commands of the huge-lambda sweep, each at grid 11.
+SWEEP_COMMANDS = {
+    "examples-1": ["examples", "run", "1"],
+    "examples-2": ["examples", "run", "2"],
+    "offset-cstar": ["offset", "--cstar", "paper-example-1"],
+    "offset-curve": ["offset", "--curve", "paper-example-2"],
+    "pair-verify": ["pair-verify", "--c", "paper-example-2", "--cstar", "paper-example-1"],
+}
+
+
+@pytest.mark.parametrize(
+    "lam", ["1e10", "1e100", "1e150", "1e154", "1e200", "1e300", "1e-300", "-1e300"]
+)
+@pytest.mark.parametrize("name", sorted(SWEEP_COMMANDS))
+def test_huge_lambda_ends_with_a_verdict_or_one_error_line(capsys, tmp_path, name, lam):
+    # every value follows --lambda after a space, as typed in a shell
+    argv = SWEEP_COMMANDS[name] + ["--lambda", lam, "--grid", "11", "--out", str(tmp_path / "out")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code in (0, 1, 2)
+    assert err == "" or (err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"))
+    assert "nan" not in (out + err).lower()
+
+
 class TestIndicatrixCommand:
     def test_normal_image_csv(self, capsys):
         code, out, _ = run_cli(
@@ -563,6 +620,34 @@ class TestFiniteFloats:
         assert "--tol" in err and "expected a tolerance >= 0, got '-1'" in err
         assert out == ""
         assert not out_path.exists()
+
+    # (flag, value, command, exit code, a line of stderr): each value is a
+    # form argparse alone takes for an option, not for a negative number
+    @pytest.mark.parametrize(
+        "flag, value, command, code, message",
+        [
+            ("--lambda", "-1e3", ["examples", "run", "1", "--grid", "11"], 0, ""),
+            ("--lambda", "-1e3", ["offset", "--cstar", "paper-example-1", "--grid", "11"], 0, ""),
+            ("--at", "-1e-3", ["frenet", "--curve", "paper-example-1"], 1, "outside domain"),
+            ("--step", "-1e-3", GRID_COMMANDS["synthesize"], 2, "expected a positive number"),
+            ("--tol", "-1e-3", GRID_COMMANDS["pair-verify"], 2, "expected a tolerance >= 0, got '-1e-3'"),
+            ("--range", "-1:1", GRID_COMMANDS["synthesize"] + ["--grid", "11"], 0, ""),
+        ],
+        ids=["examples-lambda", "offset-lambda", "at", "step", "tol", "range"],
+    )
+    def test_negative_value_after_a_space_reads_as_its_equals_form(
+        self, capsys, tmp_path, flag, value, command, code, message
+    ):
+        def run(*argv):
+            out_path = tmp_path / "out"
+            out_path.unlink(missing_ok=True)
+            result = run_cli(capsys, *command, *argv, "--out", str(out_path))
+            return (*result, out_path.read_bytes() if out_path.exists() else None)
+
+        spaced = run(flag, value)
+        assert spaced == run(f"{flag}={value}")
+        assert spaced[0] == code and message in spaced[2]
+        assert (spaced[3] is None) == bool(code)
 
     def test_negative_finite_value_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "offset", "--cstar", "paper-example-2",

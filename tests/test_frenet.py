@@ -1,18 +1,20 @@
 import ast
-import copy
 import math
+import re
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import closed_form_curve
+from conftest import central_difference, closed_form_curve, closed_form_helix
 from mannheim_lab import curve as curve_module
 from mannheim_lab import frenet
 from mannheim_lab.builtins import builtin_curve
-from mannheim_lab.curve import grid_difference, reparametrize_unit
+from mannheim_lab.cli import _ensure_unit, resolve_curve_spec
+from mannheim_lab.curve import reparametrize_unit, sample
 from mannheim_lab.errors import (
+    MissingScalarJetError,
     NonPositiveCurvatureError,
     NotUnitSpeedError,
     NullPrincipalNormalError,
@@ -35,7 +37,7 @@ from mannheim_lab.frenet import (
 )
 from mannheim_lab.expr import Jet2, parse_expr
 from mannheim_lab.lorentz import cross_rows, euclidean_rows, vec_rows
-from mannheim_lab.mannheim import MannheimPair
+from mannheim_lab.mannheim import MannheimPair, offset_along_binormal
 
 SQRT3 = math.sqrt(3.0)
 SQRT5 = math.sqrt(5.0)
@@ -221,133 +223,89 @@ class TestSynthesize:
         assert (np.abs(f.tau - SQRT5 / 2) < 1e-9).all()
 
 
-class TestGridFiniteDifference:
-    # ``curve.grid_difference`` is the one difference engine, and the
-    # frame-difference fallback of scalar jets its one caller.
-    @staticmethod
-    def _side(t: float, a: float, b: float, h: float, m: int) -> int:
-        half = 2 if m <= 2 else 3
-        if t - half * h >= a and t + half * h <= b:
-            return 0
-        return 1 if t - half * h < a else -1
-
-    @pytest.mark.parametrize("pair_type", [2, 3, 5])
-    def test_grid_form_equals_scalar_form_at_every_synthesis_node(
-        self, exact_pair_of, pair_type
-    ):
-        c = copy.copy(exact_pair_of(pair_type, -0.2).c)
-        c.scalars = None
-        nodes = c.synth_nodes["s"]
-        a, b = c.domain
-        assert (nodes[0], nodes[-1]) == (a, b)
-        _, (_, _, kappa_pp), (_, tau_p, tau_pp) = scalar_jets(c, nodes)
-        # (step, order, differenced field, the fallback's result)
-        for h, m, name, grid in (
-            (1e-4, 1, "tau", tau_p),
-            (1e-4, 1, "dkappa", kappa_pp),
-            (1e-3, 2, "tau", tau_pp),
-        ):
-            sides = [self._side(t, a, b, h, m) for t in nodes.tolist()]
-            assert set(sides) == {1, 0, -1}
-            # every node's difference formed one stencil at a time in plain floats
-            point = []
-            for t, side in zip(nodes.tolist(), sides):
-                offsets, weights = curve_module._STENCILS[m, side]
-                at = getattr(frenet.frenet_frames(c, [t + o * h for o in offsets]), name).tolist()
-                acc = weights[0] * at[0]
-                for w, v in zip(weights[1:], at[1:]):
-                    acc = acc + w * v
-                point.append(acc / h**m)
-            assert grid.tolist() == point, (name, m)
-
-    @pytest.mark.parametrize("m,tol", [(1, 1e-12), (2, 1e-8), (3, 1e-4)])
-    def test_no_node_leaves_a_domain_shorter_than_a_stencil(self, m, tol):
-        # at step 1e-3 no stencil of any order fits in [0, 0.004] one-sided,
-        # so every point takes the shrunk step (b - a) / (2 (m + 4))
-        a, b = 0.0, 0.004
-        ts = np.linspace(a, b, 9)
-        nodes = []
-
-        def cubic(x):
-            nodes.extend(x.tolist())
-            return np.column_stack((x**3 - 2.0 * x**2 + x, x))
-
-        exact = {1: 3.0 * ts**2 - 4.0 * ts + 1.0, 2: 6.0 * ts - 4.0, 3: np.full_like(ts, 6.0)}[m]
-        d = grid_difference(cubic, ts, a, b, 1e-3, m)
-        assert a <= min(nodes) and max(nodes) <= b
-        assert np.abs(d[:, 0] - exact).max() <= tol
-        assert np.abs(d[:, 1] - (m == 1)).max() <= tol
-
-    def test_frame_difference_fallback_on_a_domain_shorter_than_a_stencil(self):
-        # the reparametrized helix carries no scalar jet, and its domain is
-        # shorter than the 7-node stencil of tau'' at step 1e-3; its binormal
-        # offset reads the fallback at every grid point
-        base = reparametrize_unit(builtin_curve("paper-example-1", (0.0, 0.005)), 64)
-        pair = MannheimPair.from_binormal_offset(base, 20.0)
-        assert pair.cstar is base
-        _, (_, *kappa_d), (_, *tau_d) = scalar_jets(base, np.linspace(*base.domain, 11))
-        # the helix has constant curvature and torsion
-        assert max(np.abs(x).max() for x in kappa_d + tau_d) < 1e-6
-
-    def test_frame_difference_fallback_is_the_one_caller(self):
-        # every reference to the engine in the package source, by module and
-        # top-level definition: scalar_jets alone differences numerically
-        uses = set()
-        for path in sorted(Path(curve_module.__file__).parent.glob("*.py")):
-            for top in ast.parse(path.read_text()).body:
-                for node in ast.walk(top):
-                    if getattr(node, "id", getattr(node, "attr", None)) == "grid_difference":
-                        uses.add((path.stem, getattr(top, "name", None)))
-        assert uses == {("frenet", "scalar_jets")}
-
-    def test_row_kernels_do_not_loop_per_element(self):
-        # no *_rows function of lorentz.py walks its rows in Python: no
-        # comprehension and no .tolist()
-        tree = ast.parse(Path(curve_module.__file__).with_name("lorentz.py").read_text())
-        kernels = [
-            f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name.endswith("_rows")
-        ]
-        assert len(kernels) >= 6
-        loops = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-        looped = {
-            f.name
-            for f in kernels
-            for node in ast.walk(f)
-            if isinstance(node, loops) or getattr(node, "attr", None) == "tolist"
-        }
-        assert looped == set()
+def test_row_kernels_do_not_loop_per_element():
+    # no *_rows function of lorentz.py walks its rows in Python: no
+    # comprehension and no .tolist()
+    tree = ast.parse(Path(curve_module.__file__).with_name("lorentz.py").read_text())
+    kernels = [
+        f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name.endswith("_rows")
+    ]
+    assert len(kernels) >= 6
+    loops = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    looped = {
+        f.name
+        for f in kernels
+        for node in ast.walk(f)
+        if isinstance(node, loops) or getattr(node, "attr", None) == "tolist"
+    }
+    assert looped == set()
 
 
 class TestScalarJet:
     # (kappa, kappa', kappa'', tau, tau', tau''): largest gap between a curve's
-    # own scalar jet, exact, and the frame-difference fallback, so the error
-    # of the fallback alone.  The ends take its one-sided stencils: the 7-node
-    # second difference of extracted tau at step 1e-3 is off by up to 3.9e-8
-    # there (type 3, tau = 0.8 + 0.2 s), against 2.3e-9 in the interior.
+    # own scalar jet, exact, and its extracted frame scalars, kappa' chained
+    # through the third derivative and kappa'', tau' and tau'' central
+    # differences of them (steps 1e-4, 1e-4, 1e-3) at interior points.
     TOL = (1e-12, 1e-12, 1e-11, 1e-12, 1e-10, 1e-8)
-    TOL_AT_ENDS = (1e-12, 1e-12, 1e-11, 1e-12, 1e-10, 1e-7)
 
     @pytest.mark.parametrize(
         "fixture",
         ["exact_pair_type2", "exact_pair_type3", "exact_pair_type5", "example1", "example2"],
     )
-    def test_own_jet_agrees_with_frame_difference_fallback(self, request, fixture):
+    def test_own_jet_agrees_with_difference_of_extracted_frames(self, request, fixture):
         c = request.getfixturevalue(fixture)
         c = getattr(c, "c", c)  # an exact pair's base is the synthesized curve
         assert c.scalars is not None
-        fallback = copy.copy(c)
-        fallback.scalars = None
         a, b = c.domain
-        grid = np.linspace(a, b, 41)
+        grid = np.linspace(a, b, 41)[1:-1]
         kinds, kappa, tau = scalar_jets(c, grid)
-        kinds_fd, kappa_fd, tau_fd = scalar_jets(fallback, grid)
-        assert kinds.tolist() == kinds_fd.tolist()
+        f = frenet_frames(c, grid)
+        assert kinds.tolist() == f.kinds.tolist()
+        extracted = (
+            f.kappa,
+            f.dkappa,
+            central_difference(lambda x: frenet_frames(c, x).dkappa, grid, 1e-4),
+            f.tau,
+            central_difference(lambda x: frenet_frames(c, x).tau, grid, 1e-4),
+            central_difference(lambda x: frenet_frames(c, x).tau, grid, 1e-3, 2),
+        )
         kinds0, kappa0, tau0 = scalar_jets(c, grid, 0)
         assert kinds0.tolist() == kinds.tolist()
         assert [x.tolist() for x in kappa0 + tau0] == [x.tolist() for x in kappa[:1] + tau[:1]]
-        gaps = np.abs(np.array(kappa + tau) - np.array(kappa_fd + tau_fd))
-        tol = np.array([self.TOL_AT_ENDS] + [self.TOL] * (len(grid) - 2) + [self.TOL_AT_ENDS]).T
-        assert (gaps <= tol).all(), gaps
+        gaps = np.abs(np.array(kappa + tau) - np.array(extracted)).max(axis=1)
+        assert (gaps <= self.TOL).all(), gaps
+
+    @pytest.mark.parametrize("domain", [(0.0, 1.0), (0.0, 0.005)])
+    @pytest.mark.parametrize("name", ["paper-example-1", "paper-example-2"])
+    def test_reparametrized_builtin_passes_its_jet_through(self, name, domain):
+        builtin = builtin_curve(name, domain)
+        unit = reparametrize_unit(builtin, 64)
+        grid = np.linspace(*unit.domain, 11)
+        kinds, kappa, tau = scalar_jets(unit, grid)
+        own_kinds, (k, *_), (t, *_) = scalar_jets(builtin, grid[:1])
+        assert kinds.tolist() == [own_kinds[0]] * 11
+        zero = [0.0] * 11
+        assert [x.tolist() for x in kappa + tau] == [[k[0]] * 11, zero, zero, [t[0]] * 11, zero, zero]
+        # its binormal offset chains the jet through every order
+        pair = MannheimPair.from_binormal_offset(unit, 20.0)
+        assert pair.cstar is unit and np.isfinite(np.hstack(pair.c.jets(grid))).all()
+
+    def test_curve_without_a_jet_refuses_order_two(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        with open(path, "w", newline="") as fh:
+            sample(builtin_curve("paper-example-2"), 41).to_csv(fh)
+        unit = _ensure_unit(resolve_curve_spec(f"csv:{path}"))
+        assert unit.scalars is None
+        kinds, (kappa,), (tau,) = scalar_jets(unit, [0.5], 0)
+        assert kinds.tolist() == [0] and abs(kappa[0] - 2.0) < 1e-3
+        with pytest.raises(MissingScalarJetError, match=re.escape(repr(unit.label))):
+            scalar_jets(unit, [0.5])
+        # an offset over it needs no derivative of its scalars for positions and tangents
+        off = offset_along_binormal(unit, 2.0)
+        ts = np.linspace(*off.domain, 5)
+        assert np.isfinite(off.positions(ts)).all() and np.isfinite(off.tangents(ts)).all()
+        with pytest.raises(MissingScalarJetError):
+            off.jets(ts)
 
     def test_builtin_jets_are_exact_constants(self, example1, example2):
         def jets(c):
@@ -618,9 +576,11 @@ def test_constant_kind_reads_scalar_jets(monkeypatch):
         (synth, CurveKind.SPACELIKE_EPS_MINUS),
     ):
         assert constant_kind(c, 9) is kind
-    # built-in and synthesized curves answer from their scalar jets
+        assert constant_kind(reparametrize_unit(c, 64), 9) is kind
+    # built-in and synthesized curves and their reparametrizations answer
+    # from their scalar jets
     assert calls == []
     # a curve without one extracts its frames, once
-    unit = reparametrize_unit(builtin_curve("paper-example-1"), 64)
-    assert constant_kind(unit, 9) is CurveKind.SPACELIKE_EPS_PLUS
-    assert calls == [unit.label]
+    helix = closed_form_helix()
+    assert constant_kind(helix, 9) is CurveKind.SPACELIKE_EPS_PLUS
+    assert calls == [helix.label]

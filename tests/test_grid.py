@@ -1,6 +1,5 @@
 """The grid is the unit of evaluation: grids against points, errors, CSV emission."""
 
-import copy
 import csv
 import dataclasses
 import functools
@@ -42,12 +41,6 @@ from mannheim_lab.mannheim import (
 )
 
 
-def _without_scalar_jet(c: Curve) -> Curve:
-    bare = copy.copy(c)
-    bare.scalars = None
-    return bare
-
-
 def _sampled():
     return curve_from_samples(sample(builtin_curve("paper-example-2"), 41), label="sampled")
 
@@ -63,9 +56,9 @@ CURVES = {
     "reparametrized-csv": (lambda pair: reparametrize_unit(_sampled(), 64), True),
     "reparametrized-offset": (lambda pair: pair(3, -0.2).cstar, True),
     "normal-offset": (lambda pair: offset_along_normal(pair(2, 0.2).c, -0.3), False),
-    # the base has no scalar jet of its own: the frame-difference fallback
+    # the base's scalar jet is the built-in's, chained through its arc-length table
     "binormal-offset": (
-        lambda pair: offset_along_binormal(_without_scalar_jet(builtin_curve("paper-example-1")), 2.0),
+        lambda pair: offset_along_binormal(reparametrize_unit(builtin_curve("paper-example-1"), 64), 2.0),
         False,
     ),
     "csv": (lambda pair: _sampled(), False),
@@ -111,7 +104,8 @@ def test_grid_rows_equal_points_bit_for_bit(name, fractions, exact_pair_of):
 def _turning(speed_from: float = math.inf, end: float = 0.4) -> Curve:
     """Unit-speed spacelike curve (0, cos phi, sin phi)' with curvature
     end - t up to t = end and a straight line beyond; past ``speed_from``
-    its tangent is stretched by 1 + (t - speed_from)."""
+    its tangent is stretched by 1 + (t - speed_from).  Its scalar jet is
+    that of a plane curve with a spacelike normal: torsion 0."""
 
     def parts(t: np.ndarray):
         turning = t < end
@@ -132,7 +126,13 @@ def _turning(speed_from: float = math.inf, end: float = 0.4) -> Curve:
         k, dk, c, s, v = parts(t)
         return 0.0, -dk * s - k * k * c, dk * c - k * k * s
 
-    return closed_form_curve((lambda t: (0.0, 0.0, 0.0), d1, d2, d3), (0.0, 1.0), "turning")
+    def scalars(t: np.ndarray, order: int):
+        k, dk, *_ = parts(t)
+        zero = np.zeros_like(t)
+        return np.ones(len(t), int), (k, dk, zero)[: order + 1], (zero,) * (order + 1)
+
+    rows = (lambda t: (0.0, 0.0, 0.0), d1, d2, d3)
+    return closed_form_curve(rows, (0.0, 1.0), "turning", scalars=scalars)
 
 
 def _first_point_error(fn, ts):
@@ -285,8 +285,7 @@ def test_grid_memory_beyond_the_result_stays_flat(name, evaluate, exact_pair_of)
     "ts",
     [
         np.linspace(0.0, 1.0, 11),
-        # the base frames hold at every point; the stencils of the base
-        # scalar jet at 0.3999 reach its straight part
+        # the base frames hold at every point
         np.array([0.0, 0.35, 0.3999]),
     ],
 )

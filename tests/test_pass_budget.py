@@ -1,9 +1,10 @@
 """Pass budget: how often one pair build plus the audit suite evaluates each layer.
 
-One reference pair (a binormal offset of a built-in curve, grid 101) and one
-exact pair (synthesized, table 512, grid 201) are built and audited with
-every counted function wrapped.  The counts are pinned, so a change that adds
-an evaluation pass fails here and must say so.
+One reference pair (a binormal offset of a built-in curve, grid 101), one
+exact pair (synthesized, table 512, grid 201) and the reference pair over
+the built-in reparametrized by a 256-node table (grid 101) are built and
+audited with every counted function wrapped.  The counts are pinned, so a
+change that adds an evaluation pass fails here and must say so.
 """
 
 import collections
@@ -19,6 +20,11 @@ from mannheim_lab.mannheim import MannheimPair, exact_partner_pair
 
 def _reference():
     return MannheimPair.from_binormal_offset(builtin_curve("paper-example-1"), 20.0), 101
+
+
+def _reparametrized():
+    base = curve.reparametrize_unit(builtin_curve("paper-example-1"), 256)
+    return MannheimPair.from_binormal_offset(base, 20.0), 101
 
 
 def _exact():
@@ -72,9 +78,24 @@ BUDGET = {
 }
 
 
-@pytest.mark.parametrize("build, pchip", [(_reference, 1), (_exact, 2)], ids=["reference", "exact"])
-def test_build_and_suite_keep_their_pass_budget(counts, build, pchip):
+# Over the reparametrized built-in, C* answers from the built-in's scalar jet
+# chained through its table, so it extracts no more frames; the built-in
+# beneath it is evaluated once per grid of C* (6), once per order-2 scalar
+# jet of C* (2) and once by its table (1), and that table builds one PCHIP.
+REPARAMETRIZED_GRIDS = BUDGET["Curve._grid"] + 9
+
+
+@pytest.mark.parametrize(
+    "build, changes",
+    [
+        (_reference, {"PCHIP builds": 1}),
+        (_exact, {"PCHIP builds": 2}),
+        (_reparametrized, {"PCHIP builds": 2, "Curve._grid": REPARAMETRIZED_GRIDS}),
+    ],
+    ids=["reference", "exact", "reparametrized"],
+)
+def test_build_and_suite_keep_their_pass_budget(counts, build, changes):
     pair, grid_n = build()
     reports = _run_pair_suite(pair, grid_n, None)
     assert len(reports) == len(mannheim.IDENTITIES)
-    assert dict(counts) == {**BUDGET, "PCHIP builds": pchip}
+    assert dict(counts) == {**BUDGET, **changes}

@@ -57,8 +57,8 @@ configurations are
   of a curve is no partner, so its distance report fails;
 * the binormal offset at lambda 20 of ``paper-example-1`` reparametrized by
   a 256-node arc-length table, grid 101: the reparametrized curve carries
-  no scalar jet, so the offset's jets read the frame-difference fallback
-  of ``frenet.scalar_jets``, the one numerical difference in the package;
+  the built-in's scalar jet, its derivatives chained through the table's
+  inverse map, so the offset's jets read that chain;
 * the shared-parameter pair of two raw curves that are not unit-speed, the
   binormal offset at lambda 20 and the normal offset at lambda -0.5 of
   ``paper-example-1``, at lambda 1 with 256-node arc-length tables, grid
