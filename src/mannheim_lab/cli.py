@@ -145,9 +145,9 @@ def _frame_json(f: FrameGrid, s: float) -> dict:
 def _run_pair_suite(pair: MannheimPair, grid_n: int, tol: float | None) -> list[VerificationReport]:
     """The reports of one pair on one grid, one per row of ``IDENTITIES``.
 
-    ``tol`` (``--tol``) replaces the default tolerance of every tunable row:
-    all rows but frame-angle-rate, which keeps its published 1e-4, and
-    center-ratio-nonconstancy, which has its own criterion.
+    ``tol`` (``--tol``) replaces the default tolerance of every row but
+    frame-angle-rate, which keeps its published 1e-4, and
+    center-ratio-nonconstancy, whose threshold comes from its own profile.
     """
     samples = pair.samples(grid_n)
     return [row.report(samples, tol) for row in IDENTITIES]
@@ -155,20 +155,13 @@ def _run_pair_suite(pair: MannheimPair, grid_n: int, tol: float | None) -> list[
 
 def _audit(pair: MannheimPair, grid_n: int, tol: float | None, out: str | None) -> int:
     """Run the suite, print one line per report and write the JSON array to
-    ``out``; the exit code is 1 on any Fail verdict.  The array is encoded once, before
-    anything is printed: a report holding a number that is not finite raises ValueError."""
+    ``out``; the exit code is 1 on any Fail verdict.  A report whose max or mean
+    residual, tolerance or float detail is not finite raises ValueError first."""
     reports = _run_pair_suite(pair, grid_n, tol)
-    payload = [r.to_json_dict() for r in reports]
-    try:
-        text = json.dumps(payload, indent=2 if out else None, allow_nan=False)
-    except ValueError:
-        for item in payload:
-            try:
-                json.dumps(item, allow_nan=False)
-            except ValueError:
-                text = f"report {item['identity']} holds a number that is not finite at lambda {pair.lam:g}"
-                raise ValueError(text) from None
-        raise
+    for r in reports:
+        numbers = (r.max_residual, r.mean_residual, r.tolerance, *r.details.values())
+        if not all(math.isfinite(v) for v in numbers if isinstance(v, float)):
+            raise ValueError(f"report {r.identity} holds a number that is not finite at lambda {pair.lam:g}")
     print(f"pair type: {pair.pair_type.value} ({pair.pair_type.spec.description})")
     print(f"lambda: {pair.lam:.17g}")
     for r in reports:
@@ -179,8 +172,7 @@ def _audit(pair: MannheimPair, grid_n: int, tol: float | None, out: str | None) 
             f"{r.identity:28s} {r.verdict.value:8s} max={worst} mean={mean} tol={r.tolerance:.1e}"
         )
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        _emit_json([r.to_json_dict() for r in reports], out)
     return 1 if any(r.verdict is Verdict.FAIL for r in reports) else 0
 
 

@@ -575,6 +575,13 @@ class PairSamples:
         return (1.0 - lam * kappa) * np.sqrt(np.abs(lam * lam * power_rows(kappa_star, 2) - 1.0))
 
     @cached_property
+    def ratio_mean(self) -> float:
+        """The center ratios' mean; where their sum overflows, from the ratios scaled by the largest."""
+        ratios, big = self.center_ratio, float(np.abs(self.center_ratio).max())
+        mean = float(np.mean(ratios))
+        return mean if np.isfinite(mean) else big * float(np.mean(ratios / big))
+
+    @cached_property
     def image_rates(self) -> tuple[np.ndarray, np.ndarray]:
         """1/rate of the N-image of C and 1/rate of the B-image of C*.
 
@@ -673,7 +680,7 @@ def _torsion_square_literal(p: PairSamples) -> np.ndarray:
 
 
 def _ratio_deviation(p: PairSamples) -> np.ndarray:
-    return np.abs(p.center_ratio - float(np.mean(p.center_ratio)))
+    return np.abs(p.center_ratio - p.ratio_mean)
 
 
 def _image_rate(which: int) -> Callable[[PairSamples], np.ndarray]:
@@ -713,12 +720,12 @@ class _Identity:
         default tolerance where the row is tunable.
 
         A NaN residual is undefined: published as None and counted by
-        ``undefined_at`` in ``details``.  The verdict is Reported where the
-        row is not judged (UNJUDGED, or GATED without the collinearity
-        hypothesis); otherwise Fail on any undefined residual or on a
-        largest residual above the tolerance, and Pass.  Every row but an
-        EXEMPT one puts the worst collinearity residual first in
-        ``details``.
+        ``undefined_at`` in ``details``.  A NONCONSTANT row's tolerance,
+        verdict and first details come from ``_nonconstancy``.  Otherwise the
+        verdict is Reported where the row is not judged (UNJUDGED, or GATED
+        without the collinearity hypothesis), Fail on any undefined residual
+        or on a largest residual above the tolerance, and Pass.  GATED and
+        UNJUDGED rows put the worst collinearity residual first in details.
         """
         column = self.residual(p)
         profile, details = column.tolist(), self.details(p)
@@ -729,9 +736,11 @@ class _Identity:
         if tol is None or not self.tunable:
             tol = self.tol
         if self.policy is _Policy.NONCONSTANT:
-            return _nonconstancy(self.name, p, profile, details)
-        verdict = Verdict.FAIL if undefined.any() or column.max() > tol else Verdict.PASS
-        if self.policy is not _Policy.EXEMPT:
+            tol, verdict, own = _nonconstancy(p)
+            details = {**own, **details}
+        else:
+            verdict = Verdict.FAIL if undefined.any() or column.max() > tol else Verdict.PASS
+        if self.policy in (_Policy.GATED, _Policy.UNJUDGED):
             met, worst = p.hypothesis
             details = {"hypothesis_residual": worst, **details}
             if not (met and self.policy is _Policy.GATED):
@@ -739,8 +748,9 @@ class _Identity:
         return VerificationReport(self.name, list(p.grid), profile, tol, verdict, details)
 
 
-def _nonconstancy(name: str, p: PairSamples, deviations: list, details: dict) -> VerificationReport:
-    """The center ratio's own criterion: Pass when it varies along the pair.
+def _nonconstancy(p: PairSamples) -> tuple[float, Verdict, dict]:
+    """The center ratio's own criterion, as (threshold, verdict, details):
+    Pass when the ratio varies along the pair.
 
     It varies when its sample standard deviation exceeds a threshold,
     ``RATIO_THRESHOLD_FACTOR * |mean|`` but never less than the ratio's
@@ -749,13 +759,10 @@ def _nonconstancy(name: str, p: PairSamples, deviations: list, details: dict) ->
     sqrt(eps) of its operands' scale.  A ratio whose factor 1 - lam kappa or
     sqrt|lam^2 kappa*^2 - 1| cancels to zero thus reads as constant, not as
     varying noise.  Constant-curvature input makes the ratio exactly
-    constant; that case is Reported (constant_ratio), not failed.  Residuals
-    hold the deviation-from-mean profile.
+    constant; that case is Reported (constant_ratio), not failed.
     """
-    ratios = p.center_ratio
+    ratios, mean, lam = p.center_ratio, p.ratio_mean, p.lam
     kappas, _, kappa_stars, _ = p.scalars
-    lam = p.lam
-    mean = float(np.mean(ratios))
     sd = float(np.std(ratios, ddof=1))
     if not np.isfinite(sd):  # the squared deviations overflow: scale them by the largest first
         big = float(np.abs(ratios - mean).max())
@@ -766,26 +773,11 @@ def _nonconstancy(name: str, p: PairSamples, deviations: list, details: dict) ->
     def spread(vals: np.ndarray) -> float:
         return float(np.ptp(vals)) / max(1e-300, abs(float(np.mean(vals))))
 
-    if sd > threshold:
-        verdict = Verdict.PASS
-    elif spread(kappas) < 1e-9 and spread(kappa_stars) < 1e-9:
-        verdict = Verdict.REPORTED
-    else:
-        verdict = Verdict.FAIL
-    return VerificationReport(
-        identity=name,
-        grid=list(p.grid),
-        residuals=deviations,
-        tolerance=threshold,
-        verdict=verdict,
-        details={
-            "ratio_mean": mean,
-            "ratio_sd": sd,
-            "criterion": "sd > tolerance",
-            "constant_ratio": verdict is Verdict.REPORTED,
-            **details,
-        },
-    )
+    constant = not sd > threshold and spread(kappas) < 1e-9 and spread(kappa_stars) < 1e-9
+    verdict = Verdict.PASS if sd > threshold else Verdict.REPORTED if constant else Verdict.FAIL
+    return threshold, verdict, {
+        "ratio_mean": mean, "ratio_sd": sd, "criterion": "sd > tolerance", "constant_ratio": constant,
+    }
 
 
 # The audit suite, in report order.  Default tolerances are graded by how
@@ -808,7 +800,7 @@ IDENTITIES = (
         "torsion-square-literal", _torsion_square_literal, TOL_EXTRACTED, _Policy.UNJUDGED,
         details=lambda p: {"note": "dimensionally inhomogeneous variant; published, never judged"},
     ),
-    _Identity("center-ratio-nonconstancy", _ratio_deviation, None, _Policy.NONCONSTANT, tunable=False),
+    _Identity("center-ratio-nonconstancy", _ratio_deviation, None, _Policy.NONCONSTANT),
     _Identity(
         "image-rate-curvature", _image_rate(0), TOL_IMAGE_RATE, _Policy.GATED,
         details=lambda p: {"alignment": int(p.alignment)},

@@ -6,6 +6,7 @@ import re
 import statistics
 import subprocess
 import sys
+import types
 import warnings
 
 import jsonschema
@@ -345,6 +346,17 @@ class TestExamplesCommand:
         text = json.dumps([r.to_json_dict() for r in reports], indent=2, allow_nan=False) + "\n"
         assert out_path.read_text() == text
 
+    def test_run_without_out_encodes_no_json(self, capsys, tmp_path, monkeypatch):
+        # the printed numbers are checked as numbers; only --out encodes the array
+        from mannheim_lab import cli
+
+        printed = run_cli(capsys, "examples", "run", "1", "--out", str(tmp_path / "report.json"))[:2]
+        calls = []
+        dumps = lambda *args, **kwargs: calls.append(args) or json.dumps(*args, **kwargs)
+        monkeypatch.setattr(cli, "json", types.SimpleNamespace(dumps=dumps))
+        assert run_cli(capsys, "examples", "run", "1")[:2] == printed
+        assert calls == [] and len(printed[1].splitlines()) == 14
+
     @pytest.mark.parametrize(
         "example, lam, message",
         [
@@ -459,16 +471,37 @@ class TestPairVerifyCommand:
         assert math.isfinite(sd)
         assert sd == pytest.approx(statistics.stdev(ratios.tolist()), rel=1e-12)
 
-    def test_lambda_whose_center_ratio_mean_overflows_is_one_error_line(self, capsys):
-        # the ratios reach -1e308, so their sum, and hence their mean, overflows
+    def test_lambda_whose_center_ratio_sum_overflows_publishes_its_reports(self, capsys, tmp_path):
+        # the ratios reach -1e308, so their sum overflows: their mean is taken
+        # from the ratios scaled to at most 1
+        from mannheim_lab.builtins import builtin_curve
+        from mannheim_lab.mannheim import MannheimPair
+
+        out_path = tmp_path / "x.json"
         code, out, err = run_cli(
             capsys, "pair-verify", "--c", "paper-example-2", "--cstar", "paper-example-1",
-            "--lambda", "1e154",
+            "--lambda", "1e154", "--out", str(out_path),
+        )
+        reports = {r["identity"]: r for r in json.loads(out_path.read_text())}
+        assert (code, err) == (1, "")
+        assert len(reports) == 12 and len(out.splitlines()) == 14
+        assert [name for name, r in reports.items() if r["verdict"] == "Fail"] == ["distance-constancy"]
+        c, cstar = builtin_curve("paper-example-2"), builtin_curve("paper-example-1")
+        ratios = MannheimPair.from_shared_parameter(c, cstar, 1e154).samples(101).center_ratio
+        assert np.isfinite(ratios).all()
+        assert reports["center-ratio-nonconstancy"]["details"]["ratio_mean"] == statistics.mean(ratios.tolist())
+
+    def test_lambda_whose_center_ratios_overflow_is_one_error_line(self, capsys, tmp_path):
+        out_path = tmp_path / "x.json"
+        code, out, err = run_cli(
+            capsys, "pair-verify", "--c", "paper-example-2", "--cstar", "paper-example-1",
+            "--lambda", "1e155", "--out", str(out_path),
         )
         assert (code, out) == (1, "")
         assert err == (
-            "error: report center-ratio-nonconstancy holds a number that is not finite at lambda 1e+154\n"
+            "error: report center-ratio-nonconstancy holds a number that is not finite at lambda 1e+155\n"
         )
+        assert not out_path.exists()
 
 
 # Commands of the huge-lambda sweep, each at grid 11.
