@@ -446,19 +446,12 @@ class _ArcLengthTable:
         if (w := widths.max()) > np.finfo(float).max ** (1 / 3):  # its s**3 would overflow
             raise ArcLengthOverflowError(f"arc length of {c.label!r} overflows: a piece spans {w:.3g}")
         self.t_nodes, self.s_nodes, self.total = t_nodes, s_nodes, float(s_nodes[-1])
-        self._a, self._b = a, b
         # Monotone interpolation guarantees the inverse map is a bijection.
-        self._inverse, self._forward = PchipInterpolator(s_nodes, t_nodes), None
+        self._inverse = PchipInterpolator(s_nodes, t_nodes)
 
     def t_of_s(self, s):
         """Raw parameters at the arc lengths of the array ``s``."""
         return self._inverse(_clamp(s, 0.0, self.total))
-
-    def s_of_t(self, t):
-        """Arc lengths at the raw parameters of the array ``t``; the first call builds the map."""
-        if self._forward is None:
-            self._forward = PchipInterpolator(self.t_nodes, self.s_nodes)
-        return self._forward(_clamp(t, self._a, self._b))
 
 
 def _inverse_rates(d1: np.ndarray, d2: np.ndarray, d3: np.ndarray):
@@ -482,8 +475,12 @@ def reparametrize_unit(c: Curve, grid_size: int = INVERSE_TABLE_SIZE) -> Curve:
     size, but all derivatives are chained analytically through the local
     speed, so the result is unit-speed to machine precision regardless of the
     table resolution.  The returned curve exposes the table on the
-    ``arc_table`` attribute, which ``MannheimPair.from_shared_parameter``
-    reads for the correspondence.
+    ``arc_table`` attribute, and on ``raw`` the same chain as a curve over
+    the domain of ``c``: at a raw t it gives the positions, the unit-speed
+    jets and the scalar jet that the result gives at the arc length of t.
+    Its derivatives are in arc length, not in t, so it is a curve to
+    evaluate at a raw parameter (``MannheimPair.from_shared_parameter``
+    evaluates a reparametrized C* there), not one to reparametrize.
 
     Curvature and torsion do not change under reparametrization: where ``c``
     carries a scalar jet, the result carries that jet at t(u), its first and
@@ -501,8 +498,7 @@ def reparametrize_unit(c: Curve, grid_size: int = INVERSE_TABLE_SIZE) -> Curve:
         )
     table = _ArcLengthTable(c, grid_size)
 
-    def evaluate(us: np.ndarray, order: int):
-        t = table.t_of_s(us)
+    def evaluate(t: np.ndarray, order: int):
         if order == 0:
             return c.positions(t)
         if order == 1:
@@ -516,8 +512,8 @@ def reparametrize_unit(c: Curve, grid_size: int = INVERSE_TABLE_SIZE) -> Curve:
             d3 * power_rows(tp, 3)[:, None] + d2 * (3.0 * tp * tpp)[:, None] + d1 * tppp[:, None],
         )
 
-    def scalars(us: np.ndarray, order: int):
-        t = c._check_domain(table.t_of_s(us))
+    def scalars(t: np.ndarray, order: int):
+        t = c._check_domain(t)
         kinds, kappa, tau = c.scalars(t, order)
         if order:  # f' t' and f'' t'^2 + f' t'' of each scalar f
             _, tp, tpp, _ = _inverse_rates(*c.jets(t))
@@ -525,8 +521,11 @@ def reparametrize_unit(c: Curve, grid_size: int = INVERSE_TABLE_SIZE) -> Curve:
         return kinds, kappa, tau
 
     jet = None if c.scalars is None else scalars
-    out = Curve(evaluate, (0.0, table.total), f"{c.label}/unit-speed", unit_speed=True, scalars=jet)
-    out.arc_table = table
+    raw = Curve(evaluate, c.domain, f"{c.label}/unit-speed", scalars=jet)
+    # The same evaluators after t_of_s; a missing one stays None.
+    on_table = lambda f: f and (lambda us, order: f(table.t_of_s(us), order))
+    out = Curve(on_table(evaluate), (0.0, table.total), raw.label, unit_speed=True, scalars=on_table(jet))
+    out.arc_table, out.raw = table, raw
     return out
 
 

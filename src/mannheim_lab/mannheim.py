@@ -317,12 +317,13 @@ def _unsupported(companion: CurveKind, curve: CurveKind) -> UnsupportedCombinati
 
 @dataclass
 class MannheimPair:
-    """Two corresponded unit-speed curves with a fixed offset constant.
+    """Two unit-speed curves C and C* whose points correspond through a
+    shared raw parameter t, with a fixed offset constant.
 
-    ``correspondence`` maps an array of parameters of ``c`` to parameters of
-    ``cstar``, and ``correspondence_rate`` to its derivative ds*/ds;
-    ``from_shared_parameter``, the one constructor the others call, chains
-    both exactly through the arc-length tables it builds.
+    ``to_raw`` maps an array of arc lengths s of ``c`` to t; ``cstar_raw``
+    is C* evaluated at t, with the frames of ``cstar`` there; ``rate`` gives
+    ds*/ds at an array of t.  ``from_shared_parameter``, the one constructor
+    the others call, builds all three from the arc-length tables it builds.
     ``lam`` is the construction constant of whichever offset built the pair.
     """
 
@@ -330,16 +331,16 @@ class MannheimPair:
     cstar: Curve
     lam: float
     pair_type: MannheimPairType
-    correspondence: Callable[[np.ndarray], np.ndarray]
-    correspondence_rate: Callable[[np.ndarray], np.ndarray]
+    to_raw: Callable[[np.ndarray], np.ndarray]
+    cstar_raw: Curve
+    rate: Callable[[np.ndarray], np.ndarray]
 
     @property
     def domain(self) -> tuple[float, float]:
         return self.c.domain
 
-    def grid(self, n: int) -> list[float]:
-        a, b = self.c.domain
-        return [float(s) for s in np.linspace(a, b, n)]
+    def grid(self, n: int) -> np.ndarray:
+        return np.linspace(*self.c.domain, n)
 
     def samples(self, grid_n: int) -> "PairSamples":
         """The pair sampled on ``grid(grid_n)``, built afresh on each call."""
@@ -367,35 +368,28 @@ class MannheimPair:
 
         Points correspond when they come from the same raw parameter value,
         which requires equal domains.  An input that is not unit-speed is
-        reparametrized here to arc length, and its side of the
-        correspondence runs through that arc-length table and its raw
-        speeds; a unit-speed input is its own raw parameter, with the
-        identity map and speed 1.
+        reparametrized here to arc length: C's arc length maps to t through
+        its table, and C* is evaluated at t through the chain of its own
+        (``reparametrize_unit``'s ``raw``).  A unit-speed input is its own
+        raw parameter, with the identity map and speed 1.
         """
         if c.domain != cstar.domain:
             raise ValueError("shared-parameter pairing needs identical domains")
 
         def on_arc_length(curve: Curve):
+            """(the curve on arc length, its map s -> t, it at raw t, its raw speeds)"""
             if curve.unit_speed:
-                return curve, None, lambda t: 1.0
+                return curve, lambda s: s, curve, lambda t: 1.0
             unit = reparametrize_unit(curve, table_size)
-            return unit, unit.arc_table, curve.speeds
+            return unit, unit.arc_table.t_of_s, unit.raw, curve.speeds
 
-        c_unit, c_table, c_speeds = on_arc_length(c)
-        cstar_unit, cstar_table, cstar_speeds = on_arc_length(cstar)
+        c_unit, to_raw, _, c_speeds = on_arc_length(c)
+        cstar_unit, _, cstar_raw, cstar_speeds = on_arc_length(cstar)
 
-        def to_raw(s: np.ndarray) -> np.ndarray:
-            return s if c_table is None else c_table.t_of_s(s)
-
-        def correspondence(s: np.ndarray) -> np.ndarray:
-            t = to_raw(s)
-            return t if cstar_table is None else cstar_table.s_of_t(t)
-
-        def rate(s: np.ndarray) -> np.ndarray:
-            t = to_raw(s)
+        def rate(t: np.ndarray) -> np.ndarray:
             return cstar_speeds(t) / c_speeds(t)
 
-        return cls(c_unit, cstar_unit, lam, classify_pair(c_unit, cstar_unit), correspondence, rate)
+        return cls(c_unit, cstar_unit, lam, classify_pair(c_unit, cstar_unit), to_raw, cstar_raw, rate)
 
 
 def _projections(T: np.ndarray, fstar: FrameGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -439,54 +433,55 @@ def _decomposition(
 
 
 class PairSamples:
-    """The pair ``pair`` sampled at the parameters ``grid`` of C: the columns
+    """The pair ``pair`` sampled at the arc lengths ``grid`` of C: the columns
     every identity reads.
 
-    Each column is computed on first use and kept, so a suite computes each once:
-    ``sstar`` serves the frames and the distance identity, which reads positions
-    only and extracts no frame.  ``MannheimPair.samples(grid_n)`` builds one on
-    the uniform grid.  Every column is row-wise, so a point query is the one-row
-    view ``PairSamples(pair, [s])``: its columns equal row s of any grid holding
-    s.  Only the reductions over the grid (the hypothesis, the image alignment
-    and the center ratio's mean) depend on the grid.
+    C is evaluated on the grid and C* at ``t``, the grid's raw parameters,
+    where its partner points are.  Each column is computed on first use and
+    kept, so a suite computes each once: ``t`` serves C*'s frames, the rates
+    and the distance identity, which reads positions only and extracts no
+    frame.  ``MannheimPair.samples(grid_n)`` builds one on the uniform grid.
+    Every column is row-wise, so a point query is the one-row view
+    ``PairSamples(pair, [s])``: its columns equal row s of any grid holding s.
+    Only the reductions over the grid (the hypothesis, the image alignment and
+    the center ratio's mean) depend on the grid.
     """
 
     def __init__(self, pair: MannheimPair, grid) -> None:
-        self.c, self.cstar, self.lam = pair.c, pair.cstar, pair.lam
-        self.correspondence, self.correspondence_rate = pair.correspondence, pair.correspondence_rate
+        self.c, self.cstar, self.lam = pair.c, pair.cstar_raw, pair.lam
+        self.to_raw, self.rate = pair.to_raw, pair.rate
         self.spec = pair.pair_type.spec
-        self.grid = [float(s) for s in grid]
+        self.grid = np.asarray(grid, dtype=float)
 
     @cached_property
-    def sstar(self) -> np.ndarray:
-        """The parameters of C* corresponding to the grid."""
-        return np.asarray(self.correspondence(np.asarray(self.grid, dtype=float)), dtype=float)
+    def t(self) -> np.ndarray:
+        """The raw parameters of the grid, shared by both curves."""
+        return self.to_raw(self.grid)
 
     @cached_property
-    def frames(self) -> tuple[FrameGrid, FrameGrid, np.ndarray]:
-        """Frames of C on the grid and of C* on the corresponded parameters
-        s*, which come third; one extraction per curve.  The error raised is
-        that of the first failing point, C*'s before C's at a later one."""
-        s, sstar = np.asarray(self.grid, dtype=float), self.sstar
+    def frames(self) -> tuple[FrameGrid, FrameGrid]:
+        """Frames of C on the grid and of C* at ``t``; one extraction per
+        curve.  The error raised is that of the first failing point, C*'s
+        before C's at a later one."""
         try:
-            f = frenet_frames(self.c, s)
+            f = frenet_frames(self.c, self.grid)
         except MannheimLabError as exc:
             if exc.row:  # C* failing at an earlier point comes first
-                frenet_frames(self.cstar, sstar[: exc.row])
+                frenet_frames(self.cstar, self.t[: exc.row])
             raise
-        return f, frenet_frames(self.cstar, sstar), sstar
+        return f, frenet_frames(self.cstar, self.t)
 
     @cached_property
     def scalars(self) -> np.ndarray:
         """Rows kappa, tau, kappa*, tau*."""
-        f, fstar, _ = self.frames
+        f, fstar = self.frames
         return np.stack((f.kappa, f.tau, fstar.kappa, fstar.tau))
 
     @cached_property
     def collinearity(self) -> np.ndarray:
         """rho = |N x B*| / (|N| |B*|), zero exactly when the normal line of C
         and the binormal line of C* coincide in direction."""
-        f, fstar, _ = self.frames
+        f, fstar = self.frames
         return norm_rows(cross_rows(f.N, fstar.B)) / (norm_rows(f.N) * norm_rows(fstar.B))
 
     @cached_property
@@ -506,7 +501,7 @@ class PairSamples:
         Otherwise the raw projections are used, so the profiles are still
         published as Reported.
         """
-        f, fstar, _ = self.frames
+        f, fstar = self.frames
         if not self.hypothesis[0]:
             return np.stack(self.spec.oriented(*_projections(f.T, fstar)))
         return np.stack(_decomposition(self.spec, f.T, fstar, lambda i: f" at s={self.grid[i]:g}"))
@@ -520,9 +515,8 @@ class PairSamples:
 
     @cached_property
     def rates(self) -> np.ndarray:
-        """ds*/ds from the pair's rate map."""
-        s = np.array(self.grid, dtype=float)
-        return np.array(np.broadcast_to(self.correspondence_rate(s), s.shape), dtype=float)
+        """ds*/ds from the pair's rate map at ``t``."""
+        return np.array(np.broadcast_to(self.rate(self.t), self.t.shape), dtype=float)
 
     @cached_property
     def dtheta(self) -> np.ndarray:
@@ -541,7 +535,7 @@ class PairSamples:
         """
         r = self.rates
         s_comp, c_comp = self.components
-        f, fstar, _ = self.frames
+        f, fstar = self.frames
         spec = self.spec
         eps_t_star, eps_n_star, _, c_n_star, _ = kind_signs(fstar.kinds)
         p, q = spec.oriented(s_comp, c_comp)
@@ -588,7 +582,7 @@ class PairSamples:
         A stationary image raises DegenerateIndicatrixError, before a failed
         decomposition at the same or a later grid point.
         """
-        f, fstar, _ = self.frames
+        f, fstar = self.frames
         rate_n, rate_b = _field_rates(f, "N"), _field_rates(fstar, "B")
         stationary = (rate_n <= RATE_TOL) | (rate_b <= RATE_TOL)
         try:
@@ -627,7 +621,7 @@ class PairSamples:
 
 
 def _distance(p: PairSamples) -> np.ndarray:
-    diff = p.c.positions(np.array(p.grid)) - p.cstar.positions(p.sstar)
+    diff = p.c.positions(p.grid) - p.cstar.positions(p.t)
     return np.abs(norm_rows(diff) - abs(p.lam))
 
 
@@ -745,7 +739,7 @@ class _Identity:
             details = {"hypothesis_residual": worst, **details}
             if not (met and self.policy is _Policy.GATED):
                 verdict = Verdict.REPORTED
-        return VerificationReport(self.name, list(p.grid), profile, tol, verdict, details)
+        return VerificationReport(self.name, p.grid.tolist(), profile, tol, verdict, details)
 
 
 def _nonconstancy(p: PairSamples) -> tuple[float, Verdict, dict]:

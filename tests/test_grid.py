@@ -301,8 +301,8 @@ def test_offset_frames_raise_the_first_failure_of_offset_or_base(ts):
 
 
 def _hand_built_pair(c: Curve, cstar: Curve) -> MannheimPair:
-    # the identity correspondence on the shared domain [0, 1]
-    return MannheimPair(c, cstar, 1.0, MannheimPairType.TYPE3, lambda s: s, np.ones_like)
+    # both curves on their shared parameter over the domain [0, 1]
+    return MannheimPair(c, cstar, 1.0, MannheimPairType.TYPE3, lambda s: s, cstar, np.ones_like)
 
 
 @pytest.mark.parametrize(
@@ -333,12 +333,14 @@ def test_hand_built_pair_rows_equal_one_row_samples():
     c, cstar = builtin_curve("paper-example-1"), builtin_curve("paper-example-2")
     grid = [0.0, 0.25, 0.5, 1.0]
     pair = _hand_built_pair(c, cstar)
-    f, fstar, sstar = PairSamples(pair, grid).frames
+    samples = PairSamples(pair, grid)
+    f, fstar = samples.frames
     for i, s in enumerate(grid):
-        f1, fs1, ss1 = PairSamples(pair, [s]).frames
+        one = PairSamples(pair, [s])
+        f1, fs1 = one.frames
         assert _row_bytes(f, i) == _row_bytes(f1, 0), s
         assert _row_bytes(fstar, i) == _row_bytes(fs1, 0), s
-        assert sstar[i].tobytes() == ss1[0].tobytes(), s
+        assert samples.t[i].tobytes() == one.t[0].tobytes(), s
     # the rate is the pair's rate map, read as given
     assert PairSamples(pair, grid).rates.tolist() == [1.0] * len(grid)
     distance = next(row for row in IDENTITIES if row.name == "distance-constancy")

@@ -133,7 +133,7 @@ class TestPairRelations:
         # B-image of C* up to overall sign
         s = np.array([0.0, 0.5, 1.0])
         a = frenet_frames(exact_pair_type3.c, s).N
-        b = frenet_frames(exact_pair_type3.cstar, exact_pair_type3.correspondence(s)).B
+        b = frenet_frames(exact_pair_type3.cstar_raw, exact_pair_type3.to_raw(s)).B
         gap = np.minimum(np.linalg.norm(a - b, axis=1), np.linalg.norm(a + b, axis=1))
         assert gap.max() < 1e-9
 

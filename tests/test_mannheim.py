@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import re
+import sys
 import weakref
 from types import SimpleNamespace
 
@@ -140,8 +141,9 @@ class TestOffsets:
         # far the reference pair is from the defining collinearity
         want = ORACLE["paper-example-2"]
         pair = example2_pair
-        f, _, sstar = PairSamples(pair, [0.0]).frames
-        diff = pair.c.positions([0.0]) - pair.cstar.positions(sstar)
+        samples = PairSamples(pair, [0.0])
+        f, _ = samples.frames
+        diff = pair.c.positions([0.0]) - pair.cstar_raw.positions(samples.t)
         lam_fit = float(inner_rows(diff, f.N)[0] / inner_rows(f.N, f.N)[0])
         residual = float(norm_rows(diff - f.N * lam_fit)[0])
         assert lam_fit == pytest.approx(want["normal_recovery_lambda"], abs=1e-8)
@@ -190,6 +192,19 @@ class TestResidual:
     def test_exact_pair_is_collinear(self, exact_pair_type3):
         worst = max(PairSamples(exact_pair_type3, exact_pair_type3.grid(21)).collinearity)
         assert worst < 1e-9
+
+    @pytest.mark.parametrize("pair_type,slope", EXACT_CONFIGS)
+    def test_exact_collinearity_does_not_grow_with_the_grid(self, exact_pair_of, pair_type, slope):
+        # C* is evaluated at the raw parameter of each grid point of C, the
+        # partner point itself, so the collinearity stays at rounding level
+        # however many points the grid holds
+        pair = exact_pair_of(pair_type, slope)
+        verdicts = []
+        for grid_n in (201, 801, 5001):
+            samples = pair.samples(grid_n)
+            assert samples.hypothesis[1] <= 1e-14, grid_n
+            verdicts.append([row.report(samples).verdict for row in IDENTITIES])
+        assert verdicts[1] == verdicts[0] and verdicts[2] == verdicts[0]
 
     def test_oracle_values(self, example1_pair, example2_pair):
         for pair, name in ((example1_pair, "paper-example-1"), (example2_pair, "paper-example-2")):
@@ -339,7 +354,7 @@ class TestTheta:
     def test_reconstruction_identity(self, example2_pair):
         # the published components reproduce the tangent exactly
         view = PairSamples(example2_pair, [0.0, 10.0, 30.0])
-        f, fstar, _ = view.frames
+        f, fstar = view.frames
         s_comp, c_comp = view.components
         # type 1 decomposition: T = s * T* + c * N*
         recon = fstar.T * s_comp[:, None] + fstar.N * c_comp[:, None]
@@ -552,10 +567,12 @@ class TestSharedParameter:
         c = reparametrize_unit(off, 512)
         pair = MannheimPair.from_shared_parameter(off, example2, 20.0)
         assert pair.pair_type is MannheimPairType.TYPE1
-        # correspondence maps C's arc length back to the shared parameter
+        # C's arc length maps back to the shared parameter, at which the
+        # unit-speed C* is evaluated as it is
+        assert pair.cstar_raw is pair.cstar is example2
         for u in (0.0, c.domain[1] / 2, c.domain[1]):
-            sstar = pair.correspondence(u)
-            assert sstar == pytest.approx(u / math.sqrt(1199.0), abs=1e-9)
+            t = pair.to_raw(np.array([u]))[0]
+            assert t == pytest.approx(u / math.sqrt(1199.0), abs=1e-9)
         assert PairSamples(pair, [1.0]).rates[0] == pytest.approx(1.0 / math.sqrt(1199.0), abs=1e-10)
 
     def test_unit_speed_input_is_its_own_raw_parameter(self, example1):
@@ -565,8 +582,9 @@ class TestSharedParameter:
         cstar = builtin_curve("paper-example-1", c.domain)
         pair = MannheimPair.from_shared_parameter(c, cstar, 0.5)
         s = np.array([0.0, c.domain[1] / 2, c.domain[1]])
-        assert np.array_equal(pair.correspondence(s), s)
-        assert np.all(pair.correspondence_rate(s) == 1.0)
+        assert np.array_equal(pair.to_raw(s), s)
+        assert pair.cstar_raw is pair.cstar is cstar
+        assert np.all(pair.rate(s) == 1.0)
 
     def test_domain_mismatch_rejected(self, example1):
         c2 = helix(CurveKind.TIMELIKE, 1.0, 0.5, domain=(0.0, 0.5))
@@ -756,7 +774,7 @@ def given_samples(pair_type, lam, **columns):
     """PairSamples holding the given columns instead of columns of curve data:
     a cached column is read from the instance dictionary first."""
     grid = range(columns["scalars"].shape[1])
-    maps = dict(c=None, cstar=None, correspondence=None, correspondence_rate=None)
+    maps = dict(c=None, cstar_raw=None, to_raw=None, rate=None)
     pair = SimpleNamespace(lam=lam, pair_type=pair_type, **maps)
     samples = PairSamples(pair, grid)
     samples.__dict__.update(columns)
@@ -838,8 +856,9 @@ def _line_pair(example1):
         cstar=example1,
         lam=1.0,
         pair_type=MannheimPairType.TYPE3,
-        correspondence=lambda s: s,
-        correspondence_rate=lambda s: 1.0,
+        to_raw=lambda s: s,
+        cstar_raw=example1,
+        rate=lambda t: 1.0,
     )
 
 
@@ -861,15 +880,17 @@ class TestPairSamples:
 
     @staticmethod
     def _extractions(monkeypatch, pair):
-        """Sizes of the grids on which frames of C (on its audit grids) and of
-        C* are extracted; C's frames are also read inside C*'s offset."""
+        """Sizes of the grids on which frames of C (by ``PairSamples.frames``)
+        and of C* at the raw parameters are extracted; C*'s offset reads C's
+        frames at the same parameters, which are not counted."""
         grids = {"c": [], "cstar": []}
         extract = mannheim.frenet_frames
+        frames = PairSamples.frames.func.__code__
 
         def counted(c, s, *args, **kwargs):
-            if c is pair.cstar:
+            if c is pair.cstar_raw:
                 grids["cstar"].append(len(s))
-            elif c is pair.c and np.array_equal(s, pair.grid(len(s))):
+            elif c is pair.c and sys._getframe(1).f_code is frames:
                 grids["c"].append(len(s))
             return extract(c, s, *args, **kwargs)
 
@@ -925,7 +946,7 @@ class TestPairSamples:
             return PairSamples(p, [0.5]).collinearity[0]
 
         assert rho(pair) == pytest.approx(2.0025, abs=1e-4)
-        mixed = dataclasses.replace(pair, c=other.c, correspondence=other.correspondence)
+        mixed = dataclasses.replace(pair, c=other.c, to_raw=other.to_raw)
         assert rho(mixed) == rho(other)
         assert rho(mixed) == pytest.approx(2.0418, abs=1e-4)
 
@@ -1060,10 +1081,10 @@ class TestRowsAgainstOneRowViews:
             assert view.hypothesis[0] == met
             for name in self.COLUMNS:
                 np.testing.assert_array_equal(getattr(view, name), getattr(full, name)[..., [i]], name)
-            for mine, theirs in zip(view.frames[:2], full.frames[:2]):
+            for mine, theirs in zip(view.frames, full.frames):
                 for field in ("T", "N", "B", "kinds"):
                     assert getattr(mine, field).tolist() == getattr(theirs, field)[[i]].tolist()
-            assert view.frames[2].tolist() == full.frames[2][[i]].tolist()
+            assert view.t.tolist() == full.t[[i]].tolist()
             # the alignment is chosen over the whole grid, and the center
             # ratio's residual is its deviation from the grid's mean
             for k, name in enumerate(self.IMAGES):
