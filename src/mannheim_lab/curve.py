@@ -40,6 +40,7 @@ __all__ = [
     "CurveSamples",
     "classify_curve",
     "reparametrize_unit",
+    "UnitChain",
     "sample",
     "curve_from_samples",
     "load_samples_csv",
@@ -60,22 +61,26 @@ def _simpson(x0, x2, f0, f1, f2):
     return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
 
 
-def _adaptive_pieces(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, eps: float) -> np.ndarray:
+def _first_points(x: np.ndarray) -> np.ndarray:
+    """The nodes ``x``, the midpoints and the first-level quarter points, in that order."""
+    x0, x2 = x[:-1], x[1:]
+    xm = 0.5 * (x0 + x2)
+    return np.concatenate((x, xm, 0.5 * (x0 + xm), 0.5 * (xm + x2)))
+
+
+def _adaptive_pieces(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, eps: float, first=None):
     """Adaptive Simpson integral of ``f`` over each piece ``[x[i], x[i+1]]``.
 
-    ``f`` maps an array of abscissae to its values.  One call evaluates the
-    nodes ``x``, the midpoints and the first-level quarter points, in that
-    order, so each node's value serves both of its pieces; each deeper level
-    costs one more call, on the quarter points of the pieces still open.
+    ``f`` maps an array of abscissae to its values.  One call evaluates ``_first_points(x)``,
+    unless ``first`` holds those values, so each node's value serves both of its pieces; each
+    deeper level costs one more call, on the quarter points of the pieces still open.
     The halves are summed back in the order of the recursive algorithm (at
     most 48 levels, ``eps`` halving with each), bit for bit.
     """
     n = len(x) - 1
     x0, x2 = x[:-1], x[1:]
     xm = 0.5 * (x0 + x2)
-    fx, f1, quarters = np.split(
-        f(np.concatenate((x, xm, 0.5 * (x0 + xm), 0.5 * (xm + x2)))), [n + 1, 2 * n + 1]
-    )
+    fx, f1, quarters = np.split(f(_first_points(x)) if first is None else first, [n + 1, 2 * n + 1])
     f0, f2 = fx[:-1], fx[1:]
     whole = _simpson(x0, x2, f0, f1, f2)
     values, splits = [], []
@@ -422,23 +427,17 @@ def classify_curve(c: Curve, grid_size: int = 64) -> CausalCharacter:
 class _ArcLengthTable:
     """Cumulative arc length over a uniform parameter grid and its inverse.
 
-    The pieces between nodes are integrated by ``_adaptive_pieces`` over the roots of
-    ``c.squares``: one call covers the nodes, midpoints and first-level quarter points, and
-    the signs of its squares classify the tangent; only a piece that splits further costs
-    another call.  Pieces too long for the spline to evaluate raise ArcLengthOverflowError.
+    ``_adaptive_pieces`` integrates the roots of ``c.squares`` over the pieces between nodes;
+    its first pass is ``first``, or else made here by ``_tangent_speeds``, which classifies the
+    tangent.  Pieces too long for the spline to evaluate raise ArcLengthOverflowError.
     """
 
-    def __init__(self, c: Curve, size: int):
-        a, b = c.domain
-        t_nodes = np.linspace(a, b, size + 1)
-
-        def speeds(ts: np.ndarray) -> np.ndarray:
-            q = c.squares(ts)
-            if ts[0] == a:  # the first call, which holds every node from a on
-                _check_characters(np.abs(q) <= NULL_BAND_TOL, q < 0.0, ts, c.label)
-            return np.sqrt(np.abs(q))
-
-        pieces = _adaptive_pieces(speeds, t_nodes, QUADRATURE_TOL / size)
+    def __init__(self, c: Curve, size: int, first: np.ndarray | None = None):
+        t_nodes = np.linspace(*c.domain, size + 1)
+        if first is None:
+            first = _tangent_speeds(c, _first_points(t_nodes))
+        speeds = lambda ts: np.sqrt(np.abs(c.squares(ts)))
+        pieces = _adaptive_pieces(speeds, t_nodes, QUADRATURE_TOL / size, first)
         s_nodes = np.concatenate(([0.0], np.add.accumulate(pieces)))
         widths = np.diff(s_nodes)
         if not (widths > 0).all():
@@ -452,6 +451,14 @@ class _ArcLengthTable:
     def t_of_s(self, s):
         """Raw parameters at the arc lengths of the array ``s``."""
         return self._inverse(_clamp(s, 0.0, self.total))
+
+
+def _tangent_speeds(c: Curve, ts: np.ndarray) -> np.ndarray:
+    """The roots of ``c.squares`` at ``ts``, once their signs pass the tangent rule of
+    ``_check_characters``: the first pass of an arc-length table."""
+    q = c.squares(ts)
+    _check_characters(np.abs(q) <= NULL_BAND_TOL, q < 0.0, ts, c.label)
+    return np.sqrt(np.abs(q))
 
 
 def _inverse_rates(d1: np.ndarray, d2: np.ndarray, d3: np.ndarray):
@@ -468,65 +475,67 @@ def _inverse_rates(d1: np.ndarray, d2: np.ndarray, d3: np.ndarray):
     return v, tp, tpp, tppp
 
 
-def reparametrize_unit(c: Curve, grid_size: int = INVERSE_TABLE_SIZE) -> Curve:
-    """Arc-length reparametrization of ``c``.
+class UnitChain(Curve):
+    """``c`` at unit speed at its own raw parameter t: the positions of ``c`` and its jets,
+    and its scalar jet where it carries one, chained to arc length through the local speed.
+    A curve to evaluate at t, as a pair evaluates C*, not one to reparametrize.  The tangent
+    of ``c`` is classified here, on the first pass (``_tangent_speeds``) of the table that
+    ``arc_length()``, the same chain on the arc length of ``c``, builds when called.
 
-    The inverse parameter map comes from a monotone cubic table of the given
-    size, but all derivatives are chained analytically through the local
-    speed, so the result is unit-speed to machine precision regardless of the
-    table resolution.  The returned curve exposes the table on the
-    ``arc_table`` attribute, and on ``raw`` the same chain as a curve over
-    the domain of ``c``: at a raw t it gives the positions, the unit-speed
-    jets and the scalar jet that the result gives at the arc length of t.
-    Its derivatives are in arc length, not in t, so it is a curve to
-    evaluate at a raw parameter (``MannheimPair.from_shared_parameter``
-    evaluates a reparametrized C* there), not one to reparametrize.
-
-    Curvature and torsion do not change under reparametrization: where ``c``
-    carries a scalar jet, the result carries that jet at t(u), its first and
-    second derivatives chained through t' and t'' as the positional ones are.
-
-    Raises TableSizeError, before any work, if ``grid_size`` is not an
-    ``int`` (a bool is not a size) or lies outside ``[2, MAX_TABLE_SIZE]``.
-    The table's first speeds pass classifies the tangent (``_check_characters``).
+    Raises TableSizeError, before any work, if ``table_size`` is not an ``int`` (a bool is
+    not a size) or lies outside ``[2, MAX_TABLE_SIZE]``.
     """
-    if not isinstance(grid_size, int) or isinstance(grid_size, bool):
-        raise TableSizeError(f"arc-length table size {grid_size!r} is not an integer")
-    if not 2 <= grid_size <= MAX_TABLE_SIZE:
-        raise TableSizeError(
-            f"arc-length table size {grid_size!r} is outside [2, {MAX_TABLE_SIZE}]"
-        )
-    table = _ArcLengthTable(c, grid_size)
 
-    def evaluate(t: np.ndarray, order: int):
-        if order == 0:
-            return c.positions(t)
-        if order == 1:
-            d1 = c.tangents(t)
-            return d1 / norm_rows(d1)[:, None]
-        d1, d2, d3 = c.jets(t)
-        v, tp, tpp, tppp = _inverse_rates(d1, d2, d3)
-        return (
-            d1 / v[:, None],
-            d2 * (tp * tp)[:, None] + d1 * tpp[:, None],
-            d3 * power_rows(tp, 3)[:, None] + d2 * (3.0 * tp * tpp)[:, None] + d1 * tppp[:, None],
-        )
+    def __init__(self, c: Curve, table_size: int = INVERSE_TABLE_SIZE):
+        if not isinstance(table_size, int) or isinstance(table_size, bool):
+            raise TableSizeError(f"arc-length table size {table_size!r} is not an integer")
+        if not 2 <= table_size <= MAX_TABLE_SIZE:
+            raise TableSizeError(f"arc-length table size {table_size!r} is outside [2, {MAX_TABLE_SIZE}]")
 
-    def scalars(t: np.ndarray, order: int):
-        t = c._check_domain(t)
-        kinds, kappa, tau = c.scalars(t, order)
-        if order:  # f' t' and f'' t'^2 + f' t'' of each scalar f
-            _, tp, tpp, _ = _inverse_rates(*c.jets(t))
-            kappa, tau = ((f, fp * tp, fpp * (tp * tp) + fp * tpp) for f, fp, fpp in (kappa, tau))
-        return kinds, kappa, tau
+        def evaluate(t: np.ndarray, order: int):
+            if order == 0:
+                return c.positions(t)
+            if order == 1:
+                d1 = c.tangents(t)
+                return d1 / norm_rows(d1)[:, None]
+            d1, d2, d3 = c.jets(t)
+            v, tp, tpp, tppp = _inverse_rates(d1, d2, d3)
+            return (
+                d1 / v[:, None],
+                d2 * (tp * tp)[:, None] + d1 * tpp[:, None],
+                d3 * power_rows(tp, 3)[:, None] + d2 * (3.0 * tp * tpp)[:, None] + d1 * tppp[:, None],
+            )
 
-    jet = None if c.scalars is None else scalars
-    raw = Curve(evaluate, c.domain, f"{c.label}/unit-speed", scalars=jet)
-    # The same evaluators after t_of_s; a missing one stays None.
-    on_table = lambda f: f and (lambda us, order: f(table.t_of_s(us), order))
-    out = Curve(on_table(evaluate), (0.0, table.total), raw.label, unit_speed=True, scalars=on_table(jet))
-    out.arc_table, out.raw = table, raw
-    return out
+        def scalars(t: np.ndarray, order: int):
+            t = c._check_domain(t)
+            kinds, kappa, tau = c.scalars(t, order)
+            if order:  # f' t' and f'' t'^2 + f' t'' of each scalar f
+                _, tp, tpp, _ = _inverse_rates(*c.jets(t))
+                kappa, tau = ((f, fp * tp, fpp * (tp * tp) + fp * tpp) for f, fp, fpp in (kappa, tau))
+            return kinds, kappa, tau
+
+        jet = None if c.scalars is None else scalars
+        super().__init__(evaluate, c.domain, f"{c.label}/unit-speed", scalars=jet)
+        self.base, self.table_size = c, table_size
+        self._first = _tangent_speeds(c, _first_points(np.linspace(*c.domain, table_size + 1)))
+
+    def arc_length(self) -> Curve:
+        """The chain after ``t_of_s`` of a table built from the first pass already made.  The
+        result refers to this chain as ``raw``, and this chain keeps no reference to it."""
+        table = _ArcLengthTable(self.base, self.table_size, self._first)
+        on_table = lambda f: f and (lambda us, order: f(table.t_of_s(us), order))
+        out = Curve(on_table(self._evaluate), (0.0, table.total), self.label, True, scalars=on_table(self.scalars))
+        out.arc_table, out.raw = table, self
+        return out
+
+
+def reparametrize_unit(c: Curve, grid_size: int = INVERSE_TABLE_SIZE) -> Curve:
+    """Arc-length reparametrization of ``c``, ``UnitChain(c, grid_size).arc_length()``: t from
+    a monotone cubic table of the arc length, derivatives chained through the local speed, so
+    unit-speed to machine precision whatever the size.  It holds the table as ``arc_table``
+    and the chain as ``raw``, which at t gives the bits the result gives at the arc length of t.
+    """
+    return UnitChain(c, grid_size).arc_length()
 
 
 def _grid_samples(domain: tuple[float, float], n: int, f: Callable) -> CurveSamples:

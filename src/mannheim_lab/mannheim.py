@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .curve import INVERSE_TABLE_SIZE, Curve, reparametrize_unit
+from .curve import INVERSE_TABLE_SIZE, Curve, UnitChain, reparametrize_unit
 from .errors import (
     DegenerateIndicatrixError,
     InconsistentDecompositionError,
@@ -295,12 +295,9 @@ def offset_along_normal(c: Curve, lam: float) -> Curve:
 
 
 def classify_pair(c: Curve, cstar: Curve) -> MannheimPairType:
-    """Pair type from the causal characters of the two framed curves.
-
-    Both curves must be unit-speed with extractable frames of constant kind
-    along 9 uniform points.  Combinations outside the five catalogued types
-    (including any null curve) raise UnsupportedCombinationError.
-    """
+    """Pair type from the frame kinds, constant along 9 uniform points, of the unit-speed C
+    and of C* as the audit evaluates it at raw t (``cstar_raw``: unit-speed or a ``UnitChain``).
+    Combinations outside the five catalogued types raise UnsupportedCombinationError."""
     key = (constant_kind(cstar, 9), constant_kind(c, 9))
     for pair_type in MannheimPairType:
         if (pair_type.spec.companion, pair_type.spec.curve) == key:
@@ -317,23 +314,24 @@ def _unsupported(companion: CurveKind, curve: CurveKind) -> UnsupportedCombinati
 
 @dataclass
 class MannheimPair:
-    """Two unit-speed curves C and C* whose points correspond through a
-    shared raw parameter t, with a fixed offset constant.
-
-    ``to_raw`` maps an array of arc lengths s of ``c`` to t; ``cstar_raw``
-    is C* evaluated at t, with the frames of ``cstar`` there; ``rate`` gives
-    ds*/ds at an array of t.  ``from_shared_parameter``, the one constructor
-    the others call, builds all three from the arc-length tables it builds.
-    ``lam`` is the construction constant of whichever offset built the pair.
+    """Two curves C and C* whose points correspond through a shared raw parameter t, with a
+    fixed offset constant ``lam``.  ``c`` is C on its arc length s, and ``to_raw`` maps an
+    array of s to t.  ``cstar_raw``, the one C* stored, is the curve the audit evaluates at t:
+    a unit-speed input itself, else its ``UnitChain``; ``cstar``, C* on its own arc length, is
+    derived from it.  ``rate`` gives ds*/ds at an array of t.
     """
 
     c: Curve
-    cstar: Curve
     lam: float
     pair_type: MannheimPairType
     to_raw: Callable[[np.ndarray], np.ndarray]
     cstar_raw: Curve
     rate: Callable[[np.ndarray], np.ndarray]
+
+    @cached_property
+    def cstar(self) -> Curve:
+        """``cstar_raw`` if unit-speed, else its chain's ``arc_length()``, built on first read."""
+        return self.cstar_raw if self.cstar_raw.unit_speed else self.cstar_raw.arc_length()
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -366,30 +364,22 @@ class MannheimPair:
     ) -> "MannheimPair":
         """Correspond two curves through a shared raw parameter.
 
-        Points correspond when they come from the same raw parameter value,
-        which requires equal domains.  An input that is not unit-speed is
-        reparametrized here to arc length: C's arc length maps to t through
-        its table, and C* is evaluated at t through the chain of its own
-        (``reparametrize_unit``'s ``raw``).  A unit-speed input is its own
-        raw parameter, with the identity map and speed 1.
+        Points correspond when they come from the same raw parameter value, which requires
+        equal domains.  A unit-speed input is its own raw parameter, with speed 1.  Otherwise
+        C is reparametrized (its table maps arc length to t), and C* is evaluated at t through
+        its ``UnitChain``, which builds no table.  The rate is the ratio of raw speeds.
         """
         if c.domain != cstar.domain:
             raise ValueError("shared-parameter pairing needs identical domains")
-
-        def on_arc_length(curve: Curve):
-            """(the curve on arc length, its map s -> t, it at raw t, its raw speeds)"""
-            if curve.unit_speed:
-                return curve, lambda s: s, curve, lambda t: 1.0
-            unit = reparametrize_unit(curve, table_size)
-            return unit, unit.arc_table.t_of_s, unit.raw, curve.speeds
-
-        c_unit, to_raw, _, c_speeds = on_arc_length(c)
-        cstar_unit, _, cstar_raw, cstar_speeds = on_arc_length(cstar)
+        c_unit = c if c.unit_speed else reparametrize_unit(c, table_size)
+        cstar_raw = cstar if cstar.unit_speed else UnitChain(cstar, table_size)
+        to_raw = (lambda s: s) if c_unit is c else c_unit.arc_table.t_of_s
 
         def rate(t: np.ndarray) -> np.ndarray:
-            return cstar_speeds(t) / c_speeds(t)
+            cstar_speeds, c_speeds = (1.0 if x.unit_speed else x.speeds(t) for x in (cstar, c))
+            return cstar_speeds / c_speeds
 
-        return cls(c_unit, cstar_unit, lam, classify_pair(c_unit, cstar_unit), to_raw, cstar_raw, rate)
+        return cls(c_unit, lam, classify_pair(c_unit, cstar_raw), to_raw, cstar_raw, rate)
 
 
 def _projections(T: np.ndarray, fstar: FrameGrid) -> tuple[np.ndarray, np.ndarray]:

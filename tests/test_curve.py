@@ -35,7 +35,7 @@ from mannheim_lab.errors import (
 )
 from mannheim_lab.frenet import CurveKind, frenet_synthesize
 from mannheim_lab.lorentz import CausalCharacter, euclidean_rows, inner_rows
-from mannheim_lab.mannheim import offset_along_binormal, offset_along_normal
+from mannheim_lab.mannheim import MannheimPair, offset_along_binormal, offset_along_normal
 
 SQRT3 = math.sqrt(3.0)
 
@@ -261,11 +261,13 @@ class TestTableClassifiesTangent:
     """The arc-length table classifies the tangent on its first pass, in ascending t."""
 
     @staticmethod
-    def _offset(b: float):
+    def _base(b: float):
         # kappa = 1, tau = s on a timelike curve: its normal offset by 0.5 has
         # <a', a'> = (s^2 - 1)/4, timelike before s = 1, null there, spacelike beyond
-        base = frenet_synthesize(CurveKind.TIMELIKE, lambda s: 1.0, lambda s: s, (0.0, b), 1e-3)
-        return offset_along_normal(base, 0.5)
+        return frenet_synthesize(CurveKind.TIMELIKE, lambda s: 1.0, lambda s: s, (0.0, b), 1e-3)
+
+    def _offset(self, b: float):
+        return offset_along_normal(self._base(b), 0.5)
 
     def test_null_offset(self):
         # 3 pieces over [0, 2]: s = 1 is the midpoint of the middle piece; the
@@ -281,6 +283,20 @@ class TestTableClassifiesTangent:
         want = f"tangent of {off.label!r} changes character near t=1.06875"
         with pytest.raises(MixedCausalCharacterError, match=re.escape(want) + "$"):
             reparametrize_unit(off, 4)
+
+    @pytest.mark.parametrize(
+        "end, size, error",
+        [(2.0, 3, NullTangentError), (1.9, 4, MixedCausalCharacterError)],
+        ids=["null", "mixed"],
+    )
+    def test_offset_as_companion(self, monkeypatch, end, size, error):
+        # a pair classifies C*'s tangent on the points of its table's first
+        # pass, without building that table: the error and message of the table
+        with pytest.raises(error) as table:
+            reparametrize_unit(self._offset(end), size)
+        monkeypatch.setattr(curve_module, "_ArcLengthTable", None)  # no table is built
+        with pytest.raises(error, match=re.escape(str(table.value)) + "$"):
+            MannheimPair.from_normal_offset(self._base(end), 0.5, size)
 
     @pytest.mark.parametrize(
         "end, error, message",

@@ -302,7 +302,7 @@ def test_offset_frames_raise_the_first_failure_of_offset_or_base(ts):
 
 def _hand_built_pair(c: Curve, cstar: Curve) -> MannheimPair:
     # both curves on their shared parameter over the domain [0, 1]
-    return MannheimPair(c, cstar, 1.0, MannheimPairType.TYPE3, lambda s: s, cstar, np.ones_like)
+    return MannheimPair(c, 1.0, MannheimPairType.TYPE3, lambda s: s, cstar, np.ones_like)
 
 
 @pytest.mark.parametrize(

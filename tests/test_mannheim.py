@@ -853,7 +853,6 @@ def _line_pair(example1):
     line = closed_form_curve((lambda t: (0.0, t, 0.0), lambda t: (0.0, 1.0, 0.0)), (0.0, 1.0), "line")
     return MannheimPair(
         c=line,
-        cstar=example1,
         lam=1.0,
         pair_type=MannheimPairType.TYPE3,
         to_raw=lambda s: s,
@@ -950,6 +949,18 @@ class TestPairSamples:
         assert rho(mixed) == rho(other)
         assert rho(mixed) == pytest.approx(2.0418, abs=1e-4)
 
+    def test_replaced_cstar_is_the_one_the_audit_reads(self, example1, example2):
+        # a pair stores C* once, as the audit evaluates it: a copy with another
+        # C* audits that C* and derives its arc-length C* from it
+        pair = MannheimPair.from_binormal_offset(example2, 20.0)
+        swapped = dataclasses.replace(pair, cstar_raw=example1)
+        rho = PairSamples(swapped, [0.5]).collinearity[0]
+        assert PairSamples(pair, [0.5]).collinearity[0] == pytest.approx(2.0025, abs=1e-4)
+        assert rho == pytest.approx(0.5010, abs=1e-4)
+        assert swapped.cstar is example1 and pair.cstar is example2
+        with pytest.raises(TypeError):
+            dataclasses.replace(pair, cstar=example1)
+
     def test_angle_rate_is_undefined_where_circular_components_vanish(self, example2):
         # the type-4 normal offset relabelled as the circular type 3 misses
         # the hypothesis, and its raw tangent components both vanish at some
@@ -978,15 +989,18 @@ class TestPairSamples:
             linear.report(pair.samples(11))
 
     def test_an_audited_pair_is_freed_without_a_collection(self, example1):
-        # the pair keeps no samples: no reference cycle keeps an audited pair
-        # alive until a full collection
-        pair = MannheimPair.from_binormal_offset(example1, 20.0)
+        # the pair keeps no samples, and a curve on arc length refers to its
+        # chain but not back: no reference cycle keeps an audited pair or its
+        # curves alive until a full collection
+        pair = MannheimPair.from_shared_parameter(
+            offset_along_binormal(example1, 20.0), offset_along_normal(example1, -0.5), 1.0, 256
+        )
         assert len(_run_pair_suite(pair, 11, None)) == 12
-        ref = weakref.ref(pair)
+        refs = [weakref.ref(x) for x in (pair, pair.c, pair.c.raw, pair.cstar, pair.cstar_raw)]
         gc.disable()
         try:
             del pair
-            assert ref() is None
+            assert [ref() for ref in refs] == [None] * 5
         finally:
             gc.enable()
 

@@ -67,9 +67,11 @@ def counts(monkeypatch):
 # side's kind takes one extraction of it and one of its base (2), the suite's
 # frames 3 and the distance identity's positions 1.  The tangent is classified
 # on the arc-length table's own pass of closed-form squares, which calls no
-# Curve.speeds: the one call is the suite's rate map.  Each arc-length table
-# builds one PCHIP, its map from s to t: both curves of a pair are evaluated
-# at the shared t, so no map from t back to s is built.
+# Curve.speeds: the one call is the suite's rate map.  A pair builds one
+# arc-length table, C's, and that table one PCHIP, its map from s to t: C* is
+# evaluated at the shared t through its unit-speed chain, whose table is built
+# only when ``pair.cstar`` is read.  C of an exact pair is unit-speed, so that
+# pair builds none.
 BUDGET = {
     "frenet_frames": 6,
     "scalar_jets": 6,
@@ -90,7 +92,7 @@ REPARAMETRIZED_GRIDS = BUDGET["Curve._grid"] + 9
     "build, changes",
     [
         (_reference, {"PCHIP builds": 1}),
-        (_exact, {"PCHIP builds": 1}),
+        (_exact, {}),
         (_reparametrized, {"PCHIP builds": 2, "Curve._grid": REPARAMETRIZED_GRIDS}),
     ],
     ids=["reference", "exact", "reparametrized"],
@@ -100,3 +102,10 @@ def test_build_and_suite_keep_their_pass_budget(counts, build, changes):
     reports = _run_pair_suite(pair, grid_n, None)
     assert len(reports) == len(mannheim.IDENTITIES)
     assert dict(counts) == {**BUDGET, **changes}
+
+
+def test_reading_cstar_builds_its_table_once(counts):
+    pair, _ = _exact()
+    assert "PCHIP builds" not in counts
+    assert pair.cstar is pair.cstar and pair.cstar.raw is pair.cstar_raw
+    assert counts["PCHIP builds"] == 1

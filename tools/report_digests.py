@@ -62,9 +62,9 @@ configurations are
 * the shared-parameter pair of two raw curves that are not unit-speed, the
   binormal offset at lambda 20 and the normal offset at lambda -0.5 of
   ``paper-example-1``, at lambda 1 with 256-node arc-length tables, grid
-  101: both sides are reparametrized, so C's arc length maps to the raw
-  parameter through its table, C* is evaluated there through its own
-  table's chain, and the rate reads both raw speeds.
+  101: both sides are chained to unit speed, so C's arc length maps to the
+  raw parameter through its table, C* is evaluated there through its own
+  chain, which builds no table, and the rate reads both raw speeds.
 """
 
 from __future__ import annotations
