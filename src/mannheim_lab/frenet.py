@@ -61,9 +61,12 @@ __all__ = [
 KAPPA_TOL = 1e-9
 UNIT_SPEED_TOL = 1e-6
 # Largest number of fixed steps one synthesis may take; at the cap a synthesis
-# of kappa = 1 + 0.1 sin s, tau = 0.6 + 0.2 cos s takes ~1 s and ~150 MB peak
+# of kappa = 1 + 0.1 sin s, tau = 0.6 + 0.2 cos s takes 0.3 s and 168 MB peak
 # RSS in a fresh interpreter on a 2-vCPU x86-64 VM.
 MAX_SYNTH_STEPS = 100_000
+# Steps per chunk of a synthesis: it fixes where the frame scan carries, so
+# it sets the synthesized bits, and bounds the transient of ``_increments``.
+_SYNTH_BLOCK = 4096
 
 
 class CurveKind(Enum):
@@ -245,11 +248,6 @@ def scalar_jets(c: Curve, s, order: int = 2) -> ScalarJets:
     return f.kinds, (f.kappa,), (f.tau,)
 
 
-# Steps per block of the batched RK4 increments: the block's arrays stay a
-# few tens of kB, and per-block numpy overhead is spread over many steps.
-_SYNTH_BLOCK = 256
-
-
 def _rate_matrices(kappa: np.ndarray, tau: np.ndarray, c_n: float, c_b: float) -> np.ndarray:
     """A(kappa, tau) of y' = A y on the rows (p, T, N, B); ``A[i, j]`` holds
     entry (i, j) for every entry of ``kappa`` and ``tau``."""
@@ -288,6 +286,28 @@ def _increments(
     K3 = rate_product(kappa[1], tau[1], eye + (0.5 * h) * K2)
     K4 = rate_product(kappa[2], tau[2], eye + h * K3)
     return (h / 6.0) * (A0 + 2.0 * K2 + 2.0 * K3 + K4)
+
+
+def _product(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X Y of 3x3 matrices stacked along the last axis (either may hold one,
+    of length 1), each entry the three-term sum in index order."""
+    return X[:, 0, None] * Y[0] + X[:, 1, None] * Y[1] + X[:, 2, None] * Y[2]
+
+
+def _prefix_increments(D: np.ndarray) -> np.ndarray:
+    """E_k with I + E_k = (I + D_k) ... (I + D_0) for every k, shape ``(3, 3, steps)``.
+
+    An inclusive Hillis-Steele scan: at level d each E_k with k >= d takes in
+    E_{k-d}, so each E_k is a product tree of depth log2(steps), not a chain
+    of k steps.  Segments combine as I + E = (I + later)(I + earlier).
+    """
+    E = D.copy()
+    d = 1
+    while d < E.shape[2]:
+        later, earlier = E[:, :, d:], E[:, :, :-d]
+        E[:, :, d:] = (later + earlier) + _product(later, earlier)
+        d *= 2
+    return E
 
 
 def _identity_jet(s: np.ndarray) -> Jet2:
@@ -371,13 +391,14 @@ def frenet_synthesize(
     re-orthonormalization (``synthesized_gram_drift`` measures the drift).
     Each coordinate obeys Y' = A(kappa, tau) Y on the rows (p, T, N, B), so
     a step is Y + D Y with D = (h/6)(A0 + 2 K2 + 2 K3 + K4), K2 =
-    Am (I + h/2 A0), K3 = Am (I + h/2 K2), K4 = A1 (I + h K3).  Every D of
-    a block of ``_SYNTH_BLOCK`` steps is built by elementwise numpy from
-    the five nonzero entries of A (no BLAS product, whose kernels vary by
-    CPU).  T, N and B advance as nine Python floats, each component
-    summed in a fixed order; the positions are the ordered running sum of
-    D01 T + D02 N + D03 B at each step's start.  So the result does not
-    depend on the host.
+    Am (I + h/2 A0), K3 = Am (I + h/2 K2), K4 = A1 (I + h K3).  The range
+    is walked in chunks of ``_SYNTH_BLOCK`` steps.  Every D of a chunk is
+    built by elementwise numpy from the five nonzero entries of A (no BLAS
+    product, whose kernels vary by CPU); a prefix scan of their frame rows
+    (``_prefix_increments``) gives each node's frame from the chunk's first
+    one, every product entry summed in index order; the positions are the
+    ordered running sum of D01 T + D02 N + D03 B at each step's start.  So
+    the result does not depend on the host.
 
     Position and derivative fields are cubic Hermite interpolants of exact
     node values and node slopes (frame system and prescription jets), one
@@ -426,11 +447,9 @@ def frenet_synthesize(
     at = np.cumsum(kept).reshape(stages.shape)
     node = np.concatenate(([0], np.where(kept[:, 2], at[:, 2], at[:, 1])))
 
-    # Rows (T, N, B) of each node, advanced coordinate by coordinate in
-    # Python floats; row 0 of every D, the position increment, is kept apart.
-    frame = np.empty((n_steps + 1, 9))
-    frame[0] = [v for u in INITIAL_FRAMES[kind] for v in u.as_tuple()]
-    tx, ty, tz, nx, ny, nz, bx, by, bz = frame[0].tolist()
+    # Rows (T, N, B) of each node; row 0 of every D, the position increment, is kept apart.
+    frame = np.empty((n_steps + 1, 3, 3))
+    frame[0] = [u.as_tuple() for u in INITIAL_FRAMES[kind]]
     D0 = np.empty((3, n_steps))
     # Overflow is not checked per step: the finished states and fields are
     # checked once below, and numpy's warnings on the way there are muted.
@@ -441,29 +460,12 @@ def frenet_synthesize(
             ix = (node[i0:i1], at[i0:i1, 0], at[i0:i1, 1])
             D = _increments([k_jet.v[i] for i in ix], [t_jet.v[i] for i in ix], c_n, c_b, h)
             D0[:, i0:i1] = D[0]
-            flat = []
-            for d11, d12, d13, d21, d22, d23, d31, d32, d33 in D[1:].reshape(9, -1).T.tolist():
-                tx, nx, bx = (
-                    tx + (d11 * tx + d12 * nx + d13 * bx),
-                    nx + (d21 * tx + d22 * nx + d23 * bx),
-                    bx + (d31 * tx + d32 * nx + d33 * bx),
-                )
-                ty, ny, by = (
-                    ty + (d11 * ty + d12 * ny + d13 * by),
-                    ny + (d21 * ty + d22 * ny + d23 * by),
-                    by + (d31 * ty + d32 * ny + d33 * by),
-                )
-                tz, nz, bz = (
-                    tz + (d11 * tz + d12 * nz + d13 * bz),
-                    nz + (d21 * tz + d22 * nz + d23 * bz),
-                    bz + (d31 * tz + d32 * nz + d33 * bz),
-                )
-                flat += (tx, ty, tz, nx, ny, nz, bx, by, bz)
-            frame[i0 + 1 : i1 + 1] = np.fromiter(flat, float, len(flat)).reshape(-1, 9)
+            # Frame of node i0 + k + 1 is (I + E_k) F for the frame F of node i0.
+            F = frame[i0, :, :, None]
+            E = _prefix_increments(D[1:])
+            frame[i0 + 1 : i1 + 1] = np.moveaxis(F + _product(E, F), 2, 0)
 
-        T = frame[:, 0:3]
-        N = frame[:, 3:6]
-        B = frame[:, 6:9]
+        T, N, B = frame[:, 0], frame[:, 1], frame[:, 2]
         # p + (D01 T + D02 N + D03 B) per step, summed in step order.
         dP = D0[0, :, None] * T[:-1] + D0[1, :, None] * N[:-1] + D0[2, :, None] * B[:-1]
         P = np.add.accumulate(np.vstack((np.zeros((1, 3)), dP)))
@@ -482,9 +484,7 @@ def frenet_synthesize(
             + (c_n * kappa**2 + c_b * tau**2)[:, None] * N
             + tau_p[:, None] * B
         )
-        d3_slope = (
-            kappa_pp[:, None] * N + 2.0 * kappa_p[:, None] * Np + kappa[:, None] * Npp
-        )
+        d3_slope = kappa_pp[:, None] * N + 2.0 * kappa_p[:, None] * Np + kappa[:, None] * Npp
         values = np.hstack([T, d2, d3])
         slopes = np.hstack([kN, d2_slope, d3_slope])
         pos_spline = CubicHermiteSpline(s_nodes, P, T)

@@ -1,6 +1,10 @@
 import ast
+import functools
+import inspect
 import math
+import operator
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -434,6 +438,13 @@ class TestBatchedIncrements:
         got = np.hstack([nodes["p"], nodes["T"], nodes["N"], nodes["B"]])
         assert np.abs(got - want).max() <= 1e-13
 
+    @pytest.mark.parametrize("kind", list(CurveKind))
+    def test_gram_drift_is_a_few_ulps(self, kind):
+        # each frame is a product tree of depth log2(steps), not a chain of
+        # 1000 steps: a sequential loop drifts 7e-15 to 1e-14 here
+        c = frenet_synthesize(kind, self.kappa, self.tau, (0.0, 1.0), 1e-3)
+        assert synthesized_gram_drift(c) <= 4e-15
+
     def test_prescription_is_evaluated_once_per_distinct_abscissa(self):
         calls = []
 
@@ -501,20 +512,83 @@ class TestBatchedIncrements:
 
     def test_synthesis_makes_no_blas_product(self):
         # elementwise numpy only: BLAS kernels vary by CPU, so a product
-        # through them could change the synthesized bits from host to host
-        import inspect
-
-        for fn in (frenet.frenet_synthesize, frenet._increments, frenet._rate_matrices):
+        # through them could change the synthesized bits from host to host;
+        # a reduction may sum in any order, and no step goes through Python
+        kernels = (
+            frenet.frenet_synthesize,
+            frenet._increments,
+            frenet._rate_matrices,
+            frenet._product,
+            frenet._prefix_increments,
+        )
+        tokens = ("@", "dot", "matmul", "einsum", "tensordot", "inner(", ".sum(", "add.reduce",
+                  "fromiter", "tolist")
+        for fn in kernels:
             source = inspect.getsource(fn)
-            for token in ("@", "dot", "matmul", "einsum", "tensordot", "inner("):
+            for token in tokens:
                 assert token not in source, (fn.__name__, token)
+
+    def test_synthesis_walks_chunks_not_steps(self):
+        # every loop of frenet_synthesize runs over a few values (the initial
+        # frame's three vectors, the three stages of a chunk, the fields
+        # checked for overflow) or over chunks of _SYNTH_BLOCK steps
+        tree = ast.parse(inspect.getsource(frenet.frenet_synthesize))
+        assert not any(isinstance(node, ast.While) for node in ast.walk(tree))
+        loops = [node for node in ast.walk(tree) if isinstance(node, (ast.For, ast.comprehension))]
+        chunked = 0
+        for loop in loops:
+            it = loop.iter
+            if isinstance(it, ast.Call):
+                assert ast.unparse(it.func) == "range" and len(it.args) == 3, ast.unparse(it)
+                assert ast.unparse(it.args[2]) == "_SYNTH_BLOCK", ast.unparse(it)
+                chunked += 1
+            else:
+                assert isinstance(it, (ast.Name, ast.Tuple, ast.Subscript)), ast.unparse(it)
+        assert chunked == 1
+
+    def test_chunk_memory_is_flat_in_the_step_count(self, monkeypatch):
+        # a chunk's work, from one call of _increments to the next, builds
+        # _SYNTH_BLOCK steps of increments and scans them, so what it needs
+        # beyond the memory it starts with is the same at 5000 steps as at
+        # 20000, and stays under 1 kB per step of the chunk
+        increments = frenet._increments
+
+        def chunk_peaks(n_steps):
+            marks = []
+
+            def traced(*args):
+                marks.append(tracemalloc.get_traced_memory())
+                tracemalloc.reset_peak()
+                return increments(*args)
+
+            monkeypatch.setattr(frenet, "_increments", traced)
+            frenet_synthesize(CurveKind.TIMELIKE, self.kappa, self.tau, (0.0, n_steps * 1e-3), 1e-3)
+            # every chunk but the last, its peak read as the next one starts
+            return [peak - start for (start, _), (_, peak) in zip(marks, marks[1:])]
+
+        tracemalloc.start()
+        try:
+            short, long = chunk_peaks(5000), chunk_peaks(20000)
+        finally:
+            tracemalloc.stop()
+        block = frenet._SYNTH_BLOCK
+        assert len(short) == math.ceil(5000 / block) - 1 and len(long) == math.ceil(20000 / block) - 1
+        assert short, "5000 steps make one chunk"
+        assert max(long) <= 1.01 * short[0] and short[0] <= 1024 * block
 
 
 def _dense_states(kind, kappa, tau, s_range, step):
     """Node states of RK4 as Y + D Y from the frame ``INITIAL_FRAMES[kind]``
     at the origin, D from dense 4x4 products summed in index order, in
-    Python floats one step at a time: the bit-level reference of the
-    synthesis kernel."""
+    Python floats: the bit-level reference of the synthesis kernel.
+
+    The frame rows of D are composed by the kernel's scan, in chunks of
+    ``_SYNTH_BLOCK`` steps: at level d = 1, 2, 4, ... each E_k with k >= d
+    becomes (E_k + E_{k-d}) + E_k E_{k-d}, dense 3x3 products summed in
+    index order; node i0 + k + 1 of a chunk that starts at frame F is
+    F + E_k F, and the chunk's last node starts the next.  Positions add
+    D01 T + D02 N + D03 B at each step's start, in step order.
+    """
     a, b = s_range
     n = max(1, math.ceil((b - a) / step))
     h = (b - a) / n
@@ -527,34 +601,66 @@ def _dense_states(kind, kappa, tau, s_range, step):
         return [[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, k, 0.0], [0.0, c_n * k, 0.0, t], [0.0, 0.0, c_b * t, 0.0]]
 
     def mul(x, y):
-        return [[x[i][0] * y[0][j] + x[i][1] * y[1][j] + x[i][2] * y[2][j] + x[i][3] * y[3][j]
-                 for j in range(4)] for i in range(4)]
+        return [[functools.reduce(operator.add, (x[i][m] * y[m][j] for m in range(len(y))))
+                 for j in range(len(y[0]))] for i in range(len(x))]
 
     def eye_plus(c, x):
         return [[float(i == j) + c * x[i][j] for j in range(4)] for i in range(4)]
 
-    cols = [[0.0, *v] for v in zip(*(u.as_tuple() for u in INITIAL_FRAMES[kind]))]
-    states = [[v for col in zip(*cols) for v in col]]
+    def compose(later, earlier):
+        product = mul(later, earlier)
+        return [[(later[i][j] + earlier[i][j]) + product[i][j] for j in range(3)] for i in range(3)]
+
+    increments = []
     for s in s_nodes[:-1].tolist():
         A0, Am, A1 = rate(s), rate(s + 0.5 * h), rate(s + h)
         K2 = mul(Am, eye_plus(0.5 * h, A0))
         K3 = mul(Am, eye_plus(0.5 * h, K2))
         K4 = mul(A1, eye_plus(h, K3))
-        D = [[(h / 6.0) * (A0[i][j] + 2.0 * K2[i][j] + 2.0 * K3[i][j] + K4[i][j]) for j in range(4)]
+        increments.append(
+            [[(h / 6.0) * (A0[i][j] + 2.0 * K2[i][j] + 2.0 * K3[i][j] + K4[i][j]) for j in range(4)]
              for i in range(4)]
-        cols = [[y[i] + (D[i][1] * y[1] + D[i][2] * y[2] + D[i][3] * y[3]) for i in range(4)]
-                for y in cols]
-        states.append([v for col in zip(*cols) for v in col])
+        )
+
+    frames = [[list(u.as_tuple()) for u in INITIAL_FRAMES[kind]]]
+    for i0 in range(0, n, frenet._SYNTH_BLOCK):
+        E = [[row[1:] for row in D[1:]] for D in increments[i0 : i0 + frenet._SYNTH_BLOCK]]
+        d = 1
+        while d < len(E):
+            E = E[:d] + [compose(later, earlier) for later, earlier in zip(E[d:], E)]
+            d *= 2
+        F = frames[-1]
+        for Ek in E:
+            EF = mul(Ek, F)
+            frames.append([[F[i][j] + EF[i][j] for j in range(3)] for i in range(3)])
+
+    p = [0.0, 0.0, 0.0]
+    states = []
+    for k, (T, N, B) in enumerate(frames):
+        states.append([*p, *T, *N, *B])
+        if k < n:
+            D = increments[k][0]
+            p = [p[j] + (D[1] * T[j] + D[2] * N[j] + D[3] * B[j]) for j in range(3)]
     return s_nodes, np.array(states)
 
 
-@pytest.mark.parametrize("kind", list(CurveKind))
-@pytest.mark.parametrize("tau", ["0.6 + 0.2 * cos(s)", "0"])
-def test_synthesis_has_the_bits_of_dense_products(kind, tau):
-    # 600 steps cross two block boundaries; tau = 0 puts zeros in A
+@pytest.mark.parametrize(
+    "kind, tau, s_range",
+    [
+        # 600 steps; tau = 0 puts zeros in A
+        *(
+            pytest.param(kind, tau, (0.0, 0.6), id=f"{tau}-{kind}")
+            for tau in ("0.6 + 0.2 * cos(s)", "0")
+            for kind in CurveKind
+        ),
+        # 5000 steps: the second chunk starts from the first one's last frame
+        pytest.param(CurveKind.SPACELIKE_EPS_MINUS, "0.6 + 0.2 * cos(s)", (0.0, 5.0), id="5000 steps"),
+    ],
+)
+def test_synthesis_has_the_bits_of_dense_products(kind, tau, s_range):
     kappa, tau = parse_expr("1.0 + 0.1 * sin(s)").eval, parse_expr(tau).eval
-    c = frenet_synthesize(kind, kappa, tau, (0.0, 0.6), 1e-3)
-    s_nodes, want = _dense_states(kind, kappa, tau, (0.0, 0.6), 1e-3)
+    c = frenet_synthesize(kind, kappa, tau, s_range, 1e-3)
+    s_nodes, want = _dense_states(kind, kappa, tau, s_range, 1e-3)
     got = np.hstack([c.synth_nodes[k] for k in "pTNB"])
     assert c.synth_nodes["s"].tobytes() == s_nodes.tobytes()
     assert got.tobytes() == want.tobytes()

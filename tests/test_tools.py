@@ -13,6 +13,7 @@ TOOLS = Path(__file__).resolve().parent.parent / "tools"
 DIGESTS = TOOLS / "digests"
 
 DIGEST = r"[0-9a-f]{64}  \S.*"
+SYNTH_DIGEST = r"[0-9a-f]{64}  \S.* step \S+ gram drift \d\.\d{3}e[-+]\d\d"
 RESIDUAL = r".+ \| (\S+) (Pass|Fail|Reported) \S+"
 # a failing command writes no file and shows ``no output`` padded to a digest's width
 CLI_DIGEST = r"([0-9a-f]{64}|no output {55}) exit \d+  \S.*"
@@ -25,8 +26,8 @@ CLI_DIGEST = r"([0-9a-f]{64}|no output {55}) exit \d+  \S.*"
     [
         # one digest per audit configuration
         ([], 15, DIGEST, "default.txt"),
-        # 3 kinds x 3 torsions x 3 (range, step) pairs
-        (["--synth"], 27, DIGEST, "synth.txt"),
+        # 3 kinds x 3 torsions x 4 (range, step) pairs, each with its Gram drift
+        (["--synth"], 36, SYNTH_DIGEST, "synth.txt"),
         # 15 configurations x 12 reports, each configuration in table order
         (["--residuals"], 15 * 12, RESIDUAL, "residuals.txt"),
         # one digest per pinned CLI command, with its exit code

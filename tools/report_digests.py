@@ -34,7 +34,8 @@ With ``--synth`` it prints instead one sha256 of the integrated states of
 ``frenet_synthesize`` per configuration (``SYNTH_TAUS`` x ``SYNTH_RANGES``
 for every curve kind, curvature ``SYNTH_KAPPA``, each from the fixed start
 frame at the origin): the bytes of ``synth_nodes`` s, p, T, N and B, so the
-sign of a zero counts too.
+sign of a zero counts too, followed by the configuration and its
+``synthesized_gram_drift``, so accuracy shows next to the bits.
 
 Each line is ``<sha256>  <configuration>``.  The digest covers the JSON
 array that ``mannheim-lab pair-verify --out`` writes: the reports of
@@ -91,7 +92,7 @@ from mannheim_lab import (  # noqa: E402
 )
 from mannheim_lab.cli import _run_pair_suite, main as cli_main, resolve_curve_spec  # noqa: E402
 from mannheim_lab.curve import CSV_CHUNK_ROWS  # noqa: E402
-from mannheim_lab.frenet import CurveKind  # noqa: E402
+from mannheim_lab.frenet import CurveKind, synthesized_gram_drift  # noqa: E402
 
 EXACT_GRID = 201
 REFERENCE_GRID = 101
@@ -143,14 +144,16 @@ CLI_COMMANDS = (
 
 
 # Synthesis states: torsions including tau = 0, and (range, step) pairs of
-# 1000 steps, 2143 steps (no multiple of the block size) and one step.
+# 1000 steps, 2143 steps (no power of two: the scan's last level is partial),
+# one step, and 5000 steps, whose second chunk of ``frenet._SYNTH_BLOCK``
+# (4096) steps starts from the first one's last frame.
 SYNTH_KAPPA = "1 + 0.1*sin(s)"
 SYNTH_TAUS = ("0.6 - 0.2*s", "0", "0.5*cos(3*s)")
-SYNTH_RANGES = (((0.0, 1.0), 1e-3), ((-1.0, 0.5), 7e-4), ((0.0, 0.01), 0.01))
+SYNTH_RANGES = (((0.0, 1.0), 1e-3), ((-1.0, 0.5), 7e-4), ((0.0, 0.01), 0.01), ((0.0, 5.0), 1e-3))
 
 
 def synth_digests():
-    """Yield (sha256 of the synthesis nodes, configuration) for every kind."""
+    """Yield (sha256 of the synthesis nodes, configuration and Gram drift) for every kind."""
     kappa = parse_expr(SYNTH_KAPPA).eval
     for kind in CurveKind:
         for tau in SYNTH_TAUS:
@@ -160,7 +163,10 @@ def synth_digests():
                 for key in ("s", "p", "T", "N", "B"):
                     h.update(c.synth_nodes[key].tobytes())
                 a, b = s_range
-                yield h.hexdigest(), f"{kind.value} tau={tau} range={a:g}:{b:g} step {step:g}"
+                yield h.hexdigest(), (
+                    f"{kind.value} tau={tau} range={a:g}:{b:g} step {step:g} "
+                    f"gram drift {synthesized_gram_drift(c):.3e}"
+                )
 
 
 def cli_digests():
