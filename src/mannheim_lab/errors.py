@@ -107,7 +107,7 @@ class ArcLengthOverflowError(MannheimLabError):
 
 
 class ZeroLambdaError(MannheimLabError):
-    """Offset distance of zero would duplicate the base curve."""
+    """Offset distance of zero would duplicate the base curve; a non-finite one gives no curve."""
 
 
 class UnsupportedCombinationError(MannheimLabError):

@@ -248,16 +248,28 @@ def scalar_jets(c: Curve, s, order: int = 2) -> ScalarJets:
     return f.kinds, (f.kappa,), (f.tau,)
 
 
-def _rate_matrices(kappa: np.ndarray, tau: np.ndarray, c_n: float, c_b: float) -> np.ndarray:
-    """A(kappa, tau) of y' = A y on the rows (p, T, N, B); ``A[i, j]`` holds
-    entry (i, j) for every entry of ``kappa`` and ``tau``."""
-    A = np.zeros((4, 4, len(kappa)))
-    A[0, 1] = 1.0
-    A[1, 2] = kappa
-    A[2, 1] = c_n * kappa
-    A[2, 3] = tau
-    A[3, 2] = c_b * tau
-    return A
+def _times_rates(x, kappa, tau, c_n, c_b) -> tuple:
+    """The frame coordinates x M of the field (x F)' - x' F, for coordinates
+    x = (x_T, x_N, x_B) and F' = M F, from M's entries kappa, c_n kappa, tau and c_b tau."""
+    x_t, x_n, x_b = x
+    return (c_n * kappa) * x_n, kappa * x_t + (c_b * tau) * x_b, tau * x_n
+
+
+def _frame_chain(x, kappa, tau, c_n, c_b) -> tuple[tuple, tuple]:
+    """Frame coordinates of V' and V'' for V = x F, F = (T, N, B), by the one recurrence
+    (y F)' = (y' + y M) F, with (x M)' = x' M + x M'.  ``x`` holds the coordinates of V and
+    their first two derivatives, each a (T, N, B) triple; ``kappa`` and ``tau`` hold each
+    scalar and its first derivative, the entries of M'."""
+    (x0, x1, x2), (k, dk), (t, dt) = x, kappa, tau
+    y1 = tuple(a + b for a, b in zip(x1, _times_rates(x0, k, t, c_n, c_b)))
+    dy1 = zip(x2, _times_rates(x1, k, t, c_n, c_b), _times_rates(x0, dk, dt, c_n, c_b))
+    y2 = tuple(a + b + c + d for (a, b, c), d in zip(dy1, _times_rates(y1, k, t, c_n, c_b)))
+    return y1, y2
+
+
+def _along(y, T: np.ndarray, N: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The field y_T T + y_N N + y_B B, one row per entry of the coordinate arrays ``y``."""
+    return T * y[0][:, None] + N * y[1][:, None] + B * y[2][:, None]
 
 
 def _increments(
@@ -271,7 +283,6 @@ def _increments(
     A X is formed from the five nonzero entries of A, each term in the
     order of the dense 4x4 sum, so it has the dense product's bits.
     """
-    A0 = _rate_matrices(kappa[0], tau[0], c_n, c_b)[:, 1:]
     eye = np.eye(4)[:, 1:, None]
 
     def rate_product(k: np.ndarray, t: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -282,6 +293,7 @@ def _increments(
         out[3] = (c_b * t) * X[2]
         return out
 
+    A0 = rate_product(kappa[0], tau[0], np.broadcast_to(eye, (4, 3, len(kappa[0]))))
     K2 = rate_product(kappa[1], tau[1], eye + (0.5 * h) * A0)
     K3 = rate_product(kappa[1], tau[1], eye + (0.5 * h) * K2)
     K4 = rate_product(kappa[2], tau[2], eye + h * K3)
@@ -401,8 +413,11 @@ def frenet_synthesize(
     the result does not depend on the host.
 
     Position and derivative fields are cubic Hermite interpolants of exact
-    node values and node slopes (frame system and prescription jets), one
-    stacked interpolant for the three derivative fields.  The curve's
+    node values and node slopes, one stacked interpolant for the three
+    derivative fields: T has slope kappa N = d2, and d3 and its slope are the
+    first two derivatives of the field of coordinates (0, kappa, 0), which
+    ``_frame_chain`` takes through the frame system from the prescription
+    jets, as it does for the offsets of ``mannheim``.  The curve's
     scalar jet, kappa and tau with two exact derivatives, reads one call of
     each prescription per grid.
 
@@ -470,23 +485,13 @@ def frenet_synthesize(
         dP = D0[0, :, None] * T[:-1] + D0[1, :, None] * N[:-1] + D0[2, :, None] * B[:-1]
         P = np.add.accumulate(np.vstack((np.zeros((1, 3)), dP)))
 
-        kappa, kappa_p, kappa_pp = k_jet.v[node], k_jet.d[node], k_jet.dd[node]
-        tau, tau_p = t_jet.v[node], t_jet.d[node]
-
-        kN = kappa[:, None] * N
-        Np = c_n * kappa[:, None] * T + tau[:, None] * B
-        # d2 = kappa*N and its slope; d3 = kappa'*N + kappa*N' and its slope.
-        d2 = kN
-        d2_slope = kappa_p[:, None] * N + kappa[:, None] * Np
-        d3 = d2_slope
-        Npp = (
-            c_n * kappa_p[:, None] * T
-            + (c_n * kappa**2 + c_b * tau**2)[:, None] * N
-            + tau_p[:, None] * B
-        )
-        d3_slope = kappa_pp[:, None] * N + 2.0 * kappa_p[:, None] * Np + kappa[:, None] * Npp
+        kappa, tau = (k_jet.v[node], k_jet.d[node], k_jet.dd[node]), (t_jet.v[node], t_jet.d[node])
+        # d2 = kappa N has coordinates (0, kappa, 0): the chain gives its slope d3, and d3'.
+        d2 = kappa[0][:, None] * N
+        chain = _frame_chain([(0.0, k, 0.0) for k in kappa], kappa[:2], tau, c_n, c_b)
+        d3, d3_slope = (_along(y, T, N, B) for y in chain)
         values = np.hstack([T, d2, d3])
-        slopes = np.hstack([kN, d2_slope, d3_slope])
+        slopes = np.hstack([d2, d3, d3_slope])
         pos_spline = CubicHermiteSpline(s_nodes, P, T)
         # Columns 0:3, 3:6, 6:9 hold d1, d2, d3; one evaluation yields the jet.
         jet_spline = CubicHermiteSpline(s_nodes, values, slopes)

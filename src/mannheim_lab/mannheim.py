@@ -7,6 +7,11 @@ points.  ``PairSamples.collinearity`` measures how far a pair is from that
 property, and ``IDENTITIES`` publishes a residual profile for each of the
 catalogued scalar identities.
 
+Both partner constructions, C* = C - lam N and C = C* + lam B*, are one
+offset a + lam e along a frame field e of a unit-speed base (``_offset``);
+its tangent has frame coordinates e_T + lam e M for the frame equations
+F' = M F, and ``frenet._frame_chain`` gives its higher derivatives.
+
 Each pair type is one ``PairTypeSpec`` row (``MannheimPairType.spec``): the
 causal characters of (C*, C), the kind of its tangent decomposition, and
 the signs of its identities.  Classification, the decomposition and every
@@ -49,6 +54,9 @@ from .errors import (
 from .frenet import (
     CurveKind,
     FrameGrid,
+    _along,
+    _frame_chain,
+    _times_rates,
     constant_kind,
     frenet_apparatus,  # noqa: F401 - still importable from this module
     frenet_frames,
@@ -197,101 +205,58 @@ _SPECS = tuple(
 )
 
 
-def _col(x: np.ndarray) -> np.ndarray:
-    return x[:, None]
+def _offset(base: Curve, lam: float, axis: int, label: str) -> Curve:
+    """The curve t -> a(t) + lam e(t), e the frame field ``axis`` (1: N, 2: B) of ``base``.
+
+    ``base`` must be unit-speed with nonvanishing curvature.  The result is
+    generally not unit-speed, and nothing here asserts it is a genuine partner
+    of ``base``: ``PairSamples.collinearity`` and the ``distance-constancy``
+    row audit that.  With F = (T, N, B) and F' = M F, the tangent is x F for
+    x = e_T + lam e M (e_T and e the coordinates of T and of the field), and
+    ``frenet._frame_chain`` differentiates it through the frame equations, so
+    nothing is differenced; the jets read the base frames and the base scalar
+    jet, which the base must carry, once per grid.  Its <a', a'> is
+    sum_i eps_i x_i^2, from the base scalars alone.
+    """
+    if lam == 0.0 or not np.isfinite(lam):
+        raise ZeroLambdaError("offset distance must be finite and nonzero")
+    e = tuple(float(i == axis) for i in range(3))
+
+    def tangent(ts: np.ndarray, order: int):
+        """Base signs, base scalar jets and the jet (x, x', x'')[: order + 1] of the tangent."""
+        kinds, kappa, tau = scalar_jets(base, ts, order)
+        signs = kind_signs(kinds)
+        # Row j of each coordinate: lam e M^(j), with M^(j) of kappa^(j) and tau^(j); then add e_T.
+        x = [lam * v for v in _times_rates(e, np.array(kappa), np.array(tau), *signs[3:])]
+        x[0][0] += 1.0
+        return signs, kappa, tau, list(zip(*x))
+
+    def evaluate(ts: np.ndarray, order: int):
+        f = frenet_frames(base, ts)
+        frame = (f.T, f.N, f.B)
+        if order == 0:
+            return base.positions(ts) + frame[axis] * lam
+        signs, kappa, tau, x = tangent(ts, 0 if order == 1 else 2)
+        if order == 1:
+            return _along(x[0], *frame)
+        chain = _frame_chain(x, kappa[:2], tau[:2], *signs[3:])
+        return tuple(_along(y, *frame) for y in (x[0], *chain))
+
+    def squares(ts: np.ndarray) -> np.ndarray:
+        (eps_t, eps_n, eps_b, *_), _, _, ((x_t, x_n, x_b),) = tangent(ts, 0)
+        return eps_t * (x_t * x_t) + eps_n * (x_n * x_n) + eps_b * (x_b * x_b)
+
+    return Curve(evaluate, base.domain, label, squares=squares)
 
 
 def offset_along_binormal(cstar: Curve, lam: float) -> Curve:
-    """The curve s* -> a*(s*) + lam * B*(s*).
-
-    ``cstar`` must be unit-speed with nonvanishing curvature.  The result is
-    generally not unit-speed, and nothing here asserts it is a genuine partner
-    of ``cstar``: ``PairSamples.collinearity`` and the ``distance-constancy``
-    row audit that.  Derivatives chain through the frame equations of the base
-    curve, so nothing is differenced; the jets read the base frames and the
-    base scalar jet, which the base must carry, once per grid.  Its
-    <a', a'> = eps_T + eps_N lam^2 tau^2 comes from the base torsion alone.
-    """
-    if lam == 0.0:
-        raise ZeroLambdaError("offset distance must be nonzero")
-
-    def evaluate(ts: np.ndarray, order: int):
-        f = frenet_frames(cstar, ts)
-        if order == 0:
-            return cstar.positions(ts) + f.B * lam
-        kinds, (k, *kd), (tau, *tau_d) = scalar_jets(cstar, ts, 0 if order == 1 else 2)
-        _, _, _, c_n, c_b = kind_signs(kinds)
-        d1 = f.T + f.N * _col(lam * c_b * tau)
-        if order == 1:
-            return d1
-        (kp, _), (tau_p, tau_pp) = kd, tau_d
-        # d2 = d/dt [T + lam c_b tau N] with N' = c_n k T + tau B, written as
-        # at T + cn N + db B; d3 differentiates those coefficients once more.
-        at = lam * c_b * tau * c_n * k
-        cn = k + lam * c_b * tau_p
-        db = lam * c_b * tau * tau
-        at_p = lam * c_b * c_n * (tau_p * k + tau * kp)
-        cn_p = kp + lam * c_b * tau_pp
-        db_p = 2.0 * lam * c_b * tau * tau_p
-        return (
-            d1,
-            f.T * _col(at) + f.N * _col(cn) + f.B * _col(db),
-            f.T * _col(at_p + cn * c_n * k)
-            + f.N * _col(at * k + cn_p + db * c_b * tau)
-            + f.B * _col(cn * tau + db_p),
-        )
-
-    def squares(ts: np.ndarray) -> np.ndarray:
-        kinds, _, (tau,) = scalar_jets(cstar, ts, 0)
-        eps_t, eps_n, *_ = kind_signs(kinds)
-        return eps_t + eps_n * power_rows(lam * tau, 2)
-
-    return Curve(evaluate, cstar.domain, f"{cstar.label}+({lam:g})B", squares=squares)
+    """The curve s* -> a*(s*) + lam * B*(s*) of a unit-speed ``cstar`` (see ``_offset``)."""
+    return _offset(cstar, lam, 2, f"{cstar.label}+({lam:g})B")
 
 
 def offset_along_normal(c: Curve, lam: float) -> Curve:
-    """The curve s -> a(s) - lam * N(s); same contract as the binormal offset.
-
-    Its <a', a'> = eps_T (1 - lam c_n kappa)^2 + eps_B lam^2 tau^2 comes from
-    the base curvature and torsion alone.
-    """
-    if lam == 0.0:
-        raise ZeroLambdaError("offset distance must be nonzero")
-
-    def evaluate(ts: np.ndarray, order: int):
-        f = frenet_frames(c, ts)
-        if order == 0:
-            return c.positions(ts) - f.N * lam
-        kinds, (k, *kd), (tau, *tau_d) = scalar_jets(c, ts, 0 if order == 1 else 2)
-        _, _, _, c_n, c_b = kind_signs(kinds)
-        # d1 = a_t T + b_b B; its derivatives follow from the frame equations.
-        a_t = 1.0 - lam * c_n * k
-        b_b = -lam * tau
-        d1 = f.T * _col(a_t) + f.B * _col(b_b)
-        if order == 1:
-            return d1
-        (kp, kpp), (tau_p, tau_pp) = kd, tau_d
-        a_p = -lam * c_n * kp
-        b_p = -lam * tau_p
-        n_coeff = a_t * k + b_b * c_b * tau
-        n_coeff_p = a_p * k + a_t * kp + b_p * c_b * tau + b_b * c_b * tau_p
-        a_pp = -lam * c_n * kpp
-        b_pp = -lam * tau_pp
-        return (
-            d1,
-            f.T * _col(a_p) + f.N * _col(n_coeff) + f.B * _col(b_p),
-            f.T * _col(a_pp + n_coeff * c_n * k)
-            + f.N * _col(a_p * k + n_coeff_p + b_p * c_b * tau)
-            + f.B * _col(n_coeff * tau + b_pp),
-        )
-
-    def squares(ts: np.ndarray) -> np.ndarray:
-        kinds, (k,), (tau,) = scalar_jets(c, ts, 0)
-        eps_t, _, eps_b, c_n, _ = kind_signs(kinds)
-        a_t = 1.0 - lam * c_n * k
-        return eps_t * a_t * a_t + eps_b * power_rows(lam * tau, 2)
-
-    return Curve(evaluate, c.domain, f"{c.label}-({lam:g})N", squares=squares)
+    """The curve s -> a(s) - lam * N(s); same contract as the binormal offset."""
+    return _offset(c, -lam, 1, f"{c.label}-({lam:g})N")
 
 
 def classify_pair(c: Curve, cstar: Curve) -> MannheimPairType:
@@ -822,10 +787,8 @@ def mannheim_curve_test(c: Curve, pair_type: MannheimPairType, grid_n: int = 101
     UnsupportedCombinationError for types 1 and 4, whose rows give the
     normal of C and the binormal of C* unlike causal characters (a timelike
     line never lies on a spacelike one), where C's kind is not the row's,
-    and where the offset by ``lambda_estimate`` is not of the character of
-    the row's C*: its tangent (1 - lam c_n kappa) T - lam tau B has
-    <T*,T*> of the sign of eps_T (1 - lam c_n kappa)^2 + eps_B lam^2 tau^2,
-    which must be that of the row's companion kind.
+    and where the sign of ``squares`` of the offset by ``lambda_estimate``
+    is not the <T*,T*> of the row's companion kind.
     VanishingTorsionError where tau vanishes (the offset stops);
     NegativeConditionValueError where c_n kappa^2 + c_b tau^2 vanishes.  A
     helix meets the equation, but its offset is a straight line, whose
@@ -836,7 +799,7 @@ def mannheim_curve_test(c: Curve, pair_type: MannheimPairType, grid_n: int = 101
         raise UnsupportedCombinationError(f"type {n}: normal of C, binormal of C* of unlike character")
     s = np.linspace(*c.domain, grid_n)
     f = frenet_frames(c, s)
-    eps_t, _, eps_b, c_n, c_b = kind_signs(f.kinds)
+    _, _, _, c_n, c_b = kind_signs(f.kinds)
     condition = c_n * f.kappa * f.kappa + c_b * f.tau * f.tau
     kinds = tuple(CurveKind)
     raise_first(
@@ -853,7 +816,7 @@ def mannheim_curve_test(c: Curve, pair_type: MannheimPairType, grid_n: int = 101
     )
     profile = (f.kappa / condition).tolist()
     mean = float(np.mean(profile))
-    companion = np.sign(eps_t * (1.0 - mean * c_n * f.kappa) ** 2 + eps_b * (mean * f.tau) ** 2)
+    companion = np.sign(offset_along_normal(c, mean).squares(s))
     character = ("timelike", "null", "spacelike")
     raise_first(
         [

@@ -517,7 +517,9 @@ class TestBatchedIncrements:
         kernels = (
             frenet.frenet_synthesize,
             frenet._increments,
-            frenet._rate_matrices,
+            frenet._times_rates,
+            frenet._frame_chain,
+            frenet._along,
             frenet._product,
             frenet._prefix_increments,
         )

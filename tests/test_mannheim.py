@@ -107,18 +107,35 @@ class TestOffsets:
         with pytest.raises(ZeroLambdaError):
             offset_along_normal(example1, 0.0)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lambda(self, example1, lam):
+        # rejected by the offset itself, not as a non-finite speed of its arc-length table
+        for make in (offset_along_binormal, offset_along_normal):
+            with pytest.raises(ZeroLambdaError, match="finite and nonzero"):
+                make(example1, lam)
+        with pytest.raises(ZeroLambdaError):
+            MannheimPair.from_binormal_offset(builtin_curve("paper-example-1"), lam)
+
     def test_normal_offset_distance(self, example2):
         off = offset_along_normal(example2, 1.0)
         s = [0.0, 0.4, 1.0]
         assert norm_rows(off.positions(s) - example2.positions(s)) == pytest.approx(1.0, abs=1e-12)
 
-    def test_offset_derivatives_consistent(self, example2):
-        # closed-chain derivatives agree with differences of positions
-        off = offset_along_binormal(example2, 20.0)
-        h = 1e-6
-        s = np.array([0.2, 0.7])
-        fd = (off.positions(s + h) - off.positions(s - h)) / (2 * h)
-        assert (euclidean_rows(off.tangents(s) - fd) < 1e-7).all()
+    @pytest.mark.parametrize("make", [offset_along_binormal, offset_along_normal])
+    def test_offset_derivatives_consistent(self, make):
+        # the frame chain's d1, d2, d3 agree with central differences of
+        # positions, d1 and d2 over an exact pair's synthesized C, whose
+        # kappa and tau vary with nonzero second derivatives, so every term
+        # counts: dropping one moves a field by far more than the 1e-7 of
+        # its size allowed, and the differences stay within 3e-8 of it
+        tau = parse_expr("0.8 + 0.1 * sin(3 * s)").eval
+        off = make(exact_partner_pair(CurveKind.SPACELIKE_EPS_MINUS, tau, 0.3).c, 5.0)
+        h = 1e-4
+        s = np.array([0.2, 0.5, 0.7])
+        ahead, behind = off.jets(s + h), off.jets(s - h)
+        fields = (off.positions(s + h) - off.positions(s - h), ahead[0] - behind[0], ahead[1] - behind[1])
+        for jet, difference in zip(off.jets(s), fields):
+            assert (euclidean_rows(jet - difference / (2 * h)) <= 1e-7 * euclidean_rows(jet)).all()
 
     def test_frame_of_offset_evaluates_each_prescription_once(self, exact_pair_type3, monkeypatch):
         # the companion is the unit-speed normal offset; its frame reads one
