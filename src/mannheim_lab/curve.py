@@ -478,9 +478,9 @@ def _inverse_rates(d1: np.ndarray, d2: np.ndarray, d3: np.ndarray):
 class UnitChain(Curve):
     """``c`` at unit speed at its own raw parameter t: the positions of ``c`` and its jets,
     and its scalar jet where it carries one, chained to arc length through the local speed.
-    A curve to evaluate at t, as a pair evaluates C*, not one to reparametrize.  The tangent
-    of ``c`` is classified here, on the first pass (``_tangent_speeds``) of the table that
-    ``arc_length()``, the same chain on the arc length of ``c``, builds when called.
+    A curve to evaluate at t, as a pair evaluates C and C*, not one to reparametrize.  The tangent
+    of ``c`` (held as ``base``) is classified here, on the first pass (``_tangent_speeds``) of
+    the table that ``arc_length()``, the same chain on the arc length of ``c``, builds when called.
 
     Raises TableSizeError, before any work, if ``table_size`` is not an ``int`` (a bool is
     not a size) or lies outside ``[2, MAX_TABLE_SIZE]``.

@@ -248,22 +248,27 @@ def scalar_jets(c: Curve, s, order: int = 2) -> ScalarJets:
     return f.kinds, (f.kappa,), (f.tau,)
 
 
-def _times_rates(x, kappa, tau, c_n, c_b) -> tuple:
+def _rates(kappa, tau, c_n, c_b) -> tuple:
+    """M's entries (c_n kappa, kappa, c_b tau, tau) for the frame equations F' = M F."""
+    return c_n * kappa, kappa, c_b * tau, tau
+
+
+def _times_rates(x, m) -> tuple:
     """The frame coordinates x M of the field (x F)' - x' F, for coordinates
-    x = (x_T, x_N, x_B) and F' = M F, from M's entries kappa, c_n kappa, tau and c_b tau."""
-    x_t, x_n, x_b = x
-    return (c_n * kappa) * x_n, kappa * x_t + (c_b * tau) * x_b, tau * x_n
+    x = (x_T, x_N, x_B) and F' = M F, from M's entries ``m`` as ``_rates`` forms them."""
+    (x_t, x_n, x_b), (c_n_kappa, kappa, c_b_tau, tau) = x, m
+    return c_n_kappa * x_n, kappa * x_t + c_b_tau * x_b, tau * x_n
 
 
-def _frame_chain(x, kappa, tau, c_n, c_b) -> tuple[tuple, tuple]:
+def _frame_chain(x, m, dm) -> tuple[tuple, tuple]:
     """Frame coordinates of V' and V'' for V = x F, F = (T, N, B), by the one recurrence
     (y F)' = (y' + y M) F, with (x M)' = x' M + x M'.  ``x`` holds the coordinates of V and
-    their first two derivatives, each a (T, N, B) triple; ``kappa`` and ``tau`` hold each
-    scalar and its first derivative, the entries of M'."""
-    (x0, x1, x2), (k, dk), (t, dt) = x, kappa, tau
-    y1 = tuple(a + b for a, b in zip(x1, _times_rates(x0, k, t, c_n, c_b)))
-    dy1 = zip(x2, _times_rates(x1, k, t, c_n, c_b), _times_rates(x0, dk, dt, c_n, c_b))
-    y2 = tuple(a + b + c + d for (a, b, c), d in zip(dy1, _times_rates(y1, k, t, c_n, c_b)))
+    their first two derivatives, each a (T, N, B) triple; ``m`` and ``dm`` hold the entries
+    of M and of M', each formed once by ``_rates``."""
+    x0, x1, x2 = x
+    y1 = tuple(a + b for a, b in zip(x1, _times_rates(x0, m)))
+    dy1 = zip(x2, _times_rates(x1, m), _times_rates(x0, dm))
+    y2 = tuple(a + b + c + d for (a, b, c), d in zip(dy1, _times_rates(y1, m)))
     return y1, y2
 
 
@@ -488,7 +493,8 @@ def frenet_synthesize(
         kappa, tau = (k_jet.v[node], k_jet.d[node], k_jet.dd[node]), (t_jet.v[node], t_jet.d[node])
         # d2 = kappa N has coordinates (0, kappa, 0): the chain gives its slope d3, and d3'.
         d2 = kappa[0][:, None] * N
-        chain = _frame_chain([(0.0, k, 0.0) for k in kappa], kappa[:2], tau, c_n, c_b)
+        m, dm = _rates(kappa[0], tau[0], c_n, c_b), _rates(kappa[1], tau[1], c_n, c_b)
+        chain = _frame_chain([(0.0, k, 0.0) for k in kappa], m, dm)
         d3, d3_slope = (_along(y, T, N, B) for y in chain)
         values = np.hstack([T, d2, d3])
         slopes = np.hstack([d2, d3, d3_slope])

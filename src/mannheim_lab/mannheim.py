@@ -40,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .curve import INVERSE_TABLE_SIZE, Curve, UnitChain, reparametrize_unit
+from .curve import INVERSE_TABLE_SIZE, Curve, UnitChain
 from .errors import (
     DegenerateIndicatrixError,
     InconsistentDecompositionError,
@@ -56,6 +56,7 @@ from .frenet import (
     FrameGrid,
     _along,
     _frame_chain,
+    _rates,
     _times_rates,
     constant_kind,
     frenet_apparatus,  # noqa: F401 - still importable from this module
@@ -205,6 +206,11 @@ _SPECS = tuple(
 )
 
 
+def _check_lambda(lam: float) -> None:
+    if lam == 0.0 or not np.isfinite(lam):
+        raise ZeroLambdaError("offset distance must be finite and nonzero")
+
+
 def _offset(base: Curve, lam: float, axis: int, label: str) -> Curve:
     """The curve t -> a(t) + lam e(t), e the frame field ``axis`` (1: N, 2: B) of ``base``.
 
@@ -218,32 +224,33 @@ def _offset(base: Curve, lam: float, axis: int, label: str) -> Curve:
     jet, which the base must carry, once per grid.  Its <a', a'> is
     sum_i eps_i x_i^2, from the base scalars alone.
     """
-    if lam == 0.0 or not np.isfinite(lam):
-        raise ZeroLambdaError("offset distance must be finite and nonzero")
+    _check_lambda(lam)
     e = tuple(float(i == axis) for i in range(3))
 
     def tangent(ts: np.ndarray, order: int):
-        """Base signs, base scalar jets and the jet (x, x', x'')[: order + 1] of the tangent."""
+        """Base signs, M's entries and the jet (x, x', x'')[: order + 1] of the tangent."""
         kinds, kappa, tau = scalar_jets(base, ts, order)
         signs = kind_signs(kinds)
-        # Row j of each coordinate: lam e M^(j), with M^(j) of kappa^(j) and tau^(j); then add e_T.
-        x = [lam * v for v in _times_rates(e, np.array(kappa), np.array(tau), *signs[3:])]
+        # Row j of M's entries is M^(j), of kappa^(j) and tau^(j); row j of x, lam e M^(j) (+ e_T).
+        m = _rates(np.array(kappa), np.array(tau), *signs[3:])
+        x = [lam * v for v in _times_rates(e, m)]
         x[0][0] += 1.0
-        return signs, kappa, tau, list(zip(*x))
+        return signs, m, list(zip(*x))
 
     def evaluate(ts: np.ndarray, order: int):
         f = frenet_frames(base, ts)
         frame = (f.T, f.N, f.B)
         if order == 0:
             return base.positions(ts) + frame[axis] * lam
-        signs, kappa, tau, x = tangent(ts, 0 if order == 1 else 2)
+        _, m, x = tangent(ts, 0 if order == 1 else 2)
         if order == 1:
             return _along(x[0], *frame)
-        chain = _frame_chain(x, kappa[:2], tau[:2], *signs[3:])
+        m0, m1, _ = zip(*m)  # the entries of M and of M'
+        chain = _frame_chain(x, m0, m1)
         return tuple(_along(y, *frame) for y in (x[0], *chain))
 
     def squares(ts: np.ndarray) -> np.ndarray:
-        (eps_t, eps_n, eps_b, *_), _, _, ((x_t, x_n, x_b),) = tangent(ts, 0)
+        (eps_t, eps_n, eps_b, *_), _, ((x_t, x_n, x_b),) = tangent(ts, 0)
         return eps_t * (x_t * x_t) + eps_n * (x_n * x_n) + eps_b * (x_b * x_b)
 
     return Curve(evaluate, base.domain, label, squares=squares)
@@ -277,37 +284,30 @@ def _unsupported(companion: CurveKind, curve: CurveKind) -> UnsupportedCombinati
     )
 
 
+def _on_arc_length(raw: Curve) -> Curve:
+    """A pair's curve on its arc length: ``raw`` if unit-speed, else its chain's ``arc_length()``."""
+    return raw if raw.unit_speed else raw.arc_length()
+
+
 @dataclass
 class MannheimPair:
     """Two curves C and C* whose points correspond through a shared raw parameter t, with a
-    fixed offset constant ``lam``.  ``c`` is C on its arc length s, and ``to_raw`` maps an
-    array of s to t.  ``cstar_raw``, the one C* stored, is the curve the audit evaluates at t:
-    a unit-speed input itself, else its ``UnitChain``; ``cstar``, C* on its own arc length, is
-    derived from it.  ``rate`` gives ds*/ds at an array of t.
+    fixed offset constant ``lam``: ``c_raw`` and ``cstar_raw``, as the audit evaluates them at
+    t (a unit-speed input itself, else its ``UnitChain``).  ``c`` and ``cstar``, each on its own
+    arc length (``_on_arc_length``), and the t and ds*/ds of ``PairSamples`` derive from them.
     """
 
-    c: Curve
+    c_raw: Curve
     lam: float
     pair_type: MannheimPairType
-    to_raw: Callable[[np.ndarray], np.ndarray]
     cstar_raw: Curve
-    rate: Callable[[np.ndarray], np.ndarray]
 
-    @cached_property
-    def cstar(self) -> Curve:
-        """``cstar_raw`` if unit-speed, else its chain's ``arc_length()``, built on first read."""
-        return self.cstar_raw if self.cstar_raw.unit_speed else self.cstar_raw.arc_length()
-
-    @property
-    def domain(self) -> tuple[float, float]:
-        return self.c.domain
-
-    def grid(self, n: int) -> np.ndarray:
-        return np.linspace(*self.c.domain, n)
+    c = cached_property(lambda self: _on_arc_length(self.c_raw))
+    cstar = cached_property(lambda self: _on_arc_length(self.cstar_raw))
 
     def samples(self, grid_n: int) -> "PairSamples":
-        """The pair sampled on ``grid(grid_n)``, built afresh on each call."""
-        return PairSamples(self, self.grid(grid_n))
+        """The pair sampled on ``grid_n`` uniform arc lengths of C, built afresh on each call."""
+        return PairSamples(self, np.linspace(*self.c.domain, grid_n))
 
     @classmethod
     def from_binormal_offset(
@@ -327,24 +327,19 @@ class MannheimPair:
     def from_shared_parameter(
         cls, c: Curve, cstar: Curve, lam: float, table_size: int = INVERSE_TABLE_SIZE
     ) -> "MannheimPair":
-        """Correspond two curves through a shared raw parameter.
+        """Correspond two curves through a shared raw parameter t, which needs equal domains.
 
-        Points correspond when they come from the same raw parameter value, which requires
-        equal domains.  A unit-speed input is its own raw parameter, with speed 1.  Otherwise
-        C is reparametrized (its table maps arc length to t), and C* is evaluated at t through
-        its ``UnitChain``, which builds no table.  The rate is the ratio of raw speeds.
+        Each input is stored as the pair holds it; C's arc-length table is built here, to read
+        the pair type from C on its arc length.  Raises ZeroLambdaError, before any work, for
+        a ``lam`` that is zero or not finite.
         """
+        _check_lambda(lam)
         if c.domain != cstar.domain:
             raise ValueError("shared-parameter pairing needs identical domains")
-        c_unit = c if c.unit_speed else reparametrize_unit(c, table_size)
-        cstar_raw = cstar if cstar.unit_speed else UnitChain(cstar, table_size)
-        to_raw = (lambda s: s) if c_unit is c else c_unit.arc_table.t_of_s
-
-        def rate(t: np.ndarray) -> np.ndarray:
-            cstar_speeds, c_speeds = (1.0 if x.unit_speed else x.speeds(t) for x in (cstar, c))
-            return cstar_speeds / c_speeds
-
-        return cls(c_unit, lam, classify_pair(c_unit, cstar_raw), to_raw, cstar_raw, rate)
+        c_raw, cstar_raw = (x if x.unit_speed else UnitChain(x, table_size) for x in (c, cstar))
+        pair = cls(c_raw, lam, None, cstar_raw)
+        pair.pair_type = classify_pair(pair.c, cstar_raw)
+        return pair
 
 
 def _projections(T: np.ndarray, fstar: FrameGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -403,15 +398,14 @@ class PairSamples:
     """
 
     def __init__(self, pair: MannheimPair, grid) -> None:
-        self.c, self.cstar, self.lam = pair.c, pair.cstar_raw, pair.lam
-        self.to_raw, self.rate = pair.to_raw, pair.rate
+        self.c, self.c_raw, self.cstar, self.lam = pair.c, pair.c_raw, pair.cstar_raw, pair.lam
         self.spec = pair.pair_type.spec
         self.grid = np.asarray(grid, dtype=float)
 
     @cached_property
     def t(self) -> np.ndarray:
-        """The raw parameters of the grid, shared by both curves."""
-        return self.to_raw(self.grid)
+        """The grid's raw parameters: itself if C is its own raw parameter, else by C's table."""
+        return self.grid if self.c is self.c_raw else self.c.arc_table.t_of_s(self.grid)
 
     @cached_property
     def frames(self) -> tuple[FrameGrid, FrameGrid]:
@@ -470,8 +464,9 @@ class PairSamples:
 
     @cached_property
     def rates(self) -> np.ndarray:
-        """ds*/ds from the pair's rate map at ``t``."""
-        return np.array(np.broadcast_to(self.rate(self.t), self.t.shape), dtype=float)
+        """ds*/ds at ``t``, the ratio of the raw inputs' speeds (1 for a unit-speed input)."""
+        speeds = [1.0 if x.unit_speed else x.base.speeds(self.t) for x in (self.cstar, self.c_raw)]
+        return np.array(np.broadcast_to(speeds[0] / speeds[1], self.t.shape), dtype=float)
 
     @cached_property
     def dtheta(self) -> np.ndarray:
@@ -843,8 +838,7 @@ def exact_partner_kappa(kind: CurveKind, lam: float, tau):
     ValueError: lam > 0 for a spacelike curve (with 4 lam^2 tau^2 < 1 if
     its normal is timelike), lam < 0 for a timelike one.
     """
-    if lam == 0.0:
-        raise ZeroLambdaError("offset distance must be nonzero")
+    _check_lambda(lam)
     c_n, c_b = kind.normal_coefficient, kind.binormal_coefficient
     disc = 1.0 - 4.0 * c_n * c_b * lam * lam * tau * tau
     if np.any(getattr(disc, "v", disc) <= 0.0):

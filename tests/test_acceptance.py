@@ -361,7 +361,7 @@ def test_criterion_09_oracle_regression(example1_pair, example2_pair):
             (example2_pair, "paper-example-2"),
         ):
             want = ORACLE[name]
-            for s in (0.0, pair.domain[1] / 2, pair.domain[1]):
+            for s in (0.0, pair.c.domain[1] / 2, pair.c.domain[1]):
                 view = PairSamples(pair, [s])
                 assert view.collinearity[0] == pytest.approx(want["rho"], abs=1e-8)
                 assert view.theta[0] == pytest.approx(want["theta"], abs=1e-8)
@@ -391,7 +391,7 @@ def test_criterion_10_center_ratio_nonconstancy(
     ):
         for pair in (exact_pair_type2, exact_pair_type3, exact_pair_type5):
             name = pair.pair_type.name
-            rho = max(PairSamples(pair, pair.grid(101)).collinearity)
+            rho = max(pair.samples(101).collinearity)
             assert rho < HYPOTHESIS_TOL, f"{name}: collinearity residual {rho:.3e}"
             rep = _report(pair, "center-ratio-nonconstancy", 101)
             sd, mean = rep.details["ratio_sd"], rep.details["ratio_mean"]

@@ -147,6 +147,18 @@ class TestOffsetCommand:
         )
         assert code == 1
 
+    def test_zero_lambda_pair_is_refused_before_the_audit(self, capsys, tmp_path):
+        # pair-verify refuses lam = 0 as the offsets do, before any report runs
+        out_path = tmp_path / "pair.json"
+        code, out, err = run_cli(
+            capsys, "pair-verify", "--c", "paper-example-2", "--cstar", "paper-example-2",
+            "--lambda", "0", "--out", str(out_path),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: offset distance must be finite and nonzero\n"
+        assert not out_path.exists()
+
 
 class TestSynthesizeCommand:
     def test_emits_samples(self, capsys):

@@ -517,6 +517,7 @@ class TestBatchedIncrements:
         kernels = (
             frenet.frenet_synthesize,
             frenet._increments,
+            frenet._rates,
             frenet._times_rates,
             frenet._frame_chain,
             frenet._along,

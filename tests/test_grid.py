@@ -301,8 +301,10 @@ def test_offset_frames_raise_the_first_failure_of_offset_or_base(ts):
 
 
 def _hand_built_pair(c: Curve, cstar: Curve) -> MannheimPair:
-    # both curves on their shared parameter over the domain [0, 1]
-    return MannheimPair(c, 1.0, MannheimPairType.TYPE3, lambda s: s, cstar, np.ones_like)
+    # both curves evaluated as given at their shared parameter over [0, 1]:
+    # flagged unit-speed, each is its own arc length
+    c.unit_speed = cstar.unit_speed = True
+    return MannheimPair(c, 1.0, MannheimPairType.TYPE3, cstar)
 
 
 @pytest.mark.parametrize(

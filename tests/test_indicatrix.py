@@ -7,7 +7,7 @@ from _oracle_constants import ORACLE
 from mannheim_lab.frenet import CurveKind, constant_kind, frenet_frames, frenet_synthesize
 from mannheim_lab.indicatrix import _field_rates, indicatrix_of
 from mannheim_lab.lorentz import euclidean_rows, inner_rows, norm_rows
-from mannheim_lab.mannheim import IDENTITIES
+from mannheim_lab.mannheim import IDENTITIES, PairSamples
 from mannheim_lab.reports import Verdict
 
 SQRT3 = math.sqrt(3.0)
@@ -133,7 +133,7 @@ class TestPairRelations:
         # B-image of C* up to overall sign
         s = np.array([0.0, 0.5, 1.0])
         a = frenet_frames(exact_pair_type3.c, s).N
-        b = frenet_frames(exact_pair_type3.cstar_raw, exact_pair_type3.to_raw(s)).B
+        b = frenet_frames(exact_pair_type3.cstar_raw, PairSamples(exact_pair_type3, s).t).B
         gap = np.minimum(np.linalg.norm(a - b, axis=1), np.linalg.norm(a + b, axis=1))
         assert gap.max() < 1e-9
 

@@ -106,6 +106,14 @@ class TestOffsets:
             offset_along_binormal(example1, 0.0)
         with pytest.raises(ZeroLambdaError):
             offset_along_normal(example1, 0.0)
+        self._refused_by_the_pair(example1, 0.0)
+
+    @staticmethod
+    def _refused_by_the_pair(example1, lam):
+        # before any work: the domains, which do not match, are not compared
+        other = builtin_curve("paper-example-2", (0.0, 0.5))
+        with pytest.raises(ZeroLambdaError, match="finite and nonzero"):
+            MannheimPair.from_shared_parameter(offset_along_binormal(example1, 1.0), other, lam)
 
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
     def test_non_finite_lambda(self, example1, lam):
@@ -115,6 +123,7 @@ class TestOffsets:
                 make(example1, lam)
         with pytest.raises(ZeroLambdaError):
             MannheimPair.from_binormal_offset(builtin_curve("paper-example-1"), lam)
+        self._refused_by_the_pair(example1, lam)
 
     def test_normal_offset_distance(self, example2):
         off = offset_along_normal(example2, 1.0)
@@ -207,7 +216,7 @@ class TestClassification:
 
 class TestResidual:
     def test_exact_pair_is_collinear(self, exact_pair_type3):
-        worst = max(PairSamples(exact_pair_type3, exact_pair_type3.grid(21)).collinearity)
+        worst = max(exact_pair_type3.samples(21).collinearity)
         assert worst < 1e-9
 
     @pytest.mark.parametrize("pair_type,slope", EXACT_CONFIGS)
@@ -226,7 +235,7 @@ class TestResidual:
     def test_oracle_values(self, example1_pair, example2_pair):
         for pair, name in ((example1_pair, "paper-example-1"), (example2_pair, "paper-example-2")):
             want = ORACLE[name]["rho"]
-            for s in (0.0, 0.5 * pair.domain[1], pair.domain[1]):
+            for s in (0.0, 0.5 * pair.c.domain[1], pair.c.domain[1]):
                 assert PairSamples(pair, [s]).collinearity[0] == pytest.approx(want, abs=1e-8)
 
 
@@ -285,8 +294,9 @@ class TestPartnerEquation:
         for t in (1.0, 2.0, tau):
             with pytest.raises(ValueError, match="need 1 - 4 c_n c_b lam\\^2 tau\\^2 > 0"):
                 exact_partner_kappa(CurveKind.SPACELIKE_EPS_MINUS, 0.5, t)
-        with pytest.raises(ZeroLambdaError):
-            exact_partner_kappa(CurveKind.SPACELIKE_EPS_PLUS, 0.0, 0.9)
+        for lam in (0.0, math.nan, math.inf):  # the offsets' guard: a non-finite lam gave NaN
+            with pytest.raises(ZeroLambdaError):
+                exact_partner_kappa(CurveKind.SPACELIKE_EPS_PLUS, lam, 0.9)
 
     def test_vanishing_torsion(self):
         with pytest.raises(VanishingTorsionError):
@@ -337,7 +347,7 @@ class TestTheta:
     def test_oracle_values(self, example1_pair, example2_pair):
         for pair, name in ((example1_pair, "paper-example-1"), (example2_pair, "paper-example-2")):
             want = ORACLE[name]
-            for s in (0.0, 0.5 * pair.domain[1], pair.domain[1]):
+            for s in (0.0, 0.5 * pair.c.domain[1], pair.c.domain[1]):
                 view = PairSamples(pair, [s])
                 assert view.theta[0] == pytest.approx(want["theta"], abs=1e-8)
                 s_comp, c_comp = view.components[:, 0]
@@ -588,7 +598,7 @@ class TestSharedParameter:
         # unit-speed C* is evaluated as it is
         assert pair.cstar_raw is pair.cstar is example2
         for u in (0.0, c.domain[1] / 2, c.domain[1]):
-            t = pair.to_raw(np.array([u]))[0]
+            t = PairSamples(pair, [u]).t[0]
             assert t == pytest.approx(u / math.sqrt(1199.0), abs=1e-9)
         assert PairSamples(pair, [1.0]).rates[0] == pytest.approx(1.0 / math.sqrt(1199.0), abs=1e-10)
 
@@ -599,9 +609,10 @@ class TestSharedParameter:
         cstar = builtin_curve("paper-example-1", c.domain)
         pair = MannheimPair.from_shared_parameter(c, cstar, 0.5)
         s = np.array([0.0, c.domain[1] / 2, c.domain[1]])
-        assert np.array_equal(pair.to_raw(s), s)
+        assert pair.c_raw is pair.c is c
+        assert np.array_equal(PairSamples(pair, s).t, s)
         assert pair.cstar_raw is pair.cstar is cstar
-        assert np.all(pair.rate(s) == 1.0)
+        assert np.all(PairSamples(pair, s).rates == 1.0)
 
     def test_domain_mismatch_rejected(self, example1):
         c2 = helix(CurveKind.TIMELIKE, 1.0, 0.5, domain=(0.0, 0.5))
@@ -622,7 +633,7 @@ class TestAngleRateChain:
             return PairSamples(pair, x).theta
 
         # the interior points of grid 101, every stencil inside the domain
-        samples = PairSamples(pair, pair.grid(101)[1:-1])
+        samples = PairSamples(pair, np.linspace(*pair.c.domain, 101)[1:-1])
         grid = np.array(samples.grid)
         steps = np.maximum(1e-4, 1e-3 * np.abs(grid))
         differenced = central_difference(thetas, grid, steps) / samples.rates
@@ -791,8 +802,8 @@ def given_samples(pair_type, lam, **columns):
     """PairSamples holding the given columns instead of columns of curve data:
     a cached column is read from the instance dictionary first."""
     grid = range(columns["scalars"].shape[1])
-    maps = dict(c=None, cstar_raw=None, to_raw=None, rate=None)
-    pair = SimpleNamespace(lam=lam, pair_type=pair_type, **maps)
+    curves = dict(c=None, c_raw=None, cstar_raw=None)
+    pair = SimpleNamespace(lam=lam, pair_type=pair_type, **curves)
     samples = PairSamples(pair, grid)
     samples.__dict__.update(columns)
     return samples
@@ -867,15 +878,9 @@ class TestPairTypeSpec:
 
 def _line_pair(example1):
     """A hand-built pair whose curve C is a straight line: C has no frame."""
-    line = closed_form_curve((lambda t: (0.0, t, 0.0), lambda t: (0.0, 1.0, 0.0)), (0.0, 1.0), "line")
-    return MannheimPair(
-        c=line,
-        lam=1.0,
-        pair_type=MannheimPairType.TYPE3,
-        to_raw=lambda s: s,
-        cstar_raw=example1,
-        rate=lambda t: 1.0,
-    )
+    rows = (lambda t: (0.0, t, 0.0), lambda t: (0.0, 1.0, 0.0))
+    line = closed_form_curve(rows, (0.0, 1.0), "line", unit_speed=True)
+    return MannheimPair(c_raw=line, lam=1.0, pair_type=MannheimPairType.TYPE3, cstar_raw=example1)
 
 
 class TestPairSamples:
@@ -962,9 +967,19 @@ class TestPairSamples:
             return PairSamples(p, [0.5]).collinearity[0]
 
         assert rho(pair) == pytest.approx(2.0025, abs=1e-4)
-        mixed = dataclasses.replace(pair, c=other.c, to_raw=other.to_raw)
+        mixed = dataclasses.replace(pair, c_raw=other.c_raw)
         assert rho(mixed) == rho(other)
         assert rho(mixed) == pytest.approx(2.0418, abs=1e-4)
+        # given the other's lam too, the copy is that pair: its raw parameters
+        # and ds*/ds come from the C it holds, so all twelve reports, the
+        # frame angle's rate with them, match to the byte
+        copy = dataclasses.replace(pair, c_raw=other.c_raw, lam=other.lam)
+        assert PairSamples(copy, [0.5]).rates[0] == pytest.approx(0.1162, abs=1e-4)
+        texts = [
+            json.dumps([r.to_json_dict() for r in _run_pair_suite(p, 21, None)], indent=2, allow_nan=False)
+            for p in (copy, other)
+        ]
+        assert texts[0] == texts[1]
 
     def test_replaced_cstar_is_the_one_the_audit_reads(self, example1, example2):
         # a pair stores C* once, as the audit evaluates it: a copy with another
@@ -977,6 +992,11 @@ class TestPairSamples:
         assert swapped.cstar is example1 and pair.cstar is example2
         with pytest.raises(TypeError):
             dataclasses.replace(pair, cstar=example1)
+        # C on its arc length, the raw parameters and the rate are derived, not stored
+        for derived in ("c", "to_raw", "rate"):
+            with pytest.raises(TypeError):
+                dataclasses.replace(pair, **{derived: None})
+        assert [f.name for f in dataclasses.fields(MannheimPair)] == ["c_raw", "lam", "pair_type", "cstar_raw"]
 
     def test_angle_rate_is_undefined_where_circular_components_vanish(self, example2):
         # the type-4 normal offset relabelled as the circular type 3 misses
