@@ -263,12 +263,15 @@ class Curve:
 
     def _grid(self, ts, order: int):
         ts = self._check_domain(ts)
-        out = self._evaluate(ts, order)
+        return self._finite(ts, order, self._evaluate(ts, order))
+
+    def _finite(self, ts: np.ndarray, order: int, out):
+        """``out``, evaluated at ``ts`` (order 2: the squares), once every entry is finite."""
         parts = out if order == 3 else (out,)
         if not all(np.isfinite(x).all() for x in parts):
-            rows = np.hstack(parts)
+            rows = np.column_stack(parts)
             t = float(ts[(~np.isfinite(rows)).any(axis=1).argmax()])
-            what = ("positions", "tangents", "", "jets")[order]
+            what = ("positions", "tangents", "speeds", "jets")[order]
             raise ValueError(f"non-finite {what} of {self.label!r} at t={t!r}")
         return out
 
@@ -289,10 +292,7 @@ class Curve:
         ts = self._check_domain(ts)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
             out = inner_rows(*(self.tangents(ts),) * 2) if self._squares is None else self._squares(ts)
-        if not np.isfinite(out).all():
-            t = float(ts[(~np.isfinite(out)).argmax()])
-            raise ValueError(f"non-finite speeds of {self.label!r} at t={t!r}")
-        return out
+        return self._finite(ts, 2, out)
 
     def speeds(self, ts) -> np.ndarray:
         """Pseudo-speeds |<a'(t), a'(t)>|^(1/2), the roots of ``squares``."""
@@ -475,6 +475,16 @@ def _inverse_rates(d1: np.ndarray, d2: np.ndarray, d3: np.ndarray):
     return v, tp, tpp, tppp
 
 
+def _unit_jets(d1: np.ndarray, d2: np.ndarray, d3: np.ndarray):
+    """The jet of a curve at unit speed from its jet (d1, d2, d3) at t, through ``_inverse_rates``."""
+    v, tp, tpp, tppp = _inverse_rates(d1, d2, d3)
+    return (
+        d1 / v[:, None],
+        d2 * (tp * tp)[:, None] + d1 * tpp[:, None],
+        d3 * power_rows(tp, 3)[:, None] + d2 * (3.0 * tp * tpp)[:, None] + d1 * tppp[:, None],
+    )
+
+
 class UnitChain(Curve):
     """``c`` at unit speed at its own raw parameter t: the positions of ``c`` and its jets,
     and its scalar jet where it carries one, chained to arc length through the local speed.
@@ -498,13 +508,7 @@ class UnitChain(Curve):
             if order == 1:
                 d1 = c.tangents(t)
                 return d1 / norm_rows(d1)[:, None]
-            d1, d2, d3 = c.jets(t)
-            v, tp, tpp, tppp = _inverse_rates(d1, d2, d3)
-            return (
-                d1 / v[:, None],
-                d2 * (tp * tp)[:, None] + d1 * tpp[:, None],
-                d3 * power_rows(tp, 3)[:, None] + d2 * (3.0 * tp * tpp)[:, None] + d1 * tppp[:, None],
-            )
+            return _unit_jets(*c.jets(t))
 
         def scalars(t: np.ndarray, order: int):
             t = c._check_domain(t)

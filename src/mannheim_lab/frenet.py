@@ -155,25 +155,30 @@ def frenet_frames(c: Curve, s) -> FrameGrid:
     T is the raw first derivative (no renormalization, so Gram drift stays
     visible), N = T'/kappa with kappa = |<T',T'>|^(1/2), and B = T x N.
     Torsion comes from <N',B>/<B,B>, which reduces to the sign rules of the
-    three frame systems.  The derivatives come from one ``c.jets(s)``.  The
-    checks run as for one point at a time: the error raised is that of the
-    first parameter failing any of them, this curve's or, for an offset,
-    its base curve's.
+    three frame systems.  The derivatives come from one ``c.jets(s)``, and
+    ``_extract`` checks them.  The checks run as for one point at a time:
+    the error raised is that of the first parameter failing any of them,
+    this curve's or, for an offset, its base curve's.
     """
     s = np.asarray(s, dtype=float).reshape(-1)
     try:
-        d1, d2, d3 = c.jets(s)
+        jets = c.jets(s)
     except MannheimLabError as exc:
         if exc.row:  # an offset's base frames failed: this curve's earlier rows come first
             frenet_frames(c, s[: exc.row])
         raise
+    return _extract(c.label, s, *jets)
+
+
+def _extract(label: str, s: np.ndarray, d1: np.ndarray, d2: np.ndarray, d3: np.ndarray) -> FrameGrid:
+    """The ``FrameGrid`` of curve ``label`` at ``s`` from its jet, checked as ``frenet_frames`` says."""
     q1 = inner_rows(d1, d1)
     e2 = euclidean_rows(d2)
     q2 = inner_rows(d2, d2)
     kappa = np.sqrt(np.abs(q2))
 
     def error(kind: type, text: str):
-        return lambda i: kind(text.format(label=c.label, s=s[i], q1=q1[i]))
+        return lambda i: kind(text.format(label=label, s=s[i], q1=q1[i]))
 
     vanishing = error(VanishingCurvatureError, "curvature of {label!r} vanishes at s={s:g}")
     raise_first(
@@ -210,10 +215,15 @@ def frenet_apparatus(c: Curve, s: float) -> FrameGrid:
 
 def constant_kind(c: Curve, grid_size: int) -> CurveKind:
     """The frame kind of ``c``, which must not vary over ``grid_size`` uniform points, from
-    ``scalar_jets``: a curve with a scalar jet (built-in, synthesized) extracts no frame."""
-    kinds = scalar_jets(c, np.linspace(*c.domain, grid_size), 0)[0]
+    ``scalar_jets``: a curve with a scalar jet (built-in, synthesized) extracts no frame.  A
+    pair whose one curve is an offset of the other reads its kinds from ``PairSamples``."""
+    return _one_kind(scalar_jets(c, np.linspace(*c.domain, grid_size), 0)[0], c.label)
+
+
+def _one_kind(kinds: np.ndarray, label: str) -> CurveKind:
+    """The kind every row of ``kinds`` holds; MixedCausalCharacterError names the curve ``label``."""
     if (kinds != kinds[0]).any():
-        raise MixedCausalCharacterError(f"frame kind of {c.label!r} varies along the curve")
+        raise MixedCausalCharacterError(f"frame kind of {label!r} varies along the curve")
     return _KINDS[kinds[0]]
 
 
@@ -273,8 +283,10 @@ def _frame_chain(x, m, dm) -> tuple[tuple, tuple]:
 
 
 def _along(y, T: np.ndarray, N: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """The field y_T T + y_N N + y_B B, one row per entry of the coordinate arrays ``y``."""
-    return T * y[0][:, None] + N * y[1][:, None] + B * y[2][:, None]
+    """The field y_T T + y_N N + y_B B, one row per entry of the coordinate arrays ``y``; a
+    coordinate given as the float 0.0 is known to vanish and adds no term."""
+    terms = [F * y_i[:, None] for F, y_i in zip((T, N, B), y) if isinstance(y_i, np.ndarray)]
+    return sum(terms[1:], terms[0])
 
 
 def _increments(

@@ -40,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .curve import INVERSE_TABLE_SIZE, Curve, UnitChain
+from .curve import INVERSE_TABLE_SIZE, Curve, UnitChain, _unit_jets
 from .errors import (
     DegenerateIndicatrixError,
     InconsistentDecompositionError,
@@ -54,10 +54,12 @@ from .errors import (
 from .frenet import (
     CurveKind,
     FrameGrid,
+    ScalarJets,
     _along,
+    _extract,
     _frame_chain,
+    _one_kind,
     _rates,
-    _times_rates,
     constant_kind,
     frenet_apparatus,  # noqa: F401 - still importable from this module
     frenet_frames,
@@ -212,48 +214,65 @@ def _check_lambda(lam: float) -> None:
 
 
 def _offset(base: Curve, lam: float, axis: int, label: str) -> Curve:
-    """The curve t -> a(t) + lam e(t), e the frame field ``axis`` (1: N, 2: B) of ``base``.
-
-    ``base`` must be unit-speed with nonvanishing curvature.  The result is
-    generally not unit-speed, and nothing here asserts it is a genuine partner
-    of ``base``: ``PairSamples.collinearity`` and the ``distance-constancy``
-    row audit that.  With F = (T, N, B) and F' = M F, the tangent is x F for
-    x = e_T + lam e M (e_T and e the coordinates of T and of the field), and
-    ``frenet._frame_chain`` differentiates it through the frame equations, so
-    nothing is differenced; the jets read the base frames and the base scalar
-    jet, which the base must carry, once per grid.  Its <a', a'> is
-    sum_i eps_i x_i^2, from the base scalars alone.
-    """
+    """The curve t -> a(t) + lam e(t), e the frame field ``axis`` (1: N, 2: B) of ``base``,
+    which must be unit-speed with nonvanishing curvature and carry a scalar jet.  The result is
+    generally not unit-speed; ``PairSamples.collinearity`` and the ``distance-constancy`` row
+    audit whether it is a partner.  Its ``frame_offset`` forms every column from one pass of
+    the base at the same parameters: a call of the curve makes its own, ``PairSamples`` one for
+    a pair.  That map refers to the base but not to the curve, so no reference cycle holds it."""
     _check_lambda(lam)
-    e = tuple(float(i == axis) for i in range(3))
+    m = _FrameOffset(base, lam, axis)
+    out = Curve(m.on_own_pass, base.domain, label, squares=lambda t: m.squares_from(scalar_jets(base, t, 0)))
+    out.frame_offset = m
+    return out
 
-    def tangent(ts: np.ndarray, order: int):
+
+class _FrameOffset:
+    """a + lam e from a pass of the base: its frames ``f``, scalar jet ``jets`` and positions ``a``.
+
+    With F = (T, N, B) and F' = M F, the tangent is x F for x = e_T + lam e M (e_T and e the
+    coordinates of T and of the field), which ``frenet._frame_chain`` differentiates through the
+    frame equations, so nothing is differenced; a coordinate that e's zeros make vanish is the
+    float 0.0 and forms no product.  <a', a'> is sum_i eps_i x_i^2, from the base scalars alone.
+    """
+
+    def __init__(self, base: Curve, lam: float, axis: int):
+        self.base, self.lam, self.axis = base, lam, axis
+
+    def on_own_pass(self, ts: np.ndarray, order: int):
+        f = frenet_frames(self.base, ts)
+        if order == 0:
+            return self.positions_from(f, self.base.positions(ts))
+        return self.jets_from(f, scalar_jets(self.base, ts, 0 if order == 1 else 2))
+
+    def positions_from(self, f: FrameGrid, a: np.ndarray) -> np.ndarray:
+        return a + (f.N, f.B)[self.axis - 1] * self.lam
+
+    def tangent(self, jets) -> tuple:
         """Base signs, M's entries and the jet (x, x', x'')[: order + 1] of the tangent."""
-        kinds, kappa, tau = scalar_jets(base, ts, order)
+        kinds, kappa, tau = jets
         signs = kind_signs(kinds)
         # Row j of M's entries is M^(j), of kappa^(j) and tau^(j); row j of x, lam e M^(j) (+ e_T).
         m = _rates(np.array(kappa), np.array(tau), *signs[3:])
-        x = [lam * v for v in _times_rates(e, m)]
-        x[0][0] += 1.0
-        return signs, m, list(zip(*x))
+        if self.axis == 1:  # e M = (c_n kappa, 0, tau)
+            x = [(a, 0.0, b) for a, b in zip(self.lam * m[0], self.lam * m[3])]
+        else:  # e M = (0, c_b tau, 0)
+            x = [(0.0, y, 0.0) for y in self.lam * m[2]]
+        x[0] = (x[0][0] + np.ones(len(kinds)), *x[0][1:])
+        return signs, m, x
 
-    def evaluate(ts: np.ndarray, order: int):
-        f = frenet_frames(base, ts)
+    def jets_from(self, f: FrameGrid, jets):
+        """The tangents from a scalar jet of order 0, the jet (d1, d2, d3) from one of order 2."""
+        _, m, x = self.tangent(jets)
         frame = (f.T, f.N, f.B)
-        if order == 0:
-            return base.positions(ts) + frame[axis] * lam
-        _, m, x = tangent(ts, 0 if order == 1 else 2)
-        if order == 1:
+        if len(x) == 1:
             return _along(x[0], *frame)
         m0, m1, _ = zip(*m)  # the entries of M and of M'
-        chain = _frame_chain(x, m0, m1)
-        return tuple(_along(y, *frame) for y in (x[0], *chain))
+        return tuple(_along(y, *frame) for y in (x[0], *_frame_chain(x, m0, m1)))
 
-    def squares(ts: np.ndarray) -> np.ndarray:
-        (eps_t, eps_n, eps_b, *_), _, ((x_t, x_n, x_b),) = tangent(ts, 0)
-        return eps_t * (x_t * x_t) + eps_n * (x_n * x_n) + eps_b * (x_b * x_b)
-
-    return Curve(evaluate, base.domain, label, squares=squares)
+    def squares_from(self, jets) -> np.ndarray:
+        signs, _, (x, *_) = self.tangent(jets)
+        return sum(eps * (x_i * x_i) for eps, x_i in zip(signs, x) if isinstance(x_i, np.ndarray))
 
 
 def offset_along_binormal(cstar: Curve, lam: float) -> Curve:
@@ -267,10 +286,17 @@ def offset_along_normal(c: Curve, lam: float) -> Curve:
 
 
 def classify_pair(c: Curve, cstar: Curve) -> MannheimPairType:
-    """Pair type from the frame kinds, constant along 9 uniform points, of the unit-speed C
-    and of C* as the audit evaluates it at raw t (``cstar_raw``: unit-speed or a ``UnitChain``).
-    Combinations outside the five catalogued types raise UnsupportedCombinationError."""
-    key = (constant_kind(cstar, 9), constant_kind(c, 9))
+    """Pair type from the frame kinds, each ``constant_kind`` along 9 uniform points, of the
+    unit-speed C and of C* as the audit evaluates it at raw t (``cstar_raw``: unit-speed or a
+    ``UnitChain``).  ``MannheimPair.from_shared_parameter`` reads the kinds of a pair whose one
+    curve is an offset of the other from ``PairSamples`` on C's 9 points instead: one pass of the
+    base gives its kind and the offset's derivatives, whose extraction gives the offset's and
+    raises every error ``frenet_frames`` would.  Combinations outside the five catalogued types
+    raise UnsupportedCombinationError."""
+    return _pair_type(constant_kind(cstar, 9), constant_kind(c, 9))
+
+
+def _pair_type(*key: CurveKind) -> MannheimPairType:
     for pair_type in MannheimPairType:
         if (pair_type.spec.companion, pair_type.spec.curve) == key:
             return pair_type
@@ -330,15 +356,21 @@ class MannheimPair:
         """Correspond two curves through a shared raw parameter t, which needs equal domains.
 
         Each input is stored as the pair holds it; C's arc-length table is built here, to read
-        the pair type from C on its arc length.  Raises ZeroLambdaError, before any work, for
-        a ``lam`` that is zero or not finite.
+        the pair type from C on its arc length: from the pair sampled at 9 uniform points of it
+        where one curve is an offset of the other (see ``classify_pair``).  Raises
+        ZeroLambdaError, before any work, for a ``lam`` that is zero or not finite.
         """
         _check_lambda(lam)
         if c.domain != cstar.domain:
             raise ValueError("shared-parameter pairing needs identical domains")
         c_raw, cstar_raw = (x if x.unit_speed else UnitChain(x, table_size) for x in (c, cstar))
         pair = cls(c_raw, lam, None, cstar_raw)
-        pair.pair_type = classify_pair(pair.c, cstar_raw)
+        view = PairSamples(pair, np.linspace(*pair.c.domain, 9))
+        if view.offset is None:
+            pair.pair_type = classify_pair(pair.c, cstar_raw)
+        else:  # C*'s kind, then C's, from one pass of the base
+            kinds = zip(view.frames[::-1], (cstar_raw, pair.c))
+            pair.pair_type = _pair_type(*(_one_kind(f.kinds, x.label) for f, x in kinds))
         return pair
 
 
@@ -382,15 +414,22 @@ def _decomposition(
 # the sampled pair and the identity table
 
 
+def _partner(x: Curve, base: Curve) -> Curve | None:
+    """The offset of ``base`` that ``x`` evaluates, itself or through its ``UnitChain``, else None."""
+    o = x.base if isinstance(x, UnitChain) else x
+    return o if getattr(o, "frame_offset", None) and o.frame_offset.base is base else None
+
+
 class PairSamples:
     """The pair ``pair`` sampled at the arc lengths ``grid`` of C: the columns
     every identity reads.
 
     C is evaluated on the grid and C* at ``t``, the grid's raw parameters,
     where its partner points are.  Each column is computed on first use and
-    kept, so a suite computes each once: ``t`` serves C*'s frames, the rates
-    and the distance identity, which reads positions only and extracts no
-    frame.  ``MannheimPair.samples(grid_n)`` builds one on the uniform grid.
+    kept, so a suite computes each once.  Where one curve evaluates
+    ``offset``, an offset of the other, the base makes one pass at t,
+    ``base_pass``, from which the offset's frames, positions and squares are formed.
+    ``MannheimPair.samples(grid_n)`` builds one on the uniform grid.
     Every column is row-wise, so a point query is the one-row view
     ``PairSamples(pair, [s])``: its columns equal row s of any grid holding s.
     Only the reductions over the grid (the hypothesis, the image alignment and
@@ -398,9 +437,11 @@ class PairSamples:
     """
 
     def __init__(self, pair: MannheimPair, grid) -> None:
-        self.c, self.c_raw, self.cstar, self.lam = pair.c, pair.c_raw, pair.cstar_raw, pair.lam
-        self.spec = pair.pair_type.spec
-        self.grid = np.asarray(grid, dtype=float)
+        self.pair, self.c, self.c_raw, self.cstar = pair, pair.c, pair.c_raw, pair.cstar_raw
+        self.lam, self.grid = pair.lam, np.asarray(grid, dtype=float)
+        self.offset = _partner(self.cstar, self.c) or _partner(self.c_raw, self.cstar)
+
+    spec = property(lambda self: self.pair.pair_type.spec, doc="The row of the pair's type.")
 
     @cached_property
     def t(self) -> np.ndarray:
@@ -408,17 +449,43 @@ class PairSamples:
         return self.grid if self.c is self.c_raw else self.c.arc_table.t_of_s(self.grid)
 
     @cached_property
+    def base_pass(self) -> tuple[np.ndarray, FrameGrid, ScalarJets]:
+        """``t`` in the offset's domain, and the base's frames and order-2 scalar jet there."""
+        t, base = self.offset._check_domain(self.t), self.offset.frame_offset.base
+        return t, frenet_frames(base, t), scalar_jets(base, t, 2)
+
+    @cached_property
     def frames(self) -> tuple[FrameGrid, FrameGrid]:
-        """Frames of C on the grid and of C* at ``t``; one extraction per
-        curve.  The error raised is that of the first failing point, C*'s
-        before C's at a later one."""
+        """Frames of C on the grid and of C* at ``t``, one extraction per curve: an offset's is
+        ``frenet._extract`` of the derivatives it (and its chain) forms from the base pass.
+        The error raised is that of the first failing point: one at row r first audits rows
+        :r, and at one row the base's, else C's, comes first."""
         try:
-            f = frenet_frames(self.c, self.grid)
+            if (o := self.offset) is None:
+                return frenet_frames(self.c, self.grid), frenet_frames(self.cstar, self.t)
+            self.c._check_domain(self.grid)
+            (t, f, jets), m = self.base_pass, o.frame_offset
+            x, s = (self.cstar, self.t) if m.base is self.c else (self.c, self.grid)
+            d = o._finite(t, 3, m.jets_from(f, jets))
+            if x is not o:  # the offset's chain, or that chain on its arc length
+                d = x._finite(x._check_domain(s), 3, _unit_jets(*d))
+            g = _extract(x.label, s, *d)
+            return (f, g) if x is self.cstar else (g, f)
         except MannheimLabError as exc:
-            if exc.row:  # C* failing at an earlier point comes first
-                frenet_frames(self.cstar, self.t[: exc.row])
+            if exc.row:  # an earlier row of either curve comes first
+                PairSamples(self.pair, self.grid[: exc.row]).frames
             raise
-        return f, frenet_frames(self.cstar, self.t)
+
+    @cached_property
+    def positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """Positions of C on the grid and of C* at ``t``; an offset's are its base's plus lam e."""
+        if (o := self.offset) is None:
+            return self.c.positions(self.grid), self.cstar.positions(self.t)
+        self.c._check_domain(self.grid)
+        (t, f, _), m = self.base_pass, o.frame_offset
+        a = m.base.positions(t)
+        p = o._finite(t, 0, m.positions_from(f, a))
+        return (a, p) if m.base is self.c else (p, a)
 
     @cached_property
     def scalars(self) -> np.ndarray:
@@ -464,9 +531,19 @@ class PairSamples:
 
     @cached_property
     def rates(self) -> np.ndarray:
-        """ds*/ds at ``t``, the ratio of the raw inputs' speeds (1 for a unit-speed input)."""
-        speeds = [1.0 if x.unit_speed else x.base.speeds(self.t) for x in (self.cstar, self.c_raw)]
+        """ds*/ds at ``t``, the ratio of the raw inputs' speeds (1 for a unit-speed input); an
+        offset's are the roots of its squares from the base pass's scalar jet."""
+        speeds = [self._speeds(x) for x in (self.cstar, self.c_raw)]
         return np.array(np.broadcast_to(speeds[0] / speeds[1], self.t.shape), dtype=float)
+
+    def _speeds(self, x: Curve):
+        if x.unit_speed:
+            return 1.0
+        if x.base is not self.offset:
+            return x.base.speeds(self.t)
+        t, _, jets = self.base_pass
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named by _finite
+            return np.sqrt(np.abs(x.base._finite(t, 2, x.base.frame_offset.squares_from(jets))))
 
     @cached_property
     def dtheta(self) -> np.ndarray:
@@ -571,8 +648,8 @@ class PairSamples:
 
 
 def _distance(p: PairSamples) -> np.ndarray:
-    diff = p.c.positions(p.grid) - p.cstar.positions(p.t)
-    return np.abs(norm_rows(diff) - abs(p.lam))
+    a, b = p.positions
+    return np.abs(norm_rows(a - b) - abs(p.lam))
 
 
 def _torsion_reciprocal(p: PairSamples) -> np.ndarray:

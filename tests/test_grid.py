@@ -307,19 +307,40 @@ def _hand_built_pair(c: Curve, cstar: Curve) -> MannheimPair:
     return MannheimPair(c, 1.0, MannheimPairType.TYPE3, cstar)
 
 
+def _normal_offset_of_turning(speed_from: float) -> tuple[Curve, Curve]:
+    # at lam = -5 the normal offset is unit-speed at t = 0 only
+    c = _turning(speed_from)
+    return c, offset_along_normal(c, -5.0)
+
+
+def _turning_and_binormal_offset() -> tuple[Curve, Curve]:
+    # the binormal offset of a plane curve translates it: both lose unit speed at 0.2
+    cstar = _turning(0.15)
+    return offset_along_binormal(cstar, 2.0), cstar
+
+
 @pytest.mark.parametrize(
-    "c_speed_from, cstar_speed_from, failing",
-    [(math.inf, 0.15, "C*"), (0.15, math.inf, "C"), (0.15, 0.15, "C")],
+    "curves, failing, at",
+    [
+        (lambda: (_turning(), _turning(0.15)), "C*", "s=0.2"),
+        (lambda: (_turning(0.15), _turning()), "C", "s=0.2"),
+        (lambda: (_turning(0.15), _turning(0.15)), "C", "s=0.2"),
+        # C* is an offset of C: one pass of C serves both, and C fails in it at 0.4 (or
+        # 0.2), beneath C*, yet C*'s own earlier row comes first
+        (lambda: _normal_offset_of_turning(math.inf), "C*", "s=0.1"),
+        (lambda: _normal_offset_of_turning(0.15), "C*", "s=0.1"),
+        # C is an offset of C*, and both fail at one row: the base's error comes first
+        (_turning_and_binormal_offset, "C*", "s=0.2"),
+    ],
+    ids=["cstar-first", "c-first", "tie", "offset-cstar", "offset-cstar-stretched", "offset-c-tie"],
 )
-def test_pair_frames_raise_the_error_of_the_first_bad_point(
-    c_speed_from, cstar_speed_from, failing
-):
+def test_pair_frames_raise_the_error_of_the_first_bad_point(curves, failing, at):
     # _turning loses its frame at 0.4, and its unit speed at 0.2 when
     # stretched from 0.15
     ts = np.linspace(0.0, 1.0, 11).tolist()
 
     def pair():
-        c, cstar = _turning(c_speed_from), _turning(cstar_speed_from)
+        c, cstar = curves()
         c.label, cstar.label = "C", "C*"
         return _hand_built_pair(c, cstar)
 
@@ -328,7 +349,7 @@ def test_pair_frames_raise_the_error_of_the_first_bad_point(
         PairSamples(pair(), ts).frames
     assert str(grid.value) == str(point)
     assert str(point).startswith(f"{failing!r} ") or f"of {failing!r} " in str(point)
-    assert "s=0.2" in str(point) or "s=0.4" in str(point)
+    assert f"{at} " in str(point) or str(point).endswith(at)
 
 
 def test_hand_built_pair_rows_equal_one_row_samples():

@@ -4,7 +4,6 @@ import gc
 import json
 import math
 import re
-import sys
 import weakref
 from types import SimpleNamespace
 
@@ -516,10 +515,11 @@ class TestGenuinePairs:
     def test_torsion_is_evaluated_once_per_jet(self):
         # kappa_fn reads the torsion of the jet that the synthesis and the
         # scalar jets then hand to tau_fn: one evaluation serves both.  A
-        # build evaluates it four times: synthesis, the arc-length table's
+        # build evaluates it three times: synthesis, the arc-length table's
         # single pass of the offset's squares (which also classifies its
-        # tangent), and the pair type, once for the companion's frames and
-        # once for the curve's own scalar jet.
+        # tangent), and the pair type, whose one pass of the curve gives its
+        # own kind and the companion's derivatives.  The suite's one pass of
+        # the curve evaluates it once.
         calls = []
 
         def tau_fn(s):
@@ -527,10 +527,10 @@ class TestGenuinePairs:
             return 0.8 - 0.2 * s
 
         pair = exact_partner_pair(CurveKind.SPACELIKE_EPS_MINUS, tau_fn, 0.3, step=1e-3, table_size=512)
-        assert calls == ["Jet2"] * 4
+        assert calls == ["Jet2"] * 3
         calls.clear()
         _run_pair_suite(pair, 201, None)
-        assert calls == ["Jet2"] * 2
+        assert calls == ["Jet2"]
 
     def test_failing_torsion_abscissa_is_named_as_before(self):
         tau = parse_expr("0.8 + 0.01/(s - 0.5)^2")
@@ -654,36 +654,45 @@ class TestAngleRateChain:
         assert rep.verdict is Verdict.PASS
         assert rep.max_residual <= 1e-13
 
-    def test_suite_nests_one_base_extraction_per_offset_frame(
+    def test_suite_extracts_base_and_offset_once_each_without_nesting(
         self, exact_pair_type3, example1, example2, monkeypatch
     ):
-        # The one nesting left is an offset reading its base's frames: each
-        # extraction on the offset side extracts the base once beneath it,
-        # and nothing nests deeper, whether the base's scalar jet is a
-        # prescription's, a built-in's or one chained through a table.
+        # The base makes one pass, one frenet_frames, and the offset's frames
+        # are extracted from the derivatives formed from it: each curve's
+        # frames are extracted once and no frenet_frames runs inside another,
+        # whether the base's scalar jet is a prescription's, a built-in's or
+        # one chained through a table.
         depth = [0]
-        calls = collections.Counter()
-        extract = frenet.frenet_frames
+        frames, extractions = collections.Counter(), collections.Counter()
+        outer, extract = frenet.frenet_frames, frenet._extract
 
         def tracked(c, s, *rest):
             depth[0] += 1
-            calls[depth[0], c.label] += 1
+            frames[depth[0], c.label] += 1
             try:
-                return extract(c, s, *rest)
+                return outer(c, s, *rest)
             finally:
                 depth[0] -= 1
 
+        def counted(label, *rest):
+            extractions[label] += 1
+            return extract(label, *rest)
+
         for module in (frenet, mannheim, indicatrix_module):
             monkeypatch.setattr(module, "frenet_frames", tracked)
+        for module in (frenet, mannheim):
+            monkeypatch.setattr(module, "_extract", counted)
         unit = reparametrize_unit(builtin_curve("paper-example-1"), 256)
         # a copy starts without samples, so every frame extraction runs again
         pairs = [dataclasses.replace(exact_pair_type3)]
         pairs += [MannheimPair.from_binormal_offset(base, 20.0) for base in (example1, example2, unit)]
         for pair in pairs:
-            calls.clear()
+            frames.clear()
+            extractions.clear()
             assert len(_run_pair_suite(pair, 11, None)) == 12
             base, offset = sorted((pair.c, pair.cstar), key=lambda c: len(c.label))
-            assert dict(calls) == {(1, base.label): 2, (1, offset.label): 1, (2, base.label): 1}
+            assert dict(frames) == {(1, base.label): 1}
+            assert dict(extractions) == {base.label: 1, offset.label: 1}
 
 
 class TestUnmetHypothesis:
@@ -901,21 +910,20 @@ class TestPairSamples:
 
     @staticmethod
     def _extractions(monkeypatch, pair):
-        """Sizes of the grids on which frames of C (by ``PairSamples.frames``)
-        and of C* at the raw parameters are extracted; C*'s offset reads C's
-        frames at the same parameters, which are not counted."""
+        """Sizes of the grids on which frames of C and of C* at the raw
+        parameters are extracted from their derivatives, by the base's pass
+        or from the derivatives its offset forms from that pass."""
         grids = {"c": [], "cstar": []}
-        extract = mannheim.frenet_frames
-        frames = PairSamples.frames.func.__code__
+        names = {pair.c.label: "c", pair.cstar_raw.label: "cstar"}
+        extract = frenet._extract
 
-        def counted(c, s, *args, **kwargs):
-            if c is pair.cstar_raw:
-                grids["cstar"].append(len(s))
-            elif c is pair.c and sys._getframe(1).f_code is frames:
-                grids["c"].append(len(s))
-            return extract(c, s, *args, **kwargs)
+        def counted(label, s, *jets):
+            if label in names:
+                grids[names[label]].append(len(s))
+            return extract(label, s, *jets)
 
-        monkeypatch.setattr(mannheim, "frenet_frames", counted)
+        for module in (frenet, mannheim):
+            monkeypatch.setattr(module, "_extract", counted)
         return grids
 
     def test_suite_extracts_each_curve_once_and_builds_no_frame(self, exact_pair_type3, monkeypatch):
@@ -1026,18 +1034,21 @@ class TestPairSamples:
             linear.report(pair.samples(11))
 
     def test_an_audited_pair_is_freed_without_a_collection(self, example1):
-        # the pair keeps no samples, and a curve on arc length refers to its
-        # chain but not back: no reference cycle keeps an audited pair or its
+        # the pair keeps no samples, a curve on arc length refers to its chain
+        # but not back, and an offset's evaluators refer to its base but not
+        # to the offset: no reference cycle keeps an audited pair or its
         # curves alive until a full collection
         pair = MannheimPair.from_shared_parameter(
             offset_along_binormal(example1, 20.0), offset_along_normal(example1, -0.5), 1.0, 256
         )
         assert len(_run_pair_suite(pair, 11, None)) == 12
-        refs = [weakref.ref(x) for x in (pair, pair.c, pair.c.raw, pair.cstar, pair.cstar_raw)]
+        curves = (pair, pair.c, pair.c.raw, pair.c.raw.base, pair.cstar, pair.cstar_raw, pair.cstar_raw.base)
+        refs = [weakref.ref(x) for x in curves]
+        del curves
         gc.disable()
         try:
             del pair
-            assert [ref() for ref in refs] == [None] * 5
+            assert [ref() for ref in refs] == [None] * 7
         finally:
             gc.enable()
 

@@ -45,11 +45,12 @@ def counts(monkeypatch):
         return wrapper
 
     # module functions are counted in every module that calls them by name
-    for name, modules in (
-        ("frenet_frames", (frenet, mannheim, indicatrix)),
-        ("scalar_jets", (frenet, mannheim)),
+    for name, modules, label in (
+        ("frenet_frames", (frenet, mannheim, indicatrix), "frenet_frames"),
+        ("scalar_jets", (frenet, mannheim), "scalar_jets"),
+        ("_extract", (frenet, mannheim), "frame extractions"),
     ):
-        wrapper = counted(name, getattr(frenet, name))
+        wrapper = counted(label, getattr(frenet, name))
         for module in modules:
             monkeypatch.setattr(module, name, wrapper)
     for cls, attr, name in (
@@ -62,30 +63,36 @@ def counts(monkeypatch):
     return seen
 
 
-# Per build plus suite.  Frames: C* of a reference pair is built-in and C of
-# an exact pair synthesized, so their pair type reads scalar jets; the other
-# side's kind takes one extraction of it and one of its base (2), the suite's
-# frames 3 and the distance identity's positions 1.  The tangent is classified
-# on the arc-length table's own pass of closed-form squares, which calls no
-# Curve.speeds: the one call is the suite's rate map.  A pair builds one
-# arc-length table, C's, and that table one PCHIP, its map from s to t: C* is
-# evaluated at the shared t through its unit-speed chain, whose table is built
-# only when ``pair.cstar`` is read.  C of an exact pair is unit-speed, so that
-# pair builds none.
+# Per build plus suite.  One curve of each pair is an offset of the other:
+# C of a reference pair offsets its built-in C*, and C* of an exact pair its
+# synthesized C.  The base makes one pass per grid, twice: at build, on the 9
+# points whose kinds give the pair type, and in the suite, on its grid.  A
+# pass is one frenet_frames of the base, which reads its jets (one
+# Curve._grid), and its order-2 scalar jet; the offset's derivatives, its
+# positions and its squares are formed from that pass, so the offset's
+# frames are one more frame extraction and nest none.  The third
+# scalar_jets is the arc-length table's single pass of the offset's
+# closed-form squares, which also classifies its tangent; the third
+# Curve._grid is the base's positions for the distance identity.  The rates
+# read the offset's squares from the suite's pass, so nothing calls
+# Curve.speeds.  A pair builds one arc-length table, C's, and that table one
+# PCHIP, its map from s to t: C* is evaluated at the shared t through its
+# unit-speed chain, whose table is built only when ``pair.cstar`` is read.
+# C of an exact pair is unit-speed, so that pair builds none.
 BUDGET = {
-    "frenet_frames": 6,
-    "scalar_jets": 6,
-    "Curve._grid": 12,
-    "Curve.speeds": 1,
+    "frenet_frames": 2,
+    "frame extractions": 4,
+    "scalar_jets": 3,
+    "Curve._grid": 3,
     "image_residuals": 2,
 }
 
 
 # Over the reparametrized built-in, C* answers from the built-in's scalar jet
 # chained through its table, so it extracts no more frames; the built-in
-# beneath it is evaluated once per grid of C* (6), once per order-2 scalar
+# beneath it is evaluated once per grid of C* (3), once per order-2 scalar
 # jet of C* (2) and once by its table (1), and that table builds one PCHIP.
-REPARAMETRIZED_GRIDS = BUDGET["Curve._grid"] + 9
+REPARAMETRIZED_GRIDS = BUDGET["Curve._grid"] + 6
 
 
 @pytest.mark.parametrize(
