@@ -14,6 +14,12 @@ Curve specs accepted by ``--curve/-c`` and ``--cstar``:
 
 KIND is one of timelike, spacelike+, spacelike-.  Expressions use the
 grammar documented in the README (no unary minus; write ``0-x``).
+
+A command imports only what it runs: this module loads the curve, frame and
+expression layers that resolving a curve spec needs, and a command imports
+the offsets, the pair audit (``mannheim``, with ``reports``) or the
+spherical images (``indicatrix``) when it runs.  No curve command loads the
+audit.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import json
 import math
 import re
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -43,9 +49,10 @@ from .expr import parse_expr
 from .frenet import (
     UNIT_SPEED_TOL, CurveKind, FrameGrid, frame_gram_residual, frenet_apparatus, frenet_synthesize
 )
-from .indicatrix import indicatrix_of
-from .mannheim import IDENTITIES, MannheimPair, offset_along_binormal, offset_along_normal
-from .reports import VerificationReport, Verdict
+
+if TYPE_CHECKING:
+    from .mannheim import MannheimPair
+    from .reports import VerificationReport
 
 _KINDS = {kind.value: kind for kind in CurveKind}
 
@@ -149,6 +156,8 @@ def _run_pair_suite(pair: MannheimPair, grid_n: int, tol: float | None) -> list[
     frame-angle-rate, which keeps its published 1e-4, and
     center-ratio-nonconstancy, whose threshold comes from its own profile.
     """
+    from .mannheim import IDENTITIES
+
     samples = pair.samples(grid_n)
     return [row.report(samples, tol) for row in IDENTITIES]
 
@@ -157,6 +166,8 @@ def _audit(pair: MannheimPair, grid_n: int, tol: float | None, out: str | None) 
     """Run the suite, print one line per report and write the JSON array to
     ``out``; the exit code is 1 on any Fail verdict.  A report whose max or mean
     residual, tolerance or float detail is not finite raises ValueError first."""
+    from .reports import Verdict
+
     reports = _run_pair_suite(pair, grid_n, tol)
     for r in reports:
         numbers = (r.max_residual, r.mean_residual, r.tolerance, *r.details.values())
@@ -197,6 +208,8 @@ def _cmd_frenet(args) -> int:
 
 
 def _cmd_offset(args) -> int:
+    from .offset import offset_along_binormal, offset_along_normal
+
     if (args.curve is None) == (args.cstar is None):
         raise SpecError("offset needs exactly one of --curve (normal) or --cstar (binormal)")
     if args.cstar is not None:
@@ -223,6 +236,8 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_pair_verify(args) -> int:
+    from .mannheim import MannheimPair
+
     c = resolve_curve_spec(args.c)
     cstar = resolve_curve_spec(args.cstar)
     pair = MannheimPair.from_shared_parameter(c, cstar, args.lam)
@@ -230,6 +245,8 @@ def _cmd_pair_verify(args) -> int:
 
 
 def _cmd_indicatrix(args) -> int:
+    from .indicatrix import indicatrix_of
+
     c = _ensure_unit(resolve_curve_spec(args.curve))
     ind = indicatrix_of(c, args.which)
     _write_samples(ind.samples(args.grid), args.out)
@@ -237,6 +254,8 @@ def _cmd_indicatrix(args) -> int:
 
 
 def _cmd_examples(args) -> int:
+    from .mannheim import MannheimPair
+
     name = f"paper-example-{args.number}"
     cstar = builtin_curve(name)
     pair = MannheimPair.from_binormal_offset(cstar, args.lam)

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,8 +134,33 @@ def sqrt(x):
 class Expr:
     """Base class of expression nodes.
 
-    ``eval`` takes a float or a ``Jet2`` and returns the same kind.
+    ``eval`` takes a float or a ``Jet2`` and returns the same kind.  A node is
+    immutable: its fields, the names in its class's ``__slots__``, are set
+    once by position, and two nodes are equal when they are of one class
+    with equal fields, so a tree compares by structure.
     """
+
+    __slots__ = ()
+
+    def __init__(self, *fields) -> None:
+        for name, value in zip(self.__slots__, fields, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash((type(self), self._fields()))
 
     def eval(self, s):
         raise NotImplementedError
@@ -160,9 +184,8 @@ class Expr:
         return ExprDomainError(f"{self} is undefined at s={s!r} ({exc.args[-1]})")
 
 
-@dataclass(frozen=True)
 class Num(Expr):
-    value: float
+    __slots__ = ("value",)
 
     def eval(self, s: float) -> float:
         return self.value
@@ -173,8 +196,9 @@ class Num(Expr):
         return repr(self.value)
 
 
-@dataclass(frozen=True)
 class Var(Expr):
+    __slots__ = ()
+
     def eval(self, s: float) -> float:
         return s
 
@@ -182,11 +206,8 @@ class Var(Expr):
         return "s"
 
 
-@dataclass(frozen=True)
 class BinOp(Expr):
-    op: str
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")
 
     def eval(self, s: float) -> float:
         try:
@@ -198,10 +219,8 @@ class BinOp(Expr):
         return f"({self.left} {self.op} {self.right})"
 
 
-@dataclass(frozen=True)
 class Func(Expr):
-    name: str
-    arg: Expr
+    __slots__ = ("name", "arg")
 
     def eval(self, s: float) -> float:
         try:
@@ -214,10 +233,8 @@ class Func(Expr):
         return f"{self.name}({self.arg})"
 
 
-@dataclass(frozen=True)
 class Pow(Expr):
-    base: Expr
-    exponent: int
+    __slots__ = ("base", "exponent")
 
     def eval(self, s: float) -> float:
         try:

@@ -9,8 +9,6 @@ differencing the field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .curve import Curve, CurveSamples, _grid_samples
@@ -37,12 +35,11 @@ def _field_rates(f: FrameGrid, which: str) -> np.ndarray:
     return np.sqrt(np.abs(eps_t * f.kappa * f.kappa + eps_b * f.tau * f.tau))
 
 
-@dataclass
 class Indicatrix:
     """Spherical image of the frame field ``source`` of a base curve."""
 
-    source: str
-    base: Curve
+    def __init__(self, source: str, base: Curve) -> None:
+        self.source, self.base = source, base
 
     def samples(self, n: int) -> CurveSamples:
         """n uniform samples of the image, endpoints included, from frames extracted in chunks."""

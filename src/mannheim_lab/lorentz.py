@@ -10,7 +10,6 @@ arrays, so it is safe to use concurrently without coordination.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -34,13 +33,21 @@ __all__ = [
 NULL_BAND_TOL = 1e-12
 
 
-@dataclass(frozen=True, slots=True)
 class Vec3L:
-    """One vector of a synthesis start frame in Minkowski 3-space; x1 is the timelike axis."""
+    """One vector of a synthesis start frame in Minkowski 3-space; x1 is the timelike axis.
+    Immutable: its components are set once, and ``__post_init__`` checks them."""
 
-    x1: float
-    x2: float
-    x3: float
+    __slots__ = ("x1", "x2", "x3")
+
+    def __init__(self, x1: float, x2: float, x3: float) -> None:
+        for name, c in zip(self.__slots__, (x1, x2, x3)):
+            object.__setattr__(self, name, c)
+        self.__post_init__()
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Vec3L")
+
+    __delattr__ = __setattr__
 
     def __post_init__(self) -> None:
         for c in (self.x1, self.x2, self.x3):

@@ -1,4 +1,4 @@
-"""Partner-curve offsets, pair classification, and identity audits.
+"""Partner pairs, pair classification, and identity audits.
 
 A partner pair couples a curve C with a companion C* through a point
 correspondence; the defining property under audit is that the principal
@@ -8,9 +8,10 @@ property, and ``IDENTITIES`` publishes a residual profile for each of the
 catalogued scalar identities.
 
 Both partner constructions, C* = C - lam N and C = C* + lam B*, are one
-offset a + lam e along a frame field e of a unit-speed base (``_offset``);
-its tangent has frame coordinates e_T + lam e M for the frame equations
-F' = M F, and ``frenet._frame_chain`` gives its higher derivatives.
+offset a + lam e along a frame field e of a unit-speed base, built by the
+``offset`` module; ``offset_along_binormal`` and ``offset_along_normal`` are
+importable from here too.  Where one curve of a pair is an offset of the
+other, ``PairSamples`` forms the offset's columns from one pass of the base.
 
 Each pair type is one ``PairTypeSpec`` row (``MannheimPairType.spec``): the
 causal characters of (C*, C), the kind of its tangent decomposition, and
@@ -36,7 +37,7 @@ import functools
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,18 +49,13 @@ from .errors import (
     NegativeConditionValueError,
     UnsupportedCombinationError,
     VanishingTorsionError,
-    ZeroLambdaError,
     raise_first,
 )
 from .frenet import (
     CurveKind,
     FrameGrid,
-    ScalarJets,
-    _along,
     _extract,
-    _frame_chain,
     _one_kind,
-    _rates,
     constant_kind,
     frenet_apparatus,  # noqa: F401 - still importable from this module
     frenet_frames,
@@ -70,6 +66,7 @@ from .frenet import (
 from .expr import sqrt
 from .indicatrix import RATE_TOL, _field_rates
 from .lorentz import cross_rows, euclidean_rows, inner_rows, norm_rows, power_rows
+from .offset import _check_lambda, offset_along_binormal, offset_along_normal
 from .reports import VerificationReport, Verdict
 
 __all__ = [
@@ -133,8 +130,7 @@ def _term(signed: str, x, s_comp, c_comp):
     return (sign * x) * (s_comp if signed[1] == "s" else c_comp)
 
 
-@dataclass(frozen=True)
-class PairTypeSpec:
+class PairTypeSpec(NamedTuple):
     """One pair type: the kinds of (C*, C) and the sign pattern of its identities.
 
     With x[a] the signed component named a (see ``_term``):
@@ -206,83 +202,6 @@ _SPECS = tuple(
          "companion spacelike with timelike principal normal; curve spacelike with timelike binormal"),
     )
 )
-
-
-def _check_lambda(lam: float) -> None:
-    if lam == 0.0 or not np.isfinite(lam):
-        raise ZeroLambdaError("offset distance must be finite and nonzero")
-
-
-def _offset(base: Curve, lam: float, axis: int, label: str) -> Curve:
-    """The curve t -> a(t) + lam e(t), e the frame field ``axis`` (1: N, 2: B) of ``base``,
-    which must be unit-speed with nonvanishing curvature and carry a scalar jet.  The result is
-    generally not unit-speed; ``PairSamples.collinearity`` and the ``distance-constancy`` row
-    audit whether it is a partner.  Its ``frame_offset`` forms every column from one pass of
-    the base at the same parameters: a call of the curve makes its own, ``PairSamples`` one for
-    a pair.  That map refers to the base but not to the curve, so no reference cycle holds it."""
-    _check_lambda(lam)
-    m = _FrameOffset(base, lam, axis)
-    out = Curve(m.on_own_pass, base.domain, label, squares=lambda t: m.squares_from(scalar_jets(base, t, 0)))
-    out.frame_offset = m
-    return out
-
-
-class _FrameOffset:
-    """a + lam e from a pass of the base: its frames ``f``, scalar jet ``jets`` and positions ``a``.
-
-    With F = (T, N, B) and F' = M F, the tangent is x F for x = e_T + lam e M (e_T and e the
-    coordinates of T and of the field), which ``frenet._frame_chain`` differentiates through the
-    frame equations, so nothing is differenced; a coordinate that e's zeros make vanish is the
-    float 0.0 and forms no product.  <a', a'> is sum_i eps_i x_i^2, from the base scalars alone.
-    """
-
-    def __init__(self, base: Curve, lam: float, axis: int):
-        self.base, self.lam, self.axis = base, lam, axis
-
-    def on_own_pass(self, ts: np.ndarray, order: int):
-        f = frenet_frames(self.base, ts)
-        if order == 0:
-            return self.positions_from(f, self.base.positions(ts))
-        return self.jets_from(f, scalar_jets(self.base, ts, 0 if order == 1 else 2))
-
-    def positions_from(self, f: FrameGrid, a: np.ndarray) -> np.ndarray:
-        return a + (f.N, f.B)[self.axis - 1] * self.lam
-
-    def tangent(self, jets) -> tuple:
-        """Base signs, M's entries and the jet (x, x', x'')[: order + 1] of the tangent."""
-        kinds, kappa, tau = jets
-        signs = kind_signs(kinds)
-        # Row j of M's entries is M^(j), of kappa^(j) and tau^(j); row j of x, lam e M^(j) (+ e_T).
-        m = _rates(np.array(kappa), np.array(tau), *signs[3:])
-        if self.axis == 1:  # e M = (c_n kappa, 0, tau)
-            x = [(a, 0.0, b) for a, b in zip(self.lam * m[0], self.lam * m[3])]
-        else:  # e M = (0, c_b tau, 0)
-            x = [(0.0, y, 0.0) for y in self.lam * m[2]]
-        x[0] = (x[0][0] + np.ones(len(kinds)), *x[0][1:])
-        return signs, m, x
-
-    def jets_from(self, f: FrameGrid, jets):
-        """The tangents from a scalar jet of order 0, the jet (d1, d2, d3) from one of order 2."""
-        _, m, x = self.tangent(jets)
-        frame = (f.T, f.N, f.B)
-        if len(x) == 1:
-            return _along(x[0], *frame)
-        m0, m1, _ = zip(*m)  # the entries of M and of M'
-        return tuple(_along(y, *frame) for y in (x[0], *_frame_chain(x, m0, m1)))
-
-    def squares_from(self, jets) -> np.ndarray:
-        signs, _, (x, *_) = self.tangent(jets)
-        return sum(eps * (x_i * x_i) for eps, x_i in zip(signs, x) if isinstance(x_i, np.ndarray))
-
-
-def offset_along_binormal(cstar: Curve, lam: float) -> Curve:
-    """The curve s* -> a*(s*) + lam * B*(s*) of a unit-speed ``cstar`` (see ``_offset``)."""
-    return _offset(cstar, lam, 2, f"{cstar.label}+({lam:g})B")
-
-
-def offset_along_normal(c: Curve, lam: float) -> Curve:
-    """The curve s -> a(s) - lam * N(s); same contract as the binormal offset."""
-    return _offset(c, -lam, 1, f"{c.label}-({lam:g})N")
 
 
 def classify_pair(c: Curve, cstar: Curve) -> MannheimPairType:
@@ -444,15 +363,21 @@ class PairSamples:
     spec = property(lambda self: self.pair.pair_type.spec, doc="The row of the pair's type.")
 
     @cached_property
+    def grid_list(self) -> list[float]:
+        """The grid as a list, the one every report on these samples holds."""
+        return self.grid.tolist()
+
+    @cached_property
     def t(self) -> np.ndarray:
         """The grid's raw parameters: itself if C is its own raw parameter, else by C's table."""
         return self.grid if self.c is self.c_raw else self.c.arc_table.t_of_s(self.grid)
 
     @cached_property
-    def base_pass(self) -> tuple[np.ndarray, FrameGrid, ScalarJets]:
-        """``t`` in the offset's domain, and the base's frames and order-2 scalar jet there."""
-        t, base = self.offset._check_domain(self.t), self.offset.frame_offset.base
-        return t, frenet_frames(base, t), scalar_jets(base, t, 2)
+    def base_pass(self) -> tuple[np.ndarray, FrameGrid, tuple]:
+        """``t`` in the offset's domain, the base's frames there, and the offset's tangent
+        coordinates (``offset._FrameOffset.tangent``) from the base's order-2 scalar jet."""
+        t, m = self.offset._check_domain(self.t), self.offset.frame_offset
+        return t, frenet_frames(m.base, t), m.tangent(scalar_jets(m.base, t, 2))
 
     @cached_property
     def frames(self) -> tuple[FrameGrid, FrameGrid]:
@@ -464,9 +389,9 @@ class PairSamples:
             if (o := self.offset) is None:
                 return frenet_frames(self.c, self.grid), frenet_frames(self.cstar, self.t)
             self.c._check_domain(self.grid)
-            (t, f, jets), m = self.base_pass, o.frame_offset
+            (t, f, tangent), m = self.base_pass, o.frame_offset
             x, s = (self.cstar, self.t) if m.base is self.c else (self.c, self.grid)
-            d = o._finite(t, 3, m.jets_from(f, jets))
+            d = o._finite(t, 3, m.jets_from(f, tangent))
             if x is not o:  # the offset's chain, or that chain on its arc length
                 d = x._finite(x._check_domain(s), 3, _unit_jets(*d))
             g = _extract(x.label, s, *d)
@@ -532,7 +457,7 @@ class PairSamples:
     @cached_property
     def rates(self) -> np.ndarray:
         """ds*/ds at ``t``, the ratio of the raw inputs' speeds (1 for a unit-speed input); an
-        offset's are the roots of its squares from the base pass's scalar jet."""
+        offset's are the roots of its squares from the base pass's tangent coordinates."""
         speeds = [self._speeds(x) for x in (self.cstar, self.c_raw)]
         return np.array(np.broadcast_to(speeds[0] / speeds[1], self.t.shape), dtype=float)
 
@@ -541,9 +466,9 @@ class PairSamples:
             return 1.0
         if x.base is not self.offset:
             return x.base.speeds(self.t)
-        t, _, jets = self.base_pass
+        t, _, tangent = self.base_pass
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named by _finite
-            return np.sqrt(np.abs(x.base._finite(t, 2, x.base.frame_offset.squares_from(jets))))
+            return np.sqrt(np.abs(x.base._finite(t, 2, x.base.frame_offset.squares_from(tangent))))
 
     @cached_property
     def dtheta(self) -> np.ndarray:
@@ -722,8 +647,7 @@ class _Policy(Enum):
     NONCONSTANT = "non-constancy"  # Pass when the profile varies; see _nonconstancy
 
 
-@dataclass(frozen=True)
-class _Identity:
+class _Identity(NamedTuple):
     """One row of the audit: a report's name, its residual column over
     ``PairSamples`` (NaN where undefined), its default tolerance and its
     verdict policy.  ``tunable`` says whether ``--tol`` replaces the
@@ -766,7 +690,7 @@ class _Identity:
             details = {"hypothesis_residual": worst, **details}
             if not (met and self.policy is _Policy.GATED):
                 verdict = Verdict.REPORTED
-        return VerificationReport(self.name, p.grid.tolist(), profile, tol, verdict, details)
+        return VerificationReport(self.name, p.grid_list, profile, tol, verdict, details)
 
 
 def _nonconstancy(p: PairSamples) -> tuple[float, Verdict, dict]:
@@ -841,8 +765,7 @@ IDENTITIES = (
 # of C* lies along N exactly when kappa = lam (c_n kappa^2 + c_b tau^2).
 
 
-@dataclass(frozen=True)
-class MannheimCurveTest:
+class MannheimCurveTest(NamedTuple):
     """The partner equation solved for lam along a candidate curve."""
 
     constant: bool

@@ -11,7 +11,6 @@ described by ``docs/report.schema.json``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
 
@@ -24,20 +23,25 @@ class Verdict(Enum):
     REPORTED = "Reported"
 
 
-@dataclass
 class VerificationReport:
-    identity: str
-    grid: list[float]
-    residuals: list[float | None]
-    tolerance: float
-    verdict: Verdict
-    details: dict[str, Any] = field(default_factory=dict)
+    """One identity's residual profile on a grid, its tolerance, verdict and details."""
 
-    def __post_init__(self) -> None:
-        if len(self.grid) != len(self.residuals):
+    def __init__(
+        self,
+        identity: str,
+        grid: list[float],
+        residuals: list[float | None],
+        tolerance: float,
+        verdict: Verdict,
+        details: dict[str, Any] | None = None,
+    ) -> None:
+        if len(grid) != len(residuals):
             raise ValueError("grid and residuals must have equal length")
-        if not self.residuals:
+        if not residuals:
             raise ValueError("empty residual profile")
+        self.identity, self.grid, self.residuals = identity, grid, residuals
+        self.tolerance, self.verdict = tolerance, verdict
+        self.details = {} if details is None else details
 
     def _summary(self) -> tuple[float | None, float | None]:
         """Max and mean of the defined residuals, from one list of them; the

@@ -841,6 +841,44 @@ class TestImportPath:
         assert proc.stdout.splitlines() == ["[]", "(0.0, 1.0) True"]
 
 
+    # Each command in a child of its own: (argv, loads mannheim, loads indicatrix).
+    COMMANDS = {
+        "classify": (["classify", "--curve", "paper-example-1"], False, False),
+        "export-plot": (["export-plot", "--curve", "paper-example-2", "--out", "OUT"], False, False),
+        "frenet": (["frenet", "--curve", "paper-example-1", "--at", "0.5"], False, False),
+        "synthesize": (["synthesize", "--kind", "timelike", "--kappa", "1", "--tau", "0.5"], False, False),
+        "indicatrix": (["indicatrix", "--curve", "paper-example-1", "--which", "N"], False, True),
+        "offset-curve": (["offset", "--curve", "paper-example-2", "--lambda", "5"], False, False),
+        "offset-cstar": (["offset", "--cstar", "paper-example-2", "--lambda", "5"], False, False),
+        "examples": (["examples", "run", "1"], True, True),
+    }
+
+    def test_a_command_loads_only_the_modules_it_runs(self, tmp_path):
+        script = (
+            "import contextlib, io, json, sys\n"
+            "import mannheim_lab.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(sys.argv[1:])\n"
+            "print(json.dumps([code, sorted(k for k in sys.modules if k.startswith('mannheim_lab.'))]))\n"
+        )
+        children = {
+            name: subprocess.Popen(
+                [sys.executable, "-c", script, *(str(tmp_path / name) if a == "OUT" else a for a in argv)],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            )
+            for name, (argv, _, _) in self.COMMANDS.items()
+        }
+        for name, child in children.items():
+            out, err = child.communicate()
+            assert child.returncode == 0, err
+            code, loaded = json.loads(out)
+            _, audit, images = self.COMMANDS[name]
+            assert code == 0, name
+            assert ("mannheim_lab.mannheim" in loaded, "mannheim_lab.reports" in loaded) == (audit, audit), name
+            assert ("mannheim_lab.indicatrix" in loaded) is images, name
+            assert ("mannheim_lab.offset" in loaded) is (audit or name.startswith("offset")), name
+
+
 class TestJsonOutput:
     def test_non_finite_value_is_refused(self, tmp_path):
         from mannheim_lab.cli import _emit_json

@@ -15,6 +15,7 @@ from _oracle_constants import ORACLE
 from conftest import REPORT_SCHEMA, central_difference, closed_form_curve
 from mannheim_lab import frenet, mannheim
 from mannheim_lab import indicatrix as indicatrix_module
+from mannheim_lab import offset as offset_module
 from mannheim_lab.builtins import builtin_curve
 from mannheim_lab.cli import _run_pair_suite
 from mannheim_lab.curve import reparametrize_unit
@@ -952,6 +953,27 @@ class TestPairSamples:
         _run_pair_suite(pair, 11, None)
         _run_pair_suite(pair, 21, None)
         assert grids == {"c": [11, 21], "cstar": [11, 21]}
+
+    def test_reports_of_a_suite_share_one_grid_list(self, exact_pair_type3):
+        reports = _run_pair_suite(exact_pair_type3, 201, None)
+        assert all(r.grid is reports[0].grid for r in reports)
+        assert reports[0].grid == np.linspace(*exact_pair_type3.c.domain, 201).tolist()
+        assert _run_pair_suite(exact_pair_type3, 201, None)[0].grid is not reports[0].grid
+
+    @pytest.mark.parametrize("which", ["example1_pair", "exact_pair_type3"])
+    def test_suite_forms_the_offset_tangent_once(self, which, request, monkeypatch):
+        # the base pass's tangent coordinates serve both the offset's frames and the rates
+        pair = dataclasses.replace(request.getfixturevalue(which))
+        calls = []
+        tangent = offset_module._FrameOffset.tangent
+
+        def counted(self, jets):
+            calls.append(len(jets[0]))
+            return tangent(self, jets)
+
+        monkeypatch.setattr(offset_module._FrameOffset, "tangent", counted)
+        _run_pair_suite(pair, 101, None)
+        assert calls == [101]
 
     def test_replaced_copy_starts_empty(self, exact_pair_type2):
         # samples of a relabelled copy hold no column computed for the
