@@ -35,7 +35,6 @@ _EXPORTS = {
         "MannheimPair",
         "MannheimPairType",
         "PairSamples",
-        "classify_pair",
         "exact_partner_pair",
         "mannheim_curve_test",
     ),

@@ -36,10 +36,7 @@ def _helix(
         ch = np.fromiter(map(math.cosh, ts.tolist()), float, len(ts))
         if order == 0:
             return vec_rows(p * sh, q * ch, r * ts)
-        d1 = vec_rows(p * ch, q * sh, r)
-        if order == 1:
-            return d1
-        return d1, vec_rows(p * sh, q * ch, 0.0), vec_rows(p * ch, q * sh, 0.0)
+        return vec_rows(p * ch, q * sh, r), vec_rows(p * sh, q * ch, 0.0), vec_rows(p * ch, q * sh, 0.0)
 
     def scalars(ts: np.ndarray, order: int) -> ScalarJets:
         n = len(ts)

@@ -19,7 +19,7 @@ A command imports only what it runs: this module loads the curve, frame and
 expression layers that resolving a curve spec needs, and a command imports
 the offsets, the pair audit (``mannheim``, with ``reports``) or the
 spherical images (``indicatrix``) when it runs.  No curve command loads the
-audit.
+audit, and no pair command the images.
 """
 
 from __future__ import annotations

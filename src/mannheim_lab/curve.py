@@ -33,7 +33,7 @@ from .errors import (
     TableSizeError,
     raise_first,
 )
-from .lorentz import NULL_BAND_TOL, CausalCharacter, causal_characters, inner_rows, norm_rows, power_rows
+from .lorentz import NULL_BAND_TOL, CausalCharacter, causal_characters, inner_rows, power_rows
 
 __all__ = [
     "Curve",
@@ -68,19 +68,19 @@ def _first_points(x: np.ndarray) -> np.ndarray:
     return np.concatenate((x, xm, 0.5 * (x0 + xm), 0.5 * (xm + x2)))
 
 
-def _adaptive_pieces(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, eps: float, first=None):
+def _adaptive_pieces(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, eps: float, first: np.ndarray):
     """Adaptive Simpson integral of ``f`` over each piece ``[x[i], x[i+1]]``.
 
-    ``f`` maps an array of abscissae to its values.  One call evaluates ``_first_points(x)``,
-    unless ``first`` holds those values, so each node's value serves both of its pieces; each
-    deeper level costs one more call, on the quarter points of the pieces still open.
+    ``f`` maps an array of abscissae to its values, and ``first`` holds its values at
+    ``_first_points(x)``, so each node's value serves both of its pieces; each deeper level
+    costs one call, on the quarter points of the pieces still open.
     The halves are summed back in the order of the recursive algorithm (at
     most 48 levels, ``eps`` halving with each), bit for bit.
     """
     n = len(x) - 1
     x0, x2 = x[:-1], x[1:]
     xm = 0.5 * (x0 + x2)
-    fx, f1, quarters = np.split(f(_first_points(x)) if first is None else first, [n + 1, 2 * n + 1])
+    fx, f1, quarters = np.split(first, [n + 1, 2 * n + 1])
     f0, f2 = fx[:-1], fx[1:]
     whole = _simpson(x0, x2, f0, f1, f2)
     values, splits = [], []
@@ -219,10 +219,10 @@ class Curve:
     """A map from a closed interval into Minkowski 3-space, given by its array evaluator.
 
     ``evaluate(ts, order)``: for a float array ``ts`` of in-domain
-    parameters it returns the positions (order 0) or first derivatives
-    (order 1) as an ``(n, 3)`` array, or the jet ``(d1, d2, d3)`` as three
-    such arrays (order 3).  ``positions``, ``tangents``, ``jets``, ``squares``
-    and ``speeds`` evaluate a whole grid.  ``squares`` may give <a', a'> of
+    parameters it returns the positions as an ``(n, 3)`` array (order 0) or
+    the jet ``(d1, d2, d3)`` as three such arrays (order 3).  ``positions``,
+    ``tangents`` (the jet's first column), ``jets``, ``squares`` and
+    ``speeds`` evaluate a whole grid.  ``squares`` may give <a', a'> of
     an array of parameters in closed form, signed, which must equal that of
     the tangents; ``scalars`` is the scalar-jet evaluator of a unit-speed
     curve (see ``frenet.scalar_jets``).
@@ -262,8 +262,11 @@ class Curve:
         return _clamp(ts, a, b)
 
     def _grid(self, ts, order: int):
+        """Order 0 or 3 of the evaluator at ``ts``, checked; order 1 checks order 3's first column."""
         ts = self._check_domain(ts)
-        return self._finite(ts, order, self._evaluate(ts, order))
+        if order != 1:
+            return self._finite(ts, order, self._evaluate(ts, order))
+        return self._finite(ts, 1, self._evaluate(ts, 3)[0])
 
     def _finite(self, ts: np.ndarray, order: int, out):
         """``out``, evaluated at ``ts`` (order 2: the squares), once every entry is finite."""
@@ -280,7 +283,7 @@ class Curve:
         return self._grid(ts, 0)
 
     def tangents(self, ts) -> np.ndarray:
-        """First derivatives at every parameter of ``ts``, one row each."""
+        """First derivatives at every parameter of ``ts``, one row each: the jet's first column."""
         return self._grid(ts, 1)
 
     def jets(self, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -391,9 +394,7 @@ def curve_from_samples(samples: CurveSamples, label: str = "samples") -> Curve:
     d1, d2, d3 = spline.derivative(1), spline.derivative(2), spline.derivative(3)
 
     def evaluate(ts: np.ndarray, order: int):
-        if order == 0:
-            return spline(ts)
-        return d1(ts) if order == 1 else (d1(ts), d2(ts), d3(ts))
+        return spline(ts) if order == 0 else (d1(ts), d2(ts), d3(ts))
 
     return Curve(evaluate, (float(t[0]), float(t[-1])), label)
 
@@ -428,14 +429,12 @@ class _ArcLengthTable:
     """Cumulative arc length over a uniform parameter grid and its inverse.
 
     ``_adaptive_pieces`` integrates the roots of ``c.squares`` over the pieces between nodes;
-    its first pass is ``first``, or else made here by ``_tangent_speeds``, which classifies the
+    its first pass is ``first``, ``UnitChain``'s ``_tangent_speeds``, which classifies the
     tangent.  Pieces too long for the spline to evaluate raise ArcLengthOverflowError.
     """
 
-    def __init__(self, c: Curve, size: int, first: np.ndarray | None = None):
+    def __init__(self, c: Curve, size: int, first: np.ndarray):
         t_nodes = np.linspace(*c.domain, size + 1)
-        if first is None:
-            first = _tangent_speeds(c, _first_points(t_nodes))
         speeds = lambda ts: np.sqrt(np.abs(c.squares(ts)))
         pieces = _adaptive_pieces(speeds, t_nodes, QUADRATURE_TOL / size, first)
         s_nodes = np.concatenate(([0.0], np.add.accumulate(pieces)))
@@ -486,8 +485,9 @@ def _unit_jets(d1: np.ndarray, d2: np.ndarray, d3: np.ndarray):
 
 
 class UnitChain(Curve):
-    """``c`` at unit speed at its own raw parameter t: the positions of ``c`` and its jets,
-    and its scalar jet where it carries one, chained to arc length through the local speed.
+    """``c`` at unit speed at its own raw parameter t: the positions of ``c`` and its jet, whose
+    first column is the tangent, and its scalar jet where it carries one, chained to arc length
+    through the local speed.
     A curve to evaluate at t, as a pair evaluates C and C*, not one to reparametrize.  The tangent
     of ``c`` (held as ``base``) is classified here, on the first pass (``_tangent_speeds``) of
     the table that ``arc_length()``, the same chain on the arc length of ``c``, builds when called.
@@ -503,12 +503,7 @@ class UnitChain(Curve):
             raise TableSizeError(f"arc-length table size {table_size!r} is outside [2, {MAX_TABLE_SIZE}]")
 
         def evaluate(t: np.ndarray, order: int):
-            if order == 0:
-                return c.positions(t)
-            if order == 1:
-                d1 = c.tangents(t)
-                return d1 / norm_rows(d1)[:, None]
-            return _unit_jets(*c.jets(t))
+            return c.positions(t) if order == 0 else _unit_jets(*c.jets(t))
 
         def scalars(t: np.ndarray, order: int):
             t = c._check_domain(t)

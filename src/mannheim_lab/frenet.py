@@ -216,7 +216,7 @@ def frenet_apparatus(c: Curve, s: float) -> FrameGrid:
 def constant_kind(c: Curve, grid_size: int) -> CurveKind:
     """The frame kind of ``c``, which must not vary over ``grid_size`` uniform points, from
     ``scalar_jets``: a curve with a scalar jet (built-in, synthesized) extracts no frame.  A
-    pair whose one curve is an offset of the other reads its kinds from ``PairSamples``."""
+    pair reads its kinds from the frames of ``PairSamples`` instead."""
     return _one_kind(scalar_jets(c, np.linspace(*c.domain, grid_size), 0)[0], c.label)
 
 
@@ -531,7 +531,7 @@ def frenet_synthesize(
         if order == 0:
             return pos_spline(ts)
         v = jet_spline(ts)
-        return v[:, 0:3] if order == 1 else (v[:, 0:3], v[:, 3:6], v[:, 6:9])
+        return v[:, 0:3], v[:, 3:6], v[:, 6:9]
 
     code = _KINDS.index(kind)
 

@@ -1,38 +1,23 @@
-"""Spherical images of frame fields and their arc-length rates.
+"""Spherical images of frame fields.
 
 A unit frame field traces a curve on the unit Lorentzian sphere (self
 inner product +1) or the unit hyperbolic sphere (-1).  Only the rates
 ds_image/ds enter the catalogued identities, so the image is never
-reparametrized; the rates come from the frame equations rather than from
-differencing the field.
+reparametrized; ``mannheim`` takes the rates from the frame equations
+rather than from differencing the field.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from .curve import Curve, CurveSamples, _grid_samples
-from .frenet import FrameGrid, constant_kind, frenet_frames, kind_signs
+from .frenet import constant_kind, frenet_frames
 
 __all__ = [
     "Indicatrix",
     "indicatrix_of",
-    "RATE_TOL",
 ]
 
-RATE_TOL = 1e-9
-
 _FIELDS = ("T", "N", "B")
-
-
-def _field_rates(f: FrameGrid, which: str) -> np.ndarray:
-    """|gamma'(s)| for the chosen frame field on each row, from the frame equations."""
-    if which == "T":
-        return f.kappa
-    if which == "B":
-        return np.abs(f.tau)
-    eps_t, _, eps_b, *_ = kind_signs(f.kinds)
-    return np.sqrt(np.abs(eps_t * f.kappa * f.kappa + eps_b * f.tau * f.tau))
 
 
 class Indicatrix:

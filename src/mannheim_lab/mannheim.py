@@ -56,7 +56,6 @@ from .frenet import (
     FrameGrid,
     _extract,
     _one_kind,
-    constant_kind,
     frenet_apparatus,  # noqa: F401 - still importable from this module
     frenet_frames,
     frenet_synthesize,
@@ -64,7 +63,6 @@ from .frenet import (
     scalar_jets,
 )
 from .expr import sqrt
-from .indicatrix import RATE_TOL, _field_rates
 from .lorentz import cross_rows, euclidean_rows, inner_rows, norm_rows, power_rows
 from .offset import _check_lambda, offset_along_binormal, offset_along_normal
 from .reports import VerificationReport, Verdict
@@ -78,7 +76,6 @@ __all__ = [
     "MannheimCurveTest",
     "offset_along_binormal",
     "offset_along_normal",
-    "classify_pair",
     "mannheim_curve_test",
     "exact_partner_pair",
     "HYPOTHESIS_TOL",
@@ -103,6 +100,8 @@ TOL_ALGEBRAIC = 1e-9
 TOL_EXTRACTED = 1e-5
 TOL_ANGLE_RATE = 1e-4
 TOL_IMAGE_RATE = 1e-4
+# A spherical image whose rate is at or below this is stationary.
+RATE_TOL = 1e-9
 
 
 class MannheimPairType(Enum):
@@ -204,18 +203,8 @@ _SPECS = tuple(
 )
 
 
-def classify_pair(c: Curve, cstar: Curve) -> MannheimPairType:
-    """Pair type from the frame kinds, each ``constant_kind`` along 9 uniform points, of the
-    unit-speed C and of C* as the audit evaluates it at raw t (``cstar_raw``: unit-speed or a
-    ``UnitChain``).  ``MannheimPair.from_shared_parameter`` reads the kinds of a pair whose one
-    curve is an offset of the other from ``PairSamples`` on C's 9 points instead: one pass of the
-    base gives its kind and the offset's derivatives, whose extraction gives the offset's and
-    raises every error ``frenet_frames`` would.  Combinations outside the five catalogued types
-    raise UnsupportedCombinationError."""
-    return _pair_type(constant_kind(cstar, 9), constant_kind(c, 9))
-
-
 def _pair_type(*key: CurveKind) -> MannheimPairType:
+    """The type of the kinds (C*, C); UnsupportedCombinationError outside the five types."""
     for pair_type in MannheimPairType:
         if (pair_type.spec.companion, pair_type.spec.curve) == key:
             return pair_type
@@ -275,21 +264,19 @@ class MannheimPair:
         """Correspond two curves through a shared raw parameter t, which needs equal domains.
 
         Each input is stored as the pair holds it; C's arc-length table is built here, to read
-        the pair type from C on its arc length: from the pair sampled at 9 uniform points of it
-        where one curve is an offset of the other (see ``classify_pair``).  Raises
-        ZeroLambdaError, before any work, for a ``lam`` that is zero or not finite.
+        the pair type from the frames the audit reads, ``PairSamples`` at 9 uniform points of C
+        on its arc length.  A frame kind that varies raises MixedCausalCharacterError, naming
+        C* ahead of C.  Raises ZeroLambdaError, before any work, for a ``lam`` that is zero or
+        not finite.
         """
         _check_lambda(lam)
         if c.domain != cstar.domain:
             raise ValueError("shared-parameter pairing needs identical domains")
         c_raw, cstar_raw = (x if x.unit_speed else UnitChain(x, table_size) for x in (c, cstar))
         pair = cls(c_raw, lam, None, cstar_raw)
-        view = PairSamples(pair, np.linspace(*pair.c.domain, 9))
-        if view.offset is None:
-            pair.pair_type = classify_pair(pair.c, cstar_raw)
-        else:  # C*'s kind, then C's, from one pass of the base
-            kinds = zip(view.frames[::-1], (cstar_raw, pair.c))
-            pair.pair_type = _pair_type(*(_one_kind(f.kinds, x.label) for f, x in kinds))
+        frames = PairSamples(pair, np.linspace(*pair.c.domain, 9)).frames
+        kinds = zip(frames[::-1], (cstar_raw, pair.c))  # C*'s kind, then C's
+        pair.pair_type = _pair_type(*(_one_kind(f.kinds, x.label) for f, x in kinds))
         return pair
 
 
@@ -331,6 +318,16 @@ def _decomposition(
 
 # ---------------------------------------------------------------------------
 # the sampled pair and the identity table
+
+
+def _field_rates(f: FrameGrid, which: str) -> np.ndarray:
+    """|gamma'(s)| of the spherical image of the frame field ``which``, from the frame equations."""
+    if which == "T":
+        return f.kappa
+    if which == "B":
+        return np.abs(f.tau)
+    eps_t, _, eps_b, *_ = kind_signs(f.kinds)
+    return np.sqrt(np.abs(eps_t * f.kappa * f.kappa + eps_b * f.tau * f.tau))
 
 
 def _partner(x: Curve, base: Curve) -> Curve | None:

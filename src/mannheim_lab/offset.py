@@ -57,7 +57,7 @@ class _FrameOffset:
         f = frenet.frenet_frames(self.base, ts)
         if order == 0:
             return self.positions_from(f, self.base.positions(ts))
-        return self.jets_from(f, self.tangent(frenet.scalar_jets(self.base, ts, 0 if order == 1 else 2)))
+        return self.jets_from(f, self.tangent(frenet.scalar_jets(self.base, ts, 2)))
 
     def positions_from(self, f: FrameGrid, a: np.ndarray) -> np.ndarray:
         return a + (f.N, f.B)[self.axis - 1] * self.lam
@@ -76,13 +76,10 @@ class _FrameOffset:
         return signs, m, x
 
     def jets_from(self, f: FrameGrid, tangent: tuple):
-        """The tangents from a ``tangent`` of order 0, the jet (d1, d2, d3) from one of order 2."""
+        """The jet (d1, d2, d3) from the base's frames ``f`` and a ``tangent`` of order 2."""
         _, m, x = tangent
-        frame = (f.T, f.N, f.B)
-        if len(x) == 1:
-            return _along(x[0], *frame)
         m0, m1, _ = zip(*m)  # the entries of M and of M'
-        return tuple(_along(y, *frame) for y in (x[0], *_frame_chain(x, m0, m1)))
+        return tuple(_along(y, f.T, f.N, f.B) for y in (x[0], *_frame_chain(x, m0, m1)))
 
     def squares(self, ts: np.ndarray) -> np.ndarray:
         return self.squares_from(self.tangent(frenet.scalar_jets(self.base, ts, 0)))

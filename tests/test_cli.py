@@ -841,16 +841,20 @@ class TestImportPath:
         assert proc.stdout.splitlines() == ["[]", "(0.0, 1.0) True"]
 
 
-    # Each command in a child of its own: (argv, loads mannheim, loads indicatrix).
+    # Each command in a child of its own: (argv, loads mannheim, loads indicatrix, exit code).
+    # The pair commands load no indicatrix: the audit takes the images' rates from the frames.
+    SPEC = "synth:kind=timelike,kappa=2 + 0.3*s,tau=0.9"
     COMMANDS = {
-        "classify": (["classify", "--curve", "paper-example-1"], False, False),
-        "export-plot": (["export-plot", "--curve", "paper-example-2", "--out", "OUT"], False, False),
-        "frenet": (["frenet", "--curve", "paper-example-1", "--at", "0.5"], False, False),
-        "synthesize": (["synthesize", "--kind", "timelike", "--kappa", "1", "--tau", "0.5"], False, False),
-        "indicatrix": (["indicatrix", "--curve", "paper-example-1", "--which", "N"], False, True),
-        "offset-curve": (["offset", "--curve", "paper-example-2", "--lambda", "5"], False, False),
-        "offset-cstar": (["offset", "--cstar", "paper-example-2", "--lambda", "5"], False, False),
-        "examples": (["examples", "run", "1"], True, True),
+        "classify": (["classify", "--curve", "paper-example-1"], False, False, 0),
+        "export-plot": (["export-plot", "--curve", "paper-example-2", "--out", "OUT"], False, False, 0),
+        "frenet": (["frenet", "--curve", "paper-example-1", "--at", "0.5"], False, False, 0),
+        "synthesize": (["synthesize", "--kind", "timelike", "--kappa", "1", "--tau", "0.5"], False, False, 0),
+        "indicatrix": (["indicatrix", "--curve", "paper-example-1", "--which", "N"], False, True, 0),
+        "offset-curve": (["offset", "--curve", "paper-example-2", "--lambda", "5"], False, False, 0),
+        "offset-cstar": (["offset", "--cstar", "paper-example-2", "--lambda", "5"], False, False, 0),
+        "examples": (["examples", "run", "1"], True, False, 0),
+        # a copy of a curve is no partner: its distance report fails
+        "pair-verify": (["pair-verify", "--c", SPEC, "--cstar", SPEC, "--lambda", "1"], True, False, 1),
     }
 
     def test_a_command_loads_only_the_modules_it_runs(self, tmp_path):
@@ -866,14 +870,14 @@ class TestImportPath:
                 [sys.executable, "-c", script, *(str(tmp_path / name) if a == "OUT" else a for a in argv)],
                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
             )
-            for name, (argv, _, _) in self.COMMANDS.items()
+            for name, (argv, *_) in self.COMMANDS.items()
         }
         for name, child in children.items():
             out, err = child.communicate()
             assert child.returncode == 0, err
             code, loaded = json.loads(out)
-            _, audit, images = self.COMMANDS[name]
-            assert code == 0, name
+            _, audit, images, exit_code = self.COMMANDS[name]
+            assert code == exit_code, name
             assert ("mannheim_lab.mannheim" in loaded, "mannheim_lab.reports" in loaded) == (audit, audit), name
             assert ("mannheim_lab.indicatrix" in loaded) is images, name
             assert ("mannheim_lab.offset" in loaded) is (audit or name.startswith("offset")), name

@@ -1,6 +1,8 @@
 import io
 import math
+import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -17,8 +19,9 @@ from mannheim_lab.curve import (
     Curve,
     CurveSamples,
     PchipInterpolator,
+    UnitChain,
     _adaptive_pieces,
-    _ArcLengthTable,
+    _first_points,
     classify_curve,
     curve_from_samples,
     reparametrize_unit,
@@ -49,7 +52,12 @@ def line_curve(direction, domain=(0.0, 3.0), **kwargs):
 def simpson(f, a, b, eps=QUADRATURE_TOL):
     """Adaptive Simpson integral of ``f`` over [a, b]: the one-piece ``_adaptive_pieces``."""
     x = np.array([a, b], dtype=float)
-    return float(_adaptive_pieces(f, x, eps)[0])
+    return float(_adaptive_pieces(f, x, eps, f(_first_points(x)))[0])
+
+
+def arc_table(c, size):
+    """The arc-length table of ``c`` with ``size`` pieces, as ``reparametrize_unit`` builds it."""
+    return UnitChain(c, size).arc_length().arc_table
 
 
 def unit_speed_deviation(c, grid_size):
@@ -80,7 +88,7 @@ def test_arc_table_evaluates_each_node_speed_once(monkeypatch, exact_pair_type2)
     # and classifies the tangent from that square's signs
     monkeypatch.setattr(c, "_squares", counted)
     monkeypatch.setattr(c, "tangents", no_tangents)
-    table = curve_module._ArcLengthTable(c, size)
+    table = arc_table(c, size)
     # no piece splits past the first level: one call covers 1 speed per node,
     # plus a midpoint and two quarter points per piece
     assert len(calls) == 1
@@ -99,7 +107,7 @@ def test_adaptive_simpson():
     assert simpson(np.cos, 2.0, 2.0) == 0.0
     # several pieces at once, each to its own tolerance
     x = np.array([0.0, 0.25, 1.0, 1.0])
-    pieces = _adaptive_pieces(np.exp, x, QUADRATURE_TOL)
+    pieces = _adaptive_pieces(np.exp, x, QUADRATURE_TOL, np.exp(_first_points(x)))
     assert pieces == pytest.approx(np.exp(x[1:]) - np.exp(x[:-1]), abs=1e-12)
     assert pieces[-1] == 0.0
 
@@ -200,31 +208,31 @@ class TestClassify:
 
 class TestArclength:
     def test_unit_speed_interval(self, example2):
-        assert _ArcLengthTable(example2, 16).total == pytest.approx(1.0, abs=1e-10)
+        assert arc_table(example2, 16).total == pytest.approx(1.0, abs=1e-10)
 
     def test_degenerate_interval(self, example1):
         assert simpson(example1.speeds, 0.4, 0.4) == 0.0
 
     def test_constant_speed_two(self):
         c = line_curve((0.0, 2.0, 0.0))
-        assert _ArcLengthTable(c, 16).total == pytest.approx(6.0, abs=1e-10)
+        assert arc_table(c, 16).total == pytest.approx(6.0, abs=1e-10)
 
     def test_additive(self, example2):
         off = offset_along_binormal(example2, 20.0)
-        total = _ArcLengthTable(off, 16).total
+        total = arc_table(off, 16).total
         split = simpson(off.speeds, 0.0, 0.3) + simpson(off.speeds, 0.3, 1.0)
         assert split == pytest.approx(total, abs=2e-10)
 
     def test_null_rejected(self):
         with pytest.raises(NullTangentError):
-            _ArcLengthTable(line_curve((1.0, 1.0, 0.0)), 16)
+            arc_table(line_curve((1.0, 1.0, 0.0)), 16)
 
     def test_overflowing_square_is_named(self, example2):
         # (lam tau)^2 overflows: the square is checked before its sign classifies the tangent
         off = offset_along_binormal(example2, 1e160)
         want = "non-finite speeds of 'paper-example-2+(1e+160)B' at t=0.0"
         with pytest.raises(ValueError, match=re.escape(want) + "$"):
-            _ArcLengthTable(off, 16)
+            arc_table(off, 16)
 
     def test_pieces_too_long_for_the_spline_are_refused(self, example2):
         # every square (~3e300) and node is finite, but s**3 of a piece of
@@ -232,9 +240,9 @@ class TestArclength:
         off = offset_along_binormal(example2, 1e150)
         want = "arc length of 'paper-example-2+(1e+150)B' overflows: a piece spans 1.69e+147"
         with pytest.raises(ArcLengthOverflowError, match=re.escape(want) + "$"):
-            _ArcLengthTable(off, INVERSE_TABLE_SIZE)
+            arc_table(off, INVERSE_TABLE_SIZE)
         # just below the bound the table evaluates
-        table = _ArcLengthTable(offset_along_binormal(example2, 3e105), INVERSE_TABLE_SIZE)
+        table = arc_table(offset_along_binormal(example2, 3e105), INVERSE_TABLE_SIZE)
         assert np.isfinite(table.t_of_s(np.linspace(0.0, table.total, 101))).all()
 
 
@@ -568,13 +576,24 @@ def _synthesized(example1, example2):
     return frenet_synthesize(kind, lambda s: 0.4 + 0.1 * s, lambda s: 0.8 - 0.2 * s, (0.0, 1.0), 1e-2)
 
 
+def _csv(example1, example2):
+    """The ``csv:`` spec of samples of ``example2``, from a file that is gone once read."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "samples.csv")
+        with open(path, "w", newline="") as fh:
+            sample(example2, 41).to_csv(fh)
+        return resolve_curve_spec(f"csv:{path}")
+
+
 # One curve per constructor: closed forms (built in and from row functions),
-# a spline, a synthesized curve and the chained ones (arc length over an
-# offset, both offsets).
+# a spline (built and read from a file), a synthesized curve and the chained
+# ones (a bare chain and arc length over an offset, both offsets).
 JET_CURVES = {
     "builtin-1": lambda example1, example2: example1,
     "builtin-2": lambda example1, example2: example2,
     "samples": lambda example1, example2: curve_from_samples(sample(example2, 41)),
+    "csv": _csv,
+    "unit-chain": lambda example1, example2: UnitChain(offset_along_binormal(example1, 7.0), 128),
     "synthesized": _synthesized,
     "unit-speed": lambda example1, example2: reparametrize_unit(
         offset_along_binormal(example1, 7.0), 128

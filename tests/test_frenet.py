@@ -304,12 +304,14 @@ class TestScalarJet:
         assert kinds.tolist() == [0] and abs(kappa[0] - 2.0) < 1e-3
         with pytest.raises(MissingScalarJetError, match=re.escape(repr(unit.label))):
             scalar_jets(unit, [0.5])
-        # an offset over it needs no derivative of its scalars for positions and tangents
+        # an offset over it has positions, but its tangents are the first column of its
+        # jet, which needs the derivatives of the base's scalars
         off = offset_along_binormal(unit, 2.0)
         ts = np.linspace(*off.domain, 5)
-        assert np.isfinite(off.positions(ts)).all() and np.isfinite(off.tangents(ts)).all()
-        with pytest.raises(MissingScalarJetError):
-            off.jets(ts)
+        assert np.isfinite(off.positions(ts)).all()
+        for derivatives in (off.tangents, off.jets):
+            with pytest.raises(MissingScalarJetError, match=re.escape(repr(unit.label))):
+                derivatives(ts)
 
     def test_builtin_jets_are_exact_constants(self, example1, example2):
         def jets(c):

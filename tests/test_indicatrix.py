@@ -5,9 +5,9 @@ import pytest
 
 from _oracle_constants import ORACLE
 from mannheim_lab.frenet import CurveKind, constant_kind, frenet_frames, frenet_synthesize
-from mannheim_lab.indicatrix import _field_rates, indicatrix_of
+from mannheim_lab.indicatrix import indicatrix_of
 from mannheim_lab.lorentz import euclidean_rows, inner_rows, norm_rows
-from mannheim_lab.mannheim import IDENTITIES, PairSamples
+from mannheim_lab.mannheim import IDENTITIES, PairSamples, _field_rates
 from mannheim_lab.reports import Verdict
 
 SQRT3 = math.sqrt(3.0)

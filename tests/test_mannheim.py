@@ -17,12 +17,13 @@ from mannheim_lab import frenet, mannheim
 from mannheim_lab import indicatrix as indicatrix_module
 from mannheim_lab import offset as offset_module
 from mannheim_lab.builtins import builtin_curve
-from mannheim_lab.cli import _run_pair_suite
+from mannheim_lab.cli import _run_pair_suite, resolve_curve_spec
 from mannheim_lab.curve import reparametrize_unit
 from mannheim_lab.errors import (
     DegenerateIndicatrixError,
     ExprDomainError,
     InconsistentDecompositionError,
+    MixedCausalCharacterError,
     NegativeConditionValueError,
     PrescriptionError,
     UnsupportedCombinationError,
@@ -44,7 +45,6 @@ from mannheim_lab.mannheim import (
     MannheimPair,
     MannheimPairType,
     PairSamples,
-    classify_pair,
     exact_partner_kappa,
     exact_partner_pair,
     mannheim_curve_test,
@@ -207,11 +207,62 @@ class TestClassification:
     def test_unsupported_combination(self, example1):
         # two spacelike curves with timelike binormal are outside the table
         with pytest.raises(UnsupportedCombinationError):
-            classify_pair(example1, example1)
+            MannheimPair.from_shared_parameter(example1, example1, 1.0)
 
     def test_reparametrization_invariance(self, example2, example2_pair):
         again = reparametrize_unit(example2, 256)
-        assert classify_pair(example2_pair.c, again) is example2_pair.pair_type
+        assert MannheimPair.from_binormal_offset(again, 20.0).pair_type is example2_pair.pair_type
+
+    def test_a_pair_of_two_curves_is_typed_from_one_frame_pass_of_each(self, monkeypatch):
+        # the pair ``pair-verify --c SPEC --cstar SPEC`` builds, neither curve an offset of the
+        # other: its type comes from the frames of the audit on 9 points, not from scalar jets
+        frames, jets = [], []
+        extract, scalar_jets = frenet.frenet_frames, frenet.scalar_jets
+
+        def counted_frames(c, s):
+            frames.append((c, len(s)))
+            return extract(c, s)
+
+        def counted_jets(c, s, order=2):
+            jets.append(order)
+            return scalar_jets(c, s, order)
+
+        def no_constant_kind(c, grid_size):
+            raise AssertionError("a pair reads its kinds from its frames")
+
+        for module in (frenet, mannheim):
+            monkeypatch.setattr(module, "frenet_frames", counted_frames)
+            monkeypatch.setattr(module, "scalar_jets", counted_jets)
+        monkeypatch.setattr(frenet, "constant_kind", no_constant_kind)
+        spec = "synth:kind=timelike,kappa=2 + 0.3*s,tau=0.9"
+        c, cstar = resolve_curve_spec(spec), resolve_curve_spec(spec)
+        pair = MannheimPair.from_shared_parameter(c, cstar, 1.0)
+        assert pair.pair_type is MannheimPairType.TYPE2
+        assert frames == [(c, 9), (cstar, 9)]
+        assert 0 not in jets
+
+    def test_a_varying_frame_kind_names_the_companion_ahead_of_the_curve(self, example2):
+        c, cstar = _kinked("kinked C"), _kinked("kinked C*")
+        with pytest.raises(MixedCausalCharacterError, match=re.escape("frame kind of 'kinked C*' varies")):
+            MannheimPair.from_shared_parameter(c, cstar, 1.0)
+        with pytest.raises(MixedCausalCharacterError, match=re.escape("frame kind of 'kinked C' varies")):
+            MannheimPair.from_shared_parameter(c, example2, 1.0)
+
+
+def _kinked(label):
+    """A unit-speed spacelike curve whose normal is spacelike before t = 1/2, a circle, and
+    timelike from there, a hyperbola: every frame extracts, but its kind varies."""
+
+    def rows(k):
+        def row(t):
+            cos, sin, cosh, sinh = np.cos(t), np.sin(t), np.cosh(t), np.sinh(t)
+            circle = ((0.0, cos, sin), (0.0, -sin, cos), (0.0, -cos, -sin), (0.0, sin, -cos))[k]
+            hyperbola = ((cosh, sinh, 0.0), (sinh, cosh, 0.0))[k % 2]
+            return tuple(np.where(t < 0.5, a, b) for a, b in zip(circle, hyperbola))
+
+        return row
+
+    return closed_form_curve([rows(k) for k in range(4)], (0.0, 1.0), label, unit_speed=True)
 
 
 class TestResidual:
@@ -880,10 +931,11 @@ class TestPairTypeSpec:
         for companion, cstar in helices.items():
             for kind, c in helices.items():
                 if (companion, kind) in rows:
-                    assert classify_pair(c, cstar) is rows[companion, kind]
+                    pair = MannheimPair.from_shared_parameter(c, cstar, 0.5)
+                    assert pair.pair_type is rows[companion, kind]
                 else:
                     with pytest.raises(UnsupportedCombinationError):
-                        classify_pair(c, cstar)
+                        MannheimPair.from_shared_parameter(c, cstar, 0.5)
 
 
 def _line_pair(example1):
